@@ -1,5 +1,5 @@
 """Automorphism groups of small groups by backtracking over generator images
-on the Cayley table, with invariant-fingerprint pruning; Aut-orbit reports.
+modulo Inn(G) on the Cayley table, with fingerprint pruning; Aut-orbit reports.
 
 Automorphisms are permutations of element ids (degree = |G|), and the full
 automorphism group is itself wrapped as a FiniteGroup acting on those ids, so
@@ -14,8 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .permcore import (FiniteGroup, GroupError, Permutation, close_group,
-                       conjugacy_classes, POINT_DTYPE)
+from .permcore import (FiniteGroup, GroupError, Permutation, _encode_rows,
+                       conjugacy_classes, validate_automorphism, POINT_DTYPE)
 
 MAX_AUT_CARRIER = 2000
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -111,44 +111,42 @@ def _fingerprints(G: FiniteGroup, T: CayleyTable) -> list[tuple]:
     return fps
 
 
-def _greedy_generating_set(G: FiniteGroup, T: CayleyTable) -> list[int]:
-    """Generating ids chosen by descending element order (ties by id)."""
-    by_order = sorted(range(G.order), key=lambda i: (-int(T.element_orders[i]), i))
-    gens: list[int] = []
-    closure = {0}
-    for eid in by_order:
-        if eid in closure:
-            continue
-        gens.append(eid)
-        closure = set(G.subgroup_closure(gens).tolist())
-        if len(closure) == G.order:
-            return gens
-    raise GroupError("generating-set search failed")  # unreachable
+def _closure_mask(T: CayleyTable, gen_ids: Sequence[int]) -> np.ndarray:
+    """Membership mask of <gen_ids>, closed level by level on the Cayley table."""
+    gens, frontier = np.asarray(gen_ids, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    inside = np.arange(T.order) == 0
+    while frontier.size:
+        frontier = np.unique(T.table[np.ix_(frontier, gens)])
+        frontier = frontier[~inside[frontier]]
+        inside[frontier] = True
+    return inside
 
 
-def _bfs_words(T: CayleyTable, gen_ids: Sequence[int]) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """BFS order over the Cayley graph (right multiplication by generators);
-    every element is parent * gen."""
+def _generating_set(T: CayleyTable, fps: list[tuple]) -> list[int]:
+    """Generators with few fingerprint candidates: an element of order |G|, or
+    a pair (least id of one fingerprint class, id of another) taking class
+    pairs by ascending size product, or after |G| failed pairs the largest
+    pair closure extended by descending element order (ties by id)."""
     n = T.order
-    parent = np.full(n, -1, dtype=np.int64)
-    via = np.full(n, -1, dtype=np.int64)
-    order = [0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for k, g in enumerate(gen_ids):
-            y = int(T.table[x, g])
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                via[y] = k
-                order.append(y)
-    if len(order) != n:
-        raise GroupError("generators do not generate the group")
-    return order, parent, via
+    cyclic = np.flatnonzero(T.element_orders == n)
+    if cyclic.size:
+        return [int(cyclic[0])]
+    classes = sorted(([x for x in range(1, n) if fps[x] == f] for f in set(fps[1:])),
+                     key=lambda c: (len(c), c[0]))
+    pairs = sorted(((B, A) for i, B in enumerate(classes) for A in classes[i:]),
+                   key=lambda p: len(p[0]) * len(p[1]))
+    best = (0, [], None)
+    for _, seed in zip(range(n), ([A[0], b] for B, A in pairs for b in B if b != A[0])):
+        inside = _closure_mask(T, seed)
+        if inside.all():
+            return seed
+        best = max(best, (inside.sum(), seed, inside), key=lambda t: t[0])
+    _, gens, inside = best
+    for eid in sorted(range(n), key=lambda i: (-int(T.element_orders[i]), i)):
+        if not inside[eid]:
+            gens = gens + [eid]
+            inside = _closure_mask(T, gens)
+    return gens
 
 
 _BATCH_CELLS = 16_000_000  # map-matrix cells per extension batch
@@ -214,73 +212,87 @@ def _extend_and_filter(T: CayleyTable, survivors: np.ndarray, cand: np.ndarray,
 
 
 def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> AutomorphismGroup:
-    """Complete Aut(G) by staged vectorized backtracking: candidate images of
-    each generator (filtered by fingerprint) extend the surviving partial
-    homomorphisms one generator at a time, so the search never materializes
-    the full Cartesian candidate product."""
+    """Complete Aut(G) modulo Inn(G) (Cannon & Holt 2003): candidate images of
+    each generator extend the surviving partial homomorphisms one generator at
+    a time, the first generator's only up to conjugacy, and Aut(G) is closed
+    from Inn(G) and the survivors.  `budget` bounds the number of maps built."""
     if G.order > MAX_AUT_CARRIER:
         raise TooLarge(f"|G| = {G.order} exceeds the {MAX_AUT_CARRIER} carrier guard")
     n = G.order
     T = CayleyTable.from_group(G)
     fps = _fingerprints(G, T)
-    gen_ids = _greedy_generating_set(G, T)
+    classes = conjugacy_classes(G)
+    gen_ids = _generating_set(T, fps)
 
     survivors = np.zeros((1, n), dtype=np.int32)  # the empty partial map
     built = 0
     for j, g in enumerate(gen_ids):
         cand = np.array([x for x in range(n) if fps[x] == fps[g]], dtype=np.int32)
+        if j == 0:
+            cand = np.unique([classes.representative(c) for c in classes.class_of[cand]])
         built += survivors.shape[0] * cand.size
         if built > budget:
             raise BudgetExceeded(f"search built {built} maps, budget {budget}")
         members, parent, via = _subgroup_bfs(T, gen_ids[: j + 1])
         survivors = _extend_and_filter(T, survivors, cand, members, parent, via,
                                        gen_ids[: j + 1])
-    auts = survivors.astype(POINT_DTYPE)
-
-    aut_group = _group_from_permutation_rows(auts, n)
+    c = np.array(G.generator_ids(), dtype=np.int64)
+    inner = T.table[T.table[c, :], T.inverse[c][:, None]]  # conjugation by c
+    auts, _ = _close_automorphisms(np.concatenate([inner, survivors]), gen_ids)
+    aut_group = _group_from_permutation_rows(auts.astype(POINT_DTYPE), gen_ids)
     result = AutomorphismGroup(G, aut_group)
-    _validate_aut_group(G, T, result)
+    _validate_aut_group(G, result)
     return result
 
 
-def _group_from_permutation_rows(rows: np.ndarray, degree: int) -> FiniteGroup:
-    """Wrap a complete set of permutations as a FiniteGroup, picking a small
-    generating subset greedily over the canonical order."""
-    from .permcore import _encode_rows
+def _close_automorphisms(maps: np.ndarray, gen_ids: Sequence[int]):
+    """Elements and generators of the group generated by automorphisms `maps`
+    (keyed by their images of `gen_ids`).  A map the closure H misses becomes a
+    generator, and right cosets H*r are added until closed under the generators."""
+    def keys(rows):
+        return _encode_rows(rows[:, gen_ids]).tolist()
+
+    elems = np.arange(maps.shape[1], dtype=maps.dtype)[None, :]
+    seen, gens = set(keys(elems)), []
+    for phi, key in zip(maps, keys(maps)):
+        if key in seen:
+            continue
+        gens.append(phi)
+        reps, blocks = [elems[0]], [elems]
+        for p in (r[y] for r in reps for y in gens):
+            if keys(p[None, :])[0] not in seen:
+                blocks.append(elems[:, p])
+                seen.update(keys(blocks[-1]))
+                reps.append(p)
+        elems = np.concatenate(blocks)
+    return elems, gens
+
+
+def _group_from_permutation_rows(rows: np.ndarray, gen_ids: Sequence[int]) -> FiniteGroup:
+    """Wrap the complete set of automorphisms `rows` as a FiniteGroup, picking
+    a small generating subset greedily over the canonical order."""
     mat = rows[np.argsort(_encode_rows(rows))]
-    gens: list[Permutation] = []
-    G = close_group([], degree=degree)
-    for row in mat:
-        if not G.contains(Permutation(row)):
-            gens.append(Permutation(row))
-            G = close_group(gens, degree=degree)
-            if G.order == mat.shape[0]:
-                break
-    if G.order != mat.shape[0]:
+    elems, gens = _close_automorphisms(mat, gen_ids)
+    if elems.shape[0] != mat.shape[0]:
         raise GroupError("automorphism set is not closed under composition")
-    return G
+    return FiniteGroup(mat.shape[1], [Permutation(g) for g in gens], mat)
 
 
-def _validate_aut_group(G: FiniteGroup, T: CayleyTable, A: AutomorphismGroup):
-    """Inner automorphisms must all be present, and |Inn| = |G|/|Z(G)|."""
+def _validate_aut_group(G: FiniteGroup, A: AutomorphismGroup):
+    """A's generators preserve G's multiplication (checked on permutations, not
+    on the Cayley table), and A holds all |G|/|Z(G)| inner automorphisms."""
+    if not all(validate_automorphism(G, phi.images) for phi in A.group.generators):
+        raise GroupError("a generator of the Aut search result is not an automorphism")
     n_inner = G.order // G.center_ids().size
-    if A.order % n_inner != 0:
-        raise GroupError("|Aut| not divisible by |Inn|")
-    for g in G.generator_ids():
-        inner = T.table[T.table[g, :], int(T.inverse[g])]
-        if not A.group.contains(Permutation(inner.astype(POINT_DTYPE))):
-            raise GroupError("inner automorphism missing from Aut search result")
+    if A.order % n_inner != 0 or inner_automorphism_ids(A).size != n_inner:
+        raise GroupError("|Inn| is not |G|/|Z(G)| or does not divide |Aut|")
 
 
 def inner_automorphism_ids(A: AutomorphismGroup) -> np.ndarray:
     """Ids, inside A.group, of the inner automorphisms of the carrier; for a
     centerless carrier this is the canonical embedded copy of it."""
-    G = A.carrier
-    T = G.cayley()
-    inv = G.inverse_ids()
-    inner_rows = np.empty((G.order, G.order), dtype=POINT_DTYPE)
-    for g in range(G.order):
-        inner_rows[g] = T[T[g, :], int(inv[g])].astype(POINT_DTYPE)
+    T, inv = A.carrier.cayley(), A.carrier.inverse_ids()
+    inner_rows = T[T, inv[:, None]].astype(POINT_DTYPE)  # row g: x -> g x g^-1
     return np.unique(A.group.ids_of(inner_rows))
 
 

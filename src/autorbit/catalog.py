@@ -462,16 +462,17 @@ CATALOG_ENTRIES = [
 
 def resolve(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     """Build a catalog group from a name like 'alt5', 'sym(6)', 'psl(3,4)'."""
-    m = _NAME_RE.match(name.strip().lower())
+    key = name.strip().lower()
+    if key == "autpsl34":  # whole-name aliases, before the digits split off
+        return extended_aut_psl34(limit)
+    if key == "extraspecial27":
+        return extraspecial_p3_exponent_p(3)
+    m = _NAME_RE.match(key)
     if not m:
         raise BadParameter(f"cannot parse group name {name!r}")
     base, a, b = m.group(1), m.group(2), m.group(3)
     a = int(a) if a is not None else None
     b = int(b) if b is not None else None
-    if base == "autpsl34" and a is None:
-        return extended_aut_psl34(limit)
-    if base == "extraspecial27":
-        return extraspecial_p3_exponent_p(3)
     if a is None:
         raise BadParameter(f"group name {name!r} needs a parameter")
     if base == "sym" and b is None:

@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=2_000_000,
                    help="group enumeration limit (default 2000000)")
     p.add_argument("--max-nodes", type=int, default=2_000_000,
-                   help="automorphism search budget (default 2000000)")
+                   help="automorphism search budget in maps built (default 2000000)")
     p.add_argument("--time-limit-s", type=float, default=None,
                    help="wall-clock budget for suites; over-budget items are skipped")
     sub = p.add_subparsers(dest="command", required=True)

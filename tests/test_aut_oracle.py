@@ -1,0 +1,110 @@
+"""The Aut search modulo Inn(G) against the exhaustive staged search it
+replaced, kept here as the oracle: a greedy generating set by descending
+element order, every fingerprint candidate for every generator, the
+surviving maps taken as the whole of Aut(G), and generators picked by
+`close_group`.  Both must give the same automorphism group, element for
+element and generator for generator."""
+
+import numpy as np
+import pytest
+
+from autorbit import catalog
+from autorbit.autgrp import (AutomorphismGroup, CayleyTable,
+                             _extend_and_filter, _fingerprints, _subgroup_bfs,
+                             automorphism_group)
+from autorbit.permcore import (POINT_DTYPE, GroupError, Permutation,
+                               _encode_rows, close_group)
+
+
+def greedy_generating_set(G, T):
+    """Generating ids chosen by descending element order (ties by id)."""
+    by_order = sorted(range(G.order), key=lambda i: (-int(T.element_orders[i]), i))
+    gens = []
+    closure = {0}
+    for eid in by_order:
+        if eid in closure:
+            continue
+        gens.append(eid)
+        closure = set(G.subgroup_closure(gens).tolist())
+        if len(closure) == G.order:
+            return gens
+    raise GroupError("generating-set search failed")
+
+
+def group_from_permutation_rows(rows, degree):
+    """The complete set of permutations as a FiniteGroup, with generators
+    picked greedily over the canonical order."""
+    mat = rows[np.argsort(_encode_rows(rows))]
+    gens = []
+    G = close_group([], degree=degree)
+    for row in mat:
+        if not G.contains(Permutation(row)):
+            gens.append(Permutation(row))
+            G = close_group(gens, degree=degree)
+            if G.order == mat.shape[0]:
+                break
+    assert G.order == mat.shape[0]
+    return G
+
+
+def oracle_automorphism_group(G):
+    n = G.order
+    T = CayleyTable.from_group(G)
+    fps = _fingerprints(G, T)
+    gen_ids = greedy_generating_set(G, T)
+    survivors = np.zeros((1, n), dtype=np.int32)
+    for j, g in enumerate(gen_ids):
+        cand = np.array([x for x in range(n) if fps[x] == fps[g]], dtype=np.int32)
+        members, parent, via = _subgroup_bfs(T, gen_ids[: j + 1])
+        survivors = _extend_and_filter(T, survivors, cand, members, parent, via,
+                                       gen_ids[: j + 1])
+    return AutomorphismGroup(G, group_from_permutation_rows(survivors.astype(POINT_DTYPE), n))
+
+
+def elementary_abelian(p, k):
+    """C_p^k as k disjoint p-cycles; not 2-generated for k >= 3."""
+    gens = []
+    for i in range(k):
+        images = list(range(p * k))
+        for t in range(p):
+            images[i * p + t] = i * p + (t + 1) % p
+        gens.append(Permutation(images))
+    return close_group(gens, name=f"C{p}^{k}")
+
+
+def assert_same_aut(G, aut_order):
+    A = automorphism_group(G)
+    B = oracle_automorphism_group(G)
+    assert A.order == B.order == aut_order
+    assert np.array_equal(A.group.elements, B.group.elements)
+    assert [g.images.tolist() for g in A.group.generators] == \
+        [g.images.tolist() for g in B.group.generators]
+
+
+@pytest.mark.parametrize("name, aut_order", [
+    ("sym3", 6), ("sym4", 24), ("sym5", 120),
+    ("alt4", 24), ("alt5", 120),
+    ("cyclic5", 4), ("cyclic8", 4), ("cyclic12", 4), ("cyclic30", 8),
+    ("extraspecial(3)", 432), ("extraspecial(5)", 12000),
+    ("psl(2,4)", 120), ("psl(2,5)", 120), ("psl(2,7)", 336), ("psl(3,2)", 336),
+    ("pgl(2,3)", 24), ("pgl(2,4)", 120), ("pgl(2,5)", 120), ("pgl(2,7)", 336),
+    ("pgl(3,2)", 336), ("pgu(3,2)", 432),
+])
+def test_matches_oracle_on_catalog(name, aut_order):
+    assert_same_aut(catalog.resolve(name), aut_order)
+
+
+@pytest.mark.parametrize("p, k, aut_order", [(2, 3, 168), (3, 3, 11232), (2, 4, 20160)])
+def test_matches_oracle_not_two_generated(p, k, aut_order):
+    assert_same_aut(elementary_abelian(p, k), aut_order)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, aut_order", [
+    ("sym6", 1440), ("alt6", 1440), ("psl(2,9)", 1440), ("psl(2,8)", 1512),
+    ("psl(2,11)", 1320), ("pgl(2,9)", 1440), ("psl(2,13)", 2184),
+    ("pgl(2,11)", 1320), ("extraspecial(7)", 98784),
+    ("psu(3,2)", 432),  # its catalog build alone takes about 15 s
+])
+def test_matches_oracle_slow(name, aut_order):
+    assert_same_aut(catalog.resolve(name), aut_order)

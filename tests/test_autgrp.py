@@ -125,8 +125,12 @@ def test_maol_psl28(psl28, psl28_aut):
 def test_guards():
     with pytest.raises(TooLarge):
         automorphism_group(catalog.projective_group("SL", 3, 4))
+    # Alt6 is generated by a (4,2)-element and a double transposition; the
+    # search builds 1 map for the first (one class representative) and
+    # 1 * 45 for the second: 46 in all
     with pytest.raises(BudgetExceeded):
-        automorphism_group(catalog.alt(6), budget=100)
+        automorphism_group(catalog.alt(6), budget=45)
+    assert automorphism_group(catalog.alt(6), budget=46).order == 1440
 
 
 def test_report_serialization(alt5, alt5_aut):

@@ -130,3 +130,16 @@ def test_resolve_names():
         resolve("nosuchgroup(3)")
     with pytest.raises(BadParameter):
         resolve("psl")
+
+
+def test_resolve_names_ending_in_digits(monkeypatch):
+    # the name grammar would split these into "extraspecial" + 27 and
+    # "autpsl" + 34
+    assert resolve("extraspecial27").order == 27
+    monkeypatch.setattr(catalog, "extended_aut_psl34", lambda limit: ("built", limit))
+    assert resolve(" AutPSL34 ", limit=99) == ("built", 99)
+
+
+@pytest.mark.slow
+def test_resolve_autpsl34_builds_the_group():
+    assert resolve("autpsl34").order == 241920
