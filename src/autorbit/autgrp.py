@@ -14,18 +14,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .permcore import (FiniteGroup, GroupError, Permutation, _encode_rows,
-                       conjugacy_classes, validate_automorphism, POINT_DTYPE)
+from .permcore import (FiniteGroup, GroupError, Permutation, ResourceLimit,
+                       _encode_rows, conjugacy_classes, dimino, orbits,
+                       validate_automorphism, POINT_DTYPE)
 
 MAX_AUT_CARRIER = 2000
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
-class TooLarge(GroupError):
+class TooLarge(ResourceLimit):
     pass
 
 
-class BudgetExceeded(GroupError):
+class BudgetExceeded(ResourceLimit):
     pass
 
 
@@ -238,44 +239,22 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Aut
                                        gen_ids[: j + 1])
     c = np.array(G.generator_ids(), dtype=np.int64)
     inner = T.table[T.table[c, :], T.inverse[c][:, None]]  # conjugation by c
-    auts, _ = _close_automorphisms(np.concatenate([inner, survivors]), gen_ids)
-    aut_group = _group_from_permutation_rows(auts.astype(POINT_DTYPE), gen_ids)
+    auts = dimino(np.concatenate([inner, survivors])).elements
+    aut_group = _group_from_permutation_rows(auts)
     result = AutomorphismGroup(G, aut_group)
     _validate_aut_group(G, result)
     return result
 
 
-def _close_automorphisms(maps: np.ndarray, gen_ids: Sequence[int]):
-    """Elements and generators of the group generated by automorphisms `maps`
-    (keyed by their images of `gen_ids`).  A map the closure H misses becomes a
-    generator, and right cosets H*r are added until closed under the generators."""
-    def keys(rows):
-        return _encode_rows(rows[:, gen_ids]).tolist()
-
-    elems = np.arange(maps.shape[1], dtype=maps.dtype)[None, :]
-    seen, gens = set(keys(elems)), []
-    for phi, key in zip(maps, keys(maps)):
-        if key in seen:
-            continue
-        gens.append(phi)
-        reps, blocks = [elems[0]], [elems]
-        for p in (r[y] for r in reps for y in gens):
-            if keys(p[None, :])[0] not in seen:
-                blocks.append(elems[:, p])
-                seen.update(keys(blocks[-1]))
-                reps.append(p)
-        elems = np.concatenate(blocks)
-    return elems, gens
-
-
-def _group_from_permutation_rows(rows: np.ndarray, gen_ids: Sequence[int]) -> FiniteGroup:
-    """Wrap the complete set of automorphisms `rows` as a FiniteGroup, picking
-    a small generating subset greedily over the canonical order."""
+def _group_from_permutation_rows(rows: np.ndarray) -> FiniteGroup:
+    """Wrap the complete set of automorphisms `rows` as a FiniteGroup, keeping
+    the generators `dimino` picks over the canonical order."""
     mat = rows[np.argsort(_encode_rows(rows))]
-    elems, gens = _close_automorphisms(mat, gen_ids)
-    if elems.shape[0] != mat.shape[0]:
+    closed = dimino(mat)
+    if closed.elements.shape[0] != mat.shape[0]:
         raise GroupError("automorphism set is not closed under composition")
-    return FiniteGroup(mat.shape[1], [Permutation(g) for g in gens], mat)
+    return FiniteGroup(mat.shape[1], [Permutation(mat[k]) for k in closed.kept], mat,
+                       base=closed.base)
 
 
 def _validate_aut_group(G: FiniteGroup, A: AutomorphismGroup):
@@ -299,32 +278,14 @@ def inner_automorphism_ids(A: AutomorphismGroup) -> np.ndarray:
 def orbit_of(x: int, gens: Iterable[np.ndarray]) -> set[int]:
     """Closure of {x} under the given id permutations."""
     gens = list(gens)
-    seen = {int(x)}
-    frontier = [int(x)]
-    while frontier:
-        fresh = []
-        for y in frontier:
-            for g in gens:
-                z = int(g[y])
-                if z not in seen:
-                    seen.add(z)
-                    fresh.append(z)
-        frontier = fresh
-    return seen
+    parts, part_of = orbits(gens, len(gens[0]) if gens else int(x) + 1)
+    return set(parts[part_of[x]].tolist())
 
 
 def orbit_partition(degree: int, gens: Sequence[np.ndarray]) -> list[np.ndarray]:
     """All orbits of the generated group on 0..degree-1, numbered by minimal
     element."""
-    seen = np.full(degree, -1, dtype=np.int64)
-    orbits = []
-    for start in range(degree):
-        if seen[start] >= 0:
-            continue
-        orbit = sorted(orbit_of(start, gens))
-        seen[np.array(orbit)] = len(orbits)
-        orbits.append(np.array(orbit, dtype=np.int64))
-    return orbits
+    return orbits(gens, degree)[0]
 
 
 def maol(G: FiniteGroup, A: AutomorphismGroup) -> OrbitReport:

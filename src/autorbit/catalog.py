@@ -163,18 +163,13 @@ def is_unitary(F: Field, A: Matrix) -> bool:
 def projective_points(F: Field, d: int) -> tuple[list[tuple], dict]:
     """Canonical list of projective points: last nonzero coordinate scaled
     to 1, sorted lexicographically on the coordinate encodings."""
-    reps = set()
-    for code in range(1, F.q ** d):
-        v = []
-        c = code
-        for _ in range(d):
-            v.append(c % F.q)
-            c //= F.q
-        last = max(i for i, x in enumerate(v) if x != 0)
-        s = F.inv(v[last])
-        reps.add(tuple(F.mul(s, x) for x in v))
-    pts = sorted(reps)
+    pts = sorted({normalize_point(F, v) for v in _vectors(F, d)[1:]})
     return pts, {pt: i for i, pt in enumerate(pts)}
+
+
+def _vectors(F: Field, d: int) -> list[tuple]:
+    """F^d in the order of the code sum(v[j] * q^j)."""
+    return [tuple((code // F.q ** j) % F.q for j in range(d)) for code in range(F.q ** d)]
 
 
 def normalize_point(F: Field, v: tuple) -> tuple:
@@ -259,21 +254,19 @@ def gu_reflections(F: Field, d: int, q: int) -> list[Matrix]:
     return [_unitary_reflection(F, v, zeta) for v in aniso[: 2 * d]]
 
 
-def _unitary_bruteforce(F: Field, d: int, det_one: bool) -> list[Matrix]:
-    """Scan all matrices for unitary ones; only viable for SU/GU_3(2)."""
+def _unitary_matrices(F: Field, d: int, det_one: bool) -> list[Matrix]:
+    """All unitary matrices, i.e. those whose rows are orthonormal for the
+    identity Gram matrix, built row by row from the norm-1 vectors, in
+    ascending order of sum(M[i][j] * q^(d*i + j)); only needed for SU/GU_3(2)."""
     if F.q ** (d * d) > 2 ** 20:
-        raise TooLarge("unitary brute-force scan infeasible")
-    out = []
-    for code in range(F.q ** (d * d)):
-        entries = []
-        c = code
-        for _ in range(d * d):
-            entries.append(c % F.q)
-            c //= F.q
-        M = tuple(tuple(entries[i * d:(i + 1) * d]) for i in range(d))
-        if is_unitary(F, M) and (not det_one or _det(F, M) == 1):
-            out.append(M)
-    return out
+        raise TooLarge("unitary matrix enumeration infeasible")
+    unit = [v for v in _vectors(F, d) if hermitian_inner(F, v, v) == 1]
+    found = [()]
+    for _ in range(d):
+        found = [rows + (v,) for rows in found for v in unit
+                 if all(hermitian_inner(F, u, v) == 0 for u in rows)]
+    found.sort(key=lambda M: [x for row in reversed(M) for x in reversed(row)])
+    return [M for M in found if not det_one or _det(F, M) == 1]
 
 
 def _det(F: Field, A: Matrix) -> int:
@@ -361,8 +354,8 @@ def projective_group(kind: str, d: int, q: int,
     gens = [projective_perm(F, pts, pidx, M) for M in mats]
     G = close_group(gens, limit=limit, name=name)
     if G.order != expected and kind in ("SU", "GU"):
-        # SU_3(2) is not generated by its transvections; recover by scanning
-        mats = _unitary_bruteforce(F, d, det_one=(kind == "SU"))
+        # SU_3(2) is not generated by its transvections; use every unitary matrix
+        mats = _unitary_matrices(F, d, det_one=(kind == "SU"))
         gens = [projective_perm(F, pts, pidx, M) for M in mats]
         G = close_group(gens, limit=limit, name=name)
     if G.order != expected:
@@ -393,6 +386,13 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 # -- Aut(PSL_3(4)) on points + lines of PG(2,4) -----------------------------
 
+def _point_line_perm(F: Field, pts: list, pidx: dict, M: Matrix) -> Permutation:
+    """M on the points and, by its inverse transpose, on the lines of PG(2,q)."""
+    Minvt = mat_transpose(mat_inv(F, M))
+    return Permutation([pidx[normalize_point(F, mat_vec(F, M, v))] for v in pts]
+                       + [len(pts) + pidx[normalize_point(F, mat_vec(F, Minvt, u))] for u in pts])
+
+
 def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     """Aut(PSL_3(4)) of order 241920 as a permutation group of degree 42:
     points 0..20 and lines 21..41 of PG(2,4), generated by the PGL_3(4)
@@ -406,15 +406,8 @@ def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
         images = [point_map(v) for v in pts] + [n_pts + line_map(u) for u in pts]
         return Permutation(images)
 
-    def matrix_perm(M: Matrix) -> Permutation:
-        Minvt = mat_transpose(mat_inv(F, M))
-        return combined(
-            lambda v: pidx[normalize_point(F, mat_vec(F, M, v))],
-            lambda u: pidx[normalize_point(F, mat_vec(F, Minvt, u))],
-        )
-
     mats = sl_generators(F, 3) + [_diag(F, 3, F.primitive_element())]
-    gens = [matrix_perm(M) for M in mats]
+    gens = [_point_line_perm(F, pts, pidx, M) for M in mats]
     frob = combined(
         lambda v: pidx[normalize_point(F, tuple(F.frobenius(x) for x in v))],
         lambda u: pidx[normalize_point(F, tuple(F.frobenius(x) for x in u))],
@@ -430,14 +423,8 @@ def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
     """Ids of the PSL_3(4) socle inside extended_aut_psl34()."""
     F = make_field(2, 2)
     pts, pidx = projective_points(F, 3)
-    n_pts = len(pts)
-    sl_perms = []
-    for M in sl_generators(F, 3):
-        Minvt = mat_transpose(mat_inv(F, M))
-        images = [pidx[normalize_point(F, mat_vec(F, M, v))] for v in pts] \
-            + [n_pts + pidx[normalize_point(F, mat_vec(F, Minvt, u))] for u in pts]
-        sl_perms.append(Permutation(images))
-    S = close_group(sl_perms, name="psl(3,4)@42")
+    S = close_group([_point_line_perm(F, pts, pidx, M) for M in sl_generators(F, 3)],
+                    name="psl(3,4)@42")
     if S.order != 20160:
         raise GeneratorDeficiency(f"socle closed to {S.order}, expected 20160")
     return autgroup.ids_of(S.elements)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -18,19 +19,14 @@ from . import catalog
 from . import multinomial as mn
 from . import stypes
 from . import wreath
-from .autgrp import (BudgetExceeded, automorphism_group,
-                     inner_automorphism_ids, maol)
-from .autgrp import TooLarge as AutTooLarge
+from .autgrp import automorphism_group, inner_automorphism_ids, maol
 from .catalog import BadParameter
-from .fields import TooLarge as FieldTooLarge
-from .permcore import (ClosureLimitExceeded, FiniteGroup, conjugacy_classes,
+from .permcore import (FiniteGroup, ResourceLimit, conjugacy_classes,
                        load_group_file, mcs)
 from .reports import (FAIL, PASS, ReportItem, SuiteRunner,
                       VerificationReport, encode_value, print_report)
-from .wreath import TooLarge as WreathTooLarge
 
-RESOURCE_ERRORS = (ClosureLimitExceeded, AutTooLarge, WreathTooLarge,
-                   FieldTooLarge, BudgetExceeded)
+RESOURCE_ERRORS = ResourceLimit
 
 SLOW_HP_SPACE = 200_000  # wreath orders above this need --slow
 
@@ -243,11 +239,13 @@ def paper_table_suite(args) -> VerificationReport:
     runner = SuiteRunner("paper-table", time_limit_s=args.time_limit_s)
     limit, budget = args.max_order, args.max_nodes
     cache: dict = {}
+    lock = threading.Lock()  # one computation per name under AUTORBIT_THREADS
 
     def aut_of(name: str):
-        if name not in cache:
-            cache[name] = aut_pair(name, limit, budget)
-        return cache[name]
+        with lock:
+            if name not in cache:
+                cache[name] = aut_pair(name, limit, budget)
+            return cache[name]
 
     runner.add("mcs-sym5", 4, lambda: mcs(catalog.resolve("sym5")))
     runner.add("mcs-aut-alt6", 6, lambda: mcs(aut_of("alt6")[0]))

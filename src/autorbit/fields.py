@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .permcore import ResourceLimit
+
 MAX_FIELD_SIZE = 2 ** 20
 TABLE_LIMIT = 512
 
@@ -27,7 +29,7 @@ class NotPrime(FieldError):
     pass
 
 
-class TooLarge(FieldError):
+class TooLarge(FieldError, ResourceLimit):
     pass
 
 

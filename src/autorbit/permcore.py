@@ -9,6 +9,14 @@ Conventions, fixed globally:
   coset numbering, orbit output) are reproducible across runs;
 * the identity is always element id 0 (it is the lexicographic minimum).
 
+Groups are enumerated by one Dimino closure (``dimino``): a generator the
+closure H already holds is dropped, and each kept generator adds the right
+cosets H*r, one BFS level of coset representatives at a time.  Elements are
+keyed by their images of a base, a point set on which no two elements agree;
+the base grows whenever two distinct rows share a key, and every key hit is
+confirmed on the full row, so a non-member is never mistaken for a member.
+A group's ``generators`` are the kept, irredundant generators.
+
 1-cycles of a permutation are kept in its cycle decomposition; cycle strings
 at the I/O boundary use 1-based points, e.g. ``"(1 2)(3 4 5)"``.
 """
@@ -17,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
@@ -24,6 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_CLOSURE_LIMIT = 2_000_000
+_BLOCK_CELLS = 1 << 20  # entries of one temporary in blocked row operations
 
 POINT_DTYPE = np.uint16  # permutation entries; degrees stay well below 2**16
 
@@ -32,11 +42,15 @@ class GroupError(Exception):
     """Base class for errors raised by this package."""
 
 
+class ResourceLimit(GroupError):
+    """A size, budget or limit check stopped the computation before an answer."""
+
+
 class DegreeMismatch(GroupError):
     pass
 
 
-class ClosureLimitExceeded(GroupError):
+class ClosureLimitExceeded(ResourceLimit):
     pass
 
 
@@ -183,16 +197,159 @@ def _encode_rows(mat: np.ndarray) -> np.ndarray:
     return be.view(f"S{2 * mat.shape[1]}").ravel()
 
 
+def _separate(rows: np.ndarray, base: Sequence[int]):
+    """`base` extended until rows agreeing on it are equal rows; also the rows'
+    keys (`_encode_rows` of the base columns), their stable sort order and the
+    sorted positions whose key repeats the one before."""
+    base = list(base)
+    while True:
+        keys = _encode_rows(rows[:, base])
+        order = np.argsort(keys, kind="stable")
+        same = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+        a, b = rows[order[same]], rows[order[same + 1]]
+        clash = np.flatnonzero(np.any(a != b, axis=1))
+        if not clash.size:
+            return base, keys, order, same
+        base.append(int(np.flatnonzero(a[clash[0]] != b[clash[0]])[0]))
+
+
+class _RowIndex:
+    """Growing store of distinct permutation rows, identity first, looked up
+    by their images of a base.  Two stored rows that share a key extend the
+    base and rekey the store; a key hit counts only if the full row matches."""
+
+    def __init__(self, degree: int, limit: int):
+        self._buf = np.arange(degree, dtype=POINT_DTYPE)[None, :]  # grows by doubling
+        self.size = 1
+        self.limit = limit
+        self.base = [0]
+        self.slot = {self.keys(self._buf[:1])[0]: 0}
+
+    def keys(self, rows: np.ndarray) -> list[bytes]:
+        return _encode_rows(rows[:, self.base]).tolist()
+
+    def _rekey(self, base: list[int]):
+        """Key the store on `base`, extended as far as the stored rows need."""
+        self.base = _separate(self._buf[:self.size], base)[0]
+        self.slot = dict(zip(self.keys(self._buf[:self.size]), range(self.size)))
+
+    def _extend_base(self, a: np.ndarray, b: np.ndarray):
+        """a and b are distinct rows agreeing on the base."""
+        self._rekey(self.base + [int(np.flatnonzero(a != b)[0])])
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """Store position of each row, -1 where the row is not stored."""
+        while True:
+            pos = np.array([self.slot.get(k, -1) for k in self.keys(rows)], dtype=np.int64)
+            hit = np.flatnonzero(pos >= 0)
+            clash = hit[np.any(self._buf[pos[hit]] != rows[hit], axis=1)]
+            if not clash.size:
+                return pos
+            self._extend_base(rows[clash[0]], self._buf[pos[clash[0]]])
+
+    def first_occurrences(self, rows: np.ndarray) -> np.ndarray:
+        """Mask of the rows that equal no earlier row; extends the base until
+        it tells the distinct rows apart."""
+        base, _, order, same = _separate(rows, self.base)
+        if base != self.base:
+            self._rekey(base)
+        first = np.ones(len(rows), dtype=bool)
+        first[order[same + 1]] = False
+        return first
+
+    def add(self, rows: np.ndarray):
+        """Store rows not in the store whose keys differ from each other."""
+        need = self.size + len(rows)
+        if need > self.limit:
+            raise ClosureLimitExceeded(f"closure exceeded limit {self.limit}")
+        keys = self.keys(rows)
+        while not self.slot.keys().isdisjoint(keys):
+            i = next(i for i, k in enumerate(keys) if k in self.slot)
+            self._extend_base(rows[i], self._buf[self.slot[keys[i]]])
+            keys = self.keys(rows)
+        if need > len(self._buf):  # capacity a power of two; rows past size are unread
+            self._buf = np.resize(self._buf, (1 << (need - 1).bit_length(), self._buf.shape[1]))
+        self._buf[self.size:need] = rows
+        self.slot.update(zip(keys, range(self.size, need)))
+        self.size = need
+
+
+def _powers(g: np.ndarray, limit: int) -> np.ndarray:
+    """Rows of g^0, ..., g^(o-1), o the order of g."""
+    order = _order_of_images(g)
+    if order > limit:
+        raise ClosureLimitExceeded(f"closure exceeded limit {limit}")
+    rows = np.empty((order, g.size), dtype=POINT_DTYPE)
+    rows[0], done = np.arange(g.size), 1
+    while done < order:  # g^(done+j) = g^j * g^done for j < done
+        take = min(done, order - done)
+        rows[done:done + take] = np.take(rows[:take], rows[done - 1][g], axis=1)
+        done += take
+    return rows
+
+
+def _add_cosets(index: _RowIndex, H: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """Store the right cosets H*c of the candidates c the store does not hold,
+    each distinct coset once; returns the candidates that added a coset."""
+    m, degree = H.shape
+    step = max(1, _BLOCK_CELLS // (m * degree))
+    added = []
+    for lo in range(0, len(cands), step):
+        reps = cands[lo:lo + step]
+        reps = reps[index.find(reps) < 0]
+        if not reps.size:
+            continue
+        cosets = np.take(H, reps, axis=1).transpose(1, 0, 2).reshape(-1, degree)  # H[0] = 1
+        new = index.first_occurrences(cosets)[::m]
+        index.add(cosets.reshape(len(reps), m, degree)[new].reshape(-1, degree))
+        added.append(reps[new])
+    return np.concatenate(added) if added else np.empty((0, degree), POINT_DTYPE)
+
+
+Closure = namedtuple("Closure", "elements kept base")  # identity first; kept ascending
+
+
+def dimino(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT) -> Closure:
+    """Dimino's closure of the permutation rows `gen_rows` (Butler 1991): the
+    elements, the indices of the kept generators and a base on which no two
+    elements agree.  A generator the closure H of the kept ones already holds
+    is dropped; a kept generator g grows H to <H, g> by right cosets H*r,
+    handling the candidate representatives r*s (s kept) of one BFS level
+    together.  For the first kept generator H = 1: the cosets are g's powers."""
+    gen_rows = np.asarray(gen_rows, dtype=POINT_DTYPE)
+    degree = gen_rows.shape[1]
+    index = _RowIndex(degree, limit)
+    kept: list[int] = []
+    start = 0
+    while True:
+        missing = np.flatnonzero(index.find(gen_rows[start:]) < 0)
+        if not missing.size:
+            return Closure(index._buf[:index.size], kept, index.base)
+        start += int(missing[0])
+        kept.append(start)
+        H, kept_rows, g = index._buf[:index.size], gen_rows[kept], gen_rows[start]
+        start += 1
+        if len(kept) == 1:  # H = 1: <g> is g's powers, stored once their keys differ
+            powers = _powers(g, limit)[1:]
+            index.add(powers[index.first_occurrences(powers)])
+            continue
+        cands = g[None, :]
+        while cands.size:
+            reps = _add_cosets(index, H, cands)
+            cands = np.take(reps, kept_rows, axis=1).reshape(-1, degree)
+
+
 class FiniteGroup:
     """Fully enumerated permutation group with canonical element ids."""
 
     def __init__(self, degree: int, generators: list[Permutation], elements: np.ndarray,
-                 name: str | None = None):
+                 name: str | None = None, base: Sequence[int] | None = None):
         self.degree = degree
         self.generators = generators
         self.elements = elements  # (order, degree), lexicographically sorted
         self.name = name
-        self._keys = _encode_rows(elements)
+        self.base, keys, self._key_ids, _ = _separate(elements, base or [0])
+        self._sorted_keys = keys[self._key_ids]
         self._inv_ids: np.ndarray | None = None
         self._classes: ConjClassTable | None = None
         self._cayley: np.ndarray | None = None
@@ -210,16 +367,17 @@ class FiniteGroup:
     def perm(self, i: int) -> Permutation:
         return Permutation(self.elements[i])
 
-    def __iter__(self):
-        return (self.perm(i) for i in range(self.order))
-
     def ids_of(self, mat: np.ndarray) -> np.ndarray:
-        """Vectorized element-id lookup; raises if a row is not in the group."""
-        keys = _encode_rows(np.asarray(mat, dtype=POINT_DTYPE))
-        pos = np.searchsorted(self._keys, keys)
-        if np.any(pos >= self.order) or not np.array_equal(self._keys[pos], keys):
+        """Vectorized element-id lookup by base images, each hit confirmed on
+        the full row; raises if a row is not in the group."""
+        mat = np.asarray(mat, dtype=POINT_DTYPE)
+        if mat.ndim != 2 or mat.shape[1] != self.degree:
             raise GroupError("permutation not in group")
-        return pos
+        pos = np.searchsorted(self._sorted_keys, _encode_rows(mat[:, self.base]))
+        ids = self._key_ids[np.minimum(pos, self.order - 1)]
+        if not np.array_equal(self.elements[ids], mat):
+            raise GroupError("permutation not in group")
+        return ids
 
     def id_of(self, p: Permutation | np.ndarray) -> int:
         images = p.images if isinstance(p, Permutation) else np.asarray(p)
@@ -237,6 +395,11 @@ class FiniteGroup:
 
     # -- id-level arithmetic -------------------------------------------
 
+    def _row_blocks(self, width: int):
+        """Slices of ids whose rows, `width` entries each, fill one block."""
+        step = max(1, _BLOCK_CELLS // max(1, width))
+        return (slice(lo, lo + step) for lo in range(0, self.order, step))
+
     def inverse_ids(self) -> np.ndarray:
         if self._inv_ids is None:
             self._inv_ids = self.ids_of(np.argsort(self.elements, axis=1))
@@ -247,20 +410,24 @@ class FiniteGroup:
             return int(self._cayley[i, j])
         return int(self.ids_of(self.elements[i][self.elements[j]][None, :])[0])
 
-    def mul_rows(self, i: int, ids: np.ndarray) -> np.ndarray:
-        """ids of elements[i] composed with each of elements[ids]."""
-        return self.ids_of(self.elements[i][self.elements[ids]])
-
     def cayley(self) -> np.ndarray:
         """Full multiplication table on ids; built once, O(order^2) memory."""
         if self._cayley is None:
-            n = self.order
+            n, E = self.order, self.elements
             table = np.empty((n, n), dtype=np.int32)
-            all_ids = np.arange(n)
-            for i in range(n):
-                table[i] = self.mul_rows(i, all_ids)
+            for rows in self._row_blocks(n * self.degree):
+                block = np.take(E[rows], E, axis=1)  # block[i, j] = E[i] * E[j]
+                table[rows] = self.ids_of(block.reshape(-1, self.degree)).reshape(-1, n)
             self._cayley = table
         return self._cayley
+
+    def conjugation_ids(self, g: Permutation) -> np.ndarray:
+        """The id permutation x -> g x g^-1 of the whole group."""
+        gi, ginv = g.images, g.inverse().images
+        out = np.empty(self.order, dtype=np.int64)
+        for rows in self._row_blocks(self.degree):
+            out[rows] = self.ids_of(gi[np.take(self.elements[rows], ginv, axis=1)])
+        return out
 
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
@@ -280,16 +447,8 @@ class FiniteGroup:
 
     def subgroup_closure(self, seed_ids: Iterable[int]) -> np.ndarray:
         """Ids of the subgroup generated by the given element ids."""
-        seeds = np.array(sorted(set(int(s) for s in seed_ids) | {0}), dtype=np.int64)
-        members = set(seeds.tolist())
-        frontier = seeds.tolist()
-        while frontier:
-            prods = set()
-            for x in frontier:  # right multiplication by seeds; finite, so closed
-                prods.update(self.mul_rows(x, seeds).tolist())
-            frontier = [p for p in prods if p not in members]
-            members.update(frontier)
-        return np.array(sorted(members), dtype=np.int64)
+        seeds = np.array([int(s) for s in seed_ids], dtype=np.int64)
+        return np.sort(self.ids_of(dimino(self.elements[seeds]).elements))
 
     def normal_closure(self, seed_ids: Iterable[int],
                        conjugator_ids: Sequence[int] | None = None) -> np.ndarray:
@@ -297,30 +456,16 @@ class FiniteGroup:
         conjugation by the given elements (default: the group generators)."""
         if conjugator_ids is None:
             conjugator_ids = self.generator_ids()
-        inv = self.inverse_ids()
-        gens = sorted(set(int(s) for s in seed_ids) - {0})
+        maps = [self.conjugation_ids(self.perm(int(c))) for c in conjugator_ids]
+        sub = self.subgroup_closure(seed_ids)
         while True:
-            sub = self.subgroup_closure(gens)
-            sub_set = set(sub.tolist())
-            new = []
-            for c in conjugator_ids:
-                for s in gens:
-                    t = self.mul_ids(self.mul_ids(int(c), s), int(inv[c]))
-                    if t not in sub_set:
-                        new.append(t)
-            if not new:
+            grown = np.unique(np.concatenate([sub] + [m[sub] for m in maps]))
+            if grown.size == sub.size:
                 return sub
-            gens.extend(new)
+            sub = self.subgroup_closure(grown)
 
     def derived_subgroup_ids(self) -> np.ndarray:
-        gen_ids = self.generator_ids()
-        inv = self.inverse_ids()
-        comms = []
-        for a in gen_ids:
-            for b in gen_ids:
-                ab = self.mul_ids(a, b)
-                comms.append(self.mul_ids(self.mul_ids(ab, int(inv[a])), int(inv[b])))
-        return self.normal_closure(comms)
+        return _commutator_closure(self, self.generator_ids())
 
     def __repr__(self) -> str:
         label = self.name or "group"
@@ -344,8 +489,8 @@ def _order_of_images(images: np.ndarray) -> int:
 
 def close_group(generators: Sequence[Permutation], limit: int = DEFAULT_CLOSURE_LIMIT,
                 degree: int | None = None, name: str | None = None) -> FiniteGroup:
-    """Enumerate the group generated by `generators` (orbit closure under
-    right multiplication), in deterministic canonical order."""
+    """Enumerate the group generated by `generators` (`dimino`), in the
+    canonical order; the group keeps the generators the closure did not drop."""
     if generators:
         degrees = {g.degree for g in generators}
         if len(degrees) != 1:
@@ -353,26 +498,11 @@ def close_group(generators: Sequence[Permutation], limit: int = DEFAULT_CLOSURE_
         degree = degrees.pop()
     elif degree is None:
         raise ValueError("need a degree for the empty generating set")
-    ident = np.arange(degree, dtype=POINT_DTYPE)
-    gen_rows = [g.images for g in generators]
-    seen = {ident.tobytes()}
-    rows = [ident]
-    frontier = ident[None, :]
-    while frontier.size:
-        new_rows = []
-        for g in gen_rows:
-            for row in frontier[:, g]:  # right multiplication x -> x*g
-                key = row.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    new_rows.append(row)
-        if len(seen) > limit:
-            raise ClosureLimitExceeded(f"closure exceeded limit {limit}")
-        frontier = np.array(new_rows, dtype=POINT_DTYPE) if new_rows else np.empty((0, degree), POINT_DTYPE)
-        rows.extend(new_rows)
-    mat = np.array(rows, dtype=POINT_DTYPE)
-    mat = mat[np.argsort(_encode_rows(mat))]
-    return FiniteGroup(degree, list(generators), mat, name=name)
+    rows = np.array([g.images for g in generators], dtype=POINT_DTYPE).reshape(-1, degree)
+    closed = dimino(rows, limit)
+    mat = closed.elements[np.argsort(_encode_rows(closed.elements))]
+    return FiniteGroup(degree, [generators[k] for k in closed.kept], mat, name=name,
+                       base=closed.base)
 
 
 @dataclass
@@ -391,34 +521,30 @@ class ConjClassTable:
         return int(self.classes[class_id][0])
 
 
+def orbits(maps: Sequence[np.ndarray], n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Orbits on 0..n-1 of the group generated by the id permutations `maps`,
+    numbered by least point, and each point's orbit.  Min-label propagation:
+    each point takes the least label along the maps, then its label's label,
+    until no label moves."""
+    label = np.arange(n)
+    while True:
+        new = label
+        for m in maps:
+            new = np.minimum(new, new[m])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, orbit_of = np.unique(label, return_inverse=True)
+    members = np.argsort(orbit_of, kind="stable")
+    return np.split(members, np.cumsum(np.bincount(orbit_of))[:-1]), orbit_of
+
+
 def conjugacy_classes(G: FiniteGroup) -> ConjClassTable:
-    """Orbit algorithm: conjugate each unvisited element by the generators."""
-    if G._classes is not None:
-        return G._classes
-    n = G.order
-    gen_pairs = [(g.images, g.inverse().images) for g in G.generators]
-    class_of = np.full(n, -1, dtype=np.int64)
-    classes: list[np.ndarray] = []
-    for start in range(n):
-        if class_of[start] >= 0:
-            continue
-        cid = len(classes)
-        class_of[start] = cid
-        members = [start]
-        frontier = np.array([start])
-        while frontier.size:
-            fresh = []
-            rows = G.elements[frontier]
-            for gi, ginv in gen_pairs:
-                conj = gi[rows[:, ginv]]  # g * x * g^-1
-                for eid in G.ids_of(conj):
-                    if class_of[eid] < 0:
-                        class_of[eid] = cid
-                        fresh.append(int(eid))
-            members.extend(fresh)
-            frontier = np.array(fresh, dtype=np.int64)
-        classes.append(np.array(sorted(members), dtype=np.int64))
-    G._classes = ConjClassTable(classes, class_of)
+    """Classes as the orbits of the generators' conjugation id-permutations."""
+    if G._classes is None:
+        maps = [G.conjugation_ids(g) for g in G.generators]
+        G._classes = ConjClassTable(*orbits(maps, G.order))
     return G._classes
 
 
@@ -428,40 +554,25 @@ def mcs(G: FiniteGroup) -> int:
     return G.order // max(table.sizes)
 
 
+def _commutator_closure(G: FiniteGroup, gen_ids: Sequence[int]) -> np.ndarray:
+    """Derived subgroup of <gen_ids>: the normal closure, under conjugation by
+    the given ids, of their commutators a b a^-1 b^-1."""
+    inv = G.inverse_ids()
+    comms = [G.mul_ids(G.mul_ids(G.mul_ids(a, b), int(inv[a])), int(inv[b]))
+             for a in gen_ids for b in gen_ids]
+    return G.normal_closure(comms, conjugator_ids=gen_ids)
+
+
 def derived_series(G: FiniteGroup) -> list[np.ndarray]:
     """Successive commutator subgroups (as id sets) until stabilization."""
-    series = [np.arange(G.order, dtype=np.int64)]
-    current_gens = G.generator_ids()
-    inv = G.inverse_ids()
-    while True:
-        comms = []
-        for a in current_gens:
-            for b in current_gens:
-                ab = G.mul_ids(a, b)
-                comms.append(G.mul_ids(G.mul_ids(ab, int(inv[a])), int(inv[b])))
-        nxt = G.normal_closure(comms, conjugator_ids=current_gens)
+    series, gen_ids = [np.arange(G.order, dtype=np.int64)], G.generator_ids()
+    while series[-1].size > 1:
+        nxt = _commutator_closure(G, gen_ids)
         if nxt.size == series[-1].size:
             break
         series.append(nxt)
-        if nxt.size == 1:
-            break
-        current_gens = _generating_subset(G, nxt)
+        gen_ids = [int(nxt[k]) for k in dimino(G.elements[nxt]).kept]
     return series
-
-
-def _generating_subset(G: FiniteGroup, subgroup_ids: np.ndarray) -> list[int]:
-    """Small generating set for a subgroup given as an id set (greedy)."""
-    target = set(subgroup_ids.tolist())
-    gens: list[int] = []
-    closure = {0}
-    for eid in subgroup_ids.tolist():
-        if eid in closure:
-            continue
-        gens.append(int(eid))
-        closure = set(G.subgroup_closure(gens).tolist())
-        if closure == target:
-            break
-    return gens
 
 
 def is_solvable(G: FiniteGroup) -> bool:
@@ -519,10 +630,10 @@ def validate_automorphism(G: FiniteGroup, phi: np.ndarray) -> bool:
         return False
     if phi[0] != 0:
         return False
-    all_ids = np.arange(G.order)
+    E = G.elements
     for g in G.generator_ids():
-        lhs = phi[G.mul_rows(g, all_ids)]
-        rhs = G.mul_rows(int(phi[g]), phi)
+        lhs = phi[G.ids_of(E[g][E])]
+        rhs = G.ids_of(E[phi[g]][E[phi]])
         if not np.array_equal(lhs, rhs):
             return False
     return True

@@ -11,7 +11,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
+from .permcore import ResourceLimit
+
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
+LIMIT_NOTE = "resource limit"  # note prefix of an item a ResourceLimit skipped
 
 
 def encode_value(v: Any):
@@ -60,7 +63,10 @@ class VerificationReport:
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.failed else 0
+        """1 if an item failed, else 3 if a resource limit skipped one, else 0."""
+        limited = any(it.status == SKIP and (it.note or "").startswith(LIMIT_NOTE)
+                      for it in self.items)
+        return 1 if self.failed else 3 if limited else 0
 
     def to_json(self) -> dict:
         out = {"suite": self.suite,
@@ -99,7 +105,8 @@ def thread_count() -> int:
 
 class SuiteRunner:
     """Runs checkpoint callables into ReportItems, honoring a wall-clock
-    budget (items past the budget are skipped, never approximated) and the
+    budget (items past the budget are skipped, never approximated), resource
+    limits (an item a ResourceLimit stops is skipped with a note) and the
     AUTORBIT_THREADS parallelism cap.  Item order in the report is by id."""
 
     def __init__(self, suite: str, time_limit_s: float | None = None,
@@ -118,6 +125,10 @@ class SuiteRunner:
         t0 = time.monotonic()
         try:
             computed = compute()
+        except ResourceLimit as exc:  # stopped by a limit: no answer, not a wrong one
+            ms = int((time.monotonic() - t0) * 1000)
+            return ReportItem(item_id, expected, None, SKIP, ms,
+                              note=f"{LIMIT_NOTE} ({type(exc).__name__}): {exc}")
         except Exception as exc:  # an error is a failed checkpoint, reported verbatim
             ms = int((time.monotonic() - t0) * 1000)
             return ReportItem(item_id, expected, f"error: {exc}", FAIL, ms)

@@ -142,21 +142,11 @@ class CoarseQuotient:
 
     def power(self, t: int, k: int) -> int:
         x = int(t)
-        k %= _element_order(self.quotient, x)
+        k %= int(self.quotient.element_orders()[x])
         out = 0
         for _ in range(k):
             out = self.quotient.mul_ids(out, x)
         return out
-
-
-def _element_order(Q: FiniteGroup, x: int) -> int:
-    if x == 0:
-        return 1
-    o, acc = 1, int(x)
-    while acc != 0:
-        acc = Q.mul_ids(acc, int(x))
-        o += 1
-    return o
 
 
 def coarse_quotient(AutS: FiniteGroup, d_ids: np.ndarray,

@@ -17,9 +17,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .autgrp import AutomorphismGroup
-from .permcore import (FiniteGroup, GroupError, Permutation, close_group,
-                       conjugacy_classes, cycle_decompose, cycle_type,
-                       POINT_DTYPE)
+from .catalog import sym
+from .permcore import (FiniteGroup, GroupError, Permutation, ResourceLimit,
+                       close_group, conjugacy_classes, cycle_decompose,
+                       cycle_type, orbits, POINT_DTYPE)
 
 DEFAULT_WREATH_LIMIT = 2_000_000
 DEFAULT_ORBIT_SPACE = 64_000_000  # visited-array cells for orbit sweeps
@@ -33,7 +34,7 @@ class NotACycleOfTop(GroupError):
     pass
 
 
-class TooLarge(GroupError):
+class TooLarge(ResourceLimit):
     pass
 
 
@@ -62,15 +63,6 @@ class BcpcProfile:
         return self.by_length.get(l, ())
 
 
-def _sym_generators(n: int) -> list[Permutation]:
-    if n == 1:
-        return []
-    gens = [Permutation([1, 0] + list(range(2, n)))]
-    if n > 2:
-        gens.append(Permutation(list(range(1, n)) + [0]))
-    return gens
-
-
 class WreathGroup:
     """base wr top; `top` defaults to the full symmetric group of degree n.
 
@@ -82,7 +74,7 @@ class WreathGroup:
         self.base = base
         self.n = n
         if top is None:
-            self.top = close_group(_sym_generators(n), degree=n)
+            self.top = sym(n)
         elif isinstance(top, FiniteGroup):
             self.top = top
         else:
@@ -254,49 +246,17 @@ class WreathGroup:
         return out
 
     def class_codes(self, limit: int = DEFAULT_WREATH_LIMIT) -> np.ndarray:
-        """class_codes[packed code] = conjugacy class id (brute-force orbit
-        sweep over the full enumeration), numbered by minimal packed code."""
+        """class_codes[packed code] = conjugacy class id (orbits of the
+        conjugation maps on every packed code), numbered by minimal code."""
         if self._enum_classes is not None:
             return self._enum_classes
         if self.order > limit:
             raise TooLarge(f"wreath group order {self.order} exceeds limit {limit}")
-        maps = self._conjugation_maps(self.standard_conjugators())
-        class_of = np.full(self.order, -1, dtype=np.int64)
-        n_classes = 0
-        for code in range(self.order):
-            if class_of[code] >= 0:
-                continue
-            cid = n_classes
-            n_classes += 1
-            class_of[code] = cid
-            frontier = np.array([code], dtype=np.int64)
-            while frontier.size:
-                B, t = self._unpack_codes(frontier)
-                fresh = []
-                for cmap in maps:
-                    CB, ct = self._conj_batch(B, t, cmap)
-                    codes = np.unique(self._pack_arrays(CB, ct))
-                    new = codes[class_of[codes] < 0]
-                    class_of[new] = cid
-                    fresh.append(new)
-                frontier = np.unique(np.concatenate(fresh))
-        self._enum_classes = class_of
-        return class_of
-
-
-# -- module-level operation wrappers ------------------------------------------
-
-def w_mul(wg: WreathGroup, a: WreathElement, b: WreathElement) -> WreathElement:
-    return wg.mul(a, b)
-
-
-def w_inv(wg: WreathGroup, a: WreathElement) -> WreathElement:
-    return wg.inv(a)
-
-
-def w_conj(wg: WreathGroup, a: WreathElement, b: WreathElement) -> WreathElement:
-    """Conjugate of a by b."""
-    return wg.conj(a, b)
+        B, t = self._unpack_codes(np.arange(self.order))
+        maps = [self._pack_arrays(*self._conj_batch(B, t, cmap))
+                for cmap in self._conjugation_maps(self.standard_conjugators())]
+        self._enum_classes = orbits(maps, self.order)[1]
+        return self._enum_classes
 
 
 def _validate_cycle(w: WreathElement, zeta: Sequence[int]) -> tuple[int, ...]:

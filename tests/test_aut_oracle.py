@@ -88,7 +88,7 @@ def assert_same_aut(G, aut_order):
     ("extraspecial(3)", 432), ("extraspecial(5)", 12000),
     ("psl(2,4)", 120), ("psl(2,5)", 120), ("psl(2,7)", 336), ("psl(3,2)", 336),
     ("pgl(2,3)", 24), ("pgl(2,4)", 120), ("pgl(2,5)", 120), ("pgl(2,7)", 336),
-    ("pgl(3,2)", 336), ("pgu(3,2)", 432),
+    ("pgl(3,2)", 336), ("pgu(3,2)", 432), ("psu(3,2)", 432),
 ])
 def test_matches_oracle_on_catalog(name, aut_order):
     assert_same_aut(catalog.resolve(name), aut_order)
@@ -104,7 +104,6 @@ def test_matches_oracle_not_two_generated(p, k, aut_order):
     ("sym6", 1440), ("alt6", 1440), ("psl(2,9)", 1440), ("psl(2,8)", 1512),
     ("psl(2,11)", 1320), ("pgl(2,9)", 1440), ("psl(2,13)", 2184),
     ("pgl(2,11)", 1320), ("extraspecial(7)", 98784),
-    ("psu(3,2)", 432),  # its catalog build alone takes about 15 s
 ])
 def test_matches_oracle_slow(name, aut_order):
     assert_same_aut(catalog.resolve(name), aut_order)

@@ -1,8 +1,11 @@
 import json
+import sys
+import time
 
+import numpy as np
 import pytest
 
-from autorbit import cli
+from autorbit import catalog, cli
 from autorbit.reports import (ReportItem, VerificationReport, encode_value,
                               report_from_json)
 
@@ -131,6 +134,67 @@ def test_resource_exit_code(capsys):
     code, _, err = run_cli(capsys, "maol", "--group", "name:psl(3,4)")
     assert code == 3
     assert "resource limit" in err
+
+
+def test_paper_table_limit_stops_are_skipped(capsys):
+    # five items need groups of more than 1000 elements; the reference column
+    # still fails h-alt6 and maol-extraspecial27, so the exit code stays 1
+    code, out, _ = run_cli(capsys, "--max-order", "1000", "verify", "paper-table")
+    assert code == 1
+    payload = json.loads(out[out.index("{"):])
+    by_status = {}
+    for it in payload["items"]:
+        by_status.setdefault(it["status"], {})[it["id"]] = it
+    assert set(by_status["skipped"]) == {
+        "mcs-pgl(3,4)", "mcs-pgu(3,4)", "mcs-pgl(4,2)", "mcs-pgu(4,2)",
+        "aut-psl(3,4)-largest-class"}
+    for it in by_status["skipped"].values():
+        assert it["note"].startswith("resource limit") and "limit 1000" in it["note"]
+        assert it["computed"] is None
+    assert set(by_status["fail"]) == {"h-alt6", "maol-extraspecial27"}
+
+
+def test_limit_stop_without_failure_exits_3(capsys):
+    code, out, _ = run_cli(capsys, "--max-order", "200", "verify", "nonsolvable-bound")
+    assert code == 3
+    payload = json.loads(out[out.index("{"):])
+    statuses = {it["id"]: it["status"] for it in payload["items"]}
+    assert {k for k, v in statuses.items() if v == "skipped"} == \
+        {"maol-bound-psl(2,8)", "maol-bound-pgl(2,7)"}
+    assert "fail" not in statuses.values()
+
+
+def test_paper_table_computes_each_aut_once_under_threads(monkeypatch):
+    calls = []
+
+    def slow_aut_pair(name, limit, budget):
+        calls.append(name)
+        time.sleep(0.05)  # hold the window in which a second caller could start
+        return catalog.sym(3), np.array([0])
+
+    monkeypatch.setattr(cli, "aut_pair", slow_aut_pair)
+    monkeypatch.setenv("AUTORBIT_THREADS", "8")
+    args = cli.build_parser().parse_args(["--max-order", "100", "verify", "paper-table"])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = cli.paper_table_suite(args)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(report.items) == 14
+    assert sorted(calls) == ["alt5", "alt6", "psl(3,4)"]
+
+
+def test_report_exit_codes():
+    rep = VerificationReport("demo")
+    rep.items.append(ReportItem("a", 1, 1, "pass", 0))
+    rep.items.append(ReportItem("b", 1, None, "skipped", 0, note="time budget exhausted"))
+    assert rep.exit_code == 0
+    rep.items.append(ReportItem("c", 1, None, "skipped", 0,
+                                note="resource limit (TooLarge): order 5 > limit 4"))
+    assert rep.exit_code == report_from_json(rep.to_json()).exit_code == 3
+    rep.items.append(ReportItem("d", 1, 2, "fail", 0))
+    assert rep.exit_code == 1
 
 
 def test_report_roundtrip():

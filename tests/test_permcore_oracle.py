@@ -1,0 +1,147 @@
+"""The closure, lookup and class routines of `permcore` against the ones
+they replaced, kept here as oracles: a BFS closure over a Python set of
+full-row byte strings, lookup by `searchsorted` on full-row byte keys, and
+one BFS per conjugacy class.  Both sides must give the same element list
+byte for byte, the same class for every element and the same ids; the
+kept generators must each lie outside the closure of the earlier ones."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from autorbit import catalog
+from autorbit.permcore import (POINT_DTYPE, GroupError, Permutation,
+                               _encode_rows, close_group, conjugacy_classes)
+
+
+def oracle_elements(generators, degree):
+    """BFS closure under right multiplication, deduplicated on full rows."""
+    ident = np.arange(degree, dtype=POINT_DTYPE)
+    seen, rows, frontier = {ident.tobytes()}, [ident], ident[None, :]
+    while frontier.size:
+        new_rows = []
+        for g in generators:
+            for row in frontier[:, g.images]:
+                if row.tobytes() not in seen:
+                    seen.add(row.tobytes())
+                    new_rows.append(row)
+        frontier = np.array(new_rows, dtype=POINT_DTYPE).reshape(-1, degree)
+        rows.extend(new_rows)
+    mat = np.array(rows, dtype=POINT_DTYPE)
+    return mat[np.argsort(_encode_rows(mat))]
+
+
+def oracle_ids_of(keys, mat):
+    """Ids by `searchsorted` of the rows' full byte keys in the sorted `keys`."""
+    query = _encode_rows(np.asarray(mat, dtype=POINT_DTYPE))
+    pos = np.searchsorted(keys, query)
+    if np.any(pos >= len(keys)) or not np.array_equal(keys[pos], query):
+        raise GroupError("permutation not in group")
+    return pos
+
+
+def oracle_class_of(elements, generators):
+    """One BFS per class, conjugating the frontier by every generator."""
+    class_of = np.full(len(elements), -1, dtype=np.int64)
+    keys, n_classes = _encode_rows(elements), 0
+    pairs = [(g.images, g.inverse().images) for g in generators]
+    for start in range(len(elements)):
+        if class_of[start] >= 0:
+            continue
+        class_of[start] = n_classes
+        frontier = np.array([start])
+        while frontier.size:
+            rows, fresh = elements[frontier], []
+            conj = np.concatenate([rows[:0]] + [gi[rows[:, ginv]] for gi, ginv in pairs])
+            for eid in oracle_ids_of(keys, conj):
+                if class_of[eid] < 0:
+                    class_of[eid] = n_classes
+                    fresh.append(eid)
+            frontier = np.array(fresh, dtype=np.int64)
+        n_classes += 1
+    return class_of
+
+
+def assert_matches_oracle(G, generators):
+    mat = oracle_elements(generators, G.degree)
+    assert G.elements.dtype == mat.dtype and G.elements.tobytes() == mat.tobytes()
+    assert np.array_equal(conjugacy_classes(G).class_of, oracle_class_of(mat, generators))
+    rng = np.random.default_rng(G.order)
+    a, b = rng.integers(G.order, size=(2, min(G.order, 500)))
+    query = np.concatenate([np.take_along_axis(mat[a], mat[b], axis=1),  # products
+                            np.argsort(mat, axis=1), mat[::-1]])
+    assert np.array_equal(G.ids_of(query), oracle_ids_of(_encode_rows(mat), query))
+
+
+def assert_kept_generators(G, generators):
+    """G keeps exactly the generators outside the closure of the kept ones
+    before them, and those generate G."""
+    kept, closure = [], {np.arange(G.degree, dtype=POINT_DTYPE).tobytes()}
+    for g in generators:
+        if g.images.tobytes() not in closure:
+            kept.append(g)
+            closure = {row.tobytes() for row in oracle_elements(kept, G.degree)}
+    assert [g.images.tolist() for g in G.generators] == [g.images.tolist() for g in kept]
+    assert len(closure) == G.order
+
+
+def elementary_abelian_2(k):
+    """C_2^k as k disjoint transpositions on 2k points."""
+    gens = []
+    for i in range(k):
+        images = list(range(2 * k))
+        images[2 * i], images[2 * i + 1] = 2 * i + 1, 2 * i
+        gens.append(Permutation(images))
+    return gens
+
+
+@pytest.mark.parametrize("name", [
+    "sym3", "sym5", "sym7", "alt4", "alt6", "alt7", "cyclic1", "cyclic12", "cyclic97",
+    "extraspecial(3)", "extraspecial(7)", "psl(2,8)", "psl(2,13)", "pgl(2,9)",
+    "psl(3,2)", "psl(3,3)", "psu(3,2)", "pgu(3,2)", "psu(3,3)", "psl(3,4)", "pgu(4,2)",
+])
+def test_catalog_matches_oracle(name):
+    G = catalog.resolve(name)
+    assert_matches_oracle(G, G.generators)
+    assert_kept_generators(G, G.generators)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["pgl(3,4)", "pgu(3,4)", "autpsl34"])
+def test_large_catalog_matches_oracle(name):
+    G = catalog.resolve(name)
+    assert_matches_oracle(G, G.generators)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(
+    st.permutations(list(range(d))).map(Permutation), min_size=1, max_size=4)))
+def test_random_groups_match_oracle(generators):
+    G = close_group(generators)
+    assert_matches_oracle(G, generators)
+    assert_kept_generators(G, generators)
+
+
+def test_c2_14_needs_a_14_point_base():
+    # int64 mixed-radix keys of degree 28 hold only 13 base points
+    gens = elementary_abelian_2(14)
+    gens.append(Permutation(gens[0].images[gens[1].images]))  # redundant: dropped
+    G = close_group(gens)
+    assert G.order == 2 ** 14 and len(G.base) == 14
+    assert_matches_oracle(G, gens)
+    assert_kept_generators(G, gens)
+
+
+def test_base_agreement_does_not_make_a_member():
+    G = catalog.alt(5)
+    a, b = sorted(set(range(5)) - set(G.base))[:2]  # (4 5), 1-based, fixes the base
+    t = np.arange(5)
+    t[a], t[b] = b, a
+    outside = G.elements[:, t]  # g*(a b): odd, same base images as g
+    assert np.array_equal(outside[:, G.base], G.elements[:, G.base])
+    for row in outside:
+        with pytest.raises(GroupError):
+            G.ids_of(row[None, :])
+        assert not G.contains(Permutation(row))
+    with pytest.raises(GroupError):
+        G.ids_of(np.concatenate([G.elements, outside[:1]]))

@@ -28,9 +28,9 @@ def test_group_laws(w32):
     e = w32.identity()
     for _ in range(60):
         a, b, c = (w32.random_element(rng) for _ in range(3))
-        assert wr.w_mul(w32, e, b) == b
-        assert wr.w_mul(w32, a, w32.inv(a)) == e
-        assert wr.w_inv(w32, wr.w_inv(w32, a)) == a
+        assert w32.mul(e, b) == b
+        assert w32.mul(a, w32.inv(a)) == e
+        assert w32.inv(w32.inv(a)) == a
         assert w32.mul(w32.mul(a, b), c) == w32.mul(a, w32.mul(b, c))
 
 
@@ -41,8 +41,8 @@ def test_conjugation_entry_formula(s3, w32):
     rng = np.random.default_rng(3)
     for _ in range(40):
         g1, g2, k1, k2 = (int(x) for x in rng.integers(6, size=4))
-        got = wr.w_conj(w32, w32.element((g1, g2), swap),
-                        w32.element((k1, k2), Permutation.identity(2)))
+        got = w32.conj(w32.element((g1, g2), swap),
+                       w32.element((k1, k2), Permutation.identity(2)))
         assert got.top == swap
         assert got.base == (int(T[T[k1, g1], inv[k2]]), int(T[T[k2, g2], inv[k1]]))
 
