@@ -15,15 +15,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .permcore import (FiniteGroup, GroupError, Permutation, ResourceLimit,
-                       _encode_rows, conjugacy_classes, dimino, orbits,
-                       validate_automorphism, POINT_DTYPE)
+                       TooLarge, _encode_rows, conjugacy_classes, dimino, orbits,
+                       sweep, validate_automorphism, POINT_DTYPE)
 
 MAX_AUT_CARRIER = 2000
 DEFAULT_NODE_BUDGET = 2_000_000
-
-
-class TooLarge(ResourceLimit):
-    pass
 
 
 class BudgetExceeded(ResourceLimit):
@@ -114,13 +110,16 @@ def _fingerprints(G: FiniteGroup, T: CayleyTable) -> list[tuple]:
 
 def _closure_mask(T: CayleyTable, gen_ids: Sequence[int]) -> np.ndarray:
     """Membership mask of <gen_ids>, closed level by level on the Cayley table."""
-    gens, frontier = np.asarray(gen_ids, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    inside = np.arange(T.order) == 0
-    while frontier.size:
-        frontier = np.unique(T.table[np.ix_(frontier, gens)])
-        frontier = frontier[~inside[frontier]]
-        inside[frontier] = True
+    inside = np.zeros(T.order, dtype=bool)
+    for _ in sweep([0], _right_multiplication(T, gen_ids), inside):
+        pass
     return inside
+
+
+def _right_multiplication(T: CayleyTable, gen_ids: Sequence[int]):
+    """`sweep` step: each frontier id times each generator, one row per generator."""
+    cols = T.table.T[np.asarray(gen_ids, dtype=np.int64)]
+    return lambda frontier: cols[:, frontier]
 
 
 def _generating_set(T: CayleyTable, fps: list[tuple]) -> list[int]:
@@ -153,50 +152,28 @@ def _generating_set(T: CayleyTable, fps: list[tuple]) -> list[int]:
 _BATCH_CELLS = 16_000_000  # map-matrix cells per extension batch
 
 
-def _subgroup_bfs(T: CayleyTable, gen_ids: Sequence[int]):
-    """BFS closure of <gen_ids> from the identity by right multiplication.
-    Returns the member ids in BFS order plus (parent, via-generator index)
-    for every member except the identity."""
-    members = [0]
-    seen = {0}
-    parent = {0: -1}
-    via = {0: -1}
-    head = 0
-    while head < len(members):
-        x = members[head]
-        head += 1
-        for k, g in enumerate(gen_ids):
-            y = int(T.table[x, g])
-            if y not in seen:
-                seen.add(y)
-                parent[y] = x
-                via[y] = k
-                members.append(y)
-    return members, parent, via
-
-
 def _extend_and_filter(T: CayleyTable, survivors: np.ndarray, cand: np.ndarray,
-                       members: list[int], parent: dict, via: dict,
                        gen_ids: Sequence[int]) -> np.ndarray:
     """Extend each surviving partial map by each candidate image of the newest
-    generator, rebuild along BFS words of the enlarged subgroup, and keep the
-    maps that are injective homomorphisms on it.  Maps are stored as length-n
-    arrays meaningful on `members` only."""
+    generator, rebuild it on the enlarged subgroup level by level as
+    phi(x*g) = phi(x)*phi(g), and keep the maps that are injective
+    homomorphisms on it.  Maps are stored as length-n arrays meaningful on the
+    subgroup only."""
     n = T.order
     s, c = survivors.shape[0], cand.size
     batch = max(1, _BATCH_CELLS // n // max(c, 1))
-    member_arr = np.array(members)
+    levels = list(sweep([0], _right_multiplication(T, gen_ids), np.zeros(n, dtype=bool)))
+    member_arr = np.concatenate([[0]] + [new for _, _, new in levels])
     kept = []
-    newest_gen = gen_ids[-1]
     for lo in range(0, s, batch):
         part = survivors[lo:lo + batch]
         phi = np.repeat(part, c, axis=0)
-        phi[:, newest_gen] = np.tile(cand, part.shape[0])
-        for e in members:
-            if via[e] >= 0 and e != newest_gen:
-                phi[:, e] = T.table[phi[:, parent[e]], phi[:, gen_ids[via[e]]]]
-        # rebuild may overwrite entries defined in earlier stages; since the
-        # BFS words are identical on the old subgroup, values agree there
+        phi[:, gen_ids[-1]] = np.tile(cand, part.shape[0])
+        # a generator is reached from the identity by itself, so its image
+        # stays; other entries defined in earlier stages are rebuilt to the
+        # values they had, the maps being homomorphisms on the old subgroup
+        for k, src, new in levels:
+            phi[:, new] = T.table[phi[:, src], phi[:, gen_ids[k]][:, None]]
         sub_vals = np.sort(phi[:, member_arr], axis=1)
         ok = (sub_vals[:, 1:] != sub_vals[:, :-1]).all(axis=1)
         for g in gen_ids:
@@ -234,9 +211,7 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Aut
         built += survivors.shape[0] * cand.size
         if built > budget:
             raise BudgetExceeded(f"search built {built} maps, budget {budget}")
-        members, parent, via = _subgroup_bfs(T, gen_ids[: j + 1])
-        survivors = _extend_and_filter(T, survivors, cand, members, parent, via,
-                                       gen_ids[: j + 1])
+        survivors = _extend_and_filter(T, survivors, cand, gen_ids[: j + 1])
     c = np.array(G.generator_ids(), dtype=np.int64)
     inner = T.table[T.table[c, :], T.inverse[c][:, None]]  # conjugation by c
     auts = dimino(np.concatenate([inner, survivors])).elements
@@ -277,9 +252,11 @@ def inner_automorphism_ids(A: AutomorphismGroup) -> np.ndarray:
 
 def orbit_of(x: int, gens: Iterable[np.ndarray]) -> set[int]:
     """Closure of {x} under the given id permutations."""
-    gens = list(gens)
-    parts, part_of = orbits(gens, len(gens[0]) if gens else int(x) + 1)
-    return set(parts[part_of[x]].tolist())
+    gens = [np.asarray(g) for g in gens]
+    seen = np.zeros(gens[0].size if gens else int(x) + 1, dtype=bool)
+    for _ in sweep([x], lambda frontier: (g[frontier] for g in gens), seen):
+        pass
+    return set(np.flatnonzero(seen).tolist())
 
 
 def orbit_partition(degree: int, gens: Sequence[np.ndarray]) -> list[np.ndarray]:

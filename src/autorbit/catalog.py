@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Field, make_field, TooLarge
+from .fields import Field, make_field
 from .permcore import (DEFAULT_CLOSURE_LIMIT, FiniteGroup, Permutation,
-                       close_group, GroupError)
+                       TooLarge, close_group, GroupError)
 
 
 class BadParameter(GroupError):
@@ -31,7 +31,7 @@ class GeneratorDeficiency(GroupError):
 
 # -- permutation group families -------------------------------------------
 
-def sym(n: int) -> FiniteGroup:
+def sym(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     if n < 1:
         raise BadParameter("sym(n) needs n >= 1")
     if n == 1:
@@ -39,10 +39,10 @@ def sym(n: int) -> FiniteGroup:
     gens = [Permutation([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(Permutation(list(range(1, n)) + [0]))
-    return close_group(gens, name=f"sym{n}")
+    return close_group(gens, limit=limit, name=f"sym{n}")
 
 
-def alt(n: int) -> FiniteGroup:
+def alt(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     if n < 1:
         raise BadParameter("alt(n) needs n >= 1")
     if n <= 2:
@@ -54,18 +54,19 @@ def alt(n: int) -> FiniteGroup:
         gens = [three, Permutation(list(range(1, n)) + [0])]
     else:
         gens = [three, Permutation([0] + list(range(2, n)) + [1])]
-    return close_group(gens, name=f"alt{n}")
+    return close_group(gens, limit=limit, name=f"alt{n}")
 
 
-def cyclic(n: int) -> FiniteGroup:
+def cyclic(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     if n < 1:
         raise BadParameter("cyclic(n) needs n >= 1")
     if n == 1:
         return close_group([], degree=1, name="cyclic1")
-    return close_group([Permutation(list(range(1, n)) + [0])], name=f"cyclic{n}")
+    return close_group([Permutation(list(range(1, n)) + [0])], limit=limit,
+                       name=f"cyclic{n}")
 
 
-def extraspecial_p3_exponent_p(p: int) -> FiniteGroup:
+def extraspecial_p3_exponent_p(p: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     """Nonabelian group of order p^3 and exponent p (p odd), realized as the
     upper-unitriangular 3x3 group over F_p acting affinely on F_p^2:
     (a,b,c): (x,y) -> (x + a*y + c, y + b).  Faithful of degree p^2."""
@@ -77,7 +78,7 @@ def extraspecial_p3_exponent_p(p: int) -> FiniteGroup:
     def aff(a, b, c):
         return Permutation([idx[((x + a * y + c) % p, (y + b) % p)] for x, y in pts])
 
-    G = close_group([aff(1, 0, 0), aff(0, 1, 0)], name=f"extraspecial{p**3}")
+    G = close_group([aff(1, 0, 0), aff(0, 1, 0)], limit=limit, name=f"extraspecial{p**3}")
     orders = set(int(o) for o in G.element_orders())
     if G.order != p ** 3 or orders != {1, p} or G.center_ids().size != p:
         raise GeneratorDeficiency("extraspecial construction failed validation")
@@ -453,7 +454,7 @@ def resolve(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     if key == "autpsl34":  # whole-name aliases, before the digits split off
         return extended_aut_psl34(limit)
     if key == "extraspecial27":
-        return extraspecial_p3_exponent_p(3)
+        return extraspecial_p3_exponent_p(3, limit)
     m = _NAME_RE.match(key)
     if not m:
         raise BadParameter(f"cannot parse group name {name!r}")
@@ -463,13 +464,13 @@ def resolve(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     if a is None:
         raise BadParameter(f"group name {name!r} needs a parameter")
     if base == "sym" and b is None:
-        return sym(a)
+        return sym(a, limit)
     if base == "alt" and b is None:
-        return alt(a)
+        return alt(a, limit)
     if base == "cyclic" and b is None:
-        return cyclic(a)
+        return cyclic(a, limit)
     if base in ("extraspecial", "es") and b is None:
-        return extraspecial_p3_exponent_p(a)
+        return extraspecial_p3_exponent_p(a, limit)
     if base in ("psl", "pgl", "psu", "pgu") and b is not None:
         kind = {"psl": "SL", "pgl": "GL", "psu": "SU", "pgu": "GU"}[base]
         return projective_group(kind, a, b, limit=limit)

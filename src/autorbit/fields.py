@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .permcore import ResourceLimit
+from .permcore import TooLarge
 
 MAX_FIELD_SIZE = 2 ** 20
 TABLE_LIMIT = 512
@@ -26,10 +26,6 @@ class FieldError(Exception):
 
 
 class NotPrime(FieldError):
-    pass
-
-
-class TooLarge(FieldError, ResourceLimit):
     pass
 
 

@@ -54,6 +54,10 @@ class ClosureLimitExceeded(ResourceLimit):
     pass
 
 
+class TooLarge(ResourceLimit):
+    """An input is larger than a fixed guard of the routine it was given to."""
+
+
 class NotNormal(GroupError):
     pass
 
@@ -538,6 +542,28 @@ def orbits(maps: Sequence[np.ndarray], n: int) -> tuple[list[np.ndarray], np.nda
     _, orbit_of = np.unique(label, return_inverse=True)
     members = np.argsort(orbit_of, kind="stable")
     return np.split(members, np.cumsum(np.bincount(orbit_of))[:-1]), orbit_of
+
+
+def sweep(start: Sequence[int], step, seen: np.ndarray):
+    """Close the distinct points `start` under injective maps, one level at a
+    time.  `step(frontier)` gives each map's images of the frontier points, in
+    map order; `seen` is a boolean mask over all points, in which the sweep
+    marks `start` and every point it reaches.  Yields, per level and map, the
+    map's index, the frontier points it sends to a point not seen before and
+    those new points.  An injective map sends no two frontier points to one
+    point, and marking a point as soon as it is found keeps a later map from
+    finding it again, so every point is yielded at most once."""
+    frontier = np.asarray(start, dtype=np.int64)
+    seen[frontier] = True
+    while frontier.size:
+        fresh = [frontier[:0]]
+        for k, images in enumerate(step(frontier)):
+            new = ~seen[images]
+            found = images[new]
+            seen[found] = True
+            fresh.append(found)
+            yield k, frontier[new], found
+        frontier = np.concatenate(fresh)
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjClassTable:

@@ -87,9 +87,6 @@ class ClassTypeTable:
     def n_classes(self) -> int:
         return len(self.rho)
 
-    def type_size(self, class_id: int) -> int:
-        return int(self.out.classes.sizes[self.type_of_class[class_id]])
-
     def classes_of_type(self, type_id: int) -> list[int]:
         return [c for c in range(self.n_classes) if self.type_of_class[c] == type_id]
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from .autgrp import AutomorphismGroup
 from .catalog import sym
-from .permcore import (FiniteGroup, GroupError, Permutation, ResourceLimit,
+from .permcore import (FiniteGroup, GroupError, Permutation, TooLarge,
                        close_group, conjugacy_classes, cycle_decompose,
-                       cycle_type, orbits, POINT_DTYPE)
+                       cycle_type, orbits, sweep, POINT_DTYPE)
 
 DEFAULT_WREATH_LIMIT = 2_000_000
 DEFAULT_ORBIT_SPACE = 64_000_000  # visited-array cells for orbit sweeps
@@ -31,10 +31,6 @@ class ShapeMismatch(GroupError):
 
 
 class NotACycleOfTop(GroupError):
-    pass
-
-
-class TooLarge(ResourceLimit):
     pass
 
 
@@ -58,9 +54,6 @@ class BcpcProfile:
 
     by_length: dict
     by_length_and_type: dict | None = None
-
-    def multiset(self, l: int) -> tuple:
-        return self.by_length.get(l, ())
 
 
 class WreathGroup:
@@ -211,25 +204,15 @@ class WreathGroup:
         if self.order > limit:
             raise TooLarge(f"wreath group order {self.order} too large to sweep")
         maps = self._conjugation_maps(conjugators)
-        visited = np.zeros(self.order, dtype=bool)
-        start = np.array([self.pack(w) for w in seeds], dtype=np.int64)
-        visited[start] = True
-        frontier = start
-        found = [start]
-        while frontier.size:
+
+        def step(frontier):
             B, t = self._unpack_codes(frontier)
-            fresh = []
-            for cmap in maps:
-                CB, ct = self._conj_batch(B, t, cmap)
-                codes = self._pack_arrays(CB, ct)
-                codes = np.unique(codes)
-                new = codes[~visited[codes]]
-                visited[new] = True
-                fresh.append(new)
-            frontier = np.unique(np.concatenate(fresh)) if fresh else np.empty(0, np.int64)
-            if frontier.size:
-                found.append(frontier)
-        return np.sort(np.concatenate(found))
+            return (self._pack_arrays(*self._conj_batch(B, t, cmap)) for cmap in maps)
+
+        visited = np.zeros(self.order, dtype=bool)
+        for _ in sweep([self.pack(w) for w in seeds], step, visited):
+            pass
+        return np.flatnonzero(visited)
 
     def standard_conjugators(self) -> list[tuple[tuple, Permutation]]:
         """Generators of the wreath group itself, as (base tuple, top) pairs:

@@ -1,16 +1,16 @@
 """The Aut search modulo Inn(G) against the exhaustive staged search it
 replaced, kept here as the oracle: a greedy generating set by descending
-element order, every fingerprint candidate for every generator, the
-surviving maps taken as the whole of Aut(G), and generators picked by
-`close_group`.  Both must give the same automorphism group, element for
-element and generator for generator."""
+element order, every fingerprint candidate for every generator, partial
+maps rebuilt member by member along BFS words, the surviving maps taken as
+the whole of Aut(G), and generators picked by `close_group`.  Both must give
+the same automorphism group, element for element and generator for
+generator."""
 
 import numpy as np
 import pytest
 
 from autorbit import catalog
-from autorbit.autgrp import (AutomorphismGroup, CayleyTable,
-                             _extend_and_filter, _fingerprints, _subgroup_bfs,
+from autorbit.autgrp import (AutomorphismGroup, CayleyTable, _fingerprints,
                              automorphism_group)
 from autorbit.permcore import (POINT_DTYPE, GroupError, Permutation,
                                _encode_rows, close_group)
@@ -29,6 +29,58 @@ def greedy_generating_set(G, T):
         if len(closure) == G.order:
             return gens
     raise GroupError("generating-set search failed")
+
+
+def subgroup_bfs(T, gen_ids):
+    """BFS closure of <gen_ids> from the identity by right multiplication:
+    the member ids in BFS order plus (parent, via-generator index) for every
+    member except the identity."""
+    members = [0]
+    seen = {0}
+    parent = {0: -1}
+    via = {0: -1}
+    head = 0
+    while head < len(members):
+        x = members[head]
+        head += 1
+        for k, g in enumerate(gen_ids):
+            y = int(T.table[x, g])
+            if y not in seen:
+                seen.add(y)
+                parent[y] = x
+                via[y] = k
+                members.append(y)
+    return members, parent, via
+
+
+def extend_along_words(T, survivors, cand, members, parent, via, gen_ids):
+    """Extend each surviving partial map by each candidate image of the newest
+    generator, rebuild it member by member along the BFS words, and keep the
+    maps that are injective homomorphisms on the subgroup."""
+    n = T.order
+    s, c = survivors.shape[0], cand.size
+    batch = max(1, 16_000_000 // n // max(c, 1))
+    member_arr = np.array(members)
+    kept = []
+    newest_gen = gen_ids[-1]
+    for lo in range(0, s, batch):
+        part = survivors[lo:lo + batch]
+        phi = np.repeat(part, c, axis=0)
+        phi[:, newest_gen] = np.tile(cand, part.shape[0])
+        for e in members:
+            if via[e] >= 0 and e != newest_gen:
+                phi[:, e] = T.table[phi[:, parent[e]], phi[:, gen_ids[via[e]]]]
+        sub_vals = np.sort(phi[:, member_arr], axis=1)
+        ok = (sub_vals[:, 1:] != sub_vals[:, :-1]).all(axis=1)
+        for g in gen_ids:
+            rows = np.flatnonzero(ok)
+            if rows.size == 0:
+                break
+            lhs = phi[np.ix_(rows, T.table[g, member_arr])]
+            rhs = T.table[phi[rows, g][:, None], phi[np.ix_(rows, member_arr)]]
+            ok[rows[~np.all(lhs == rhs, axis=1)]] = False
+        kept.append(phi[ok])
+    return np.concatenate(kept, axis=0)
 
 
 def group_from_permutation_rows(rows, degree):
@@ -55,8 +107,8 @@ def oracle_automorphism_group(G):
     survivors = np.zeros((1, n), dtype=np.int32)
     for j, g in enumerate(gen_ids):
         cand = np.array([x for x in range(n) if fps[x] == fps[g]], dtype=np.int32)
-        members, parent, via = _subgroup_bfs(T, gen_ids[: j + 1])
-        survivors = _extend_and_filter(T, survivors, cand, members, parent, via,
+        members, parent, via = subgroup_bfs(T, gen_ids[: j + 1])
+        survivors = extend_along_words(T, survivors, cand, members, parent, via,
                                        gen_ids[: j + 1])
     return AutomorphismGroup(G, group_from_permutation_rows(survivors.astype(POINT_DTYPE), n))
 

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from autorbit import catalog
 from autorbit import permcore as pc
@@ -184,3 +184,20 @@ def test_center():
     assert catalog.sym(3).center_ids().tolist() == [0]
     assert catalog.cyclic(6).center_ids().size == 6
     assert catalog.extraspecial_p3_exponent_p(3).center_ids().size == 3
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda d: st.lists(
+    st.permutations(list(range(d))).map(np.array), max_size=4).map(lambda ms: (d, ms))))
+def test_sweep_reaches_each_orbit_once(case):
+    degree, maps = case
+    parts, part_of = pc.orbits(maps, degree)
+    for x in range(degree):
+        seen = np.zeros(degree, dtype=bool)
+        reached = [x]
+        for k, src, new in pc.sweep([x], lambda f: (m[f] for m in maps), seen):
+            assert np.array_equal(maps[k][src], new)
+            reached.extend(new.tolist())
+        assert len(reached) == len(set(reached))
+        assert sorted(reached) == parts[part_of[x]].tolist()
+        assert np.flatnonzero(seen).tolist() == sorted(reached)
