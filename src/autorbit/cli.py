@@ -188,51 +188,44 @@ def verify_pmf(args) -> VerificationReport:
 
 
 def verify_wreath(args) -> VerificationReport:
+    """Brute-force classes against the bcpc profiles of `profile_labels`:
+    every element (--exhaustive) or seeded pairs (--samples)."""
     base = resolve_group(args.base, args.max_order)
     wg = wreath.WreathGroup(base, args.n)
     rep = VerificationReport(
         "wreath", seed=None if args.exhaustive else args.seed)
+    classes = wg.class_codes(limit=args.max_order)
     if args.exhaustive:
-        codes = wg.class_codes(limit=args.max_order)
-        keys: dict = {}
-        from .permcore import cycle_type
-        for code in range(wg.order):
-            el = wg.unpack(code)
-            k = (cycle_type(el.top),
-                 tuple(sorted(wreath.profile(wg, el).by_length.items())))
-            keys.setdefault(k, []).append(code)
-        brute = {}
-        for code in range(wg.order):
-            brute.setdefault(int(codes[code]), []).append(code)
-        same = sorted(map(tuple, brute.values())) == sorted(map(tuple, keys.values()))
-        mism = [] if same else _partition_mismatches(brute, keys)
-        rep.items.append(ReportItem(
-            "partition-equality", True, same, PASS if same else FAIL, 0,
-            note=f"order {wg.order}, {len(brute)} classes" if same else f"counterexamples: {mism[:3]}"))
+        labels = wg.profile_labels(np.arange(wg.order))
+        n_classes, n_labels = np.unique(classes).size, np.unique(labels).size
+        same = np.unique(classes * wg.order + labels).size == n_classes == n_labels
+        note = (f"order {wg.order}, {n_classes} classes" if same
+                else f"counterexamples: {_mismatched_blocks(classes, labels)[:3]}")
+        rep.items.append(ReportItem("partition-equality", True, same,
+                                    PASS if same else FAIL, 0, note=note))
     else:
-        rng = np.random.default_rng(args.seed)
-        bad = []
-        for _ in range(args.samples):
-            v, w = wg.random_element(rng), wg.random_element(rng)
-            if wreath.conj_test(wg, v, w) != wreath.brute_force_conj(wg, v, w, limit=args.max_order):
-                bad.append({"v": wg.pack(v), "w": wg.pack(w)})
+        codes = wg.random_codes(np.random.default_rng(args.seed), 2 * args.samples)
+        labels, cls = wg.profile_labels(codes), classes[codes]
+        wrong = (labels[0::2] == labels[1::2]) != (cls[0::2] == cls[1::2])
+        bad = [{"v": int(v), "w": int(w)}
+               for v, w in zip(codes[0::2][wrong], codes[1::2][wrong])]
         rep.items.append(ReportItem(
             "sampled-agreement", [], bad, PASS if not bad else FAIL, 0,
             note=f"{args.samples} seeded pairs"))
     return rep
 
 
-def _partition_mismatches(a: dict, b: dict) -> list:
-    flat_a = {}
-    for cid, codes in a.items():
-        for c in codes:
-            flat_a[c] = tuple(sorted(codes))
-    out = []
-    for codes in b.values():
-        blocks = {flat_a[c] for c in codes}
-        if len(blocks) != 1 or len(next(iter(blocks))) != len(codes):
-            out.append(sorted(codes)[:4])
-    return out
+def _mismatched_blocks(classes: np.ndarray, labels: np.ndarray) -> list:
+    """The first four codes of each profile block that is not a class block,
+    blocks in order of their first code.  A block is a class block iff its
+    codes lie in one class and that class meets no other label."""
+    nlab = int(labels.max()) + 1
+    pair_class, pair_label = np.divmod(np.unique(classes * nlab + labels), nlab)
+    bad = np.bincount(pair_label, minlength=nlab) > 1
+    bad[pair_label[np.bincount(pair_class)[pair_class] > 1]] = True
+    first = np.unique(labels, return_index=True)[1]
+    bad_labels = sorted(np.flatnonzero(bad).tolist(), key=lambda l: first[l])
+    return [np.flatnonzero(labels == l)[:4].tolist() for l in bad_labels]
 
 
 def paper_table_suite(args) -> VerificationReport:

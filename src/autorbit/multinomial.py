@@ -3,14 +3,15 @@ same-type classes, the orbit-proportion product bound they assemble into, and
 the two computer-checked verification sweeps (the Lagrange-point grid and the
 pmf <= max success probability bound).
 
-Everything is `fractions.Fraction`; no floats and no tolerances anywhere."""
+Everything is exact: `fractions.Fraction` values, and integers over a common
+denominator in the pmf sweep; no floats and no tolerances anywhere."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from .stypes import ClassTypeTable
@@ -52,13 +53,22 @@ def multinomial_coefficient(counts: Sequence[int]) -> int:
     return out
 
 
-def pmf(rho: Sequence[Fraction], counts: Sequence[int]) -> Fraction:
-    """Multinomial pmf at `counts`; 0^0 = 1 so zero-probability classes with
+def pmf_kernel(numer: Sequence[int], counts: Sequence[int]) -> int:
+    """multinomial(counts) * prod numer_i^counts_i: the pmf at `counts` times
+    d^n when rho_i = numer_i / d.  0^0 = 1, so zero-probability classes with
     zero count are neutral."""
-    value = Fraction(multinomial_coefficient(counts))
-    for r, c in zip(rho, counts):
-        value *= Fraction(r) ** c
+    value = multinomial_coefficient(counts)
+    for a, c in zip(numer, counts):
+        value *= a ** c
     return value
+
+
+def pmf(rho: Sequence[Fraction], counts: Sequence[int]) -> Fraction:
+    """Multinomial pmf at `counts`, over the common denominator of rho."""
+    rho = [Fraction(r) for r in rho]
+    d = lcm(*(r.denominator for r in rho))
+    numer = [r.numerator * (d // r.denominator) for r in rho]
+    return Fraction(pmf_kernel(numer, counts), d ** sum(counts))
 
 
 def r_value(dist: TypeDistribution) -> Fraction:
@@ -155,15 +165,18 @@ def pmf_bound_check(mode: str = "exhaustive", max_k: int = 4, max_denom: int = 6
     exhaustive: every rho vector with a common denominator <= max_denom
     (k <= max_k, zero entries allowed) against every count vector with
     1 <= n <= max_n (zeros allowed).  random: seeded random rational vectors
-    with the same assertion."""
+    with the same assertion.  Each case is rho = a / d on integers: the pmf
+    is pmf_kernel(a, counts) / d^n, so the bound fails iff
+    pmf_kernel(a, counts) * d > max(a) * d^n."""
     checked = 0
     violations = []
 
-    def run_case(rho, counts):
+    def run_case(numer, d, counts):
         nonlocal checked
         checked += 1
-        value = pmf(rho, counts)
-        if value > max(rho):
+        kernel, scale = pmf_kernel(numer, counts), d ** sum(counts)
+        if kernel * d > max(numer) * scale:
+            rho, value = [Fraction(a, d) for a in numer], Fraction(kernel, scale)
             violations.append({
                 "rho": [f"{r.numerator}/{r.denominator}" for r in rho],
                 "counts": list(counts),
@@ -174,15 +187,14 @@ def pmf_bound_check(mode: str = "exhaustive", max_k: int = 4, max_denom: int = 6
         for k in range(1, max_k + 1):
             count_vectors = [cv for n in range(1, max_n + 1)
                              for cv in _nonneg_compositions(n, k)]
-            seen = set()
             for d in range(1, max_denom + 1):
                 for numer in _nonneg_compositions(d, k):
-                    rho = tuple(Fraction(a, d) for a in numer)
-                    if rho in seen:
+                    # a / d with g = gcd(a) > 1 is the rho vector (a/g) / (d/g),
+                    # already checked at the smaller denominator
+                    if gcd(*numer) > 1:
                         continue
-                    seen.add(rho)
                     for counts in count_vectors:
-                        run_case(rho, counts)
+                        run_case(numer, d, counts)
     elif mode == "random":
         rng = random.Random(seed)
         for _ in range(samples):
@@ -190,10 +202,9 @@ def pmf_bound_check(mode: str = "exhaustive", max_k: int = 4, max_denom: int = 6
             d = rng.randint(1, 60)
             cuts = sorted(rng.randint(0, d) for _ in range(k - 1))
             parts = [b - a for a, b in zip([0] + cuts, cuts + [d])]
-            rho = tuple(Fraction(a, d) for a in parts)
             n = rng.randint(1, 12)
             counts = random_composition(rng, n, k)
-            run_case(rho, counts)
+            run_case(parts, d, counts)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     result = {"checked": checked, "violations": violations}

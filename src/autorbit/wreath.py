@@ -241,6 +241,40 @@ class WreathGroup:
         self._enum_classes = orbits(maps, self.order)[1]
         return self._enum_classes
 
+    def random_codes(self, rng, count: int) -> np.ndarray:
+        """Packed codes of `count` elements drawn as `random_element` draws
+        them (n base ids, then a top id), without building the elements."""
+        draws = np.array([[int(rng.integers(self.base.order)) for _ in range(self.n)]
+                          + [int(rng.integers(self.top.order))] for _ in range(count)],
+                         dtype=np.int64).reshape(count, self.n + 1)
+        return self._pack_arrays(draws[:, :-1], draws[:, -1])
+
+    def profile_labels(self, codes: np.ndarray) -> np.ndarray:
+        """One label per packed code, equal for two codes iff they have the
+        same top cycle type and the same M_l for every l: the array form of
+        `conj_test`.  Grouped by top id, the backward products along each
+        cycle are gathers on the Cayley table; a code's row holds
+        length * nclass + class for each cycle of its top, sorted and padded
+        with -1, and the labels number the distinct rows from 0."""
+        B, t = self._unpack_codes(codes)
+        table = conjugacy_classes(self.base)
+        nclass = len(table.classes)
+        rows = np.full((t.size, self.n), -1, dtype=np.int64)
+        order = np.argsort(t, kind="stable")
+        tops, starts = np.unique(t[order], return_index=True)
+        for s, at in zip(tops.tolist(), np.split(order, starts[1:])):
+            for j, zeta in enumerate(self._top_cycles[s]):
+                acc = B[at, zeta[0]]
+                for i in zeta[1:]:
+                    acc = self.T[B[at, i], acc]
+                rows[at, j] = len(zeta) * nclass + table.class_of[acc]
+        rows.sort(axis=1)
+        labels = np.zeros(t.size, dtype=np.int64)
+        for column in rows.T:  # number the distinct prefixes, one column at a time
+            labels = np.unique(labels * (nclass * (self.n + 1) + 1) + column + 1,
+                               return_inverse=True)[1]
+        return labels
+
 
 def _validate_cycle(w: WreathElement, zeta: Sequence[int]) -> tuple[int, ...]:
     zeta = tuple(int(z) for z in zeta)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from autorbit import catalog, cli
+from autorbit import catalog, cli, wreath
 from autorbit.reports import (ReportItem, VerificationReport, encode_value,
                               report_from_json)
 
@@ -118,6 +118,59 @@ def test_verify_wreath_sampled(capsys, tmp_path):
     payload = json.loads(out_path.read_text())
     assert payload["seed"] == 4
     assert payload["items"][0]["status"] == "pass"
+
+
+def _merge_two_largest(codes):
+    """Class codes with the two largest classes a < b merged into a."""
+    a, b = sorted(np.argsort(np.bincount(codes), kind="stable")[-2:].tolist())
+    merged = codes.copy()
+    merged[merged == b] = a
+    return merged, a, b
+
+
+@pytest.fixture
+def true_class_codes(monkeypatch):
+    """Patch WreathGroup.class_codes to merge its two largest classes, and
+    return the unpatched method."""
+    real = wreath.WreathGroup.class_codes
+    monkeypatch.setattr(wreath.WreathGroup, "class_codes",
+                        lambda self, limit=wreath.DEFAULT_WREATH_LIMIT:
+                        _merge_two_largest(real(self, limit=limit))[0])
+    return real
+
+
+def test_verify_wreath_exhaustive_fails_on_merged_classes(capsys, true_class_codes):
+    code, out, _ = run_cli(capsys, "verify", "wreath", "--base", "name:sym3",
+                           "--n", "2", "--exhaustive")
+    assert code == 1
+    assert "[FAIL] partition-equality" in out
+    item = json.loads(out[out.index("\n{"):])["items"][0]
+    assert item["status"] == "fail" and item["computed"] is False
+    # the profile blocks that no longer match a class: the two merged ones
+    truth = true_class_codes(wreath.WreathGroup(catalog.sym(3), 2))
+    _, a, b = _merge_two_largest(truth)
+    blocks = sorted(np.flatnonzero(truth == c).tolist() for c in (a, b))
+    assert item["note"] == f"counterexamples: {[blk[:4] for blk in blocks]}"
+
+
+def test_verify_wreath_sampled_lists_disagreeing_pairs(capsys, true_class_codes):
+    code, out, _ = run_cli(capsys, "verify", "wreath", "--base", "name:sym3",
+                           "--n", "2", "--samples", "300", "--seed", "4")
+    assert code == 1
+    item = json.loads(out[out.index("\n{"):])["items"][0]
+    assert item["status"] == "fail"
+    # the per-element oracle on the same draws, in draw order
+    wg = wreath.WreathGroup(catalog.sym(3), 2)
+    merged = wg.class_codes()
+    rng = np.random.default_rng(4)
+    expected = []
+    for _ in range(300):
+        v, w = wg.random_element(rng), wg.random_element(rng)
+        pv, pw = wg.pack(v), wg.pack(w)
+        if wreath.conj_test(wg, v, w) != (merged[pv] == merged[pw]):
+            expected.append({"v": pv, "w": pw})
+    assert expected
+    assert item["computed"] == expected
 
 
 def test_usage_errors(capsys):

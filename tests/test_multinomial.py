@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,93 @@ def test_pmf_bound_exhaustive():
     # single-outcome composition
     assert pmf((Fraction(1, 3), Fraction(2, 3)), (4, 0)) == Fraction(1, 81)
     assert pmf((Fraction(1, 3),) * 3, (1, 1, 1)) == Fraction(2, 9)
+
+
+def fraction_pmf(rho, counts):
+    value = Fraction(mn.multinomial_coefficient(counts))
+    for r, c in zip(rho, counts):
+        value *= Fraction(r) ** c
+    return value
+
+
+def reference_pmf_bound_check(mode="exhaustive", max_k=4, max_denom=6, max_n=8,
+                              samples=0, seed=0, scale=1):
+    """The sweep case by case in Fraction arithmetic, with the pmf scaled by
+    `scale` (so that a scale > 1 produces violation records)."""
+    checked = 0
+    violations = []
+
+    def run_case(rho, counts):
+        nonlocal checked
+        checked += 1
+        value = scale * fraction_pmf(rho, counts)
+        if value > max(rho):
+            violations.append({
+                "rho": [f"{r.numerator}/{r.denominator}" for r in rho],
+                "counts": list(counts),
+                "value": f"{value.numerator}/{value.denominator}",
+            })
+
+    if mode == "exhaustive":
+        for k in range(1, max_k + 1):
+            count_vectors = [cv for n in range(1, max_n + 1)
+                             for cv in mn._nonneg_compositions(n, k)]
+            seen = set()
+            for d in range(1, max_denom + 1):
+                for numer in mn._nonneg_compositions(d, k):
+                    rho = tuple(Fraction(a, d) for a in numer)
+                    if rho in seen:
+                        continue
+                    seen.add(rho)
+                    for counts in count_vectors:
+                        run_case(rho, counts)
+    else:
+        rng = random.Random(seed)
+        for _ in range(samples):
+            k = rng.randint(1, max_k)
+            d = rng.randint(1, 60)
+            cuts = sorted(rng.randint(0, d) for _ in range(k - 1))
+            parts = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+            rho = tuple(Fraction(a, d) for a in parts)
+            n = rng.randint(1, 12)
+            counts = mn.random_composition(rng, n, k)
+            run_case(rho, counts)
+    result = {"checked": checked, "violations": violations}
+    if mode == "random":
+        result["seed"] = seed
+    return result
+
+
+def test_pmf_bound_exhaustive_matches_fraction_reference():
+    report = pmf_bound_check("exhaustive")
+    assert report["checked"] == 89134
+    assert report == reference_pmf_bound_check("exhaustive")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pmf_bound_random_matches_fraction_reference(seed):
+    assert (pmf_bound_check("random", samples=2000, seed=seed)
+            == reference_pmf_bound_check("random", samples=2000, seed=seed))
+
+
+def test_pmf_bound_violation_records_match_fraction_reference(monkeypatch):
+    kernel = mn.pmf_kernel
+    monkeypatch.setattr(mn, "pmf_kernel", lambda numer, counts: 2 * kernel(numer, counts))
+    for kwargs in ({"mode": "exhaustive", "max_k": 3, "max_denom": 4, "max_n": 4},
+                   {"mode": "random", "samples": 300, "seed": 3}):
+        report = pmf_bound_check(**kwargs)
+        assert report["violations"]
+        assert report == reference_pmf_bound_check(scale=2, **kwargs)
+
+
+def test_pmf_matches_fraction_formula():
+    rng = random.Random(8)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        rho = [Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(k)]
+        counts = [rng.randint(0, 5) for _ in range(k)]
+        assert pmf(rho, counts) == fraction_pmf(rho, counts)
+    assert pmf([1, Fraction(0)], [3, 0]) == 1
 
 
 def test_pmf_bound_random_seeded():

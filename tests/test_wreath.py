@@ -225,3 +225,56 @@ def test_build_hp_p3(alt5, alt5_aut):
     assert hp.order == 5_184_000
     assert hp.predicted_orbit == 864_000
     assert hp.measured_orbit == 864_000
+
+
+# -- array-wide profiles ------------------------------------------------------
+
+def _partition(keys):
+    blocks = {}
+    for index, key in enumerate(keys):
+        blocks.setdefault(key, []).append(index)
+    return sorted(blocks.values())
+
+
+def _profile_keys(wg, codes):
+    keys = []
+    for code in codes:
+        el = wg.unpack(int(code))
+        keys.append((pc.cycle_type(el.top),
+                     tuple(sorted(wr.profile(wg, el).by_length.items()))))
+    return keys
+
+
+@pytest.mark.parametrize("base_name,n", [("cyclic2", 2), ("sym3", 3),
+                                         ("alt4", 3), ("sym4", 3)])
+def test_profile_labels_match_per_element_profiles(base_name, n):
+    wg = wr.WreathGroup(catalog.resolve(base_name), n)
+    codes = np.arange(wg.order)
+    assert (_partition(wg.profile_labels(codes).tolist())
+            == _partition(_profile_keys(wg, codes)))
+
+
+def test_profile_labels_cyclic_prime_top():
+    # the top of build_hp: the cyclic group of a p-cycle
+    p = 5
+    wg = wr.WreathGroup(catalog.sym(3), p, top=[Permutation([(i + 1) % p for i in range(p)])])
+    codes = np.arange(wg.order)
+    assert (_partition(wg.profile_labels(codes).tolist())
+            == _partition(_profile_keys(wg, codes)))
+
+
+def test_profile_labels_on_aut_alt5_base(alt5_aut):
+    wg = wr.WreathGroup(alt5_aut.group, 2)
+    rng = np.random.default_rng(500)
+    codes = np.array([wg.pack(wg.random_element(rng)) for _ in range(500)])
+    labels = wg.profile_labels(codes)
+    assert len(set(labels.tolist())) > 1
+    assert _partition(labels.tolist()) == _partition(_profile_keys(wg, codes))
+
+
+@pytest.mark.parametrize("seed", [17, 123])
+def test_random_codes_draw_as_random_element(seed):
+    wg = wr.WreathGroup(catalog.sym(3), 4)
+    rng = np.random.default_rng(seed)
+    expected = [wg.pack(wg.random_element(rng)) for _ in range(2000)]
+    assert wg.random_codes(np.random.default_rng(seed), 2000).tolist() == expected
