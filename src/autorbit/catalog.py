@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from math import gcd
-from typing import Callable
 
 import numpy as np
 
@@ -86,48 +85,17 @@ def extraspecial_p3_exponent_p(p: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> Fi
 
 
 # -- matrices over a finite field ------------------------------------------
+# A matrix is a (d, d) int array of field elements; a batch is (K, d, d).
 
-Matrix = tuple  # tuple of row tuples of field-element ints
+def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Batched product over F of (..., m, n) and (..., n, l) arrays."""
+    return F.sum(F.mul(A[..., :, :, None], B[..., None, :, :]), axis=-2)
 
 
-def mat_identity(d: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
-def mat_mul(F: Field, A: Matrix, B: Matrix) -> Matrix:
+def mat_inv(F: Field, A: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan inverse of one matrix; raises on singular input."""
     d = len(A)
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = 0
-            for k in range(d):
-                acc = F.add(acc, F.mul(A[i][k], B[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_vec(F: Field, A: Matrix, v: tuple) -> tuple:
-    d = len(A)
-    out = []
-    for i in range(d):
-        acc = 0
-        for j in range(d):
-            acc = F.add(acc, F.mul(A[i][j], v[j]))
-        out.append(acc)
-    return tuple(out)
-
-
-def mat_transpose(A: Matrix) -> Matrix:
-    d = len(A)
-    return tuple(tuple(A[j][i] for j in range(d)) for i in range(d))
-
-
-def mat_inv(F: Field, A: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; raises on singular input."""
-    d = len(A)
-    aug = [list(A[i]) + [1 if i == j else 0 for j in range(d)] for i in range(d)]
+    aug = [[int(x) for x in A[i]] + [1 if i == j else 0 for j in range(d)] for i in range(d)]
     for col in range(d):
         pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
         if pivot is None:
@@ -139,155 +107,126 @@ def mat_inv(F: Field, A: Matrix) -> Matrix:
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[d:]) for row in aug)
+    return np.array([row[d:] for row in aug])
 
 
-def mat_conj_transpose(F: Field, A: Matrix) -> Matrix:
-    d = len(A)
-    return tuple(tuple(F.conj(A[j][i]) for j in range(d)) for i in range(d))
+def hermitian_inner(F: Field, u, v):
+    """<u, v> = sum u_i * conj(v_i) over the last axis (identity Gram matrix)."""
+    return F.sum(F.mul(np.asarray(u), F.conj(np.asarray(v))))
 
 
-def hermitian_inner(F: Field, u: tuple, v: tuple) -> int:
-    """<u, v> = sum u_i * conj(v_i) with the identity Gram matrix."""
-    acc = 0
-    for a, b in zip(u, v):
-        acc = F.add(acc, F.mul(a, F.conj(b)))
-    return acc
+def is_unitary(F: Field, A) -> bool:
+    """Whether every matrix of A preserves the form: A A^* = 1."""
+    A = np.asarray(A)
+    return bool(np.all(mat_mul(F, A, F.conj(np.swapaxes(A, -1, -2)))
+                       == np.eye(A.shape[-1], dtype=np.int64)))
 
 
-def is_unitary(F: Field, A: Matrix) -> bool:
-    return mat_mul(F, A, mat_conj_transpose(F, A)) == mat_identity(len(A))
+def _det(F: Field, A: np.ndarray):
+    """Determinants of a batch (..., d, d), by expansion along the first row."""
+    d = A.shape[-1]
+    if d == 1:
+        return A[..., 0, 0]
+    det = 0
+    for j in range(d):
+        term = F.mul(A[..., 0, j], _det(F, np.delete(A[..., 1:, :], j, axis=-1)))
+        det = F.sub(det, term) if j % 2 else F.add(det, term)
+    return det
+
+
+def _diag(d: int, lam: int) -> np.ndarray:
+    """The batch of one matrix diag(lam, 1, ..., 1)."""
+    M = np.eye(d, dtype=np.int64)[None]
+    M[0, 0, 0] = lam
+    return M
 
 
 # -- projective actions -----------------------------------------------------
 
-def projective_points(F: Field, d: int) -> tuple[list[tuple], dict]:
-    """Canonical list of projective points: last nonzero coordinate scaled
-    to 1, sorted lexicographically on the coordinate encodings."""
-    pts = sorted({normalize_point(F, v) for v in _vectors(F, d)[1:]})
-    return pts, {pt: i for i, pt in enumerate(pts)}
+def _digit_rows(n: int, q: int, d: int) -> np.ndarray:
+    """(n, d) base-q digits of 0..n-1, most significant first."""
+    return np.arange(n)[:, None] // q ** np.arange(d - 1, -1, -1) % q
 
 
-def _vectors(F: Field, d: int) -> list[tuple]:
-    """F^d in the order of the code sum(v[j] * q^j)."""
-    return [tuple((code // F.q ** j) % F.q for j in range(d)) for code in range(F.q ** d)]
+def _point_codes(F: Field, vecs: np.ndarray) -> np.ndarray:
+    """Integer codes whose order is the lexicographic order of the vectors."""
+    return vecs @ F.q ** np.arange(vecs.shape[-1] - 1, -1, -1)
 
 
-def normalize_point(F: Field, v: tuple) -> tuple:
-    last = max(i for i, x in enumerate(v) if x != 0)
-    s = F.inv(v[last])
-    return tuple(F.mul(s, x) for x in v)
+def projective_points(F: Field, d: int) -> np.ndarray:
+    """Canonical (N, d) array of projective points: last nonzero coordinate
+    1, rows sorted lexicographically."""
+    blocks = []
+    for t in range(d):  # the points whose last nonzero coordinate is t
+        n = F.q ** t
+        blocks.append(np.hstack([_digit_rows(n, F.q, t), np.ones((n, 1), np.int64),
+                                 np.zeros((n, d - 1 - t), np.int64)]))
+    pts = np.concatenate(blocks)
+    return pts[np.argsort(_point_codes(F, pts))]
 
 
-def projective_perm(F: Field, pts: list, pidx: dict, M: Matrix) -> Permutation:
-    return Permutation([pidx[normalize_point(F, mat_vec(F, M, v))] for v in pts])
+def projective_perms(F: Field, pts: np.ndarray, mats, twist=None) -> np.ndarray:
+    """(K, N) point images under each of K matrices, v -> M twist(v) scaled
+    back to last nonzero coordinate 1; `twist` is an optional field map
+    applied to the coordinates first (the Frobenius map)."""
+    src = pts if twist is None else twist(pts)
+    img = np.swapaxes(mat_mul(F, np.asarray(mats), src.T), -1, -2)
+    last = img.shape[-1] - 1 - np.argmax(img[..., ::-1] != 0, axis=-1)
+    scale = F.inv(np.take_along_axis(img, last[..., None], axis=-1))
+    return np.searchsorted(_point_codes(F, pts), _point_codes(F, F.mul(img, scale)))
 
 
-def _field_basis(F: Field) -> list[int]:
-    return [F.p ** 0] if F.f == 1 else [F.encode([0] * k + [1] + [0] * (F.f - 1 - k))
-                                        for k in range(F.f)]
-
-
-def sl_generators(F: Field, d: int) -> list[Matrix]:
-    """Elementary transvections along the superdiagonal chain; these generate
-    SL_d(q) for every d >= 2."""
+def sl_generators(F: Field, d: int) -> np.ndarray:
+    """Elementary transvections along the superdiagonal chain, one for each
+    element p^k of the polynomial basis; these generate SL_d(q) for every
+    d >= 2."""
     gens = []
     for i in range(d - 1):
-        for lam in _field_basis(F):
+        for lam in (F.p ** k for k in range(F.f)):
             for (r, c) in ((i, i + 1), (i + 1, i)):
-                M = [list(row) for row in mat_identity(d)]
-                M[r][c] = lam
-                gens.append(tuple(tuple(row) for row in M))
-    return gens
+                M = np.eye(d, dtype=np.int64)
+                M[r, c] = lam
+                gens.append(M)
+    return np.array(gens)
 
 
-def su_generators(F: Field, d: int) -> list[Matrix]:
-    """Unitary transvections x -> x + lam*<x,v>*v for isotropic v and
-    trace-zero lam (identity Gram matrix, conjugation x -> x^q).  These
-    generate SU_d(q) except for the classical exception SU_3(2)."""
+def su_generators(F: Field, d: int) -> np.ndarray:
+    """Unitary transvections x -> x + lam*<x,v>*v for every isotropic point v
+    (identity Gram matrix, conjugation x -> x^q).  The trace-zero lam form
+    the line lam0*F_q, and lam -> transvection is additive, so lam runs over
+    the F_p-basis lam0 * omega^k of that line.  These generate SU_d(q) except
+    for SU_3(2) (Taylor, The Geometry of the Classical Groups, 1992), where
+    every unitary matrix of determinant 1 is taken instead."""
     q = F.p ** (F.f // 2)
-    pts, _ = projective_points(F, d)
-    isotropic = [v for v in pts if hermitian_inner(F, v, v) == 0]
-    if not isotropic:
+    if (d, q) == (3, 2):
+        return _unitary_matrices(F, d)
+    pts = projective_points(F, d)
+    iso = pts[hermitian_inner(F, pts, pts) == 0]
+    if not iso.size:
         raise BadParameter("no isotropic vectors; SU needs d >= 2")
-    trace_zero = [lam for lam in range(1, F.q) if F.add(lam, F.pow(lam, q)) == 0]
-    gens = []
-    for v in isotropic[: max(6, d)]:
-        for lam in trace_zero:
-            M = tuple(
-                tuple(F.add(1 if i == j else 0, F.mul(lam, F.mul(v[i], F.conj(v[j]))))
-                      for j in range(d))
-                for i in range(d)
-            )
-            if not is_unitary(F, M) or _det(F, M) != 1:
-                raise GeneratorDeficiency("bad unitary transvection; construction bug")
-            gens.append(M)
-    return gens
+    lam0 = next(x for x in range(1, F.q) if F.add(x, F.pow(x, q)) == 0)
+    omega = F.pow(F.primitive_element(), q + 1)  # primitive in the subfield F_q
+    lams = np.array([F.mul(lam0, F.pow(omega, k)) for k in range(F.f // 2)])
+    outer = F.mul(iso[:, None, :, None], F.conj(iso)[:, None, None, :])
+    mats = F.add(np.eye(d, dtype=np.int64), F.mul(lams[:, None, None], outer))
+    if not is_unitary(F, mats) or np.any(_det(F, mats) != 1):
+        raise GeneratorDeficiency("bad unitary transvection; construction bug")
+    return mats.reshape(-1, d, d)
 
 
-def _perm_matrices(d: int) -> list[Matrix]:
-    """Permutation matrices for a transposition and a d-cycle (unitary for
-    the identity Gram matrix in any characteristic)."""
-    swap = [[1 if (j == (1 - i if i < 2 else i)) else 0 for j in range(d)] for i in range(d)]
-    cyc = [[1 if j == (i + 1) % d else 0 for j in range(d)] for i in range(d)]
-    return [tuple(tuple(r) for r in swap), tuple(tuple(r) for r in cyc)]
-
-
-def _unitary_reflection(F: Field, v: tuple, zeta: int) -> Matrix:
-    """x -> x - (1 - zeta) * <x,v>/<v,v> * v, for non-isotropic v and zeta of
-    norm 1; unitary with determinant zeta."""
-    d = len(v)
-    scale = F.mul(F.sub(1, zeta), F.inv(hermitian_inner(F, v, v)))
-    M = tuple(
-        tuple(F.sub(1 if i == j else 0, F.mul(scale, F.mul(v[i], F.conj(v[j]))))
-              for j in range(d))
-        for i in range(d)
-    )
-    if not is_unitary(F, M):
-        raise GeneratorDeficiency("bad unitary reflection; construction bug")
-    return M
-
-
-def gu_reflections(F: Field, d: int, q: int) -> list[Matrix]:
-    zeta = F.pow(F.primitive_element(), q - 1)  # norm-1, order q+1
-    pts, _ = projective_points(F, d)
-    aniso = [v for v in pts if hermitian_inner(F, v, v) != 0]
-    return [_unitary_reflection(F, v, zeta) for v in aniso[: 2 * d]]
-
-
-def _unitary_matrices(F: Field, d: int, det_one: bool) -> list[Matrix]:
-    """All unitary matrices, i.e. those whose rows are orthonormal for the
-    identity Gram matrix, built row by row from the norm-1 vectors, in
-    ascending order of sum(M[i][j] * q^(d*i + j)); only needed for SU/GU_3(2)."""
-    if F.q ** (d * d) > 2 ** 20:
-        raise TooLarge("unitary matrix enumeration infeasible")
-    unit = [v for v in _vectors(F, d) if hermitian_inner(F, v, v) == 1]
+def _unitary_matrices(F: Field, d: int) -> np.ndarray:
+    """All unitary matrices of determinant 1, i.e. those whose rows are
+    orthonormal for the identity Gram matrix, built row by row from the
+    norm-1 vectors."""
+    vecs = _digit_rows(F.q ** d, F.q, d)
+    unit = vecs[hermitian_inner(F, vecs, vecs) == 1]
+    orth = (hermitian_inner(F, unit[:, None], unit[None, :]) == 0).tolist()
     found = [()]
     for _ in range(d):
-        found = [rows + (v,) for rows in found for v in unit
-                 if all(hermitian_inner(F, u, v) == 0 for u in rows)]
-    found.sort(key=lambda M: [x for row in reversed(M) for x in reversed(row)])
-    return [M for M in found if not det_one or _det(F, M) == 1]
-
-
-def _det(F: Field, A: Matrix) -> int:
-    d = len(A)
-    rows = [list(r) for r in A]
-    det = 1
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if rows[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = F.neg(det)
-        det = F.mul(det, rows[col][col])
-        inv = F.inv(rows[col][col])
-        for r in range(col + 1, d):
-            if rows[r][col] != 0:
-                factor = F.mul(rows[r][col], inv)
-                rows[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[r], rows[col])]
-    return det
+        found = [rows + (j,) for rows in found for j in range(len(unit))
+                 if all(orth[i][j] for i in rows)]
+    mats = unit[np.array(found)]
+    return mats[_det(F, mats) == 1]
 
 
 def _order_gl(d: int, q: int) -> int:
@@ -305,6 +244,7 @@ def _order_gu(d: int, q: int) -> int:
 
 
 def projective_order(kind: str, d: int, q: int) -> int:
+    _prime_power(q)  # raises BadParameter unless q is a prime power
     if kind == "GL":
         return _order_gl(d, q) // (q - 1)
     if kind == "SL":
@@ -329,46 +269,25 @@ def projective_group(kind: str, d: int, q: int,
     if expected > limit:
         raise TooLarge(f"P{kind}_{d}({q}) has order {expected} > limit {limit}")
 
+    p, f = _prime_power(q)
     if kind in ("GL", "SL"):
-        F = make_field(*_prime_power(q))
+        F = make_field(p, f)
         mats = sl_generators(F, d)
-        if kind == "GL":
-            mats = mats + [_diag(F, d, F.primitive_element())]
+        extra = F.primitive_element()  # determinant of order q-1
     else:
-        p0, f0 = _prime_power(q)
-        F = make_field(p0, 2 * f0)
+        F = make_field(p, 2 * f)
         mats = su_generators(F, d)
-        if kind == "GU":
-            mu = F.pow(F.primitive_element(), q - 1)  # norm-1 element of order q+1
-            mats = mats + [_diag(F, d, mu)] + _perm_matrices(d) + gu_reflections(F, d, q)
-        else:
-            # det-1 products of reflections rescue SU_3(2), where transvections
-            # generate a proper subgroup
-            refl = gu_reflections(F, d, q)
-            zinv_pairs = []
-            for i in range(0, len(refl) - 1, 2):
-                zinv_pairs.append(mat_mul(F, refl[i], mat_inv(F, refl[i + 1])))
-            mats = mats + zinv_pairs[:d]
+        extra = F.pow(F.primitive_element(), q - 1)  # norm-1 element of order q+1
+    if kind in ("GL", "GU"):
+        mats = np.concatenate([mats, _diag(d, extra)])
 
-    pts, pidx = projective_points(F, d)
     name = f"p{kind.lower()}({d},{q})"
-    gens = [projective_perm(F, pts, pidx, M) for M in mats]
+    gens = [Permutation(r) for r in projective_perms(F, projective_points(F, d), mats)]
     G = close_group(gens, limit=limit, name=name)
-    if G.order != expected and kind in ("SU", "GU"):
-        # SU_3(2) is not generated by its transvections; use every unitary matrix
-        mats = _unitary_matrices(F, d, det_one=(kind == "SU"))
-        gens = [projective_perm(F, pts, pidx, M) for M in mats]
-        G = close_group(gens, limit=limit, name=name)
     if G.order != expected:
         raise GeneratorDeficiency(
             f"{name}: closed to order {G.order}, expected {expected}")
     return G
-
-
-def _diag(F: Field, d: int, lam: int) -> Matrix:
-    M = [list(row) for row in mat_identity(d)]
-    M[0][0] = lam
-    return tuple(tuple(row) for row in M)
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -387,11 +306,12 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 # -- Aut(PSL_3(4)) on points + lines of PG(2,4) -----------------------------
 
-def _point_line_perm(F: Field, pts: list, pidx: dict, M: Matrix) -> Permutation:
-    """M on the points and, by its inverse transpose, on the lines of PG(2,q)."""
-    Minvt = mat_transpose(mat_inv(F, M))
-    return Permutation([pidx[normalize_point(F, mat_vec(F, M, v))] for v in pts]
-                       + [len(pts) + pidx[normalize_point(F, mat_vec(F, Minvt, u))] for u in pts])
+def _point_line_perms(F: Field, pts: np.ndarray, mats, twist=None) -> np.ndarray:
+    """Each M on the points and, by its inverse transpose, on the lines of
+    PG(2,q), numbered after the points."""
+    inv_t = [mat_inv(F, M).T for M in mats]
+    return np.hstack([projective_perms(F, pts, mats, twist),
+                      len(pts) + projective_perms(F, pts, inv_t, twist)])
 
 
 def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
@@ -400,21 +320,12 @@ def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     point-line action, the Frobenius field automorphism, and the
     inverse-transpose duality swapping points with lines."""
     F = make_field(2, 2)
-    pts, pidx = projective_points(F, 3)
-    n_pts = len(pts)
-
-    def combined(point_map: Callable, line_map: Callable) -> Permutation:
-        images = [point_map(v) for v in pts] + [n_pts + line_map(u) for u in pts]
-        return Permutation(images)
-
-    mats = sl_generators(F, 3) + [_diag(F, 3, F.primitive_element())]
-    gens = [_point_line_perm(F, pts, pidx, M) for M in mats]
-    frob = combined(
-        lambda v: pidx[normalize_point(F, tuple(F.frobenius(x) for x in v))],
-        lambda u: pidx[normalize_point(F, tuple(F.frobenius(x) for x in u))],
-    )
-    duality = Permutation([n_pts + i for i in range(n_pts)] + list(range(n_pts)))
-    G = close_group(gens + [frob, duality], limit=limit, name="autpsl34")
+    pts = projective_points(F, 3)
+    mats = np.concatenate([sl_generators(F, 3), _diag(3, F.primitive_element())])
+    rows = np.vstack([_point_line_perms(F, pts, mats),
+                      _point_line_perms(F, pts, np.eye(3, dtype=np.int64)[None], F.frobenius),
+                      np.roll(np.arange(2 * len(pts)), len(pts))])
+    G = close_group([Permutation(r) for r in rows], limit=limit, name="autpsl34")
     if G.order != 241920:
         raise GeneratorDeficiency(f"Aut(PSL_3(4)) closed to {G.order}, expected 241920")
     return G
@@ -423,12 +334,11 @@ def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
 def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
     """Ids of the PSL_3(4) socle inside extended_aut_psl34()."""
     F = make_field(2, 2)
-    pts, pidx = projective_points(F, 3)
-    S = close_group([_point_line_perm(F, pts, pidx, M) for M in sl_generators(F, 3)],
-                    name="psl(3,4)@42")
-    if S.order != 20160:
-        raise GeneratorDeficiency(f"socle closed to {S.order}, expected 20160")
-    return autgroup.ids_of(S.elements)
+    rows = _point_line_perms(F, projective_points(F, 3), sl_generators(F, 3))
+    ids = autgroup.subgroup_closure(autgroup.ids_of(rows))
+    if ids.size != 20160:
+        raise GeneratorDeficiency(f"socle closed to {ids.size}, expected 20160")
+    return ids
 
 
 # -- name registry ----------------------------------------------------------

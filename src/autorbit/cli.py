@@ -21,7 +21,7 @@ from . import stypes
 from . import wreath
 from .autgrp import automorphism_group, inner_automorphism_ids, maol
 from .catalog import BadParameter
-from .permcore import (FiniteGroup, ResourceLimit, conjugacy_classes,
+from .permcore import (DegreeMismatch, FiniteGroup, ResourceLimit, conjugacy_classes,
                        load_group_file, mcs)
 from .reports import (FAIL, PASS, ReportItem, SuiteRunner,
                       VerificationReport, encode_value, print_report)
@@ -37,7 +37,10 @@ def resolve_group(spec: str, limit: int) -> FiniteGroup:
     if spec.startswith("name:"):
         return catalog.resolve(spec[5:], limit=limit)
     if spec.startswith("file:"):
-        return load_group_file(spec[5:])
+        try:
+            return load_group_file(spec[5:])
+        except (OSError, KeyError, TypeError, ValueError, DegreeMismatch) as exc:
+            raise BadParameter(f"cannot read group file {spec[5:]!r}: {exc!r}") from exc
     raise BadParameter(f"group spec must start with 'name:' or 'file:', got {spec!r}")
 
 

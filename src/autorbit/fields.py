@@ -5,8 +5,10 @@ coefficients (c_0, c_1, ..., c_{f-1}) is sum(c_i * p^i).  The modulus is the
 first irreducible monic polynomial of degree f in that same integer encoding
 of its lower coefficients, so fields are identical across runs and platforms.
 
-Fields up to 512 elements precompute full addition/multiplication tables;
-larger fields (allowed up to 2^20) fall back to polynomial arithmetic.
+Every field up to 2^20 elements has one representation: exp/log tables of
+the first primitive element, built once from the polynomial arithmetic below.
+Products, inverses and powers are table lookups; sums work digit by digit
+(XOR when p = 2).  All operations take ints or numpy arrays alike.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from .permcore import TooLarge
 
 MAX_FIELD_SIZE = 2 ** 20
-TABLE_LIMIT = 512
 
 
 class FieldError(Exception):
@@ -137,34 +138,55 @@ def _canonical_modulus(p: int, f: int) -> tuple:
 
 
 class Field:
-    """F_{p^f}; element handles are plain ints in 0..q-1."""
+    """F_{p^f}; element handles are ints in 0..q-1, and every operation takes
+    ints or integer numpy arrays (broadcast) alike.
+
+    `exp[k]` is g^k for the primitive element g, stored twice over so a sum
+    of two logs needs no reduction; `log[0]` is 2(q-1), which sends any sum
+    of logs that involves 0 into the zero tail of `exp`."""
 
     def __init__(self, p: int, f: int):
         self.p = p
         self.f = f
         self.q = p ** f
         self.modulus = _canonical_modulus(p, f)
-        self._mul_table = None
-        self._add_table = None
-        if self.q <= TABLE_LIMIT:
-            self._build_tables()
+        n = self.q - 1
+        self._g = self._first_primitive()
+        powers = np.ones(1, dtype=np.int64)
+        while powers.size < n:  # g^(m..2m-1) = g^(0..m-1) * g^m
+            step = self._times(powers, self._poly_pow(self._g, powers.size))
+            powers = np.concatenate([powers, step[: n - powers.size]])
+        self.exp = np.concatenate([powers, powers, np.zeros(2 * n + 1, np.int64)])
+        self.log = np.empty(self.q, dtype=np.int64)
+        self.log[powers] = np.arange(n)
+        self.log[0] = 2 * n
 
-    def _build_tables(self):
-        q = self.q
-        add = np.empty((q, q), dtype=np.int32)
-        mul = np.empty((q, q), dtype=np.int32)
-        coeffs = [self.coeffs(a) for a in range(q)]
-        mod = self.modulus + (1,)
-        for a in range(q):
-            for b in range(a, q):
-                s = self.encode((x + y) % self.p for x, y in zip(coeffs[a], coeffs[b]))
-                m = self.encode(_poly_mulmod(coeffs[a], coeffs[b], mod, self.p))
-                add[a, b] = add[b, a] = s
-                mul[a, b] = mul[b, a] = m
-        self._add_table = add
-        self._mul_table = mul
+    # -- construction, on polynomial coefficient tuples ---------------
 
-    # -- scalar ops ----------------------------------------------------
+    def _poly_mul(self, a: int, b: int) -> int:
+        return self.encode(_poly_mulmod(self.coeffs(a), self.coeffs(b),
+                                        self.modulus + (1,), self.p))
+
+    def _poly_pow(self, a: int, e: int) -> int:
+        return self.encode(_poly_powmod(self.coeffs(a), e, self.modulus + (1,), self.p))
+
+    def _first_primitive(self) -> int:
+        n = self.q - 1
+        divs = _prime_divisors(n)
+        for g in range(1, self.q):
+            if all(self._poly_pow(g, n // r) != 1 for r in divs):
+                return g
+        raise FieldError("no primitive element found")
+
+    def _times(self, x: np.ndarray, c: int) -> np.ndarray:
+        """x * c for an array x: the sum over the digits t of x of t * X^k * c."""
+        out = np.zeros_like(x)
+        for k in range(self.f):
+            row = [self._poly_mul(t * self.p ** k, c) for t in range(self.p)]
+            out = self.add(out, np.take(row, x // self.p ** k % self.p))
+        return out
+
+    # -- encoding --------------------------------------------------------
 
     def coeffs(self, a: int) -> tuple:
         out = []
@@ -179,46 +201,55 @@ class Field:
             val = val * self.p + (c % self.p)
         return val
 
-    def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return int(self._add_table[a, b])
-        return self.encode((x + y) % self.p for x, y in zip(self.coeffs(a), self.coeffs(b)))
+    # -- arithmetic ------------------------------------------------------
 
-    def neg(self, a: int) -> int:
-        return self.encode((-x) % self.p for x in self.coeffs(a))
+    def add(self, a, b):
+        return self._digitwise(a, b, 1)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def neg(self, a):
+        return self.sub(0, a)
 
-    def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return int(self._mul_table[a, b])
-        return self.encode(_poly_mulmod(self.coeffs(a), self.coeffs(b),
-                                        self.modulus + (1,), self.p))
+    def sub(self, a, b):
+        return self._digitwise(a, b, -1)
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e else 1
-        e %= self.q - 1
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+    def _digitwise(self, a, b, sign: int):
+        """a + sign * b digit by digit; XOR when p = 2."""
+        if self.p == 2:
+            return a ^ b
+        out, place = 0, 1
+        for _ in range(self.f):
+            out = out + (a // place + sign * (b // place)) % self.p * place
+            place *= self.p
+        return out
 
-    def inv(self, a: int) -> int:
-        if a == 0:
+    def sum(self, a: np.ndarray, axis: int = -1):
+        """Field sum of an array along one axis."""
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=axis)
+        out, place = 0, 1
+        for _ in range(self.f):
+            out = out + (a // place % self.p).sum(axis=axis) % self.p * place
+            place *= self.p
+        return out
+
+    def mul(self, a, b):
+        return _plain(self.exp[self.log[a] + self.log[b]])
+
+    def pow(self, a, e: int):
+        n = self.q - 1
+        return _plain(np.where(a == 0, int(e == 0),
+                               self.exp[self.log[a] * (e % n) % n]))
+
+    def inv(self, a):
+        if not np.all(a):
             raise ZeroDivisionError("field inverse of 0")
-        return self.pow(a, self.q - 2)
+        return _plain(self.exp[self.q - 1 - self.log[a]])
 
-    def frobenius(self, a: int) -> int:
+    def frobenius(self, a):
         """a -> a^p."""
         return self.pow(a, self.p)
 
-    def conj(self, a: int) -> int:
+    def conj(self, a):
         """For a field of square order p^(2m): a -> a^(p^m), the involution
         used for Hermitian forms."""
         if self.f % 2 != 0:
@@ -229,15 +260,16 @@ class Field:
         return range(self.q)
 
     def primitive_element(self) -> int:
-        n = self.q - 1
-        divs = _prime_divisors(n)
-        for g in range(1, self.q):
-            if all(self.pow(g, n // r) != 1 for r in divs):
-                return g
-        raise FieldError("no primitive element found")
+        """The first element of order q - 1 in the integer encoding."""
+        return self._g
 
     def __repr__(self) -> str:
         return f"Field(GF({self.p}^{self.f}))"
+
+
+def _plain(x):
+    """A Python int for a scalar result, the array itself otherwise."""
+    return x if np.ndim(x) else int(x)
 
 
 @lru_cache(maxsize=None)

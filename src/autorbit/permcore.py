@@ -35,7 +35,8 @@ import numpy as np
 DEFAULT_CLOSURE_LIMIT = 2_000_000
 _BLOCK_CELLS = 1 << 20  # entries of one temporary in blocked row operations
 
-POINT_DTYPE = np.uint16  # permutation entries; degrees stay well below 2**16
+POINT_DTYPE = np.uint16  # permutation entries
+MAX_DEGREE = 2 ** 16  # the degree guard: every point must fit POINT_DTYPE
 
 
 class GroupError(Exception):
@@ -66,12 +67,18 @@ class InvalidAutomorphism(GroupError):
     pass
 
 
+def _check_degree(degree: int):
+    if degree > MAX_DEGREE:
+        raise TooLarge(f"degree {degree} exceeds the degree guard MAX_DEGREE = {MAX_DEGREE}")
+
+
 class Permutation:
     """Immutable bijection on {0, ..., degree-1}, stored as an image array."""
 
     __slots__ = ("images", "_hash")
 
     def __init__(self, images: Sequence[int] | np.ndarray):
+        _check_degree(len(images))
         arr = np.asarray(images, dtype=POINT_DTYPE)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("images must be a non-empty 1-d sequence")
@@ -684,6 +691,7 @@ def group_from_spec(spec: dict) -> FiniteGroup:
     """Build a group from the JSON spec format:
     {"name": str, "degree": int, "generators": ["(1 2)(3 4)" | [images]]}."""
     degree = int(spec["degree"])
+    _check_degree(degree)
     gens = []
     for item in spec.get("generators", []):
         if isinstance(item, str):

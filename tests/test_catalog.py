@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from math import gcd
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from autorbit import catalog, permcore as pc
 from autorbit.catalog import (BadParameter, hermitian_inner, is_unitary,
                               projective_group, projective_order, resolve,
-                              su_generators, gu_reflections)
+                              su_generators)
 from autorbit.fields import make_field
 
 
@@ -74,10 +76,11 @@ def test_projective_bad_parameters():
 def test_unitary_generators_preserve_form():
     for d, q in [(3, 2), (3, 3), (4, 2)]:
         F = make_field(*{2: (2, 2), 3: (3, 2), 4: (2, 4)}[q])
-        for M in su_generators(F, d):
-            assert is_unitary(F, M)
-        for M in gu_reflections(F, d, q):
-            assert is_unitary(F, M)
+        gens = su_generators(F, d)
+        assert all(is_unitary(F, M) for M in gens)
+        assert np.all(catalog._det(F, gens) == 1)
+        mu = F.pow(F.primitive_element(), q - 1)  # the extra PGU generator
+        assert is_unitary(F, catalog._diag(d, mu))
 
 
 def test_hermitian_inner_is_hermitian():
@@ -96,10 +99,10 @@ def test_pgu_and_psu_small():
     assert psu33.order == 6048
 
 
-@pytest.mark.slow
 def test_psu32_brute_force_fallback():
     # SU_3(2) is the one unitary group its transvections do not generate;
-    # the constructor recovers it by scanning all matrices
+    # the constructor names it up front and takes every unitary matrix of
+    # determinant 1 as generators
     psu32 = projective_group("SU", 3, 2)
     assert psu32.order == 72
     assert pc.is_solvable(psu32)
@@ -143,3 +146,126 @@ def test_resolve_names_ending_in_digits(monkeypatch):
 @pytest.mark.slow
 def test_resolve_autpsl34_builds_the_group():
     assert resolve("autpsl34").order == 241920
+
+
+# -- coverage of the projective families ------------------------------------
+
+def _prime_powers(bound):
+    out = []
+    for q in range(2, bound + 1):
+        try:
+            catalog._prime_power(q)
+            out.append(q)
+        except BadParameter:
+            pass
+    return out
+
+
+def _covered():
+    """Every PSL/PGL/PSU/PGU with d <= 4 and order <= 10^5.  Those whose
+    element array exceeds 2*10^7 entries (13 of the PSU/PGU_2(q), 29 <= q
+    <= 53, which act on q^2 + 1 points) run under --runslow."""
+    for d in (2, 3, 4):
+        for q in _prime_powers(60):  # |PSL_2(q)| > 10^5 from q = 59 on
+            for kind in ("SL", "GL", "SU", "GU"):
+                order = projective_order(kind, d, q)
+                if order <= 100_000:
+                    qq = q * q if kind in ("SU", "GU") else q
+                    degree = (qq ** d - 1) // (qq - 1)
+                    marks = [pytest.mark.slow] if order * degree > 2 * 10 ** 7 else []
+                    yield pytest.param(kind, d, q, marks=marks,
+                                       id=f"p{kind.lower()}({d},{q})")
+
+
+@pytest.mark.parametrize("kind,d,q", list(_covered()))
+def test_every_small_projective_group_closes_to_its_order(kind, d, q):
+    assert projective_group(kind, d, q).order == projective_order(kind, d, q)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind,order", [("SU", 126_000), ("GU", 378_000)])
+def test_unitary_groups_over_f25(kind, order):
+    assert projective_group(kind, 3, 5).order == order
+
+
+@pytest.mark.parametrize("example", [e for _, _, e in catalog.CATALOG_ENTRIES])
+def test_catalog_examples_resolve(example):
+    assert resolve(example).order > 1
+
+
+# sha256 of the element arrays as built by the tables-and-polynomials catalog
+# this array path replaced; reordered ids would change them
+ELEMENT_DIGESTS = {
+    "pgl(3,4)": "232c960f286ccf94232312e0547a1f60735ac934249f36e851d0900a9f75fb50",
+    "pgu(3,2)": "b54ed051fd9868d7330f5a89efd715d24908277fa39f4b698be973d024d3d888",
+    "pgu(3,4)": "c52a7d3bead5ae75dca43731bb804de43ddfffce520a44e69f89ab6c911dec44",
+    "pgu(4,2)": "2982443412626e238c3796ae3279d1935267c8adf825db6795ace63efd6f3247",
+    "psu(3,3)": "5e285e3ababa3c3300cccd6e5f11fb45f5c8575b8ff50f83cab4e0640b398c93",
+    "psl(3,4)": "1f3c0cfc9ebf19184fc677b8fdb49af0b63cec888f8621eba12b82a061198d96",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_DIGESTS))
+def test_element_arrays_are_pinned(name):
+    G = resolve(name)
+    assert hashlib.sha256(G.elements.tobytes()).hexdigest() == ELEMENT_DIGESTS[name]
+
+
+@pytest.mark.slow
+def test_autpsl34_element_array_is_pinned(aut_psl34):
+    assert hashlib.sha256(aut_psl34.elements.tobytes()).hexdigest() == (
+        "da63d0fd8b23395bf4e00a41a0e8b09144b1b4dbb7bf0a487737286345f784b6")
+
+
+# -- the array action against a point-by-point reference ---------------------
+
+def _reference_points(F, d):
+    """Nonzero vectors scaled to last nonzero coordinate 1, sorted."""
+    pts = set()
+    for v in itertools.product(range(F.q), repeat=d):
+        if any(v):
+            s = F.inv(v[max(i for i, x in enumerate(v) if x)])
+            pts.add(tuple(F.mul(s, x) for x in v))
+    return sorted(pts)
+
+
+def _reference_images(F, pts, M, twist=lambda x: x):
+    """v -> M twist(v) one point at a time, normalized and looked up."""
+    index = {v: i for i, v in enumerate(pts)}
+    out = []
+    for v in pts:
+        v = [twist(x) for x in v]
+        w = []
+        for row in M:
+            acc = 0
+            for a, x in zip(row, v):
+                acc = F.add(acc, F.mul(int(a), x))
+            w.append(acc)
+        s = F.inv(w[max(i for i, x in enumerate(w) if x)])
+        out.append(index[tuple(F.mul(s, x) for x in w)])
+    return out
+
+
+@pytest.mark.parametrize("kind,d,q", [("SL", 3, 4), ("GU", 3, 4), ("GU", 4, 2)])
+def test_array_action_matches_pointwise_action(kind, d, q):
+    if kind == "SL":
+        F = make_field(2, 2)
+        mats = catalog.sl_generators(F, d)
+    else:
+        F = make_field(2, 2 * q.bit_length() - 2)
+        mu = F.pow(F.primitive_element(), q - 1)
+        mats = np.concatenate([su_generators(F, d), catalog._diag(d, mu)])
+    pts = catalog.projective_points(F, d)
+    ref = _reference_points(F, d)
+    assert pts.tolist() == [list(v) for v in ref]
+    images = catalog.projective_perms(F, pts, mats)
+    assert images.tolist() == [_reference_images(F, ref, M) for M in mats]
+
+
+def test_frobenius_twist_matches_pointwise_action():
+    F = make_field(3, 2)
+    pts = catalog.projective_points(F, 2)
+    ref = _reference_points(F, 2)
+    identity = np.eye(2, dtype=np.int64)
+    images = catalog.projective_perms(F, pts, identity[None], F.frobenius)
+    assert images.tolist() == [_reference_images(F, ref, identity, F.frobenius)]

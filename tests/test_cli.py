@@ -181,6 +181,35 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "mcs", "--group", "plainname")
     assert code == 2
+    for name in ("name:psl(2,1)", "name:pgl(3,1)", "name:psu(3,6)"):
+        code, _, err = run_cli(capsys, "mcs", "--group", name)
+        assert code == 2 and "usage error" in err and "not a prime power" in err
+
+
+def test_malformed_group_files_are_usage_errors(tmp_path, capsys):
+    specs = {
+        "nodegree.json": json.dumps({"name": "x", "generators": ["(1 2)"]}),
+        "badcycle.json": json.dumps({"degree": 4, "generators": ["(1 2"]}),
+        "range.json": json.dumps({"degree": 4, "generators": ["(1 9)"]}),
+        "notjson.json": "{degree: 4",
+        "notobject.json": "[4]",
+        "mixed.json": json.dumps({"degree": 4, "generators": [[1, 0, 2, 3], [1, 0, 2]]}),
+    }
+    for fname, text in specs.items():
+        (tmp_path / fname).write_text(text)
+    for fname in [*specs, "missing.json"]:
+        code, _, err = run_cli(capsys, "mcs", "--group", f"file:{tmp_path / fname}")
+        assert code == 2, fname
+        assert "usage error" in err and fname in err
+
+
+def test_degrees_beyond_the_point_dtype_are_resource_stops(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "mcs", "--group", "name:cyclic70000")
+    assert code == 3 and "degree guard" in err
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"degree": 70000, "generators": ["(1 2)"]}))
+    code, _, err = run_cli(capsys, "mcs", "--group", f"file:{path}")
+    assert code == 3 and "degree guard" in err
 
 
 def test_resource_exit_code(capsys):

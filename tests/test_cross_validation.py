@@ -9,7 +9,7 @@ import numpy as np
 
 from autorbit import catalog, permcore as pc, stypes as st
 from autorbit.autgrp import automorphism_group, inner_automorphism_ids, maol, orbit_partition
-from autorbit.catalog import projective_perm, projective_points, sl_generators, _diag
+from autorbit.catalog import projective_perms, projective_points, sl_generators, _diag
 from autorbit.fields import make_field
 from autorbit.permcore import Permutation, close_group
 
@@ -18,14 +18,12 @@ def build_pgammal_2_9():
     """PGammaL_2(9) on the 10 points of the projective line over F_9:
     PGL_2(9) generators plus the Frobenius field automorphism."""
     F = make_field(3, 2)
-    pts, pidx = projective_points(F, 2)
+    pts = projective_points(F, 2)
     assert len(pts) == 10
-    mats = sl_generators(F, 2) + [_diag(F, 2, F.primitive_element())]
-    gens = [projective_perm(F, pts, pidx, M) for M in mats]
-    frob = Permutation([
-        pidx[catalog.normalize_point(F, tuple(F.frobenius(x) for x in v))]
-        for v in pts
-    ])
+    mats = np.concatenate([sl_generators(F, 2), _diag(2, F.primitive_element())])
+    gens = [Permutation(r) for r in projective_perms(F, pts, mats)]
+    frob = Permutation(projective_perms(F, pts, np.eye(2, dtype=np.int64)[None],
+                                        F.frobenius)[0])
     return close_group(gens + [frob], name="pgammal(2,9)")
 
 

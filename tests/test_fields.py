@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from autorbit import fields
@@ -85,3 +86,35 @@ def test_primitive_element():
             acc = F.mul(acc, g)
             seen.add(acc)
         assert len(seen) == F.q - 1
+
+
+def _poly_pairs(F, pairs):
+    """Reference sums and products of (a, b) pairs on coefficient tuples."""
+    mod = F.modulus + (1,)
+    adds = [F.encode((x + y) % F.p for x, y in zip(F.coeffs(a), F.coeffs(b)))
+            for a, b in pairs]
+    muls = [F.encode(fields._poly_mulmod(F.coeffs(a), F.coeffs(b), mod, F.p))
+            for a, b in pairs]
+    return adds, muls
+
+
+@pytest.mark.parametrize("p,f,samples", [(2, 2, None), (3, 2, None), (2, 4, None),
+                                         (5, 2, None), (23, 2, 2000), (2, 10, 2000)])
+def test_array_ops_match_polynomial_arithmetic(p, f, samples):
+    F = make_field(p, f)
+    if samples is None:
+        pairs = [(a, b) for a in range(F.q) for b in range(F.q)]
+    else:
+        rng = random.Random(p * 1000 + f)
+        pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(samples)]
+    a = np.array([x for x, _ in pairs])
+    b = np.array([y for _, y in pairs])
+    adds, muls = _poly_pairs(F, pairs)
+    assert F.add(a, b).tolist() == adds
+    assert F.mul(a, b).tolist() == muls
+    assert [F.mul(int(x), int(y)) for x, y in pairs[:50]] == muls[:50]
+    nz = a[a != 0]
+    _, back = _poly_pairs(F, list(zip(nz.tolist(), F.inv(nz).tolist())))
+    assert back == [1] * nz.size
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
