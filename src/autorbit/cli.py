@@ -21,10 +21,11 @@ from . import stypes
 from . import wreath
 from .autgrp import automorphism_group, inner_automorphism_ids, maol
 from .catalog import BadParameter
+from .fields import _is_prime
 from .permcore import (DegreeMismatch, FiniteGroup, ResourceLimit, conjugacy_classes,
                        load_group_file, mcs)
 from .reports import (FAIL, PASS, ReportItem, SuiteRunner,
-                      VerificationReport, encode_value, print_report)
+                      VerificationReport, encode_value, print_report, write_text)
 
 RESOURCE_ERRORS = ResourceLimit
 
@@ -44,12 +45,15 @@ def resolve_group(spec: str, limit: int) -> FiniteGroup:
     raise BadParameter(f"group spec must start with 'name:' or 'file:', got {spec!r}")
 
 
+def _is_psl34(name: str) -> bool:
+    return name.replace(" ", "").lower() in ("psl(3,4)", "psl34")
+
+
 def aut_pair(name: str, limit: int, budget: int) -> tuple[FiniteGroup, np.ndarray]:
     """(Aut(S) as a permutation group, ids of the socle S inside it).
     PSL_3(4) uses the geometric construction; everything else goes through
     the Cayley-table search."""
-    squeezed = name.replace(" ", "").lower()
-    if squeezed in ("psl(3,4)", "psl34"):
+    if _is_psl34(name):
         A = catalog.extended_aut_psl34(limit=limit)
         return A, catalog.psl34_socle_ids(A)
     S = catalog.resolve(name, limit=limit)
@@ -124,14 +128,23 @@ def cmd_aut(args) -> int:
         "generators": [g.images.tolist() for g in A.group.generators],
         "automorphisms": [row.tolist() for row in A.group.elements],
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_text(args.out, json.dumps(payload))
     print(json.dumps({"written": args.out, "autOrder": A.order}))
     return 0
 
 
+def _check_simple(S: FiniteGroup):
+    """Usage error unless S is nonabelian and each nonidentity class generates all of S."""
+    table = conjugacy_classes(S)
+    if len(table.classes) == S.order or any(
+            S.subgroup_closure(cls).size < S.order for cls in table.classes[1:]):
+        raise BadParameter(f"{S.name} is not a nonabelian simple group")
+
+
 def cmd_h(args) -> int:
-    A, socle = aut_pair(_strip_name(args.simple), args.max_order, args.max_nodes)
+    name = _strip_name(args.simple)
+    _check_simple(catalog.resolve("psl(3,4)" if _is_psl34(name) else name, args.max_order))
+    A, socle = aut_pair(name, args.max_order, args.max_nodes)
     table = stypes.class_type_table(A, socle)
     payload = {
         "order": int(socle.size),
@@ -154,6 +167,8 @@ def _strip_name(spec: str) -> str:
 
 
 def cmd_construct_hp(args) -> int:
+    if not _is_prime(args.p):
+        raise BadParameter(f"--p must be a prime, got {args.p}")
     S = catalog.resolve(_strip_name(args.simple), limit=args.max_order)
     A = automorphism_group(S, budget=args.max_nodes)
     sigma_space = A.order ** args.p * args.p

@@ -406,10 +406,10 @@ class FiniteGroup:
 
     # -- id-level arithmetic -------------------------------------------
 
-    def _row_blocks(self, width: int):
-        """Slices of ids whose rows, `width` entries each, fill one block."""
+    def _row_blocks(self, width: int, n: int):
+        """Slices of 0..n-1 whose rows, `width` entries each, fill one block."""
         step = max(1, _BLOCK_CELLS // max(1, width))
-        return (slice(lo, lo + step) for lo in range(0, self.order, step))
+        return (slice(lo, lo + step) for lo in range(0, n, step))
 
     def inverse_ids(self) -> np.ndarray:
         if self._inv_ids is None:
@@ -426,18 +426,19 @@ class FiniteGroup:
         if self._cayley is None:
             n, E = self.order, self.elements
             table = np.empty((n, n), dtype=np.int32)
-            for rows in self._row_blocks(n * self.degree):
+            for rows in self._row_blocks(n * self.degree, n):
                 block = np.take(E[rows], E, axis=1)  # block[i, j] = E[i] * E[j]
                 table[rows] = self.ids_of(block.reshape(-1, self.degree)).reshape(-1, n)
             self._cayley = table
         return self._cayley
 
-    def conjugation_ids(self, g: Permutation) -> np.ndarray:
-        """The id permutation x -> g x g^-1 of the whole group."""
+    def conjugation_ids(self, g: Permutation, ids: np.ndarray | None = None) -> np.ndarray:
+        """Ids of g x g^-1 for the x in `ids`; by default for every x, in id order."""
         gi, ginv = g.images, g.inverse().images
-        out = np.empty(self.order, dtype=np.int64)
-        for rows in self._row_blocks(self.degree):
-            out[rows] = self.ids_of(gi[np.take(self.elements[rows], ginv, axis=1)])
+        E = self.elements if ids is None else self.elements[np.asarray(ids)]
+        out = np.empty(len(E), dtype=np.int64)
+        for rows in self._row_blocks(self.degree, len(E)):
+            out[rows] = self.ids_of(gi[np.take(E[rows], ginv, axis=1)])
         return out
 
     def element_orders(self) -> np.ndarray:
@@ -467,10 +468,10 @@ class FiniteGroup:
         conjugation by the given elements (default: the group generators)."""
         if conjugator_ids is None:
             conjugator_ids = self.generator_ids()
-        maps = [self.conjugation_ids(self.perm(int(c))) for c in conjugator_ids]
         sub = self.subgroup_closure(seed_ids)
         while True:
-            grown = np.unique(np.concatenate([sub] + [m[sub] for m in maps]))
+            grown = np.unique(np.concatenate(
+                [sub] + [self.conjugation_ids(self.perm(int(c)), sub) for c in conjugator_ids]))
             if grown.size == sub.size:
                 return sub
             sub = self.subgroup_closure(grown)
@@ -590,10 +591,9 @@ def mcs(G: FiniteGroup) -> int:
 def _commutator_closure(G: FiniteGroup, gen_ids: Sequence[int]) -> np.ndarray:
     """Derived subgroup of <gen_ids>: the normal closure, under conjugation by
     the given ids, of their commutators a b a^-1 b^-1."""
-    inv = G.inverse_ids()
-    comms = [G.mul_ids(G.mul_ids(G.mul_ids(a, b), int(inv[a])), int(inv[b]))
-             for a in gen_ids for b in gen_ids]
-    return G.normal_closure(comms, conjugator_ids=gen_ids)
+    E = G.elements
+    comms = [E[a][E[b][np.argsort(E[a])[np.argsort(E[b])]]] for a in gen_ids for b in gen_ids]
+    return G.normal_closure(G.ids_of(np.reshape(comms, (-1, G.degree))), conjugator_ids=gen_ids)
 
 
 def derived_series(G: FiniteGroup) -> list[np.ndarray]:
@@ -614,13 +614,8 @@ def is_solvable(G: FiniteGroup) -> bool:
 
 def is_normal(G: FiniteGroup, subgroup_ids: np.ndarray) -> bool:
     sub_ids = np.sort(np.asarray(subgroup_ids))
-    rows = G.elements[sub_ids]
-    for g in G.generators:
-        gi, ginv = g.images, g.inverse().images
-        conj_ids = G.ids_of(gi[rows[:, ginv]])
-        if not np.array_equal(np.sort(conj_ids), sub_ids):
-            return False
-    return True
+    return all(np.array_equal(np.sort(G.conjugation_ids(g, sub_ids)), sub_ids)
+               for g in G.generators)
 
 
 def coset_partition(G: FiniteGroup, subgroup_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -639,20 +634,29 @@ def coset_partition(G: FiniteGroup, subgroup_ids: np.ndarray) -> tuple[np.ndarra
     return coset_of, reps
 
 
+Quotient = namedtuple("Quotient", "group pi")  # pi: ambient id -> id in group
+
+
 def quotient_group(G: FiniteGroup, subgroup_ids: np.ndarray,
-                   name: str | None = None) -> FiniteGroup:
-    """G/N as a permutation group on the cosets, acting by right translation."""
-    if not is_normal(G, np.asarray(subgroup_ids)):
+                   name: str | None = None) -> Quotient:
+    """G/N on the right cosets N*r_j, generated by the translations j -> N*r_j*g
+    of G's generators g, and the projection pi sending x in N*r_k to the
+    translation j -> N*r_j*r_k^-1, checked to be a homomorphism on generators."""
+    sub = np.asarray(subgroup_ids)
+    if not is_normal(G, sub):
         raise NotNormal("subgroup is not normal")
-    coset_of, reps = coset_partition(G, np.asarray(subgroup_ids))
-    qgens = []
-    for g in G.generators:
-        images = [int(coset_of[G.id_of(G.elements[r][g.images])]) for r in reps]
-        qgens.append(Permutation(np.array(images, dtype=POINT_DTYPE)))
+    coset_of, reps = coset_partition(G, sub)
+    R = G.elements[reps]
+    qgens = [Permutation(coset_of[G.ids_of(R[:, g.images])]) for g in G.generators]
     Q = close_group(qgens, degree=len(reps), name=name)
-    if Q.order * subgroup_ids.size != G.order:
+    if Q.order * sub.size != G.order:
         raise GroupError("quotient order mismatch; subgroup not closed?")
-    return Q
+    trans = np.array([coset_of[G.ids_of(R[:, r_inv])] for r_inv in np.argsort(R, axis=1)])
+    pi = Q.ids_of(trans)[coset_of]
+    gids = G.generator_ids()
+    if any(pi[G.mul_ids(g, x)] != Q.mul_ids(int(pi[g]), int(pi[x])) for g in gids for x in gids):
+        raise GroupError("quotient projection is not a homomorphism")
+    return Quotient(Q, pi)
 
 
 def validate_automorphism(G: FiniteGroup, phi: np.ndarray) -> bool:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
+from .catalog import BadParameter
 from .permcore import ResourceLimit
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
@@ -151,12 +152,21 @@ class SuiteRunner:
         return self.report
 
 
+def write_text(path: str, text: str) -> None:
+    """Write `text` to `path`; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BadParameter(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def print_report(report: VerificationReport, out_path: str | None = None) -> None:
-    for line in report.summary_lines():
-        print(line)
+    """Summary lines, then the JSON report: to `out_path` (written first) or stdout."""
     payload = json.dumps(report.to_json(), indent=2)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
+        write_text(out_path, payload + "\n")
+    for line in report.summary_lines():
+        print(line)
+    if not out_path:
         print(payload)

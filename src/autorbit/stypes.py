@@ -13,9 +13,8 @@ from math import gcd
 
 import numpy as np
 
-from .permcore import (ConjClassTable, FiniteGroup, GroupError, NotNormal,
-                       conjugacy_classes, coset_partition, is_normal,
-                       quotient_group)
+from .permcore import (ConjClassTable, FiniteGroup, GroupError, conjugacy_classes,
+                       coset_partition, cycle_decompose, quotient_group)
 from .wreath import WreathElement, WreathGroup, bcpc_element
 
 
@@ -25,25 +24,6 @@ class NonAbelianQuotient(GroupError):
 
 class GcdViolation(GroupError):
     pass
-
-
-def _projection(G: FiniteGroup, subgroup_ids: np.ndarray, Q: FiniteGroup,
-                coset_of: np.ndarray, reps: list[int]) -> np.ndarray:
-    """pi: ambient element id -> element id of the quotient permutation group,
-    as a genuine homomorphism (validated on generators)."""
-    m = len(reps)
-    inv = G.inverse_ids()
-    coset_to_qid = np.empty(m, dtype=np.int64)
-    for k, rep in enumerate(reps):
-        rk_inv = int(inv[rep])
-        images = [int(coset_of[G.mul_ids(int(r), rk_inv)]) for r in reps]
-        coset_to_qid[k] = Q.id_of(np.array(images))
-    pi = coset_to_qid[coset_of]
-    for g in G.generator_ids():
-        for x in G.generator_ids():
-            if pi[G.mul_ids(g, x)] != Q.mul_ids(int(pi[g]), int(pi[x])):
-                raise GroupError("quotient projection is not a homomorphism")
-    return pi
 
 
 @dataclass
@@ -63,11 +43,7 @@ class OutQuotient:
 
 def out_quotient(AutS: FiniteGroup, socle_ids: np.ndarray) -> OutQuotient:
     socle_ids = np.asarray(socle_ids)
-    if not is_normal(AutS, socle_ids):
-        raise NotNormal("socle is not normal in the ambient group")
-    coset_of, reps = coset_partition(AutS, socle_ids)
-    Q = quotient_group(AutS, socle_ids, name="out")
-    pi = _projection(AutS, socle_ids, Q, coset_of, reps)
+    Q, pi = quotient_group(AutS, socle_ids, name="out")
     return OutQuotient(AutS, socle_ids, Q, pi, conjugacy_classes(Q))
 
 
@@ -152,13 +128,9 @@ def coarse_quotient(AutS: FiniteGroup, d_ids: np.ndarray,
     d_ids = np.asarray(d_ids)
     if socle_ids is not None and not set(np.asarray(socle_ids).tolist()) <= set(d_ids.tolist()):
         raise GroupError("designated subgroup does not contain the socle")
-    if not is_normal(AutS, d_ids):
-        raise NotNormal("designated subgroup is not normal")
-    coset_of, reps = coset_partition(AutS, d_ids)
-    Q = quotient_group(AutS, d_ids, name="coarse")
+    Q, pi = quotient_group(AutS, d_ids, name="coarse")
     if any(s != 1 for s in conjugacy_classes(Q).sizes):
         raise NonAbelianQuotient("AutS/D is not abelian")
-    pi = _projection(AutS, d_ids, Q, coset_of, reps)
     return CoarseQuotient(AutS, d_ids, Q, pi)
 
 
@@ -167,7 +139,6 @@ def ct_set(wg: WreathGroup, w: WreathElement, coarse: CoarseQuotient) -> frozens
     products of w.  The wreath base must be the coarse quotient's ambient."""
     if wg.base is not coarse.ambient:
         raise GroupError("wreath base and coarse quotient belong to different groups")
-    from .permcore import cycle_decompose
     out = set()
     for zeta in cycle_decompose(w.top).cycles:
         out.add(int(coarse.pi[bcpc_element(wg, w, zeta)]))

@@ -173,7 +173,7 @@ def test_verify_wreath_sampled_lists_disagreeing_pairs(capsys, true_class_codes)
     assert item["computed"] == expected
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "wreath", "--base", "name:sym3"])  # no mode
     assert exc.value.code == 2
@@ -184,6 +184,32 @@ def test_usage_errors(capsys):
     for name in ("name:psl(2,1)", "name:pgl(3,1)", "name:psu(3,6)"):
         code, _, err = run_cli(capsys, "mcs", "--group", name)
         assert code == 2 and "usage error" in err and "not a prime power" in err
+    monkeypatch.setattr(catalog, "resolve", lambda *a, **k: pytest.fail("group built"))
+    for p_args in (["--p", "0"], ["--p", "-3"], ["--p", "1"], ["--p", "4", "--slow"]):
+        code, out, err = run_cli(capsys, "construct", "hp", "--simple", "name:alt5", *p_args)
+        assert code == 2 and out == "" and "usage error" in err and "must be a prime" in err
+
+
+def test_h_needs_a_nonabelian_simple_group(capsys, monkeypatch):
+    for name in ("cyclic5", "sym5"):
+        code, out, err = run_cli(capsys, "h", "--simple", f"name:{name}")
+        assert code == 2 and out == ""
+        assert f"usage error: {name} is not a nonabelian simple group" in err
+    code, out, _ = run_cli(capsys, "h", "--simple", "name:alt5")
+    assert code == 0 and json.loads(out)["h"] == "1/2"
+    # the check belongs to `h`; the shared Aut(S) route does not run it
+    monkeypatch.setattr(cli, "_check_simple", lambda S: pytest.fail("checked"))
+    A, socle = cli.aut_pair("sym5", 10_000, 10_000)
+    assert (A.order, socle.size) == (120, 120)
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x.json")
+    for argv in (["aut", "--group", "name:sym3", "--out", path],
+                 ["--time-limit-s", "0", "verify", "paper-table", "--out", path]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "usage error: cannot write" in err and path in err
 
 
 def test_malformed_group_files_are_usage_errors(tmp_path, capsys):
