@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,35 +28,6 @@ class BudgetExceeded(ResourceLimit):
 
 class ActionMismatch(GroupError):
     pass
-
-
-@dataclass
-class CayleyTable:
-    """Multiplication table on element ids, with inverses and order profile."""
-
-    order: int
-    table: np.ndarray
-    inverse: np.ndarray
-    element_orders: np.ndarray
-
-    @classmethod
-    def from_group(cls, G: FiniteGroup) -> "CayleyTable":
-        table = G.cayley()
-        inverse = G.inverse_ids()
-        orders = G.element_orders()
-        t = cls(G.order, table, inverse, orders)
-        t.validate()
-        return t
-
-    def validate(self):
-        n = self.order
-        ids = np.arange(n)
-        if not (np.array_equal(self.table[0], ids) and np.array_equal(self.table[:, 0], ids)):
-            raise GroupError("id 0 is not the identity of the Cayley table")
-        if not np.all(np.sort(self.table, axis=1) == ids):
-            raise GroupError("a Cayley row is not a permutation")
-        if not np.all(np.sort(self.table, axis=0) == ids[:, None]):
-            raise GroupError("a Cayley column is not a permutation")
 
 
 @dataclass
@@ -92,46 +63,50 @@ class OrbitReport:
         }
 
 
-def _fingerprints(G: FiniteGroup, T: CayleyTable) -> list[tuple]:
-    """Aut-invariant per element: (order, class size, multiset of class sizes
-    along its power sequence)."""
+def _fingerprint_labels(G: FiniteGroup) -> np.ndarray:
+    """One int per element numbering its Aut-invariant fingerprint: order,
+    class size and the sorted class sizes along its power sequence.  These
+    are class functions, so the power sequences run once per class
+    representative, all representatives at once on the Cayley table."""
     table = conjugacy_classes(G)
+    T, orders = G.cayley(), G.element_orders()
+    reps = np.array([c[0] for c in table.classes])
     csize = np.array(table.sizes)[table.class_of]
-    fps = []
-    for i in range(G.order):
-        powers = []
-        x = 0
-        for _ in range(int(T.element_orders[i])):
-            x = int(T.table[x, i])
-            powers.append(int(csize[x]))
-        fps.append((int(T.element_orders[i]), int(csize[i]), tuple(sorted(powers))))
-    return fps
+    ord_r = orders[reps]
+    powers = np.zeros((reps.size, int(ord_r.max())), dtype=np.int64)
+    x = np.zeros(reps.size, dtype=np.int64)
+    for k in range(powers.shape[1]):
+        x = T[x, reps]
+        powers[ord_r > k, k] = csize[x[ord_r > k]]
+    key = np.column_stack([ord_r, csize[reps], np.sort(powers, axis=1)])
+    return np.unique(key, axis=0, return_inverse=True)[1].ravel()[table.class_of]
 
 
-def _closure_mask(T: CayleyTable, gen_ids: Sequence[int]) -> np.ndarray:
+def _closure_mask(T: np.ndarray, gen_ids: Sequence[int]) -> np.ndarray:
     """Membership mask of <gen_ids>, closed level by level on the Cayley table."""
-    inside = np.zeros(T.order, dtype=bool)
+    inside = np.zeros(T.shape[0], dtype=bool)
     for _ in sweep([0], _right_multiplication(T, gen_ids), inside):
         pass
     return inside
 
 
-def _right_multiplication(T: CayleyTable, gen_ids: Sequence[int]):
+def _right_multiplication(T: np.ndarray, gen_ids: Sequence[int]):
     """`sweep` step: each frontier id times each generator, one row per generator."""
-    cols = T.table.T[np.asarray(gen_ids, dtype=np.int64)]
+    cols = T.T[np.asarray(gen_ids, dtype=np.int64)]
     return lambda frontier: cols[:, frontier]
 
 
-def _generating_set(T: CayleyTable, fps: list[tuple]) -> list[int]:
+def _generating_set(G: FiniteGroup, label: np.ndarray) -> list[int]:
     """Generators with few fingerprint candidates: an element of order |G|, or
     a pair (least id of one fingerprint class, id of another) taking class
     pairs by ascending size product, or after |G| failed pairs the largest
-    pair closure extended by descending element order (ties by id)."""
-    n = T.order
-    cyclic = np.flatnonzero(T.element_orders == n)
+    pair closure extended by descending element order (ties by id).  The
+    identity's fingerprint is its own, so no class below holds it."""
+    n, T, orders = G.order, G.cayley(), G.element_orders()
+    cyclic = np.flatnonzero(orders == n)
     if cyclic.size:
         return [int(cyclic[0])]
-    classes = sorted(([x for x in range(1, n) if fps[x] == f] for f in set(fps[1:])),
+    classes = sorted((np.flatnonzero(label == f).tolist() for f in np.unique(label[1:])),
                      key=lambda c: (len(c), c[0]))
     pairs = sorted(((B, A) for i, B in enumerate(classes) for A in classes[i:]),
                    key=lambda p: len(p[0]) * len(p[1]))
@@ -142,7 +117,7 @@ def _generating_set(T: CayleyTable, fps: list[tuple]) -> list[int]:
             return seed
         best = max(best, (inside.sum(), seed, inside), key=lambda t: t[0])
     _, gens, inside = best
-    for eid in sorted(range(n), key=lambda i: (-int(T.element_orders[i]), i)):
+    for eid in np.argsort(-orders, kind="stable").tolist():
         if not inside[eid]:
             gens = gens + [eid]
             inside = _closure_mask(T, gens)
@@ -152,14 +127,14 @@ def _generating_set(T: CayleyTable, fps: list[tuple]) -> list[int]:
 _BATCH_CELLS = 16_000_000  # map-matrix cells per extension batch
 
 
-def _extend_and_filter(T: CayleyTable, survivors: np.ndarray, cand: np.ndarray,
+def _extend_and_filter(T: np.ndarray, survivors: np.ndarray, cand: np.ndarray,
                        gen_ids: Sequence[int]) -> np.ndarray:
     """Extend each surviving partial map by each candidate image of the newest
     generator, rebuild it on the enlarged subgroup level by level as
     phi(x*g) = phi(x)*phi(g), and keep the maps that are injective
     homomorphisms on it.  Maps are stored as length-n arrays meaningful on the
     subgroup only."""
-    n = T.order
+    n = T.shape[0]
     s, c = survivors.shape[0], cand.size
     batch = max(1, _BATCH_CELLS // n // max(c, 1))
     levels = list(sweep([0], _right_multiplication(T, gen_ids), np.zeros(n, dtype=bool)))
@@ -173,15 +148,15 @@ def _extend_and_filter(T: CayleyTable, survivors: np.ndarray, cand: np.ndarray,
         # stays; other entries defined in earlier stages are rebuilt to the
         # values they had, the maps being homomorphisms on the old subgroup
         for k, src, new in levels:
-            phi[:, new] = T.table[phi[:, src], phi[:, gen_ids[k]][:, None]]
+            phi[:, new] = T[phi[:, src], phi[:, gen_ids[k]][:, None]]
         sub_vals = np.sort(phi[:, member_arr], axis=1)
         ok = (sub_vals[:, 1:] != sub_vals[:, :-1]).all(axis=1)
         for g in gen_ids:
             rows = np.flatnonzero(ok)
             if rows.size == 0:
                 break
-            lhs = phi[np.ix_(rows, T.table[g, member_arr])]
-            rhs = T.table[phi[rows, g][:, None], phi[np.ix_(rows, member_arr)]]
+            lhs = phi[np.ix_(rows, T[g, member_arr])]
+            rhs = T[phi[rows, g][:, None], phi[np.ix_(rows, member_arr)]]
             ok[rows[~np.all(lhs == rhs, axis=1)]] = False
         kept.append(phi[ok])
     if not kept:
@@ -196,24 +171,23 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Aut
     from Inn(G) and the survivors.  `budget` bounds the number of maps built."""
     if G.order > MAX_AUT_CARRIER:
         raise TooLarge(f"|G| = {G.order} exceeds the {MAX_AUT_CARRIER} carrier guard")
-    n = G.order
-    T = CayleyTable.from_group(G)
-    fps = _fingerprints(G, T)
-    classes = conjugacy_classes(G)
-    gen_ids = _generating_set(T, fps)
+    n, T = G.order, G.cayley()
+    label = _fingerprint_labels(G)
+    reps = [c[0] for c in conjugacy_classes(G).classes]
+    gen_ids = _generating_set(G, label)
 
     survivors = np.zeros((1, n), dtype=np.int32)  # the empty partial map
     built = 0
     for j, g in enumerate(gen_ids):
-        cand = np.array([x for x in range(n) if fps[x] == fps[g]], dtype=np.int32)
+        cand = np.flatnonzero(label == label[g])
         if j == 0:
-            cand = np.unique([classes.representative(c) for c in classes.class_of[cand]])
+            cand = np.intersect1d(cand, reps)
         built += survivors.shape[0] * cand.size
         if built > budget:
             raise BudgetExceeded(f"search built {built} maps, budget {budget}")
         survivors = _extend_and_filter(T, survivors, cand, gen_ids[: j + 1])
     c = np.array(G.generator_ids(), dtype=np.int64)
-    inner = T.table[T.table[c, :], T.inverse[c][:, None]]  # conjugation by c
+    inner = T[T[c, :], G.inverse_ids()[c][:, None]]  # conjugation by c
     auts = dimino(np.concatenate([inner, survivors])).elements
     aut_group = _group_from_permutation_rows(auts)
     result = AutomorphismGroup(G, aut_group)
@@ -250,27 +224,12 @@ def inner_automorphism_ids(A: AutomorphismGroup) -> np.ndarray:
     return np.unique(A.group.ids_of(inner_rows))
 
 
-def orbit_of(x: int, gens: Iterable[np.ndarray]) -> set[int]:
-    """Closure of {x} under the given id permutations."""
-    gens = [np.asarray(g) for g in gens]
-    seen = np.zeros(gens[0].size if gens else int(x) + 1, dtype=bool)
-    for _ in sweep([x], lambda frontier: (g[frontier] for g in gens), seen):
-        pass
-    return set(np.flatnonzero(seen).tolist())
-
-
-def orbit_partition(degree: int, gens: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """All orbits of the generated group on 0..degree-1, numbered by minimal
-    element."""
-    return orbits(gens, degree)[0]
-
-
 def maol(G: FiniteGroup, A: AutomorphismGroup) -> OrbitReport:
     """Orbit report of Aut(G) acting on G's element ids."""
     if A.group.degree != G.order:
         raise ActionMismatch("automorphism degree does not match carrier order")
-    orbits = orbit_partition(G.order, A.generator_images())
-    sizes = sorted((int(o.size) for o in orbits), reverse=True)
+    sizes = sorted((int(o.size) for o in orbits(A.generator_images(), G.order)[0]),
+                   reverse=True)
     biggest = sizes[0]
     return OrbitReport(
         name=G.name or "group",

@@ -170,6 +170,7 @@ def cmd_construct_hp(args) -> int:
     if not _is_prime(args.p):
         raise BadParameter(f"--p must be a prime, got {args.p}")
     S = catalog.resolve(_strip_name(args.simple), limit=args.max_order)
+    _check_simple(S)
     A = automorphism_group(S, budget=args.max_nodes)
     sigma_space = A.order ** args.p * args.p
     if sigma_space > SLOW_HP_SPACE and not args.slow:
@@ -271,9 +272,11 @@ def paper_table_suite(args) -> VerificationReport:
     runner.add("mcs-pgu(3,4)", 13, lambda: mcs(catalog.resolve("pgu(3,4)", limit=limit)))
     runner.add("mcs-pgl(4,2)", 6, lambda: mcs(catalog.resolve("pgl(4,2)", limit=limit)))
     runner.add("mcs-pgu(4,2)", 5, lambda: mcs(catalog.resolve("pgu(4,2)", limit=limit)))
-    runner.add("maol-psl(2,8)", "3/7", lambda: encode_value(
-        maol(catalog.resolve("psl(2,8)"),
-             automorphism_group(catalog.resolve("psl(2,8)"), budget=budget)).maol))
+    def maol_of(name: str) -> str:
+        G = catalog.resolve(name)
+        return encode_value(maol(G, automorphism_group(G, budget=budget)).maol)
+
+    runner.add("maol-psl(2,8)", "3/7", lambda: maol_of("psl(2,8)"))
 
     def psl34_class():
         A, _ = aut_of("psl(3,4)")
@@ -282,9 +285,7 @@ def paper_table_suite(args) -> VerificationReport:
 
     runner.add("aut-psl(3,4)-largest-class",
                {"autOrder": 241920, "largestClass": 24192}, psl34_class)
-    runner.add("maol-extraspecial27", "2/3", lambda: encode_value(
-        maol(catalog.resolve("extraspecial(3)"),
-             automorphism_group(catalog.resolve("extraspecial(3)"), budget=budget)).maol))
+    runner.add("maol-extraspecial27", "2/3", lambda: maol_of("extraspecial(3)"))
     return runner.run()
 
 
@@ -381,11 +382,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "catalog":
         args.func = cmd_catalog_list
+    if args.command == "verify" and args.samples < 0:
+        parser.error("--samples must not be negative")
     if args.command == "verify" and args.suite == "wreath":
         if not args.exhaustive and args.samples <= 0:
             parser.error("wreath suite needs --exhaustive or --samples N")
         if args.base is None:
             parser.error("wreath suite needs --base")
+        if args.seed < 0:
+            parser.error("wreath suite needs a non-negative --seed")
     try:
         return args.func(args)
     except RESOURCE_ERRORS as exc:

@@ -112,7 +112,7 @@ class Permutation:
         return Permutation(np.argsort(self.images))
 
     def order(self) -> int:
-        return int(np.lcm.reduce([len(c) for c in cycle_decompose(self).cycles]))
+        return _order(self.images)
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.images, np.arange(self.degree)))
@@ -285,9 +285,30 @@ class _RowIndex:
         self.size = need
 
 
+def cycle_lengths(rows: np.ndarray) -> np.ndarray:
+    """Length of the cycle through each point, row by row.  Pointer jumping:
+    after t rounds each point's label is the least point among its next 2^t
+    images; once no label moves, each label is its cycle's least point."""
+    jump = np.asarray(rows, dtype=np.int64)
+    k, d = jump.shape
+    label = np.broadcast_to(np.arange(d), (k, d))
+    while True:
+        new = np.minimum(label, np.take_along_axis(label, jump, axis=1))
+        if np.array_equal(new, label):
+            break
+        label, jump = new, np.take_along_axis(jump, jump, axis=1)
+    flat = label + d * np.arange(k)[:, None]
+    return np.bincount(flat.ravel(), minlength=k * d)[flat]
+
+
+def _order(images: np.ndarray) -> int:
+    """Exact order of one permutation row: the lcm of its distinct cycle lengths."""
+    return lcm(*np.unique(cycle_lengths(images[None, :])).tolist())
+
+
 def _powers(g: np.ndarray, limit: int) -> np.ndarray:
     """Rows of g^0, ..., g^(o-1), o the order of g."""
-    order = _order_of_images(g)
+    order = _order(g)
     if order > limit:
         raise ClosureLimitExceeded(f"closure exceeded limit {limit}")
     rows = np.empty((order, g.size), dtype=POINT_DTYPE)
@@ -429,6 +450,12 @@ class FiniteGroup:
             for rows in self._row_blocks(n * self.degree, n):
                 block = np.take(E[rows], E, axis=1)  # block[i, j] = E[i] * E[j]
                 table[rows] = self.ids_of(block.reshape(-1, self.degree)).reshape(-1, n)
+            ids = np.arange(n)
+            if not (np.array_equal(table[0], ids) and np.array_equal(table[:, 0], ids)):
+                raise GroupError("id 0 is not the identity of the Cayley table")
+            if not (np.all(np.sort(table, axis=1) == ids)
+                    and np.all(np.sort(table, axis=0) == ids[:, None])):
+                raise GroupError("the Cayley table is not a Latin square")
             self._cayley = table
         return self._cayley
 
@@ -442,8 +469,13 @@ class FiniteGroup:
         return out
 
     def element_orders(self) -> np.ndarray:
+        """Each element's order, the lcm of its cycle lengths; int64 holds it,
+        as every order divides |G|."""
         if self._orders is None:
-            self._orders = np.array([_order_of_images(row) for row in self.elements])
+            orders = np.empty(self.order, dtype=np.int64)
+            for rows in self._row_blocks(self.degree, self.order):
+                orders[rows] = np.lcm.reduce(cycle_lengths(self.elements[rows]), axis=1)
+            self._orders = orders
         return self._orders
 
     # -- structure -----------------------------------------------------
@@ -482,21 +514,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         label = self.name or "group"
         return f"FiniteGroup({label}, order={self.order}, degree={self.degree})"
-
-
-def _order_of_images(images: np.ndarray) -> int:
-    seen = np.zeros(images.size, dtype=bool)
-    result = 1
-    for start in range(images.size):
-        if seen[start]:
-            continue
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = int(images[x])
-            length += 1
-        result = lcm(result, length)
-    return result
 
 
 def close_group(generators: Sequence[Permutation], limit: int = DEFAULT_CLOSURE_LIMIT,
@@ -697,11 +714,15 @@ def group_from_spec(spec: dict) -> FiniteGroup:
     degree = int(spec["degree"])
     _check_degree(degree)
     gens = []
-    for item in spec.get("generators", []):
+    for k, item in enumerate(spec.get("generators", [])):
         if isinstance(item, str):
             gens.append(parse_cycles(item, degree))
-        else:
+        elif (isinstance(item, list) and len(item) == degree
+              and all(type(x) is int and 0 <= x < degree for x in item)):
             gens.append(Permutation(item))
+        else:
+            raise ValueError(f"generator {k + 1} is not a list of {degree} "
+                             f"integers in 0..{degree - 1}")
     return close_group(gens, degree=degree, name=spec.get("name"))
 
 

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from autorbit import catalog, multinomial as mn, permcore as pc, stypes as st, wreath as wr
-from autorbit.autgrp import (automorphism_group, inner_automorphism_ids, maol,
-                             orbit_partition)
+from autorbit.autgrp import automorphism_group, inner_automorphism_ids, maol
 from autorbit.permcore import Permutation
 
 
@@ -98,7 +97,7 @@ def test_c1_maol_extraspecial27():
         # (2/3 is the maol of the exponent-9 group of order 27.)
         report = maol(es, A)
         assert report.orbit_sizes == [24, 2, 1]
-        biggest = max(orbit_partition(es.order, A.generator_images()), key=len)
+        biggest = max(pc.orbits(A.generator_images(), es.order)[0], key=len)
         non_central = np.setdiff1d(np.arange(es.order), es.center_ids())
         assert np.array_equal(biggest, non_central)
         assert report.maol == Fraction(24, 27) == Fraction(8, 9)

@@ -4,21 +4,60 @@ element order, every fingerprint candidate for every generator, partial
 maps rebuilt member by member along BFS words, the surviving maps taken as
 the whole of Aut(G), and generators picked by `close_group`.  Both must give
 the same automorphism group, element for element and generator for
-generator."""
+generator.
+
+A per-element order loop and per-element tuple fingerprints are oracles here
+as well: the search's element orders and fingerprint labels must agree with
+them."""
+
+from math import lcm
 
 import numpy as np
 import pytest
 
 from autorbit import catalog
-from autorbit.autgrp import (AutomorphismGroup, CayleyTable, _fingerprints,
-                             automorphism_group)
+from autorbit.autgrp import AutomorphismGroup, _fingerprint_labels, automorphism_group
 from autorbit.permcore import (POINT_DTYPE, GroupError, Permutation,
-                               _encode_rows, close_group)
+                               _encode_rows, close_group, conjugacy_classes)
+
+
+def order_of_images(images):
+    """Order of one permutation row, following each cycle point by point."""
+    seen = np.zeros(images.size, dtype=bool)
+    result = 1
+    for start in range(images.size):
+        if seen[start]:
+            continue
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = int(images[x])
+            length += 1
+        result = lcm(result, length)
+    return result
+
+
+def fingerprints(G, T):
+    """Aut-invariant per element: (order, class size, multiset of class sizes
+    along its power sequence)."""
+    table = conjugacy_classes(G)
+    csize = np.array(table.sizes)[table.class_of]
+    orders = G.element_orders()
+    fps = []
+    for i in range(G.order):
+        powers = []
+        x = 0
+        for _ in range(int(orders[i])):
+            x = int(T[x, i])
+            powers.append(int(csize[x]))
+        fps.append((int(orders[i]), int(csize[i]), tuple(sorted(powers))))
+    return fps
 
 
 def greedy_generating_set(G, T):
     """Generating ids chosen by descending element order (ties by id)."""
-    by_order = sorted(range(G.order), key=lambda i: (-int(T.element_orders[i]), i))
+    orders = G.element_orders()
+    by_order = sorted(range(G.order), key=lambda i: (-int(orders[i]), i))
     gens = []
     closure = {0}
     for eid in by_order:
@@ -44,7 +83,7 @@ def subgroup_bfs(T, gen_ids):
         x = members[head]
         head += 1
         for k, g in enumerate(gen_ids):
-            y = int(T.table[x, g])
+            y = int(T[x, g])
             if y not in seen:
                 seen.add(y)
                 parent[y] = x
@@ -57,7 +96,7 @@ def extend_along_words(T, survivors, cand, members, parent, via, gen_ids):
     """Extend each surviving partial map by each candidate image of the newest
     generator, rebuild it member by member along the BFS words, and keep the
     maps that are injective homomorphisms on the subgroup."""
-    n = T.order
+    n = T.shape[0]
     s, c = survivors.shape[0], cand.size
     batch = max(1, 16_000_000 // n // max(c, 1))
     member_arr = np.array(members)
@@ -69,15 +108,15 @@ def extend_along_words(T, survivors, cand, members, parent, via, gen_ids):
         phi[:, newest_gen] = np.tile(cand, part.shape[0])
         for e in members:
             if via[e] >= 0 and e != newest_gen:
-                phi[:, e] = T.table[phi[:, parent[e]], phi[:, gen_ids[via[e]]]]
+                phi[:, e] = T[phi[:, parent[e]], phi[:, gen_ids[via[e]]]]
         sub_vals = np.sort(phi[:, member_arr], axis=1)
         ok = (sub_vals[:, 1:] != sub_vals[:, :-1]).all(axis=1)
         for g in gen_ids:
             rows = np.flatnonzero(ok)
             if rows.size == 0:
                 break
-            lhs = phi[np.ix_(rows, T.table[g, member_arr])]
-            rhs = T.table[phi[rows, g][:, None], phi[np.ix_(rows, member_arr)]]
+            lhs = phi[np.ix_(rows, T[g, member_arr])]
+            rhs = T[phi[rows, g][:, None], phi[np.ix_(rows, member_arr)]]
             ok[rows[~np.all(lhs == rhs, axis=1)]] = False
         kept.append(phi[ok])
     return np.concatenate(kept, axis=0)
@@ -101,8 +140,8 @@ def group_from_permutation_rows(rows, degree):
 
 def oracle_automorphism_group(G):
     n = G.order
-    T = CayleyTable.from_group(G)
-    fps = _fingerprints(G, T)
+    T = G.cayley()
+    fps = fingerprints(G, T)
     gen_ids = greedy_generating_set(G, T)
     survivors = np.zeros((1, n), dtype=np.int32)
     for j, g in enumerate(gen_ids):
@@ -124,6 +163,15 @@ def elementary_abelian(p, k):
     return close_group(gens, name=f"C{p}^{k}")
 
 
+def direct_product(G, H):
+    """G x H acting on disjoint supports."""
+    d, e = G.degree, H.degree
+    gens = [Permutation(np.concatenate([g.images, np.arange(d, d + e)])) for g in G.generators]
+    gens += [Permutation(np.concatenate([np.arange(d), h.images.astype(int) + d]))
+             for h in H.generators]
+    return close_group(gens, name=f"{G.name}x{H.name}")
+
+
 def assert_same_aut(G, aut_order):
     A = automorphism_group(G)
     B = oracle_automorphism_group(G)
@@ -133,7 +181,7 @@ def assert_same_aut(G, aut_order):
         [g.images.tolist() for g in B.group.generators]
 
 
-@pytest.mark.parametrize("name, aut_order", [
+CATALOG = [
     ("sym3", 6), ("sym4", 24), ("sym5", 120),
     ("alt4", 24), ("alt5", 120),
     ("cyclic5", 4), ("cyclic8", 4), ("cyclic12", 4), ("cyclic30", 8),
@@ -141,21 +189,65 @@ def assert_same_aut(G, aut_order):
     ("psl(2,4)", 120), ("psl(2,5)", 120), ("psl(2,7)", 336), ("psl(3,2)", 336),
     ("pgl(2,3)", 24), ("pgl(2,4)", 120), ("pgl(2,5)", 120), ("pgl(2,7)", 336),
     ("pgl(3,2)", 336), ("pgu(3,2)", 432), ("psu(3,2)", 432),
-])
+]
+NOT_TWO_GENERATED = [(2, 3, 168), (3, 3, 11232), (2, 4, 20160)]
+SLOW_CATALOG = [
+    ("sym6", 1440), ("alt6", 1440), ("psl(2,9)", 1440), ("psl(2,8)", 1512),
+    ("psl(2,11)", 1320), ("pgl(2,9)", 1440), ("psl(2,13)", 2184),
+    ("pgl(2,11)", 1320), ("extraspecial(7)", 98784),
+]
+
+
+@pytest.mark.parametrize("name, aut_order", CATALOG)
 def test_matches_oracle_on_catalog(name, aut_order):
     assert_same_aut(catalog.resolve(name), aut_order)
 
 
-@pytest.mark.parametrize("p, k, aut_order", [(2, 3, 168), (3, 3, 11232), (2, 4, 20160)])
+@pytest.mark.parametrize("p, k, aut_order", NOT_TWO_GENERATED)
 def test_matches_oracle_not_two_generated(p, k, aut_order):
     assert_same_aut(elementary_abelian(p, k), aut_order)
 
 
+def test_power_profiles_refine_order_and_class_size():
+    # on the catalog groups above, order and class size alone separate the
+    # fingerprints; in Sym4 x C4 two classes agree in both and differ only in
+    # the class sizes along their power sequences
+    G = direct_product(catalog.sym(4), catalog.cyclic(4))
+    table = conjugacy_classes(G)
+    coarse = set(zip(G.element_orders().tolist(), np.array(table.sizes)[table.class_of].tolist()))
+    assert len(set(_fingerprint_labels(G).tolist())) == len(coarse) + 1
+    assert_orders_and_labels_match(G)
+    assert_same_aut(G, 96)
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("name, aut_order", [
-    ("sym6", 1440), ("alt6", 1440), ("psl(2,9)", 1440), ("psl(2,8)", 1512),
-    ("psl(2,11)", 1320), ("pgl(2,9)", 1440), ("psl(2,13)", 2184),
-    ("pgl(2,11)", 1320), ("extraspecial(7)", 98784),
-])
+@pytest.mark.parametrize("name, aut_order", SLOW_CATALOG)
 def test_matches_oracle_slow(name, aut_order):
     assert_same_aut(catalog.resolve(name), aut_order)
+
+
+def assert_orders_and_labels_match(G):
+    """Element orders equal the per-element loop's, and the fingerprint labels
+    part the elements exactly as the tuple fingerprints do."""
+    orders = G.element_orders()
+    assert orders.tolist() == [order_of_images(row) for row in G.elements]
+    if G.order > 2000:
+        return
+    pairs = set(zip(_fingerprint_labels(G).tolist(), fingerprints(G, G.cayley())))
+    assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CATALOG] + ["psl(3,4)"])
+def test_orders_and_labels_match_oracles(name):
+    assert_orders_and_labels_match(catalog.resolve(name))
+
+
+@pytest.mark.parametrize("p, k", [(p, k) for p, k, _ in NOT_TWO_GENERATED])
+def test_orders_and_labels_match_oracles_not_two_generated(p, k):
+    assert_orders_and_labels_match(elementary_abelian(p, k))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", [name for name, _ in SLOW_CATALOG] + ["autpsl34"])
+def test_orders_and_labels_match_oracles_slow(name):
+    assert_orders_and_labels_match(catalog.resolve(name))

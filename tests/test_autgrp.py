@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from autorbit import catalog, permcore as pc
-from autorbit.autgrp import (AutomorphismGroup, BudgetExceeded, CayleyTable,
-                             TooLarge, automorphism_group,
-                             inner_automorphism_ids, maol, orbit_of,
-                             orbit_partition)
+from autorbit.autgrp import (AutomorphismGroup, BudgetExceeded, TooLarge,
+                             automorphism_group, inner_automorphism_ids, maol)
+
+
+def orbit_of(x, gens, n):
+    """The orbit of x under the id permutations `gens`, as a set."""
+    orbits, orbit_of = pc.orbits(gens, n)
+    return set(orbits[orbit_of[x]].tolist())
 
 
 def test_cayley_table_shape():
     s3 = catalog.sym(3)
-    T = CayleyTable.from_group(s3)
-    assert T.order == 6
-    assert sorted(T.element_orders.tolist()) == [1, 2, 2, 2, 3, 3]
-    assert all(T.table[i, T.inverse[i]] == 0 for i in range(6))
+    T, inv = s3.cayley(), s3.inverse_ids()
+    assert T.shape == (6, 6)
+    assert sorted(s3.element_orders().tolist()) == [1, 2, 2, 2, 3, 3]
+    assert all(T[i, inv[i]] == 0 for i in range(6))
 
 
 def test_aut_cyclic5():
@@ -70,7 +74,7 @@ def test_orbit_of_central_element():
     A = automorphism_group(c8)
     orders = c8.element_orders()
     involution = int(np.flatnonzero(orders == 2)[0])
-    assert orbit_of(involution, A.generator_images()) == {involution}
+    assert orbit_of(involution, A.generator_images(), c8.order) == {involution}
 
 
 def test_aut_divisible_by_inner(alt6, alt6_aut):
@@ -90,13 +94,13 @@ def test_orbit_of():
     s5 = catalog.sym(5)
     A = automorphism_group(s5)
     gens = A.generator_images()
-    assert orbit_of(0, gens) == {0}
+    assert orbit_of(0, gens, s5.order) == {0}
     four_cycle = s5.id_of(pc.parse_cycles("(1 2 3 4)", 5))
-    assert len(orbit_of(four_cycle, gens)) == 30
+    assert len(orbit_of(four_cycle, gens, s5.order)) == 30
 
 
 def test_orbit_sizes_divide_aut_and_sum(alt5, alt5_aut):
-    orbits = orbit_partition(alt5.order, alt5_aut.generator_images())
+    orbits = pc.orbits(alt5_aut.generator_images(), alt5.order)[0]
     sizes = [o.size for o in orbits]
     assert sum(sizes) == alt5.order
     assert all(alt5_aut.order % s == 0 for s in sizes)

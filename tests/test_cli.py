@@ -177,6 +177,12 @@ def test_usage_errors(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "wreath", "--base", "name:sym3"])  # no mode
     assert exc.value.code == 2
+    for argv in (["verify", "pmf", "--samples", "-3"],
+                 ["verify", "wreath", "--base", "name:sym3", "--n", "2",
+                  "--samples", "5", "--seed", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
     code, _, err = run_cli(capsys, "mcs", "--group", "name:nosuchthing")
     assert code == 2
     code, _, err = run_cli(capsys, "mcs", "--group", "plainname")
@@ -195,6 +201,9 @@ def test_h_needs_a_nonabelian_simple_group(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "h", "--simple", f"name:{name}")
         assert code == 2 and out == ""
         assert f"usage error: {name} is not a nonabelian simple group" in err
+    code, out, err = run_cli(capsys, "construct", "hp", "--simple", "name:cyclic5", "--p", "2")
+    assert code == 2 and out == ""
+    assert "usage error: cyclic5 is not a nonabelian simple group" in err
     code, out, _ = run_cli(capsys, "h", "--simple", "name:alt5")
     assert code == 0 and json.loads(out)["h"] == "1/2"
     # the check belongs to `h`; the shared Aut(S) route does not run it
@@ -220,6 +229,9 @@ def test_malformed_group_files_are_usage_errors(tmp_path, capsys):
         "notjson.json": "{degree: 4",
         "notobject.json": "[4]",
         "mixed.json": json.dumps({"degree": 4, "generators": [[1, 0, 2, 3], [1, 0, 2]]}),
+        "short.json": json.dumps({"degree": 3, "generators": [[0, 1]]}),
+        "fraction.json": json.dumps({"degree": 3, "generators": [[0, 1, 2.5]]}),
+        "negative.json": json.dumps({"degree": 3, "generators": [[0, 1, -1]]}),
     }
     for fname, text in specs.items():
         (tmp_path / fname).write_text(text)
@@ -238,10 +250,19 @@ def test_degrees_beyond_the_point_dtype_are_resource_stops(tmp_path, capsys):
     assert code == 3 and "degree guard" in err
 
 
-def test_resource_exit_code(capsys):
+def test_resource_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "maol", "--group", "name:psl(3,4)")
     assert code == 3
     assert "resource limit" in err
+    # one cycle per prime below 110: degree 1480, an order past int64
+    images, start = [], 0
+    for p in (q for q in range(2, 110) if all(q % d for d in range(2, q))):
+        images += [start + (i + 1) % p for i in range(p)]
+        start += p
+    path = tmp_path / "primes.json"
+    path.write_text(json.dumps({"degree": start, "generators": [images]}))
+    code, _, err = run_cli(capsys, "mcs", "--group", f"file:{path}")
+    assert code == 3 and "closure exceeded limit" in err
 
 
 def test_paper_table_limit_stops_are_skipped(capsys):

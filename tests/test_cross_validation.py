@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from autorbit import catalog, permcore as pc, stypes as st
-from autorbit.autgrp import automorphism_group, inner_automorphism_ids, maol, orbit_partition
+from autorbit.autgrp import automorphism_group, inner_automorphism_ids, maol
 from autorbit.catalog import projective_perms, projective_points, sl_generators, _diag
 from autorbit.fields import make_field
 from autorbit.permcore import Permutation, close_group
@@ -96,7 +96,7 @@ def test_extraspecial27_aut_by_unpruned_search():
                 found.append(phi)
     assert len(found) == 432  # the classical |Aut| of the Heisenberg group
 
-    orbits = orbit_partition(27, [f.astype(np.uint16) for f in found])
+    orbits = pc.orbits([f.astype(np.uint16) for f in found], 27)[0]
     assert sorted(o.size for o in orbits) == [1, 2, 24]
 
     pruned = automorphism_group(es)

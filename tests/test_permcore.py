@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,30 @@ def test_cycle_decompose_roundtrip(p):
     assert all(c[0] == min(c) for c in cs.cycles)
     assert [c[0] for c in cs.cycles] == sorted(c[0] for c in cs.cycles)
     assert cs.to_permutation() == p
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda d: st.lists(st.permutations(list(range(d))), min_size=1, max_size=5)))
+def test_cycle_lengths_match_cycle_decompose(rows):
+    lengths = pc.cycle_lengths(np.array(rows))
+    for row, got in zip(rows, lengths):
+        want = [0] * len(row)
+        for cyc in cycle_decompose(Permutation(row)).cycles:
+            for x in cyc:
+                want[x] = len(cyc)
+        assert got.tolist() == want
+
+
+def test_order_of_the_prime_cycles_permutation_is_exact():
+    # one cycle per prime below 110, degree 1480: the order overflows int64
+    primes = [q for q in range(2, 110) if all(q % d for d in range(2, q))]
+    images, start = [], 0
+    for p in primes:
+        images += [start + (i + 1) % p for i in range(p)]
+        start += p
+    order = Permutation(images).order()
+    assert start == 1480 and type(order) is int
+    assert order == math.prod(primes)
 
 
 def test_cycle_decompose_examples():
