@@ -382,6 +382,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "catalog":
         args.func = cmd_catalog_list
+    if min(args.max_order, args.max_nodes) < 1:
+        parser.error("--max-order and --max-nodes must be at least 1")
+    if args.time_limit_s is not None and not args.time_limit_s >= 0:  # NaN too
+        parser.error("--time-limit-s must be a number >= 0")
     if args.command == "verify" and args.samples < 0:
         parser.error("--samples must not be negative")
     if args.command == "verify" and args.suite == "wreath":

@@ -12,9 +12,11 @@ Conventions, fixed globally:
 Groups are enumerated by one Dimino closure (``dimino``): a generator the
 closure H already holds is dropped, and each kept generator adds the right
 cosets H*r, one BFS level of coset representatives at a time.  Elements are
-keyed by their images of a base, a point set on which no two elements agree;
-the base grows whenever two distinct rows share a key, and every key hit is
-confirmed on the full row, so a non-member is never mistaken for a member.
+keyed by their images of a base, a point set on which no two elements agree,
+in one sorted index (`_RowIndex`) that backs both the closure and a group's
+`ids_of`.  Only storing rows grows the base, when a new row agrees on it with
+a distinct one; a lookup never moves it, and every key hit is confirmed on
+the full row, so a non-member is never mistaken for a member.
 A group's ``generators`` are the kept, irredundant generators.
 
 1-cycles of a permutation are kept in its cycle decomposition; cycle strings
@@ -208,81 +210,72 @@ def _encode_rows(mat: np.ndarray) -> np.ndarray:
     return be.view(f"S{2 * mat.shape[1]}").ravel()
 
 
-def _separate(rows: np.ndarray, base: Sequence[int]):
-    """`base` extended until rows agreeing on it are equal rows; also the rows'
-    keys (`_encode_rows` of the base columns), their stable sort order and the
-    sorted positions whose key repeats the one before."""
-    base = list(base)
-    while True:
-        keys = _encode_rows(rows[:, base])
-        order = np.argsort(keys, kind="stable")
-        same = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
-        a, b = rows[order[same]], rows[order[same + 1]]
-        clash = np.flatnonzero(np.any(a != b, axis=1))
-        if not clash.size:
-            return base, keys, order, same
-        base.append(int(np.flatnonzero(a[clash[0]] != b[clash[0]])[0]))
-
-
 class _RowIndex:
-    """Growing store of distinct permutation rows, identity first, looked up
-    by their images of a base.  Two stored rows that share a key extend the
-    base and rekey the store; a key hit counts only if the full row matches."""
+    """Distinct permutation rows in the order they were stored, looked up by
+    their images of a base, a point set on which no two stored rows agree.
+    The keys (`_encode_rows` of the base columns) are kept sorted, with each
+    key's store position.  `find` is a pure lookup; only `add_new` extends
+    the base, when a row it is given agrees on it with a distinct row."""
 
-    def __init__(self, degree: int, limit: int):
-        self._buf = np.arange(degree, dtype=POINT_DTYPE)[None, :]  # grows by doubling
-        self.size = 1
+    def __init__(self, rows: np.ndarray, base: Sequence[int] = (0,),
+                 limit: int = DEFAULT_CLOSURE_LIMIT):
+        self._buf = self.rows = rows  # the buffer grows by doubling; `rows` is its used part
         self.limit = limit
-        self.base = [0]
-        self.slot = {self.keys(self._buf[:1])[0]: 0}
+        self._rekey(base)
 
-    def keys(self, rows: np.ndarray) -> list[bytes]:
-        return _encode_rows(rows[:, self.base]).tolist()
-
-    def _rekey(self, base: list[int]):
-        """Key the store on `base`, extended as far as the stored rows need."""
-        self.base = _separate(self._buf[:self.size], base)[0]
-        self.slot = dict(zip(self.keys(self._buf[:self.size]), range(self.size)))
-
-    def _extend_base(self, a: np.ndarray, b: np.ndarray):
-        """a and b are distinct rows agreeing on the base."""
-        self._rekey(self.base + [int(np.flatnonzero(a != b)[0])])
+    def _rekey(self, base: Sequence[int]):
+        """Key the store on `base`, which must tell the stored rows apart."""
+        keys = _encode_rows(self.rows[:, base])
+        self.base, self._ids = list(base), np.argsort(keys)
+        self._keys = keys[self._ids]
+        if np.any(self._keys[1:] == self._keys[:-1]):
+            raise GroupError(f"two stored rows agree on the base {self.base}")
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Store position of each row, -1 where the row is not stored."""
+        at = np.searchsorted(self._keys, _encode_rows(rows[:, self.base]))
+        pos = self._ids[np.minimum(at, len(self.rows) - 1)]  # the one row that can match
+        stored = self._buf[pos]
+        if np.array_equal(stored, rows):
+            return pos
+        return np.where(np.all(stored == rows, axis=1), pos, -1)
+
+    def add_new(self, batch: np.ndarray) -> np.ndarray:
+        """Store the rows of `batch` that equal no stored row and no earlier
+        row of `batch`, in their order; returns the mask of the rows stored.
+        First the base grows until no two distinct rows, given or stored,
+        agree on it: a batch row's key is compared with the next one in key
+        order and with the stored key it would be merged in next to."""
+        size = len(self.rows)
         while True:
-            pos = np.array([self.slot.get(k, -1) for k in self.keys(rows)], dtype=np.int64)
-            hit = np.flatnonzero(pos >= 0)
-            clash = hit[np.any(self._buf[pos[hit]] != rows[hit], axis=1)]
+            keys = _encode_rows(batch[:, self.base])
+            order = np.argsort(keys, kind="stable")  # equal rows: the first one first
+            keys = keys[order]
+            same = np.flatnonzero(keys[1:] == keys[:-1])
+            slots = np.searchsorted(self._keys, keys)  # sorted queries search fastest
+            at = np.minimum(slots, size - 1)
+            hit = np.flatnonzero(self._keys[at] == keys)
+            a = np.concatenate([batch[order[same]], self._buf[self._ids[at[hit]]]])
+            differ = a != batch[order[np.concatenate([same + 1, hit])]]
+            clash = np.flatnonzero(np.any(differ, axis=1))
             if not clash.size:
-                return pos
-            self._extend_base(rows[clash[0]], self._buf[pos[clash[0]]])
-
-    def first_occurrences(self, rows: np.ndarray) -> np.ndarray:
-        """Mask of the rows that equal no earlier row; extends the base until
-        it tells the distinct rows apart."""
-        base, _, order, same = _separate(rows, self.base)
-        if base != self.base:
-            self._rekey(base)
-        first = np.ones(len(rows), dtype=bool)
-        first[order[same + 1]] = False
-        return first
-
-    def add(self, rows: np.ndarray):
-        """Store rows not in the store whose keys differ from each other."""
-        need = self.size + len(rows)
+                break
+            self._rekey(self.base + [int(np.flatnonzero(differ[clash[0]])[0])])
+        keep = np.ones(len(batch), dtype=bool)  # in key order
+        keep[same + 1] = False  # a repeat of an earlier row of the batch
+        keep[hit] = False  # a stored row
+        new = np.zeros_like(keep)
+        new[order] = keep
+        need = size + int(np.count_nonzero(new))
         if need > self.limit:
             raise ClosureLimitExceeded(f"closure exceeded limit {self.limit}")
-        keys = self.keys(rows)
-        while not self.slot.keys().isdisjoint(keys):
-            i = next(i for i, k in enumerate(keys) if k in self.slot)
-            self._extend_base(rows[i], self._buf[self.slot[keys[i]]])
-            keys = self.keys(rows)
-        if need > len(self._buf):  # capacity a power of two; rows past size are unread
+        if need > len(self._buf):  # capacity a power of two
             self._buf = np.resize(self._buf, (1 << (need - 1).bit_length(), self._buf.shape[1]))
-        self._buf[self.size:need] = rows
-        self.slot.update(zip(keys, range(self.size, need)))
-        self.size = need
+        self._buf[size:need] = batch[new]
+        self.rows = self._buf[:need]
+        self._keys = np.insert(self._keys, slots[keep], keys[keep])
+        self._ids = np.insert(self._ids, slots[keep], size + np.cumsum(new)[order[keep]] - 1)
+        return new
 
 
 def cycle_lengths(rows: np.ndarray) -> np.ndarray:
@@ -332,9 +325,7 @@ def _add_cosets(index: _RowIndex, H: np.ndarray, cands: np.ndarray) -> np.ndarra
         if not reps.size:
             continue
         cosets = np.take(H, reps, axis=1).transpose(1, 0, 2).reshape(-1, degree)  # H[0] = 1
-        new = index.first_occurrences(cosets)[::m]
-        index.add(cosets.reshape(len(reps), m, degree)[new].reshape(-1, degree))
-        added.append(reps[new])
+        added.append(reps[index.add_new(cosets)[::m]])  # a coset is new or repeats whole
     return np.concatenate(added) if added else np.empty((0, degree), POINT_DTYPE)
 
 
@@ -350,20 +341,19 @@ def dimino(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT) -> Closure:
     together.  For the first kept generator H = 1: the cosets are g's powers."""
     gen_rows = np.asarray(gen_rows, dtype=POINT_DTYPE)
     degree = gen_rows.shape[1]
-    index = _RowIndex(degree, limit)
+    index = _RowIndex(np.arange(degree, dtype=POINT_DTYPE)[None, :], limit=limit)
     kept: list[int] = []
     start = 0
     while True:
         missing = np.flatnonzero(index.find(gen_rows[start:]) < 0)
         if not missing.size:
-            return Closure(index._buf[:index.size], kept, index.base)
+            return Closure(index.rows, kept, index.base)
         start += int(missing[0])
         kept.append(start)
-        H, kept_rows, g = index._buf[:index.size], gen_rows[kept], gen_rows[start]
+        H, kept_rows, g = index.rows, gen_rows[kept], gen_rows[start]
         start += 1
-        if len(kept) == 1:  # H = 1: <g> is g's powers, stored once their keys differ
-            powers = _powers(g, limit)[1:]
-            index.add(powers[index.first_occurrences(powers)])
+        if len(kept) == 1:  # H = 1: <g> is g's powers
+            index.add_new(_powers(g, limit)[1:])
             continue
         cands = g[None, :]
         while cands.size:
@@ -372,16 +362,18 @@ def dimino(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT) -> Closure:
 
 
 class FiniteGroup:
-    """Fully enumerated permutation group with canonical element ids."""
+    """Fully enumerated permutation group with canonical element ids, looked
+    up by their images of `base`, on which no two elements agree (`dimino`
+    gives one)."""
 
     def __init__(self, degree: int, generators: list[Permutation], elements: np.ndarray,
-                 name: str | None = None, base: Sequence[int] | None = None):
+                 base: Sequence[int], name: str | None = None):
         self.degree = degree
         self.generators = generators
         self.elements = elements  # (order, degree), lexicographically sorted
         self.name = name
-        self.base, keys, self._key_ids, _ = _separate(elements, base or [0])
-        self._sorted_keys = keys[self._key_ids]
+        self._index = _RowIndex(elements, base)
+        self.base = self._index.base
         self._inv_ids: np.ndarray | None = None
         self._classes: ConjClassTable | None = None
         self._cayley: np.ndarray | None = None
@@ -400,14 +392,13 @@ class FiniteGroup:
         return Permutation(self.elements[i])
 
     def ids_of(self, mat: np.ndarray) -> np.ndarray:
-        """Vectorized element-id lookup by base images, each hit confirmed on
-        the full row; raises if a row is not in the group."""
+        """Vectorized element-id lookup by base images; raises if a row is
+        not in the group."""
         mat = np.asarray(mat, dtype=POINT_DTYPE)
         if mat.ndim != 2 or mat.shape[1] != self.degree:
             raise GroupError("permutation not in group")
-        pos = np.searchsorted(self._sorted_keys, _encode_rows(mat[:, self.base]))
-        ids = self._key_ids[np.minimum(pos, self.order - 1)]
-        if not np.array_equal(self.elements[ids], mat):
+        ids = self._index.find(mat)
+        if np.any(ids < 0):
             raise GroupError("permutation not in group")
         return ids
 
@@ -416,11 +407,7 @@ class FiniteGroup:
         return int(self.ids_of(images[None, :])[0])
 
     def contains(self, p: Permutation) -> bool:
-        try:
-            self.id_of(p)
-            return True
-        except GroupError:
-            return False
+        return p.degree == self.degree and bool(self._index.find(p.images[None, :])[0] >= 0)
 
     def generator_ids(self) -> list[int]:
         return [self.id_of(g) for g in self.generators]
@@ -711,7 +698,9 @@ def is_characteristic(G: FiniteGroup, subgroup_ids: np.ndarray,
 def group_from_spec(spec: dict) -> FiniteGroup:
     """Build a group from the JSON spec format:
     {"name": str, "degree": int, "generators": ["(1 2)(3 4)" | [images]]}."""
-    degree = int(spec["degree"])
+    degree = spec["degree"]
+    if type(degree) is not int or degree < 1:
+        raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
     _check_degree(degree)
     gens = []
     for k, item in enumerate(spec.get("generators", [])):

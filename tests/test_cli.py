@@ -179,7 +179,12 @@ def test_usage_errors(capsys, monkeypatch):
     assert exc.value.code == 2
     for argv in (["verify", "pmf", "--samples", "-3"],
                  ["verify", "wreath", "--base", "name:sym3", "--n", "2",
-                  "--samples", "5", "--seed", "-1"]):
+                  "--samples", "5", "--seed", "-1"],
+                 ["--max-order", "-5", "mcs", "--group", "name:sym3"],
+                 ["--max-order", "0", "mcs", "--group", "name:sym3"],
+                 ["--max-nodes", "-1", "maol", "--group", "name:sym3"],
+                 ["--time-limit-s", "-1", "verify", "nonsolvable-bound"],
+                 ["--time-limit-s", "nan", "verify", "nonsolvable-bound"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
@@ -233,12 +238,17 @@ def test_malformed_group_files_are_usage_errors(tmp_path, capsys):
         "fraction.json": json.dumps({"degree": 3, "generators": [[0, 1, 2.5]]}),
         "negative.json": json.dumps({"degree": 3, "generators": [[0, 1, -1]]}),
     }
+    degrees = {"degfloat.json": 2.5, "degstring.json": "3", "degbool.json": True,
+               "degzero.json": 0, "degnegative.json": -2}
+    specs.update((fname, json.dumps({"degree": d, "generators": []}))
+                 for fname, d in degrees.items())
     for fname, text in specs.items():
         (tmp_path / fname).write_text(text)
     for fname in [*specs, "missing.json"]:
         code, _, err = run_cli(capsys, "mcs", "--group", f"file:{tmp_path / fname}")
         assert code == 2, fname
         assert "usage error" in err and fname in err
+        assert fname not in degrees or "degree must be" in err, fname
 
 
 def test_degrees_beyond_the_point_dtype_are_resource_stops(tmp_path, capsys):

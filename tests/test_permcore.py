@@ -108,6 +108,14 @@ def test_close_group_limit():
                        limit=10)
 
 
+def test_a_group_needs_a_base_that_tells_its_elements_apart():
+    S3 = catalog.sym(3)
+    with pytest.raises(pc.GroupError):  # (1 2) and (1 2 3) both send point 0 to 1
+        pc.FiniteGroup(3, S3.generators, S3.elements, base=[0])
+    G = pc.FiniteGroup(3, S3.generators, S3.elements, base=[0, 1])
+    assert G.ids_of(S3.elements).tolist() == list(range(6))
+
+
 def test_identity_is_element_zero():
     for G in (catalog.sym(4), catalog.cyclic(7), catalog.alt(4)):
         assert G.perm(0).is_identity()

@@ -3,15 +3,19 @@ they replaced, kept here as oracles: a BFS closure over a Python set of
 full-row byte strings, lookup by `searchsorted` on full-row byte keys, and
 one BFS per conjugacy class.  Both sides must give the same element list
 byte for byte, the same class for every element and the same ids; the
-kept generators must each lie outside the closure of the earlier ones."""
+kept generators must each lie outside the closure of the earlier ones.
+The row store behind closure and lookup, `_RowIndex`, is checked on its
+own against a Python dict of row bytes."""
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from autorbit import catalog
-from autorbit.permcore import (POINT_DTYPE, GroupError, Permutation,
-                               _encode_rows, close_group, conjugacy_classes)
+from autorbit.permcore import (POINT_DTYPE, GroupError, Permutation, _encode_rows,
+                               _RowIndex, close_group, conjugacy_classes)
 
 
 def oracle_elements(generators, degree):
@@ -145,3 +149,38 @@ def test_base_agreement_does_not_make_a_member():
         assert not G.contains(Permutation(row))
     with pytest.raises(GroupError):
         G.ids_of(np.concatenate([G.elements, outside[:1]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_index_matches_a_dict_of_row_bytes(data):
+    """Batches of random rows plus twins of stored or drawn rows: the twin
+    permutes the points outside the current base, so it has the same base
+    images (an exact repeat when the points stay) and a distinct twin makes
+    the base grow.  After each batch: the mask marks the first occurrences
+    of rows not stored before, `find` gives every stored row its position
+    and -1 to every other permutation, and leaves the base as it was."""
+    d = data.draw(st.integers(2, 6))
+    every = np.array(list(itertools.permutations(range(d))), dtype=POINT_DTYPE)
+    index = _RowIndex(every[:1])  # the identity
+    stored = [every[0].tobytes()]
+    for _ in range(data.draw(st.integers(1, 5))):
+        rows = list(every[data.draw(st.lists(st.integers(0, len(every) - 1), max_size=6))])
+        pool = [np.frombuffer(key, dtype=POINT_DTYPE) for key in stored] + rows
+        free = [x for x in range(d) if x not in index.base]
+        for k, moved in data.draw(st.lists(st.tuples(
+                st.integers(0, len(pool) - 1), st.permutations(free)), max_size=4)):
+            t = np.arange(d)
+            t[free] = moved
+            rows.append(pool[k][t])
+        rows = np.array(rows, dtype=POINT_DTYPE).reshape(-1, d)
+        seen, first = set(stored), []
+        for row in rows:
+            first.append(row.tobytes() not in seen)
+            seen.add(row.tobytes())
+        assert index.add_new(rows).tolist() == first
+        stored += [row.tobytes() for row in rows[first]]
+        assert [row.tobytes() for row in index.rows] == stored
+        base, position = list(index.base), {key: i for i, key in enumerate(stored)}
+        assert index.find(every).tolist() == [position.get(row.tobytes(), -1) for row in every]
+        assert index.base == base
