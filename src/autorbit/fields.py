@@ -206,9 +206,6 @@ class Field:
     def add(self, a, b):
         return self._digitwise(a, b, 1)
 
-    def neg(self, a):
-        return self.sub(0, a)
-
     def sub(self, a, b):
         return self._digitwise(a, b, -1)
 

@@ -15,8 +15,9 @@ cosets H*r, one BFS level of coset representatives at a time.  Elements are
 keyed by their images of a base, a point set on which no two elements agree,
 in one sorted index (`_RowIndex`) that backs both the closure and a group's
 `ids_of`.  Only storing rows grows the base, when a new row agrees on it with
-a distinct one; a lookup never moves it, and every key hit is confirmed on
-the full row, so a non-member is never mistaken for a member.
+a distinct one; a lookup never moves it.  A membership test (`ids_of`) confirms
+each key hit on the full row; a product or conjugate of members is a member,
+so the Cayley table and conjugation maps look up its base images alone.
 A group's ``generators`` are the kept, irredundant generators.
 
 1-cycles of a permutation are kept in its cycle decomposition; cycle strings
@@ -231,10 +232,22 @@ class _RowIndex:
         if np.any(self._keys[1:] == self._keys[:-1]):
             raise GroupError(f"two stored rows agree on the base {self.base}")
 
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        """Slot of the one stored key that can equal each of `keys`."""
+        return np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+
+    def locate(self, images: np.ndarray) -> np.ndarray:
+        """Store positions of the rows with these base images; raises if a key
+        is not stored.  Exact only for stored rows: another row may share a key."""
+        keys = _encode_rows(images)
+        at = self._slots(keys)
+        if not np.array_equal(self._keys[at], keys):
+            raise GroupError("no stored row has these base images")
+        return self._ids[at]
+
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Store position of each row, -1 where the row is not stored."""
-        at = np.searchsorted(self._keys, _encode_rows(rows[:, self.base]))
-        pos = self._ids[np.minimum(at, len(self.rows) - 1)]  # the one row that can match
+        pos = self._ids[self._slots(_encode_rows(rows[:, self.base]))]
         stored = self._buf[pos]
         if np.array_equal(stored, rows):
             return pos
@@ -270,7 +283,8 @@ class _RowIndex:
         if need > self.limit:
             raise ClosureLimitExceeded(f"closure exceeded limit {self.limit}")
         if need > len(self._buf):  # capacity a power of two
-            self._buf = np.resize(self._buf, (1 << (need - 1).bit_length(), self._buf.shape[1]))
+            self._buf = np.empty((1 << (need - 1).bit_length(), self._buf.shape[1]), POINT_DTYPE)
+            self._buf[:size] = self.rows  # still a view of the old buffer
         self._buf[size:need] = batch[new]
         self.rows = self._buf[:need]
         self._keys = np.insert(self._keys, slots[keep], keys[keep])
@@ -363,8 +377,9 @@ def dimino(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT) -> Closure:
 
 class FiniteGroup:
     """Fully enumerated permutation group with canonical element ids, looked
-    up by their images of `base`, on which no two elements agree (`dimino`
-    gives one)."""
+    up by their images of `base`, on which no two elements agree.  `elements`
+    is closed under composition (every constructor takes it from `dimino`), so
+    a product of members is a member and its base images name it."""
 
     def __init__(self, degree: int, generators: list[Permutation], elements: np.ndarray,
                  base: Sequence[int], name: str | None = None):
@@ -432,11 +447,11 @@ class FiniteGroup:
     def cayley(self) -> np.ndarray:
         """Full multiplication table on ids; built once, O(order^2) memory."""
         if self._cayley is None:
-            n, E = self.order, self.elements
+            n, E, b = self.order, self.elements, len(self.base)
             table = np.empty((n, n), dtype=np.int32)
-            for rows in self._row_blocks(n * self.degree, n):
-                block = np.take(E[rows], E, axis=1)  # block[i, j] = E[i] * E[j]
-                table[rows] = self.ids_of(block.reshape(-1, self.degree)).reshape(-1, n)
+            for rows in self._row_blocks(n * b, n):
+                block = np.take(E[rows], E[:, self.base], axis=1)  # E[i] * E[j] on the base
+                table[rows] = self._index.locate(block.reshape(-1, b)).reshape(-1, n)
             ids = np.arange(n)
             if not (np.array_equal(table[0], ids) and np.array_equal(table[:, 0], ids)):
                 raise GroupError("id 0 is not the identity of the Cayley table")
@@ -447,12 +462,15 @@ class FiniteGroup:
         return self._cayley
 
     def conjugation_ids(self, g: Permutation, ids: np.ndarray | None = None) -> np.ndarray:
-        """Ids of g x g^-1 for the x in `ids`; by default for every x, in id order."""
-        gi, ginv = g.images, g.inverse().images
+        """Ids of g x g^-1 for the x in `ids`; by default for every x, in id order.
+        g must be in the group, as only the base images of g x g^-1 are formed."""
+        if not self.contains(g):
+            raise GroupError("the conjugator is not in the group")
+        cols = g.inverse().images[self.base]
         E = self.elements if ids is None else self.elements[np.asarray(ids)]
         out = np.empty(len(E), dtype=np.int64)
-        for rows in self._row_blocks(self.degree, len(E)):
-            out[rows] = self.ids_of(gi[np.take(E[rows], ginv, axis=1)])
+        for rows in self._row_blocks(len(cols), len(E)):
+            out[rows] = self._index.locate(g.images[E[rows][:, cols]])
         return out
 
     def element_orders(self) -> np.ndarray:

@@ -4,6 +4,8 @@ full-row byte strings, lookup by `searchsorted` on full-row byte keys, and
 one BFS per conjugacy class.  Both sides must give the same element list
 byte for byte, the same class for every element and the same ids; the
 kept generators must each lie outside the closure of the earlier ones.
+The conjugation maps and the Cayley table, which look products up by their
+base images alone, must give the ids that `ids_of` gives the full rows.
 The row store behind closure and lookup, `_RowIndex`, is checked on its
 own against a Python dict of row bytes."""
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autorbit import catalog
+from autorbit.cli import NONSOLVABLE_LIST
 from autorbit.permcore import (POINT_DTYPE, GroupError, Permutation, _encode_rows,
                                _RowIndex, close_group, conjugacy_classes)
 
@@ -99,15 +102,65 @@ def elementary_abelian_2(k):
     return gens
 
 
-@pytest.mark.parametrize("name", [
+CATALOG = [
     "sym3", "sym5", "sym7", "alt4", "alt6", "alt7", "cyclic1", "cyclic12", "cyclic97",
     "extraspecial(3)", "extraspecial(7)", "psl(2,8)", "psl(2,13)", "pgl(2,9)",
     "psl(3,2)", "psl(3,3)", "psu(3,2)", "pgu(3,2)", "psu(3,3)", "psl(3,4)", "pgu(4,2)",
-])
+]
+
+
+@pytest.mark.parametrize("name", CATALOG)
 def test_catalog_matches_oracle(name):
     G = catalog.resolve(name)
     assert_matches_oracle(G, G.generators)
     assert_kept_generators(G, G.generators)
+
+
+def assert_conjugation_matches_full_rows(G):
+    for g in G.generators:
+        full = g.images[np.take(G.elements, g.inverse().images, axis=1)]  # rows of g x g^-1
+        assert np.array_equal(G.conjugation_ids(g), G.ids_of(full))
+
+
+@pytest.mark.parametrize("name", CATALOG + ["pgl(3,4)", "pgl(4,2)"])
+def test_conjugation_ids_match_full_rows(name):
+    assert_conjugation_matches_full_rows(catalog.resolve(name))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["pgu(3,4)", "autpsl34"])
+def test_large_conjugation_ids_match_full_rows(name):
+    assert_conjugation_matches_full_rows(catalog.resolve(name))
+
+
+@pytest.mark.parametrize("name", NONSOLVABLE_LIST + ["extraspecial(3)"])
+def test_cayley_matches_full_rows(name):
+    G = catalog.resolve(name)
+    E = G.elements
+    full = np.take(E, E, axis=1).reshape(-1, G.degree)  # row i * n + j: E[i] * E[j]
+    assert np.array_equal(G.cayley(), G.ids_of(full).reshape(G.order, G.order))
+
+
+def test_conjugation_by_a_non_member_raises():
+    G = close_group([Permutation([1, 2, 3, 4, 0])])  # C5 = <(1 2 3 4 5)>
+    with pytest.raises(GroupError):
+        G.conjugation_ids(Permutation([1, 0, 2, 3, 4]))  # (1 2) does not normalize C5
+    A5, t = catalog.alt(5), Permutation([1, 0, 2, 3, 4])  # (1 2) normalizes A5
+    assert catalog.sym(5).contains(t) and not A5.contains(t)
+    for ids in (None, np.arange(A5.order)):
+        with pytest.raises(GroupError):
+            A5.conjugation_ids(t, ids)
+
+
+def test_locate_raises_on_a_key_not_stored():
+    G = close_group([Permutation([1, 0, 3, 2])])  # <(1 2)(3 4)>
+    index = G._index
+    assert G.base == [0]
+    assert np.array_equal(index.locate(G.elements[:, G.base]), np.arange(G.order))
+    absent = np.array([[2]], dtype=POINT_DTYPE)  # no element sends point 1 to point 3
+    for images in (absent, np.concatenate([G.elements[:, G.base], absent])):
+        with pytest.raises(GroupError):
+            index.locate(images)
 
 
 @pytest.mark.slow
