@@ -14,10 +14,13 @@ closure H already holds is dropped, and each kept generator adds the right
 cosets H*r, one BFS level of coset representatives at a time.  Elements are
 keyed by their images of a base, a point set on which no two elements agree,
 in one sorted index (`_RowIndex`) that backs both the closure and a group's
-`ids_of`.  Only storing rows grows the base, when a new row agrees on it with
-a distinct one; a lookup never moves it.  A membership test (`ids_of`) confirms
-each key hit on the full row; a product or conjugate of members is a member,
-so the Cayley table and conjugation maps look up its base images alone.
+`ids_of`.  The key is one uint64, a Horner fold of the base images in radix
+degree|1: exact while radix^|base| < 2^64, a hash past that.  Only storing
+rows grows the base, when a new row shares its key with a distinct one (equal
+base images, or a collision of the wrapped fold); a lookup never moves it.
+A membership test (`ids_of`) confirms each key hit on the full row; a product
+or conjugate of members is a member, so the Cayley table and conjugation maps
+look up its base images alone.
 A group's ``generators`` are the kept, irredundant generators.
 
 1-cycles of a permutation are kept in its cycle decomposition; cycle strings
@@ -75,6 +78,15 @@ def _check_degree(degree: int):
         raise TooLarge(f"degree {degree} exceeds the degree guard MAX_DEGREE = {MAX_DEGREE}")
 
 
+def _as_points(values, degree: int, error: type[Exception]) -> np.ndarray:
+    """`values` cast to POINT_DTYPE; raises `error` if the cast would change one."""
+    arr = np.asarray(values)
+    if arr.dtype != POINT_DTYPE and arr.size and not (
+            arr.dtype.kind in "iu" and 0 <= arr.min() and arr.max() < degree):
+        raise error(f"values are not points in 0..{degree - 1}")
+    return arr.astype(POINT_DTYPE, copy=False)
+
+
 class Permutation:
     """Immutable bijection on {0, ..., degree-1}, stored as an image array."""
 
@@ -82,7 +94,7 @@ class Permutation:
 
     def __init__(self, images: Sequence[int] | np.ndarray):
         _check_degree(len(images))
-        arr = np.asarray(images, dtype=POINT_DTYPE)
+        arr = _as_points(images, len(images), ValueError)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("images must be a non-empty 1-d sequence")
         if not np.array_equal(np.sort(arr), np.arange(arr.size)):
@@ -213,33 +225,55 @@ def _encode_rows(mat: np.ndarray) -> np.ndarray:
 
 class _RowIndex:
     """Distinct permutation rows in the order they were stored, looked up by
-    their images of a base, a point set on which no two stored rows agree.
-    The keys (`_encode_rows` of the base columns) are kept sorted, with each
-    key's store position.  `find` is a pure lookup; only `add_new` extends
-    the base, when a row it is given agrees on it with a distinct row."""
+    their images of a base on which no two stored rows share a key (`_fold`,
+    radix degree|1; exact mixed radix, ordered as the images are, while
+    radix^|base| < 2^64, and past that a hash).  The keys are kept sorted, with
+    each key's store position.  `find` is a pure lookup; only `add_new`
+    extends the base, when a row it is given shares a key with a distinct row."""
 
     def __init__(self, rows: np.ndarray, base: Sequence[int] = (0,),
                  limit: int = DEFAULT_CLOSURE_LIMIT):
         self._buf = self.rows = rows  # the buffer grows by doubling; `rows` is its used part
-        self.limit = limit
-        self._rekey(base)
+        self.limit, self._radix = limit, np.uint64(rows.shape[1] | 1)
+        self._rekey(list(base))
 
-    def _rekey(self, base: Sequence[int]):
+    def _fold(self, images: np.ndarray) -> np.ndarray:
+        """One uint64 key per row of base images, by the Horner fold k = k*radix + x."""
+        key = images[:, 0].astype(np.uint64)
+        for j in range(1, images.shape[1]):
+            key *= self._radix  # in place: a key array is 8 bytes per row
+            key += images[:, j]
+        return key
+
+    def _grow(self, a: np.ndarray, b: np.ndarray) -> list[int]:
+        """The base plus the first point off it where the distinct rows a and b
+        differ, or if they differ only on it (a hash collision) the first point off it."""
+        free = np.setdiff1d(np.arange(len(a)), self.base)
+        if not free.size:
+            raise GroupError(f"keys collide on the base {self.base}, which holds every point")
+        return self.base + [int(free[np.argmax(a[free] != b[free])])]
+
+    def _rekey(self, base: list[int]):
         """Key the store on `base`, which must tell the stored rows apart."""
-        keys = _encode_rows(self.rows[:, base])
-        self.base, self._ids = list(base), np.argsort(keys)
+        keys = self._fold(self.rows[:, base])
+        self.base, self._ids = base, np.argsort(keys)
         self._keys = keys[self._ids]
-        if np.any(self._keys[1:] == self._keys[:-1]):
-            raise GroupError(f"two stored rows agree on the base {self.base}")
+        same = np.flatnonzero(self._keys[1:] == self._keys[:-1])
+        if same.size:
+            a, b = self.rows[self._ids[same[0]:same[0] + 2]]
+            if np.array_equal(a[base], b[base]):
+                raise GroupError(f"two stored rows agree on the base {base}")
+            self._rekey(self._grow(a, b))
 
     def _slots(self, keys: np.ndarray) -> np.ndarray:
         """Slot of the one stored key that can equal each of `keys`."""
-        return np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        slots = np.searchsorted(self._keys, keys)
+        return np.minimum(slots, len(self._keys) - 1, out=slots)
 
     def locate(self, images: np.ndarray) -> np.ndarray:
         """Store positions of the rows with these base images; raises if a key
         is not stored.  Exact only for stored rows: another row may share a key."""
-        keys = _encode_rows(images)
+        keys = self._fold(images)
         at = self._slots(keys)
         if not np.array_equal(self._keys[at], keys):
             raise GroupError("no stored row has these base images")
@@ -247,7 +281,7 @@ class _RowIndex:
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Store position of each row, -1 where the row is not stored."""
-        pos = self._ids[self._slots(_encode_rows(rows[:, self.base]))]
+        pos = self._ids[self._slots(self._fold(rows[:, self.base]))]
         stored = self._buf[pos]
         if np.array_equal(stored, rows):
             return pos
@@ -257,11 +291,11 @@ class _RowIndex:
         """Store the rows of `batch` that equal no stored row and no earlier
         row of `batch`, in their order; returns the mask of the rows stored.
         First the base grows until no two distinct rows, given or stored,
-        agree on it: a batch row's key is compared with the next one in key
+        share a key: a batch row's key is compared with the next one in key
         order and with the stored key it would be merged in next to."""
         size = len(self.rows)
         while True:
-            keys = _encode_rows(batch[:, self.base])
+            keys = self._fold(batch[:, self.base])
             order = np.argsort(keys, kind="stable")  # equal rows: the first one first
             keys = keys[order]
             same = np.flatnonzero(keys[1:] == keys[:-1])
@@ -269,11 +303,11 @@ class _RowIndex:
             at = np.minimum(slots, size - 1)
             hit = np.flatnonzero(self._keys[at] == keys)
             a = np.concatenate([batch[order[same]], self._buf[self._ids[at[hit]]]])
-            differ = a != batch[order[np.concatenate([same + 1, hit])]]
-            clash = np.flatnonzero(np.any(differ, axis=1))
+            b = batch[order[np.concatenate([same + 1, hit])]]
+            clash = np.flatnonzero(np.any(a != b, axis=1))
             if not clash.size:
                 break
-            self._rekey(self.base + [int(np.flatnonzero(differ[clash[0]])[0])])
+            self._rekey(self._grow(a[clash[0]], b[clash[0]]))
         keep = np.ones(len(batch), dtype=bool)  # in key order
         keep[same + 1] = False  # a repeat of an earlier row of the batch
         keep[hit] = False  # a stored row
@@ -409,7 +443,7 @@ class FiniteGroup:
     def ids_of(self, mat: np.ndarray) -> np.ndarray:
         """Vectorized element-id lookup by base images; raises if a row is
         not in the group."""
-        mat = np.asarray(mat, dtype=POINT_DTYPE)
+        mat = _as_points(mat, self.degree, GroupError)
         if mat.ndim != 2 or mat.shape[1] != self.degree:
             raise GroupError("permutation not in group")
         ids = self._index.find(mat)

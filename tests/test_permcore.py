@@ -94,6 +94,18 @@ def test_parse_cycles_rejects_garbage():
         parse_cycles("(0 1)", 3)  # 1-based points
 
 
+def test_values_the_point_cast_would_change_are_rejected():
+    S3 = catalog.sym(3)
+    with pytest.raises(pc.GroupError):  # 65537 wraps to 1 as uint16: (1 2)
+        S3.ids_of(np.array([[65537, 0, 2]]))
+    for images in (np.array([65537, 0]), [1.7, 0], [-65535, 0]):  # each casts to (1 2)
+        with pytest.raises(ValueError):
+            Permutation(images)
+    assert S3.ids_of(np.array([[1, 0, 2]])).tolist() == S3.ids_of(
+        np.array([[1, 0, 2]], dtype=np.uint16)).tolist()
+    assert Permutation(np.array([1, 0], dtype=np.uint8)) == Permutation([1, 0])
+
+
 def test_close_group_empty_and_small():
     triv = pc.close_group([], degree=3)
     assert triv.order == 1

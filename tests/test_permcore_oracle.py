@@ -7,7 +7,8 @@ kept generators must each lie outside the closure of the earlier ones.
 The conjugation maps and the Cayley table, which look products up by their
 base images alone, must give the ids that `ids_of` gives the full rows.
 The row store behind closure and lookup, `_RowIndex`, is checked on its
-own against a Python dict of row bytes."""
+own against a Python dict of row bytes, also under folds that make distinct
+base images collide, as the uint64 fold does once it wraps."""
 
 import itertools
 
@@ -17,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from autorbit import catalog
 from autorbit.cli import NONSOLVABLE_LIST
-from autorbit.permcore import (POINT_DTYPE, GroupError, Permutation, _encode_rows,
-                               _RowIndex, close_group, conjugacy_classes)
+from autorbit.permcore import (POINT_DTYPE, FiniteGroup, GroupError, Permutation,
+                               _encode_rows, _RowIndex, close_group, conjugacy_classes)
 
 
 def oracle_elements(generators, degree):
@@ -180,13 +181,23 @@ def test_random_groups_match_oracle(generators):
 
 
 def test_c2_14_needs_a_14_point_base():
-    # int64 mixed-radix keys of degree 28 hold only 13 base points
+    # radix 29 at degree 28: 29^14 > 2^64, so on 14 base points the uint64 fold wraps
     gens = elementary_abelian_2(14)
     gens.append(Permutation(gens[0].images[gens[1].images]))  # redundant: dropped
     G = close_group(gens)
     assert G.order == 2 ** 14 and len(G.base) == 14
     assert_matches_oracle(G, gens)
     assert_kept_generators(G, gens)
+
+
+@pytest.mark.parametrize("name, base", [
+    ("autpsl34", [0, 1, 5, 2, 6, 3]), ("pgu(3,4)", [0, 2, 18]), ("pgl(3,4)", [0, 1, 5, 2, 6]),
+    ("pgu(4,2)", [0, 2, 22, 6]), ("alt7", [0, 2, 1, 4, 3]),
+])
+def test_the_exact_fold_keeps_the_byte_key_bases(name, base):
+    # uint64 keys are ordered as the byte-string keys before them, so `add_new`
+    # meets the same clashes in the same order and picks the same base points
+    assert catalog.resolve(name).base == base
 
 
 def test_base_agreement_does_not_make_a_member():
@@ -204,9 +215,66 @@ def test_base_agreement_does_not_make_a_member():
         G.ids_of(np.concatenate([G.elements, outside[:1]]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_row_index_matches_a_dict_of_row_bytes(data):
+REAL_FOLD = _RowIndex._fold
+
+
+def fold_one_as_zero(index, images):
+    """The real fold with image 1 of the first base point keyed as image 0: two
+    permutations collide while they differ on the base only there."""
+    images = images.copy()
+    images[images[:, 0] == 1, 0] = 0
+    return REAL_FOLD(index, images)
+
+
+def colliding_fold(src, dst):
+    """The real fold, except that the base images `src` get the key of `dst`."""
+    src, dst = (np.asarray([v], dtype=POINT_DTYPE) for v in (src, dst))
+
+    def fold(index, images):
+        keys = REAL_FOLD(index, images)
+        if images.shape[1] == src.shape[1]:
+            keys[np.all(images == src, axis=1)] = REAL_FOLD(index, dst)[0]
+        return keys
+    return fold
+
+
+@pytest.mark.parametrize("name, off_base", [("psl(2,8)", False), ("sym4", True)])
+def test_a_key_collision_grows_the_base(monkeypatch, name, off_base):
+    """Two elements with distinct base images are given one key: storing them
+    grows the base by the first point off it where they differ (or, when they
+    agree off it, by the first point off it), and a group built on the old
+    base does the same instead of raising."""
+    G = catalog.resolve(name)
+    E, free = G.elements, [p for p in range(G.degree) if p not in G.base]
+    x, y = next((i, j) for i, j in itertools.combinations(range(1, G.order), 2)
+                if np.array_equal(E[i, free], E[j, free]) == off_base)
+    grown = G.base + [next((p for p in free if E[x, p] != E[y, p]), free[0])]
+    table = G.cayley()  # G's index is keyed by the real fold
+    monkeypatch.setattr(_RowIndex, "_fold", colliding_fold(E[x, G.base], E[y, G.base]))
+    index = _RowIndex(E[:1], base=G.base)
+    assert index.add_new(E[1:]).all() and index.base == grown
+    assert index.rows.tobytes() == E.tobytes()
+    ids = np.arange(G.order)
+    assert np.array_equal(index.find(E), ids)
+    assert np.array_equal(index.locate(E[:, grown]), ids)
+    H = FiniteGroup(G.degree, G.generators, E, base=G.base)
+    assert H.base == grown
+    assert_matches_oracle(H, G.generators)
+    assert np.array_equal(H.cayley(), table)
+
+
+def test_a_constant_fold_raises_once_the_base_holds_every_point(monkeypatch):
+    monkeypatch.setattr(_RowIndex, "_fold", lambda index, images: np.zeros(len(images), np.uint64))
+    every = np.array(list(itertools.permutations(range(3))), dtype=POINT_DTYPE)
+    index = _RowIndex(every[:1])
+    with pytest.raises(GroupError, match="holds every point"):
+        index.add_new(every[1:])
+    assert sorted(index.base) == [0, 1, 2]
+    with pytest.raises(GroupError, match="holds every point"):
+        _RowIndex(every, base=[2, 0, 1])
+
+
+def check_row_index_against_a_dict(data):
     """Batches of random rows plus twins of stored or drawn rows: the twin
     permutes the points outside the current base, so it has the same base
     images (an exact repeat when the points stay) and a distinct twin makes
@@ -237,3 +305,17 @@ def test_row_index_matches_a_dict_of_row_bytes(data):
         base, position = list(index.base), {key: i for i, key in enumerate(stored)}
         assert index.find(every).tolist() == [position.get(row.tobytes(), -1) for row in every]
         assert index.base == base
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_index_matches_a_dict_of_row_bytes(data):
+    check_row_index_against_a_dict(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_index_matches_a_dict_of_row_bytes_under_a_colliding_fold(data):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_RowIndex, "_fold", fold_one_as_zero)
+        check_row_index_against_a_dict(data)
