@@ -2,15 +2,14 @@
 reproduction of the desk-scale numeric table.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 resource/limit.
-AUTORBIT_THREADS caps suite parallelism.  All reports are JSON with exact
-fractions as "p/q" strings."""
+Suite items run one after another; reports are ordered by item id.  All
+reports are JSON with exact fractions as "p/q" strings."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +25,6 @@ from .permcore import (DegreeMismatch, FiniteGroup, ResourceLimit, conjugacy_cla
                        load_group_file, mcs)
 from .reports import (FAIL, PASS, ReportItem, SuiteRunner,
                       VerificationReport, encode_value, print_report, write_text)
-
-RESOURCE_ERRORS = ResourceLimit
 
 SLOW_HP_SPACE = 200_000  # wreath orders above this need --slow
 
@@ -250,30 +247,32 @@ def _mismatched_blocks(classes: np.ndarray, labels: np.ndarray) -> list:
 def paper_table_suite(args) -> VerificationReport:
     runner = SuiteRunner("paper-table", time_limit_s=args.time_limit_s)
     limit, budget = args.max_order, args.max_nodes
-    cache: dict = {}
-    lock = threading.Lock()  # one computation per name under AUTORBIT_THREADS
+    cache: dict = {}  # Aut(S) is computed once per name
 
     def aut_of(name: str):
-        with lock:
-            if name not in cache:
-                cache[name] = aut_pair(name, limit, budget)
-            return cache[name]
+        if name not in cache:
+            cache[name] = aut_pair(name, limit, budget)
+        return cache[name]
 
-    runner.add("mcs-sym5", 4, lambda: mcs(catalog.resolve("sym5")))
+    def mcs_of(name: str) -> int:
+        return mcs(catalog.resolve(name, limit=limit))
+
+    runner.add("mcs-sym5", 4, lambda: mcs_of("sym5"))
     runner.add("mcs-aut-alt6", 6, lambda: mcs(aut_of("alt6")[0]))
     runner.add("h-alt5", "1/2",
                lambda: encode_value(stypes.h_value(*aut_of("alt5"))))
     runner.add("h-alt6", "3/4",
                lambda: encode_value(stypes.h_value(*aut_of("alt6"))))
-    runner.add("mcs-pgl(2,3)", 3, lambda: mcs(catalog.resolve("pgl(2,3)")))
-    runner.add("mcs-pgl(3,2)", 3, lambda: mcs(catalog.resolve("pgl(3,2)")))
-    runner.add("mcs-pgu(3,2)", None, lambda: mcs(catalog.resolve("pgu(3,2)")))
-    runner.add("mcs-pgl(3,4)", 12, lambda: mcs(catalog.resolve("pgl(3,4)", limit=limit)))
-    runner.add("mcs-pgu(3,4)", 13, lambda: mcs(catalog.resolve("pgu(3,4)", limit=limit)))
-    runner.add("mcs-pgl(4,2)", 6, lambda: mcs(catalog.resolve("pgl(4,2)", limit=limit)))
-    runner.add("mcs-pgu(4,2)", 5, lambda: mcs(catalog.resolve("pgu(4,2)", limit=limit)))
+    runner.add("mcs-pgl(2,3)", 3, lambda: mcs_of("pgl(2,3)"))
+    runner.add("mcs-pgl(3,2)", 3, lambda: mcs_of("pgl(3,2)"))
+    runner.add("mcs-pgu(3,2)", None, lambda: mcs_of("pgu(3,2)"))
+    runner.add("mcs-pgl(3,4)", 12, lambda: mcs_of("pgl(3,4)"))
+    runner.add("mcs-pgu(3,4)", 13, lambda: mcs_of("pgu(3,4)"))
+    runner.add("mcs-pgl(4,2)", 6, lambda: mcs_of("pgl(4,2)"))
+    runner.add("mcs-pgu(4,2)", 5, lambda: mcs_of("pgu(4,2)"))
+
     def maol_of(name: str) -> str:
-        G = catalog.resolve(name)
+        G = catalog.resolve(name, limit=limit)
         return encode_value(maol(G, automorphism_group(G, budget=budget)).maol)
 
     runner.add("maol-psl(2,8)", "3/7", lambda: maol_of("psl(2,8)"))
@@ -397,7 +396,7 @@ def main(argv=None) -> int:
             parser.error("wreath suite needs a non-negative --seed")
     try:
         return args.func(args)
-    except RESOURCE_ERRORS as exc:
+    except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except BadParameter as exc:

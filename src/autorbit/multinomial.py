@@ -158,16 +158,20 @@ def _nonneg_compositions(n: int, k: int):
             yield (first,) + rest
 
 
-def pmf_bound_check(mode: str = "exhaustive", max_k: int = 4, max_denom: int = 6,
-                    max_n: int = 8, samples: int = 0, seed: int = 0) -> dict:
+PMF_MAX_K = 4      # classes per rho vector, both modes
+PMF_MAX_DENOM = 6  # common denominator of rho, exhaustive mode
+PMF_MAX_N = 8      # total count, exhaustive mode
+
+
+def pmf_bound_check(mode: str = "exhaustive", samples: int = 0, seed: int = 0) -> dict:
     """Check pmf(rho, counts) <= max(rho).
 
-    exhaustive: every rho vector with a common denominator <= max_denom
-    (k <= max_k, zero entries allowed) against every count vector with
-    1 <= n <= max_n (zeros allowed).  random: seeded random rational vectors
-    with the same assertion.  Each case is rho = a / d on integers: the pmf
-    is pmf_kernel(a, counts) / d^n, so the bound fails iff
-    pmf_kernel(a, counts) * d > max(a) * d^n."""
+    exhaustive: every rho vector with a common denominator <= PMF_MAX_DENOM
+    (k <= PMF_MAX_K, zero entries allowed) against every count vector with
+    1 <= n <= PMF_MAX_N (zeros allowed).  random: seeded random rational
+    vectors with k <= PMF_MAX_K and the same assertion.  Each case is
+    rho = a / d on integers: the pmf is pmf_kernel(a, counts) / d^n, so the
+    bound fails iff pmf_kernel(a, counts) * d > max(a) * d^n."""
     checked = 0
     violations = []
 
@@ -184,10 +188,10 @@ def pmf_bound_check(mode: str = "exhaustive", max_k: int = 4, max_denom: int = 6
             })
 
     if mode == "exhaustive":
-        for k in range(1, max_k + 1):
-            count_vectors = [cv for n in range(1, max_n + 1)
+        for k in range(1, PMF_MAX_K + 1):
+            count_vectors = [cv for n in range(1, PMF_MAX_N + 1)
                              for cv in _nonneg_compositions(n, k)]
-            for d in range(1, max_denom + 1):
+            for d in range(1, PMF_MAX_DENOM + 1):
                 for numer in _nonneg_compositions(d, k):
                     # a / d with g = gcd(a) > 1 is the rho vector (a/g) / (d/g),
                     # already checked at the smaller denominator
@@ -198,7 +202,7 @@ def pmf_bound_check(mode: str = "exhaustive", max_k: int = 4, max_denom: int = 6
     elif mode == "random":
         rng = random.Random(seed)
         for _ in range(samples):
-            k = rng.randint(1, max_k)
+            k = rng.randint(1, PMF_MAX_K)
             d = rng.randint(1, 60)
             cuts = sorted(rng.randint(0, d) for _ in range(k - 1))
             parts = [b - a for a, b in zip([0] + cuts, cuts + [d])]

@@ -4,9 +4,7 @@ exact fractions rendered as "p/q" strings so nothing is lost at the boundary."""
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
@@ -88,31 +86,15 @@ class VerificationReport:
         return lines
 
 
-def report_from_json(data: dict) -> VerificationReport:
-    rep = VerificationReport(suite=data["suite"], seed=data.get("seed"))
-    for it in data["items"]:
-        rep.items.append(ReportItem(it["id"], it.get("expected"), it.get("computed"),
-                                    it["status"], it["runtimeMs"], it.get("note")))
-    return rep
-
-
-def thread_count() -> int:
-    raw = os.environ.get("AUTORBIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 class SuiteRunner:
-    """Runs checkpoint callables into ReportItems, honoring a wall-clock
-    budget (items past the budget are skipped, never approximated), resource
-    limits (an item a ResourceLimit stops is skipped with a note) and the
-    AUTORBIT_THREADS parallelism cap.  Item order in the report is by id."""
+    """Runs checkpoint callables into ReportItems one after another, in the
+    calling thread, honoring a wall-clock budget (items past the budget are
+    skipped, never approximated) and resource limits (an item a
+    ResourceLimit stops is skipped with a note).  Item order in the report
+    is by id."""
 
-    def __init__(self, suite: str, time_limit_s: float | None = None,
-                 seed: int | None = None):
-        self.report = VerificationReport(suite, seed=seed)
+    def __init__(self, suite: str, time_limit_s: float | None = None):
+        self.report = VerificationReport(suite)
         self.time_limit_s = time_limit_s
         self.started = time.monotonic()
         self._jobs: list[tuple[str, Any, Callable]] = []
@@ -140,15 +122,7 @@ class SuiteRunner:
         return ReportItem(item_id, expected, computed, status, ms)
 
     def run(self) -> VerificationReport:
-        workers = thread_count()
-        if workers == 1:
-            for job in self._jobs:
-                self.report.items.append(self._run_one(*job))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(self._run_one, *job) for job in self._jobs]
-                for fut in futures:
-                    self.report.items.append(fut.result())
+        self.report.items.extend(self._run_one(*job) for job in self._jobs)
         return self.report
 
 

@@ -57,24 +57,18 @@ class BcpcProfile:
 
 
 class WreathGroup:
-    """base wr top; `top` defaults to the full symmetric group of degree n.
+    """base wr top; `top`, given by generators, defaults to the full
+    symmetric group of degree n.
 
     Carries the base Cayley table, so element arithmetic is table lookups."""
 
     def __init__(self, base: FiniteGroup, n: int,
-                 top: FiniteGroup | Sequence[Permutation] | None = None,
-                 name: str | None = None):
+                 top: Sequence[Permutation] | None = None):
         self.base = base
         self.n = n
-        if top is None:
-            self.top = sym(n)
-        elif isinstance(top, FiniteGroup):
-            self.top = top
-        else:
-            self.top = close_group(list(top), degree=n)
+        self.top = sym(n) if top is None else close_group(list(top), degree=n)
         if self.top.degree != n:
             raise ShapeMismatch("top group degree != n")
-        self.name = name
         self.T = base.cayley()
         self.base_inv = base.inverse_ids()
         self._top_cycles = [cycle_decompose(self.top.perm(t)).cycles
@@ -196,12 +190,12 @@ class WreathGroup:
         return self.T[step1, right], top_map[t]
 
     def conjugation_orbit(self, seeds: Sequence[WreathElement],
-                          conjugators: Iterable[tuple[Sequence[int], Permutation]],
-                          limit: int = DEFAULT_ORBIT_SPACE) -> np.ndarray:
+                          conjugators: Iterable[tuple[Sequence[int], Permutation]]
+                          ) -> np.ndarray:
         """Packed codes of the closure of `seeds` under conjugation.  The
         visited array is indexed by packed code, so the whole wreath group
-        must fit in `limit` cells."""
-        if self.order > limit:
+        must fit in DEFAULT_ORBIT_SPACE cells."""
+        if self.order > DEFAULT_ORBIT_SPACE:
             raise TooLarge(f"wreath group order {self.order} too large to sweep")
         maps = self._conjugation_maps(conjugators)
 
@@ -342,7 +336,7 @@ class HpConstruction:
     alpha: WreathElement
     order: int
     predicted_orbit: int
-    measured_orbit: int | None
+    measured_orbit: int
     maol_lower_bound: Fraction  # (p-1)/p * maol(Aut(S))
 
     def to_json(self) -> dict:
@@ -366,8 +360,7 @@ def _primitive_root(p: int) -> int:
     raise GroupError(f"no primitive root mod {p}")
 
 
-def build_hp(S: FiniteGroup, AutS: AutomorphismGroup, p: int,
-             measure: bool = True, limit: int = DEFAULT_ORBIT_SPACE) -> HpConstruction:
+def build_hp(S: FiniteGroup, AutS: AutomorphismGroup, p: int) -> HpConstruction:
     """Aut(S) wr <sigma> for a p-cycle sigma, with the distinguished element
     alpha = (alpha_1, 1, ..., 1) sigma, alpha_1 from a largest conjugacy class
     of Aut(S).  Aut(S) is complete for simple S, so its conjugacy classes are
@@ -381,7 +374,7 @@ def build_hp(S: FiniteGroup, AutS: AutomorphismGroup, p: int,
         raise GroupError("AutS does not belong to S")
     A = AutS.group
     sigma = Permutation([(i + 1) % p for i in range(p)])
-    wg = WreathGroup(A, p, top=[sigma], name=f"H_{p}")
+    wg = WreathGroup(A, p, top=[sigma])
     if wg.top.order != p:
         raise GroupError("top group is not the cyclic group of the p-cycle")
 
@@ -392,19 +385,16 @@ def build_hp(S: FiniteGroup, AutS: AutomorphismGroup, p: int,
     alpha = wg.element([alpha1] + [0] * (p - 1), sigma)
     predicted = (p - 1) * sizes[best_class] * A.order ** (p - 1)
 
-    measured = None
-    if measure:
-        # base generators in coordinate 0 suffice: conjugation by the
-        # transitive top spreads them to every coordinate
-        conjugators = [(tuple([g] + [0] * (p - 1)), Permutation.identity(p))
-                       for g in A.generator_ids()]
-        conjugators.append(((0,) * p, sigma))
-        if p > 2:
-            u = _primitive_root(p)
-            power_map = Permutation([(i * u) % p for i in range(p)])
-            conjugators.append(((0,) * p, power_map))
-        orbit = wg.conjugation_orbit([alpha], conjugators, limit=limit)
-        measured = int(orbit.size)
+    # base generators in coordinate 0 suffice: conjugation by the
+    # transitive top spreads them to every coordinate
+    conjugators = [(tuple([g] + [0] * (p - 1)), Permutation.identity(p))
+                   for g in A.generator_ids()]
+    conjugators.append(((0,) * p, sigma))
+    if p > 2:
+        u = _primitive_root(p)
+        power_map = Permutation([(i * u) % p for i in range(p)])
+        conjugators.append(((0,) * p, power_map))
+    measured = int(wg.conjugation_orbit([alpha], conjugators).size)
 
     return HpConstruction(
         group=wg,

@@ -139,11 +139,16 @@ def test_pmf_bound_random_matches_fraction_reference(seed):
 def test_pmf_bound_violation_records_match_fraction_reference(monkeypatch):
     kernel = mn.pmf_kernel
     monkeypatch.setattr(mn, "pmf_kernel", lambda numer, counts: 2 * kernel(numer, counts))
-    for kwargs in ({"mode": "exhaustive", "max_k": 3, "max_denom": 4, "max_n": 4},
-                   {"mode": "random", "samples": 300, "seed": 3}):
-        report = pmf_bound_check(**kwargs)
-        assert report["violations"]
-        assert report == reference_pmf_bound_check(scale=2, **kwargs)
+    report = pmf_bound_check("random", samples=300, seed=3)
+    assert report["violations"]
+    assert report == reference_pmf_bound_check("random", samples=300, seed=3, scale=2)
+    # a smaller exhaustive sweep, so the Fraction reference stays quick
+    for name, value in (("PMF_MAX_K", 3), ("PMF_MAX_DENOM", 4), ("PMF_MAX_N", 4)):
+        monkeypatch.setattr(mn, name, value)
+    report = pmf_bound_check("exhaustive")
+    assert report["violations"]
+    assert report == reference_pmf_bound_check("exhaustive", max_k=3, max_denom=4,
+                                               max_n=4, scale=2)
 
 
 def test_pmf_matches_fraction_formula():
