@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .permcore import (FiniteGroup, GroupError, Permutation, ResourceLimit,
-                       TooLarge, _encode_rows, conjugacy_classes, dimino, orbits,
+                       TooLarge, conjugacy_classes, dimino, lex_order, orbits,
                        sweep, validate_automorphism, POINT_DTYPE)
 
 MAX_AUT_CARRIER = 2000
@@ -188,17 +188,16 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Aut
         survivors = _extend_and_filter(T, survivors, cand, gen_ids[: j + 1])
     c = np.array(G.generator_ids(), dtype=np.int64)
     inner = T[T[c, :], G.inverse_ids()[c][:, None]]  # conjugation by c
-    auts = dimino(np.concatenate([inner, survivors])).elements
-    aut_group = _group_from_permutation_rows(auts)
-    result = AutomorphismGroup(G, aut_group)
+    auts = dimino(np.concatenate([inner, survivors]))
+    result = AutomorphismGroup(G, _group_from_permutation_rows(auts.elements, auts.base))
     _validate_aut_group(G, result)
     return result
 
 
-def _group_from_permutation_rows(rows: np.ndarray) -> FiniteGroup:
-    """Wrap the complete set of automorphisms `rows` as a FiniteGroup, keeping
-    the generators `dimino` picks over the canonical order."""
-    mat = rows[np.argsort(_encode_rows(rows))]
+def _group_from_permutation_rows(rows: np.ndarray, base: Sequence[int]) -> FiniteGroup:
+    """Wrap the complete set of automorphisms `rows`, no two alike on `base`, as
+    a FiniteGroup, keeping the generators `dimino` picks over `lex_order`."""
+    mat = rows[lex_order(rows, base)]
     closed = dimino(mat)
     if closed.elements.shape[0] != mat.shape[0]:
         raise GroupError("automorphism set is not closed under composition")

@@ -176,6 +176,12 @@ def projective_perms(F: Field, pts: np.ndarray, mats, twist=None) -> np.ndarray:
     return np.searchsorted(_point_codes(F, pts), _point_codes(F, F.mul(img, scale)))
 
 
+def isotropic_points(F: Field, d: int) -> np.ndarray:
+    """The projective points v with <v, v> = 0, in canonical order."""
+    pts = projective_points(F, d)
+    return pts[hermitian_inner(F, pts, pts) == 0]
+
+
 def sl_generators(F: Field, d: int) -> np.ndarray:
     """Elementary transvections along the superdiagonal chain, one for each
     element p^k of the polynomial basis; these generate SL_d(q) for every
@@ -200,8 +206,7 @@ def su_generators(F: Field, d: int) -> np.ndarray:
     q = F.p ** (F.f // 2)
     if (d, q) == (3, 2):
         return _unitary_matrices(F, d)
-    pts = projective_points(F, d)
-    iso = pts[hermitian_inner(F, pts, pts) == 0]
+    iso = isotropic_points(F, d)
     if not iso.size:
         raise BadParameter("no isotropic vectors; SU needs d >= 2")
     lam0 = next(x for x in range(1, F.q) if F.add(x, F.pow(x, q)) == 0)
@@ -258,8 +263,8 @@ def projective_order(kind: str, d: int, q: int) -> int:
 
 def projective_group(kind: str, d: int, q: int,
                      limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
-    """PGL/PSL/PGU/PSU_d(q) acting on the projective points of the natural
-    module (over F_{q^2} for the unitary kinds)."""
+    """PGL/PSL_d(q) on the projective points of the natural module, PGU/PSU_d(q)
+    on its isotropic points only (over F_{q^2}), which they permute faithfully."""
     kind = kind.upper()
     if kind not in ("GL", "SL", "GU", "SU"):
         raise BadParameter(f"kind must be GL, SL, GU or SU, not {kind!r}")
@@ -272,17 +277,17 @@ def projective_group(kind: str, d: int, q: int,
     p, f = _prime_power(q)
     if kind in ("GL", "SL"):
         F = make_field(p, f)
-        mats = sl_generators(F, d)
+        mats, pts = sl_generators(F, d), projective_points(F, d)
         extra = F.primitive_element()  # determinant of order q-1
     else:
         F = make_field(p, 2 * f)
-        mats = su_generators(F, d)
+        mats, pts = su_generators(F, d), isotropic_points(F, d)
         extra = F.pow(F.primitive_element(), q - 1)  # norm-1 element of order q+1
     if kind in ("GL", "GU"):
         mats = np.concatenate([mats, _diag(d, extra)])
 
     name = f"p{kind.lower()}({d},{q})"
-    gens = [Permutation(r) for r in projective_perms(F, projective_points(F, d), mats)]
+    gens = [Permutation(r) for r in projective_perms(F, pts, mats)]
     G = close_group(gens, limit=limit, name=name)
     if G.order != expected:
         raise GeneratorDeficiency(
@@ -291,17 +296,13 @@ def projective_group(kind: str, d: int, q: int,
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            f = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                f += 1
-            if m != 1:
-                raise BadParameter(f"{q} is not a prime power")
-            return p, f
-    raise BadParameter(f"{q} is not a prime power")
+    p = next((p for p in range(2, q + 1) if q % p == 0), None)  # q's least prime factor
+    f = 1
+    while p is not None and p ** f < q:
+        f += 1
+    if p is None or p ** f != q:
+        raise BadParameter(f"{q} is not a prime power")
+    return p, f
 
 
 # -- Aut(PSL_3(4)) on points + lines of PG(2,4) -----------------------------
@@ -368,11 +369,10 @@ def resolve(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     m = _NAME_RE.match(key)
     if not m:
         raise BadParameter(f"cannot parse group name {name!r}")
-    base, a, b = m.group(1), m.group(2), m.group(3)
-    a = int(a) if a is not None else None
-    b = int(b) if b is not None else None
+    base, a, b = m.groups()
     if a is None:
         raise BadParameter(f"group name {name!r} needs a parameter")
+    a, b = int(a), (None if b is None else int(b))
     if base == "sym" and b is None:
         return sym(a, limit)
     if base == "alt" and b is None:

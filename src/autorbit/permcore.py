@@ -5,8 +5,9 @@ Conventions, fixed globally:
 * points are 0-based;
 * composition is right-to-left: ``compose(p, q)`` maps ``x`` to ``p(q(x))``;
 * groups store their full element list, sorted lexicographically by image
-  array, so element ids (and everything derived from them: class numbering,
-  coset numbering, orbit output) are reproducible across runs;
+  array (no two elements agree on the base, so the points up to its largest
+  one decide the order: `lex_order`), so element ids (and everything derived
+  from them: class numbering, coset numbering, orbit output) are reproducible;
 * the identity is always element id 0 (it is the lexicographic minimum).
 
 Groups are enumerated by one Dimino closure (``dimino``): a generator the
@@ -216,11 +217,11 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     return Permutation(images)
 
 
-def _encode_rows(mat: np.ndarray) -> np.ndarray:
-    """Rows as fixed-width byte strings whose byte order matches
-    lexicographic order on the integer entries (big-endian cast)."""
-    be = np.ascontiguousarray(mat.astype(">u2"))
-    return be.view(f"S{2 * mat.shape[1]}").ravel()
+def lex_order(rows: np.ndarray, base: Sequence[int]) -> np.ndarray:
+    """The permutation that sorts `rows` lexicographically, given a `base` on
+    which no two of them agree: two rows then first differ at a point no
+    larger than max(base), so the points 0..max(base) decide the order."""
+    return np.lexsort(rows[:, max(base)::-1].T)
 
 
 class _RowIndex:
@@ -558,7 +559,7 @@ class FiniteGroup:
 def close_group(generators: Sequence[Permutation], limit: int = DEFAULT_CLOSURE_LIMIT,
                 degree: int | None = None, name: str | None = None) -> FiniteGroup:
     """Enumerate the group generated by `generators` (`dimino`), in the
-    canonical order; the group keeps the generators the closure did not drop."""
+    canonical order (`lex_order`); the group keeps the generators dimino kept."""
     if generators:
         degrees = {g.degree for g in generators}
         if len(degrees) != 1:
@@ -568,7 +569,7 @@ def close_group(generators: Sequence[Permutation], limit: int = DEFAULT_CLOSURE_
         raise ValueError("need a degree for the empty generating set")
     rows = np.array([g.images for g in generators], dtype=POINT_DTYPE).reshape(-1, degree)
     closed = dimino(rows, limit)
-    mat = closed.elements[np.argsort(_encode_rows(closed.elements))]
+    mat = closed.elements[lex_order(closed.elements, closed.base)]
     return FiniteGroup(degree, [generators[k] for k in closed.kept], mat, name=name,
                        base=closed.base)
 

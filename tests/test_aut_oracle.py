@@ -16,9 +16,18 @@ import numpy as np
 import pytest
 
 from autorbit import catalog
-from autorbit.autgrp import AutomorphismGroup, _fingerprint_labels, automorphism_group
-from autorbit.permcore import (POINT_DTYPE, GroupError, Permutation,
-                               _encode_rows, close_group, conjugacy_classes)
+from autorbit.autgrp import (AutomorphismGroup, _fingerprint_labels,
+                             _group_from_permutation_rows, automorphism_group)
+from autorbit.cli import NONSOLVABLE_LIST
+from autorbit.permcore import (POINT_DTYPE, GroupError, Permutation, close_group,
+                               conjugacy_classes)
+
+
+def encode_rows(mat):
+    """Rows as fixed-width byte strings whose byte order matches
+    lexicographic order on the integer entries (big-endian cast)."""
+    be = np.ascontiguousarray(mat.astype(">u2"))
+    return be.view(f"S{2 * mat.shape[1]}").ravel()
 
 
 def order_of_images(images):
@@ -125,7 +134,7 @@ def extend_along_words(T, survivors, cand, members, parent, via, gen_ids):
 def group_from_permutation_rows(rows, degree):
     """The complete set of permutations as a FiniteGroup, with generators
     picked greedily over the canonical order."""
-    mat = rows[np.argsort(_encode_rows(rows))]
+    mat = rows[np.argsort(encode_rows(rows))]
     gens = []
     G = close_group([], degree=degree)
     for row in mat:
@@ -224,6 +233,17 @@ def test_power_profiles_refine_order_and_class_size():
 @pytest.mark.parametrize("name, aut_order", SLOW_CATALOG)
 def test_matches_oracle_slow(name, aut_order):
     assert_same_aut(catalog.resolve(name), aut_order)
+
+
+@pytest.mark.parametrize("name", NONSOLVABLE_LIST + ["extraspecial(3)", "cyclic1"])
+def test_aut_rows_are_sorted_as_the_byte_keys(name):
+    # the rows of Aut(G) in any order, with a base that tells them apart, come
+    # out in the order of their full-row byte strings
+    A = automorphism_group(catalog.resolve(name)).group
+    rows = A.elements[np.random.default_rng(A.order).permutation(A.order)]
+    wrapped = _group_from_permutation_rows(rows, A.base)
+    assert wrapped.elements.tobytes() == rows[np.argsort(encode_rows(rows))].tobytes()
+    assert wrapped.elements.tobytes() == A.elements.tobytes()
 
 
 def assert_orders_and_labels_match(G):

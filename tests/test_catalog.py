@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from autorbit import catalog, permcore as pc
+from autorbit.autgrp import MAX_AUT_CARRIER, automorphism_group, maol
 from autorbit.catalog import (BadParameter, hermitian_inner, is_unitary,
                               projective_group, projective_order, resolve,
                               su_generators)
@@ -161,31 +162,42 @@ def _prime_powers(bound):
     return out
 
 
+def _degree(kind, d, q):
+    """Points of the action: all of PG(d-1, q) for PSL/PGL, the isotropic
+    points of PG(d-1, q^2) for PSU/PGU."""
+    if kind in ("SU", "GU"):
+        return (q ** d - (-1) ** d) * (q ** (d - 1) - (-1) ** (d - 1)) // (q * q - 1)
+    return (q ** d - 1) // (q - 1)
+
+
 def _covered():
     """Every PSL/PGL/PSU/PGU with d <= 4 and order <= 10^5.  Those whose
-    element array exceeds 2*10^7 entries (13 of the PSU/PGU_2(q), 29 <= q
-    <= 53, which act on q^2 + 1 points) run under --runslow."""
+    element array exceeds 2*10^7 entries run under --runslow; none does
+    since the unitary groups act on their isotropic points."""
     for d in (2, 3, 4):
         for q in _prime_powers(60):  # |PSL_2(q)| > 10^5 from q = 59 on
             for kind in ("SL", "GL", "SU", "GU"):
                 order = projective_order(kind, d, q)
                 if order <= 100_000:
-                    qq = q * q if kind in ("SU", "GU") else q
-                    degree = (qq ** d - 1) // (qq - 1)
-                    marks = [pytest.mark.slow] if order * degree > 2 * 10 ** 7 else []
+                    marks = [pytest.mark.slow] if order * _degree(kind, d, q) > 2 * 10 ** 7 else []
                     yield pytest.param(kind, d, q, marks=marks,
                                        id=f"p{kind.lower()}({d},{q})")
 
 
 @pytest.mark.parametrize("kind,d,q", list(_covered()))
 def test_every_small_projective_group_closes_to_its_order(kind, d, q):
-    assert projective_group(kind, d, q).order == projective_order(kind, d, q)
+    G = projective_group(kind, d, q)
+    assert G.order == projective_order(kind, d, q) and G.degree == _degree(kind, d, q)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("kind,order", [("SU", 126_000), ("GU", 378_000)])
+@pytest.mark.parametrize("kind,order", [
+    ("SU", 126_000), pytest.param("GU", 378_000, marks=pytest.mark.slow)])
 def test_unitary_groups_over_f25(kind, order):
     assert projective_group(kind, 3, 5).order == order
+
+
+def test_mcs_psu35():
+    assert pc.mcs(projective_group("SU", 3, 5)) == 7
 
 
 @pytest.mark.parametrize("example", [e for _, _, e in catalog.CATALOG_ENTRIES])
@@ -193,14 +205,68 @@ def test_catalog_examples_resolve(example):
     assert resolve(example).order > 1
 
 
+# -- the unitary groups on their isotropic points, against all points ---------
+
+def _all_points_group(kind, d, q):
+    """PSU/PGU_d(q) on every point of PG(d-1, q^2), as the catalog built it
+    before it kept the isotropic points only, and the isotropic points' indices."""
+    p, f = catalog._prime_power(q)
+    F = make_field(p, 2 * f)
+    mats = su_generators(F, d)
+    if kind == "GU":
+        mats = np.concatenate([mats, catalog._diag(d, F.pow(F.primitive_element(), q - 1))])
+    pts = catalog.projective_points(F, d)
+    gens = [pc.Permutation(r) for r in catalog.projective_perms(F, pts, mats)]
+    return pc.close_group(gens), np.flatnonzero(hermitian_inner(F, pts, pts) == 0)
+
+
+@pytest.mark.parametrize("kind,d,q", [
+    ("GU", 3, 2), ("SU", 3, 3), ("GU", 4, 2), ("GU", 3, 4), ("SU", 2, 7)])
+def test_isotropic_elements_are_the_all_points_elements_restricted(kind, d, q):
+    # the old elements on the isotropic columns, renumbered in point order
+    # and sorted, are the new elements byte for byte
+    old, iso = _all_points_group(kind, d, q)
+    label = np.full(old.degree, -1)
+    label[iso] = np.arange(iso.size)
+    rows = label[old.elements[:, iso]]
+    assert rows.min() >= 0  # the isotropic points are permuted among themselves
+    rows = rows.astype(pc.POINT_DTYPE)[np.lexsort(rows.T[::-1])]
+    assert projective_group(kind, d, q).elements.tobytes() == rows.tobytes()
+
+
+def _unitary_cases():
+    """The unitary groups of `_covered`.  Those whose all-points element array
+    exceeds 2*10^7 entries (13 of the PSU/PGU_2(q), 29 <= q <= 53, on q^2 + 1
+    points) run under --runslow."""
+    for case in _covered():
+        kind, d, q = case.values
+        if kind in ("SU", "GU"):
+            every = (q ** (2 * d) - 1) // (q * q - 1)
+            slow = projective_order(kind, d, q) * every > 2 * 10 ** 7
+            yield pytest.param(kind, d, q, marks=[pytest.mark.slow] if slow else [], id=case.id)
+
+
+@pytest.mark.parametrize("kind,d,q", list(_unitary_cases()))
+def test_unitary_invariants_match_the_all_points_build(kind, d, q):
+    new, (old, _) = projective_group(kind, d, q), _all_points_group(kind, d, q)
+    assert new.order == old.order
+    assert pc.mcs(new) == pc.mcs(old)
+    assert sorted(pc.conjugacy_classes(new).sizes) == sorted(pc.conjugacy_classes(old).sizes)
+    if new.order <= MAX_AUT_CARRIER:
+        A, B = automorphism_group(new), automorphism_group(old)
+        assert A.order == B.order
+        assert maol(new, A).orbit_sizes == maol(old, B).orbit_sizes
+
+
 # sha256 of the element arrays as built by the tables-and-polynomials catalog
-# this array path replaced; reordered ids would change them
+# this array path replaced; reordered ids would change them.  The unitary ones
+# are of the action on isotropic points, which the all-points build checks above
 ELEMENT_DIGESTS = {
     "pgl(3,4)": "232c960f286ccf94232312e0547a1f60735ac934249f36e851d0900a9f75fb50",
-    "pgu(3,2)": "b54ed051fd9868d7330f5a89efd715d24908277fa39f4b698be973d024d3d888",
-    "pgu(3,4)": "c52a7d3bead5ae75dca43731bb804de43ddfffce520a44e69f89ab6c911dec44",
-    "pgu(4,2)": "2982443412626e238c3796ae3279d1935267c8adf825db6795ace63efd6f3247",
-    "psu(3,3)": "5e285e3ababa3c3300cccd6e5f11fb45f5c8575b8ff50f83cab4e0640b398c93",
+    "pgu(3,2)": "748279c3a86cd1c7197bfc988797993f9809b3fe4e8fa089ec793487b185e72a",
+    "pgu(3,4)": "2f37c09adad3989683f8598150710bce252da9291526eec0bc3489dce01a228c",
+    "pgu(4,2)": "aee9f6adc40b4165d1cb5ed0bf5c9b844abc8759433dc5f8af0b3ea687dad339",
+    "psu(3,3)": "0877d27479244ac9b339f251898aa8a1b5ea80f7b34af9bc9a5b0222ce8b3368",
     "psl(3,4)": "1f3c0cfc9ebf19184fc677b8fdb49af0b63cec888f8621eba12b82a061198d96",
 }
 

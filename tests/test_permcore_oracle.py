@@ -18,8 +18,15 @@ from hypothesis import given, settings, strategies as st
 
 from autorbit import catalog
 from autorbit.cli import NONSOLVABLE_LIST
-from autorbit.permcore import (POINT_DTYPE, FiniteGroup, GroupError, Permutation,
-                               _encode_rows, _RowIndex, close_group, conjugacy_classes)
+from autorbit.permcore import (POINT_DTYPE, FiniteGroup, GroupError, Permutation, _RowIndex,
+                               close_group, conjugacy_classes, dimino, lex_order)
+
+
+def encode_rows(mat):
+    """Rows as fixed-width byte strings whose byte order matches
+    lexicographic order on the integer entries (big-endian cast)."""
+    be = np.ascontiguousarray(mat.astype(">u2"))
+    return be.view(f"S{2 * mat.shape[1]}").ravel()
 
 
 def oracle_elements(generators, degree):
@@ -36,12 +43,12 @@ def oracle_elements(generators, degree):
         frontier = np.array(new_rows, dtype=POINT_DTYPE).reshape(-1, degree)
         rows.extend(new_rows)
     mat = np.array(rows, dtype=POINT_DTYPE)
-    return mat[np.argsort(_encode_rows(mat))]
+    return mat[np.argsort(encode_rows(mat))]
 
 
 def oracle_ids_of(keys, mat):
     """Ids by `searchsorted` of the rows' full byte keys in the sorted `keys`."""
-    query = _encode_rows(np.asarray(mat, dtype=POINT_DTYPE))
+    query = encode_rows(np.asarray(mat, dtype=POINT_DTYPE))
     pos = np.searchsorted(keys, query)
     if np.any(pos >= len(keys)) or not np.array_equal(keys[pos], query):
         raise GroupError("permutation not in group")
@@ -51,7 +58,7 @@ def oracle_ids_of(keys, mat):
 def oracle_class_of(elements, generators):
     """One BFS per class, conjugating the frontier by every generator."""
     class_of = np.full(len(elements), -1, dtype=np.int64)
-    keys, n_classes = _encode_rows(elements), 0
+    keys, n_classes = encode_rows(elements), 0
     pairs = [(g.images, g.inverse().images) for g in generators]
     for start in range(len(elements)):
         if class_of[start] >= 0:
@@ -78,7 +85,7 @@ def assert_matches_oracle(G, generators):
     a, b = rng.integers(G.order, size=(2, min(G.order, 500)))
     query = np.concatenate([np.take_along_axis(mat[a], mat[b], axis=1),  # products
                             np.argsort(mat, axis=1), mat[::-1]])
-    assert np.array_equal(G.ids_of(query), oracle_ids_of(_encode_rows(mat), query))
+    assert np.array_equal(G.ids_of(query), oracle_ids_of(encode_rows(mat), query))
 
 
 def assert_kept_generators(G, generators):
@@ -190,14 +197,58 @@ def test_c2_14_needs_a_14_point_base():
     assert_kept_generators(G, gens)
 
 
+def byte_key_fold(index, images):
+    """The keys before the uint64 fold: base images as big-endian byte strings."""
+    return encode_rows(images)
+
+
 @pytest.mark.parametrize("name, base", [
-    ("autpsl34", [0, 1, 5, 2, 6, 3]), ("pgu(3,4)", [0, 2, 18]), ("pgl(3,4)", [0, 1, 5, 2, 6]),
-    ("pgu(4,2)", [0, 2, 22, 6]), ("alt7", [0, 2, 1, 4, 3]),
+    ("autpsl34", [0, 1, 5, 2, 6, 3]), ("pgu(3,4)", [0, 1, 2, 5]), ("pgl(3,4)", [0, 1, 5, 2, 6]),
+    ("pgu(4,2)", [0, 1, 9, 3]), ("alt7", [0, 2, 1, 4, 3]),
 ])
-def test_the_exact_fold_keeps_the_byte_key_bases(name, base):
+def test_the_exact_fold_keeps_the_byte_key_bases(monkeypatch, name, base):
     # uint64 keys are ordered as the byte-string keys before them, so `add_new`
     # meets the same clashes in the same order and picks the same base points
     assert catalog.resolve(name).base == base
+    monkeypatch.setattr(_RowIndex, "_fold", byte_key_fold)
+    assert catalog.resolve(name).base == base
+
+
+def assert_byte_order(rows, base):
+    """`lex_order` on `base` sorts `rows` as their full-row byte strings do."""
+    assert np.array_equal(lex_order(rows, base), np.argsort(encode_rows(rows)))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_close_group_sorts_as_the_byte_keys(name):
+    G = catalog.resolve(name)
+    closed = dimino(np.array([g.images for g in G.generators]).reshape(-1, G.degree))
+    assert_byte_order(closed.elements, closed.base)
+    in_byte_order = closed.elements[np.argsort(encode_rows(closed.elements))]
+    assert G.elements.tobytes() == in_byte_order.tobytes()
+
+
+def test_close_group_sorts_the_trivial_group():
+    G = close_group([], degree=3)
+    assert G.elements.tolist() == [[0, 1, 2]] and G.base == [0]
+    assert_byte_order(G.elements, G.base)
+
+
+@pytest.mark.slow
+def test_close_group_sorts_autpsl34_as_the_byte_keys():
+    G = catalog.resolve("autpsl34")
+    keys = encode_rows(G.elements)
+    assert np.all(keys[:-1] < keys[1:])
+
+
+def test_lex_order_reads_a_base_that_is_not_a_prefix():
+    # pgu(4,2) tells its elements apart on [0, 1, 9, 3]: the order is read
+    # off points 0..9, of which 2 and 4..8 are off the base
+    G = catalog.resolve("pgu(4,2)")
+    assert G.base == [0, 1, 9, 3]
+    rows = G.elements[np.random.default_rng(0).permutation(G.order)]
+    assert_byte_order(rows, G.base)
+    assert np.array_equal(rows[lex_order(rows, G.base)], G.elements)
 
 
 def test_base_agreement_does_not_make_a_member():
