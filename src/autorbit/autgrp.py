@@ -1,9 +1,9 @@
 """Automorphism groups of small groups by backtracking over generator images
 modulo Inn(G) on the Cayley table, with fingerprint pruning; Aut-orbit reports.
 
-Automorphisms are permutations of element ids (degree = |G|), and the full
-automorphism group is itself wrapped as a FiniteGroup acting on those ids, so
-orbit, conjugacy-class and quotient machinery applies to it unchanged.
+Automorphisms are permutations of element ids (degree = |G|), and Aut(G) is
+a plain FiniteGroup acting on those ids, so orbit, conjugacy-class and
+quotient machinery applies to it unchanged.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from .permcore import (FiniteGroup, GroupError, Permutation, ResourceLimit,
                        TooLarge, conjugacy_classes, dimino, lex_order, orbits,
                        sweep, validate_automorphism, POINT_DTYPE)
+from .reports import encode_value
 
 MAX_AUT_CARRIER = 2000
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -28,21 +29,6 @@ class BudgetExceeded(ResourceLimit):
 
 class ActionMismatch(GroupError):
     pass
-
-
-@dataclass
-class AutomorphismGroup:
-    """Aut(G) represented on element ids of the carrier group."""
-
-    carrier: FiniteGroup
-    group: FiniteGroup  # permutation group of degree |carrier|
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-    def generator_images(self) -> list[np.ndarray]:
-        return [g.images for g in self.group.generators]
 
 
 @dataclass
@@ -59,7 +45,7 @@ class OrbitReport:
             "order": self.order,
             "orbitSizes": self.orbit_sizes,
             "MAOL": self.maol_absolute,
-            "maol": f"{self.maol.numerator}/{self.maol.denominator}",
+            "maol": encode_value(self.maol),
         }
 
 
@@ -164,11 +150,12 @@ def _extend_and_filter(T: np.ndarray, survivors: np.ndarray, cand: np.ndarray,
     return np.concatenate(kept, axis=0)
 
 
-def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> AutomorphismGroup:
-    """Complete Aut(G) modulo Inn(G) (Cannon & Holt 2003): candidate images of
-    each generator extend the surviving partial homomorphisms one generator at
-    a time, the first generator's only up to conjugacy, and Aut(G) is closed
-    from Inn(G) and the survivors.  `budget` bounds the number of maps built."""
+def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> FiniteGroup:
+    """Aut(G) as a group of permutations of G's element ids, found modulo
+    Inn(G) (Cannon & Holt 2003): candidate images of each generator extend the
+    surviving partial homomorphisms one generator at a time, the first
+    generator's only up to conjugacy, and Aut(G) is closed from Inn(G) and the
+    survivors.  `budget` bounds the number of maps built."""
     if G.order > MAX_AUT_CARRIER:
         raise TooLarge(f"|G| = {G.order} exceeds the {MAX_AUT_CARRIER} carrier guard")
     n, T = G.order, G.cayley()
@@ -186,12 +173,16 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Aut
         if built > budget:
             raise BudgetExceeded(f"search built {built} maps, budget {budget}")
         survivors = _extend_and_filter(T, survivors, cand, gen_ids[: j + 1])
-    c = np.array(G.generator_ids(), dtype=np.int64)
-    inner = T[T[c, :], G.inverse_ids()[c][:, None]]  # conjugation by c
-    auts = dimino(np.concatenate([inner, survivors]))
-    result = AutomorphismGroup(G, _group_from_permutation_rows(auts.elements, auts.base))
-    _validate_aut_group(G, result)
-    return result
+    auts = dimino(np.concatenate([_conjugation_rows(G, G.generator_ids()), survivors]))
+    A = _group_from_permutation_rows(auts.elements, auts.base)
+    _validate_aut_group(G, A)
+    return A
+
+
+def _conjugation_rows(G: FiniteGroup, ids) -> np.ndarray:
+    """Row k: the id map x -> g x g^-1 of G for g = ids[k]."""
+    T, ids = G.cayley(), np.asarray(ids, dtype=np.int64)
+    return T[T[ids], G.inverse_ids()[ids][:, None]]
 
 
 def _group_from_permutation_rows(rows: np.ndarray, base: Sequence[int]) -> FiniteGroup:
@@ -205,30 +196,30 @@ def _group_from_permutation_rows(rows: np.ndarray, base: Sequence[int]) -> Finit
                        base=closed.base)
 
 
-def _validate_aut_group(G: FiniteGroup, A: AutomorphismGroup):
+def _validate_aut_group(G: FiniteGroup, A: FiniteGroup):
     """A's generators preserve G's multiplication (checked on permutations, not
     on the Cayley table), and A holds all |G|/|Z(G)| inner automorphisms."""
-    if not all(validate_automorphism(G, phi.images) for phi in A.group.generators):
+    if not all(validate_automorphism(G, phi.images) for phi in A.generators):
         raise GroupError("a generator of the Aut search result is not an automorphism")
     n_inner = G.order // G.center_ids().size
-    if A.order % n_inner != 0 or inner_automorphism_ids(A).size != n_inner:
+    if A.order % n_inner != 0 or inner_automorphism_ids(G, A).size != n_inner:
         raise GroupError("|Inn| is not |G|/|Z(G)| or does not divide |Aut|")
 
 
-def inner_automorphism_ids(A: AutomorphismGroup) -> np.ndarray:
-    """Ids, inside A.group, of the inner automorphisms of the carrier; for a
-    centerless carrier this is the canonical embedded copy of it."""
-    T, inv = A.carrier.cayley(), A.carrier.inverse_ids()
-    inner_rows = T[T, inv[:, None]].astype(POINT_DTYPE)  # row g: x -> g x g^-1
-    return np.unique(A.group.ids_of(inner_rows))
+def inner_automorphism_ids(G: FiniteGroup, A: FiniteGroup) -> np.ndarray:
+    """Ids, inside A (automorphisms of G on its element ids), of the inner
+    automorphisms of G; for a centerless G this is the canonical embedded
+    copy of it."""
+    rows = _conjugation_rows(G, np.arange(G.order)).astype(POINT_DTYPE)
+    return np.unique(A.ids_of(rows))
 
 
-def maol(G: FiniteGroup, A: AutomorphismGroup) -> OrbitReport:
-    """Orbit report of Aut(G) acting on G's element ids."""
-    if A.group.degree != G.order:
+def maol(G: FiniteGroup, A: FiniteGroup) -> OrbitReport:
+    """Orbit report of Aut(G), given on G's element ids, acting on G."""
+    if A.degree != G.order:
         raise ActionMismatch("automorphism degree does not match carrier order")
-    sizes = sorted((int(o.size) for o in orbits(A.generator_images(), G.order)[0]),
-                   reverse=True)
+    sizes = sorted((int(o.size) for o in orbits([g.images for g in A.generators],
+                                                G.order)[0]), reverse=True)
     biggest = sizes[0]
     return OrbitReport(
         name=G.name or "group",

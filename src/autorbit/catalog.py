@@ -92,24 +92,6 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return F.sum(F.mul(A[..., :, :, None], B[..., None, :, :]), axis=-2)
 
 
-def mat_inv(F: Field, A: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan inverse of one matrix; raises on singular input."""
-    d = len(A)
-    aug = [[int(x) for x in A[i]] + [1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise BadParameter("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = F.inv(aug[col][col])
-        aug[col] = [F.mul(scale, x) for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(aug[r], aug[col])]
-    return np.array([row[d:] for row in aug])
-
-
 def hermitian_inner(F: Field, u, v):
     """<u, v> = sum u_i * conj(v_i) over the last axis (identity Gram matrix)."""
     return F.sum(F.mul(np.asarray(u), F.conj(np.asarray(v))))
@@ -308,11 +290,14 @@ def _prime_power(q: int) -> tuple[int, int]:
 # -- Aut(PSL_3(4)) on points + lines of PG(2,4) -----------------------------
 
 def _point_line_perms(F: Field, pts: np.ndarray, mats, twist=None) -> np.ndarray:
-    """Each M on the points and, by its inverse transpose, on the lines of
-    PG(2,q), numbered after the points."""
-    inv_t = [mat_inv(F, M).T for M in mats]
-    return np.hstack([projective_perms(F, pts, mats, twist),
-                      len(pts) + projective_perms(F, pts, inv_t, twist)])
+    """Each M on the points and on the lines of PG(2,q), numbered after the
+    points: line j = {v : pts[j].v = 0} goes to the line through the images of
+    two of its points."""
+    on = mat_mul(F, pts, pts.T) == 0  # on[j, i]: point i lies on line j
+    a, b = np.argsort(~on, axis=1, kind="stable")[:, :2].T  # two points of each line
+    through = np.argmax(on[:, :, None] & on[:, None, :], axis=0)  # the line through 2 points
+    img = projective_perms(F, pts, mats, twist)
+    return np.hstack([img, len(pts) + through[img[:, a], img[:, b]]])
 
 
 def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:

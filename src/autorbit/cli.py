@@ -18,11 +18,11 @@ from . import catalog
 from . import multinomial as mn
 from . import stypes
 from . import wreath
-from .autgrp import automorphism_group, inner_automorphism_ids, maol
+from .autgrp import DEFAULT_NODE_BUDGET, automorphism_group, inner_automorphism_ids, maol
 from .catalog import BadParameter
 from .fields import _is_prime
-from .permcore import (DegreeMismatch, FiniteGroup, ResourceLimit, conjugacy_classes,
-                       load_group_file, mcs)
+from .permcore import (DEFAULT_CLOSURE_LIMIT, DegreeMismatch, FiniteGroup, ResourceLimit,
+                       conjugacy_classes, load_group_file, mcs)
 from .reports import (FAIL, PASS, ReportItem, SuiteRunner,
                       VerificationReport, encode_value, print_report, write_text)
 
@@ -55,7 +55,7 @@ def aut_pair(name: str, limit: int, budget: int) -> tuple[FiniteGroup, np.ndarra
         return A, catalog.psl34_socle_ids(A)
     S = catalog.resolve(name, limit=limit)
     A = automorphism_group(S, budget=budget)
-    return A.group, inner_automorphism_ids(A)
+    return A, inner_automorphism_ids(S, A)
 
 
 # -- simple subcommands -------------------------------------------------------
@@ -122,8 +122,8 @@ def cmd_aut(args) -> int:
         "group": G.name,
         "order": G.order,
         "autOrder": A.order,
-        "generators": [g.images.tolist() for g in A.group.generators],
-        "automorphisms": [row.tolist() for row in A.group.elements],
+        "generators": [g.images.tolist() for g in A.generators],
+        "automorphisms": [row.tolist() for row in A.elements],
     }
     write_text(args.out, json.dumps(payload))
     print(json.dumps({"written": args.out, "autOrder": A.order}))
@@ -138,10 +138,15 @@ def _check_simple(S: FiniteGroup):
         raise BadParameter(f"{S.name} is not a nonabelian simple group")
 
 
-def cmd_h(args) -> int:
+def _simple_aut_pair(args) -> tuple[FiniteGroup, np.ndarray]:
+    """`aut_pair` for --simple, after the usage check that S is simple."""
     name = _strip_name(args.simple)
     _check_simple(catalog.resolve("psl(3,4)" if _is_psl34(name) else name, args.max_order))
-    A, socle = aut_pair(name, args.max_order, args.max_nodes)
+    return aut_pair(name, args.max_order, args.max_nodes)
+
+
+def cmd_h(args) -> int:
+    A, socle = _simple_aut_pair(args)
     table = stypes.class_type_table(A, socle)
     payload = {
         "order": int(socle.size),
@@ -166,15 +171,13 @@ def _strip_name(spec: str) -> str:
 def cmd_construct_hp(args) -> int:
     if not _is_prime(args.p):
         raise BadParameter(f"--p must be a prime, got {args.p}")
-    S = catalog.resolve(_strip_name(args.simple), limit=args.max_order)
-    _check_simple(S)
-    A = automorphism_group(S, budget=args.max_nodes)
+    A, _ = _simple_aut_pair(args)
     sigma_space = A.order ** args.p * args.p
     if sigma_space > SLOW_HP_SPACE and not args.slow:
         print(f"H_{args.p} sweep space is {sigma_space}; rerun with --slow",
               file=sys.stderr)
         return 3
-    hp = wreath.build_hp(S, A, args.p)
+    hp = wreath.build_hp(A, args.p)
     print(json.dumps(hp.to_json()))
     return 0
 
@@ -329,10 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="autorbit",
         description="finite-group automorphism-orbit engine: exact reports "
                     "and verification suites")
-    p.add_argument("--max-order", type=int, default=2_000_000,
-                   help="group enumeration limit (default 2000000)")
-    p.add_argument("--max-nodes", type=int, default=2_000_000,
-                   help="automorphism search budget in maps built (default 2000000)")
+    p.add_argument("--max-order", type=int, default=DEFAULT_CLOSURE_LIMIT,
+                   help=f"group enumeration limit (default {DEFAULT_CLOSURE_LIMIT})")
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET,
+                   help="automorphism search budget in maps built "
+                        f"(default {DEFAULT_NODE_BUDGET})")
     p.add_argument("--time-limit-s", type=float, default=None,
                    help="wall-clock budget for suites; over-budget items are skipped")
     sub = p.add_subparsers(dest="command", required=True)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Sequence
 
+from .reports import encode_value
 from .stypes import ClassTypeTable
 from .wreath import WreathElement, WreathGroup, profile
 
@@ -143,7 +144,7 @@ def verify_lemma3_grids() -> dict:
                 value = lemma3_candidate_value(n, counts)
                 if value > 1:
                     violations.append({"n": n, "k": k, "counts": list(counts),
-                                       "value": f"{value.numerator}/{value.denominator}"})
+                                       "value": encode_value(value)})
     return {"checked": checked, "violations": violations}
 
 
@@ -180,11 +181,10 @@ def pmf_bound_check(mode: str = "exhaustive", samples: int = 0, seed: int = 0) -
         checked += 1
         kernel, scale = pmf_kernel(numer, counts), d ** sum(counts)
         if kernel * d > max(numer) * scale:
-            rho, value = [Fraction(a, d) for a in numer], Fraction(kernel, scale)
             violations.append({
-                "rho": [f"{r.numerator}/{r.denominator}" for r in rho],
+                "rho": encode_value([Fraction(a, d) for a in numer]),
                 "counts": list(counts),
-                "value": f"{value.numerator}/{value.denominator}",
+                "value": encode_value(Fraction(kernel, scale)),
             })
 
     if mode == "exhaustive":

@@ -30,8 +30,6 @@ class GcdViolation(GroupError):
 class OutQuotient:
     """AutS/S with the projection map and the quotient's class structure."""
 
-    ambient: FiniteGroup
-    socle_ids: np.ndarray
     quotient: FiniteGroup
     pi: np.ndarray                # ambient element id -> quotient element id
     classes: ConjClassTable       # conjugacy classes of the quotient
@@ -42,9 +40,8 @@ class OutQuotient:
 
 
 def out_quotient(AutS: FiniteGroup, socle_ids: np.ndarray) -> OutQuotient:
-    socle_ids = np.asarray(socle_ids)
-    Q, pi = quotient_group(AutS, socle_ids, name="out")
-    return OutQuotient(AutS, socle_ids, Q, pi, conjugacy_classes(Q))
+    Q, pi = quotient_group(AutS, np.asarray(socle_ids), name="out")
+    return OutQuotient(Q, pi, conjugacy_classes(Q))
 
 
 @dataclass
@@ -52,8 +49,6 @@ class ClassTypeTable:
     """Per Aut(S)-class data: size, S-type (a class of the Out-quotient) and
     the exact proportion rho(c) = |c| / (|S| * |type(c)|)."""
 
-    ambient: FiniteGroup
-    socle_size: int
     out: OutQuotient
     classes: ConjClassTable
     type_of_class: np.ndarray     # class id -> quotient class id
@@ -80,7 +75,7 @@ def class_type_table(AutS: FiniteGroup, socle_ids: np.ndarray) -> ClassTypeTable
         type_of[cid] = qcls
         rho.append(Fraction(int(cls.size),
                             int(socle_ids.size) * int(out.classes.sizes[qcls])))
-    return ClassTypeTable(AutS, int(np.asarray(socle_ids).size), out, table, type_of, rho)
+    return ClassTypeTable(out, table, type_of, rho)
 
 
 def h_value(AutS: FiniteGroup, socle_ids: np.ndarray) -> Fraction:
@@ -109,7 +104,6 @@ class CoarseQuotient:
     carrier.  For non-Lie-type S the designated subgroup is the socle itself."""
 
     ambient: FiniteGroup
-    d_ids: np.ndarray
     quotient: FiniteGroup
     pi: np.ndarray
 
@@ -131,7 +125,7 @@ def coarse_quotient(AutS: FiniteGroup, d_ids: np.ndarray,
     Q, pi = quotient_group(AutS, d_ids, name="coarse")
     if any(s != 1 for s in conjugacy_classes(Q).sizes):
         raise NonAbelianQuotient("AutS/D is not abelian")
-    return CoarseQuotient(AutS, d_ids, Q, pi)
+    return CoarseQuotient(AutS, Q, pi)
 
 
 def ct_set(wg: WreathGroup, w: WreathElement, coarse: CoarseQuotient) -> frozenset:

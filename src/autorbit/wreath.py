@@ -16,13 +16,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autgrp import AutomorphismGroup
 from .catalog import sym
-from .permcore import (FiniteGroup, GroupError, Permutation, TooLarge,
-                       close_group, conjugacy_classes, cycle_decompose,
+from .permcore import (DEFAULT_CLOSURE_LIMIT, FiniteGroup, GroupError, Permutation,
+                       TooLarge, close_group, conjugacy_classes, cycle_decompose,
                        cycle_type, orbits, sweep, POINT_DTYPE)
+from .reports import encode_value
 
-DEFAULT_WREATH_LIMIT = 2_000_000
 DEFAULT_ORBIT_SPACE = 64_000_000  # visited-array cells for orbit sweeps
 
 
@@ -60,7 +59,7 @@ class WreathGroup:
     """base wr top; `top`, given by generators, defaults to the full
     symmetric group of degree n.
 
-    Carries the base Cayley table, so element arithmetic is table lookups."""
+    Element arithmetic is lookups in the base Cayley table, built on first use."""
 
     def __init__(self, base: FiniteGroup, n: int,
                  top: Sequence[Permutation] | None = None):
@@ -69,13 +68,16 @@ class WreathGroup:
         self.top = sym(n) if top is None else close_group(list(top), degree=n)
         if self.top.degree != n:
             raise ShapeMismatch("top group degree != n")
-        self.T = base.cayley()
         self.base_inv = base.inverse_ids()
         self._top_cycles = [cycle_decompose(self.top.perm(t)).cycles
                             for t in range(self.top.order)]
         self._enum_classes: np.ndarray | None = None
 
     # -- element helpers ------------------------------------------------
+
+    @property
+    def T(self) -> np.ndarray:
+        return self.base.cayley()
 
     @property
     def order(self) -> int:
@@ -222,7 +224,7 @@ class WreathGroup:
             out.append(((0,) * self.n, tp))
         return out
 
-    def class_codes(self, limit: int = DEFAULT_WREATH_LIMIT) -> np.ndarray:
+    def class_codes(self, limit: int = DEFAULT_CLOSURE_LIMIT) -> np.ndarray:
         """class_codes[packed code] = conjugacy class id (orbits of the
         conjugation maps on every packed code), numbered by minimal code."""
         if self._enum_classes is not None:
@@ -322,7 +324,7 @@ def conj_test(wg: WreathGroup, v: WreathElement, w: WreathElement) -> bool:
 
 
 def brute_force_conj(wg: WreathGroup, v: WreathElement, w: WreathElement,
-                     limit: int = DEFAULT_WREATH_LIMIT) -> bool:
+                     limit: int = DEFAULT_CLOSURE_LIMIT) -> bool:
     """Oracle: conjugacy decided on the full enumeration of the wreath group."""
     codes = wg.class_codes(limit=limit)
     return codes[wg.pack(v)] == codes[wg.pack(w)]
@@ -332,20 +334,17 @@ def brute_force_conj(wg: WreathGroup, v: WreathElement, w: WreathElement,
 
 @dataclass
 class HpConstruction:
-    group: WreathGroup
-    alpha: WreathElement
     order: int
     predicted_orbit: int
     measured_orbit: int
     maol_lower_bound: Fraction  # (p-1)/p * maol(Aut(S))
 
     def to_json(self) -> dict:
-        lb = self.maol_lower_bound
         return {
             "order": self.order,
             "predicted": self.predicted_orbit,
             "measured": self.measured_orbit,
-            "maolLowerBound": f"{lb.numerator}/{lb.denominator}",
+            "maolLowerBound": encode_value(self.maol_lower_bound),
         }
 
 
@@ -360,19 +359,16 @@ def _primitive_root(p: int) -> int:
     raise GroupError(f"no primitive root mod {p}")
 
 
-def build_hp(S: FiniteGroup, AutS: AutomorphismGroup, p: int) -> HpConstruction:
-    """Aut(S) wr <sigma> for a p-cycle sigma, with the distinguished element
-    alpha = (alpha_1, 1, ..., 1) sigma, alpha_1 from a largest conjugacy class
-    of Aut(S).  Aut(S) is complete for simple S, so its conjugacy classes are
+def build_hp(A: FiniteGroup, p: int) -> HpConstruction:
+    """A wr <sigma> for A = Aut(S), S simple, and a p-cycle sigma, with the
+    distinguished element alpha = (alpha_1, 1, ..., 1) sigma, alpha_1 from a
+    largest conjugacy class of Aut(S).  Aut(S) is complete for simple S, so its conjugacy classes are
     its automorphism orbits and the predicted orbit length of alpha is
     (p-1) * |alpha_1^Aut(S)| * |Aut(S)|^(p-1).
 
     The measured orbit closes alpha under Aut(S) wr N_{Sym_p}(<sigma>), the
     automorphism group of the construction; the normalizer is generated by
     sigma and the power map sigma -> sigma^u for a primitive root u mod p."""
-    if AutS.carrier is not S and AutS.carrier.order != S.order:
-        raise GroupError("AutS does not belong to S")
-    A = AutS.group
     sigma = Permutation([(i + 1) % p for i in range(p)])
     wg = WreathGroup(A, p, top=[sigma])
     if wg.top.order != p:
@@ -397,8 +393,6 @@ def build_hp(S: FiniteGroup, AutS: AutomorphismGroup, p: int) -> HpConstruction:
     measured = int(wg.conjugation_orbit([alpha], conjugators).size)
 
     return HpConstruction(
-        group=wg,
-        alpha=alpha,
         order=wg.order,
         predicted_orbit=predicted,
         measured_orbit=measured,

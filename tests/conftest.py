@@ -30,8 +30,8 @@ def alt5_aut(alt5):
 
 
 @pytest.fixture(scope="session")
-def alt5_typing(alt5_aut):
-    return class_type_table(alt5_aut.group, inner_automorphism_ids(alt5_aut))
+def alt5_typing(alt5, alt5_aut):
+    return class_type_table(alt5_aut, inner_automorphism_ids(alt5, alt5_aut))
 
 
 @pytest.fixture(scope="session")

@@ -28,8 +28,8 @@ def criterion(label):
 # -- criterion 1: paper-table reproduction, exact equality --------------------
 
 @pytest.fixture(scope="module")
-def alt6_pack(alt6_aut):
-    return alt6_aut.group, inner_automorphism_ids(alt6_aut)
+def alt6_pack(alt6, alt6_aut):
+    return alt6_aut, inner_automorphism_ids(alt6, alt6_aut)
 
 
 PAPER_TABLE_SIMPLE = [
@@ -52,10 +52,9 @@ def test_c1_mcs_aut_alt6(alt6_pack):
         assert pc.mcs(alt6_pack[0]) == 6
 
 
-def test_c1_h_alt5(alt5_aut):
+def test_c1_h_alt5(alt5, alt5_aut):
     with criterion("criterion-1 h(Alt_5) = 1/2"):
-        A = alt5_aut.group
-        assert st.h_value(A, inner_automorphism_ids(alt5_aut)) == Fraction(1, 2)
+        assert st.h_value(alt5_aut, inner_automorphism_ids(alt5, alt5_aut)) == Fraction(1, 2)
 
 
 def test_c1_h_alt6(alt6_pack):
@@ -97,7 +96,7 @@ def test_c1_maol_extraspecial27():
         # (2/3 is the maol of the exponent-9 group of order 27.)
         report = maol(es, A)
         assert report.orbit_sizes == [24, 2, 1]
-        biggest = max(pc.orbits(A.generator_images(), es.order)[0], key=len)
+        biggest = max(pc.orbits([g.images for g in A.generators], es.order)[0], key=len)
         non_central = np.setdiff1d(np.arange(es.order), es.center_ids())
         assert np.array_equal(biggest, non_central)
         assert report.maol == Fraction(24, 27) == Fraction(8, 9)
@@ -170,7 +169,7 @@ def test_c5_pmf_exhaustive():
 
 def test_c6_dominance_full_sweep(alt5_aut, alt5_typing):
     with criterion("criterion-6 brute orbit proportion <= product bound, all 28800 elements"):
-        H = wr.WreathGroup(alt5_aut.group, 2)
+        H = wr.WreathGroup(alt5_aut, 2)
         assert H.order == 28800
         codes = H.class_codes()
         sizes = np.bincount(codes)
@@ -188,19 +187,18 @@ def test_c6_dominance_full_sweep(alt5_aut, alt5_typing):
 
 # -- criterion 7: the large-orbit construction ----------------------------------
 
-def test_c7_hp_p2(alt5, alt5_aut):
+def test_c7_hp_p2(alt5_aut):
     with criterion("criterion-7 H_2 over Alt_5: measured orbit = 3600 = predicted"):
-        hp = wr.build_hp(alt5, alt5_aut, 2)
+        hp = wr.build_hp(alt5_aut, 2)
         assert hp.measured_orbit == hp.predicted_orbit == 3600
         assert Fraction(hp.measured_orbit, hp.order) >= \
-            Fraction(1, 2) * maol(alt5_aut.group,
-                                  automorphism_group(alt5_aut.group)).maol
+            Fraction(1, 2) * maol(alt5_aut, automorphism_group(alt5_aut)).maol
 
 
 @pytest.mark.slow
-def test_c7_hp_p3(alt5, alt5_aut):
+def test_c7_hp_p3(alt5_aut):
     with criterion("criterion-7 H_3 over Alt_5: measured orbit = 864000 = predicted"):
-        hp = wr.build_hp(alt5, alt5_aut, 3)
+        hp = wr.build_hp(alt5_aut, 3)
         assert hp.measured_orbit == hp.predicted_orbit == 864_000
 
 
@@ -256,21 +254,21 @@ def test_c8_maol_monotone_on_characteristic_quotients():
             G = catalog.resolve(name)
             N = _named_subgroup(G, kind)
             A = automorphism_group(G)
-            assert pc.is_characteristic(G, N, A.generator_images())
+            assert pc.is_characteristic(G, N, [g.images for g in A.generators])
             Q = pc.quotient_group(G, N).group
             maol_g = maol(G, A).maol
             maol_q = maol(Q, automorphism_group(Q)).maol
             assert maol_q >= maol_g, (name, kind, maol_q, maol_g)
 
 
-def test_c8_rho_identities_catalog_simples(alt5_aut, alt6_aut, psl28_aut,
+def test_c8_rho_identities_catalog_simples(alt5, alt5_aut, alt6, alt6_aut, psl28, psl28_aut,
                                            aut_psl34, psl34_socle):
     with criterion("criterion-8 rho sums to 1 per type and rho <= h, all catalog simples"):
-        packs = [(a.group, inner_automorphism_ids(a))
-                 for a in (alt5_aut, alt6_aut, psl28_aut)]
+        packs = [(A, inner_automorphism_ids(G, A))
+                 for G, A in ((alt5, alt5_aut), (alt6, alt6_aut), (psl28, psl28_aut))]
         psl32 = catalog.resolve("psl(3,2)")
         a32 = automorphism_group(psl32)
-        packs.append((a32.group, inner_automorphism_ids(a32)))
+        packs.append((a32, inner_automorphism_ids(psl32, a32)))
         packs.append((aut_psl34, psl34_socle))
         for A, socle in packs:
             tab = st.class_type_table(A, socle)
@@ -282,10 +280,10 @@ def test_c8_rho_identities_catalog_simples(alt5_aut, alt6_aut, psl28_aut,
             assert all(r <= tab.h() for r in tab.rho)
 
 
-def test_c8_ct_orbit_constancy_and_power_rule(alt5_aut):
+def test_c8_ct_orbit_constancy_and_power_rule(alt5, alt5_aut):
     with criterion("criterion-8 CT constant on orbits; power rule on seeded samples"):
-        A = alt5_aut.group
-        socle = inner_automorphism_ids(alt5_aut)
+        A = alt5_aut
+        socle = inner_automorphism_ids(alt5, A)
         coarse = st.coarse_quotient(A, socle, socle_ids=socle)
         wg = wr.WreathGroup(A, 2)
         rng = np.random.default_rng(99)
@@ -310,13 +308,15 @@ NONSOLVABLE = ["alt5", "psl(3,2)", "alt6", "psl(2,8)", "sym5", "sym6", "pgl(2,7)
 
 
 @pytest.mark.parametrize("name", NONSOLVABLE)
-def test_c9_nonsolvable_bound(name, alt5_aut, alt6_aut, psl28_aut):
+def test_c9_nonsolvable_bound(name, alt5, alt5_aut, alt6, alt6_aut, psl28, psl28_aut):
     with criterion(f"criterion-9 maol({name}) <= 3/7"):
-        ready = {"alt5": alt5_aut, "alt6": alt6_aut, "psl(2,8)": psl28_aut}
-        G = catalog.resolve(name)
-        A = ready.get(name) or automorphism_group(G)
+        ready = {"alt5": (alt5, alt5_aut), "alt6": (alt6, alt6_aut),
+                 "psl(2,8)": (psl28, psl28_aut)}
         if name in ready:
-            G = A.carrier
+            G, A = ready[name]
+        else:
+            G = catalog.resolve(name)
+            A = automorphism_group(G)
         m = maol(G, A).maol
         assert not pc.is_solvable(G)
         assert m <= Fraction(3, 7)

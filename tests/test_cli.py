@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from autorbit import catalog, cli, wreath
+from autorbit.permcore import DEFAULT_CLOSURE_LIMIT, FiniteGroup
 from autorbit.reports import ReportItem, VerificationReport, encode_value
 
 
@@ -79,10 +80,12 @@ def test_construct_hp(capsys):
 
 
 def test_construct_hp_needs_slow(capsys):
-    code, _, err = run_cli(capsys, "construct", "hp", "--simple", "name:alt5",
-                           "--p", "3")
-    assert code == 3
-    assert "--slow" in err
+    # Aut(PSL_3(4)) comes from `aut_pair`, as for `h`, under either name
+    for simple, p in (("alt5", "3"), ("psl(3,4)", "2"), ("psl34", "2")):
+        code, _, err = run_cli(capsys, "construct", "hp", "--simple", f"name:{simple}",
+                               "--p", p)
+        assert code == 3
+        assert "--slow" in err
 
 
 def test_verify_lemma3(capsys):
@@ -131,7 +134,7 @@ def true_class_codes(monkeypatch):
     return the unpatched method."""
     real = wreath.WreathGroup.class_codes
     monkeypatch.setattr(wreath.WreathGroup, "class_codes",
-                        lambda self, limit=wreath.DEFAULT_WREATH_LIMIT:
+                        lambda self, limit=DEFAULT_CLOSURE_LIMIT:
                         _merge_two_largest(real(self, limit=limit))[0])
     return real
 
@@ -257,7 +260,7 @@ def test_degrees_beyond_the_point_dtype_are_resource_stops(tmp_path, capsys):
     assert code == 3 and "degree guard" in err
 
 
-def test_resource_exit_code(tmp_path, capsys):
+def test_resource_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "maol", "--group", "name:psl(3,4)")
     assert code == 3
     assert "resource limit" in err
@@ -270,6 +273,17 @@ def test_resource_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"degree": start, "generators": [images]}))
     code, _, err = run_cli(capsys, "mcs", "--group", f"file:{path}")
     assert code == 3 and "closure exceeded limit" in err
+    # Aut(PSL_3(4)) wr S_2 or C_2: the order guards stop both before the
+    # Cayley table of Aut(PSL_3(4)), 241,920^2 entries, is built
+    monkeypatch.setattr(FiniteGroup, "cayley", lambda self: pytest.fail("Cayley table built"))
+    for argv, guard in (
+            (["verify", "wreath", "--base", "name:autpsl34", "--n", "2", "--exhaustive"],
+             "exceeds limit 2000000"),
+            (["construct", "hp", "--simple", "name:psl(3,4)", "--p", "2", "--slow"],
+             "too large to sweep")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert f"resource limit: wreath group order 117050572800 {guard}" in err
 
 
 def test_paper_table_limit_stops_are_skipped(capsys):

@@ -27,14 +27,14 @@ def build_pgammal_2_9():
     return close_group(gens + [frob], name="pgammal(2,9)")
 
 
-def test_aut_alt6_against_geometric_model(alt6_aut):
+def test_aut_alt6_against_geometric_model(alt6, alt6_aut):
     """Aut(Alt_6) from the Cayley-table search vs PGammaL_2(9) built on 10
     points: same order, same class-size multiset, same MCS, same h over the
     socle, computed by both the rho route and direct coset counting."""
     geo = build_pgammal_2_9()
     assert geo.order == 1440
 
-    searched = alt6_aut.group
+    searched = alt6_aut
     assert searched.order == 1440
 
     sizes_geo = sorted(pc.conjugacy_classes(geo).sizes)
@@ -46,7 +46,7 @@ def test_aut_alt6_against_geometric_model(alt6_aut):
     assert socle_geo.size == 360
     h_geo = st.h_value(geo, socle_geo)
     h_geo_direct = st.h_value_direct(geo, socle_geo)
-    socle_search = inner_automorphism_ids(alt6_aut)
+    socle_search = inner_automorphism_ids(alt6, alt6_aut)
     h_search = st.h_value(searched, socle_search)
     assert h_geo == h_geo_direct == h_search == Fraction(2, 3)
     # 3/4 would need 270 elements of one class inside one coset; with

@@ -169,7 +169,7 @@ def test_pmf_bound_random_seeded():
 
 
 def test_orbit_upper_bound_examples(alt5_aut, alt5_typing):
-    A = alt5_aut.group
+    A = alt5_aut
     typing = alt5_typing
     table = pc.conjugacy_classes(A)
     c4 = max(range(len(table.classes)), key=lambda c: table.sizes[c])
@@ -192,7 +192,7 @@ def test_orbit_upper_bound_examples(alt5_aut, alt5_typing):
 
 def test_orbit_upper_bound_dominates_sampled(alt5_aut, alt5_typing):
     # the full sweep is in the acceptance suite; here a seeded sample
-    A = alt5_aut.group
+    A = alt5_aut
     wg = wr.WreathGroup(A, 2)
     codes = wg.class_codes()
     sizes = np.bincount(codes)

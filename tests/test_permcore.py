@@ -193,7 +193,7 @@ def test_is_characteristic():
     from autorbit.autgrp import automorphism_group
     s4 = catalog.sym(4)
     auts = automorphism_group(s4)
-    gens = [g.images for g in auts.group.generators]
+    gens = [g.images for g in auts.generators]
     assert pc.is_characteristic(s4, s4.derived_subgroup_ids(), gens)
     assert pc.is_characteristic(s4, s4.center_ids(), gens)
     # a point stabilizer is not even normal

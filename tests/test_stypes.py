@@ -8,9 +8,9 @@ from autorbit.autgrp import automorphism_group, inner_automorphism_ids
 from autorbit.permcore import Permutation
 
 
-def test_out_quotient_alt5(alt5_aut):
-    A = alt5_aut.group
-    socle = inner_automorphism_ids(alt5_aut)
+def test_out_quotient_alt5(alt5, alt5_aut):
+    A = alt5_aut
+    socle = inner_automorphism_ids(alt5, A)
     out = st.out_quotient(A, socle)
     assert out.order == 2
     assert out.pi[0] == 0
@@ -22,9 +22,9 @@ def test_out_quotient_trivial():
     assert out.order == 1
 
 
-def test_out_quotient_alt6(alt6_aut):
-    A = alt6_aut.group
-    socle = inner_automorphism_ids(alt6_aut)
+def test_out_quotient_alt6(alt6, alt6_aut):
+    A = alt6_aut
+    socle = inner_automorphism_ids(alt6, A)
     out = st.out_quotient(A, socle)
     assert out.order == 4
     assert all(s == 1 for s in out.classes.sizes)  # abelian
@@ -62,19 +62,18 @@ def test_rho_sums_and_h_alt5(alt5_typing):
     assert all(r <= alt5_typing.h() for r in alt5_typing.rho)
 
 
-def test_rho_sums_alt6_and_psl28(alt6_aut, psl28_aut):
-    for aut in (alt6_aut, psl28_aut):
-        tab = st.class_type_table(aut.group, inner_automorphism_ids(aut))
+def test_rho_sums_alt6_and_psl28(alt6, alt6_aut, psl28, psl28_aut):
+    for G, A in ((alt6, alt6_aut), (psl28, psl28_aut)):
+        tab = st.class_type_table(A, inner_automorphism_ids(G, A))
         assert all(s == 1 for s in rho_sum_by_type(tab).values())
         assert all(r <= tab.h() for r in tab.rho)
 
 
-def test_h_oracle_cross_check(alt5_aut, alt6_aut, psl28_aut):
-    for aut, expected in ((alt5_aut, Fraction(1, 2)),
-                          (alt6_aut, Fraction(2, 3)),
-                          (psl28_aut, Fraction(1, 2))):
-        A = aut.group
-        socle = inner_automorphism_ids(aut)
+def test_h_oracle_cross_check(alt5, alt5_aut, alt6, alt6_aut, psl28, psl28_aut):
+    for G, A, expected in ((alt5, alt5_aut, Fraction(1, 2)),
+                           (alt6, alt6_aut, Fraction(2, 3)),
+                           (psl28, psl28_aut, Fraction(1, 2))):
+        socle = inner_automorphism_ids(G, A)
         assert st.h_value(A, socle) == st.h_value_direct(A, socle) == expected
 
 
@@ -82,24 +81,24 @@ def test_h_single_coset_case():
     # |Out| = 1: h = max class size / |S|
     s5 = catalog.sym(5)
     A = automorphism_group(s5)
-    socle = inner_automorphism_ids(A)
+    socle = inner_automorphism_ids(s5, A)
     assert socle.size == 120
-    h = st.h_value(A.group, socle)
-    assert h == Fraction(max(pc.conjugacy_classes(A.group).sizes), 120)
+    h = st.h_value(A, socle)
+    assert h == Fraction(max(pc.conjugacy_classes(A).sizes), 120)
 
 
 # -- coarse types -------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def alt5_coarse(alt5_aut):
-    A = alt5_aut.group
-    socle = inner_automorphism_ids(alt5_aut)
+def alt5_coarse(alt5, alt5_aut):
+    A = alt5_aut
+    socle = inner_automorphism_ids(alt5, A)
     return A, socle, st.coarse_quotient(A, socle, socle_ids=socle)
 
 
-def test_coarse_quotient_validation(alt5_aut):
-    A = alt5_aut.group
-    socle = inner_automorphism_ids(alt5_aut)
+def test_coarse_quotient_validation(alt5, alt5_aut):
+    A = alt5_aut
+    socle = inner_automorphism_ids(alt5, A)
     with pytest.raises(pc.GroupError):
         st.coarse_quotient(A, np.array([0]), socle_ids=socle)  # misses the socle
     s4 = catalog.sym(4)
@@ -167,11 +166,11 @@ def test_ct_power_check(alt5_coarse):
     assert st.ct_power_check(wg, w, 1, coarse)  # k = 1 is always coprime
 
 
-def test_ct_on_alt6_base(alt6_aut):
+def test_ct_on_alt6_base(alt6, alt6_aut):
     # the per-base power-rule sweep on the Aut(Alt_6) base (|Out| = 4), plus
     # an explicit 2-element CT set from distinct cosets
-    A = alt6_aut.group
-    socle = inner_automorphism_ids(alt6_aut)
+    A = alt6_aut
+    socle = inner_automorphism_ids(alt6, A)
     coarse = st.coarse_quotient(A, socle, socle_ids=socle)
     assert coarse.quotient.order == 4
     wg = wr.WreathGroup(A, 2)
@@ -193,9 +192,9 @@ def test_ct_on_alt6_base(alt6_aut):
         checked += 1
 
 
-def test_ct_power_rule_on_psl28_base(psl28_aut):
-    A = psl28_aut.group
-    socle = inner_automorphism_ids(psl28_aut)
+def test_ct_power_rule_on_psl28_base(psl28, psl28_aut):
+    A = psl28_aut
+    socle = inner_automorphism_ids(psl28, A)
     coarse = st.coarse_quotient(A, socle, socle_ids=socle)
     assert coarse.quotient.order == 3
     wg = wr.WreathGroup(A, 2)

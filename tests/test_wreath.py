@@ -201,7 +201,7 @@ def test_too_large_guard():
 
 def test_conj_test_vs_oracle_on_aut_alt5_base(alt5_aut):
     # richer base: Aut(Alt_5) wr Sym_2, sampled pairs plus conjugate pairs
-    wg = wr.WreathGroup(alt5_aut.group, 2)
+    wg = wr.WreathGroup(alt5_aut, 2)
     rng = np.random.default_rng(55)
     for _ in range(300):
         v, w = wg.random_element(rng), wg.random_element(rng)
@@ -210,8 +210,8 @@ def test_conj_test_vs_oracle_on_aut_alt5_base(alt5_aut):
         assert wr.conj_test(wg, v, wg.conj(v, k))
 
 
-def test_build_hp_p2(alt5, alt5_aut):
-    hp = wr.build_hp(alt5, alt5_aut, 2)
+def test_build_hp_p2(alt5_aut):
+    hp = wr.build_hp(alt5_aut, 2)
     assert hp.order == 28800
     assert hp.predicted_orbit == 3600
     assert hp.measured_orbit == 3600
@@ -220,8 +220,8 @@ def test_build_hp_p2(alt5, alt5_aut):
 
 
 @pytest.mark.slow
-def test_build_hp_p3(alt5, alt5_aut):
-    hp = wr.build_hp(alt5, alt5_aut, 3)
+def test_build_hp_p3(alt5_aut):
+    hp = wr.build_hp(alt5_aut, 3)
     assert hp.order == 5_184_000
     assert hp.predicted_orbit == 864_000
     assert hp.measured_orbit == 864_000
@@ -264,7 +264,7 @@ def test_profile_labels_cyclic_prime_top():
 
 
 def test_profile_labels_on_aut_alt5_base(alt5_aut):
-    wg = wr.WreathGroup(alt5_aut.group, 2)
+    wg = wr.WreathGroup(alt5_aut, 2)
     rng = np.random.default_rng(500)
     codes = np.array([wg.pack(wg.random_element(rng)) for _ in range(500)])
     labels = wg.profile_labels(codes)
