@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .permcore import (FiniteGroup, GroupError, Permutation, ResourceLimit,
-                       TooLarge, conjugacy_classes, dimino, lex_order, orbits,
+from .permcore import (FiniteGroup, GroupError, NotNormal, Permutation, ResourceLimit,
+                       TooLarge, conjugacy_classes, dimino, is_normal, lex_order, orbits,
                        sweep, validate_automorphism, POINT_DTYPE)
 from .reports import encode_value
 
@@ -228,3 +228,15 @@ def maol(G: FiniteGroup, A: FiniteGroup) -> OrbitReport:
         maol_absolute=biggest,
         maol=Fraction(biggest, G.order),
     )
+
+
+def class_orbits(A: FiniteGroup, ids: np.ndarray) -> list[int]:
+    """Orbit sizes, largest first, of the normal subgroup G of A with these
+    ids under conjugation by A: the classes of A inside G.  For
+    S <= G <= A = Aut(S), S simple, Aut(G) is N_A(G) = A acting by
+    conjugation, so these are the Aut(G)-orbits on G, found without a search
+    over G."""
+    if not is_normal(A, ids):
+        raise NotNormal("the subgroup is not normal in Aut(S)")
+    counts = np.bincount(conjugacy_classes(A).class_of[ids])
+    return sorted(counts[counts > 0].tolist(), reverse=True)

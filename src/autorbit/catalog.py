@@ -1,7 +1,8 @@
 """Constructors for the named groups used throughout: symmetric, alternating,
 cyclic and extraspecial groups, classical matrix groups in their projective
-permutation actions, and the extended automorphism group of PSL_3(4) built
-geometrically on the 21 points + 21 lines of PG(2,4).
+permutation actions, and Aut(S) by construction for S = Alt(n), PSL_2(q) and
+PSL_3(q): Sym(n), PGammaL_2(q) on PG(1,q), and PGammaL_3(q) with the duality
+on the points + lines of PG(2,q) (Aut(PSL_3(4)) of degree 42 among them).
 
 Projective points are normalized so the last nonzero coordinate is 1 and are
 sorted lexicographically on their integer-encoded coordinate tuples; every
@@ -287,17 +288,43 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, f
 
 
-# -- Aut(PSL_3(4)) on points + lines of PG(2,4) -----------------------------
+# -- Aut(S) by construction ------------------------------------------------
 
-def _point_line_perms(F: Field, pts: np.ndarray, mats, twist=None) -> np.ndarray:
-    """Each M on the points and on the lines of PG(2,q), numbered after the
-    points: line j = {v : pts[j].v = 0} goes to the line through the images of
-    two of its points."""
+def _with_lines(F: Field, pts: np.ndarray, img: np.ndarray) -> np.ndarray:
+    """Point permutations `img` (K, N) of PG(2,q) extended to its lines,
+    numbered after the points: line j = {v : pts[j].v = 0} goes to the line
+    through the images of two of its points."""
     on = mat_mul(F, pts, pts.T) == 0  # on[j, i]: point i lies on line j
     a, b = np.argsort(~on, axis=1, kind="stable")[:, :2].T  # two points of each line
     through = np.argmax(on[:, :, None] & on[:, None, :], axis=0)  # the line through 2 points
-    img = projective_perms(F, pts, mats, twist)
     return np.hstack([img, len(pts) + through[img[:, a], img[:, b]]])
+
+
+def _point_line_perms(F: Field, pts: np.ndarray, mats, twist=None) -> np.ndarray:
+    """Each M on the points and on the lines of PG(2,q), numbered after the points."""
+    return _with_lines(F, pts, projective_perms(F, pts, mats, twist))
+
+
+def _aut_psl(d: int, q: int, limit: int = DEFAULT_CLOSURE_LIMIT,
+             name: str | None = None) -> FiniteGroup:
+    """Aut(PSL_d(q)) for d = 2 (q >= 4) or d = 3 (Steinberg 1960): PGL_d(q)
+    and the Frobenius map, that is PGammaL_d(q), on the points of PG(d-1,q);
+    for d = 3 on its points and lines, with the inverse-transpose duality
+    that swaps them."""
+    p, f = _prime_power(q)
+    F = make_field(p, f)
+    pts = projective_points(F, d)
+    mats = np.concatenate([sl_generators(F, d), _diag(d, F.primitive_element())])
+    perms = projective_perms if d == 2 else _point_line_perms
+    rows = [perms(F, pts, mats), perms(F, pts, np.eye(d, dtype=np.int64)[None], F.frobenius)]
+    if d == 3:
+        rows.append(np.roll(np.arange(2 * len(pts)), len(pts))[None])  # the duality
+    expected = projective_order("GL", d, q) * f * (2 if d == 3 else 1)
+    A = close_group([Permutation(r) for r in np.vstack(rows)], limit=limit,
+                    name=name or f"autpsl({d},{q})")
+    if A.order != expected:
+        raise GeneratorDeficiency(f"Aut(PSL_{d}({q})) closed to {A.order}, expected {expected}")
+    return A
 
 
 def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
@@ -305,16 +332,7 @@ def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     points 0..20 and lines 21..41 of PG(2,4), generated by the PGL_3(4)
     point-line action, the Frobenius field automorphism, and the
     inverse-transpose duality swapping points with lines."""
-    F = make_field(2, 2)
-    pts = projective_points(F, 3)
-    mats = np.concatenate([sl_generators(F, 3), _diag(3, F.primitive_element())])
-    rows = np.vstack([_point_line_perms(F, pts, mats),
-                      _point_line_perms(F, pts, np.eye(3, dtype=np.int64)[None], F.frobenius),
-                      np.roll(np.arange(2 * len(pts)), len(pts))])
-    G = close_group([Permutation(r) for r in rows], limit=limit, name="autpsl34")
-    if G.order != 241920:
-        raise GeneratorDeficiency(f"Aut(PSL_3(4)) closed to {G.order}, expected 241920")
-    return G
+    return _aut_psl(3, 4, limit, name="autpsl34")
 
 
 def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
@@ -325,6 +343,44 @@ def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
     if ids.size != 20160:
         raise GeneratorDeficiency(f"socle closed to {ids.size}, expected 20160")
     return ids
+
+
+def almost_simple_aut(name: str, limit: int = DEFAULT_CLOSURE_LIMIT
+                      ) -> tuple[FiniteGroup, np.ndarray] | None:
+    """(Aut(S), the ids inside it of the catalog group G named `name`) for
+    S <= G <= Aut(S), S simple, in the families built here; None otherwise.
+    Aut(S) is Sym(n) for alt/sym(n), n >= 5 and n != 6; PGammaL_2(q) for
+    psl/pgl(2,q), q >= 4, and for alt6 = PSL_2(9) and sym6 = PSigmaL_2(9);
+    PGammaL_3(q) with the duality for psl/pgl(3,q).  G's ids come from its
+    elements on Aut(S)'s points (and lines, for d = 3), those of alt6 and
+    sym6 from the socle's generators and the Frobenius map.  `limit` bounds
+    G, as in `resolve`; Aut(S) closes under the default limit."""
+    base, a, b = _parse_name(name)
+    if base in ("alt", "sym") and b is None and a >= 5:
+        d, q = (2, 9) if a == 6 else (None, None)
+    elif base in ("psl", "pgl") and b is not None and (a == 3 or (a == 2 and b >= 4)):
+        d, q = a, b
+    else:
+        return None
+    G = resolve(name, limit)
+    if d is None:
+        A = G if base == "sym" else sym(a)
+        ids = A.ids_of(G.elements)
+    else:
+        A = _aut_psl(d, q)
+        F = make_field(*_prime_power(q))
+        pts = projective_points(F, d)
+        if base in ("alt", "sym"):
+            rows = projective_perms(F, pts, sl_generators(F, d))  # PSL_2(9) = Alt6
+            if base == "sym":  # PSigmaL_2(9) = Sym6
+                rows = np.vstack([rows, projective_perms(F, pts, np.eye(d, dtype=np.int64)[None],
+                                                         F.frobenius)])
+            ids = A.subgroup_closure(A.ids_of(rows))
+        else:
+            ids = A.ids_of(G.elements if d == 2 else _with_lines(F, pts, G.elements))
+    if ids.size != G.order:
+        raise GeneratorDeficiency(f"{G.name} has {ids.size} ids in Aut(S), expected {G.order}")
+    return A, np.sort(ids)
 
 
 # -- name registry ----------------------------------------------------------
@@ -344,20 +400,27 @@ CATALOG_ENTRIES = [
 ]
 
 
-def resolve(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
-    """Build a catalog group from a name like 'alt5', 'sym(6)', 'psl(3,4)'."""
+_ALIASES = {"psl34": "psl(3,4)", "extraspecial27": "extraspecial(3)"}
+
+
+def _parse_name(name: str) -> tuple[str, int, int | None]:
+    """(family, first parameter, second parameter or None) of a catalog name;
+    the whole-name aliases map to their parenthesized form first."""
     key = name.strip().lower()
-    if key == "autpsl34":  # whole-name aliases, before the digits split off
-        return extended_aut_psl34(limit)
-    if key == "extraspecial27":
-        return extraspecial_p3_exponent_p(3, limit)
-    m = _NAME_RE.match(key)
+    m = _NAME_RE.match(_ALIASES.get(key, key))
     if not m:
         raise BadParameter(f"cannot parse group name {name!r}")
     base, a, b = m.groups()
     if a is None:
         raise BadParameter(f"group name {name!r} needs a parameter")
-    a, b = int(a), (None if b is None else int(b))
+    return base, int(a), (None if b is None else int(b))
+
+
+def resolve(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
+    """Build a catalog group from a name like 'alt5', 'sym(6)', 'psl(3,4)'."""
+    if name.strip().lower() == "autpsl34":  # before the digits split off
+        return extended_aut_psl34(limit)
+    base, a, b = _parse_name(name)
     if base == "sym" and b is None:
         return sym(a, limit)
     if base == "alt" and b is None:

@@ -18,7 +18,8 @@ from . import catalog
 from . import multinomial as mn
 from . import stypes
 from . import wreath
-from .autgrp import DEFAULT_NODE_BUDGET, automorphism_group, inner_automorphism_ids, maol
+from .autgrp import (DEFAULT_NODE_BUDGET, automorphism_group, class_orbits,
+                     inner_automorphism_ids, maol)
 from .catalog import BadParameter
 from .fields import _is_prime
 from .permcore import (DEFAULT_CLOSURE_LIMIT, DegreeMismatch, FiniteGroup, ResourceLimit,
@@ -42,20 +43,28 @@ def resolve_group(spec: str, limit: int) -> FiniteGroup:
     raise BadParameter(f"group spec must start with 'name:' or 'file:', got {spec!r}")
 
 
-def _is_psl34(name: str) -> bool:
-    return name.replace(" ", "").lower() in ("psl(3,4)", "psl34")
-
-
 def aut_pair(name: str, limit: int, budget: int) -> tuple[FiniteGroup, np.ndarray]:
-    """(Aut(S) as a permutation group, ids of the socle S inside it).
-    PSL_3(4) uses the geometric construction; everything else goes through
-    the Cayley-table search."""
-    if _is_psl34(name):
-        A = catalog.extended_aut_psl34(limit=limit)
-        return A, catalog.psl34_socle_ids(A)
+    """(Aut(S) as a permutation group, ids inside it of the group `name`,
+    S <= G <= Aut(S)): built by `catalog.almost_simple_aut` where it covers
+    the name; otherwise G = S, Aut(S) comes from the Cayley-table search and
+    the ids are those of Inn(S).  `limit` bounds the named group only."""
+    built = catalog.almost_simple_aut(name, limit)
+    if built is not None:
+        return built
     S = catalog.resolve(name, limit=limit)
     A = automorphism_group(S, budget=budget)
     return A, inner_automorphism_ids(S, A)
+
+
+def maol_of(name: str, limit: int, budget: int) -> Fraction:
+    """maol of the catalog group `name`: Aut(S)'s classes inside G where
+    `catalog.almost_simple_aut` covers it, the Aut(G) search otherwise."""
+    built = catalog.almost_simple_aut(name, limit)
+    if built is not None:
+        A, ids = built
+        return Fraction(class_orbits(A, ids)[0], int(ids.size))
+    G = catalog.resolve(name, limit=limit)
+    return maol(G, automorphism_group(G, budget=budget)).maol
 
 
 # -- simple subcommands -------------------------------------------------------
@@ -141,7 +150,7 @@ def _check_simple(S: FiniteGroup):
 def _simple_aut_pair(args) -> tuple[FiniteGroup, np.ndarray]:
     """`aut_pair` for --simple, after the usage check that S is simple."""
     name = _strip_name(args.simple)
-    _check_simple(catalog.resolve("psl(3,4)" if _is_psl34(name) else name, args.max_order))
+    _check_simple(catalog.resolve(name, args.max_order))
     return aut_pair(name, args.max_order, args.max_nodes)
 
 
@@ -274,11 +283,8 @@ def paper_table_suite(args) -> VerificationReport:
     runner.add("mcs-pgl(4,2)", 6, lambda: mcs_of("pgl(4,2)"))
     runner.add("mcs-pgu(4,2)", 5, lambda: mcs_of("pgu(4,2)"))
 
-    def maol_of(name: str) -> str:
-        G = catalog.resolve(name, limit=limit)
-        return encode_value(maol(G, automorphism_group(G, budget=budget)).maol)
-
-    runner.add("maol-psl(2,8)", "3/7", lambda: maol_of("psl(2,8)"))
+    runner.add("maol-psl(2,8)", "3/7",
+               lambda: encode_value(maol_of("psl(2,8)", limit, budget)))
 
     def psl34_class():
         A, _ = aut_of("psl(3,4)")
@@ -287,7 +293,8 @@ def paper_table_suite(args) -> VerificationReport:
 
     runner.add("aut-psl(3,4)-largest-class",
                {"autOrder": 241920, "largestClass": 24192}, psl34_class)
-    runner.add("maol-extraspecial27", "2/3", lambda: maol_of("extraspecial(3)"))
+    runner.add("maol-extraspecial27", "2/3",
+               lambda: encode_value(maol_of("extraspecial(3)", limit, budget)))
     return runner.run()
 
 
@@ -295,9 +302,7 @@ def nonsolvable_suite(args) -> VerificationReport:
     runner = SuiteRunner("nonsolvable-bound", time_limit_s=args.time_limit_s)
     for name in NONSOLVABLE_LIST:
         def check(name=name):
-            S = catalog.resolve(name, limit=args.max_order)
-            A = automorphism_group(S, budget=args.max_nodes)
-            m = maol(S, A).maol
+            m = maol_of(name, args.max_order, args.max_nodes)
             return {"maol": encode_value(m),
                     "le_3_7": m <= Fraction(3, 7),
                     "le_18_19": m <= Fraction(18, 19)}

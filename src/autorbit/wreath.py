@@ -191,14 +191,18 @@ class WreathGroup:
         right = invk[col2[t]]
         return self.T[step1, right], top_map[t]
 
+    def check_sweep_size(self):
+        """Raise unless the whole group fits DEFAULT_ORBIT_SPACE visited cells."""
+        if self.order > DEFAULT_ORBIT_SPACE:
+            raise TooLarge(f"wreath group order {self.order} too large to sweep")
+
     def conjugation_orbit(self, seeds: Sequence[WreathElement],
                           conjugators: Iterable[tuple[Sequence[int], Permutation]]
                           ) -> np.ndarray:
         """Packed codes of the closure of `seeds` under conjugation.  The
         visited array is indexed by packed code, so the whole wreath group
         must fit in DEFAULT_ORBIT_SPACE cells."""
-        if self.order > DEFAULT_ORBIT_SPACE:
-            raise TooLarge(f"wreath group order {self.order} too large to sweep")
+        self.check_sweep_size()
         maps = self._conjugation_maps(conjugators)
 
         def step(frontier):
@@ -240,9 +244,10 @@ class WreathGroup:
     def random_codes(self, rng, count: int) -> np.ndarray:
         """Packed codes of `count` elements drawn as `random_element` draws
         them (n base ids, then a top id), without building the elements."""
-        draws = np.array([[int(rng.integers(self.base.order)) for _ in range(self.n)]
-                          + [int(rng.integers(self.top.order))] for _ in range(count)],
-                         dtype=np.int64).reshape(count, self.n + 1)
+        nbase, ntop, n = self.base.order, self.top.order, self.n
+        draws = np.array([[int(rng.integers(nbase)) for _ in range(n)]
+                          + [int(rng.integers(ntop))] for _ in range(count)],
+                         dtype=np.int64).reshape(count, n + 1)
         return self._pack_arrays(draws[:, :-1], draws[:, -1])
 
     def profile_labels(self, codes: np.ndarray) -> np.ndarray:
@@ -373,6 +378,7 @@ def build_hp(A: FiniteGroup, p: int) -> HpConstruction:
     wg = WreathGroup(A, p, top=[sigma])
     if wg.top.order != p:
         raise GroupError("top group is not the cyclic group of the p-cycle")
+    wg.check_sweep_size()  # before the classes of Aut(S)
 
     table = conjugacy_classes(A)
     sizes = table.sizes

@@ -8,19 +8,28 @@ generator.
 
 A per-element order loop and per-element tuple fingerprints are oracles here
 as well: the search's element orders and fingerprint labels must agree with
-them."""
+them.
 
-from math import lcm
+The search is in turn the oracle of `catalog.almost_simple_aut`, which builds
+Aut(S) from its known structure: the same |Aut(S)|, h(S) and (class size, rho)
+multiset for every simple group it covers of order <= 2000, and the same
+Aut(G)-orbit sizes for every covered almost simple G of order <= 2000."""
+
+from functools import lru_cache
+from fractions import Fraction
+from math import factorial, lcm
 
 import numpy as np
 import pytest
 
 from autorbit import catalog
 from autorbit.autgrp import (_fingerprint_labels, _group_from_permutation_rows,
-                             automorphism_group)
+                             automorphism_group, class_orbits, inner_automorphism_ids, maol)
+from autorbit.catalog import projective_order
 from autorbit.cli import NONSOLVABLE_LIST
 from autorbit.permcore import (POINT_DTYPE, GroupError, Permutation, close_group,
                                conjugacy_classes)
+from autorbit.stypes import class_type_table, h_value, h_value_direct
 
 
 def encode_rows(mat):
@@ -271,3 +280,62 @@ def test_orders_and_labels_match_oracles_not_two_generated(p, k):
 @pytest.mark.parametrize("name", [name for name, _ in SLOW_CATALOG] + ["autpsl34"])
 def test_orders_and_labels_match_oracles_slow(name):
     assert_orders_and_labels_match(catalog.resolve(name))
+
+
+# -- Aut(S) by construction against the search --------------------------------
+
+# every simple group the builder covers with |S| <= 2000, the search's guard,
+# and the almost simple groups over them (pgl(2,13), of 2184, is past it)
+COVERED_SIMPLE = ([f"alt{n}" for n in range(5, 8) if factorial(n) // 2 <= 2000]
+                  + [f"psl({d},{q})" for d, qs in ((2, (4, 5, 7, 8, 9, 11, 13, 16)), (3, (2, 3)))
+                     for q in qs if projective_order("SL", d, q) <= 2000])
+COVERED_ALMOST_SIMPLE = sorted(set(
+    COVERED_SIMPLE + NONSOLVABLE_LIST + ["sym5", "sym6", "pgl(3,2)"]
+    + [f"pgl(2,{q})" for q in (4, 5, 7, 8, 9, 11, 13) if projective_order("GL", 2, q) <= 2000]))
+
+
+@lru_cache(maxsize=None)
+def searched(name):
+    """(G, Aut(G) from the search), once per name."""
+    G = catalog.resolve(name)
+    return G, automorphism_group(G)
+
+
+def rho_multiset(A, ids):
+    table = class_type_table(A, ids)
+    return sorted(zip(table.classes.sizes, table.rho))
+
+
+@pytest.mark.parametrize("name", COVERED_SIMPLE)
+def test_construction_matches_search_on_simple_groups(name):
+    A, socle = catalog.almost_simple_aut(name)
+    S, B = searched(name)
+    inner = inner_automorphism_ids(S, B)
+    assert A.order == B.order
+    assert h_value(A, socle) == h_value_direct(A, socle) == h_value(B, inner)
+    assert rho_multiset(A, socle) == rho_multiset(B, inner)
+
+
+@pytest.mark.parametrize("name", COVERED_ALMOST_SIMPLE)
+def test_aut_classes_in_g_are_the_aut_g_orbits(name):
+    # S <= G <= Aut(S): the Aut(S)-classes inside G are G's Aut(G)-orbits
+    G, B = searched(name)
+    assert class_orbits(*catalog.almost_simple_aut(name)) == maol(G, B).orbit_sizes
+
+
+@pytest.mark.parametrize("name, out_order, h", [
+    ("alt7", 2, Fraction(1, 3)), ("psl(2,16)", 4, Fraction(1, 2)),
+    ("psl(2,17)", 2, Fraction(1, 8)), ("psl(3,3)", 2, Fraction(1, 3))])
+def test_construction_past_the_search_guard(name, out_order, h):
+    A, socle = catalog.almost_simple_aut(name)
+    assert socle.size == catalog.resolve(name).order > 2000
+    assert A.order == socle.size * out_order
+    assert h_value(A, socle) == h_value_direct(A, socle) == h
+
+
+def test_psl34_construction_is_the_extended_aut_psl34(aut_psl34, psl34_socle):
+    # the limit bounds PSL_3(4), not its Aut(S) of 241,920 elements
+    A, socle = catalog.almost_simple_aut("psl(3,4)", limit=20160)
+    assert A.elements.tobytes() == aut_psl34.elements.tobytes()
+    assert A.base == aut_psl34.base == [0, 1, 5, 2, 6, 3]
+    assert np.array_equal(socle, psl34_socle)

@@ -144,6 +144,39 @@ def test_resolve_names_ending_in_digits(monkeypatch):
     assert resolve(" AutPSL34 ", limit=99) == ("built", 99)
 
 
+def test_psl34_is_an_alias_of_psl_3_4():
+    assert resolve("psl34").elements.tobytes() == resolve("psl(3,4)").elements.tobytes()
+
+
+@pytest.mark.parametrize("name", ["cyclic5", "alt4", "sym4", "psl(2,3)", "pgl(2,3)",
+                                  "psl(4,2)", "psu(3,3)", "extraspecial(3)", "autpsl34"])
+def test_almost_simple_aut_leaves_other_names_to_the_search(monkeypatch, name):
+    monkeypatch.setattr(catalog, "resolve", lambda *a: pytest.fail("group built"))
+    assert catalog.almost_simple_aut(name) is None
+
+
+@pytest.mark.parametrize("name, aut_degree", [
+    ("alt7", 7), ("sym7", 7), ("alt6", 10), ("sym6", 10), ("pgl(2,9)", 10),
+    ("psl(2,8)", 9), ("pgl(3,2)", 14), ("psl(3,3)", 26)])
+def test_almost_simple_aut_embeds_the_named_group(name, aut_degree):
+    A, ids = catalog.almost_simple_aut(name)
+    G = resolve(name)
+    assert A.degree == aut_degree
+    assert ids.size == G.order and np.array_equal(ids, A.subgroup_closure(ids))
+    assert pc.is_normal(A, ids)
+    # the same group: element orders agree as multisets
+    assert sorted(A.element_orders()[ids].tolist()) == sorted(G.element_orders().tolist())
+
+
+def test_almost_simple_aut_limit_bounds_the_named_group(monkeypatch):
+    # Sym7 (5040) is built under the default limit for Alt7 (2520)
+    A, ids = catalog.almost_simple_aut("alt7", limit=2520)
+    assert (A.order, ids.size) == (5040, 2520)
+    monkeypatch.setattr(catalog, "_aut_psl", lambda *a: pytest.fail("Aut(S) built"))
+    with pytest.raises(pc.TooLarge, match="PSL_3[(]4[)] has order 20160 > limit 20159"):
+        catalog.almost_simple_aut("psl(3,4)", limit=20159)
+
+
 @pytest.mark.slow
 def test_resolve_autpsl34_builds_the_group():
     assert resolve("autpsl34").order == 241920

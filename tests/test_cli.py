@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,6 +218,20 @@ def test_h_needs_a_nonabelian_simple_group(capsys, monkeypatch):
     assert (A.order, socle.size) == (120, 120)
 
 
+def test_h_past_the_search_guard(capsys):
+    # Aut(S) by construction: each of these stopped at the 2000-element guard
+    for name, h in (("alt7", "1/3"), ("psl(2,17)", "1/8")):
+        code, out, _ = run_cli(capsys, "h", "--simple", f"name:{name}")
+        assert code == 0 and json.loads(out)["h"] == h
+
+
+def test_aut_pair_builds_covered_groups_without_a_search(monkeypatch):
+    monkeypatch.setattr(cli, "automorphism_group", lambda *a, **k: pytest.fail("searched"))
+    A, socle = cli.aut_pair("alt5", 60, 1)
+    assert (A.order, A.degree, len(A.generators), socle.size) == (120, 5, 2, 60)
+    assert cli.maol_of("psl(2,8)", 504, 1) == Fraction(3, 7)
+
+
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     path = str(tmp_path / "missing" / "x.json")
     for argv in (["aut", "--group", "name:sym3", "--out", path],
@@ -274,8 +289,10 @@ def test_resource_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "mcs", "--group", f"file:{path}")
     assert code == 3 and "closure exceeded limit" in err
     # Aut(PSL_3(4)) wr S_2 or C_2: the order guards stop both before the
-    # Cayley table of Aut(PSL_3(4)), 241,920^2 entries, is built
+    # Cayley table of Aut(PSL_3(4)), 241,920^2 entries, is built, and the hp
+    # sweep guard before the classes of its 241,920 elements
     monkeypatch.setattr(FiniteGroup, "cayley", lambda self: pytest.fail("Cayley table built"))
+    monkeypatch.setattr(wreath, "conjugacy_classes", lambda G: pytest.fail("classes computed"))
     for argv, guard in (
             (["verify", "wreath", "--base", "name:autpsl34", "--n", "2", "--exhaustive"],
              "exceeds limit 2000000"),
