@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .permcore import (FiniteGroup, GroupError, NotNormal, Permutation, ResourceLimit,
-                       TooLarge, conjugacy_classes, dimino, is_normal, lex_order, orbits,
-                       sweep, validate_automorphism, POINT_DTYPE)
+                       TooLarge, conjugacy_classes, dimino, is_normal, orbits,
+                       sort_rows, sweep, validate_automorphism, POINT_DTYPE)
 from .reports import encode_value
 
 MAX_AUT_CARRIER = 2000
@@ -186,12 +186,10 @@ def _conjugation_rows(G: FiniteGroup, ids) -> np.ndarray:
 
 
 def _group_from_permutation_rows(rows: np.ndarray, base: Sequence[int]) -> FiniteGroup:
-    """Wrap the complete set of automorphisms `rows`, no two alike on `base`, as
-    a FiniteGroup, keeping the generators `dimino` picks over `lex_order`."""
-    mat = rows[lex_order(rows, base)]
-    closed = dimino(mat)
-    if closed.elements.shape[0] != mat.shape[0]:
-        raise GroupError("automorphism set is not closed under composition")
+    """The complete set of automorphisms `rows`, no two alike on `base`, as a
+    FiniteGroup: sorted in place, with the generators `dimino` picks (and checks)."""
+    mat = sort_rows(rows, base)
+    closed = dimino(mat, order=len(mat))
     return FiniteGroup(mat.shape[1], [Permutation(mat[k]) for k in closed.kept], mat,
                        base=closed.base)
 

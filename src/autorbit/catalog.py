@@ -12,21 +12,17 @@ constructor therefore yields one canonical permutation representation.
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import factorial, gcd
 
 import numpy as np
 
 from .fields import Field, make_field
-from .permcore import (DEFAULT_CLOSURE_LIMIT, FiniteGroup, Permutation,
-                       TooLarge, close_group, GroupError)
+from .permcore import (DEFAULT_CLOSURE_LIMIT, POINT_DTYPE, FiniteGroup, GeneratorDeficiency,
+                       Permutation, TooLarge, close_group, GroupError)
 
 
 class BadParameter(GroupError):
     pass
-
-
-class GeneratorDeficiency(GroupError):
-    """A chosen generating set closed to the wrong order; construction bug."""
 
 
 # -- permutation group families -------------------------------------------
@@ -39,7 +35,7 @@ def sym(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     gens = [Permutation([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(Permutation(list(range(1, n)) + [0]))
-    return close_group(gens, limit=limit, name=f"sym{n}")
+    return close_group(gens, limit=limit, name=f"sym{n}", order=factorial(n))
 
 
 def alt(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
@@ -54,7 +50,7 @@ def alt(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
         gens = [three, Permutation(list(range(1, n)) + [0])]
     else:
         gens = [three, Permutation([0] + list(range(2, n)) + [1])]
-    return close_group(gens, limit=limit, name=f"alt{n}")
+    return close_group(gens, limit=limit, name=f"alt{n}", order=factorial(n) // 2)
 
 
 def cyclic(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
@@ -63,7 +59,7 @@ def cyclic(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     if n == 1:
         return close_group([], degree=1, name="cyclic1")
     return close_group([Permutation(list(range(1, n)) + [0])], limit=limit,
-                       name=f"cyclic{n}")
+                       name=f"cyclic{n}", order=n)
 
 
 def extraspecial_p3_exponent_p(p: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
@@ -78,9 +74,9 @@ def extraspecial_p3_exponent_p(p: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> Fi
     def aff(a, b, c):
         return Permutation([idx[((x + a * y + c) % p, (y + b) % p)] for x, y in pts])
 
-    G = close_group([aff(1, 0, 0), aff(0, 1, 0)], limit=limit, name=f"extraspecial{p**3}")
+    G = close_group([aff(1, 0, 0), aff(0, 1, 0)], limit, name=f"extraspecial{p**3}", order=p**3)
     orders = set(int(o) for o in G.element_orders())
-    if G.order != p ** 3 or orders != {1, p} or G.center_ids().size != p:
+    if orders != {1, p} or G.center_ids().size != p:
         raise GeneratorDeficiency("extraspecial construction failed validation")
     return G
 
@@ -271,11 +267,7 @@ def projective_group(kind: str, d: int, q: int,
 
     name = f"p{kind.lower()}({d},{q})"
     gens = [Permutation(r) for r in projective_perms(F, pts, mats)]
-    G = close_group(gens, limit=limit, name=name)
-    if G.order != expected:
-        raise GeneratorDeficiency(
-            f"{name}: closed to order {G.order}, expected {expected}")
-    return G
+    return close_group(gens, limit=limit, name=name, order=expected)
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -297,6 +289,7 @@ def _with_lines(F: Field, pts: np.ndarray, img: np.ndarray) -> np.ndarray:
     on = mat_mul(F, pts, pts.T) == 0  # on[j, i]: point i lies on line j
     a, b = np.argsort(~on, axis=1, kind="stable")[:, :2].T  # two points of each line
     through = np.argmax(on[:, :, None] & on[:, None, :], axis=0)  # the line through 2 points
+    through = through.astype(POINT_DTYPE)  # so point images give 2-byte line images
     return np.hstack([img, len(pts) + through[img[:, a], img[:, b]]])
 
 
@@ -320,11 +313,8 @@ def _aut_psl(d: int, q: int, limit: int = DEFAULT_CLOSURE_LIMIT,
     if d == 3:
         rows.append(np.roll(np.arange(2 * len(pts)), len(pts))[None])  # the duality
     expected = projective_order("GL", d, q) * f * (2 if d == 3 else 1)
-    A = close_group([Permutation(r) for r in np.vstack(rows)], limit=limit,
-                    name=name or f"autpsl({d},{q})")
-    if A.order != expected:
-        raise GeneratorDeficiency(f"Aut(PSL_{d}({q})) closed to {A.order}, expected {expected}")
-    return A
+    return close_group([Permutation(r) for r in np.vstack(rows)], limit=limit,
+                       name=name or f"autpsl({d},{q})", order=expected)
 
 
 def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
@@ -345,6 +335,13 @@ def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
     return ids
 
 
+def simple_by_name(name: str) -> bool:
+    """Whether `name` is alt(n >= 5), psl(2, q >= 4) or psl(3, q): simple by its name."""
+    base, a, b = _parse_name(name)
+    return (base == "alt" and b is None and a >= 5
+            or base == "psl" and b is not None and (a == 3 or a == 2 and b >= 4))
+
+
 def almost_simple_aut(name: str, limit: int = DEFAULT_CLOSURE_LIMIT
                       ) -> tuple[FiniteGroup, np.ndarray] | None:
     """(Aut(S), the ids inside it of the catalog group G named `name`) for
@@ -356,12 +353,10 @@ def almost_simple_aut(name: str, limit: int = DEFAULT_CLOSURE_LIMIT
     sym6 from the socle's generators and the Frobenius map.  `limit` bounds
     G, as in `resolve`; Aut(S) closes under the default limit."""
     base, a, b = _parse_name(name)
-    if base in ("alt", "sym") and b is None and a >= 5:
-        d, q = (2, 9) if a == 6 else (None, None)
-    elif base in ("psl", "pgl") and b is not None and (a == 3 or (a == 2 and b >= 4)):
-        d, q = a, b
-    else:
+    socle = {"sym": "alt", "pgl": "psl"}.get(base, base)  # S's family: alt in sym, psl in pgl
+    if not simple_by_name(f"{socle}({a})" if b is None else f"{socle}({a},{b})"):
         return None
+    d, q = ((2, 9) if a == 6 else (None, None)) if b is None else (a, b)
     G = resolve(name, limit)
     if d is None:
         A = G if base == "sym" else sym(a)

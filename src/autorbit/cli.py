@@ -150,7 +150,8 @@ def _check_simple(S: FiniteGroup):
 def _simple_aut_pair(args) -> tuple[FiniteGroup, np.ndarray]:
     """`aut_pair` for --simple, after the usage check that S is simple."""
     name = _strip_name(args.simple)
-    _check_simple(catalog.resolve(name, args.max_order))
+    if not catalog.simple_by_name(name):
+        _check_simple(catalog.resolve(name, args.max_order))
     return aut_pair(name, args.max_order, args.max_nodes)
 
 

@@ -62,6 +62,10 @@ class ClosureLimitExceeded(ResourceLimit):
     pass
 
 
+class GeneratorDeficiency(GroupError):
+    """A chosen generating set closed to the wrong order; construction bug."""
+
+
 class TooLarge(ResourceLimit):
     """An input is larger than a fixed guard of the routine it was given to."""
 
@@ -224,17 +228,28 @@ def lex_order(rows: np.ndarray, base: Sequence[int]) -> np.ndarray:
     return np.lexsort(rows[:, max(base)::-1].T)
 
 
+def sort_rows(rows: np.ndarray, base: Sequence[int]) -> np.ndarray:
+    """Put the C-contiguous `rows` in `lex_order` in place and return them: a
+    third of the columns at a time, each row's third copied as one item."""
+    order, step = lex_order(rows, base), -(-rows.shape[1] // 3)
+    for lo in range(0, rows.shape[1], step):
+        part = rows[:, lo:lo + step]
+        items = part.view(np.dtype((np.void, part.shape[1] * part.itemsize)))[:, 0]
+        items[:] = items[order]
+    return rows
+
+
 class _RowIndex:
     """Distinct permutation rows in the order they were stored, looked up by
     their images of a base on which no two stored rows share a key (`_fold`,
     radix degree|1; exact mixed radix, ordered as the images are, while
     radix^|base| < 2^64, and past that a hash).  The keys are kept sorted, with
-    each key's store position.  `find` is a pure lookup; only `add_new`
+    each key's int32 store position.  `find` is a pure lookup; only `add_new`
     extends the base, when a row it is given shares a key with a distinct row."""
 
     def __init__(self, rows: np.ndarray, base: Sequence[int] = (0,),
-                 limit: int = DEFAULT_CLOSURE_LIMIT):
-        self._buf = self.rows = rows  # the buffer grows by doubling; `rows` is its used part
+                 limit: int = DEFAULT_CLOSURE_LIMIT, size: int | None = None):
+        self._buf, self.rows = rows, rows[:size]  # the used part; the buffer doubles when full
         self.limit, self._radix = limit, np.uint64(rows.shape[1] | 1)
         self._rekey(list(base))
 
@@ -257,7 +272,7 @@ class _RowIndex:
     def _rekey(self, base: list[int]):
         """Key the store on `base`, which must tell the stored rows apart."""
         keys = self._fold(self.rows[:, base])
-        self.base, self._ids = base, np.argsort(keys)
+        self.base, self._ids = base, np.argsort(keys).astype(np.int32)
         self._keys = keys[self._ids]
         same = np.flatnonzero(self._keys[1:] == self._keys[:-1])
         if same.size:
@@ -282,7 +297,7 @@ class _RowIndex:
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Store position of each row, -1 where the row is not stored."""
-        pos = self._ids[self._slots(self._fold(rows[:, self.base]))]
+        pos = self._ids[self._slots(self._fold(rows[:, self.base]))].astype(np.int64)
         stored = self._buf[pos]
         if np.array_equal(stored, rows):
             return pos
@@ -364,38 +379,50 @@ def _powers(g: np.ndarray, limit: int) -> np.ndarray:
 
 def _add_cosets(index: _RowIndex, H: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Store the right cosets H*c of the candidates c the store does not hold,
-    each distinct coset once; returns the candidates that added a coset."""
+    each distinct coset once; returns the candidates that added a coset.  A batch
+    (1/32 of the buffer, within 1/32 block and a block) is whole cosets or a slice of one."""
     m, degree = H.shape
-    step = max(1, _BLOCK_CELLS // (m * degree))
+    rows = max(1, min(max(len(index._buf), _BLOCK_CELLS // degree) >> 5, _BLOCK_CELLS // degree))
+    step = max(1, rows // m)
     added = []
     for lo in range(0, len(cands), step):
         reps = cands[lo:lo + step]
         reps = reps[index.find(reps) < 0]
         if not reps.size:
             continue
-        cosets = np.take(H, reps, axis=1).transpose(1, 0, 2).reshape(-1, degree)  # H[0] = 1
-        added.append(reps[index.add_new(cosets)[::m]])  # a coset is new or repeats whole
+        for at in range(0, m, rows):
+            cosets = np.take(H[at:at + rows], reps, axis=1).transpose(1, 0, 2)  # H[0] = 1
+            new = index.add_new(cosets.reshape(-1, degree))
+        added.append(reps[new[::m]])  # a coset is new or repeats whole
     return np.concatenate(added) if added else np.empty((0, degree), POINT_DTYPE)
 
 
 Closure = namedtuple("Closure", "elements kept base")  # identity first; kept ascending
 
 
-def dimino(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT) -> Closure:
+def dimino(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
+           order: int | None = None) -> Closure:
     """Dimino's closure of the permutation rows `gen_rows` (Butler 1991): the
     elements, the indices of the kept generators and a base on which no two
     elements agree.  A generator the closure H of the kept ones already holds
     is dropped; a kept generator g grows H to <H, g> by right cosets H*r,
     handling the candidate representatives r*s (s kept) of one BFS level
-    together.  For the first kept generator H = 1: the cosets are g's powers."""
+    together.  For the first kept generator H = 1: the cosets are g's powers.
+    Given the `order` (within `limit`), the elements must fill one array that size."""
     gen_rows = np.asarray(gen_rows, dtype=POINT_DTYPE)
     degree = gen_rows.shape[1]
-    index = _RowIndex(np.arange(degree, dtype=POINT_DTYPE)[None, :], limit=limit)
+    if order is not None and order > limit:
+        raise ClosureLimitExceeded(f"closure exceeded limit {limit}")
+    buf = np.empty((order or 1, degree), POINT_DTYPE)  # sized once if the order is known
+    buf[0] = np.arange(degree)
+    index = _RowIndex(buf, limit=limit, size=1)
     kept: list[int] = []
     start = 0
     while True:
         missing = np.flatnonzero(index.find(gen_rows[start:]) < 0)
         if not missing.size:
+            if order is not None and len(index.rows) != order:
+                raise GeneratorDeficiency(f"closed to order {len(index.rows)}, expected {order}")
             return Closure(index.rows, kept, index.base)
         start += int(missing[0])
         kept.append(start)
@@ -504,7 +531,7 @@ class FiniteGroup:
         cols = g.inverse().images[self.base]
         E = self.elements if ids is None else self.elements[np.asarray(ids)]
         out = np.empty(len(E), dtype=np.int64)
-        for rows in self._row_blocks(len(cols), len(E)):
+        for rows in self._row_blocks(8 * len(cols), len(E)):  # and 8-byte keys, slots, ids
             out[rows] = self._index.locate(g.images[E[rows][:, cols]])
         return out
 
@@ -557,9 +584,10 @@ class FiniteGroup:
 
 
 def close_group(generators: Sequence[Permutation], limit: int = DEFAULT_CLOSURE_LIMIT,
-                degree: int | None = None, name: str | None = None) -> FiniteGroup:
-    """Enumerate the group generated by `generators` (`dimino`), in the
-    canonical order (`lex_order`); the group keeps the generators dimino kept."""
+                degree: int | None = None, name: str | None = None,
+                order: int | None = None) -> FiniteGroup:
+    """Enumerate the group generated by `generators` (`dimino`, of `order` if known) in
+    the canonical order (`sort_rows`); the group keeps the generators dimino kept."""
     if generators:
         degrees = {g.degree for g in generators}
         if len(degrees) != 1:
@@ -568,10 +596,10 @@ def close_group(generators: Sequence[Permutation], limit: int = DEFAULT_CLOSURE_
     elif degree is None:
         raise ValueError("need a degree for the empty generating set")
     rows = np.array([g.images for g in generators], dtype=POINT_DTYPE).reshape(-1, degree)
-    closed = dimino(rows, limit)
-    mat = closed.elements[lex_order(closed.elements, closed.base)]
-    return FiniteGroup(degree, [generators[k] for k in closed.kept], mat, name=name,
-                       base=closed.base)
+    closed = dimino(rows, limit, order)
+    mat = closed.elements if order is not None else closed.elements.copy()  # not the buffer
+    return FiniteGroup(degree, [generators[k] for k in closed.kept],
+                       sort_rows(mat, closed.base), base=closed.base, name=name)
 
 
 @dataclass
@@ -590,21 +618,19 @@ class ConjClassTable:
         return int(self.classes[class_id][0])
 
 
-def orbits(maps: Sequence[np.ndarray], n: int) -> tuple[list[np.ndarray], np.ndarray]:
+def orbits(maps: Iterable[np.ndarray], n: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Orbits on 0..n-1 of the group generated by the id permutations `maps`,
-    numbered by least point, and each point's orbit.  Min-label propagation:
-    each point takes the least label along the maps, then its label's label,
-    until no label moves."""
-    label = np.arange(n)
-    while True:
-        new = label
-        for m in maps:
-            new = np.minimum(new, new[m])
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    _, orbit_of = np.unique(label, return_inverse=True)
+    numbered by least point, and each point's orbit.  The maps are merged one
+    at a time, so an iterator holds one: each label hooks onto the least label
+    of an image of its points, and labels follow labels, until they settle."""
+    label = np.arange(n, dtype=np.int32 if n < 2 ** 31 else np.int64)
+    for m in maps:
+        while not np.array_equal(image := label[m], label):
+            hooked = label.copy()
+            np.minimum.at(hooked, label, image)
+            while not np.array_equal(label := hooked[hooked], hooked):
+                hooked = label
+    orbit_of = (np.cumsum(label == np.arange(n)) - 1)[label]  # least points number the orbits
     members = np.argsort(orbit_of, kind="stable")
     return np.split(members, np.cumsum(np.bincount(orbit_of))[:-1]), orbit_of
 
@@ -634,7 +660,7 @@ def sweep(start: Sequence[int], step, seen: np.ndarray):
 def conjugacy_classes(G: FiniteGroup) -> ConjClassTable:
     """Classes as the orbits of the generators' conjugation id-permutations."""
     if G._classes is None:
-        maps = [G.conjugation_ids(g) for g in G.generators]
+        maps = (G.conjugation_ids(g) for g in G.generators)
         G._classes = ConjClassTable(*orbits(maps, G.order))
     return G._classes
 

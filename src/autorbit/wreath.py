@@ -236,8 +236,8 @@ class WreathGroup:
         if self.order > limit:
             raise TooLarge(f"wreath group order {self.order} exceeds limit {limit}")
         B, t = self._unpack_codes(np.arange(self.order))
-        maps = [self._pack_arrays(*self._conj_batch(B, t, cmap))
-                for cmap in self._conjugation_maps(self.standard_conjugators())]
+        maps = (self._pack_arrays(*self._conj_batch(B, t, cmap))
+                for cmap in self._conjugation_maps(self.standard_conjugators()))
         self._enum_classes = orbits(maps, self.order)[1]
         return self._enum_classes
 

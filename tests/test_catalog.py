@@ -177,7 +177,6 @@ def test_almost_simple_aut_limit_bounds_the_named_group(monkeypatch):
         catalog.almost_simple_aut("psl(3,4)", limit=20159)
 
 
-@pytest.mark.slow
 def test_resolve_autpsl34_builds_the_group():
     assert resolve("autpsl34").order == 241920
 
@@ -223,8 +222,7 @@ def test_every_small_projective_group_closes_to_its_order(kind, d, q):
     assert G.order == projective_order(kind, d, q) and G.degree == _degree(kind, d, q)
 
 
-@pytest.mark.parametrize("kind,order", [
-    ("SU", 126_000), pytest.param("GU", 378_000, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("kind,order", [("SU", 126_000), ("GU", 378_000)])
 def test_unitary_groups_over_f25(kind, order):
     assert projective_group(kind, 3, 5).order == order
 

@@ -64,11 +64,12 @@ def test_aut_persistence(tmp_path, capsys):
 
 def test_group_file_spec(tmp_path, capsys):
     path = tmp_path / "v4.json"
-    path.write_text(json.dumps({"name": "v4", "degree": 4,
-                                "generators": ["(1 2)(3 4)", "(1 3)(2 4)"]}))
-    code, out, _ = run_cli(capsys, "mcs", "--group", f"file:{path}")
-    assert code == 0
-    assert json.loads(out)["order"] == 4
+    # degree 40000: a coset batch still holds a row, so the file is read
+    for degree, generators in ((4, ["(1 2)(3 4)", "(1 3)(2 4)"]), (40000, ["(1 2)", "(3 4)"])):
+        path.write_text(json.dumps({"name": "v4", "degree": degree, "generators": generators}))
+        code, out, _ = run_cli(capsys, "mcs", "--group", f"file:{path}")
+        assert code == 0
+        assert json.loads(out)["order"] == 4
 
 
 def test_construct_hp(capsys):
@@ -216,6 +217,31 @@ def test_h_needs_a_nonabelian_simple_group(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_check_simple", lambda S: pytest.fail("checked"))
     A, socle = cli.aut_pair("sym5", 10_000, 10_000)
     assert (A.order, socle.size) == (120, 120)
+
+
+def test_h_takes_simplicity_from_the_family_name(capsys, monkeypatch):
+    # psl(3,4) is simple by its name: no subgroup closure runs, and S is built once
+    built, resolve = [], catalog.resolve
+    monkeypatch.setattr(catalog, "resolve",
+                        lambda name, limit: built.append(name) or resolve(name, limit))
+    monkeypatch.setattr(FiniteGroup, "subgroup_closure", lambda *a: pytest.fail("closure"))
+    code, out, _ = run_cli(capsys, "h", "--simple", "name:psl(3,4)")
+    assert code == 0 and json.loads(out)["h"] == "3/4" and built == ["psl(3,4)"]
+    monkeypatch.undo()
+    for name in ("alt4", "psl(2,3)"):  # outside the families the check still runs
+        code, _, err = run_cli(capsys, "h", "--simple", f"name:{name}")
+        assert code == 2 and "is not a nonabelian simple group" in err
+
+
+@pytest.mark.parametrize("name", ["alt5", "alt7", "psl(2,4)", "psl(2,7)", "psl(3,2)",
+                                  "psl34", "sym5", "pgl(2,5)", "alt4", "psl(2,3)", "cyclic5"])
+def test_simple_by_name_agrees_with_the_closure_check(name):
+    try:
+        cli._check_simple(catalog.resolve(name))
+        simple = True
+    except catalog.BadParameter:
+        simple = False
+    assert catalog.simple_by_name(name) == simple
 
 
 def test_h_past_the_search_guard(capsys):

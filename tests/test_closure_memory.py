@@ -1,0 +1,119 @@
+"""Memory peaks of the closure and of the class routine, with the routines
+they replaced kept here as oracles: the full `rows[lex_order(...)]` gather
+for the in-place `sort_rows`, and min-label propagation over all the maps at
+once for `orbits`, which merges one map at a time.  tracemalloc counts
+numpy's allocations, so the peaks are deterministic."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from autorbit import catalog, wreath
+from autorbit.permcore import (ClosureLimitExceeded, FiniteGroup, ResourceLimit, close_group,
+                               conjugacy_classes, lex_order, orbits, parse_cycles, sort_rows)
+from test_catalog import _covered
+from test_permcore_oracle import CATALOG
+
+
+def traced_peak(build):
+    """(build(), the peak of traced allocations while it ran)."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def all_maps_orbit_labels(maps, n):
+    """Each point's orbit, numbered by least point: every point takes the
+    least label along all the maps, then its label's label, until no label
+    moves (the propagation `orbits` used before it took one map at a time)."""
+    maps, label = list(maps), np.arange(n)
+    while True:
+        new = label
+        for m in maps:
+            new = np.minimum(new, new[m])
+        new = new[new]
+        if np.array_equal(new, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = new
+
+
+@pytest.mark.parametrize("name", ["pgl(3,4)", "autpsl34"])
+def test_close_group_peaks_near_the_array_it_returns(name):
+    G = catalog.resolve(name)
+    H, peak = traced_peak(lambda: close_group(G.generators, order=G.order))
+    assert H.elements.tobytes() == G.elements.tobytes() and H.base == G.base
+    assert peak <= 1.6 * H.elements.nbytes
+
+
+@pytest.mark.parametrize("name", ["pgl(3,4)", "autpsl34"])
+def test_classes_peak_the_same_for_any_number_of_generators(name):
+    G, rng = catalog.resolve(name), np.random.default_rng(0)
+    extra = [G.perm(int(i)) for i in rng.choice(G.order, 8, replace=False)]
+    for gens in (G.generators, G.generators + extra):
+        F = FiniteGroup(G.degree, gens, G.elements, G.base)
+        table, peak = traced_peak(lambda: conjugacy_classes(F))
+        assert np.array_equal(table.class_of, conjugacy_classes(G).class_of)
+        assert peak <= 6 * 8 * G.order
+
+
+@pytest.mark.parametrize("order", [None, 4])
+def test_close_group_past_a_block_of_points(order):
+    # degree 40000: a block of cells holds 26 rows, and a coset batch still a row or more
+    G = close_group([parse_cycles("(1 2)", 40000), parse_cycles("(3 4)", 40000)], order=order)
+    assert G.order == 4 and np.array_equal(G.elements[:, 4:], np.tile(np.arange(4, 40000), (4, 1)))
+    assert list(map(tuple, G.elements[:, :4].tolist())) == [
+        (0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (1, 0, 3, 2)]
+
+
+def test_the_closure_limit_raises_before_allocating():
+    # |Sym(12)| = 479001600: the message the growing closure raised, before
+    # anything near the element array is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClosureLimitExceeded, match="^closure exceeded limit 2000000$"):
+            catalog.sym(12)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind,d,q", list(_covered()))
+def test_sort_rows_is_the_lex_order_gather(kind, d, q):
+    G = catalog.projective_group(kind, d, q)
+    rows = G.elements[np.random.default_rng(q).permutation(G.order)]
+    expected = rows[lex_order(rows, G.base)]
+    assert sort_rows(rows, G.base).tobytes() == expected.tobytes() == G.elements.tobytes()
+
+
+def _at_most_2000(name):
+    try:
+        return catalog.resolve(name, limit=2000).order <= 2000
+    except ResourceLimit:
+        return False
+
+
+SMALL_CATALOG = [name for name in dict.fromkeys(CATALOG + [case.id for case in _covered()])
+                 if _at_most_2000(name)]
+
+
+@pytest.mark.parametrize("name", SMALL_CATALOG)
+def test_orbits_match_the_all_maps_propagation(name):
+    G = catalog.resolve(name)
+    maps = [G.conjugation_ids(g) for g in G.generators]
+    parts, orbit_of = orbits(iter(maps), G.order)
+    assert np.array_equal(orbit_of, all_maps_orbit_labels(maps, G.order))
+    assert [p.tolist() for p in parts] == [
+        np.flatnonzero(orbit_of == k).tolist() for k in range(len(parts))]
+
+
+@pytest.mark.parametrize("base,n", [("sym3", 4), ("alt4", 3)])
+def test_class_codes_match_the_all_maps_propagation(base, n):
+    wg = wreath.WreathGroup(catalog.resolve(base), n)
+    B, t = wg._unpack_codes(np.arange(wg.order))
+    maps = [wg._pack_arrays(*wg._conj_batch(B, t, cmap))
+            for cmap in wg._conjugation_maps(wg.standard_conjugators())]
+    assert np.array_equal(wg.class_codes(), all_maps_orbit_labels(maps, wg.order))
