@@ -34,17 +34,19 @@ class ActionMismatch(GroupError):
 @dataclass
 class OrbitReport:
     name: str
-    order: int
-    orbit_sizes: list[int]  # sorted descending
-    maol_absolute: int      # MAOL: the largest orbit length
-    maol: Fraction          # MAOL / |G|, in lowest terms
+    orbit_sizes: list[int]  # sorted descending; they sum to |G|
+
+    @property
+    def maol(self) -> Fraction:
+        """MAOL / |G|, MAOL the largest orbit length."""
+        return Fraction(self.orbit_sizes[0], sum(self.orbit_sizes))
 
     def to_json(self) -> dict:
         return {
             "group": self.name,
-            "order": self.order,
+            "order": sum(self.orbit_sizes),
             "orbitSizes": self.orbit_sizes,
-            "MAOL": self.maol_absolute,
+            "MAOL": self.orbit_sizes[0],
             "maol": encode_value(self.maol),
         }
 
@@ -218,14 +220,7 @@ def maol(G: FiniteGroup, A: FiniteGroup) -> OrbitReport:
         raise ActionMismatch("automorphism degree does not match carrier order")
     sizes = sorted((int(o.size) for o in orbits([g.images for g in A.generators],
                                                 G.order)[0]), reverse=True)
-    biggest = sizes[0]
-    return OrbitReport(
-        name=G.name or "group",
-        order=G.order,
-        orbit_sizes=sizes,
-        maol_absolute=biggest,
-        maol=Fraction(biggest, G.order),
-    )
+    return OrbitReport(G.name or "group", sizes)
 
 
 def class_orbits(A: FiniteGroup, ids: np.ndarray) -> list[int]:

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import re
 from math import factorial, gcd
+from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Field, make_field
+from .fields import MAX_FIELD_SIZE, Field, make_field
 from .permcore import (DEFAULT_CLOSURE_LIMIT, POINT_DTYPE, FiniteGroup, GeneratorDeficiency,
-                       Permutation, TooLarge, close_group, GroupError)
+                       Permutation, TooLarge, close_group, GroupError, _check_degree,
+                       size_text)
 
 
 class BadParameter(GroupError):
@@ -30,6 +32,7 @@ class BadParameter(GroupError):
 def sym(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     if n < 1:
         raise BadParameter("sym(n) needs n >= 1")
+    _check_degree(n)  # before a list of n points is built
     if n == 1:
         return close_group([], degree=1, name="sym1")
     gens = [Permutation([1, 0] + list(range(2, n)))]
@@ -41,6 +44,7 @@ def sym(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
 def alt(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     if n < 1:
         raise BadParameter("alt(n) needs n >= 1")
+    _check_degree(n)
     if n <= 2:
         return close_group([], degree=n, name=f"alt{n}")
     three = Permutation([1, 2, 0] + list(range(3, n)))
@@ -56,6 +60,7 @@ def alt(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
 def cyclic(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     if n < 1:
         raise BadParameter("cyclic(n) needs n >= 1")
+    _check_degree(n)
     if n == 1:
         return close_group([], degree=1, name="cyclic1")
     return close_group([Permutation(list(range(1, n)) + [0])], limit=limit,
@@ -215,29 +220,23 @@ def _unitary_matrices(F: Field, d: int) -> np.ndarray:
 
 def _order_gl(d: int, q: int) -> int:
     n = 1
-    for i in range(d):
-        n *= q ** d - q ** i
-    return n
-
-
-def _order_gu(d: int, q: int) -> int:
-    n = q ** (d * (d - 1) // 2)
     for i in range(1, d + 1):
-        n *= q ** i - (-1) ** i
-    return n
+        n *= q ** i - 1
+    return n * q ** (d * (d - 1) // 2)  # the power last: small factors multiply first
 
 
 def projective_order(kind: str, d: int, q: int) -> int:
+    """|PGL|, |PSL|, |PGU| or |PSU| of dimension d over F_q.  |GU_d(q)| is
+    |GL_d(-q)| up to sign (Ennola duality), so one product serves both."""
+    if kind not in ("GL", "SL", "GU", "SU"):
+        raise BadParameter(f"kind must be GL, SL, GU or SU, not {kind!r}")
+    field = q * q if kind in ("GU", "SU") else q  # the unitary groups live over F_{q^2}
+    if field > MAX_FIELD_SIZE:  # the field-size guard, before the loop over q
+        raise TooLarge(f"field size {field} exceeds {MAX_FIELD_SIZE}")
     _prime_power(q)  # raises BadParameter unless q is a prime power
-    if kind == "GL":
-        return _order_gl(d, q) // (q - 1)
-    if kind == "SL":
-        return _order_gl(d, q) // (q - 1) // gcd(d, q - 1)
-    if kind == "GU":
-        return _order_gu(d, q) // (q + 1)
-    if kind == "SU":
-        return _order_gu(d, q) // (q + 1) // gcd(d, q + 1)
-    raise BadParameter(f"unknown kind {kind!r}")
+    s = q if kind in ("GL", "SL") else -q
+    n = abs(_order_gl(d, s) // (s - 1))
+    return n // gcd(d, s - 1) if kind in ("SL", "SU") else n
 
 
 def projective_group(kind: str, d: int, q: int,
@@ -245,13 +244,11 @@ def projective_group(kind: str, d: int, q: int,
     """PGL/PSL_d(q) on the projective points of the natural module, PGU/PSU_d(q)
     on its isotropic points only (over F_{q^2}), which they permute faithfully."""
     kind = kind.upper()
-    if kind not in ("GL", "SL", "GU", "SU"):
-        raise BadParameter(f"kind must be GL, SL, GU or SU, not {kind!r}")
     if d < 2:
         raise BadParameter("need dimension >= 2")
     expected = projective_order(kind, d, q)
     if expected > limit:
-        raise TooLarge(f"P{kind}_{d}({q}) has order {expected} > limit {limit}")
+        raise TooLarge(f"P{kind}_{d}({q}) has order {size_text(expected)} > limit {limit}")
 
     p, f = _prime_power(q)
     if kind in ("GL", "SL"):
@@ -335,17 +332,17 @@ def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
     return ids
 
 
-def simple_by_name(name: str) -> bool:
-    """Whether `name` is alt(n >= 5), psl(2, q >= 4) or psl(3, q): simple by its name."""
-    base, a, b = _parse_name(name)
-    return (base == "alt" and b is None and a >= 5
-            or base == "psl" and b is not None and (a == 3 or a == 2 and b >= 4))
+class AlmostSimple(NamedTuple):
+    """S <= G <= Aut(S), S simple: G is simple iff it has |S| ids in Aut(S)."""
+    aut: FiniteGroup
+    ids: np.ndarray
+    name: str
+    socle_order: int
 
 
-def almost_simple_aut(name: str, limit: int = DEFAULT_CLOSURE_LIMIT
-                      ) -> tuple[FiniteGroup, np.ndarray] | None:
-    """(Aut(S), the ids inside it of the catalog group G named `name`) for
-    S <= G <= Aut(S), S simple, in the families built here; None otherwise.
+def almost_simple_aut(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> AlmostSimple | None:
+    """Aut(S), the ids in it of the catalog group G named `name`, G's name
+    and |S|, for S <= G <= Aut(S), S simple, in the families built here; None otherwise.
     Aut(S) is Sym(n) for alt/sym(n), n >= 5 and n != 6; PGammaL_2(q) for
     psl/pgl(2,q), q >= 4, and for alt6 = PSL_2(9) and sym6 = PSigmaL_2(9);
     PGammaL_3(q) with the duality for psl/pgl(3,q).  G's ids come from its
@@ -354,7 +351,8 @@ def almost_simple_aut(name: str, limit: int = DEFAULT_CLOSURE_LIMIT
     G, as in `resolve`; Aut(S) closes under the default limit."""
     base, a, b = _parse_name(name)
     socle = {"sym": "alt", "pgl": "psl"}.get(base, base)  # S's family: alt in sym, psl in pgl
-    if not simple_by_name(f"{socle}({a})" if b is None else f"{socle}({a},{b})"):
+    if not (socle == "alt" and b is None and a >= 5
+            or socle == "psl" and b is not None and (a == 3 or a == 2 and b >= 4)):
         return None
     d, q = ((2, 9) if a == 6 else (None, None)) if b is None else (a, b)
     G = resolve(name, limit)
@@ -375,7 +373,8 @@ def almost_simple_aut(name: str, limit: int = DEFAULT_CLOSURE_LIMIT
             ids = A.ids_of(G.elements if d == 2 else _with_lines(F, pts, G.elements))
     if ids.size != G.order:
         raise GeneratorDeficiency(f"{G.name} has {ids.size} ids in Aut(S), expected {G.order}")
-    return A, np.sort(ids)
+    socle_order = factorial(a) // 2 if d is None else projective_order("SL", d, q)
+    return AlmostSimple(A, np.sort(ids), G.name, socle_order)
 
 
 # -- name registry ----------------------------------------------------------

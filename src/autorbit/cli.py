@@ -18,12 +18,13 @@ from . import catalog
 from . import multinomial as mn
 from . import stypes
 from . import wreath
-from .autgrp import (DEFAULT_NODE_BUDGET, automorphism_group, class_orbits,
+from .autgrp import (DEFAULT_NODE_BUDGET, OrbitReport, automorphism_group, class_orbits,
                      inner_automorphism_ids, maol)
 from .catalog import BadParameter
 from .fields import _is_prime
 from .permcore import (DEFAULT_CLOSURE_LIMIT, DegreeMismatch, FiniteGroup, ResourceLimit,
-                       conjugacy_classes, load_group_file, mcs)
+                       TooLarge, _check_degree, conjugacy_classes, load_group_file, mcs,
+                       size_text)
 from .reports import (FAIL, PASS, ReportItem, SuiteRunner,
                       VerificationReport, encode_value, print_report, write_text)
 
@@ -43,28 +44,37 @@ def resolve_group(spec: str, limit: int) -> FiniteGroup:
     raise BadParameter(f"group spec must start with 'name:' or 'file:', got {spec!r}")
 
 
+def construct_or_group(spec: str, limit: int) -> catalog.AlmostSimple | FiniteGroup:
+    """The one construct-or-search choice: Aut(S) built with G inside it for
+    a `name:` that `catalog.almost_simple_aut` covers; otherwise G itself,
+    whose Aut(G) comes from the search.  `limit` bounds G."""
+    if spec.startswith("name:"):
+        return catalog.almost_simple_aut(spec[5:], limit) or resolve_group(spec, limit)
+    return resolve_group(spec, limit)
+
+
+def _pair(G: catalog.AlmostSimple | FiniteGroup, budget: int) -> tuple[FiniteGroup, np.ndarray]:
+    """(Aut(S), G's ids inside it); for a searched G = S, the ids of Inn(S)."""
+    if isinstance(G, FiniteGroup):
+        A = automorphism_group(G, budget=budget)
+        return A, inner_automorphism_ids(G, A)
+    return G.aut, G.ids
+
+
 def aut_pair(name: str, limit: int, budget: int) -> tuple[FiniteGroup, np.ndarray]:
-    """(Aut(S) as a permutation group, ids inside it of the group `name`,
-    S <= G <= Aut(S)): built by `catalog.almost_simple_aut` where it covers
-    the name; otherwise G = S, Aut(S) comes from the Cayley-table search and
-    the ids are those of Inn(S).  `limit` bounds the named group only."""
-    built = catalog.almost_simple_aut(name, limit)
-    if built is not None:
-        return built
-    S = catalog.resolve(name, limit=limit)
-    A = automorphism_group(S, budget=budget)
-    return A, inner_automorphism_ids(S, A)
+    """(Aut(S), ids inside it of the catalog group `name`, S <= G <= Aut(S))."""
+    return _pair(construct_or_group(f"name:{name}", limit), budget)
 
 
-def maol_of(name: str, limit: int, budget: int) -> Fraction:
-    """maol of the catalog group `name`: Aut(S)'s classes inside G where
-    `catalog.almost_simple_aut` covers it, the Aut(G) search otherwise."""
-    built = catalog.almost_simple_aut(name, limit)
-    if built is not None:
-        A, ids = built
-        return Fraction(class_orbits(A, ids)[0], int(ids.size))
-    G = catalog.resolve(name, limit=limit)
-    return maol(G, automorphism_group(G, budget=budget)).maol
+def maol_report(spec: str, limit: int, budget: int) -> tuple[OrbitReport, int]:
+    """G's Aut(G)-orbit report and |Aut(G)|.  For a built G these are the
+    classes of Aut(S) inside G and |Aut(S)| = |N_Aut(S)(G)| (`class_orbits`
+    checks that G is normal); otherwise the orbits of the searched Aut(G)."""
+    G = construct_or_group(spec, limit)
+    if isinstance(G, FiniteGroup):
+        A = automorphism_group(G, budget=budget)
+        return maol(G, A), A.order
+    return OrbitReport(G.name, class_orbits(G.aut, G.ids)), G.aut.order
 
 
 # -- simple subcommands -------------------------------------------------------
@@ -115,12 +125,8 @@ def cmd_classes(args) -> int:
 
 
 def cmd_maol(args) -> int:
-    G = resolve_group(args.group, args.max_order)
-    A = automorphism_group(G, budget=args.max_nodes)
-    report = maol(G, A)
-    out = report.to_json()
-    out["autOrder"] = A.order
-    print(json.dumps(out))
+    report, aut_order = maol_report(args.group, args.max_order, args.max_nodes)
+    print(json.dumps({**report.to_json(), "autOrder": aut_order}))
     return 0
 
 
@@ -139,20 +145,24 @@ def cmd_aut(args) -> int:
     return 0
 
 
-def _check_simple(S: FiniteGroup):
-    """Usage error unless S is nonabelian and each nonidentity class generates all of S."""
-    table = conjugacy_classes(S)
-    if len(table.classes) == S.order or any(
-            S.subgroup_closure(cls).size < S.order for cls in table.classes[1:]):
-        raise BadParameter(f"{S.name} is not a nonabelian simple group")
+def _check_simple(G: catalog.AlmostSimple | FiniteGroup):
+    """Usage error unless G is nonabelian simple: a built G has |S| ids in
+    Aut(S); a searched G is nonabelian and each nonidentity class generates it."""
+    if isinstance(G, FiniteGroup):
+        table = conjugacy_classes(G)
+        simple = len(table.classes) < G.order and all(
+            G.subgroup_closure(cls).size == G.order for cls in table.classes[1:])
+    else:
+        simple = G.ids.size == G.socle_order
+    if not simple:
+        raise BadParameter(f"{G.name} is not a nonabelian simple group")
 
 
 def _simple_aut_pair(args) -> tuple[FiniteGroup, np.ndarray]:
     """`aut_pair` for --simple, after the usage check that S is simple."""
-    name = _strip_name(args.simple)
-    if not catalog.simple_by_name(name):
-        _check_simple(catalog.resolve(name, args.max_order))
-    return aut_pair(name, args.max_order, args.max_nodes)
+    G = construct_or_group("name:" + args.simple.removeprefix("name:"), args.max_order)
+    _check_simple(G)
+    return _pair(G, args.max_nodes)
 
 
 def cmd_h(args) -> int:
@@ -174,19 +184,14 @@ def cmd_h(args) -> int:
     return 0
 
 
-def _strip_name(spec: str) -> str:
-    return spec[5:] if spec.startswith("name:") else spec
-
-
 def cmd_construct_hp(args) -> int:
+    _check_degree(args.p)  # the top group acts on p points; before the loop over p
     if not _is_prime(args.p):
         raise BadParameter(f"--p must be a prime, got {args.p}")
     A, _ = _simple_aut_pair(args)
     sigma_space = A.order ** args.p * args.p
     if sigma_space > SLOW_HP_SPACE and not args.slow:
-        print(f"H_{args.p} sweep space is {sigma_space}; rerun with --slow",
-              file=sys.stderr)
-        return 3
+        raise TooLarge(f"H_{args.p} sweep space is {size_text(sigma_space)}; rerun with --slow")
     hp = wreath.build_hp(A, args.p)
     print(json.dumps(hp.to_json()))
     return 0
@@ -285,7 +290,7 @@ def paper_table_suite(args) -> VerificationReport:
     runner.add("mcs-pgu(4,2)", 5, lambda: mcs_of("pgu(4,2)"))
 
     runner.add("maol-psl(2,8)", "3/7",
-               lambda: encode_value(maol_of("psl(2,8)", limit, budget)))
+               lambda: encode_value(maol_report("name:psl(2,8)", limit, budget)[0].maol))
 
     def psl34_class():
         A, _ = aut_of("psl(3,4)")
@@ -295,7 +300,7 @@ def paper_table_suite(args) -> VerificationReport:
     runner.add("aut-psl(3,4)-largest-class",
                {"autOrder": 241920, "largestClass": 24192}, psl34_class)
     runner.add("maol-extraspecial27", "2/3",
-               lambda: encode_value(maol_of("extraspecial(3)", limit, budget)))
+               lambda: encode_value(maol_report("name:extraspecial(3)", limit, budget)[0].maol))
     return runner.run()
 
 
@@ -303,7 +308,7 @@ def nonsolvable_suite(args) -> VerificationReport:
     runner = SuiteRunner("nonsolvable-bound", time_limit_s=args.time_limit_s)
     for name in NONSOLVABLE_LIST:
         def check(name=name):
-            m = maol_of(name, args.max_order, args.max_nodes)
+            m = maol_report(f"name:{name}", args.max_order, args.max_nodes)[0].maol
             return {"maol": encode_value(m),
                     "le_3_7": m <= Fraction(3, 7),
                     "le_18_19": m <= Fraction(18, 19)}

@@ -14,6 +14,7 @@ Products, inverses and powers are table lookups; sums work digit by digit
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -31,14 +32,7 @@ class NotPrime(FieldError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _poly_mulmod(a: tuple, b: tuple, mod: tuple, p: int) -> tuple:

@@ -34,7 +34,7 @@ import json
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, log10
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,6 +76,11 @@ class NotNormal(GroupError):
 
 class InvalidAutomorphism(GroupError):
     pass
+
+
+def size_text(n: int) -> str:
+    """n, or past 30 digits a power of ten: str() refuses ints of over 4300 digits."""
+    return str(n) if n < 10 ** 30 else f"about 10^{log10(n):.1f}"
 
 
 def _check_degree(degree: int):

@@ -19,10 +19,16 @@ import numpy as np
 from .catalog import sym
 from .permcore import (DEFAULT_CLOSURE_LIMIT, FiniteGroup, GroupError, Permutation,
                        TooLarge, close_group, conjugacy_classes, cycle_decompose,
-                       cycle_type, orbits, sweep, POINT_DTYPE)
+                       cycle_type, orbits, size_text, sweep, POINT_DTYPE)
 from .reports import encode_value
 
 DEFAULT_ORBIT_SPACE = 64_000_000  # visited-array cells for orbit sweeps
+
+
+def check_sweep_size(order: int):
+    """Raise unless a wreath group of this order fits DEFAULT_ORBIT_SPACE visited cells."""
+    if order > DEFAULT_ORBIT_SPACE:
+        raise TooLarge(f"wreath group order {size_text(order)} too large to sweep")
 
 
 class ShapeMismatch(GroupError):
@@ -69,8 +75,6 @@ class WreathGroup:
         if self.top.degree != n:
             raise ShapeMismatch("top group degree != n")
         self.base_inv = base.inverse_ids()
-        self._top_cycles = [cycle_decompose(self.top.perm(t)).cycles
-                            for t in range(self.top.order)]
         self._enum_classes: np.ndarray | None = None
 
     # -- element helpers ------------------------------------------------
@@ -191,18 +195,13 @@ class WreathGroup:
         right = invk[col2[t]]
         return self.T[step1, right], top_map[t]
 
-    def check_sweep_size(self):
-        """Raise unless the whole group fits DEFAULT_ORBIT_SPACE visited cells."""
-        if self.order > DEFAULT_ORBIT_SPACE:
-            raise TooLarge(f"wreath group order {self.order} too large to sweep")
-
     def conjugation_orbit(self, seeds: Sequence[WreathElement],
                           conjugators: Iterable[tuple[Sequence[int], Permutation]]
                           ) -> np.ndarray:
         """Packed codes of the closure of `seeds` under conjugation.  The
         visited array is indexed by packed code, so the whole wreath group
         must fit in DEFAULT_ORBIT_SPACE cells."""
-        self.check_sweep_size()
+        check_sweep_size(self.order)
         maps = self._conjugation_maps(conjugators)
 
         def step(frontier):
@@ -234,7 +233,7 @@ class WreathGroup:
         if self._enum_classes is not None:
             return self._enum_classes
         if self.order > limit:
-            raise TooLarge(f"wreath group order {self.order} exceeds limit {limit}")
+            raise TooLarge(f"wreath group order {size_text(self.order)} exceeds limit {limit}")
         B, t = self._unpack_codes(np.arange(self.order))
         maps = (self._pack_arrays(*self._conj_batch(B, t, cmap))
                 for cmap in self._conjugation_maps(self.standard_conjugators()))
@@ -264,7 +263,7 @@ class WreathGroup:
         order = np.argsort(t, kind="stable")
         tops, starts = np.unique(t[order], return_index=True)
         for s, at in zip(tops.tolist(), np.split(order, starts[1:])):
-            for j, zeta in enumerate(self._top_cycles[s]):
+            for j, zeta in enumerate(cycle_decompose(self.top.perm(s)).cycles):
                 acc = B[at, zeta[0]]
                 for i in zeta[1:]:
                     acc = self.T[B[at, i], acc]
@@ -374,11 +373,11 @@ def build_hp(A: FiniteGroup, p: int) -> HpConstruction:
     The measured orbit closes alpha under Aut(S) wr N_{Sym_p}(<sigma>), the
     automorphism group of the construction; the normalizer is generated by
     sigma and the power map sigma -> sigma^u for a primitive root u mod p."""
+    check_sweep_size(A.order ** p * p)  # before the top group and the classes of Aut(S)
     sigma = Permutation([(i + 1) % p for i in range(p)])
     wg = WreathGroup(A, p, top=[sigma])
     if wg.top.order != p:
         raise GroupError("top group is not the cyclic group of the p-cycle")
-    wg.check_sweep_size()  # before the classes of Aut(S)
 
     table = conjugacy_classes(A)
     sizes = table.sizes

@@ -159,18 +159,28 @@ def test_almost_simple_aut_leaves_other_names_to_the_search(monkeypatch, name):
     ("alt7", 7), ("sym7", 7), ("alt6", 10), ("sym6", 10), ("pgl(2,9)", 10),
     ("psl(2,8)", 9), ("pgl(3,2)", 14), ("psl(3,3)", 26)])
 def test_almost_simple_aut_embeds_the_named_group(name, aut_degree):
-    A, ids = catalog.almost_simple_aut(name)
+    A, ids, g_name, _ = catalog.almost_simple_aut(name)
     G = resolve(name)
-    assert A.degree == aut_degree
+    assert A.degree == aut_degree and g_name == G.name
     assert ids.size == G.order and np.array_equal(ids, A.subgroup_closure(ids))
     assert pc.is_normal(A, ids)
     # the same group: element orders agree as multisets
     assert sorted(A.element_orders()[ids].tolist()) == sorted(G.element_orders().tolist())
 
 
+@pytest.mark.parametrize("name, socle_order", [
+    ("ALT(7)", 2520), ("sym7", 2520), ("alt6", 360), ("sym6", 360), ("pgl(2,9)", 360),
+    ("psl(2,8)", 504), ("pgl(2,4)", 60), ("pgl(3,2)", 168), ("psl34", 20160)])
+def test_almost_simple_aut_names_g_and_gives_the_socle_order(name, socle_order):
+    # G's name as `resolve` gives it, whatever the spelling, and |S|
+    _, ids, g_name, s_order = catalog.almost_simple_aut(name)
+    assert (g_name, s_order) == (resolve(name).name, socle_order)
+    assert (ids.size == s_order) == (name.lower() not in ("sym7", "sym6", "pgl(2,9)"))
+
+
 def test_almost_simple_aut_limit_bounds_the_named_group(monkeypatch):
     # Sym7 (5040) is built under the default limit for Alt7 (2520)
-    A, ids = catalog.almost_simple_aut("alt7", limit=2520)
+    A, ids, *_ = catalog.almost_simple_aut("alt7", limit=2520)
     assert (A.order, ids.size) == (5040, 2520)
     monkeypatch.setattr(catalog, "_aut_psl", lambda *a: pytest.fail("Aut(S) built"))
     with pytest.raises(pc.TooLarge, match="PSL_3[(]4[)] has order 20160 > limit 20159"):

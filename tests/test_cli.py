@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from autorbit import catalog, cli, wreath
-from autorbit.permcore import DEFAULT_CLOSURE_LIMIT, FiniteGroup
+from autorbit.autgrp import automorphism_group, maol
+from autorbit.permcore import DEFAULT_CLOSURE_LIMIT, MAX_DEGREE, FiniteGroup
 from autorbit.reports import ReportItem, VerificationReport, encode_value
 
 
@@ -233,15 +234,24 @@ def test_h_takes_simplicity_from_the_family_name(capsys, monkeypatch):
         assert code == 2 and "is not a nonabelian simple group" in err
 
 
-@pytest.mark.parametrize("name", ["alt5", "alt7", "psl(2,4)", "psl(2,7)", "psl(3,2)",
-                                  "psl34", "sym5", "pgl(2,5)", "alt4", "psl(2,3)", "cyclic5"])
-def test_simple_by_name_agrees_with_the_closure_check(name):
+def _passes_check_simple(G) -> bool:
     try:
-        cli._check_simple(catalog.resolve(name))
-        simple = True
+        cli._check_simple(G)
+        return True
     except catalog.BadParameter:
-        simple = False
-    assert catalog.simple_by_name(name) == simple
+        return False
+
+
+@pytest.mark.parametrize("name", ["alt5", "alt7", "psl(2,4)", "psl(2,7)", "psl(3,2)", "psl34",
+                                  "sym5", "pgl(2,5)", "alt4", "psl(2,3)", "cyclic5", "pgl(2,4)"])
+def test_simple_by_name_agrees_with_the_closure_check(name):
+    # a covered name is judged off its construction (|S| ids in Aut(S)), the
+    # others by the closure check; the construction's verdict is that check's
+    chosen = cli.construct_or_group(f"name:{name}", DEFAULT_CLOSURE_LIMIT)
+    covered = isinstance(chosen, catalog.AlmostSimple)
+    assert covered == (name not in ("alt4", "psl(2,3)", "cyclic5"))
+    simple = name not in ("sym5", "pgl(2,5)", "alt4", "psl(2,3)", "cyclic5")
+    assert _passes_check_simple(chosen) == _passes_check_simple(catalog.resolve(name)) == simple
 
 
 def test_h_past_the_search_guard(capsys):
@@ -251,11 +261,51 @@ def test_h_past_the_search_guard(capsys):
         assert code == 0 and json.loads(out)["h"] == h
 
 
+COVERED_UNDER_THE_GUARD = ["alt5", "sym5", "alt6", "sym6", "pgl(2,4)", "psl(2,5)", "pgl(2,5)",
+                           "psl(2,7)", "pgl(2,7)", "psl(2,8)", "pgl(2,9)", "psl(2,11)",
+                           "pgl(2,11)", "psl(2,13)", "psl(3,2)", "pgl(3,2)"]
+
+
+@pytest.mark.parametrize("name", COVERED_UNDER_THE_GUARD)
+def test_maol_reads_covered_names_off_the_construction(capsys, monkeypatch, name):
+    # the classes of Aut(S) inside G and |Aut(S)| print what the search does
+    G = catalog.resolve(name)
+    A = automorphism_group(G)
+    expected = maol(G, A).to_json()
+    expected["autOrder"] = A.order
+    monkeypatch.setattr(cli, "automorphism_group", lambda *a, **k: pytest.fail("searched"))
+    code, out, _ = run_cli(capsys, "maol", "--group", f"name:{name}")
+    assert code == 0 and out == json.dumps(expected) + "\n"
+
+
+def test_maol_past_the_search_guard(capsys):
+    # each of these stopped at the 2000-element guard of the search
+    for name, value, aut_order in (("alt7", "2/7", 5040), ("psl(2,17)", "1/8", 4896),
+                                   ("psl(3,4)", "2/5", 241920)):
+        code, out, _ = run_cli(capsys, "maol", "--group", f"name:{name}")
+        data = json.loads(out)
+        assert code == 0 and (data["maol"], data["autOrder"]) == (value, aut_order)
+
+
+def test_file_groups_keep_the_search(tmp_path, capsys, monkeypatch):
+    # a file group is searched, even under the name of a covered group
+    path = tmp_path / "alt5.json"
+    path.write_text(json.dumps({"name": "alt5", "degree": 5,
+                                "generators": ["(1 2 3)", "(1 2 3 4 5)"]}))
+    searched, search = [], cli.automorphism_group
+    monkeypatch.setattr(cli, "automorphism_group",
+                        lambda G, budget: searched.append(G.name) or search(G, budget=budget))
+    code, out, _ = run_cli(capsys, "maol", "--group", f"file:{path}")
+    assert code == 0 and searched == ["alt5"]
+    assert json.loads(out) == {"group": "alt5", "order": 60, "orbitSizes": [24, 20, 15, 1],
+                               "MAOL": 24, "maol": "2/5", "autOrder": 120}
+
+
 def test_aut_pair_builds_covered_groups_without_a_search(monkeypatch):
     monkeypatch.setattr(cli, "automorphism_group", lambda *a, **k: pytest.fail("searched"))
     A, socle = cli.aut_pair("alt5", 60, 1)
     assert (A.order, A.degree, len(A.generators), socle.size) == (120, 5, 2, 60)
-    assert cli.maol_of("psl(2,8)", 504, 1) == Fraction(3, 7)
+    assert cli.maol_report("name:psl(2,8)", 504, 1)[0].maol == Fraction(3, 7)
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
@@ -302,7 +352,8 @@ def test_degrees_beyond_the_point_dtype_are_resource_stops(tmp_path, capsys):
 
 
 def test_resource_exit_code(tmp_path, capsys, monkeypatch):
-    code, _, err = run_cli(capsys, "maol", "--group", "name:psl(3,4)")
+    # psu(3,3), of 6048 elements, is not built by construction: the search's guard stops it
+    code, _, err = run_cli(capsys, "maol", "--group", "name:psu(3,3)")
     assert code == 3
     assert "resource limit" in err
     # one cycle per prime below 110: degree 1480, an order past int64
@@ -327,6 +378,34 @@ def test_resource_exit_code(tmp_path, capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == ""
         assert f"resource limit: wreath group order 117050572800 {guard}" in err
+
+
+def test_huge_parameters_stop_at_the_guards(capsys, monkeypatch):
+    # p and q meet the degree and field-size guards before any loop over them,
+    # composite or not, and sizes past 30 digits print as powers of ten (str()
+    # refuses an int of more than 4300 digits)
+    monkeypatch.setattr(cli, "_is_prime", lambda p: p <= 2081 or pytest.fail("primality"))
+    monkeypatch.setattr(catalog, "_prime_power", lambda q: q <= 1000 or pytest.fail("factored"))
+    real = catalog.Permutation  # a list of more points than the guard allows fails here
+    monkeypatch.setattr(catalog, "Permutation", lambda images: real(images) if len(images)
+                        <= MAX_DEGREE else pytest.fail("points listed before the guard"))
+    hp = ["construct", "hp", "--simple", "name:alt5", "--p"]
+    for argv, message in (
+            (hp + ["2081"], "H_2081 sweep space is about 10^4330.1; rerun with --slow"),
+            (hp + ["2081", "--slow"], "wreath group order about 10^4330.1 too large to sweep"),
+            (hp + ["1000000000000000003"], "degree 1000000000000000003 exceeds the degree guard"),
+            (hp + ["1000000000000000000"], "degree 1000000000000000000 exceeds the degree guard"),
+            (["mcs", "--group", "name:psl(1000,2)"],
+             "PSL_1000(2) has order about 10^301029.5 > limit 2000000"),
+            (["mcs", "--group", "name:pgu(600,2)"],
+             "PGU_600(2) has order about 10^108370.4 > limit 2000000"),
+            (["mcs", "--group", "name:psl(2,100000007)"], "field size 100000007 exceeds 1048576"),
+            (["mcs", "--group", "name:psl(2,100000000)"], "field size 100000000 exceeds 1048576"),
+            (["mcs", "--group", "name:cyclic1000000"], "degree 1000000 exceeds the degree guard"),
+            (["verify", "wreath", "--base", "name:sym3", "--n", "1000000", "--exhaustive"],
+             "degree 1000000 exceeds the degree guard")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and f"resource limit: {message}" in err, argv
 
 
 def test_paper_table_limit_stops_are_skipped(capsys):

@@ -246,3 +246,11 @@ def test_sweep_reaches_each_orbit_once(case):
         assert len(reached) == len(set(reached))
         assert sorted(reached) == parts[part_of[x]].tolist()
         assert np.flatnonzero(seen).tolist() == sorted(reached)
+
+
+def test_size_text_bounds_long_numbers():
+    from autorbit.permcore import size_text
+    assert size_text(117050572800) == "117050572800"
+    assert size_text(10 ** 30 - 1) == "9" * 30
+    assert size_text(10 ** 30) == "about 10^30.0"
+    assert size_text(120 ** 2081 * 2081) == "about 10^4330.1"  # str() refuses it
