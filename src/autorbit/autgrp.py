@@ -225,11 +225,11 @@ def maol(G: FiniteGroup, A: FiniteGroup) -> OrbitReport:
 
 def class_orbits(A: FiniteGroup, ids: np.ndarray) -> list[int]:
     """Orbit sizes, largest first, of the normal subgroup G of A with these
-    ids under conjugation by A: the classes of A inside G.  For
+    sorted ids under conjugation by A: the classes of A inside G.  For
     S <= G <= A = Aut(S), S simple, Aut(G) is N_A(G) = A acting by
     conjugation, so these are the Aut(G)-orbits on G, found without a search
-    over G."""
+    over G or the classes of all of A."""
     if not is_normal(A, ids):
         raise NotNormal("the subgroup is not normal in Aut(S)")
-    counts = np.bincount(conjugacy_classes(A).class_of[ids])
-    return sorted(counts[counts > 0].tolist(), reverse=True)
+    maps = (np.searchsorted(ids, A.conjugation_ids(g, ids)) for g in A.generators)
+    return sorted((part.size for part in orbits(maps, ids.size)[0]), reverse=True)

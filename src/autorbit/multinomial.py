@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Sequence
@@ -54,11 +55,14 @@ def multinomial_coefficient(counts: Sequence[int]) -> int:
     return out
 
 
+_coefficient = lru_cache(maxsize=4096)(multinomial_coefficient)  # keyed by a counts tuple
+
+
 def pmf_kernel(numer: Sequence[int], counts: Sequence[int]) -> int:
     """multinomial(counts) * prod numer_i^counts_i: the pmf at `counts` times
     d^n when rho_i = numer_i / d.  0^0 = 1, so zero-probability classes with
     zero count are neutral."""
-    value = multinomial_coefficient(counts)
+    value = _coefficient(tuple(counts))
     for a, c in zip(numer, counts):
         value *= a ** c
     return value
@@ -176,11 +180,11 @@ def pmf_bound_check(mode: str = "exhaustive", samples: int = 0, seed: int = 0) -
     checked = 0
     violations = []
 
-    def run_case(numer, d, counts):
+    def run_case(numer, top, d, counts, scale):  # top = max(numer), scale = d^n
         nonlocal checked
         checked += 1
-        kernel, scale = pmf_kernel(numer, counts), d ** sum(counts)
-        if kernel * d > max(numer) * scale:
+        kernel = pmf_kernel(numer, counts)
+        if kernel * d > top * scale:
             violations.append({
                 "rho": encode_value([Fraction(a, d) for a in numer]),
                 "counts": list(counts),
@@ -192,13 +196,15 @@ def pmf_bound_check(mode: str = "exhaustive", samples: int = 0, seed: int = 0) -
             count_vectors = [cv for n in range(1, PMF_MAX_N + 1)
                              for cv in _nonneg_compositions(n, k)]
             for d in range(1, PMF_MAX_DENOM + 1):
+                scales = [d ** sum(cv) for cv in count_vectors]
                 for numer in _nonneg_compositions(d, k):
                     # a / d with g = gcd(a) > 1 is the rho vector (a/g) / (d/g),
                     # already checked at the smaller denominator
                     if gcd(*numer) > 1:
                         continue
-                    for counts in count_vectors:
-                        run_case(numer, d, counts)
+                    top = max(numer)
+                    for counts, scale in zip(count_vectors, scales):
+                        run_case(numer, top, d, counts, scale)
     elif mode == "random":
         rng = random.Random(seed)
         for _ in range(samples):
@@ -208,7 +214,7 @@ def pmf_bound_check(mode: str = "exhaustive", samples: int = 0, seed: int = 0) -
             parts = [b - a for a, b in zip([0] + cuts, cuts + [d])]
             n = rng.randint(1, 12)
             counts = random_composition(rng, n, k)
-            run_case(parts, d, counts)
+            run_case(parts, max(parts), d, counts, d ** n)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     result = {"checked": checked, "violations": violations}

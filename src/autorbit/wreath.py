@@ -150,50 +150,60 @@ class WreathGroup:
         return WreathElement(tuple(reversed(base)), self.top.perm(t))
 
     def _pack_arrays(self, B: np.ndarray, t: np.ndarray) -> np.ndarray:
-        code = np.zeros(B.shape[0], dtype=np.int64)
-        for i in range(self.n):
-            code = code * self.base.order + B[:, i]
+        code = np.zeros(t.size, dtype=np.int64)
+        for row in B:
+            code = code * self.base.order + row
         return code * self.top.order + t
 
     def _unpack_codes(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The base ids B, one row per coordinate, and the top ids t."""
         codes = np.asarray(codes, dtype=np.int64)
         t = codes % self.top.order
         rest = codes // self.top.order
-        B = np.empty((codes.size, self.n), dtype=np.int64)
+        B = np.empty((self.n, codes.size), dtype=np.int64)
         for i in range(self.n - 1, -1, -1):
-            B[:, i] = rest % self.base.order
+            B[i] = rest % self.base.order
             rest = rest // self.base.order
         return B, t
 
     # -- vectorized conjugation sweeps ------------------------------------
 
     def _conjugation_maps(self, conjugators: Iterable[tuple[Sequence[int], Permutation]]):
-        """Precompute, per conjugator (k, psi), the index maps used by
-        conj(a) = (k,psi) a (k,psi)^-1 on packed arrays.  psi must normalize
-        the top group but need not belong to it."""
+        """Per conjugator (k, psi), the tables of conj(a) = (k,psi) a (k,psi)^-1
+        on packed codes: the top map, psi^-1, and for each coordinate j the
+        table C_j[t*|G| + b] = T[T[k_j, b], k^-1[col2[t, j]]] times the weight
+        of coordinate j in a code.  The image of a code with top id t and base
+        ids B is top_map[t] + sum_j C_j[t*|G| + B[psi^-1(j)]].  psi must
+        normalize the top group but need not belong to it."""
         maps = []
-        ntop = self.top.order
+        ntop, nbase, n = self.top.order, self.base.order, self.n
+        weights = np.array([nbase ** (n - 1 - j) * ntop for j in range(n)], dtype=np.int64)
         for kbase, psi in conjugators:
             k = np.asarray(kbase, dtype=np.int64)
             psi_img = psi.images.astype(np.int64)
             psi_inv = psi.inverse().images.astype(np.int64)
-            invk = self.base_inv[k]
             top_map = np.empty(ntop, dtype=np.int64)
-            col2 = np.empty((ntop, self.n), dtype=np.int64)
+            col2 = np.empty((ntop, n), dtype=np.int64)
             for s in range(ntop):
                 sigma = self.top.perm(s)
                 conj_top = Permutation(psi_img[sigma.images[psi_inv]].astype(POINT_DTYPE))
                 top_map[s] = self.top.id_of(conj_top)
                 sig_inv = sigma.inverse().images.astype(np.int64)
                 col2[s] = psi_img[sig_inv[psi_inv]]
-            maps.append((k, psi_inv, invk, top_map, col2))
+            right = self.base_inv[k][col2].T  # right[j, s] = k^-1 at coordinate col2[s, j]
+            tables = self.T[self.T[k][:, None, :], right[:, :, None]] * weights[:, None, None]
+            maps.append((psi_inv, top_map, tables.reshape(n, ntop * nbase)))
         return maps
 
-    def _conj_batch(self, B: np.ndarray, t: np.ndarray, cmap) -> tuple[np.ndarray, np.ndarray]:
-        k, psi_inv, invk, top_map, col2 = cmap
-        step1 = self.T[k[None, :], B[:, psi_inv]]
-        right = invk[col2[t]]
-        return self.T[step1, right], top_map[t]
+    def _conjugate_codes(self, codes: np.ndarray, maps) -> Iterable[np.ndarray]:
+        """Each map's images of the packed codes, one map at a time."""
+        B, t = self._unpack_codes(codes)
+        B += t * self.base.order  # B[i] is now coordinate i's row in the tables
+        for psi_inv, top_map, tables in maps:
+            image = top_map[t]
+            for table, i in zip(tables, psi_inv):
+                image += table[B[i]]
+            yield image
 
     def conjugation_orbit(self, seeds: Sequence[WreathElement],
                           conjugators: Iterable[tuple[Sequence[int], Permutation]]
@@ -203,13 +213,9 @@ class WreathGroup:
         must fit in DEFAULT_ORBIT_SPACE cells."""
         check_sweep_size(self.order)
         maps = self._conjugation_maps(conjugators)
-
-        def step(frontier):
-            B, t = self._unpack_codes(frontier)
-            return (self._pack_arrays(*self._conj_batch(B, t, cmap)) for cmap in maps)
-
         visited = np.zeros(self.order, dtype=bool)
-        for _ in sweep([self.pack(w) for w in seeds], step, visited):
+        for _ in sweep([self.pack(w) for w in seeds],
+                       lambda frontier: self._conjugate_codes(frontier, maps), visited):
             pass
         return np.flatnonzero(visited)
 
@@ -234,20 +240,17 @@ class WreathGroup:
             return self._enum_classes
         if self.order > limit:
             raise TooLarge(f"wreath group order {size_text(self.order)} exceeds limit {limit}")
-        B, t = self._unpack_codes(np.arange(self.order))
-        maps = (self._pack_arrays(*self._conj_batch(B, t, cmap))
-                for cmap in self._conjugation_maps(self.standard_conjugators()))
-        self._enum_classes = orbits(maps, self.order)[1]
+        maps = self._conjugation_maps(self.standard_conjugators())
+        self._enum_classes = orbits(self._conjugate_codes(np.arange(self.order), maps),
+                                    self.order)[1]
         return self._enum_classes
 
     def random_codes(self, rng, count: int) -> np.ndarray:
         """Packed codes of `count` elements drawn as `random_element` draws
         them (n base ids, then a top id), without building the elements."""
-        nbase, ntop, n = self.base.order, self.top.order, self.n
-        draws = np.array([[int(rng.integers(nbase)) for _ in range(n)]
-                          + [int(rng.integers(ntop))] for _ in range(count)],
-                         dtype=np.int64).reshape(count, n + 1)
-        return self._pack_arrays(draws[:, :-1], draws[:, -1])
+        highs = np.tile([self.base.order] * self.n + [self.top.order], count)
+        draws = rng.integers(highs).reshape(count, self.n + 1).T
+        return self._pack_arrays(draws[:-1], draws[-1])
 
     def profile_labels(self, codes: np.ndarray) -> np.ndarray:
         """One label per packed code, equal for two codes iff they have the
@@ -264,9 +267,9 @@ class WreathGroup:
         tops, starts = np.unique(t[order], return_index=True)
         for s, at in zip(tops.tolist(), np.split(order, starts[1:])):
             for j, zeta in enumerate(cycle_decompose(self.top.perm(s)).cycles):
-                acc = B[at, zeta[0]]
+                acc = B[zeta[0], at]
                 for i in zeta[1:]:
-                    acc = self.T[B[at, i], acc]
+                    acc = self.T[B[i, at], acc]
                 rows[at, j] = len(zeta) * nclass + table.class_of[acc]
         rows.sort(axis=1)
         labels = np.zeros(t.size, dtype=np.int64)

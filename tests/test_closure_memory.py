@@ -113,7 +113,6 @@ def test_orbits_match_the_all_maps_propagation(name):
 @pytest.mark.parametrize("base,n", [("sym3", 4), ("alt4", 3)])
 def test_class_codes_match_the_all_maps_propagation(base, n):
     wg = wreath.WreathGroup(catalog.resolve(base), n)
-    B, t = wg._unpack_codes(np.arange(wg.order))
-    maps = [wg._pack_arrays(*wg._conj_batch(B, t, cmap))
-            for cmap in wg._conjugation_maps(wg.standard_conjugators())]
+    maps = list(wg._conjugate_codes(np.arange(wg.order),
+                                    wg._conjugation_maps(wg.standard_conjugators())))
     assert np.array_equal(wg.class_codes(), all_maps_orbit_labels(maps, wg.order))

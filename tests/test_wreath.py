@@ -219,7 +219,6 @@ def test_build_hp_p2(alt5_aut):
     assert Fraction(hp.measured_orbit, hp.order) == Fraction(1, 2) * Fraction(30, 120)
 
 
-@pytest.mark.slow
 def test_build_hp_p3(alt5_aut):
     hp = wr.build_hp(alt5_aut, 3)
     assert hp.order == 5_184_000
@@ -272,12 +271,69 @@ def test_profile_labels_on_aut_alt5_base(alt5_aut):
     assert _partition(labels.tolist()) == _partition(_profile_keys(wg, codes))
 
 
+def _cyclic_top(p):
+    return [Permutation([(i + 1) % p for i in range(p)])]
+
+
 @pytest.mark.parametrize("seed", [17, 123])
-def test_random_codes_draw_as_random_element(seed):
+def test_random_codes_draw_as_random_element(seed, alt5_aut):
     # the same codes from the same draws: both generators end in one state,
-    # so a seeded report that draws after the codes does not move either
-    wg = wr.WreathGroup(catalog.sym(3), 4)
-    rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = [wg.pack(wg.random_element(rng2)) for _ in range(2000)]
-    assert wg.random_codes(rng, 2000).tolist() == expected
-    assert rng.bit_generator.state == rng2.bit_generator.state
+    # so a seeded report that draws after the codes does not move either.
+    # Sym3 wr S1 has a top of order 1, whose integers(1) draws nothing;
+    # Aut(A5) wr C3 draws from ranges 120 and 3.
+    for wg in (wr.WreathGroup(catalog.sym(3), 4), wr.WreathGroup(catalog.sym(3), 1),
+               wr.WreathGroup(alt5_aut, 3, top=_cyclic_top(3))):
+        rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [wg.pack(wg.random_element(rng2)) for _ in range(2000)]
+        assert wg.random_codes(rng, 2000).tolist() == expected
+        assert rng.bit_generator.state == rng2.bit_generator.state
+
+
+# -- conjugation by lookup tables on packed codes ---------------------------
+
+def _assert_tables_conjugate(wg, conjugators, codes):
+    """Each map's table images of `codes` are pack(conj(unpack(c), k))."""
+    maps = wg._conjugation_maps(conjugators)
+    elements = [wg.unpack(c) for c in codes.tolist()]
+    for (kbase, psi), images in zip(conjugators, wg._conjugate_codes(codes, maps)):
+        k = wr.WreathElement(tuple(kbase), psi)
+        assert images.tolist() == [wg.pack(wg.conj(a, k)) for a in elements]
+
+
+TABLE_GROUPS = {
+    "sym3-wr-s4": lambda: wr.WreathGroup(catalog.sym(3), 4),
+    "alt4-wr-s3": lambda: wr.WreathGroup(catalog.alt(4), 3),
+    "sym3-wr-c5": lambda: wr.WreathGroup(catalog.sym(3), 5, top=_cyclic_top(5)),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_code_tables_conjugate_sampled_codes(name):
+    wg = TABLE_GROUPS[name]()
+    codes = np.random.default_rng(19).integers(wg.order, size=300)
+    _assert_tables_conjugate(wg, wg.standard_conjugators(), codes)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_code_tables_conjugate_every_code(name):
+    wg = TABLE_GROUPS[name]()
+    _assert_tables_conjugate(wg, wg.standard_conjugators(), np.arange(wg.order))
+
+
+def test_code_tables_conjugate_by_the_hp_conjugators(alt5_aut, monkeypatch):
+    # build_hp's conjugators on Aut(A5) wr C3, taken as it hands them to the
+    # sweep; they include the power map, which normalizes the top but is not in it
+    class Captured(Exception):
+        pass
+
+    def capture(wg, seeds, conjugators):
+        raise Captured(wg, list(conjugators))
+
+    monkeypatch.setattr(wr.WreathGroup, "conjugation_orbit", capture)
+    with pytest.raises(Captured) as caught:
+        wr.build_hp(alt5_aut, 3)
+    wg, conjugators = caught.value.args
+    assert any(not wg.top.contains(psi) for _, psi in conjugators)
+    codes = np.random.default_rng(3).integers(wg.order, size=2000)
+    _assert_tables_conjugate(wg, conjugators, codes)
