@@ -157,12 +157,12 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Fin
     Inn(G) (Cannon & Holt 2003): candidate images of each generator extend the
     surviving partial homomorphisms one generator at a time, the first
     generator's only up to conjugacy, and Aut(G) is closed from Inn(G) and the
-    survivors.  `budget` bounds the number of maps built."""
+    survivors at the order they add up to.  `budget` bounds the number of maps built."""
     if G.order > MAX_AUT_CARRIER:
         raise TooLarge(f"|G| = {G.order} exceeds the {MAX_AUT_CARRIER} carrier guard")
-    n, T = G.order, G.cayley()
+    n, T, table = G.order, G.cayley(), conjugacy_classes(G)
     label = _fingerprint_labels(G)
-    reps = [c[0] for c in conjugacy_classes(G).classes]
+    reps = [c[0] for c in table.classes]
     gen_ids = _generating_set(G, label)
 
     survivors = np.zeros((1, n), dtype=np.int32)  # the empty partial map
@@ -175,8 +175,14 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Fin
         if built > budget:
             raise BudgetExceeded(f"search built {built} maps, budget {budget}")
         survivors = _extend_and_filter(T, survivors, cand, gen_ids[: j + 1])
-    auts = dimino(np.concatenate([_conjugation_rows(G, G.generator_ids()), survivors]))
-    A = _group_from_permutation_rows(auts.elements, auts.base)
+    # the survivors sending g0 to the representative r, each followed by every
+    # inner automorphism, are the automorphisms sending g0 into r's class:
+    # |class of r| of them for each such survivor
+    order = int(np.array(table.sizes)[table.class_of[survivors[:, gen_ids[0]]]].sum())
+    rows = np.concatenate([_conjugation_rows(G, G.generator_ids()), survivors])
+    closed = dimino(rows, order=order)
+    A = FiniteGroup(n, [Permutation(row) for row in rows[closed.kept]],
+                    sort_rows(closed.elements, closed.base), base=closed.base)
     _validate_aut_group(G, A)
     return A
 
@@ -185,15 +191,6 @@ def _conjugation_rows(G: FiniteGroup, ids) -> np.ndarray:
     """Row k: the id map x -> g x g^-1 of G for g = ids[k]."""
     T, ids = G.cayley(), np.asarray(ids, dtype=np.int64)
     return T[T[ids], G.inverse_ids()[ids][:, None]]
-
-
-def _group_from_permutation_rows(rows: np.ndarray, base: Sequence[int]) -> FiniteGroup:
-    """The complete set of automorphisms `rows`, no two alike on `base`, as a
-    FiniteGroup: sorted in place, with the generators `dimino` picks (and checks)."""
-    mat = sort_rows(rows, base)
-    closed = dimino(mat, order=len(mat))
-    return FiniteGroup(mat.shape[1], [Permutation(mat[k]) for k in closed.kept], mat,
-                       base=closed.base)
 
 
 def _validate_aut_group(G: FiniteGroup, A: FiniteGroup):

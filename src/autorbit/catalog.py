@@ -18,13 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import MAX_FIELD_SIZE, Field, make_field
-from .permcore import (DEFAULT_CLOSURE_LIMIT, POINT_DTYPE, FiniteGroup, GeneratorDeficiency,
-                       Permutation, TooLarge, close_group, GroupError, _check_degree,
+from .permcore import (DEFAULT_CLOSURE_LIMIT, POINT_DTYPE, BadParameter, FiniteGroup,
+                       GeneratorDeficiency, Permutation, TooLarge, close_group, _check_degree,
                        size_text)
-
-
-class BadParameter(GroupError):
-    pass
 
 
 # -- permutation group families -------------------------------------------

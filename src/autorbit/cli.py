@@ -20,11 +20,10 @@ from . import stypes
 from . import wreath
 from .autgrp import (DEFAULT_NODE_BUDGET, OrbitReport, automorphism_group, class_orbits,
                      inner_automorphism_ids, maol)
-from .catalog import BadParameter
 from .fields import _is_prime
-from .permcore import (DEFAULT_CLOSURE_LIMIT, DegreeMismatch, FiniteGroup, ResourceLimit,
-                       TooLarge, _check_degree, conjugacy_classes, load_group_file, mcs,
-                       size_text)
+from .permcore import (DEFAULT_CLOSURE_LIMIT, BadParameter, DegreeMismatch, FiniteGroup,
+                       ResourceLimit, TooLarge, _check_degree, conjugacy_classes,
+                       load_group_file, mcs, size_text)
 from .reports import (FAIL, PASS, ReportItem, SuiteRunner,
                       VerificationReport, encode_value, print_report, write_text)
 

@@ -62,6 +62,10 @@ class ClosureLimitExceeded(ResourceLimit):
     pass
 
 
+class BadParameter(GroupError):
+    pass
+
+
 class GeneratorDeficiency(GroupError):
     """A chosen generating set closed to the wrong order; construction bug."""
 
@@ -692,7 +696,7 @@ def derived_series(G: FiniteGroup) -> list[np.ndarray]:
         if nxt.size == series[-1].size:
             break
         series.append(nxt)
-        gen_ids = [int(nxt[k]) for k in dimino(G.elements[nxt]).kept]
+        gen_ids = [int(nxt[k]) for k in dimino(G.elements[nxt], order=nxt.size).kept]
     return series
 
 
@@ -736,9 +740,7 @@ def quotient_group(G: FiniteGroup, subgroup_ids: np.ndarray,
     coset_of, reps = coset_partition(G, sub)
     R = G.elements[reps]
     qgens = [Permutation(coset_of[G.ids_of(R[:, g.images])]) for g in G.generators]
-    Q = close_group(qgens, degree=len(reps), name=name)
-    if Q.order * sub.size != G.order:
-        raise GroupError("quotient order mismatch; subgroup not closed?")
+    Q = close_group(qgens, degree=len(reps), name=name, order=len(reps))
     trans = np.array([coset_of[G.ids_of(R[:, r_inv])] for r_inv in np.argsort(R, axis=1)])
     pi = Q.ids_of(trans)[coset_of]
     gids = G.generator_ids()

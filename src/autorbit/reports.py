@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
-from .catalog import BadParameter
-from .permcore import ResourceLimit
+from .permcore import BadParameter, ResourceLimit
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
 LIMIT_NOTE = "resource limit"  # note prefix of an item a ResourceLimit skipped

@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from autorbit import catalog, permcore as pc
-from autorbit.autgrp import (BudgetExceeded, TooLarge, automorphism_group,
+from autorbit import autgrp, catalog, permcore as pc
+from autorbit.autgrp import (ActionMismatch, BudgetExceeded, TooLarge, automorphism_group,
                              inner_automorphism_ids, maol)
 
 
@@ -134,6 +134,29 @@ def test_guards():
     with pytest.raises(BudgetExceeded):
         automorphism_group(catalog.alt(6), budget=45)
     assert automorphism_group(catalog.alt(6), budget=46).order == 1440
+
+
+@pytest.mark.parametrize("name, aut_order", [
+    ("sym4", 24), ("alt5", 120), ("extraspecial(3)", 432), ("psl(2,7)", 336)])
+def test_a_lost_survivor_fails_the_sized_closure(monkeypatch, name, aut_order):
+    # the other survivors and Inn(G) still generate Aut(G), so only the order
+    # summed over the survivors tells that one is missing
+    G = catalog.resolve(name)
+    stages = len(autgrp._generating_set(G, autgrp._fingerprint_labels(G)))
+    extend = autgrp._extend_and_filter
+
+    def lossy(T, survivors, cand, gen_ids):
+        kept = extend(T, survivors, cand, gen_ids)
+        return kept[:-1] if len(gen_ids) == stages else kept
+
+    monkeypatch.setattr(autgrp, "_extend_and_filter", lossy)
+    with pytest.raises(pc.GeneratorDeficiency, match=f"^closed to order {aut_order}, expected "):
+        automorphism_group(G)
+
+
+def test_maol_needs_automorphisms_of_the_group(alt5_aut):
+    with pytest.raises(ActionMismatch):
+        maol(catalog.sym(3), alt5_aut)
 
 
 def test_report_serialization(alt5, alt5_aut):

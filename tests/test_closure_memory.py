@@ -1,5 +1,5 @@
-"""Memory peaks of the closure and of the class routine, with the routines
-they replaced kept here as oracles: the full `rows[lex_order(...)]` gather
+"""Memory peaks of the closure, the Aut search and the class routine, with
+the routines they replaced kept here as oracles: the full `rows[lex_order(...)]` gather
 for the in-place `sort_rows`, and min-label propagation over all the maps at
 once for `orbits`, which merges one map at a time.  tracemalloc counts
 numpy's allocations, so the peaks are deterministic."""
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from autorbit import catalog, wreath
+from autorbit.autgrp import automorphism_group
 from autorbit.permcore import (ClosureLimitExceeded, FiniteGroup, ResourceLimit, close_group,
                                conjugacy_classes, lex_order, orbits, parse_cycles, sort_rows)
 from test_catalog import _covered
@@ -47,6 +48,17 @@ def test_close_group_peaks_near_the_array_it_returns(name):
     H, peak = traced_peak(lambda: close_group(G.generators, order=G.order))
     assert H.elements.tobytes() == G.elements.tobytes() and H.base == G.base
     assert peak <= 1.6 * H.elements.nbytes
+
+
+def test_aut_search_closes_once_at_its_order():
+    # with G's tables built, the search's peak is its one sized closure and
+    # the element array holds no spare buffer
+    G = catalog.resolve("extraspecial(5)")
+    G.cayley(), G.element_orders(), conjugacy_classes(G)
+    A, peak = traced_peak(lambda: automorphism_group(G))
+    assert A.order == 12000
+    assert A.elements.base is None or A.elements.base.nbytes == A.elements.nbytes
+    assert peak <= 3 * A.elements.nbytes
 
 
 @pytest.mark.parametrize("name", ["pgl(3,4)", "autpsl34"])

@@ -115,6 +115,16 @@ def test_quotient_group_matches_oracle(name, kind):
     assert_same_quotient(Q, pi, G, N)
 
 
+def test_a_normal_set_that_is_no_subgroup_fails_the_sized_closure():
+    # 1 and the 3-cycles of Alt5 are closed under conjugation, not under
+    # products: the coset labels find 4 parts, whose translations close to order 2
+    G = catalog.alt(5)
+    table = pc.conjugacy_classes(G)
+    three_cycles = next(c for c in table.classes if G.element_orders()[c[0]] == 3)
+    with pytest.raises(pc.GeneratorDeficiency, match="^closed to order 2, expected 4$"):
+        pc.quotient_group(G, np.sort(np.concatenate([[0], three_cycles])))
+
+
 @pytest.mark.parametrize("name", ["sym5", "alt6"])
 def test_normal_closures_of_classes_match_oracle(name):
     G = catalog.resolve(name)
