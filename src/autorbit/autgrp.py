@@ -3,7 +3,8 @@ modulo Inn(G) on the Cayley table, with fingerprint pruning; Aut-orbit reports.
 
 Automorphisms are permutations of element ids (degree = |G|), and Aut(G) is
 a plain FiniteGroup acting on those ids, so orbit, conjugacy-class and
-quotient machinery applies to it unchanged.
+quotient machinery applies to it unchanged.  The search closes subgroups of G
+by G's `closure` on ids, which reads the Cayley table; Aut(G) closes by `dimino`.
 """
 
 from __future__ import annotations
@@ -70,27 +71,13 @@ def _fingerprint_labels(G: FiniteGroup) -> np.ndarray:
     return np.unique(key, axis=0, return_inverse=True)[1].ravel()[table.class_of]
 
 
-def _closure_mask(T: np.ndarray, gen_ids: Sequence[int]) -> np.ndarray:
-    """Membership mask of <gen_ids>, closed level by level on the Cayley table."""
-    inside = np.zeros(T.shape[0], dtype=bool)
-    for _ in sweep([0], _right_multiplication(T, gen_ids), inside):
-        pass
-    return inside
-
-
-def _right_multiplication(T: np.ndarray, gen_ids: Sequence[int]):
-    """`sweep` step: each frontier id times each generator, one row per generator."""
-    cols = T.T[np.asarray(gen_ids, dtype=np.int64)]
-    return lambda frontier: cols[:, frontier]
-
-
 def _generating_set(G: FiniteGroup, label: np.ndarray) -> list[int]:
     """Generators with few fingerprint candidates: an element of order |G|, or
     a pair (least id of one fingerprint class, id of another) taking class
     pairs by ascending size product, or after |G| failed pairs the largest
     pair closure extended by descending element order (ties by id).  The
     identity's fingerprint is its own, so no class below holds it."""
-    n, T, orders = G.order, G.cayley(), G.element_orders()
+    n, orders = G.order, G.element_orders()
     cyclic = np.flatnonzero(orders == n)
     if cyclic.size:
         return [int(cyclic[0])]
@@ -98,34 +85,30 @@ def _generating_set(G: FiniteGroup, label: np.ndarray) -> list[int]:
                      key=lambda c: (len(c), c[0]))
     pairs = sorted(((B, A) for i, B in enumerate(classes) for A in classes[i:]),
                    key=lambda p: len(p[0]) * len(p[1]))
-    best = (0, [], None)
+    best = (0, [])
     for _, seed in zip(range(n), ([A[0], b] for B, A in pairs for b in B if b != A[0])):
-        inside = _closure_mask(T, seed)
-        if inside.all():
+        best = max(best, (np.count_nonzero(G.closure(seed)[0]), seed), key=lambda t: t[0])
+        if best[0] == n:
             return seed
-        best = max(best, (inside.sum(), seed, inside), key=lambda t: t[0])
-    _, gens, inside = best
-    for eid in np.argsort(-orders, kind="stable").tolist():
-        if not inside[eid]:
-            gens = gens + [eid]
-            inside = _closure_mask(T, gens)
-    return gens
+    _, gens = best
+    tail = G.closure(gens + np.argsort(-orders, kind="stable").tolist())[1]
+    return gens + [k for k in tail if k not in gens]
 
 
 _BATCH_CELLS = 16_000_000  # map-matrix cells per extension batch
 
 
-def _extend_and_filter(T: np.ndarray, survivors: np.ndarray, cand: np.ndarray,
+def _extend_and_filter(G: FiniteGroup, survivors: np.ndarray, cand: np.ndarray,
                        gen_ids: Sequence[int]) -> np.ndarray:
     """Extend each surviving partial map by each candidate image of the newest
     generator, rebuild it on the enlarged subgroup level by level as
     phi(x*g) = phi(x)*phi(g), and keep the maps that are injective
     homomorphisms on it.  Maps are stored as length-n arrays meaningful on the
     subgroup only."""
-    n = T.shape[0]
+    n, T = G.order, G.cayley()
     s, c = survivors.shape[0], cand.size
     batch = max(1, _BATCH_CELLS // n // max(c, 1))
-    levels = list(sweep([0], _right_multiplication(T, gen_ids), np.zeros(n, dtype=bool)))
+    levels = list(sweep([0], G.right_multiplication(gen_ids), np.zeros(n, dtype=bool)))
     member_arr = np.concatenate([[0]] + [new for _, _, new in levels])
     kept = []
     for lo in range(0, s, batch):
@@ -160,8 +143,8 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Fin
     survivors at the order they add up to.  `budget` bounds the number of maps built."""
     if G.order > MAX_AUT_CARRIER:
         raise TooLarge(f"|G| = {G.order} exceeds the {MAX_AUT_CARRIER} carrier guard")
-    n, T, table = G.order, G.cayley(), conjugacy_classes(G)
-    label = _fingerprint_labels(G)
+    n, table = G.order, conjugacy_classes(G)
+    label = _fingerprint_labels(G)  # builds the Cayley table, which G's closures then read
     reps = [c[0] for c in table.classes]
     gen_ids = _generating_set(G, label)
 
@@ -174,7 +157,7 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Fin
         built += survivors.shape[0] * cand.size
         if built > budget:
             raise BudgetExceeded(f"search built {built} maps, budget {budget}")
-        survivors = _extend_and_filter(T, survivors, cand, gen_ids[: j + 1])
+        survivors = _extend_and_filter(G, survivors, cand, gen_ids[: j + 1])
     # the survivors sending g0 to the representative r, each followed by every
     # inner automorphism, are the automorphisms sending g0 into r's class:
     # |class of r| of them for each such survivor

@@ -12,7 +12,9 @@ Conventions, fixed globally:
 
 Groups are enumerated by one Dimino closure (``dimino``): a generator the
 closure H already holds is dropped, and each kept generator adds the right
-cosets H*r, one BFS level of coset representatives at a time.  Elements are
+cosets H*r, one BFS level of coset representatives at a time.  A subgroup of
+a finished group closes on ids by the same drop rule (`FiniteGroup.closure`):
+each kept seed runs one `sweep` of right multiplication.  Elements are
 keyed by their images of a base, a point set on which no two elements agree,
 in one sorted index (`_RowIndex`) that backs both the closure and a group's
 `ids_of`.  The key is one uint64, a Horner fold of the base images in radix
@@ -34,6 +36,7 @@ import json
 import re
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm, log10
 from typing import Iterable, Sequence
 
@@ -565,10 +568,40 @@ class FiniteGroup:
             self._center = np.flatnonzero(mask)
         return self._center
 
+    def right_multiplication(self, gen_ids: Sequence[int]):
+        """`sweep` step: the ids of frontier * g, one row per g in `gen_ids`;
+        read off the Cayley table's columns once it is built, else looked up
+        by the products' base images, E[x][E[g][base]]."""
+        if self._cayley is not None:
+            cols = self._cayley.T[gen_ids]
+            return lambda frontier: cols[:, frontier]
+        E, cols = self.elements, self.elements[gen_ids][:, self.base]
+        return lambda frontier: (self._index.locate(E[frontier[:, None], c]) for c in cols)
+
+    def closure(self, seed_ids: Iterable[int],
+                conjugator_ids: Sequence[int] = ()) -> tuple[np.ndarray, list[int]]:
+        """Mask of the least subgroup holding the seed ids and normalized by the
+        conjugator ids, and the seeds kept by Dimino's rule: a seed inside is
+        dropped, and a kept one sweeps the members under right multiplication by
+        the kept seeds and conjugation (a set closed under both is closed under
+        right multiplication by their conjugates)."""
+        E = self.elements
+        conj = [(E[c], np.argsort(E[c])[self.base]) for c in conjugator_ids]  # g, g^-1 on the base
+        inside, kept = np.zeros(self.order, dtype=bool), []
+        inside[0] = True
+        for s in seed_ids:
+            if inside[s]:
+                continue
+            kept.append(int(s))
+            right = self.right_multiplication(kept)
+            for _ in sweep(np.flatnonzero(inside), lambda frontier: chain(right(frontier), (
+                    self._index.locate(g[E[frontier[:, None], cols]]) for g, cols in conj)), inside):
+                pass
+        return inside, kept
+
     def subgroup_closure(self, seed_ids: Iterable[int]) -> np.ndarray:
-        """Ids of the subgroup generated by the given element ids."""
-        seeds = np.array([int(s) for s in seed_ids], dtype=np.int64)
-        return np.sort(self.ids_of(dimino(self.elements[seeds]).elements))
+        """Sorted ids of the subgroup generated by the given element ids."""
+        return np.flatnonzero(self.closure(seed_ids)[0])
 
     def normal_closure(self, seed_ids: Iterable[int],
                        conjugator_ids: Sequence[int] | None = None) -> np.ndarray:
@@ -576,13 +609,7 @@ class FiniteGroup:
         conjugation by the given elements (default: the group generators)."""
         if conjugator_ids is None:
             conjugator_ids = self.generator_ids()
-        sub = self.subgroup_closure(seed_ids)
-        while True:
-            grown = np.unique(np.concatenate(
-                [sub] + [self.conjugation_ids(self.perm(int(c)), sub) for c in conjugator_ids]))
-            if grown.size == sub.size:
-                return sub
-            sub = self.subgroup_closure(grown)
+        return np.flatnonzero(self.closure(seed_ids, conjugator_ids)[0])
 
     def derived_subgroup_ids(self) -> np.ndarray:
         return _commutator_closure(self, self.generator_ids())
@@ -696,7 +723,7 @@ def derived_series(G: FiniteGroup) -> list[np.ndarray]:
         if nxt.size == series[-1].size:
             break
         series.append(nxt)
-        gen_ids = [int(nxt[k]) for k in dimino(G.elements[nxt], order=nxt.size).kept]
+        gen_ids = G.closure(nxt)[1]
     return series
 
 
@@ -737,6 +764,8 @@ def quotient_group(G: FiniteGroup, subgroup_ids: np.ndarray,
     sub = np.asarray(subgroup_ids)
     if not is_normal(G, sub):
         raise NotNormal("subgroup is not normal")
+    if np.count_nonzero(G.closure(sub)[0]) != np.unique(sub).size:
+        raise GroupError("the normal set is not a subgroup")
     coset_of, reps = coset_partition(G, sub)
     R = G.elements[reps]
     qgens = [Permutation(coset_of[G.ids_of(R[:, g.images])]) for g in G.generators]
@@ -752,18 +781,11 @@ def quotient_group(G: FiniteGroup, subgroup_ids: np.ndarray,
 def validate_automorphism(G: FiniteGroup, phi: np.ndarray) -> bool:
     """phi: id permutation of G. Checking phi(g*x) = phi(g)*phi(x) for all
     generators g and all x suffices for phi to be an automorphism."""
-    phi = np.asarray(phi)
-    if not np.array_equal(np.sort(phi), np.arange(G.order)):
+    phi, E = np.asarray(phi), G.elements
+    if not (np.array_equal(np.sort(phi), np.arange(G.order)) and phi[0] == 0):
         return False
-    if phi[0] != 0:
-        return False
-    E = G.elements
-    for g in G.generator_ids():
-        lhs = phi[G.ids_of(E[g][E])]
-        rhs = G.ids_of(E[phi[g]][E[phi]])
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+    return all(np.array_equal(phi[G.ids_of(E[g][E])], G.ids_of(E[phi[g]][E[phi]]))
+               for g in G.generator_ids())
 
 
 def is_characteristic(G: FiniteGroup, subgroup_ids: np.ndarray,

@@ -133,10 +133,8 @@ def ct_set(wg: WreathGroup, w: WreathElement, coarse: CoarseQuotient) -> frozens
     products of w.  The wreath base must be the coarse quotient's ambient."""
     if wg.base is not coarse.ambient:
         raise GroupError("wreath base and coarse quotient belong to different groups")
-    out = set()
-    for zeta in cycle_decompose(w.top).cycles:
-        out.add(int(coarse.pi[bcpc_element(wg, w, zeta)]))
-    return frozenset(out)
+    return frozenset(int(coarse.pi[bcpc_element(wg, w, zeta)])
+                     for zeta in cycle_decompose(w.top).cycles)
 
 
 def ct_power_check(wg: WreathGroup, w: WreathElement, k: int,

@@ -19,7 +19,7 @@ import numpy as np
 from .catalog import sym
 from .permcore import (DEFAULT_CLOSURE_LIMIT, FiniteGroup, GroupError, Permutation,
                        TooLarge, close_group, conjugacy_classes, cycle_decompose,
-                       cycle_type, orbits, size_text, sweep, POINT_DTYPE)
+                       cycle_type, orbits, size_text, sweep)
 from .reports import encode_value
 
 DEFAULT_ORBIT_SPACE = 64_000_000  # visited-array cells for orbit sweeps
@@ -178,18 +178,13 @@ class WreathGroup:
         maps = []
         ntop, nbase, n = self.top.order, self.base.order, self.n
         weights = np.array([nbase ** (n - 1 - j) * ntop for j in range(n)], dtype=np.int64)
+        top, top_inv = self.top.elements, self.top.elements[self.top.inverse_ids()]
         for kbase, psi in conjugators:
             k = np.asarray(kbase, dtype=np.int64)
             psi_img = psi.images.astype(np.int64)
             psi_inv = psi.inverse().images.astype(np.int64)
-            top_map = np.empty(ntop, dtype=np.int64)
-            col2 = np.empty((ntop, n), dtype=np.int64)
-            for s in range(ntop):
-                sigma = self.top.perm(s)
-                conj_top = Permutation(psi_img[sigma.images[psi_inv]].astype(POINT_DTYPE))
-                top_map[s] = self.top.id_of(conj_top)
-                sig_inv = sigma.inverse().images.astype(np.int64)
-                col2[s] = psi_img[sig_inv[psi_inv]]
+            top_map = self.top.ids_of(psi_img[top[:, psi_inv]])  # psi sigma psi^-1
+            col2 = psi_img[top_inv[:, psi_inv]]
             right = self.base_inv[k][col2].T  # right[j, s] = k^-1 at coordinate col2[s, j]
             tables = self.T[self.T[k][:, None, :], right[:, :, None]] * weights[:, None, None]
             maps.append((psi_inv, top_map, tables.reshape(n, ntop * nbase)))

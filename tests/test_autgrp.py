@@ -145,8 +145,8 @@ def test_a_lost_survivor_fails_the_sized_closure(monkeypatch, name, aut_order):
     stages = len(autgrp._generating_set(G, autgrp._fingerprint_labels(G)))
     extend = autgrp._extend_and_filter
 
-    def lossy(T, survivors, cand, gen_ids):
-        kept = extend(T, survivors, cand, gen_ids)
+    def lossy(G, survivors, cand, gen_ids):
+        kept = extend(G, survivors, cand, gen_ids)
         return kept[:-1] if len(gen_ids) == stages else kept
 
     monkeypatch.setattr(autgrp, "_extend_and_filter", lossy)

@@ -221,7 +221,7 @@ def test_h_needs_a_nonabelian_simple_group(capsys, monkeypatch):
 
 
 def test_h_takes_simplicity_from_the_family_name(capsys, monkeypatch):
-    # psl(3,4) is simple by its name: no subgroup closure runs, and S is built once
+    # psl(3,4) is simple by its name: the check closes no subgroup, and S is built once
     built, resolve = [], catalog.resolve
     monkeypatch.setattr(catalog, "resolve",
                         lambda name, limit: built.append(name) or resolve(name, limit))

@@ -8,7 +8,10 @@ The conjugation maps and the Cayley table, which look products up by their
 base images alone, must give the ids that `ids_of` gives the full rows.
 The row store behind closure and lookup, `_RowIndex`, is checked on its
 own against a Python dict of row bytes, also under folds that make distinct
-base images collide, as the uint64 fold does once it wraps."""
+base images collide, as the uint64 fold does once it wraps.
+Subgroup closures, a `sweep` on ids inside the finished group, are checked
+against the route they replaced: a `dimino` closure of the seeds' rows,
+looked up by `ids_of`, which keeps the same seeds by the same rule."""
 
 import itertools
 
@@ -147,6 +150,58 @@ def test_cayley_matches_full_rows(name):
     E = G.elements
     full = np.take(E, E, axis=1).reshape(-1, G.degree)  # row i * n + j: E[i] * E[j]
     assert np.array_equal(G.cayley(), G.ids_of(full).reshape(G.order, G.order))
+
+
+def oracle_closure(G, seed_ids):
+    """<seeds> by a `dimino` closure of their rows: its sorted ids, and the kept seeds."""
+    seeds = [int(s) for s in seed_ids]
+    closed = dimino(G.elements[seeds])
+    return np.sort(G.ids_of(closed.elements)), [seeds[k] for k in closed.kept]
+
+
+def seed_sets(G, pairs=20):
+    """Each class representative, each whole class and seeded random pairs of ids."""
+    classes = conjugacy_classes(G).classes
+    randoms = np.random.default_rng(G.order).integers(G.order, size=(pairs, 2))
+    return [[c[0]] for c in classes] + [c.tolist() for c in classes] + randoms.tolist()
+
+
+LARGE = ["psl(3,4)", "pgu(4,2)"]  # the closure oracles run these with --runslow
+
+
+def assert_closures_match_dimino(G):
+    for seeds in seed_sets(G):
+        inside, kept = G.closure(seeds)
+        ids, oracle_kept = oracle_closure(G, seeds)
+        assert np.array_equal(np.flatnonzero(inside), ids) and kept == oracle_kept
+        assert np.array_equal(G.subgroup_closure(seeds), ids)
+
+
+@pytest.mark.parametrize("name", [name for name in CATALOG if name not in LARGE])
+def test_subgroup_closure_matches_dimino(name):
+    assert_closures_match_dimino(catalog.resolve(name))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", LARGE + ["autpsl34"])
+def test_large_subgroup_closures_match_dimino(name):
+    assert_closures_match_dimino(catalog.resolve(name))
+
+
+@pytest.mark.parametrize("name", ["sym5", "alt6", "pgl(2,7)", "extraspecial(3)"])
+def test_right_multiplication_reads_the_table_as_the_base_images_give(name):
+    G = catalog.resolve(name)  # built anew, without a Cayley table
+    E, gen_ids, frontier = G.elements, [1, G.order // 2, G.order - 1], np.arange(G.order)
+    full = np.array([G.ids_of(E[:, E[g]]) for g in gen_ids])  # rows x * g
+    seeds = seed_sets(G, pairs=5)
+    by_images = [G.closure(s) for s in seeds]
+    assert G._cayley is None
+    assert np.array_equal(np.array(list(G.right_multiplication(gen_ids)(frontier))), full)
+    G.cayley()
+    assert np.array_equal(G.right_multiplication(gen_ids)(frontier), full)
+    for s, (inside, kept) in zip(seeds, by_images):
+        by_table = G.closure(s)
+        assert np.array_equal(by_table[0], inside) and by_table[1] == kept
 
 
 def test_conjugation_by_a_non_member_raises():

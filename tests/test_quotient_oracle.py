@@ -2,9 +2,10 @@
 routines they replaced, kept here as oracles: the quotient generators found
 by one scalar lookup per representative and generator, the projection built
 from the whole group's inverse table and m^2 scalar products, and the normal
-closure that conjugates by id maps of the whole group.  Both sides must give
-the same quotient elements, quotient generators and projection, and the same
-normal closures and derived series."""
+closure that conjugates by id maps of the whole group and re-closes by
+`dimino` until it stops growing.  Both sides must give the same quotient
+elements, quotient generators and projection, and the same normal closures
+and derived series."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from autorbit import permcore as pc
 from autorbit import stypes as st
 from autorbit.autgrp import automorphism_group, inner_automorphism_ids
 from autorbit.permcore import POINT_DTYPE, GroupError, Permutation
+from test_permcore_oracle import CATALOG, LARGE, oracle_closure, seed_sets
 
 
 def oracle_quotient(G, N):
@@ -46,12 +48,12 @@ def oracle_normal_closure(G, seed_ids, conjugator_ids=None):
     for c in conjugator_ids:
         ci, cinv = G.elements[c], np.argsort(G.elements[c])
         maps.append(G.ids_of(ci[G.elements[:, cinv]]))
-    sub = G.subgroup_closure(seed_ids)
+    sub = oracle_closure(G, seed_ids)[0]
     while True:
         grown = np.unique(np.concatenate([sub] + [m[sub] for m in maps]))
         if grown.size == sub.size:
             return sub
-        sub = G.subgroup_closure(grown)
+        sub = oracle_closure(G, grown)[0]
 
 
 def oracle_derived_series(G):
@@ -115,21 +117,45 @@ def test_quotient_group_matches_oracle(name, kind):
     assert_same_quotient(Q, pi, G, N)
 
 
-def test_a_normal_set_that_is_no_subgroup_fails_the_sized_closure():
-    # 1 and the 3-cycles of Alt5 are closed under conjugation, not under
-    # products: the coset labels find 4 parts, whose translations close to order 2
-    G = catalog.alt(5)
-    table = pc.conjugacy_classes(G)
-    three_cycles = next(c for c in table.classes if G.element_orders()[c[0]] == 3)
-    with pytest.raises(pc.GeneratorDeficiency, match="^closed to order 2, expected 4$"):
-        pc.quotient_group(G, np.sort(np.concatenate([[0], three_cycles])))
+SUBGROUP_SIZES = {"sym3": [3], "sym4": [4], "alt5": [], "sym5": []}
 
 
-@pytest.mark.parametrize("name", ["sym5", "alt6"])
-def test_normal_closures_of_classes_match_oracle(name):
+@pytest.mark.parametrize("name", SUBGROUP_SIZES)
+def test_a_class_and_the_identity_make_a_quotient_or_are_refused(name):
+    # each set 1 u C, C a class, is normal; only A3 in Sym3 and V4 in Sym4 are
+    # also subgroups, and every other set is refused before its cosets are taken
     G = catalog.resolve(name)
-    for cls in pc.conjugacy_classes(G).classes:
-        assert np.array_equal(G.normal_closure([cls[0]]), oracle_normal_closure(G, [cls[0]]))
+    sizes = []
+    for cls in pc.conjugacy_classes(G).classes[1:]:
+        N = np.sort(np.concatenate([[0], cls]))
+        if oracle_closure(G, N)[0].size == N.size:
+            Q, pi = pc.quotient_group(G, N)
+            assert Q.order * N.size == G.order
+            assert_same_quotient(Q, pi, G, N)
+            sizes.append(N.size)
+        else:
+            with pytest.raises(GroupError, match="^the normal set is not a subgroup$"):
+                pc.quotient_group(G, N)
+    assert sizes == SUBGROUP_SIZES[name]
+
+
+def assert_normal_closures_match_oracle(G):
+    for seeds in seed_sets(G):
+        assert np.array_equal(G.normal_closure(seeds), oracle_normal_closure(G, seeds))
+    some = G.generator_ids()[:1]
+    for seeds in seed_sets(G, pairs=5):
+        assert np.array_equal(G.normal_closure(seeds, some), oracle_normal_closure(G, seeds, some))
+
+
+@pytest.mark.parametrize("name", [name for name in CATALOG if name not in LARGE])
+def test_normal_closures_of_classes_match_oracle(name):
+    assert_normal_closures_match_oracle(catalog.resolve(name))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", LARGE)
+def test_large_normal_closures_match_oracle(name):
+    assert_normal_closures_match_oracle(catalog.resolve(name))
 
 
 def test_conjugation_of_given_ids_is_the_whole_map_restricted():
