@@ -3,8 +3,8 @@ modulo Inn(G) on the Cayley table, with fingerprint pruning; Aut-orbit reports.
 
 Automorphisms are permutations of element ids (degree = |G|), and Aut(G) is
 a plain FiniteGroup acting on those ids, so orbit, conjugacy-class and
-quotient machinery applies to it unchanged.  The search closes subgroups of G
-by G's `closure` on ids, which reads the Cayley table; Aut(G) closes by `dimino`.
+quotient machinery applies to it unchanged.  Subgroups of G close by `closure`
+on G's Cayley table, Aut(G) by `dimino`, Inn(G) from G's generators' conjugations.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .permcore import (FiniteGroup, GroupError, NotNormal, Permutation, ResourceLimit,
                        TooLarge, conjugacy_classes, dimino, is_normal, orbits,
-                       sort_rows, sweep, validate_automorphism, POINT_DTYPE)
+                       sort_rows, sweep, validate_automorphism)
 from .reports import encode_value
 
 MAX_AUT_CARRIER = 2000
@@ -188,10 +188,9 @@ def _validate_aut_group(G: FiniteGroup, A: FiniteGroup):
 
 def inner_automorphism_ids(G: FiniteGroup, A: FiniteGroup) -> np.ndarray:
     """Ids, inside A (automorphisms of G on its element ids), of the inner
-    automorphisms of G; for a centerless G this is the canonical embedded
-    copy of it."""
-    rows = _conjugation_rows(G, np.arange(G.order)).astype(POINT_DTYPE)
-    return np.unique(A.ids_of(rows))
+    automorphisms of G, the subgroup that conjugation by G's generators
+    generates; for a centerless G this is the canonical embedded copy of it."""
+    return A.subgroup_closure(A.ids_of(_conjugation_rows(G, G.generator_ids())))
 
 
 def maol(G: FiniteGroup, A: FiniteGroup) -> OrbitReport:

@@ -13,8 +13,9 @@ Conventions, fixed globally:
 Groups are enumerated by one Dimino closure (``dimino``): a generator the
 closure H already holds is dropped, and each kept generator adds the right
 cosets H*r, one BFS level of coset representatives at a time.  A subgroup of
-a finished group closes on ids by the same drop rule (`FiniteGroup.closure`):
-each kept seed runs one `sweep` of right multiplication.  Elements are
+a finished group closes on ids by the same drop rule (`FiniteGroup.closure`,
+subgroups only): each kept seed runs one `sweep` of right multiplication; a
+normal closure sweeps the seeds' conjugates first, then closes them.  Elements are
 keyed by their images of a base, a point set on which no two elements agree,
 in one sorted index (`_RowIndex`) that backs both the closure and a group's
 `ids_of`.  The key is one uint64, a Horner fold of the base images in radix
@@ -22,8 +23,8 @@ degree|1: exact while radix^|base| < 2^64, a hash past that.  Only storing
 rows grows the base, when a new row shares its key with a distinct one (equal
 base images, or a collision of the wrapped fold); a lookup never moves it.
 A membership test (`ids_of`) confirms each key hit on the full row; a product
-or conjugate of members is a member, so the Cayley table and conjugation maps
-look up its base images alone.
+or conjugate of members is a member, so the Cayley table, conjugation maps and
+a quotient's cosets and translations look up its base images alone.
 A group's ``generators`` are the kept, irredundant generators.
 
 1-cycles of a permutation are kept in its cycle decomposition; cycle strings
@@ -36,7 +37,6 @@ import json
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain
 from math import lcm, log10
 from typing import Iterable, Sequence
 
@@ -578,24 +578,17 @@ class FiniteGroup:
         E, cols = self.elements, self.elements[gen_ids][:, self.base]
         return lambda frontier: (self._index.locate(E[frontier[:, None], c]) for c in cols)
 
-    def closure(self, seed_ids: Iterable[int],
-                conjugator_ids: Sequence[int] = ()) -> tuple[np.ndarray, list[int]]:
-        """Mask of the least subgroup holding the seed ids and normalized by the
-        conjugator ids, and the seeds kept by Dimino's rule: a seed inside is
-        dropped, and a kept one sweeps the members under right multiplication by
-        the kept seeds and conjugation (a set closed under both is closed under
-        right multiplication by their conjugates)."""
-        E = self.elements
-        conj = [(E[c], np.argsort(E[c])[self.base]) for c in conjugator_ids]  # g, g^-1 on the base
+    def closure(self, seed_ids: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+        """Mask of the subgroup generated by the seed ids, and the seeds kept by
+        Dimino's rule: a seed inside is dropped, and a kept one sweeps the
+        members under right multiplication by the kept seeds."""
         inside, kept = np.zeros(self.order, dtype=bool), []
         inside[0] = True
         for s in seed_ids:
             if inside[s]:
                 continue
             kept.append(int(s))
-            right = self.right_multiplication(kept)
-            for _ in sweep(np.flatnonzero(inside), lambda frontier: chain(right(frontier), (
-                    self._index.locate(g[E[frontier[:, None], cols]]) for g, cols in conj)), inside):
+            for _ in sweep(np.flatnonzero(inside), self.right_multiplication(kept), inside):
                 pass
         return inside, kept
 
@@ -603,16 +596,24 @@ class FiniteGroup:
         """Sorted ids of the subgroup generated by the given element ids."""
         return np.flatnonzero(self.closure(seed_ids)[0])
 
+    def conjugates(self, seed_ids: Iterable[int], conjugator_ids: Sequence[int]) -> np.ndarray:
+        """The distinct seed ids, then the other ids of their conjugates under
+        the group the conjugator ids generate, in the order a `sweep` finds them."""
+        seeds = np.array(list(dict.fromkeys(seed_ids)), dtype=np.int64)
+        step = lambda ids: (self.conjugation_ids(self.perm(c), ids) for c in conjugator_ids)
+        found = [new for _, _, new in sweep(seeds, step, np.zeros(self.order, dtype=bool))]
+        return np.concatenate([seeds] + found)
+
     def normal_closure(self, seed_ids: Iterable[int],
                        conjugator_ids: Sequence[int] | None = None) -> np.ndarray:
-        """Smallest subgroup containing the seeds and invariant under
-        conjugation by the given elements (default: the group generators)."""
+        """Smallest subgroup containing the seeds and invariant under conjugation by
+        the given elements (default: the group generators): <their conjugates>."""
         if conjugator_ids is None:
             conjugator_ids = self.generator_ids()
-        return np.flatnonzero(self.closure(seed_ids, conjugator_ids)[0])
+        return self.subgroup_closure(self.conjugates(seed_ids, conjugator_ids))
 
     def derived_subgroup_ids(self) -> np.ndarray:
-        return _commutator_closure(self, self.generator_ids())
+        return np.flatnonzero(_commutator_closure(self, self.generator_ids())[0])
 
     def __repr__(self) -> str:
         label = self.name or "group"
@@ -707,23 +708,22 @@ def mcs(G: FiniteGroup) -> int:
     return G.order // max(table.sizes)
 
 
-def _commutator_closure(G: FiniteGroup, gen_ids: Sequence[int]) -> np.ndarray:
-    """Derived subgroup of <gen_ids>: the normal closure, under conjugation by
-    the given ids, of their commutators a b a^-1 b^-1."""
+def _commutator_closure(G: FiniteGroup, gen_ids: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """`closure` (mask, kept seeds) of the derived subgroup of <gen_ids>: of the
+    conjugates, under the given ids, of their commutators a b a^-1 b^-1."""
     E = G.elements
     comms = [E[a][E[b][np.argsort(E[a])[np.argsort(E[b])]]] for a in gen_ids for b in gen_ids]
-    return G.normal_closure(G.ids_of(np.reshape(comms, (-1, G.degree))), conjugator_ids=gen_ids)
+    return G.closure(G.conjugates(G.ids_of(np.reshape(comms, (-1, G.degree))), gen_ids))
 
 
 def derived_series(G: FiniteGroup) -> list[np.ndarray]:
-    """Successive commutator subgroups (as id sets) until stabilization."""
+    """Successive commutator subgroups (as id sets) until stabilization, each closed once."""
     series, gen_ids = [np.arange(G.order, dtype=np.int64)], G.generator_ids()
     while series[-1].size > 1:
-        nxt = _commutator_closure(G, gen_ids)
-        if nxt.size == series[-1].size:
+        inside, gen_ids = _commutator_closure(G, gen_ids)
+        if np.count_nonzero(inside) == series[-1].size:
             break
-        series.append(nxt)
-        gen_ids = G.closure(nxt)[1]
+        series.append(np.flatnonzero(inside))
     return series
 
 
@@ -739,16 +739,14 @@ def is_normal(G: FiniteGroup, subgroup_ids: np.ndarray) -> bool:
 
 def coset_partition(G: FiniteGroup, subgroup_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Right-coset labels: coset_of[x] for cosets N*g, numbered by minimal
-    member id. Requires nothing beyond subgroup closure."""
-    n = G.order
-    coset_of = np.full(n, -1, dtype=np.int64)
+    member id; the members n*x of N*x are looked up by base images n[x[base]]."""
+    coset_of = np.full(G.order, -1, dtype=np.int64)
     reps: list[int] = []
     sub_rows = G.elements[np.asarray(subgroup_ids)]
-    for x in range(n):
+    for x in range(G.order):
         if coset_of[x] >= 0:
             continue
-        members = G.ids_of(sub_rows[:, G.elements[x]])  # rows n*x for n in N
-        coset_of[members] = len(reps)
+        coset_of[G._index.locate(sub_rows[:, G.elements[x][G.base]])] = len(reps)
         reps.append(x)
     return coset_of, reps
 
@@ -767,12 +765,12 @@ def quotient_group(G: FiniteGroup, subgroup_ids: np.ndarray,
     if np.count_nonzero(G.closure(sub)[0]) != np.unique(sub).size:
         raise GroupError("the normal set is not a subgroup")
     coset_of, reps = coset_partition(G, sub)
-    R = G.elements[reps]
-    qgens = [Permutation(coset_of[G.ids_of(R[:, g.images])]) for g in G.generators]
+    reps, gids = np.array(reps, dtype=np.int64), G.generator_ids()
+    qgens = [Permutation(coset_of[ids]) for ids in G.right_multiplication(gids)(reps)]
     Q = close_group(qgens, degree=len(reps), name=name, order=len(reps))
-    trans = np.array([coset_of[G.ids_of(R[:, r_inv])] for r_inv in np.argsort(R, axis=1)])
+    inv_ids = G.ids_of(np.argsort(G.elements[reps], axis=1))
+    trans = np.array([coset_of[ids] for ids in G.right_multiplication(inv_ids)(reps)])
     pi = Q.ids_of(trans)[coset_of]
-    gids = G.generator_ids()
     if any(pi[G.mul_ids(g, x)] != Q.mul_ids(int(pi[g]), int(pi[x])) for g in gids for x in gids):
         raise GroupError("quotient projection is not a homomorphism")
     return Quotient(Q, pi)

@@ -251,6 +251,36 @@ def test_matches_oracle_slow(name, aut_order):
     assert_same_aut(catalog.resolve(name), aut_order)
 
 
+def oracle_inner_automorphism_ids(G, A):
+    """Inn(G) inside A from the conjugation x -> g x g^-1 by every element g
+    of G, one Cayley-table row per g, each row looked up whole."""
+    T, inv = G.cayley(), G.inverse_ids()
+    return np.unique(A.ids_of(np.array([T[T[g], inv[g]] for g in range(G.order)])))
+
+
+def assert_inner_automorphisms_match_oracle(G, A):
+    inner = inner_automorphism_ids(G, A)
+    assert np.array_equal(inner, oracle_inner_automorphism_ids(G, A))
+    assert inner.size == G.order // G.center_ids().size
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CATALOG])
+def test_inner_automorphisms_close_from_the_generators(name):
+    assert_inner_automorphisms_match_oracle(*searched(name))
+
+
+def test_inner_automorphisms_of_an_abelian_group_are_trivial():
+    G = elementary_abelian(2, 3)  # C2^3: every generator's conjugation row is the identity
+    assert_inner_automorphisms_match_oracle(G, automorphism_group(G))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", [name for name, _ in SLOW_CATALOG])
+def test_inner_automorphisms_close_from_the_generators_slow(name):
+    G = catalog.resolve(name)
+    assert_inner_automorphisms_match_oracle(G, automorphism_group(G))
+
+
 @pytest.mark.parametrize("name", NONSOLVABLE_LIST + ["extraspecial(3)", "cyclic1"])
 def test_aut_rows_are_sorted_as_the_byte_keys(name):
     # the searched rows of Aut(G) are distinct and in the order of their

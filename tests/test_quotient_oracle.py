@@ -1,11 +1,14 @@
-"""`permcore.quotient_group` and `FiniteGroup.normal_closure` against the
-routines they replaced, kept here as oracles: the quotient generators found
-by one scalar lookup per representative and generator, the projection built
-from the whole group's inverse table and m^2 scalar products, and the normal
+"""`permcore.quotient_group`, `coset_partition` and `FiniteGroup.normal_closure`
+against the routines they replaced, kept here as oracles: the quotient
+generators found by one scalar lookup per representative and generator, the
+projection built from the whole group's inverse table and m^2 scalar
+products, the cosets looked up by one full-row `ids_of` each, and the normal
 closure that conjugates by id maps of the whole group and re-closes by
 `dimino` until it stops growing.  Both sides must give the same quotient
-elements, quotient generators and projection, and the same normal closures
-and derived series."""
+elements, quotient generators and projection, the same coset labels and
+representatives, and the same normal closures and derived series.  The
+derived series closes each term once: the seeds its closure keeps generate
+the term alone."""
 
 import numpy as np
 import pytest
@@ -38,6 +41,18 @@ def oracle_quotient(G, N):
             if pi[G.mul_ids(g, x)] != Q.mul_ids(int(pi[g]), int(pi[x])):
                 raise GroupError("quotient projection is not a homomorphism")
     return Q, pi
+
+
+def oracle_coset_partition(G, N):
+    """Right-coset labels, numbered by least member, each coset N*x looked up
+    by `ids_of` of its full rows n*x."""
+    coset_of, reps = np.full(G.order, -1, dtype=np.int64), []
+    sub_rows = G.elements[np.asarray(N)]
+    for x in range(G.order):
+        if coset_of[x] < 0:
+            coset_of[G.ids_of(sub_rows[:, G.elements[x]])] = len(reps)
+            reps.append(x)
+    return coset_of, reps
 
 
 def oracle_normal_closure(G, seed_ids, conjugator_ids=None):
@@ -139,6 +154,34 @@ def test_a_class_and_the_identity_make_a_quotient_or_are_refused(name):
     assert sizes == SUBGROUP_SIZES[name]
 
 
+COSET_SUBGROUPS = {  # normal ones, and a point stabilizer whose right and left cosets differ
+    "derived": lambda G: G.derived_subgroup_ids(),
+    "center": lambda G: G.center_ids(),
+    "trivial": lambda G: np.array([0]),
+    "whole": lambda G: np.arange(G.order),
+    "stabilizer": lambda G: np.flatnonzero(G.elements[:, 0] == 0),
+}
+
+
+def assert_cosets_match_oracle(G, N):
+    coset_of, reps = pc.coset_partition(G, N)
+    ref_of, ref_reps = oracle_coset_partition(G, N)
+    assert np.array_equal(coset_of, ref_of) and reps == ref_reps
+    assert len(reps) * N.size == G.order
+
+
+@pytest.mark.parametrize("kind", COSET_SUBGROUPS)
+@pytest.mark.parametrize("name", [name for name in CATALOG if name not in LARGE])
+def test_coset_partition_matches_full_rows(name, kind):
+    G = catalog.resolve(name)
+    assert_cosets_match_oracle(G, COSET_SUBGROUPS[kind](G))
+
+
+@pytest.mark.slow
+def test_coset_partition_of_aut_psl34_by_its_socle_matches_full_rows(aut_psl34, psl34_socle):
+    assert_cosets_match_oracle(aut_psl34, psl34_socle)
+
+
 def assert_normal_closures_match_oracle(G):
     for seeds in seed_sets(G):
         assert np.array_equal(G.normal_closure(seeds), oracle_normal_closure(G, seeds))
@@ -177,3 +220,45 @@ def test_derived_series_of_aut_psl34_matches_oracle(aut_psl34):
     series, ref = pc.derived_series(aut_psl34), oracle_derived_series(aut_psl34)
     assert [s.size for s in series] == [241920, 60480, 20160]
     assert [s.tolist() for s in series] == [s.tolist() for s in ref]
+
+
+@pytest.mark.parametrize("name", ["sym4", "sym5", "alt4", "pgl(2,9)", "cyclic12",
+                                  "extraspecial(3)", "psu(3,2)", "pgu(3,2)"])
+def test_kept_commutators_generate_their_term(name):
+    # each term closes once: the seeds its closure keeps generate it by right
+    # multiplication alone, and no kept seed lies in the group of those before it
+    G = catalog.resolve(name)
+    ref, gen_ids = oracle_derived_series(G), G.generator_ids()
+    for k in range(1, len(ref) + 1):
+        inside, kept = pc._commutator_closure(G, gen_ids)
+        term = ref[k] if k < len(ref) else ref[-1]  # past the series' end the term repeats
+        assert np.array_equal(np.flatnonzero(inside), term)
+        assert np.array_equal(G.subgroup_closure(kept), term) and G.closure(kept)[1] == kept
+        gen_ids = kept
+
+
+def count_closures(monkeypatch):
+    calls, real = [], pc.FiniteGroup.closure
+
+    def counted(self, seed_ids):
+        calls.append(self.order)
+        return real(self, seed_ids)
+
+    monkeypatch.setattr(pc.FiniteGroup, "closure", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,closures", [("sym4", 3), ("pgl(2,9)", 2), ("alt5", 1)])
+def test_derived_series_closes_each_term_once(monkeypatch, name, closures):
+    # one closure per term after G, and one for a perfect last term
+    G = catalog.resolve(name)
+    calls = count_closures(monkeypatch)
+    series = pc.derived_series(G)
+    assert len(calls) == closures == len(series) - 1 + (series[-1].size > 1)
+
+
+@pytest.mark.slow
+def test_derived_series_of_aut_psl34_closes_each_term_once(monkeypatch, aut_psl34):
+    calls = count_closures(monkeypatch)
+    assert [s.size for s in pc.derived_series(aut_psl34)] == [241920, 60480, 20160]
+    assert len(calls) == 3
