@@ -1,50 +1,26 @@
-"""Exact multinomial machinery: the pmf values r(M) attached to multisets of
-same-type classes, the orbit-proportion product bound they assemble into, and
-the two computer-checked verification sweeps (the Lagrange-point grid and the
-pmf <= max success probability bound).
+"""Exact multinomial machinery: the pmf values attached to multisets of
+same-type classes, and the two computer-checked verification sweeps (the
+Lagrange-point grid and the pmf <= max success probability bound).
 
 Everything is exact: `fractions.Fraction` values, and integers over a common
-denominator in the pmf sweep; no floats and no tolerances anywhere."""
+denominator in the sweeps (int64 arrays where their bound fits); no floats and
+no tolerances anywhere."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Sequence
 
+import numpy as np
+
 from .reports import encode_value
-from .stypes import ClassTypeTable
-from .wreath import WreathElement, WreathGroup, profile
 
 
 class BadComposition(ValueError):
     pass
-
-
-@dataclass
-class TypeDistribution:
-    """Counts over the ordered classes of one type, with their exact
-    per-coset proportions; sum(rho) must be exactly 1."""
-
-    type_id: int
-    class_ids: list[int]
-    rho: list[Fraction]
-    counts: list[int]
-
-    def __post_init__(self):
-        if len(self.class_ids) != len(self.rho) or len(self.rho) != len(self.counts):
-            raise BadComposition("class/rho/count lengths differ")
-        if any(c < 0 for c in self.counts):
-            raise BadComposition("negative count")
-        if sum(self.rho, Fraction(0)) != 1:
-            raise BadComposition("rho does not sum to 1")
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
 
 
 def multinomial_coefficient(counts: Sequence[int]) -> int:
@@ -74,25 +50,6 @@ def pmf(rho: Sequence[Fraction], counts: Sequence[int]) -> Fraction:
     d = lcm(*(r.denominator for r in rho))
     numer = [r.numerator * (d // r.denominator) for r in rho]
     return Fraction(pmf_kernel(numer, counts), d ** sum(counts))
-
-
-def r_value(dist: TypeDistribution) -> Fraction:
-    return pmf(dist.rho, dist.counts)
-
-
-def orbit_upper_bound(wg: WreathGroup, w: WreathElement,
-                      typing: ClassTypeTable) -> Fraction:
-    """Product over cycle lengths l and types tau of r(M_l^tau(w)): an upper
-    bound for the orbit proportion of w in any admissible overgroup of the
-    socle power."""
-    prof = profile(wg, w, typing=typing)
-    bound = Fraction(1)
-    for (_, tau), multiset in sorted(prof.by_length_and_type.items()):
-        class_ids = typing.classes_of_type(tau)
-        counts = [sum(1 for c in multiset if c == cid) for cid in class_ids]
-        dist = TypeDistribution(tau, class_ids, [typing.rho[c] for c in class_ids], counts)
-        bound *= r_value(dist)
-    return bound
 
 
 # -- the Lagrange-point grid ---------------------------------------------------
@@ -136,19 +93,29 @@ GRID_RANGES = (
 )
 
 
+def lemma3_numerator(counts: Sequence[int]) -> int:
+    """(n-1)^(n-1) * lemma3_candidate_value(n, counts) for k >= 2, as the point's
+    coordinates share the denominator n-1: M (l_1-1)^(l_1-1) l_2^l_2 ... l_k^l_k."""
+    value = multinomial_coefficient(counts) * (counts[0] - 1) ** (counts[0] - 1)
+    for c in counts[1:]:
+        value *= c ** c
+    return value
+
+
 def verify_lemma3_grids() -> dict:
     """Check f <= 1 at the Lagrange point for every composition in the three
-    grid ranges.  Expected: zero violations."""
+    grid ranges, as lemma3_numerator <= (n-1)^(n-1) on integers.  Expected:
+    zero violations."""
     checked = 0
     violations = []
     for k, ns in GRID_RANGES:
         for n in ns:
+            bound = (n - 1) ** (n - 1)
             for counts in _descending_compositions(n, k):
                 checked += 1
-                value = lemma3_candidate_value(n, counts)
-                if value > 1:
+                if lemma3_numerator(counts) > bound:
                     violations.append({"n": n, "k": k, "counts": list(counts),
-                                       "value": encode_value(value)})
+                                       "value": encode_value(lemma3_candidate_value(n, counts))})
     return {"checked": checked, "violations": violations}
 
 
@@ -168,6 +135,12 @@ PMF_MAX_DENOM = 6  # common denominator of rho, exhaustive mode
 PMF_MAX_N = 8      # total count, exhaustive mode
 
 
+def pmf_kernels(numers: np.ndarray, counts: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """`pmf_kernel` of every numerator row against every count row, on int64:
+    entry (i, j) is coefs[j] * prod numers[i]^counts[j]."""
+    return coefs * np.prod(numers[:, None, :] ** counts[None], axis=2)
+
+
 def pmf_bound_check(mode: str = "exhaustive", samples: int = 0, seed: int = 0) -> dict:
     """Check pmf(rho, counts) <= max(rho).
 
@@ -176,35 +149,38 @@ def pmf_bound_check(mode: str = "exhaustive", samples: int = 0, seed: int = 0) -
     1 <= n <= PMF_MAX_N (zeros allowed).  random: seeded random rational
     vectors with k <= PMF_MAX_K and the same assertion.  Each case is
     rho = a / d on integers: the pmf is pmf_kernel(a, counts) / d^n, so the
-    bound fails iff pmf_kernel(a, counts) * d > max(a) * d^n."""
+    bound fails iff pmf_kernel(a, counts) * d > max(a) * d^n.  The exhaustive
+    mode compares on int64 arrays, one (k, d) block at a time; the kernel is
+    at most d^n, so neither side exceeds d^(n+1)."""
     checked = 0
     violations = []
 
-    def run_case(numer, top, d, counts, scale):  # top = max(numer), scale = d^n
-        nonlocal checked
-        checked += 1
-        kernel = pmf_kernel(numer, counts)
-        if kernel * d > top * scale:
-            violations.append({
-                "rho": encode_value([Fraction(a, d) for a in numer]),
-                "counts": list(counts),
-                "value": encode_value(Fraction(kernel, scale)),
-            })
+    def record(numer, d, counts, kernel, scale):
+        violations.append({
+            "rho": encode_value([Fraction(a, d) for a in numer]),
+            "counts": list(counts),
+            "value": encode_value(Fraction(kernel, scale)),
+        })
 
     if mode == "exhaustive":
+        if PMF_MAX_DENOM ** (PMF_MAX_N + 1) >= 2 ** 63:
+            raise OverflowError(f"{PMF_MAX_DENOM}^{PMF_MAX_N + 1} does not fit in int64")
         for k in range(1, PMF_MAX_K + 1):
             count_vectors = [cv for n in range(1, PMF_MAX_N + 1)
                              for cv in _nonneg_compositions(n, k)]
+            C = np.array(count_vectors, dtype=np.int64)
+            coefs = np.array([multinomial_coefficient(cv) for cv in count_vectors], dtype=np.int64)
             for d in range(1, PMF_MAX_DENOM + 1):
-                scales = [d ** sum(cv) for cv in count_vectors]
-                for numer in _nonneg_compositions(d, k):
-                    # a / d with g = gcd(a) > 1 is the rho vector (a/g) / (d/g),
-                    # already checked at the smaller denominator
-                    if gcd(*numer) > 1:
-                        continue
-                    top = max(numer)
-                    for counts, scale in zip(count_vectors, scales):
-                        run_case(numer, top, d, counts, scale)
+                scales = d ** C.sum(axis=1)
+                # a / d with g = gcd(a) > 1 is the rho vector (a/g) / (d/g),
+                # already checked at the smaller denominator
+                A = np.array([a for a in _nonneg_compositions(d, k) if gcd(*a) == 1],
+                             dtype=np.int64).reshape(-1, k)
+                kernel = pmf_kernels(A, C, coefs)
+                checked += kernel.size
+                over = kernel * d > A.max(axis=1)[:, None] * scales
+                for i, j in np.argwhere(over).tolist():  # row-major: numerators, then counts
+                    record(A[i].tolist(), d, count_vectors[j], int(kernel[i, j]), int(scales[j]))
     elif mode == "random":
         rng = random.Random(seed)
         for _ in range(samples):
@@ -214,7 +190,10 @@ def pmf_bound_check(mode: str = "exhaustive", samples: int = 0, seed: int = 0) -
             parts = [b - a for a, b in zip([0] + cuts, cuts + [d])]
             n = rng.randint(1, 12)
             counts = random_composition(rng, n, k)
-            run_case(parts, max(parts), d, counts, d ** n)
+            checked += 1
+            kernel, scale = pmf_kernel(parts, counts), d ** n
+            if kernel * d > max(parts) * scale:
+                record(parts, d, counts, kernel, scale)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     result = {"checked": checked, "violations": violations}

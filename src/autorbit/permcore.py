@@ -580,15 +580,17 @@ class FiniteGroup:
 
     def closure(self, seed_ids: Iterable[int]) -> tuple[np.ndarray, list[int]]:
         """Mask of the subgroup generated by the seed ids, and the seeds kept by
-        Dimino's rule: a seed inside is dropped, and a kept one sweeps the
-        members under right multiplication by the kept seeds."""
+        Dimino's rule: a seed inside is dropped, and a kept one s sweeps H*s minus
+        H, for the members H so far, under right multiplication by the kept
+        seeds (H times an earlier seed is inside H already)."""
         inside, kept = np.zeros(self.order, dtype=bool), []
         inside[0] = True
         for s in seed_ids:
             if inside[s]:
                 continue
             kept.append(int(s))
-            for _ in sweep(np.flatnonzero(inside), self.right_multiplication(kept), inside):
+            images = next(iter(self.right_multiplication([s])(np.flatnonzero(inside))))
+            for _ in sweep(images[~inside[images]], self.right_multiplication(kept), inside):
                 pass
         return inside, kept
 

@@ -13,6 +13,7 @@ import pytest
 from autorbit import catalog, multinomial as mn, permcore as pc, stypes as st, wreath as wr
 from autorbit.autgrp import automorphism_group, inner_automorphism_ids, maol
 from autorbit.permcore import Permutation
+from multinomial_oracle import orbit_upper_bound
 
 
 @contextmanager
@@ -180,7 +181,7 @@ def test_c6_dominance_full_sweep(alt5_aut, alt5_typing):
             key = tuple(sorted(prof.by_length_and_type.items()))
             bound = cache.get(key)
             if bound is None:
-                bound = mn.orbit_upper_bound(H, w, alt5_typing)
+                bound = orbit_upper_bound(H, w, alt5_typing)
                 cache[key] = bound
             assert Fraction(int(sizes[codes[code]]), H.order) <= bound
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from autorbit import catalog, multinomial as mn, permcore as pc, wreath as wr
-from autorbit.multinomial import (BadComposition, TypeDistribution,
-                                  lemma3_candidate_value, pmf, r_value,
+from autorbit.multinomial import (BadComposition, lemma3_candidate_value, pmf,
                                   verify_lemma3_grids, pmf_bound_check)
 from autorbit.permcore import Permutation
+from autorbit.reports import encode_value
+from multinomial_oracle import TypeDistribution, orbit_upper_bound, r_value
 
 
 def test_r_value_basics():
@@ -57,6 +58,38 @@ def test_lemma3_grids():
     assert dict_ranges[4] == tuple(range(1, 10))
     assert 3 not in dict_ranges[3] and max(dict_ranges[3]) == 15
     assert dict_ranges[2] == tuple(range(10, 97))
+
+
+def grid_compositions(ranges):
+    return [(n, k, counts) for k, ns in ranges for n in ns
+            for counts in mn._descending_compositions(n, k)]
+
+
+def test_lemma3_integer_criterion_matches_the_fraction_value():
+    cases = grid_compositions(mn.GRID_RANGES)
+    assert len(cases) == verify_lemma3_grids()["checked"] == 2403
+    for n, k, counts in cases:
+        value = lemma3_candidate_value(n, counts)
+        bound = (n - 1) ** (n - 1)
+        assert Fraction(mn.lemma3_numerator(counts), bound) == value
+        assert (mn.lemma3_numerator(counts) > bound) == (value > 1)
+
+
+def test_lemma3_violation_records_match_the_fraction_route(monkeypatch):
+    """With the excluded n = k = 2 and n = k = 3 put back in the grid, the
+    sweep flags them as the Fraction values do, in grid order."""
+    ranges = ((4, tuple(range(1, 10))), (3, tuple(range(1, 16))), (2, tuple(range(2, 97))))
+    monkeypatch.setattr(mn, "GRID_RANGES", ranges)
+    reference = [{"n": n, "k": k, "counts": list(counts),
+                  "value": encode_value(lemma3_candidate_value(n, counts))}
+                 for n, k, counts in grid_compositions(ranges)
+                 if lemma3_candidate_value(n, counts) > 1]
+    report = verify_lemma3_grids()
+    assert report["violations"] == reference == [
+        {"n": 3, "k": 3, "counts": [1, 1, 1], "value": "3/2"},
+        {"n": 2, "k": 2, "counts": [1, 1], "value": "2/1"},
+    ]
+    assert report["checked"] == len(grid_compositions(ranges))
 
 
 def test_pmf_bound_exhaustive():
@@ -137,8 +170,10 @@ def test_pmf_bound_random_matches_fraction_reference(seed):
 
 
 def test_pmf_bound_violation_records_match_fraction_reference(monkeypatch):
-    kernel = mn.pmf_kernel
+    # the random mode reads pmf_kernel, the exhaustive mode its int64 array form
+    kernel, kernels = mn.pmf_kernel, mn.pmf_kernels
     monkeypatch.setattr(mn, "pmf_kernel", lambda numer, counts: 2 * kernel(numer, counts))
+    monkeypatch.setattr(mn, "pmf_kernels", lambda A, C, coefs: 2 * kernels(A, C, coefs))
     report = pmf_bound_check("random", samples=300, seed=3)
     assert report["violations"]
     assert report == reference_pmf_bound_check("random", samples=300, seed=3, scale=2)
@@ -149,6 +184,35 @@ def test_pmf_bound_violation_records_match_fraction_reference(monkeypatch):
     assert report["violations"]
     assert report == reference_pmf_bound_check("exhaustive", max_k=3, max_denom=4,
                                                max_n=4, scale=2)
+
+
+def test_pmf_kernels_match_pmf_kernel():
+    for k in range(1, mn.PMF_MAX_K + 1):
+        counts = [cv for n in range(1, mn.PMF_MAX_N + 1) for cv in mn._nonneg_compositions(n, k)]
+        numers = list(mn._nonneg_compositions(mn.PMF_MAX_DENOM, k))
+        coefs = np.array([mn.multinomial_coefficient(cv) for cv in counts], dtype=np.int64)
+        table = mn.pmf_kernels(np.array(numers, dtype=np.int64).reshape(-1, k),
+                               np.array(counts, dtype=np.int64), coefs)
+        assert table.tolist() == [[mn.pmf_kernel(a, cv) for cv in counts] for a in numers]
+
+
+@pytest.mark.parametrize("denom, max_n", [(1000, 8), (6, 24), (2, 62)])
+def test_pmf_bound_refuses_a_grid_past_int64(monkeypatch, denom, max_n):
+    """denom^(max_n + 1) >= 2^63: the exhaustive sweep raises before it builds
+    an array, instead of comparing wrapped int64 values."""
+    monkeypatch.setattr(mn, "PMF_MAX_DENOM", denom)
+    monkeypatch.setattr(mn, "PMF_MAX_N", max_n)
+    monkeypatch.setattr(mn, "pmf_kernels", None)  # never reached
+    with pytest.raises(OverflowError):
+        pmf_bound_check("exhaustive")
+
+
+def test_pmf_bound_is_exact_up_to_the_int64_bound(monkeypatch):
+    # 2^(61 + 1) < 2^63: the grid at the bound runs, and agrees with Fraction
+    for name, value in (("PMF_MAX_K", 2), ("PMF_MAX_DENOM", 2), ("PMF_MAX_N", 61)):
+        monkeypatch.setattr(mn, name, value)
+    assert pmf_bound_check("exhaustive") == reference_pmf_bound_check(
+        "exhaustive", max_k=2, max_denom=2, max_n=61)
 
 
 def test_pmf_matches_fraction_formula():
@@ -179,15 +243,15 @@ def test_orbit_upper_bound_examples(alt5_aut, alt5_typing):
     # n = 1: bound is rho of the class
     wg1 = wr.WreathGroup(A, 1)
     w = wg1.element((rep4,), Permutation.identity(1))
-    assert mn.orbit_upper_bound(wg1, w, typing) == Fraction(1, 2)
+    assert orbit_upper_bound(wg1, w, typing) == Fraction(1, 2)
 
     wg = wr.WreathGroup(A, 2)
     swap = Permutation([1, 0])
     w = wg.element((rep4, 0), swap)
-    assert mn.orbit_upper_bound(wg, w, typing) == Fraction(1, 2)
+    assert orbit_upper_bound(wg, w, typing) == Fraction(1, 2)
 
     w = wg.element((rep4, rep4), Permutation.identity(2))
-    assert mn.orbit_upper_bound(wg, w, typing) == Fraction(1, 4)
+    assert orbit_upper_bound(wg, w, typing) == Fraction(1, 4)
 
 
 def test_orbit_upper_bound_dominates_sampled(alt5_aut, alt5_typing):
@@ -200,4 +264,4 @@ def test_orbit_upper_bound_dominates_sampled(alt5_aut, alt5_typing):
     for code in rng.integers(wg.order, size=400):
         w = wg.unpack(int(code))
         prop = Fraction(int(sizes[codes[code]]), wg.order)
-        assert prop <= mn.orbit_upper_bound(wg, w, alt5_typing)
+        assert prop <= orbit_upper_bound(wg, w, alt5_typing)

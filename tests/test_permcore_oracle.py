@@ -11,7 +11,8 @@ own against a Python dict of row bytes, also under folds that make distinct
 base images collide, as the uint64 fold does once it wraps.
 Subgroup closures, a `sweep` on ids inside the finished group, are checked
 against the route they replaced: a `dimino` closure of the seeds' rows,
-looked up by `ids_of`, which keeps the same seeds by the same rule."""
+looked up by `ids_of`, which keeps the same seeds by the same rule, and
+the closure that swept all of H under every kept seed, not H*s minus H."""
 
 import itertools
 
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from autorbit import catalog
 from autorbit.cli import NONSOLVABLE_LIST
 from autorbit.permcore import (POINT_DTYPE, FiniteGroup, GroupError, Permutation, _RowIndex,
-                               close_group, conjugacy_classes, dimino, lex_order)
+                               close_group, conjugacy_classes, dimino, lex_order, sweep)
 
 
 def encode_rows(mat):
@@ -186,6 +187,55 @@ def test_subgroup_closure_matches_dimino(name):
 @pytest.mark.parametrize("name", LARGE + ["autpsl34"])
 def test_large_subgroup_closures_match_dimino(name):
     assert_closures_match_dimino(catalog.resolve(name))
+
+
+def full_sweep_closure(G, seed_ids):
+    """`FiniteGroup.closure` as it was before it started each kept seed's sweep
+    from H*s minus H: each kept seed sweeps every member so far under all the
+    kept seeds, so that the first level looks up H times the earlier seeds too."""
+    inside, kept = np.zeros(G.order, dtype=bool), []
+    inside[0] = True
+    for s in seed_ids:
+        if inside[s]:
+            continue
+        kept.append(int(s))
+        for _ in sweep(np.flatnonzero(inside), G.right_multiplication(kept), inside):
+            pass
+    return inside, kept
+
+
+@pytest.mark.parametrize("name", [name for name in CATALOG if name not in LARGE])
+def test_closure_matches_the_full_sweep(name):
+    G = catalog.resolve(name)
+    for seeds in seed_sets(G):
+        inside, kept = G.closure(seeds)
+        oracle_inside, oracle_kept = full_sweep_closure(G, seeds)
+        assert np.array_equal(inside, oracle_inside) and kept == oracle_kept
+
+
+def test_closure_skips_the_products_of_h_with_earlier_seeds(monkeypatch):
+    """Each kept seed after the first saves |H| lookups per earlier kept seed,
+    H being the members found before it."""
+    G = catalog.resolve("pgl(2,9)")  # built anew: products are looked up, not read off a table
+    lookups, locate = [], _RowIndex.locate
+
+    def counting_locate(self, images):
+        lookups.append(len(images))
+        return locate(self, images)
+
+    monkeypatch.setattr(_RowIndex, "locate", counting_locate)
+    savings = []
+    for seeds in seed_sets(G):
+        lookups.clear()
+        kept = G.closure(seeds)[1]
+        rows = sum(lookups)
+        lookups.clear()
+        full_sweep_closure(G, seeds)
+        full_rows = sum(lookups)
+        sizes = [np.count_nonzero(G.closure(kept[:i])[0]) for i in range(1, len(kept))]
+        savings.append(sum(i * int(size) for i, size in enumerate(sizes, start=1)))
+        assert rows == full_rows - savings[-1]
+    assert G._cayley is None and max(savings) > 0
 
 
 @pytest.mark.parametrize("name", ["sym5", "alt6", "pgl(2,7)", "extraspecial(3)"])
