@@ -4,7 +4,8 @@ modulo Inn(G) on the Cayley table, with fingerprint pruning; Aut-orbit reports.
 Automorphisms are permutations of element ids (degree = |G|), and Aut(G) is
 a plain FiniteGroup acting on those ids, so orbit, conjugacy-class and
 quotient machinery applies to it unchanged.  Subgroups of G close by `closure`
-on G's Cayley table, Aut(G) by `dimino`, Inn(G) from G's generators' conjugations.
+on G's Cayley table, Aut(G) by `dimino`; Inn(G) is generated by the id maps
+`conjugation_ids` of G's generators, and Aut(G)'s generators are its `gen_ids`.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .permcore import (FiniteGroup, GroupError, NotNormal, Permutation, ResourceLimit,
-                       TooLarge, conjugacy_classes, dimino, is_normal, orbits,
-                       sort_rows, sweep, validate_automorphism)
+from .permcore import (FiniteGroup, GroupError, NotNormal, ResourceLimit, TooLarge,
+                       conjugacy_classes, dimino, orbits, sort_rows, sweep,
+                       validate_automorphism)
 from .reports import encode_value
 
 MAX_AUT_CARRIER = 2000
@@ -162,24 +163,18 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Fin
     # inner automorphism, are the automorphisms sending g0 into r's class:
     # |class of r| of them for each such survivor
     order = int(np.array(table.sizes)[table.class_of[survivors[:, gen_ids[0]]]].sum())
-    rows = np.concatenate([_conjugation_rows(G, G.generator_ids()), survivors])
+    inner = np.array([G.conjugation_ids(c) for c in G.gen_ids], dtype=np.int64)
+    rows = np.concatenate([inner.reshape(-1, n), survivors])
     closed = dimino(rows, order=order)
-    A = FiniteGroup(n, [Permutation(row) for row in rows[closed.kept]],
-                    sort_rows(closed.elements, closed.base), base=closed.base)
+    A = FiniteGroup(sort_rows(closed.elements, closed.base), closed.base, rows[closed.kept])
     _validate_aut_group(G, A)
     return A
-
-
-def _conjugation_rows(G: FiniteGroup, ids) -> np.ndarray:
-    """Row k: the id map x -> g x g^-1 of G for g = ids[k]."""
-    T, ids = G.cayley(), np.asarray(ids, dtype=np.int64)
-    return T[T[ids], G.inverse_ids()[ids][:, None]]
 
 
 def _validate_aut_group(G: FiniteGroup, A: FiniteGroup):
     """A's generators preserve G's multiplication (checked on permutations, not
     on the Cayley table), and A holds all |G|/|Z(G)| inner automorphisms."""
-    if not all(validate_automorphism(G, phi.images) for phi in A.generators):
+    if not all(validate_automorphism(G, phi) for phi in A.elements[A.gen_ids]):
         raise GroupError("a generator of the Aut search result is not an automorphism")
     n_inner = G.order // G.center_ids().size
     if A.order % n_inner != 0 or inner_automorphism_ids(G, A).size != n_inner:
@@ -190,15 +185,16 @@ def inner_automorphism_ids(G: FiniteGroup, A: FiniteGroup) -> np.ndarray:
     """Ids, inside A (automorphisms of G on its element ids), of the inner
     automorphisms of G, the subgroup that conjugation by G's generators
     generates; for a centerless G this is the canonical embedded copy of it."""
-    return A.subgroup_closure(A.ids_of(_conjugation_rows(G, G.generator_ids())))
+    inner = np.array([G.conjugation_ids(c) for c in G.gen_ids], dtype=np.int64)
+    return A.subgroup_closure(A.ids_of(inner.reshape(-1, G.order)))
 
 
 def maol(G: FiniteGroup, A: FiniteGroup) -> OrbitReport:
     """Orbit report of Aut(G), given on G's element ids, acting on G."""
     if A.degree != G.order:
         raise ActionMismatch("automorphism degree does not match carrier order")
-    sizes = sorted((int(o.size) for o in orbits([g.images for g in A.generators],
-                                                G.order)[0]), reverse=True)
+    sizes = sorted((int(o.size) for o in orbits(A.elements[A.gen_ids], G.order)[0]),
+                   reverse=True)
     return OrbitReport(G.name or "group", sizes)
 
 
@@ -208,7 +204,8 @@ def class_orbits(A: FiniteGroup, ids: np.ndarray) -> list[int]:
     S <= G <= A = Aut(S), S simple, Aut(G) is N_A(G) = A acting by
     conjugation, so these are the Aut(G)-orbits on G, found without a search
     over G or the classes of all of A."""
-    if not is_normal(A, ids):
+    images = [A.conjugation_ids(c, ids) for c in A.gen_ids]
+    if not all(np.array_equal(np.sort(m), ids) for m in images):
         raise NotNormal("the subgroup is not normal in Aut(S)")
-    maps = (np.searchsorted(ids, A.conjugation_ids(g, ids)) for g in A.generators)
+    maps = (np.searchsorted(ids, m) for m in images)
     return sorted((part.size for part in orbits(maps, ids.size)[0]), reverse=True)

@@ -136,7 +136,7 @@ def cmd_aut(args) -> int:
         "group": G.name,
         "order": G.order,
         "autOrder": A.order,
-        "generators": [g.images.tolist() for g in A.generators],
+        "generators": A.elements[A.gen_ids].tolist(),
         "automorphisms": [row.tolist() for row in A.elements],
     }
     write_text(args.out, json.dumps(payload))

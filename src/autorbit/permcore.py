@@ -25,7 +25,8 @@ base images, or a collision of the wrapped fold); a lookup never moves it.
 A membership test (`ids_of`) confirms each key hit on the full row; a product
 or conjugate of members is a member, so the Cayley table, conjugation maps and
 a quotient's cosets and translations look up its base images alone.
-A group's ``generators`` are the kept, irredundant generators.
+A group's ``gen_ids`` are the ids of its kept, irredundant generators, and
+conjugation by an element id is one id map (`FiniteGroup.conjugation_ids`).
 
 1-cycles of a permutation are kept in its cycle decomposition; cycle strings
 at the I/O boundary use 1-based points, e.g. ``"(1 2)(3 4 5)"``.
@@ -453,13 +454,13 @@ class FiniteGroup:
     """Fully enumerated permutation group with canonical element ids, looked
     up by their images of `base`, on which no two elements agree.  `elements`
     is closed under composition (every constructor takes it from `dimino`), so
-    a product of members is a member and its base images name it."""
+    a product of members is a member and its base images name it.  `gen_ids`
+    are the ids of the rows `gen_rows` it is generated by; each must be a member."""
 
-    def __init__(self, degree: int, generators: list[Permutation], elements: np.ndarray,
-                 base: Sequence[int], name: str | None = None):
-        self.degree = degree
-        self.generators = generators
+    def __init__(self, elements: np.ndarray, base: Sequence[int], gen_rows: np.ndarray,
+                 name: str | None = None):
         self.elements = elements  # (order, degree), lexicographically sorted
+        self.degree = int(elements.shape[1])
         self.name = name
         self._index = _RowIndex(elements, base)
         self.base = self._index.base
@@ -468,8 +469,9 @@ class FiniteGroup:
         self._cayley: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._center: np.ndarray | None = None
-        if self.id_of(Permutation.identity(degree)) != 0:
+        if self.id_of(np.arange(self.degree)) != 0:
             raise GroupError("identity is not element id 0; enumeration broken")
+        self.gen_ids = self.ids_of(np.reshape(gen_rows, (-1, self.degree)))  # refuses a non-member
 
     # -- basic queries ------------------------------------------------
 
@@ -497,9 +499,6 @@ class FiniteGroup:
 
     def contains(self, p: Permutation) -> bool:
         return p.degree == self.degree and bool(self._index.find(p.images[None, :])[0] >= 0)
-
-    def generator_ids(self) -> list[int]:
-        return [self.id_of(g) for g in self.generators]
 
     # -- id-level arithmetic -------------------------------------------
 
@@ -535,16 +534,15 @@ class FiniteGroup:
             self._cayley = table
         return self._cayley
 
-    def conjugation_ids(self, g: Permutation, ids: np.ndarray | None = None) -> np.ndarray:
-        """Ids of g x g^-1 for the x in `ids`; by default for every x, in id order.
-        g must be in the group, as only the base images of g x g^-1 are formed."""
-        if not self.contains(g):
-            raise GroupError("the conjugator is not in the group")
-        cols = g.inverse().images[self.base]
+    def conjugation_ids(self, c: int, ids: np.ndarray | None = None) -> np.ndarray:
+        """Ids of g x g^-1, g the element with id c, for the x in `ids`; by
+        default for every x, in id order.  Only their base images are formed."""
+        g = self.elements[c]
+        cols = np.argsort(g)[self.base]
         E = self.elements if ids is None else self.elements[np.asarray(ids)]
         out = np.empty(len(E), dtype=np.int64)
         for rows in self._row_blocks(8 * len(cols), len(E)):  # and 8-byte keys, slots, ids
-            out[rows] = self._index.locate(g.images[E[rows][:, cols]])
+            out[rows] = self._index.locate(g[E[rows][:, cols]])
         return out
 
     def element_orders(self) -> np.ndarray:
@@ -562,8 +560,7 @@ class FiniteGroup:
     def center_ids(self) -> np.ndarray:
         if self._center is None:
             mask = np.ones(self.order, dtype=bool)
-            for g in self.generators:
-                gi = g.images
+            for gi in self.elements[self.gen_ids]:
                 mask &= np.all(self.elements[:, gi] == gi[self.elements], axis=1)
             self._center = np.flatnonzero(mask)
         return self._center
@@ -602,7 +599,7 @@ class FiniteGroup:
         """The distinct seed ids, then the other ids of their conjugates under
         the group the conjugator ids generate, in the order a `sweep` finds them."""
         seeds = np.array(list(dict.fromkeys(seed_ids)), dtype=np.int64)
-        step = lambda ids: (self.conjugation_ids(self.perm(c), ids) for c in conjugator_ids)
+        step = lambda ids: (self.conjugation_ids(c, ids) for c in conjugator_ids)
         found = [new for _, _, new in sweep(seeds, step, np.zeros(self.order, dtype=bool))]
         return np.concatenate([seeds] + found)
 
@@ -611,11 +608,11 @@ class FiniteGroup:
         """Smallest subgroup containing the seeds and invariant under conjugation by
         the given elements (default: the group generators): <their conjugates>."""
         if conjugator_ids is None:
-            conjugator_ids = self.generator_ids()
+            conjugator_ids = self.gen_ids
         return self.subgroup_closure(self.conjugates(seed_ids, conjugator_ids))
 
     def derived_subgroup_ids(self) -> np.ndarray:
-        return np.flatnonzero(_commutator_closure(self, self.generator_ids())[0])
+        return np.flatnonzero(_commutator_closure(self, self.gen_ids)[0])
 
     def __repr__(self) -> str:
         label = self.name or "group"
@@ -637,8 +634,7 @@ def close_group(generators: Sequence[Permutation], limit: int = DEFAULT_CLOSURE_
     rows = np.array([g.images for g in generators], dtype=POINT_DTYPE).reshape(-1, degree)
     closed = dimino(rows, limit, order)
     mat = closed.elements if order is not None else closed.elements.copy()  # not the buffer
-    return FiniteGroup(degree, [generators[k] for k in closed.kept],
-                       sort_rows(mat, closed.base), base=closed.base, name=name)
+    return FiniteGroup(sort_rows(mat, closed.base), closed.base, rows[closed.kept], name=name)
 
 
 @dataclass
@@ -699,7 +695,7 @@ def sweep(start: Sequence[int], step, seen: np.ndarray):
 def conjugacy_classes(G: FiniteGroup) -> ConjClassTable:
     """Classes as the orbits of the generators' conjugation id-permutations."""
     if G._classes is None:
-        maps = (G.conjugation_ids(g) for g in G.generators)
+        maps = (G.conjugation_ids(c) for c in G.gen_ids)
         G._classes = ConjClassTable(*orbits(maps, G.order))
     return G._classes
 
@@ -720,7 +716,7 @@ def _commutator_closure(G: FiniteGroup, gen_ids: Sequence[int]) -> tuple[np.ndar
 
 def derived_series(G: FiniteGroup) -> list[np.ndarray]:
     """Successive commutator subgroups (as id sets) until stabilization, each closed once."""
-    series, gen_ids = [np.arange(G.order, dtype=np.int64)], G.generator_ids()
+    series, gen_ids = [np.arange(G.order, dtype=np.int64)], G.gen_ids
     while series[-1].size > 1:
         inside, gen_ids = _commutator_closure(G, gen_ids)
         if np.count_nonzero(inside) == series[-1].size:
@@ -735,8 +731,8 @@ def is_solvable(G: FiniteGroup) -> bool:
 
 def is_normal(G: FiniteGroup, subgroup_ids: np.ndarray) -> bool:
     sub_ids = np.sort(np.asarray(subgroup_ids))
-    return all(np.array_equal(np.sort(G.conjugation_ids(g, sub_ids)), sub_ids)
-               for g in G.generators)
+    return all(np.array_equal(np.sort(G.conjugation_ids(c, sub_ids)), sub_ids)
+               for c in G.gen_ids)
 
 
 def coset_partition(G: FiniteGroup, subgroup_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -767,7 +763,7 @@ def quotient_group(G: FiniteGroup, subgroup_ids: np.ndarray,
     if np.count_nonzero(G.closure(sub)[0]) != np.unique(sub).size:
         raise GroupError("the normal set is not a subgroup")
     coset_of, reps = coset_partition(G, sub)
-    reps, gids = np.array(reps, dtype=np.int64), G.generator_ids()
+    reps, gids = np.array(reps, dtype=np.int64), G.gen_ids
     qgens = [Permutation(coset_of[ids]) for ids in G.right_multiplication(gids)(reps)]
     Q = close_group(qgens, degree=len(reps), name=name, order=len(reps))
     inv_ids = G.ids_of(np.argsort(G.elements[reps], axis=1))
@@ -785,7 +781,7 @@ def validate_automorphism(G: FiniteGroup, phi: np.ndarray) -> bool:
     if not (np.array_equal(np.sort(phi), np.arange(G.order)) and phi[0] == 0):
         return False
     return all(np.array_equal(phi[G.ids_of(E[g][E])], G.ids_of(E[phi[g]][E[phi]]))
-               for g in G.generator_ids())
+               for g in G.gen_ids)
 
 
 def is_characteristic(G: FiniteGroup, subgroup_ids: np.ndarray,

@@ -219,13 +219,13 @@ class WreathGroup:
         base generators planted in every coordinate, plus the top generators."""
         out = []
         ident = Permutation.identity(self.n)
-        for g in self.base.generator_ids():
+        for g in self.base.gen_ids.tolist():
             for i in range(self.n):
                 base = [0] * self.n
                 base[i] = g
                 out.append((tuple(base), ident))
-        for tp in self.top.generators:
-            out.append(((0,) * self.n, tp))
+        for c in self.top.gen_ids:
+            out.append(((0,) * self.n, self.top.perm(c)))
         return out
 
     def class_codes(self, limit: int = DEFAULT_CLOSURE_LIMIT) -> np.ndarray:
@@ -387,7 +387,7 @@ def build_hp(A: FiniteGroup, p: int) -> HpConstruction:
     # base generators in coordinate 0 suffice: conjugation by the
     # transitive top spreads them to every coordinate
     conjugators = [(tuple([g] + [0] * (p - 1)), Permutation.identity(p))
-                   for g in A.generator_ids()]
+                   for g in A.gen_ids.tolist()]
     conjugators.append(((0,) * p, sigma))
     if p > 2:
         u = _primitive_root(p)

@@ -184,9 +184,9 @@ def elementary_abelian(p, k):
 def direct_product(G, H):
     """G x H acting on disjoint supports."""
     d, e = G.degree, H.degree
-    gens = [Permutation(np.concatenate([g.images, np.arange(d, d + e)])) for g in G.generators]
-    gens += [Permutation(np.concatenate([np.arange(d), h.images.astype(int) + d]))
-             for h in H.generators]
+    gens = [Permutation(np.concatenate([g, np.arange(d, d + e)])) for g in G.elements[G.gen_ids]]
+    gens += [Permutation(np.concatenate([np.arange(d), h.astype(int) + d]))
+             for h in H.elements[H.gen_ids]]
     return close_group(gens, name=f"{G.name}x{H.name}")
 
 
@@ -201,9 +201,9 @@ def assert_same_aut(G, aut_order):
 def assert_irredundant_generators(A):
     """No generator of A lies in the group of those before it, and together
     they close to A's elements."""
-    rows = np.array([g.images for g in A.generators]).reshape(-1, A.degree)
-    assert dimino(rows).kept == list(range(len(A.generators)))
-    assert close_group(A.generators, degree=A.degree).elements.tobytes() == A.elements.tobytes()
+    assert dimino(A.elements[A.gen_ids]).kept == list(range(len(A.gen_ids)))
+    generators = [A.perm(i) for i in A.gen_ids]
+    assert close_group(generators, degree=A.degree).elements.tobytes() == A.elements.tobytes()
 
 
 CATALOG = [

@@ -73,7 +73,7 @@ def test_orbit_of_central_element():
     A = automorphism_group(c8)
     orders = c8.element_orders()
     involution = int(np.flatnonzero(orders == 2)[0])
-    assert orbit_of(involution, [g.images for g in A.generators], c8.order) == {involution}
+    assert orbit_of(involution, A.elements[A.gen_ids], c8.order) == {involution}
 
 
 def test_aut_divisible_by_inner(alt6, alt6_aut):
@@ -92,14 +92,14 @@ def test_inner_count_is_order_over_center():
 def test_orbit_of():
     s5 = catalog.sym(5)
     A = automorphism_group(s5)
-    gens = [g.images for g in A.generators]
+    gens = A.elements[A.gen_ids]
     assert orbit_of(0, gens, s5.order) == {0}
     four_cycle = s5.id_of(pc.parse_cycles("(1 2 3 4)", 5))
     assert len(orbit_of(four_cycle, gens, s5.order)) == 30
 
 
 def test_orbit_sizes_divide_aut_and_sum(alt5, alt5_aut):
-    orbits = pc.orbits([g.images for g in alt5_aut.generators], alt5.order)[0]
+    orbits = pc.orbits(alt5_aut.elements[alt5_aut.gen_ids], alt5.order)[0]
     sizes = [o.size for o in orbits]
     assert sum(sizes) == alt5.order
     assert all(alt5_aut.order % s == 0 for s in sizes)
@@ -164,3 +164,20 @@ def test_report_serialization(alt5, alt5_aut):
     js = rep.to_json()
     assert js["maol"] == "2/5"
     assert js["MAOL"] == max(js["orbitSizes"]) == 24
+
+
+def test_class_orbits_refuses_a_subgroup_that_is_not_normal():
+    s5 = catalog.sym(5)
+    stabilizer = np.array([i for i in range(s5.order) if s5.perm(i)(0) == 0])  # a Sym4
+    assert stabilizer.size == 24
+    with pytest.raises(pc.NotNormal, match=r"^the subgroup is not normal in Aut\(S\)$"):
+        autgrp.class_orbits(s5, stabilizer)
+
+
+def test_class_orbits_conjugates_by_each_generator_once(monkeypatch):
+    A, ids = catalog.almost_simple_aut("alt5")[:2]  # Sym5 and its Alt5
+    calls, real = [], pc.FiniteGroup.conjugation_ids
+    monkeypatch.setattr(pc.FiniteGroup, "conjugation_ids",
+                        lambda G, c, ids=None: calls.append(c) or real(G, c, ids))
+    assert autgrp.class_orbits(A, ids) == [24, 20, 15, 1]
+    assert len(calls) == len(A.gen_ids) > 0

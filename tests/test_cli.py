@@ -304,7 +304,7 @@ def test_file_groups_keep_the_search(tmp_path, capsys, monkeypatch):
 def test_aut_pair_builds_covered_groups_without_a_search(monkeypatch):
     monkeypatch.setattr(cli, "automorphism_group", lambda *a, **k: pytest.fail("searched"))
     A, socle = cli.aut_pair("alt5", 60, 1)
-    assert (A.order, A.degree, len(A.generators), socle.size) == (120, 5, 2, 60)
+    assert (A.order, A.degree, len(A.gen_ids), socle.size) == (120, 5, 2, 60)
     assert cli.maol_report("name:psl(2,8)", 504, 1)[0].maol == Fraction(3, 7)
 
 

@@ -45,7 +45,7 @@ def all_maps_orbit_labels(maps, n):
 @pytest.mark.parametrize("name", ["pgl(3,4)", "autpsl34"])
 def test_close_group_peaks_near_the_array_it_returns(name):
     G = catalog.resolve(name)
-    H, peak = traced_peak(lambda: close_group(G.generators, order=G.order))
+    H, peak = traced_peak(lambda: close_group([G.perm(i) for i in G.gen_ids], order=G.order))
     assert H.elements.tobytes() == G.elements.tobytes() and H.base == G.base
     assert peak <= 1.6 * H.elements.nbytes
 
@@ -64,9 +64,9 @@ def test_aut_search_closes_once_at_its_order():
 @pytest.mark.parametrize("name", ["pgl(3,4)", "autpsl34"])
 def test_classes_peak_the_same_for_any_number_of_generators(name):
     G, rng = catalog.resolve(name), np.random.default_rng(0)
-    extra = [G.perm(int(i)) for i in rng.choice(G.order, 8, replace=False)]
-    for gens in (G.generators, G.generators + extra):
-        F = FiniteGroup(G.degree, gens, G.elements, G.base)
+    extra = rng.choice(G.order, 8, replace=False)
+    for gen_ids in (G.gen_ids, np.concatenate([G.gen_ids, extra])):
+        F = FiniteGroup(G.elements, G.base, G.elements[gen_ids])
         table, peak = traced_peak(lambda: conjugacy_classes(F))
         assert np.array_equal(table.class_of, conjugacy_classes(G).class_of)
         assert peak <= 6 * 8 * G.order
@@ -115,7 +115,7 @@ SMALL_CATALOG = [name for name in dict.fromkeys(CATALOG + [case.id for case in _
 @pytest.mark.parametrize("name", SMALL_CATALOG)
 def test_orbits_match_the_all_maps_propagation(name):
     G = catalog.resolve(name)
-    maps = [G.conjugation_ids(g) for g in G.generators]
+    maps = [G.conjugation_ids(c) for c in G.gen_ids]
     parts, orbit_of = orbits(iter(maps), G.order)
     assert np.array_equal(orbit_of, all_maps_orbit_labels(maps, G.order))
     assert [p.tolist() for p in parts] == [

@@ -61,7 +61,7 @@ def test_extraspecial27_aut_by_unpruned_search():
     that extend to automorphisms.  Must agree with the pruned search."""
     es = catalog.extraspecial_p3_exponent_p(3)
     T = es.cayley()
-    gen_ids = es.generator_ids()
+    gen_ids = es.gen_ids.tolist()
     assert len(gen_ids) == 2
     g1, g2 = gen_ids
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from autorbit import catalog, multinomial as mn, permcore as pc, wreath as wr
+from autorbit import multinomial as mn, permcore as pc, wreath as wr
 from autorbit.multinomial import (BadComposition, lemma3_candidate_value, pmf,
                                   verify_lemma3_grids, pmf_bound_check)
 from autorbit.permcore import Permutation

@@ -123,9 +123,19 @@ def test_close_group_limit():
 def test_a_group_needs_a_base_that_tells_its_elements_apart():
     S3 = catalog.sym(3)
     with pytest.raises(pc.GroupError):  # (1 2) and (1 2 3) both send point 0 to 1
-        pc.FiniteGroup(3, S3.generators, S3.elements, base=[0])
-    G = pc.FiniteGroup(3, S3.generators, S3.elements, base=[0, 1])
+        pc.FiniteGroup(S3.elements, [0], S3.elements[S3.gen_ids])
+    G = pc.FiniteGroup(S3.elements, [0, 1], S3.elements[S3.gen_ids])
     assert G.ids_of(S3.elements).tolist() == list(range(6))
+
+
+def test_a_group_refuses_a_generator_outside_its_elements():
+    A3 = catalog.alt(3)
+    G = pc.FiniteGroup(A3.elements, A3.base, A3.elements[::-1])
+    assert G.gen_ids.dtype == np.int64 and G.gen_ids.tolist() == [2, 1, 0]  # in the given order
+    odd = np.array([[1, 0, 2]])  # (1 2)
+    for rows in (odd, np.concatenate([A3.elements[A3.gen_ids], odd])):
+        with pytest.raises(pc.GroupError, match="not in group"):
+            pc.FiniteGroup(A3.elements, A3.base, rows)
 
 
 def test_identity_is_element_zero():
@@ -193,7 +203,7 @@ def test_is_characteristic():
     from autorbit.autgrp import automorphism_group
     s4 = catalog.sym(4)
     auts = automorphism_group(s4)
-    gens = [g.images for g in auts.generators]
+    gens = auts.elements[auts.gen_ids]
     assert pc.is_characteristic(s4, s4.derived_subgroup_ids(), gens)
     assert pc.is_characteristic(s4, s4.center_ids(), gens)
     # a point stabilizer is not even normal
