@@ -19,8 +19,7 @@ import numpy as np
 
 from .fields import MAX_FIELD_SIZE, Field, make_field
 from .permcore import (DEFAULT_CLOSURE_LIMIT, POINT_DTYPE, BadParameter, FiniteGroup,
-                       GeneratorDeficiency, Permutation, TooLarge, close_group, _check_degree,
-                       size_text)
+                       GeneratorDeficiency, TooLarge, close_group, _check_degree, size_text)
 
 
 # -- permutation group families -------------------------------------------
@@ -30,10 +29,10 @@ def sym(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
         raise BadParameter("sym(n) needs n >= 1")
     _check_degree(n)  # before a list of n points is built
     if n == 1:
-        return close_group([], degree=1, name="sym1")
-    gens = [Permutation([1, 0] + list(range(2, n)))]
+        return close_group(np.empty((0, 1)), name="sym1")
+    gens = [[1, 0] + list(range(2, n))]
     if n > 2:
-        gens.append(Permutation(list(range(1, n)) + [0]))
+        gens.append(list(range(1, n)) + [0])
     return close_group(gens, limit=limit, name=f"sym{n}", order=factorial(n))
 
 
@@ -42,14 +41,14 @@ def alt(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
         raise BadParameter("alt(n) needs n >= 1")
     _check_degree(n)
     if n <= 2:
-        return close_group([], degree=n, name=f"alt{n}")
-    three = Permutation([1, 2, 0] + list(range(3, n)))
+        return close_group(np.empty((0, n)), name=f"alt{n}")
+    three = [1, 2, 0] + list(range(3, n))
     if n == 3:
         gens = [three]
     elif n % 2 == 1:
-        gens = [three, Permutation(list(range(1, n)) + [0])]
+        gens = [three, list(range(1, n)) + [0]]
     else:
-        gens = [three, Permutation([0] + list(range(2, n)) + [1])]
+        gens = [three, [0] + list(range(2, n)) + [1]]
     return close_group(gens, limit=limit, name=f"alt{n}", order=factorial(n) // 2)
 
 
@@ -58,9 +57,8 @@ def cyclic(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
         raise BadParameter("cyclic(n) needs n >= 1")
     _check_degree(n)
     if n == 1:
-        return close_group([], degree=1, name="cyclic1")
-    return close_group([Permutation(list(range(1, n)) + [0])], limit=limit,
-                       name=f"cyclic{n}", order=n)
+        return close_group(np.empty((0, 1)), name="cyclic1")
+    return close_group([list(range(1, n)) + [0]], limit=limit, name=f"cyclic{n}", order=n)
 
 
 def extraspecial_p3_exponent_p(p: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
@@ -73,7 +71,7 @@ def extraspecial_p3_exponent_p(p: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> Fi
     idx = {pt: i for i, pt in enumerate(pts)}
 
     def aff(a, b, c):
-        return Permutation([idx[((x + a * y + c) % p, (y + b) % p)] for x, y in pts])
+        return [idx[((x + a * y + c) % p, (y + b) % p)] for x, y in pts]
 
     G = close_group([aff(1, 0, 0), aff(0, 1, 0)], limit, name=f"extraspecial{p**3}", order=p**3)
     orders = set(int(o) for o in G.element_orders())
@@ -259,8 +257,7 @@ def projective_group(kind: str, d: int, q: int,
         mats = np.concatenate([mats, _diag(d, extra)])
 
     name = f"p{kind.lower()}({d},{q})"
-    gens = [Permutation(r) for r in projective_perms(F, pts, mats)]
-    return close_group(gens, limit=limit, name=name, order=expected)
+    return close_group(projective_perms(F, pts, mats), limit=limit, name=name, order=expected)
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -306,8 +303,8 @@ def _aut_psl(d: int, q: int, limit: int = DEFAULT_CLOSURE_LIMIT,
     if d == 3:
         rows.append(np.roll(np.arange(2 * len(pts)), len(pts))[None])  # the duality
     expected = projective_order("GL", d, q) * f * (2 if d == 3 else 1)
-    return close_group([Permutation(r) for r in np.vstack(rows)], limit=limit,
-                       name=name or f"autpsl({d},{q})", order=expected)
+    return close_group(np.vstack(rows), limit=limit, name=name or f"autpsl({d},{q})",
+                       order=expected)
 
 
 def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:

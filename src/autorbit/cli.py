@@ -21,9 +21,9 @@ from . import wreath
 from .autgrp import (DEFAULT_NODE_BUDGET, OrbitReport, automorphism_group, class_orbits,
                      inner_automorphism_ids, maol)
 from .fields import _is_prime
-from .permcore import (DEFAULT_CLOSURE_LIMIT, BadParameter, DegreeMismatch, FiniteGroup,
-                       ResourceLimit, TooLarge, _check_degree, conjugacy_classes,
-                       load_group_file, mcs, size_text)
+from .permcore import (DEFAULT_CLOSURE_LIMIT, BadParameter, FiniteGroup, ResourceLimit,
+                       TooLarge, _check_degree, conjugacy_classes, load_group_file, mcs,
+                       size_text)
 from .reports import (FAIL, PASS, ReportItem, SuiteRunner,
                       VerificationReport, encode_value, print_report, write_text)
 
@@ -38,7 +38,7 @@ def resolve_group(spec: str, limit: int) -> FiniteGroup:
     if spec.startswith("file:"):
         try:
             return load_group_file(spec[5:])
-        except (OSError, KeyError, TypeError, ValueError, DegreeMismatch) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise BadParameter(f"cannot read group file {spec[5:]!r}: {exc!r}") from exc
     raise BadParameter(f"group spec must start with 'name:' or 'file:', got {spec!r}")
 
@@ -408,6 +408,8 @@ def main(argv=None) -> int:
             parser.error("wreath suite needs --base")
         if args.seed < 0:
             parser.error("wreath suite needs a non-negative --seed")
+        if args.n < 1:
+            parser.error("wreath suite needs --n >= 1")
     try:
         return args.func(args)
     except ResourceLimit as exc:

@@ -10,6 +10,8 @@ Conventions, fixed globally:
   from them: class numbering, coset numbering, orbit output) are reproducible;
 * the identity is always element id 0 (it is the lexicographic minimum).
 
+A group is built from a (k, degree) array of generator rows (``close_group``);
+`Permutation` objects serve cycle strings and the checks of file input.
 Groups are enumerated by one Dimino closure (``dimino``): a generator the
 closure H already holds is dropped, and each kept generator adds the right
 cosets H*r, one BFS level of coset representatives at a time.  A subgroup of
@@ -619,19 +621,14 @@ class FiniteGroup:
         return f"FiniteGroup({label}, order={self.order}, degree={self.degree})"
 
 
-def close_group(generators: Sequence[Permutation], limit: int = DEFAULT_CLOSURE_LIMIT,
-                degree: int | None = None, name: str | None = None,
-                order: int | None = None) -> FiniteGroup:
-    """Enumerate the group generated by `generators` (`dimino`, of `order` if known) in
-    the canonical order (`sort_rows`); the group keeps the generators dimino kept."""
-    if generators:
-        degrees = {g.degree for g in generators}
-        if len(degrees) != 1:
-            raise DegreeMismatch(f"mixed degrees {sorted(degrees)}")
-        degree = degrees.pop()
-    elif degree is None:
-        raise ValueError("need a degree for the empty generating set")
-    rows = np.array([g.images for g in generators], dtype=POINT_DTYPE).reshape(-1, degree)
+def close_group(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
+                name: str | None = None, order: int | None = None) -> FiniteGroup:
+    """Enumerate the group generated by the (k, degree) permutation rows `gen_rows`,
+    k >= 0 (`dimino`, of `order` if known), in the canonical order (`sort_rows`);
+    the group keeps the generators dimino kept.  The rows are trusted to be
+    permutations: input from outside the program is checked before (`group_from_spec`)."""
+    _check_degree(np.shape(gen_rows)[1])  # before the rows are cast to POINT_DTYPE
+    rows = np.asarray(gen_rows, dtype=POINT_DTYPE)
     closed = dimino(rows, limit, order)
     mat = closed.elements if order is not None else closed.elements.copy()  # not the buffer
     return FiniteGroup(sort_rows(mat, closed.base), closed.base, rows[closed.kept], name=name)
@@ -764,8 +761,8 @@ def quotient_group(G: FiniteGroup, subgroup_ids: np.ndarray,
         raise GroupError("the normal set is not a subgroup")
     coset_of, reps = coset_partition(G, sub)
     reps, gids = np.array(reps, dtype=np.int64), G.gen_ids
-    qgens = [Permutation(coset_of[ids]) for ids in G.right_multiplication(gids)(reps)]
-    Q = close_group(qgens, degree=len(reps), name=name, order=len(reps))
+    qgens = [coset_of[ids] for ids in G.right_multiplication(gids)(reps)]
+    Q = close_group(np.reshape(qgens, (-1, len(reps))), name=name, order=len(reps))
     inv_ids = G.ids_of(np.argsort(G.elements[reps], axis=1))
     trans = np.array([coset_of[ids] for ids in G.right_multiplication(inv_ids)(reps)])
     pi = Q.ids_of(trans)[coset_of]
@@ -801,22 +798,25 @@ def is_characteristic(G: FiniteGroup, subgroup_ids: np.ndarray,
 
 def group_from_spec(spec: dict) -> FiniteGroup:
     """Build a group from the JSON spec format:
-    {"name": str, "degree": int, "generators": ["(1 2)(3 4)" | [images]]}."""
-    degree = spec["degree"]
+    {"name": str, "degree": int, "generators": ["(1 2)(3 4)" | [images]]}.
+    Each generator is checked to be a permutation before the group closes."""
+    degree, name = spec["degree"], spec.get("name")
     if type(degree) is not int or degree < 1:
         raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
     _check_degree(degree)
     gens = []
     for k, item in enumerate(spec.get("generators", [])):
         if isinstance(item, str):
-            gens.append(parse_cycles(item, degree))
+            gens.append(parse_cycles(item, degree).images)
         elif (isinstance(item, list) and len(item) == degree
               and all(type(x) is int and 0 <= x < degree for x in item)):
-            gens.append(Permutation(item))
+            gens.append(Permutation(item).images)
         else:
             raise ValueError(f"generator {k + 1} is not a list of {degree} "
                              f"integers in 0..{degree - 1}")
-    return close_group(gens, degree=degree, name=spec.get("name"))
+    return close_group(np.reshape(gens, (-1, degree)), name=name)
 
 
 def load_group_file(path: str) -> FiniteGroup:

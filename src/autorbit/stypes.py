@@ -134,14 +134,14 @@ def ct_set(wg: WreathGroup, w: WreathElement, coarse: CoarseQuotient) -> frozens
     if wg.base is not coarse.ambient:
         raise GroupError("wreath base and coarse quotient belong to different groups")
     return frozenset(int(coarse.pi[bcpc_element(wg, w, zeta)])
-                     for zeta in cycle_decompose(w.top).cycles)
+                     for zeta in cycle_decompose(wg.top.perm(w.top)).cycles)
 
 
 def ct_power_check(wg: WreathGroup, w: WreathElement, k: int,
                    coarse: CoarseQuotient) -> bool:
     """Lemma-style power rule: for gcd(k, ord(top)) = 1, CT(w^k) must equal
     {t^k : t in CT(w)}; both sides are computed independently."""
-    top_order = w.top.order()
+    top_order = int(wg.top.element_orders()[w.top])
     if gcd(k, top_order) != 1:
         raise GcdViolation(f"gcd({k}, {top_order}) != 1")
     lhs = ct_set(wg, wg.power(w, k), coarse)

@@ -6,7 +6,8 @@ Multiplication law, matching the composition convention of `permcore`:
 (g, sigma)(h, upsilon) = ((g_i * h_{sigma^-1(i)})_i, sigma*upsilon); the
 conjugate of `a` by `b` is b*a*b^-1.  Cycles of the top inherit their
 orientation from it: within a listed cycle (i_1 ... i_l), sigma(i_j) =
-i_{j+1}."""
+i_{j+1}.  An element is n base-group ids and a top-group id, so a packed code
+is arithmetic on them; a conjugator is a pair (base ids, top image row)."""
 
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .catalog import sym
-from .permcore import (DEFAULT_CLOSURE_LIMIT, FiniteGroup, GroupError, Permutation,
-                       TooLarge, close_group, conjugacy_classes, cycle_decompose,
-                       cycle_type, orbits, size_text, sweep)
+from .permcore import (DEFAULT_CLOSURE_LIMIT, FiniteGroup, GroupError, TooLarge, close_group,
+                       conjugacy_classes, cycle_decompose, cycle_type, orbits, size_text,
+                       sweep)
 from .reports import encode_value
 
 DEFAULT_ORBIT_SPACE = 64_000_000  # visited-array cells for orbit sweeps
@@ -41,14 +42,11 @@ class NotACycleOfTop(GroupError):
 
 @dataclass(frozen=True)
 class WreathElement:
-    """(g_1,...,g_n)*sigma: base entries as element ids, top as a Permutation."""
+    """(g_1,...,g_n)*sigma: base entries as base-group ids, sigma as a top-group id.
+    Only `WreathGroup.element` checks an element given from outside."""
 
     base: tuple[int, ...]
-    top: Permutation
-
-    def __post_init__(self):
-        if len(self.base) != self.top.degree:
-            raise ShapeMismatch("tuple part length != degree of permutation part")
+    top: int
 
 
 @dataclass(frozen=True)
@@ -62,16 +60,16 @@ class BcpcProfile:
 
 
 class WreathGroup:
-    """base wr top; `top`, given by generators, defaults to the full
-    symmetric group of degree n.
+    """base wr top; `top`, given by its generator rows (k, n), defaults to the
+    full symmetric group of degree n.
 
-    Element arithmetic is lookups in the base Cayley table, built on first use."""
+    Element arithmetic is lookups in the base Cayley table, built on first
+    use, and in the top group's ids."""
 
-    def __init__(self, base: FiniteGroup, n: int,
-                 top: Sequence[Permutation] | None = None):
+    def __init__(self, base: FiniteGroup, n: int, top: np.ndarray | None = None):
         self.base = base
         self.n = n
-        self.top = sym(n) if top is None else close_group(list(top), degree=n)
+        self.top = sym(n) if top is None else close_group(top)
         if self.top.degree != n:
             raise ShapeMismatch("top group degree != n")
         self.base_inv = base.inverse_ids()
@@ -88,34 +86,30 @@ class WreathGroup:
         return self.base.order ** self.n * self.top.order
 
     def identity(self) -> WreathElement:
-        return WreathElement((0,) * self.n, Permutation.identity(self.n))
+        return WreathElement((0,) * self.n, 0)
 
-    def element(self, base_ids: Sequence[int], top: Permutation) -> WreathElement:
-        w = WreathElement(tuple(int(b) for b in base_ids), top)
-        self._check(w)
-        return w
-
-    def _check(self, w: WreathElement):
-        if len(w.base) != self.n:
+    def element(self, base_ids: Sequence[int], top) -> WreathElement:
+        """The element with these base ids and top, a Permutation or image row
+        of the top group."""
+        if len(base_ids) != self.n:
             raise ShapeMismatch(f"expected {self.n} base entries")
-        self.top.id_of(w.top)  # raises if top not in the top group
+        return WreathElement(tuple(int(b) for b in base_ids), self.top.id_of(top))
 
     def random_element(self, rng) -> WreathElement:
         base = tuple(int(rng.integers(self.base.order)) for _ in range(self.n))
-        top = self.top.perm(int(rng.integers(self.top.order)))
-        return WreathElement(base, top)
+        return WreathElement(base, int(rng.integers(self.top.order)))
 
     # -- arithmetic ------------------------------------------------------
 
     def mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
-        tinv = a.top.inverse().images
+        tinv = self.top.elements[self.top.inverse_ids()[a.top]]
         base = tuple(int(self.T[a.base[i], b.base[tinv[i]]]) for i in range(self.n))
-        return WreathElement(base, a.top * b.top)
+        return WreathElement(base, self.top.mul_ids(a.top, b.top))
 
     def inv(self, a: WreathElement) -> WreathElement:
-        t = a.top.images
+        t = self.top.elements[a.top]
         base = tuple(int(self.base_inv[a.base[t[j]]]) for j in range(self.n))
-        return WreathElement(base, a.top.inverse())
+        return WreathElement(base, int(self.top.inverse_ids()[a.top]))
 
     def conj(self, a: WreathElement, b: WreathElement) -> WreathElement:
         """b * a * b^-1."""
@@ -139,15 +133,15 @@ class WreathGroup:
         code = 0
         for b in w.base:
             code = code * self.base.order + int(b)
-        return code * self.top.order + self.top.id_of(w.top)
+        return code * self.top.order + w.top
 
     def unpack(self, code: int) -> WreathElement:
-        code, t = divmod(code, self.top.order)
+        code, t = divmod(int(code), self.top.order)
         base = []
         for _ in range(self.n):
             code, b = divmod(code, self.base.order)
             base.append(b)
-        return WreathElement(tuple(reversed(base)), self.top.perm(t))
+        return WreathElement(tuple(reversed(base)), t)
 
     def _pack_arrays(self, B: np.ndarray, t: np.ndarray) -> np.ndarray:
         code = np.zeros(t.size, dtype=np.int64)
@@ -168,11 +162,12 @@ class WreathGroup:
 
     # -- vectorized conjugation sweeps ------------------------------------
 
-    def _conjugation_maps(self, conjugators: Iterable[tuple[Sequence[int], Permutation]]):
-        """Per conjugator (k, psi), the tables of conj(a) = (k,psi) a (k,psi)^-1
-        on packed codes: the top map, psi^-1, and for each coordinate j the
-        table C_j[t*|G| + b] = T[T[k_j, b], k^-1[col2[t, j]]] times the weight
-        of coordinate j in a code.  The image of a code with top id t and base
+    def _conjugation_maps(self, conjugators: Iterable[tuple[Sequence[int], np.ndarray]]):
+        """Per conjugator (k, psi), psi an image row, the tables of
+        conj(a) = (k,psi) a (k,psi)^-1 on packed codes: the top map, psi^-1,
+        and for each coordinate j the table C_j[t*|G| + b] =
+        T[T[k_j, b], k^-1[col2[t, j]]] times the weight of coordinate j in a
+        code.  The image of a code with top id t and base
         ids B is top_map[t] + sum_j C_j[t*|G| + B[psi^-1(j)]].  psi must
         normalize the top group but need not belong to it."""
         maps = []
@@ -181,8 +176,8 @@ class WreathGroup:
         top, top_inv = self.top.elements, self.top.elements[self.top.inverse_ids()]
         for kbase, psi in conjugators:
             k = np.asarray(kbase, dtype=np.int64)
-            psi_img = psi.images.astype(np.int64)
-            psi_inv = psi.inverse().images.astype(np.int64)
+            psi_img = np.asarray(psi, dtype=np.int64)
+            psi_inv = np.argsort(psi_img)
             top_map = self.top.ids_of(psi_img[top[:, psi_inv]])  # psi sigma psi^-1
             col2 = psi_img[top_inv[:, psi_inv]]
             right = self.base_inv[k][col2].T  # right[j, s] = k^-1 at coordinate col2[s, j]
@@ -201,7 +196,7 @@ class WreathGroup:
             yield image
 
     def conjugation_orbit(self, seeds: Sequence[WreathElement],
-                          conjugators: Iterable[tuple[Sequence[int], Permutation]]
+                          conjugators: Iterable[tuple[Sequence[int], np.ndarray]]
                           ) -> np.ndarray:
         """Packed codes of the closure of `seeds` under conjugation.  The
         visited array is indexed by packed code, so the whole wreath group
@@ -214,18 +209,18 @@ class WreathGroup:
             pass
         return np.flatnonzero(visited)
 
-    def standard_conjugators(self) -> list[tuple[tuple, Permutation]]:
-        """Generators of the wreath group itself, as (base tuple, top) pairs:
+    def standard_conjugators(self) -> list[tuple[tuple, np.ndarray]]:
+        """Generators of the wreath group itself, as (base tuple, top row) pairs:
         base generators planted in every coordinate, plus the top generators."""
         out = []
-        ident = Permutation.identity(self.n)
+        ident = np.arange(self.n)
         for g in self.base.gen_ids.tolist():
             for i in range(self.n):
                 base = [0] * self.n
                 base[i] = g
                 out.append((tuple(base), ident))
         for c in self.top.gen_ids:
-            out.append(((0,) * self.n, self.top.perm(c)))
+            out.append(((0,) * self.n, self.top.elements[c]))
         return out
 
     def class_codes(self, limit: int = DEFAULT_CLOSURE_LIMIT) -> np.ndarray:
@@ -274,9 +269,9 @@ class WreathGroup:
         return labels
 
 
-def _validate_cycle(w: WreathElement, zeta: Sequence[int]) -> tuple[int, ...]:
+def _validate_cycle(wg: WreathGroup, w: WreathElement, zeta: Sequence[int]) -> tuple[int, ...]:
     zeta = tuple(int(z) for z in zeta)
-    img = w.top.images
+    img = wg.top.elements[w.top]
     for a, b in zip(zeta, zeta[1:] + zeta[:1]):
         if int(img[a]) != b:
             raise NotACycleOfTop(f"{zeta} is not a cycle of the permutation part")
@@ -286,7 +281,7 @@ def _validate_cycle(w: WreathElement, zeta: Sequence[int]) -> tuple[int, ...]:
 def bcpc_element(wg: WreathGroup, w: WreathElement, zeta: Sequence[int]) -> int:
     """Element id of g_{i_l} * g_{i_{l-1}} * ... * g_{i_1} for the cycle
     zeta = (i_1, ..., i_l) of the top."""
-    zeta = _validate_cycle(w, zeta)
+    zeta = _validate_cycle(wg, w, zeta)
     acc = w.base[zeta[0]]
     for i in zeta[1:]:
         acc = int(wg.T[w.base[i], acc])
@@ -305,7 +300,7 @@ def profile(wg: WreathGroup, w: WreathElement, typing=None) -> BcpcProfile:
     base) also the refined M_l^tau(w)."""
     by_length: dict[int, list] = {}
     refined: dict[tuple, list] = {}
-    for zeta in cycle_decompose(w.top).cycles:
+    for zeta in cycle_decompose(wg.top.perm(w.top)).cycles:
         cls = bcpc(wg, w, zeta)
         by_length.setdefault(len(zeta), []).append(cls)
         if typing is not None:
@@ -320,7 +315,7 @@ def profile(wg: WreathGroup, w: WreathElement, typing=None) -> BcpcProfile:
 def conj_test(wg: WreathGroup, v: WreathElement, w: WreathElement) -> bool:
     """Combinatorial conjugacy test: equal top cycle types and equal bcpc
     multisets M_l for every l."""
-    if cycle_type(v.top) != cycle_type(w.top):
+    if cycle_type(wg.top.perm(v.top)) != cycle_type(wg.top.perm(w.top)):
         return False
     return profile(wg, v).by_length == profile(wg, w).by_length
 
@@ -372,8 +367,8 @@ def build_hp(A: FiniteGroup, p: int) -> HpConstruction:
     automorphism group of the construction; the normalizer is generated by
     sigma and the power map sigma -> sigma^u for a primitive root u mod p."""
     check_sweep_size(A.order ** p * p)  # before the top group and the classes of Aut(S)
-    sigma = Permutation([(i + 1) % p for i in range(p)])
-    wg = WreathGroup(A, p, top=[sigma])
+    sigma, ident = (np.arange(p) + 1) % p, np.arange(p)
+    wg = WreathGroup(A, p, top=sigma[None])
     if wg.top.order != p:
         raise GroupError("top group is not the cyclic group of the p-cycle")
 
@@ -386,13 +381,11 @@ def build_hp(A: FiniteGroup, p: int) -> HpConstruction:
 
     # base generators in coordinate 0 suffice: conjugation by the
     # transitive top spreads them to every coordinate
-    conjugators = [(tuple([g] + [0] * (p - 1)), Permutation.identity(p))
-                   for g in A.gen_ids.tolist()]
+    conjugators = [(tuple([g] + [0] * (p - 1)), ident) for g in A.gen_ids.tolist()]
     conjugators.append(((0,) * p, sigma))
     if p > 2:
         u = _primitive_root(p)
-        power_map = Permutation([(i * u) % p for i in range(p)])
-        conjugators.append(((0,) * p, power_map))
+        conjugators.append(((0,) * p, np.arange(p) * u % p))  # the power map
     measured = int(wg.conjugation_orbit([alpha], conjugators).size)
 
     return HpConstruction(

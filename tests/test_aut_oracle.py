@@ -145,11 +145,11 @@ def group_from_permutation_rows(rows, degree):
     picked greedily over the canonical order."""
     mat = rows[np.argsort(encode_rows(rows))]
     gens = []
-    G = close_group([], degree=degree)
+    G = close_group(np.empty((0, degree)))
     for row in mat:
         if not G.contains(Permutation(row)):
-            gens.append(Permutation(row))
-            G = close_group(gens, degree=degree)
+            gens.append(row)
+            G = close_group(gens)
             if G.order == mat.shape[0]:
                 break
     assert G.order == mat.shape[0]
@@ -177,16 +177,15 @@ def elementary_abelian(p, k):
         images = list(range(p * k))
         for t in range(p):
             images[i * p + t] = i * p + (t + 1) % p
-        gens.append(Permutation(images))
+        gens.append(images)
     return close_group(gens, name=f"C{p}^{k}")
 
 
 def direct_product(G, H):
     """G x H acting on disjoint supports."""
     d, e = G.degree, H.degree
-    gens = [Permutation(np.concatenate([g, np.arange(d, d + e)])) for g in G.elements[G.gen_ids]]
-    gens += [Permutation(np.concatenate([np.arange(d), h.astype(int) + d]))
-             for h in H.elements[H.gen_ids]]
+    gens = [np.concatenate([g, np.arange(d, d + e)]) for g in G.elements[G.gen_ids]]
+    gens += [np.concatenate([np.arange(d), h.astype(int) + d]) for h in H.elements[H.gen_ids]]
     return close_group(gens, name=f"{G.name}x{H.name}")
 
 
@@ -202,8 +201,7 @@ def assert_irredundant_generators(A):
     """No generator of A lies in the group of those before it, and together
     they close to A's elements."""
     assert dimino(A.elements[A.gen_ids]).kept == list(range(len(A.gen_ids)))
-    generators = [A.perm(i) for i in A.gen_ids]
-    assert close_group(generators, degree=A.degree).elements.tobytes() == A.elements.tobytes()
+    assert close_group(A.elements[A.gen_ids]).elements.tobytes() == A.elements.tobytes()
 
 
 CATALOG = [

@@ -257,7 +257,7 @@ def _all_points_group(kind, d, q):
     if kind == "GU":
         mats = np.concatenate([mats, catalog._diag(d, F.pow(F.primitive_element(), q - 1))])
     pts = catalog.projective_points(F, d)
-    gens = [pc.Permutation(r) for r in catalog.projective_perms(F, pts, mats)]
+    gens = catalog.projective_perms(F, pts, mats)
     return pc.close_group(gens), np.flatnonzero(hermitian_inner(F, pts, pts) == 0)
 
 

@@ -191,6 +191,10 @@ def test_usage_errors(capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # named by the flag, not by sym(n)
+        cli.main(["verify", "wreath", "--base", "name:sym3", "--n", "0", "--samples", "5"])
+    assert exc.value.code == 2 and "wreath suite needs --n >= 1" in capsys.readouterr().err
     code, _, err = run_cli(capsys, "mcs", "--group", "name:nosuchthing")
     assert code == 2
     code, _, err = run_cli(capsys, "mcs", "--group", "plainname")
@@ -328,6 +332,9 @@ def test_malformed_group_files_are_usage_errors(tmp_path, capsys):
         "short.json": json.dumps({"degree": 3, "generators": [[0, 1]]}),
         "fraction.json": json.dumps({"degree": 3, "generators": [[0, 1, 2.5]]}),
         "negative.json": json.dumps({"degree": 3, "generators": [[0, 1, -1]]}),
+        "notbijection.json": json.dumps({"degree": 3, "generators": [[0, 0, 1]]}),
+        "repeated.json": json.dumps({"degree": 3, "generators": ["(1 2)(1 3)"]}),
+        "intname.json": json.dumps({"name": 5, "degree": 3, "generators": ["(1 2)"]}),
     }
     degrees = {"degfloat.json": 2.5, "degstring.json": "3", "degbool.json": True,
                "degzero.json": 0, "degnegative.json": -2}
@@ -340,6 +347,12 @@ def test_malformed_group_files_are_usage_errors(tmp_path, capsys):
         assert code == 2, fname
         assert "usage error" in err and fname in err
         assert fname not in degrees or "degree must be" in err, fname
+    # close_group trusts its rows: the file path checks each generator is a permutation
+    for fname in ("notbijection.json", "repeated.json"):
+        code, _, err = run_cli(capsys, "mcs", "--group", f"file:{tmp_path / fname}")
+        assert code == 2 and "images is not a bijection on {0,...,degree-1}" in err, fname
+    code, out, err = run_cli(capsys, "mcs", "--group", f"file:{tmp_path / 'intname.json'}")
+    assert code == 2 and out == "" and "name must be a string, got 5" in err
 
 
 def test_degrees_beyond_the_point_dtype_are_resource_stops(tmp_path, capsys):
@@ -386,9 +399,10 @@ def test_huge_parameters_stop_at_the_guards(capsys, monkeypatch):
     # refuses an int of more than 4300 digits)
     monkeypatch.setattr(cli, "_is_prime", lambda p: p <= 2081 or pytest.fail("primality"))
     monkeypatch.setattr(catalog, "_prime_power", lambda q: q <= 1000 or pytest.fail("factored"))
-    real = catalog.Permutation  # a list of more points than the guard allows fails here
-    monkeypatch.setattr(catalog, "Permutation", lambda images: real(images) if len(images)
-                        <= MAX_DEGREE else pytest.fail("points listed before the guard"))
+    real = catalog.close_group  # rows of more points than the guard allows fail here
+    monkeypatch.setattr(catalog, "close_group", lambda rows, *a, **k: real(rows, *a, **k)
+                        if np.shape(rows)[1] <= MAX_DEGREE
+                        else pytest.fail("points listed before the guard"))
     hp = ["construct", "hp", "--simple", "name:alt5", "--p"]
     for argv, message in (
             (hp + ["2081"], "H_2081 sweep space is about 10^4330.1; rerun with --slow"),

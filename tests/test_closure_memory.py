@@ -45,7 +45,7 @@ def all_maps_orbit_labels(maps, n):
 @pytest.mark.parametrize("name", ["pgl(3,4)", "autpsl34"])
 def test_close_group_peaks_near_the_array_it_returns(name):
     G = catalog.resolve(name)
-    H, peak = traced_peak(lambda: close_group([G.perm(i) for i in G.gen_ids], order=G.order))
+    H, peak = traced_peak(lambda: close_group(G.elements[G.gen_ids], order=G.order))
     assert H.elements.tobytes() == G.elements.tobytes() and H.base == G.base
     assert peak <= 1.6 * H.elements.nbytes
 
@@ -75,7 +75,8 @@ def test_classes_peak_the_same_for_any_number_of_generators(name):
 @pytest.mark.parametrize("order", [None, 4])
 def test_close_group_past_a_block_of_points(order):
     # degree 40000: a block of cells holds 26 rows, and a coset batch still a row or more
-    G = close_group([parse_cycles("(1 2)", 40000), parse_cycles("(3 4)", 40000)], order=order)
+    gens = [parse_cycles("(1 2)", 40000).images, parse_cycles("(3 4)", 40000).images]
+    G = close_group(gens, order=order)
     assert G.order == 4 and np.array_equal(G.elements[:, 4:], np.tile(np.arange(4, 40000), (4, 1)))
     assert list(map(tuple, G.elements[:, :4].tolist())) == [
         (0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (1, 0, 3, 2)]

@@ -11,7 +11,7 @@ from autorbit import catalog, permcore as pc, stypes as st
 from autorbit.autgrp import automorphism_group, inner_automorphism_ids, maol
 from autorbit.catalog import projective_perms, projective_points, sl_generators, _diag
 from autorbit.fields import make_field
-from autorbit.permcore import Permutation, close_group
+from autorbit.permcore import close_group
 
 
 def build_pgammal_2_9():
@@ -21,10 +21,9 @@ def build_pgammal_2_9():
     pts = projective_points(F, 2)
     assert len(pts) == 10
     mats = np.concatenate([sl_generators(F, 2), _diag(2, F.primitive_element())])
-    gens = [Permutation(r) for r in projective_perms(F, pts, mats)]
-    frob = Permutation(projective_perms(F, pts, np.eye(2, dtype=np.int64)[None],
-                                        F.frobenius)[0])
-    return close_group(gens + [frob], name="pgammal(2,9)")
+    gens = projective_perms(F, pts, mats)
+    frob = projective_perms(F, pts, np.eye(2, dtype=np.int64)[None], F.frobenius)
+    return close_group(np.vstack([gens, frob]), name="pgammal(2,9)")
 
 
 def test_aut_alt6_against_geometric_model(alt6, alt6_aut):
@@ -118,8 +117,8 @@ def test_exponent9_group_of_order_27_has_maol_two_thirds():
         return ((i + k * pow(4, j, 9)) % 9, (j + l) % 3)
 
     a, b = (1, 0), (0, 1)
-    La = Permutation([idx[mul(a, e)] for e in els])
-    Lb = Permutation([idx[mul(b, e)] for e in els])
+    La = [idx[mul(a, e)] for e in els]
+    Lb = [idx[mul(b, e)] for e in els]
     M = close_group([La, Lb], name="order27exp9")
     assert M.order == 27
     assert sorted(set(int(o) for o in M.element_orders())) == [1, 3, 9]

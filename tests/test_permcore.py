@@ -107,16 +107,16 @@ def test_values_the_point_cast_would_change_are_rejected():
 
 
 def test_close_group_empty_and_small():
-    triv = pc.close_group([], degree=3)
+    triv = pc.close_group(np.empty((0, 3)))
     assert triv.order == 1
-    s3 = pc.close_group([parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)])
+    s3 = pc.close_group([parse_cycles("(1 2)", 3).images, parse_cycles("(1 2 3)", 3).images])
     assert s3.order == 6
     assert catalog.alt(5).order == 60
 
 
 def test_close_group_limit():
     with pytest.raises(pc.ClosureLimitExceeded):
-        pc.close_group([parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)],
+        pc.close_group([parse_cycles("(1 2)", 5).images, parse_cycles("(1 2 3 4 5)", 5).images],
                        limit=10)
 
 

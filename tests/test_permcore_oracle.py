@@ -265,7 +265,7 @@ def test_conjugation_by_a_non_member_raises():
 
 
 def test_locate_raises_on_a_key_not_stored():
-    G = close_group([Permutation([1, 0, 3, 2])])  # <(1 2)(3 4)>
+    G = close_group([[1, 0, 3, 2]])  # <(1 2)(3 4)>
     index = G._index
     assert G.base == [0]
     assert np.array_equal(index.locate(G.elements[:, G.base]), np.arange(G.order))
@@ -286,7 +286,7 @@ def test_large_catalog_matches_oracle(name):
 @given(st.integers(1, 8).flatmap(lambda d: st.lists(
     st.permutations(list(range(d))).map(Permutation), min_size=1, max_size=4)))
 def test_random_groups_match_oracle(generators):
-    G = close_group(generators)
+    G = close_group([g.images for g in generators])
     assert_matches_oracle(G, generators)
     assert_kept_generators(G, generators)
 
@@ -295,7 +295,7 @@ def test_c2_14_needs_a_14_point_base():
     # radix 29 at degree 28: 29^14 > 2^64, so on 14 base points the uint64 fold wraps
     gens = elementary_abelian_2(14)
     gens.append(Permutation(gens[0].images[gens[1].images]))  # redundant: dropped
-    G = close_group(gens)
+    G = close_group([g.images for g in gens])
     assert G.order == 2 ** 14 and len(G.base) == 14
     assert_matches_oracle(G, gens)
     assert_kept_generators(G, gens)
@@ -333,7 +333,7 @@ def test_close_group_sorts_as_the_byte_keys(name):
 
 
 def test_close_group_sorts_the_trivial_group():
-    G = close_group([], degree=3)
+    G = close_group(np.empty((0, 3)))
     assert G.elements.tolist() == [[0, 1, 2]] and G.base == [0]
     assert_byte_order(G.elements, G.base)
 

@@ -26,9 +26,9 @@ def oracle_quotient(G, N):
     translations; pi sends N*r_k to the translation j -> N*r_j*r_k^-1."""
     coset_of, reps = pc.coset_partition(G, N)
     qgens = [Permutation(np.array([int(coset_of[G.id_of(G.elements[r][g])])
-                                   for r in reps], dtype=POINT_DTYPE))
+                                   for r in reps], dtype=POINT_DTYPE)).images
              for g in G.elements[G.gen_ids]]
-    Q = pc.close_group(qgens, degree=len(reps))
+    Q = pc.close_group(np.reshape(qgens, (-1, len(reps))))
     inv = G.inverse_ids()
     coset_to_qid = np.empty(len(reps), dtype=np.int64)
     for k, rep in enumerate(reps):

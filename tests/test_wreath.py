@@ -43,15 +43,18 @@ def test_conjugation_entry_formula(s3, w32):
         g1, g2, k1, k2 = (int(x) for x in rng.integers(6, size=4))
         got = w32.conj(w32.element((g1, g2), swap),
                        w32.element((k1, k2), Permutation.identity(2)))
-        assert got.top == swap
+        assert got.top == w32.top.id_of(swap)
         assert got.base == (int(T[T[k1, g1], inv[k2]]), int(T[T[k2, g2], inv[k1]]))
 
 
 def test_shape_mismatch(s3, w32):
+    # a WreathElement is plain ids, so the length is checked where one is made
     with pytest.raises(wr.ShapeMismatch):
-        wr.WreathElement((0, 0, 0), Permutation.identity(2))
+        w32.element((0, 0, 0), Permutation.identity(2))
     with pytest.raises(pc.GroupError):
         w32.element((0, 0, 0), Permutation.identity(3))
+    with pytest.raises(pc.GroupError):  # a top of the wrong degree is not in the top group
+        w32.element((0, 0), Permutation.identity(3))
 
 
 def test_bcpc_examples(s3, w33):
@@ -83,7 +86,7 @@ def test_bcpc_rotation_invariance(w33):
     rng = np.random.default_rng(11)
     for _ in range(120):
         w = w33.random_element(rng)
-        for zeta in pc.cycle_decompose(w.top).cycles:
+        for zeta in pc.cycle_decompose(w33.top.perm(w.top)).cycles:
             vals = {wr.bcpc(w33, w, zeta[r:] + zeta[:r]) for r in range(len(zeta))}
             assert len(vals) == 1
 
@@ -113,7 +116,7 @@ def test_profile_invariant_under_top_conjugation(w33):
     rng = np.random.default_rng(4)
     for _ in range(60):
         w = w33.random_element(rng)
-        psi = w33.top.perm(int(rng.integers(w33.top.order)))
+        psi = w33.top.elements[int(rng.integers(w33.top.order))]
         conj = w33.conj(w, w33.element((0, 0, 0), psi))
         assert wr.profile(w33, w).by_length == wr.profile(w33, conj).by_length
 
@@ -164,7 +167,7 @@ def test_conj_test_equals_brute_force_exhaustive(base_name, n):
     keys = {}
     for code in range(wg.order):
         el = wg.unpack(code)
-        k = (pc.cycle_type(el.top),
+        k = (pc.cycle_type(wg.top.perm(el.top)),
              tuple(sorted(wr.profile(wg, el).by_length.items())))
         keys.setdefault(k, []).append(code)
     brute = {}
@@ -194,7 +197,7 @@ def test_brute_force_cycle_type_mismatch(w32):
 
 def test_too_large_guard():
     s5 = catalog.sym(5)
-    wg = wr.WreathGroup(s5, 3, top=[Permutation([1, 2, 0])])
+    wg = wr.WreathGroup(s5, 3, top=[[1, 2, 0]])
     with pytest.raises(wr.TooLarge):
         wg.class_codes(limit=1000)
 
@@ -226,6 +229,23 @@ def test_build_hp_p3(alt5_aut):
     assert hp.measured_orbit == 864_000
 
 
+def test_pack_unpack_and_draws_look_nothing_up(w33, monkeypatch):
+    # a top is an id: packing, unpacking and drawing an element are arithmetic
+    # and draws, with no element lookup and no Permutation built
+    calls = []
+    for name in ("id_of", "perm"):
+        method = getattr(pc.FiniteGroup, name)
+        monkeypatch.setattr(pc.FiniteGroup, name,
+                            lambda self, *args, name=name, method=method:
+                            calls.append(name) or method(self, *args))
+    rng = np.random.default_rng(21)
+    codes = rng.integers(w33.order, size=50).tolist()
+    elements = [w33.unpack(code) for code in codes]
+    packed = [w33.pack(w) for w in elements + [w33.random_element(rng) for _ in range(50)]]
+    assert calls == []
+    assert packed[:50] == codes and all(type(w.top) is int for w in elements)
+
+
 # -- array-wide profiles ------------------------------------------------------
 
 def _partition(keys):
@@ -239,7 +259,7 @@ def _profile_keys(wg, codes):
     keys = []
     for code in codes:
         el = wg.unpack(int(code))
-        keys.append((pc.cycle_type(el.top),
+        keys.append((pc.cycle_type(wg.top.perm(el.top)),
                      tuple(sorted(wr.profile(wg, el).by_length.items()))))
     return keys
 
@@ -256,7 +276,7 @@ def test_profile_labels_match_per_element_profiles(base_name, n):
 def test_profile_labels_cyclic_prime_top():
     # the top of build_hp: the cyclic group of a p-cycle
     p = 5
-    wg = wr.WreathGroup(catalog.sym(3), p, top=[Permutation([(i + 1) % p for i in range(p)])])
+    wg = wr.WreathGroup(catalog.sym(3), p, top=_cyclic_top(p))
     codes = np.arange(wg.order)
     assert (_partition(wg.profile_labels(codes).tolist())
             == _partition(_profile_keys(wg, codes)))
@@ -272,7 +292,7 @@ def test_profile_labels_on_aut_alt5_base(alt5_aut):
 
 
 def _cyclic_top(p):
-    return [Permutation([(i + 1) % p for i in range(p)])]
+    return [[(i + 1) % p for i in range(p)]]
 
 
 @pytest.mark.parametrize("seed", [17, 123])
@@ -292,12 +312,23 @@ def test_random_codes_draw_as_random_element(seed, alt5_aut):
 # -- conjugation by lookup tables on packed codes ---------------------------
 
 def _assert_tables_conjugate(wg, conjugators, codes):
-    """Each map's table images of `codes` are pack(conj(unpack(c), k))."""
+    """Each map's table images of `codes` are pack(conj(unpack(c), k)).  The
+    conjugate is taken in base wr Sym_n, which holds a top psi that only
+    normalizes wg's top group; `lift` and `drop` carry top ids between the two."""
+    full = wr.WreathGroup(wg.base, wg.n)
+    full.top.cayley()  # Sym_n's products read off its table
+    lift = full.top.ids_of(wg.top.elements)
+    drop = np.full(full.top.order, -1)
+    drop[lift] = np.arange(wg.top.order)
     maps = wg._conjugation_maps(conjugators)
-    elements = [wg.unpack(c) for c in codes.tolist()]
+    elements = [wr.WreathElement(a.base, int(lift[a.top])) for a in map(wg.unpack, codes.tolist())]
     for (kbase, psi), images in zip(conjugators, wg._conjugate_codes(codes, maps)):
-        k = wr.WreathElement(tuple(kbase), psi)
-        assert images.tolist() == [wg.pack(wg.conj(a, k)) for a in elements]
+        k = full.element(kbase, psi)
+        conjugates = [full.conj(a, k) for a in elements]
+        tops = drop[[c.top for c in conjugates]]
+        assert np.all(tops >= 0)  # psi normalizes the top group
+        assert images.tolist() == [wg.pack(wr.WreathElement(c.base, int(t)))
+                                   for c, t in zip(conjugates, tops)]
 
 
 TABLE_GROUPS = {
@@ -334,6 +365,6 @@ def test_code_tables_conjugate_by_the_hp_conjugators(alt5_aut, monkeypatch):
     with pytest.raises(Captured) as caught:
         wr.build_hp(alt5_aut, 3)
     wg, conjugators = caught.value.args
-    assert any(not wg.top.contains(psi) for _, psi in conjugators)
+    assert any(not wg.top.contains(Permutation(psi)) for _, psi in conjugators)
     codes = np.random.default_rng(3).integers(wg.order, size=2000)
     _assert_tables_conjugate(wg, conjugators, codes)
