@@ -401,6 +401,8 @@ def main(argv=None) -> int:
         parser.error("--time-limit-s must be a number >= 0")
     if args.command == "verify" and args.samples < 0:
         parser.error("--samples must not be negative")
+    if args.command == "verify" and args.suite == "pmf" and args.exhaustive and args.samples:
+        parser.error("pmf suite takes --exhaustive or --samples N, not both")
     if args.command == "verify" and args.suite == "wreath":
         if not args.exhaustive and args.samples <= 0:
             parser.error("wreath suite needs --exhaustive or --samples N")

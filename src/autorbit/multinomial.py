@@ -8,10 +8,8 @@ no tolerances anywhere."""
 
 from __future__ import annotations
 
-import random
-from functools import lru_cache
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -31,14 +29,11 @@ def multinomial_coefficient(counts: Sequence[int]) -> int:
     return out
 
 
-_coefficient = lru_cache(maxsize=4096)(multinomial_coefficient)  # keyed by a counts tuple
-
-
 def pmf_kernel(numer: Sequence[int], counts: Sequence[int]) -> int:
     """multinomial(counts) * prod numer_i^counts_i: the pmf at `counts` times
     d^n when rho_i = numer_i / d.  0^0 = 1, so zero-probability classes with
     zero count are neutral."""
-    value = _coefficient(tuple(counts))
+    value = multinomial_coefficient(counts)
     for a, c in zip(numer, counts):
         value *= a ** c
     return value
@@ -130,15 +125,41 @@ def _nonneg_compositions(n: int, k: int):
             yield (first,) + rest
 
 
-PMF_MAX_K = 4      # classes per rho vector, both modes
-PMF_MAX_DENOM = 6  # common denominator of rho, exhaustive mode
-PMF_MAX_N = 8      # total count, exhaustive mode
+PMF_MAX_K = 4          # classes per rho vector, both modes
+PMF_MAX_DENOM = 6      # common denominator of rho, exhaustive mode
+PMF_MAX_N = 8          # total count, exhaustive mode
+PMF_SAMPLE_DENOM = 60  # random mode: d uniform on 1..PMF_SAMPLE_DENOM
+PMF_SAMPLE_N = 12      # random mode: n uniform on 1..PMF_SAMPLE_N
+PMF_CHUNK = 2048       # random mode: cases drawn and checked at a time
+_FACTORIALS = np.array([factorial(i) for i in range(PMF_SAMPLE_N + 1)], dtype=np.int64)
 
 
 def pmf_kernels(numers: np.ndarray, counts: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """`pmf_kernel` of every numerator row against every count row, on int64:
-    entry (i, j) is coefs[j] * prod numers[i]^counts[j]."""
-    return coefs * np.prod(numers[:, None, :] ** counts[None], axis=2)
+    """`pmf_kernel` on broadcast rows: coefs * prod numers^counts over the last
+    axis.  The exhaustive mode pairs every numerator row with every count row
+    on int64; the random mode pairs row i with row i on Python ints."""
+    return coefs * np.prod(numers ** counts, axis=-1)
+
+
+def random_pmf_cases(samples: int, seed: int):
+    """The random mode's cases, PMF_CHUNK at a time, as arrays (k, d, n, parts,
+    counts): k, d and n uniform on 1..PMF_MAX_K, 1..PMF_SAMPLE_DENOM and
+    1..PMF_SAMPLE_N, parts the gaps between k - 1 sorted cuts uniform on 0..d,
+    counts n equally likely draws among k classes, both zero past column k."""
+    rng = np.random.default_rng(abs(seed))  # --seed -S checks the cases of --seed S
+    for start in range(0, samples, PMF_CHUNK):
+        m = min(PMF_CHUNK, samples - start)
+        k = rng.integers(1, PMF_MAX_K + 1, size=m)
+        d = rng.integers(1, PMF_SAMPLE_DENOM + 1, size=m)
+        n = rng.integers(1, PMF_SAMPLE_N + 1, size=m)
+        cuts = rng.integers(0, d[:, None] + 1, size=(m, PMF_MAX_K - 1))
+        cuts = np.sort(np.where(np.arange(PMF_MAX_K - 1) < k[:, None] - 1, cuts, d[:, None]))
+        parts = np.diff(cuts, prepend=0, append=d[:, None])
+        counts = np.zeros((m, PMF_MAX_K), dtype=np.int64)
+        for j in range(1, PMF_MAX_K + 1):
+            rows = k == j
+            counts[rows, :j] = rng.multinomial(n[rows], [1 / j] * j)
+        yield k, d, n, parts, counts
 
 
 def pmf_bound_check(mode: str = "exhaustive", samples: int = 0, seed: int = 0) -> dict:
@@ -146,12 +167,15 @@ def pmf_bound_check(mode: str = "exhaustive", samples: int = 0, seed: int = 0) -
 
     exhaustive: every rho vector with a common denominator <= PMF_MAX_DENOM
     (k <= PMF_MAX_K, zero entries allowed) against every count vector with
-    1 <= n <= PMF_MAX_N (zeros allowed).  random: seeded random rational
-    vectors with k <= PMF_MAX_K and the same assertion.  Each case is
-    rho = a / d on integers: the pmf is pmf_kernel(a, counts) / d^n, so the
-    bound fails iff pmf_kernel(a, counts) * d > max(a) * d^n.  The exhaustive
-    mode compares on int64 arrays, one (k, d) block at a time; the kernel is
-    at most d^n, so neither side exceeds d^(n+1)."""
+    1 <= n <= PMF_MAX_N (zeros allowed).  random: the seeded cases of
+    `random_pmf_cases` and the same assertion.  Each case is rho = a / d on
+    integers: the pmf is pmf_kernel(a, counts) / d^n, so the bound fails iff
+    pmf_kernel(a, counts) * d > max(a) * d^n.  The exhaustive mode compares on
+    int64 arrays, one (k, d) block at a time; the kernel is at most d^n, so
+    neither side exceeds d^(n+1).  The random mode, whose d^(n+1) passes
+    2^63, compares a chunk at a time on object arrays of Python ints, the
+    coefficient n! / prod c_i! from a factorial table; 0^0 = 1 makes the
+    zero padding neutral."""
     checked = 0
     violations = []
 
@@ -176,34 +200,24 @@ def pmf_bound_check(mode: str = "exhaustive", samples: int = 0, seed: int = 0) -
                 # already checked at the smaller denominator
                 A = np.array([a for a in _nonneg_compositions(d, k) if gcd(*a) == 1],
                              dtype=np.int64).reshape(-1, k)
-                kernel = pmf_kernels(A, C, coefs)
+                kernel = pmf_kernels(A[:, None], C, coefs)
                 checked += kernel.size
                 over = kernel * d > A.max(axis=1)[:, None] * scales
                 for i, j in np.argwhere(over).tolist():  # row-major: numerators, then counts
                     record(A[i].tolist(), d, count_vectors[j], int(kernel[i, j]), int(scales[j]))
     elif mode == "random":
-        rng = random.Random(seed)
-        for _ in range(samples):
-            k = rng.randint(1, PMF_MAX_K)
-            d = rng.randint(1, 60)
-            cuts = sorted(rng.randint(0, d) for _ in range(k - 1))
-            parts = [b - a for a, b in zip([0] + cuts, cuts + [d])]
-            n = rng.randint(1, 12)
-            counts = random_composition(rng, n, k)
-            checked += 1
-            kernel, scale = pmf_kernel(parts, counts), d ** n
-            if kernel * d > max(parts) * scale:
-                record(parts, d, counts, kernel, scale)
+        for k, d, n, parts, counts in random_pmf_cases(samples, seed):
+            coefs = _FACTORIALS[n] // np.prod(_FACTORIALS[counts], axis=1)
+            kernel = pmf_kernels(parts.astype(object), counts, coefs.astype(object))
+            scales = d.astype(object) ** n
+            checked += len(k)
+            over = kernel * d > parts.max(axis=1) * scales
+            for i in np.flatnonzero(over).tolist():  # in sample order
+                record(parts[i, :k[i]].tolist(), int(d[i]), counts[i, :k[i]].tolist(),
+                       kernel[i], scales[i])
     else:
         raise ValueError(f"unknown mode {mode!r}")
     result = {"checked": checked, "violations": violations}
     if mode == "random":
         result["seed"] = seed
     return result
-
-
-def random_composition(rng: random.Random, n: int, k: int) -> tuple:
-    counts = [0] * k
-    for _ in range(n):
-        counts[rng.randrange(k)] += 1
-    return tuple(counts)

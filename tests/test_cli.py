@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import autorbit
 from autorbit import catalog, cli, wreath
 from autorbit.autgrp import automorphism_group, maol
 from autorbit.permcore import DEFAULT_CLOSURE_LIMIT, MAX_DEGREE, FiniteGroup
@@ -103,6 +108,34 @@ def test_verify_pmf_random(capsys):
     assert code == 0
     payload = json.loads(out[out.index("{"):])
     assert payload["seed"] == 9
+
+
+def test_verify_pmf_random_seeds(capsys):
+    """A negative seed checks the cases of its absolute value; a seed past
+    2^64 runs too."""
+    notes = {}
+    for seed in (-5, 5, 2 ** 64):
+        code, out, _ = run_cli(capsys, "verify", "pmf", "--samples", "300", "--seed", str(seed))
+        assert code == 0
+        payload = json.loads(out[out.index("{"):])
+        assert payload["seed"] == seed
+        notes[seed] = [(i["status"], i["note"]) for i in payload["items"]]
+    assert notes[-5] == notes[5] == notes[2 ** 64] == [("pass", "checked 300 cases")]
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """numpy.random costs about 6 MB of RSS; only the seeded suites load it."""
+    src = str(Path(autorbit.__file__).resolve().parents[1])
+    code = "import sys, autorbit.cli; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_verify_pmf_refuses_both_modes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "pmf", "--exhaustive", "--samples", "5"])
+    assert exc.value.code == 2
+    assert "--exhaustive or --samples N, not both" in capsys.readouterr().err
 
 
 def test_verify_wreath_exhaustive(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +110,14 @@ def fraction_pmf(rho, counts):
     return value
 
 
+def random_cases(samples, seed):
+    """The random sweep's cases one at a time, as (k, d, parts, counts) with
+    the zero padding past k cut off."""
+    for K, D, _, P, C in mn.random_pmf_cases(samples, seed):
+        for k, d, parts, counts in zip(K.tolist(), D.tolist(), P.tolist(), C.tolist()):
+            yield k, d, parts[:k], counts[:k]
+
+
 def reference_pmf_bound_check(mode="exhaustive", max_k=4, max_denom=6, max_n=8,
                               samples=0, seed=0, scale=1):
     """The sweep case by case in Fraction arithmetic, with the pmf scaled by
@@ -141,16 +150,8 @@ def reference_pmf_bound_check(mode="exhaustive", max_k=4, max_denom=6, max_n=8,
                     for counts in count_vectors:
                         run_case(rho, counts)
     else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            k = rng.randint(1, max_k)
-            d = rng.randint(1, 60)
-            cuts = sorted(rng.randint(0, d) for _ in range(k - 1))
-            parts = [b - a for a, b in zip([0] + cuts, cuts + [d])]
-            rho = tuple(Fraction(a, d) for a in parts)
-            n = rng.randint(1, 12)
-            counts = mn.random_composition(rng, n, k)
-            run_case(rho, counts)
+        for k, d, parts, counts in random_cases(samples, seed):
+            run_case(tuple(Fraction(a, d) for a in parts), counts)
     result = {"checked": checked, "violations": violations}
     if mode == "random":
         result["seed"] = seed
@@ -169,11 +170,15 @@ def test_pmf_bound_random_matches_fraction_reference(seed):
             == reference_pmf_bound_check("random", samples=2000, seed=seed))
 
 
-def test_pmf_bound_violation_records_match_fraction_reference(monkeypatch):
-    # the random mode reads pmf_kernel, the exhaustive mode its int64 array form
-    kernel, kernels = mn.pmf_kernel, mn.pmf_kernels
-    monkeypatch.setattr(mn, "pmf_kernel", lambda numer, counts: 2 * kernel(numer, counts))
+def double_the_kernels(monkeypatch):
+    """Both modes read pmf_kernels (the random mode on object arrays, the
+    exhaustive mode on int64); doubled, the bound fails on many cases."""
+    kernels = mn.pmf_kernels
     monkeypatch.setattr(mn, "pmf_kernels", lambda A, C, coefs: 2 * kernels(A, C, coefs))
+
+
+def test_pmf_bound_violation_records_match_fraction_reference(monkeypatch):
+    double_the_kernels(monkeypatch)
     report = pmf_bound_check("random", samples=300, seed=3)
     assert report["violations"]
     assert report == reference_pmf_bound_check("random", samples=300, seed=3, scale=2)
@@ -191,9 +196,15 @@ def test_pmf_kernels_match_pmf_kernel():
         counts = [cv for n in range(1, mn.PMF_MAX_N + 1) for cv in mn._nonneg_compositions(n, k)]
         numers = list(mn._nonneg_compositions(mn.PMF_MAX_DENOM, k))
         coefs = np.array([mn.multinomial_coefficient(cv) for cv in counts], dtype=np.int64)
-        table = mn.pmf_kernels(np.array(numers, dtype=np.int64).reshape(-1, k),
+        table = mn.pmf_kernels(np.array(numers, dtype=np.int64).reshape(-1, 1, k),
                                np.array(counts, dtype=np.int64), coefs)
         assert table.tolist() == [[mn.pmf_kernel(a, cv) for cv in counts] for a in numers]
+    # row against row on Python ints, past int64: 60^12 > 2^63
+    numers, counts = [[60, 0], [59, 1], [0, 0]], [[12, 0], [6, 6], [0, 0]]
+    coefs = np.array([mn.multinomial_coefficient(cv) for cv in counts], dtype=object)
+    kernels = mn.pmf_kernels(np.array(numers, dtype=object), np.array(counts), coefs)
+    assert kernels.tolist() == [mn.pmf_kernel(a, cv) for a, cv in zip(numers, counts)]
+    assert kernels.tolist()[0] == 60 ** 12
 
 
 @pytest.mark.parametrize("denom, max_n", [(1000, 8), (6, 24), (2, 62)])
@@ -223,6 +234,63 @@ def test_pmf_matches_fraction_formula():
         counts = [rng.randint(0, 5) for _ in range(k)]
         assert pmf(rho, counts) == fraction_pmf(rho, counts)
     assert pmf([1, Fraction(0)], [3, 0]) == 1
+
+
+def test_pmf_bound_records_across_chunk_edges(monkeypatch):
+    """Two whole chunks and one case more: every chunk is checked, and the
+    records run on in sample order across the chunk edges."""
+    double_the_kernels(monkeypatch)
+    samples = 2 * mn.PMF_CHUNK + 1
+    report = pmf_bound_check("random", samples=samples, seed=11)
+    assert report["checked"] == samples
+    assert report == reference_pmf_bound_check("random", samples=samples, seed=11, scale=2)
+    over = [i for i, (k, d, parts, counts) in enumerate(random_cases(samples, 11))
+            if 2 * fraction_pmf([Fraction(a, d) for a in parts], counts) > Fraction(max(parts), d)]
+    assert len(over) == len(report["violations"])
+    assert min(over) < mn.PMF_CHUNK <= max(over)
+
+
+def test_random_pmf_cases_draws():
+    chunks = list(mn.random_pmf_cases(6000, 2))
+    assert [len(k) for k, *_ in chunks] == [mn.PMF_CHUNK, mn.PMF_CHUNK, 6000 - 2 * mn.PMF_CHUNK]
+    k, d, n, parts, counts = (np.concatenate(a) for a in zip(*chunks))
+    assert parts.shape == counts.shape == (6000, mn.PMF_MAX_K)
+    assert (parts.sum(axis=1) == d).all() and (counts.sum(axis=1) == n).all()
+    assert (parts >= 0).all() and (counts >= 0).all()
+    assert set(k.tolist()) == set(range(1, mn.PMF_MAX_K + 1))
+    assert set(d.tolist()) <= set(range(1, mn.PMF_SAMPLE_DENOM + 1))
+    assert set(n.tolist()) == set(range(1, mn.PMF_SAMPLE_N + 1))
+    past_k = np.arange(mn.PMF_MAX_K) >= k[:, None]
+    assert not parts[past_k].any() and not counts[past_k].any()
+    # a negative seed names the cases of its absolute value
+    for a, b in zip(mn.random_pmf_cases(3000, -5), mn.random_pmf_cases(3000, 5)):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_pmf_bound_records_never_reach_the_padding(monkeypatch):
+    double_the_kernels(monkeypatch)
+    report = pmf_bound_check("random", samples=3000, seed=-5)
+    assert report["seed"] == -5
+    assert report["violations"] == pmf_bound_check("random", samples=3000, seed=5)["violations"]
+    cases = {(tuple(encode_value([Fraction(a, d) for a in parts])), tuple(counts))
+             for k, d, parts, counts in random_cases(3000, 5)}
+    assert all((tuple(v["rho"]), tuple(v["counts"])) in cases for v in report["violations"])
+    assert any(len(v["counts"]) < mn.PMF_MAX_K for v in report["violations"])
+
+
+def test_pmf_bound_random_memory_stays_at_one_chunk():
+    """The sweep holds one chunk of cases at a time: forty chunks peak no
+    higher than two do, by the allocations tracemalloc counts."""
+    pmf_bound_check("random", samples=1, seed=1)  # numpy.random loaded outside the trace
+    peaks = []
+    for samples in (2 * mn.PMF_CHUNK, 40 * mn.PMF_CHUNK):
+        tracemalloc.start()
+        try:
+            pmf_bound_check("random", samples=samples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 def test_pmf_bound_random_seeded():
