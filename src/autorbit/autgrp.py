@@ -198,14 +198,20 @@ def maol(G: FiniteGroup, A: FiniteGroup) -> OrbitReport:
     return OrbitReport(G.name or "group", sizes)
 
 
-def class_orbits(A: FiniteGroup, ids: np.ndarray) -> list[int]:
-    """Orbit sizes, largest first, of the normal subgroup G of A with these
-    sorted ids under conjugation by A: the classes of A inside G.  For
-    S <= G <= A = Aut(S), S simple, Aut(G) is N_A(G) = A acting by
-    conjugation, so these are the Aut(G)-orbits on G, found without a search
-    over G or the classes of all of A."""
-    images = [A.conjugation_ids(c, ids) for c in A.gen_ids]
-    if not all(np.array_equal(np.sort(m), ids) for m in images):
-        raise NotNormal("the subgroup is not normal in Aut(S)")
-    maps = (np.searchsorted(ids, m) for m in images)
-    return sorted((part.size for part in orbits(maps, ids.size)[0]), reverse=True)
+def fused_class_orbits(G: FiniteGroup, rows: np.ndarray, lift=np.asarray) -> list[int]:
+    """Orbit sizes, largest first, of the group A the permutation `rows` generate
+    acting by conjugation on its normal subgroup G: G's classes fused by A's
+    generators, the Aut(G)-orbits for S <= G <= A = Aut(S), S simple.  `lift`
+    carries G's rows to A's points; a*g*a^-1 is read back on G's (the first)
+    points, for g a generator (else NotNormal) or a class representative."""
+    table = conjugacy_classes(G)
+    mats = lift(G.elements[np.concatenate([G.gen_ids, [c[0] for c in table.classes]])])
+    maps = []
+    for a in rows:
+        try:
+            ids = G.ids_of(a[mats[:, np.argsort(a)]][:, :G.degree])
+        except GroupError:
+            raise NotNormal("the subgroup is not normal in Aut(S)") from None
+        maps.append(table.class_of[ids[G.gen_ids.size:]])
+    sizes = np.array(table.sizes)
+    return sorted((int(sizes[part].sum()) for part in orbits(maps, sizes.size)[0]), reverse=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from math import factorial, gcd
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,10 +30,12 @@ def sym(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     _check_degree(n)  # before a list of n points is built
     if n == 1:
         return close_group(np.empty((0, 1)), name="sym1")
-    gens = [[1, 0] + list(range(2, n))]
-    if n > 2:
-        gens.append(list(range(1, n)) + [0])
-    return close_group(gens, limit=limit, name=f"sym{n}", order=factorial(n))
+    return close_group(_sym_rows(n), limit=limit, name=f"sym{n}", order=factorial(n))
+
+
+def _sym_rows(n: int) -> np.ndarray:
+    """Sym(n)'s generators for n >= 2: a transposition and, past n = 2, an n-cycle."""
+    return np.array([[1, 0] + list(range(2, n))] + [list(range(1, n)) + [0]] * (n > 2))
 
 
 def alt(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
@@ -288,12 +290,11 @@ def _point_line_perms(F: Field, pts: np.ndarray, mats, twist=None) -> np.ndarray
     return _with_lines(F, pts, projective_perms(F, pts, mats, twist))
 
 
-def _aut_psl(d: int, q: int, limit: int = DEFAULT_CLOSURE_LIMIT,
-             name: str | None = None) -> FiniteGroup:
-    """Aut(PSL_d(q)) for d = 2 (q >= 4) or d = 3 (Steinberg 1960): PGL_d(q)
-    and the Frobenius map, that is PGammaL_d(q), on the points of PG(d-1,q);
-    for d = 3 on its points and lines, with the inverse-transpose duality
-    that swaps them."""
+def _pgammal(d: int, q: int) -> tuple[Field, np.ndarray, np.ndarray, int]:
+    """Aut(PSL_d(q)) for d = 2 (q >= 4) or d = 3 (Steinberg 1960): PGL_d(q) and
+    the Frobenius map, PGammaL_d(q), on PG(d-1,q), for d = 3 on its points and
+    lines with the inverse-transpose duality.  The field, the points, the rows
+    (SL_d(q)'s, the diagonal, the Frobenius map, the duality) and the order."""
     p, f = _prime_power(q)
     F = make_field(p, f)
     pts = projective_points(F, d)
@@ -302,9 +303,7 @@ def _aut_psl(d: int, q: int, limit: int = DEFAULT_CLOSURE_LIMIT,
     rows = [perms(F, pts, mats), perms(F, pts, np.eye(d, dtype=np.int64)[None], F.frobenius)]
     if d == 3:
         rows.append(np.roll(np.arange(2 * len(pts)), len(pts))[None])  # the duality
-    expected = projective_order("GL", d, q) * f * (2 if d == 3 else 1)
-    return close_group(np.vstack(rows), limit=limit, name=name or f"autpsl({d},{q})",
-                       order=expected)
+    return F, pts, np.vstack(rows), projective_order("GL", d, q) * f * (2 if d == 3 else 1)
 
 
 def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
@@ -312,7 +311,8 @@ def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     points 0..20 and lines 21..41 of PG(2,4), generated by the PGL_3(4)
     point-line action, the Frobenius field automorphism, and the
     inverse-transpose duality swapping points with lines."""
-    return _aut_psl(3, 4, limit, name="autpsl34")
+    *_, rows, order = _pgammal(3, 4)
+    return close_group(rows, limit=limit, name="autpsl34", order=order)
 
 
 def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
@@ -325,49 +325,59 @@ def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
     return ids
 
 
-class AlmostSimple(NamedTuple):
-    """S <= G <= Aut(S), S simple: G is simple iff it has |S| ids in Aut(S)."""
+class AlmostSimpleAut(NamedTuple):
+    """Aut(S) closed, the sorted ids in it of G, G's name and |S|."""
     aut: FiniteGroup
     ids: np.ndarray
     name: str
     socle_order: int
 
 
-def almost_simple_aut(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> AlmostSimple | None:
-    """Aut(S), the ids in it of the catalog group G named `name`, G's name
-    and |S|, for S <= G <= Aut(S), S simple, in the families built here; None otherwise.
-    Aut(S) is Sym(n) for alt/sym(n), n >= 5 and n != 6; PGammaL_2(q) for
-    psl/pgl(2,q), q >= 4, and for alt6 = PSL_2(9) and sym6 = PSigmaL_2(9);
-    PGammaL_3(q) with the duality for psl/pgl(3,q).  G's ids come from its
-    elements on Aut(S)'s points (and lines, for d = 3), those of alt6 and
-    sym6 from the socle's generators and the Frobenius map.  `limit` bounds
-    G, as in `resolve`; Aut(S) closes under the default limit."""
+class AlmostSimple(NamedTuple):
+    """S <= G <= Aut(S), S simple, and Aut(S)'s rows and order, not closed.  G
+    acts on the rows' first points: all but the lines of PG(2,q), which `lift` adds."""
+    group: FiniteGroup
+    aut_rows: np.ndarray
+    aut_order: int
+    socle_order: int
+    lift: Callable[[np.ndarray], np.ndarray] = np.asarray
+
+    def closed(self) -> AlmostSimpleAut:
+        """Aut(S) closed under the default limit, and G's sorted ids in it."""
+        G, A = self.group, close_group(self.aut_rows, order=self.aut_order)
+        return AlmostSimpleAut(A, np.sort(A.ids_of(self.lift(G.elements))), G.name,
+                               self.socle_order)
+
+
+def almost_simple(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> AlmostSimple | None:
+    """The catalog group G named `name`, S <= G <= Aut(S), S simple, with
+    Aut(S)'s rows and order, for the families built here; None otherwise.
+    Aut(S) is Sym(n) for alt/sym(n), n >= 5, n != 6; PGammaL_2(q) for
+    psl/pgl(2,q), q >= 4, and for alt6 = PSL_2(9) and sym6 = PSigmaL_2(9),
+    which close on PG(1,9); PGammaL_3(q) with the duality for psl/pgl(3,q).
+    `limit` bounds G, the one group closed here."""
     base, a, b = _parse_name(name)
     socle = {"sym": "alt", "pgl": "psl"}.get(base, base)  # S's family: alt in sym, psl in pgl
     if not (socle == "alt" and b is None and a >= 5
             or socle == "psl" and b is not None and (a == 3 or a == 2 and b >= 4)):
         return None
-    d, q = ((2, 9) if a == 6 else (None, None)) if b is None else (a, b)
-    G = resolve(name, limit)
-    if d is None:
-        A = G if base == "sym" else sym(a)
-        ids = A.ids_of(G.elements)
-    else:
-        A = _aut_psl(d, q)
-        F = make_field(*_prime_power(q))
-        pts = projective_points(F, d)
-        if base in ("alt", "sym"):
-            rows = projective_perms(F, pts, sl_generators(F, d))  # PSL_2(9) = Alt6
-            if base == "sym":  # PSigmaL_2(9) = Sym6
-                rows = np.vstack([rows, projective_perms(F, pts, np.eye(d, dtype=np.int64)[None],
-                                                         F.frobenius)])
-            ids = A.subgroup_closure(A.ids_of(rows))
-        else:
-            ids = A.ids_of(G.elements if d == 2 else _with_lines(F, pts, G.elements))
-    if ids.size != G.order:
-        raise GeneratorDeficiency(f"{G.name} has {ids.size} ids in Aut(S), expected {G.order}")
-    socle_order = factorial(a) // 2 if d is None else projective_order("SL", d, q)
-    return AlmostSimple(A, np.sort(ids), G.name, socle_order)
+    if b is None and a != 6:
+        G, order = resolve(name, limit), factorial(a)
+        return AlmostSimple(G, _sym_rows(a), order, order // 2)
+    d, q = (2, 9) if b is None else (a, b)
+    G = None if b is None else resolve(name, limit)  # before Aut(S)'s rows are built
+    F, pts, rows, order = _pgammal(d, q)
+    if G is None:  # PSL_2(9) from SL's rows, PSigmaL_2(9) from all but the diagonal, rows[-2]
+        G = close_group(rows[:-2] if base == "alt" else np.delete(rows, -2, axis=0), limit,
+                        name=f"{base}6", order=360 if base == "alt" else 720)
+    lift = np.asarray if d == 2 else (lambda g: _with_lines(F, pts, g))
+    return AlmostSimple(G, rows, order, projective_order("SL", d, q), lift)
+
+
+def almost_simple_aut(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> AlmostSimpleAut | None:
+    """`almost_simple` with Aut(S) closed, and G's ids in it."""
+    G = almost_simple(name, limit)
+    return G and G.closed()
 
 
 # -- name registry ----------------------------------------------------------

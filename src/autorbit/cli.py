@@ -18,7 +18,7 @@ from . import catalog
 from . import multinomial as mn
 from . import stypes
 from . import wreath
-from .autgrp import (DEFAULT_NODE_BUDGET, OrbitReport, automorphism_group, class_orbits,
+from .autgrp import (DEFAULT_NODE_BUDGET, OrbitReport, automorphism_group, fused_class_orbits,
                      inner_automorphism_ids, maol)
 from .fields import _is_prime
 from .permcore import (DEFAULT_CLOSURE_LIMIT, BadParameter, FiniteGroup, ResourceLimit,
@@ -44,11 +44,11 @@ def resolve_group(spec: str, limit: int) -> FiniteGroup:
 
 
 def construct_or_group(spec: str, limit: int) -> catalog.AlmostSimple | FiniteGroup:
-    """The one construct-or-search choice: Aut(S) built with G inside it for
-    a `name:` that `catalog.almost_simple_aut` covers; otherwise G itself,
-    whose Aut(G) comes from the search.  `limit` bounds G."""
+    """The one construct-or-search choice: G with Aut(S)'s generator rows,
+    not closed, for a `name:` that `catalog.almost_simple` covers; otherwise
+    G itself, whose Aut(G) comes from the search.  `limit` bounds G."""
     if spec.startswith("name:"):
-        return catalog.almost_simple_aut(spec[5:], limit) or resolve_group(spec, limit)
+        return catalog.almost_simple(spec[5:], limit) or resolve_group(spec, limit)
     return resolve_group(spec, limit)
 
 
@@ -57,7 +57,7 @@ def _pair(G: catalog.AlmostSimple | FiniteGroup, budget: int) -> tuple[FiniteGro
     if isinstance(G, FiniteGroup):
         A = automorphism_group(G, budget=budget)
         return A, inner_automorphism_ids(G, A)
-    return G.aut, G.ids
+    return G.closed()[:2]
 
 
 def aut_pair(name: str, limit: int, budget: int) -> tuple[FiniteGroup, np.ndarray]:
@@ -66,14 +66,14 @@ def aut_pair(name: str, limit: int, budget: int) -> tuple[FiniteGroup, np.ndarra
 
 
 def maol_report(spec: str, limit: int, budget: int) -> tuple[OrbitReport, int]:
-    """G's Aut(G)-orbit report and |Aut(G)|.  For a built G these are the
-    classes of Aut(S) inside G and |Aut(S)| = |N_Aut(S)(G)| (`class_orbits`
-    checks that G is normal); otherwise the orbits of the searched Aut(G)."""
+    """G's Aut(G)-orbit report and |Aut(G)|.  For a built G, G's classes fused by
+    Aut(S)'s generators (which must normalize G) and |Aut(S)| = |N_Aut(S)(G)| by
+    formula, with no closure of Aut(S); otherwise the searched Aut(G)'s orbits."""
     G = construct_or_group(spec, limit)
     if isinstance(G, FiniteGroup):
         A = automorphism_group(G, budget=budget)
         return maol(G, A), A.order
-    return OrbitReport(G.name, class_orbits(G.aut, G.ids)), G.aut.order
+    return OrbitReport(G.group.name, fused_class_orbits(G.group, G.aut_rows, G.lift)), G.aut_order
 
 
 # -- simple subcommands -------------------------------------------------------
@@ -145,27 +145,27 @@ def cmd_aut(args) -> int:
 
 
 def _check_simple(G: catalog.AlmostSimple | FiniteGroup):
-    """Usage error unless G is nonabelian simple: a built G has |S| ids in
-    Aut(S); a searched G is nonabelian and each nonidentity class generates it."""
+    """Usage error unless G is nonabelian simple: a built G has order |S|; a
+    searched G is nonabelian and each nonidentity class generates it."""
     if isinstance(G, FiniteGroup):
         table = conjugacy_classes(G)
         simple = len(table.classes) < G.order and all(
             G.subgroup_closure(cls).size == G.order for cls in table.classes[1:])
     else:
-        simple = G.ids.size == G.socle_order
+        G, simple = G.group, G.group.order == G.socle_order
     if not simple:
         raise BadParameter(f"{G.name} is not a nonabelian simple group")
 
 
-def _simple_aut_pair(args) -> tuple[FiniteGroup, np.ndarray]:
-    """`aut_pair` for --simple, after the usage check that S is simple."""
+def _simple_group(args) -> catalog.AlmostSimple | FiniteGroup:
+    """`construct_or_group` for --simple, after the usage check that S is simple."""
     G = construct_or_group("name:" + args.simple.removeprefix("name:"), args.max_order)
     _check_simple(G)
-    return _pair(G, args.max_nodes)
+    return G
 
 
 def cmd_h(args) -> int:
-    A, socle = _simple_aut_pair(args)
+    A, socle = _pair(_simple_group(args), args.max_nodes)
     table = stypes.class_type_table(A, socle)
     payload = {
         "order": int(socle.size),
@@ -187,11 +187,12 @@ def cmd_construct_hp(args) -> int:
     _check_degree(args.p)  # the top group acts on p points; before the loop over p
     if not _is_prime(args.p):
         raise BadParameter(f"--p must be a prime, got {args.p}")
-    A, _ = _simple_aut_pair(args)
-    sigma_space = A.order ** args.p * args.p
+    S = _simple_group(args)
+    A = _pair(S, args.max_nodes)[0] if isinstance(S, FiniteGroup) else None  # the search
+    sigma_space = (S.aut_order if A is None else A.order) ** args.p * args.p  # before a closure
     if sigma_space > SLOW_HP_SPACE and not args.slow:
         raise TooLarge(f"H_{args.p} sweep space is {size_text(sigma_space)}; rerun with --slow")
-    hp = wreath.build_hp(A, args.p)
+    hp = wreath.build_hp(_pair(S, args.max_nodes)[0] if A is None else A, args.p)
     print(json.dumps(hp.to_json()))
     return 0
 
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=2, help="wreath suite: top degree")
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--samples", type=int, default=0)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, help="with --samples N: the draws' seed (default 0)")
     sp.add_argument("--out", help="write the JSON report here as well")
     sp.set_defaults(func=cmd_verify)
     return p
@@ -399,10 +400,14 @@ def main(argv=None) -> int:
         parser.error("--max-order and --max-nodes must be at least 1")
     if args.time_limit_s is not None and not args.time_limit_s >= 0:  # NaN too
         parser.error("--time-limit-s must be a number >= 0")
-    if args.command == "verify" and args.samples < 0:
-        parser.error("--samples must not be negative")
-    if args.command == "verify" and args.suite == "pmf" and args.exhaustive and args.samples:
-        parser.error("pmf suite takes --exhaustive or --samples N, not both")
+    if args.command == "verify":  # a flag the chosen mode would not read is refused
+        if args.samples < 0:
+            parser.error("--samples must not be negative")
+        if args.suite in ("pmf", "wreath") and args.exhaustive and args.samples:
+            parser.error(f"{args.suite} suite takes --exhaustive or --samples N, not both")
+        if args.seed is not None and not args.samples:
+            parser.error("--seed is read only with --samples N")
+        args.seed = args.seed or 0
     if args.command == "verify" and args.suite == "wreath":
         if not args.exhaustive and args.samples <= 0:
             parser.error("wreath suite needs --exhaustive or --samples N")

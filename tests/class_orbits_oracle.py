@@ -1,0 +1,19 @@
+"""The Aut(G)-orbits of an almost simple G read off the classes of a closed
+Aut(S), kept as a test oracle of `autgrp.fused_class_orbits`, which fuses G's
+own classes by Aut(S)'s generators and closes no Aut(S)."""
+
+import numpy as np
+
+from autorbit.permcore import FiniteGroup, NotNormal, orbits
+
+
+def class_orbits(A: FiniteGroup, ids: np.ndarray) -> list[int]:
+    """Orbit sizes, largest first, of the normal subgroup G of A with these
+    sorted ids under conjugation by A: the classes of A inside G.  For
+    S <= G <= A = Aut(S), S simple, Aut(G) is N_A(G) = A acting by
+    conjugation, so these are the Aut(G)-orbits on G."""
+    images = [A.conjugation_ids(c, ids) for c in A.gen_ids]
+    if not all(np.array_equal(np.sort(m), ids) for m in images):
+        raise NotNormal("the subgroup is not normal in Aut(S)")
+    maps = (np.searchsorted(ids, m) for m in images)
+    return sorted((part.size for part in orbits(maps, ids.size)[0]), reverse=True)

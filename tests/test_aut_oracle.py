@@ -13,7 +13,11 @@ them.
 The search is in turn the oracle of `catalog.almost_simple_aut`, which builds
 Aut(S) from its known structure: the same |Aut(S)|, h(S) and (class size, rho)
 multiset for every simple group it covers of order <= 2000, and the same
-Aut(G)-orbit sizes for every covered almost simple G of order <= 2000."""
+Aut(G)-orbit sizes for every covered almost simple G of order <= 2000.  Those
+orbits come from G's classes fused by Aut(S)'s generators
+(`autgrp.fused_class_orbits`, as `maol --group` reads them), and must equal
+both the search's and the classes of the closed Aut(S) inside G
+(`class_orbits_oracle`)."""
 
 from functools import lru_cache
 from fractions import Fraction
@@ -23,13 +27,14 @@ import numpy as np
 import pytest
 
 from autorbit import catalog
-from autorbit.autgrp import (_fingerprint_labels, automorphism_group, class_orbits,
+from autorbit.autgrp import (_fingerprint_labels, automorphism_group, fused_class_orbits,
                              inner_automorphism_ids, maol)
 from autorbit.catalog import projective_order
 from autorbit.cli import NONSOLVABLE_LIST
 from autorbit.permcore import (POINT_DTYPE, GroupError, Permutation, close_group,
                                conjugacy_classes, dimino)
 from autorbit.stypes import class_type_table, h_value, h_value_direct
+from class_orbits_oracle import class_orbits
 
 
 def encode_rows(mat):
@@ -350,9 +355,20 @@ def test_construction_matches_search_on_simple_groups(name):
 
 @pytest.mark.parametrize("name", COVERED_ALMOST_SIMPLE)
 def test_aut_classes_in_g_are_the_aut_g_orbits(name):
-    # S <= G <= Aut(S): the Aut(S)-classes inside G are G's Aut(G)-orbits
+    # S <= G <= Aut(S): G's classes fused by Aut(S)'s generators, the
+    # Aut(S)-classes inside the closed Aut(S) and the searched Aut(G)-orbits agree
     G, B = searched(name)
-    assert class_orbits(*catalog.almost_simple_aut(name)[:2]) == maol(G, B).orbit_sizes
+    built = catalog.almost_simple(name)
+    fused = fused_class_orbits(built.group, built.aut_rows, built.lift)
+    assert fused == class_orbits(*catalog.almost_simple_aut(name)[:2]) == maol(G, B).orbit_sizes
+
+
+@pytest.mark.parametrize("name", COVERED_ALMOST_SIMPLE + [
+    "alt7", "sym7", "psl(2,16)", "psl(2,17)", "psl(3,3)", "pgl(3,3)", "psl(3,4)", "psl34"])
+def test_aut_order_formula_is_the_closed_order(name):
+    # the |Aut(S)| that `maol --group` prints without closing Aut(S)
+    built = catalog.almost_simple(name)
+    assert built.aut_order == catalog.almost_simple_aut(name).aut.order
 
 
 @pytest.mark.parametrize("name, out_order, h", [

@@ -6,6 +6,7 @@ import pytest
 from autorbit import autgrp, catalog, permcore as pc
 from autorbit.autgrp import (ActionMismatch, BudgetExceeded, TooLarge, automorphism_group,
                              inner_automorphism_ids, maol)
+from class_orbits_oracle import class_orbits
 
 
 def orbit_of(x, gens, n):
@@ -171,7 +172,7 @@ def test_class_orbits_refuses_a_subgroup_that_is_not_normal():
     stabilizer = np.array([i for i in range(s5.order) if s5.perm(i)(0) == 0])  # a Sym4
     assert stabilizer.size == 24
     with pytest.raises(pc.NotNormal, match=r"^the subgroup is not normal in Aut\(S\)$"):
-        autgrp.class_orbits(s5, stabilizer)
+        class_orbits(s5, stabilizer)
 
 
 def test_class_orbits_conjugates_by_each_generator_once(monkeypatch):
@@ -179,5 +180,33 @@ def test_class_orbits_conjugates_by_each_generator_once(monkeypatch):
     calls, real = [], pc.FiniteGroup.conjugation_ids
     monkeypatch.setattr(pc.FiniteGroup, "conjugation_ids",
                         lambda G, c, ids=None: calls.append(c) or real(G, c, ids))
-    assert autgrp.class_orbits(A, ids) == [24, 20, 15, 1]
+    assert class_orbits(A, ids) == [24, 20, 15, 1]
     assert len(calls) == len(A.gen_ids) > 0
+
+
+@pytest.mark.parametrize("rows", [[[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],  # Sym5's two rows
+                                  [[0, 1, 2, 3, 4], [4, 1, 2, 3, 0]]])  # the second moves 4
+def test_fused_class_orbits_refuses_a_row_that_does_not_normalize(rows):
+    # a Sym4 fixing the point 4: the 5-cycle, or the transposition (0 4),
+    # conjugates a generator of it out of it
+    s4 = pc.close_group([[1, 0, 2, 3, 4], [1, 2, 3, 0, 4]])
+    assert s4.order == 24
+    with pytest.raises(pc.NotNormal, match=r"^the subgroup is not normal in Aut\(S\)$"):
+        autgrp.fused_class_orbits(s4, np.array(rows))
+    # a first row that normalizes it fuses none of its classes
+    assert autgrp.fused_class_orbits(s4, np.array(rows[:1])) == [8, 6, 6, 3, 1]
+
+
+def test_fused_class_orbits_reads_back_on_g_points():
+    # PSL_3(2) on its 7 points, Aut(S) on 7 points + 7 lines: the duality
+    # fuses the two classes of elements of order 7, and the rows of
+    # PGL_3(2) = PSL_3(2) (all but the duality) fuse nothing
+    G = catalog.almost_simple("psl(3,2)")
+    assert (G.group.degree, G.aut_rows.shape[1]) == (7, 14)
+    assert sorted(pc.conjugacy_classes(G.group).sizes) == [1, 21, 24, 24, 42, 56]
+    assert autgrp.fused_class_orbits(G.group, G.aut_rows, G.lift) == [56, 48, 42, 21, 1]
+    assert autgrp.fused_class_orbits(G.group, G.aut_rows[:-1], G.lift) == [56, 42, 24, 24, 21, 1]
+    swap = np.arange(14)
+    swap[[0, 7]] = [7, 0]  # a point with a line: the conjugates send points to lines
+    with pytest.raises(pc.NotNormal, match=r"^the subgroup is not normal in Aut\(S\)$"):
+        autgrp.fused_class_orbits(G.group, swap[None], G.lift)

@@ -182,7 +182,7 @@ def test_almost_simple_aut_limit_bounds_the_named_group(monkeypatch):
     # Sym7 (5040) is built under the default limit for Alt7 (2520)
     A, ids, *_ = catalog.almost_simple_aut("alt7", limit=2520)
     assert (A.order, ids.size) == (5040, 2520)
-    monkeypatch.setattr(catalog, "_aut_psl", lambda *a: pytest.fail("Aut(S) built"))
+    monkeypatch.setattr(catalog, "_pgammal", lambda *a: pytest.fail("Aut(S)'s rows built"))
     with pytest.raises(pc.TooLarge, match="PSL_3[(]4[)] has order 20160 > limit 20159"):
         catalog.almost_simple_aut("psl(3,4)", limit=20159)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import autorbit
-from autorbit import catalog, cli, wreath
+from autorbit import autgrp, catalog, cli, permcore, wreath
 from autorbit.autgrp import automorphism_group, maol
 from autorbit.permcore import DEFAULT_CLOSURE_LIMIT, MAX_DEGREE, FiniteGroup
 from autorbit.reports import ReportItem, VerificationReport, encode_value
@@ -19,6 +20,10 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def scrub_runtimes(report: str) -> str:
+    return re.sub(r'"runtimeMs": \d+', '"runtimeMs": 0', report)
 
 
 def test_catalog_list(capsys):
@@ -108,6 +113,15 @@ def test_verify_pmf_random(capsys):
     assert code == 0
     payload = json.loads(out[out.index("{"):])
     assert payload["seed"] == 9
+
+
+def test_sampled_modes_default_to_seed_0(capsys):
+    for argv in (["verify", "pmf", "--samples", "200"],
+                 ["verify", "wreath", "--base", "name:sym3", "--n", "2", "--samples", "50"]):
+        code, out, _ = run_cli(capsys, *argv)
+        seeded = run_cli(capsys, *argv, "--seed", "0")
+        assert code == seeded[0] == 0 and json.loads(out[out.index("{"):])["seed"] == 0
+        assert scrub_runtimes(out) == scrub_runtimes(seeded[1])
 
 
 def test_verify_pmf_random_seeds(capsys):
@@ -224,6 +238,21 @@ def test_usage_errors(capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
+    # a flag that the chosen mode would drop without a word
+    for argv, message in (
+            (["verify", "pmf", "--seed", "5"], "--seed is read only with --samples N"),
+            (["verify", "pmf", "--exhaustive", "--seed", "0"], "--seed is read only"),
+            (["verify", "lemma3", "--seed", "5"], "--seed is read only"),
+            (["verify", "wreath", "--base", "name:sym3", "--exhaustive", "--seed", "5"],
+             "--seed is read only with --samples N"),
+            (["verify", "wreath", "--base", "name:sym3", "--exhaustive", "--samples", "5"],
+             "wreath suite takes --exhaustive or --samples N, not both"),
+            (["verify", "pmf", "--exhaustive", "--samples", "5"],
+             "pmf suite takes --exhaustive or --samples N, not both")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2 and message in capsys.readouterr().err, argv
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:  # named by the flag, not by sym(n)
         cli.main(["verify", "wreath", "--base", "name:sym3", "--n", "0", "--samples", "5"])
@@ -336,6 +365,59 @@ def test_file_groups_keep_the_search(tmp_path, capsys, monkeypatch):
     assert code == 0 and searched == ["alt5"]
     assert json.loads(out) == {"group": "alt5", "order": 60, "orbitSizes": [24, 20, 15, 1],
                                "MAOL": 24, "maol": "2/5", "autOrder": 120}
+
+
+def closed_orders(monkeypatch) -> list[int]:
+    """The order of each group closed from then on, in closing order: the
+    closures of `close_group` and of the Aut search, both by `dimino`."""
+    orders, real = [], permcore.dimino
+
+    def counting(*args, **kwargs):
+        closed = real(*args, **kwargs)
+        orders.append(len(closed.elements))
+        return closed
+
+    for module in (permcore, autgrp):
+        monkeypatch.setattr(module, "dimino", counting)
+    return orders
+
+
+def test_maol_of_a_built_group_closes_g_only(capsys, monkeypatch):
+    # Aut(PSL_3(4)), of 241,920 elements, is given by its rows and its order
+    closed = closed_orders(monkeypatch)
+    code, out, _ = run_cli(capsys, "maol", "--group", "name:psl(3,4)")
+    data = json.loads(out)
+    assert code == 0 and (data["maol"], data["autOrder"]) == ("2/5", 241920)
+    assert closed == [20160]
+
+
+def test_nonsolvable_bound_closes_each_group_once(capsys, monkeypatch):
+    # G only, alt6 and sym6 on the 10 points of PG(1,9); no Aut(S) and no search
+    closed = closed_orders(monkeypatch)
+    code, _, _ = run_cli(capsys, "verify", "nonsolvable-bound")
+    assert code == 0 and (len(closed), sum(closed)) == (7, 2268)
+    assert sorted(closed) == sorted(catalog.resolve(name).order for name in cli.NONSOLVABLE_LIST)
+
+
+def test_construct_hp_asks_for_slow_before_aut_s_is_closed(capsys, monkeypatch):
+    # |Aut(S)| comes from the order formula: only S is closed
+    closed = closed_orders(monkeypatch)
+    code, out, err = run_cli(capsys, "construct", "hp", "--simple", "name:psl(3,4)", "--p", "2")
+    assert (code, out) == (3, "")
+    assert err == "resource limit: H_2 sweep space is 117050572800; rerun with --slow\n"
+    assert closed == [20160]
+    # PGammaL_2(81) is past the closure limit, the sweep space is asked about first
+    code, _, err = run_cli(capsys, "construct", "hp", "--simple", "name:psl(2,81)", "--p", "2")
+    assert code == 3 and "H_2 sweep space is 9034990387200; rerun with --slow" in err
+
+
+def test_maol_past_the_closure_limit_of_aut_s(capsys):
+    # |PGammaL_2(81)| = 2,125,440 is past the default closure limit; G is not
+    code, out, _ = run_cli(capsys, "maol", "--group", "name:psl(2,81)")
+    data = json.loads(out)
+    assert code == 0 and (data["order"], data["maol"], data["autOrder"]) == (
+        265680, "1/10", 2125440)
+    assert 2125440 > DEFAULT_CLOSURE_LIMIT
 
 
 def test_aut_pair_builds_covered_groups_without_a_search(monkeypatch):
@@ -575,6 +657,4 @@ def test_seeded_reports_are_byte_identical(capsys):
                              "--seed", "12")
     assert code1 == code2 == 0
     # runtimes vary; everything else must match byte for byte
-    import re
-    scrub = lambda s: re.sub(r'"runtimeMs": \d+', '"runtimeMs": 0', s)
-    assert scrub(out1) == scrub(out2)
+    assert scrub_runtimes(out1) == scrub_runtimes(out2)
