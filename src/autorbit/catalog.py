@@ -325,14 +325,6 @@ def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
     return ids
 
 
-class AlmostSimpleAut(NamedTuple):
-    """Aut(S) closed, the sorted ids in it of G, G's name and |S|."""
-    aut: FiniteGroup
-    ids: np.ndarray
-    name: str
-    socle_order: int
-
-
 class AlmostSimple(NamedTuple):
     """S <= G <= Aut(S), S simple, and Aut(S)'s rows and order, not closed.  G
     acts on the rows' first points: all but the lines of PG(2,q), which `lift` adds."""
@@ -342,11 +334,10 @@ class AlmostSimple(NamedTuple):
     socle_order: int
     lift: Callable[[np.ndarray], np.ndarray] = np.asarray
 
-    def closed(self) -> AlmostSimpleAut:
+    def closed(self) -> tuple[FiniteGroup, np.ndarray]:
         """Aut(S) closed under the default limit, and G's sorted ids in it."""
-        G, A = self.group, close_group(self.aut_rows, order=self.aut_order)
-        return AlmostSimpleAut(A, np.sort(A.ids_of(self.lift(G.elements))), G.name,
-                               self.socle_order)
+        A = close_group(self.aut_rows, order=self.aut_order)
+        return A, np.sort(A.ids_of(self.lift(self.group.elements)))
 
 
 def almost_simple(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> AlmostSimple | None:
@@ -372,12 +363,6 @@ def almost_simple(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> AlmostSimple
                         name=f"{base}6", order=360 if base == "alt" else 720)
     lift = np.asarray if d == 2 else (lambda g: _with_lines(F, pts, g))
     return AlmostSimple(G, rows, order, projective_order("SL", d, q), lift)
-
-
-def almost_simple_aut(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> AlmostSimpleAut | None:
-    """`almost_simple` with Aut(S) closed, and G's ids in it."""
-    G = almost_simple(name, limit)
-    return G and G.closed()
 
 
 # -- name registry ----------------------------------------------------------

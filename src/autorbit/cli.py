@@ -57,7 +57,7 @@ def _pair(G: catalog.AlmostSimple | FiniteGroup, budget: int) -> tuple[FiniteGro
     if isinstance(G, FiniteGroup):
         A = automorphism_group(G, budget=budget)
         return A, inner_automorphism_ids(G, A)
-    return G.closed()[:2]
+    return G.closed()
 
 
 def aut_pair(name: str, limit: int, budget: int) -> tuple[FiniteGroup, np.ndarray]:
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="verification suites")
     sp.add_argument("suite", choices=sorted(VERIFY_SUITES))
     sp.add_argument("--base", help="wreath suite: base group spec")
-    sp.add_argument("--n", type=int, default=2, help="wreath suite: top degree")
+    sp.add_argument("--n", type=int, help="wreath suite: top degree (default 2)")
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--samples", type=int, default=0)
     sp.add_argument("--seed", type=int, help="with --samples N: the draws' seed (default 0)")
@@ -400,14 +400,21 @@ def main(argv=None) -> int:
         parser.error("--max-order and --max-nodes must be at least 1")
     if args.time_limit_s is not None and not args.time_limit_s >= 0:  # NaN too
         parser.error("--time-limit-s must be a number >= 0")
-    if args.command == "verify":  # a flag the chosen mode would not read is refused
+    if args.command == "verify":  # a flag the chosen suite or mode would not read is refused
         if args.samples < 0:
             parser.error("--samples must not be negative")
+        for flag, given, suites in (("--samples", args.samples, ("pmf", "wreath")),
+                                    ("--exhaustive", args.exhaustive, ("pmf", "wreath")),
+                                    ("--base", args.base is not None, ("wreath",)),
+                                    ("--n", args.n is not None, ("wreath",))):
+            if given and args.suite not in suites:
+                parser.error(f"{flag} is not read by the {args.suite} suite")
         if args.suite in ("pmf", "wreath") and args.exhaustive and args.samples:
             parser.error(f"{args.suite} suite takes --exhaustive or --samples N, not both")
         if args.seed is not None and not args.samples:
             parser.error("--seed is read only with --samples N")
         args.seed = args.seed or 0
+        args.n = 2 if args.n is None else args.n
     if args.command == "verify" and args.suite == "wreath":
         if not args.exhaustive and args.samples <= 0:
             parser.error("wreath suite needs --exhaustive or --samples N")

@@ -1,9 +1,10 @@
-"""Permutation-group engine: exhaustive enumeration, conjugacy, quotients.
+"""Engine for groups of permutation rows: exhaustive enumeration, conjugacy, quotients.
 
 Conventions, fixed globally:
 
 * points are 0-based;
-* composition is right-to-left: ``compose(p, q)`` maps ``x`` to ``p(q(x))``;
+* an element is its image row; composition is right-to-left: the product
+  p*q of rows p and q is ``p[q]``, which maps ``x`` to ``p(q(x))``;
 * groups store their full element list, sorted lexicographically by image
   array (no two elements agree on the base, so the points up to its largest
   one decide the order: `lex_order`), so element ids (and everything derived
@@ -11,7 +12,7 @@ Conventions, fixed globally:
 * the identity is always element id 0 (it is the lexicographic minimum).
 
 A group is built from a (k, degree) array of generator rows (``close_group``);
-`Permutation` objects serve cycle strings and the checks of file input.
+rows read from outside the program are checked first (`_check_bijection`).
 Groups are enumerated by one Dimino closure (``dimino``): a generator the
 closure H already holds is dropped, and each kept generator adds the right
 cosets H*r, one BFS level of coset representatives at a time.  A subgroup of
@@ -30,8 +31,8 @@ a quotient's cosets and translations look up its base images alone.
 A group's ``gen_ids`` are the ids of its kept, irredundant generators, and
 conjugation by an element id is one id map (`FiniteGroup.conjugation_ids`).
 
-1-cycles of a permutation are kept in its cycle decomposition; cycle strings
-at the I/O boundary use 1-based points, e.g. ``"(1 2)(3 4 5)"``.
+`cycle_decompose` keeps a row's 1-cycles; cycle strings at the I/O boundary
+use 1-based points, e.g. ``"(1 2)(3 4 5)"``.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ class GroupError(Exception):
 
 class ResourceLimit(GroupError):
     """A size, budget or limit check stopped the computation before an answer."""
-
-
-class DegreeMismatch(GroupError):
-    pass
 
 
 class ClosureLimitExceeded(ResourceLimit):
@@ -107,119 +104,49 @@ def _as_points(values, degree: int, error: type[Exception]) -> np.ndarray:
     return arr.astype(POINT_DTYPE, copy=False)
 
 
-class Permutation:
-    """Immutable bijection on {0, ..., degree-1}, stored as an image array."""
-
-    __slots__ = ("images", "_hash")
-
-    def __init__(self, images: Sequence[int] | np.ndarray):
-        _check_degree(len(images))
-        arr = _as_points(images, len(images), ValueError)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("images must be a non-empty 1-d sequence")
-        if not np.array_equal(np.sort(arr), np.arange(arr.size)):
-            raise ValueError("images is not a bijection on {0,...,degree-1}")
-        arr.setflags(write=False)
-        self.images = arr
-        self._hash = hash(arr.tobytes())
-
-    @property
-    def degree(self) -> int:
-        return int(self.images.size)
-
-    @staticmethod
-    def identity(degree: int) -> "Permutation":
-        return Permutation(np.arange(degree, dtype=POINT_DTYPE))
-
-    def __call__(self, x: int) -> int:
-        return int(self.images[x])
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and np.array_equal(self.images, other.images)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def inverse(self) -> "Permutation":
-        return Permutation(np.argsort(self.images))
-
-    def order(self) -> int:
-        return _order(self.images)
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.images, np.arange(self.degree)))
-
-    def __repr__(self) -> str:
-        return f"Permutation({cycle_string(self)!r})"
+def _check_bijection(images) -> np.ndarray:
+    """`images` as a POINT_DTYPE row, checked to be a permutation of 0..len-1."""
+    _check_degree(len(images))
+    row = _as_points(images, len(images), ValueError)
+    if row.ndim != 1 or row.size == 0:
+        raise ValueError("images must be a non-empty 1-d sequence")
+    if not np.array_equal(np.sort(row), np.arange(row.size)):
+        raise ValueError("images is not a bijection on {0,...,degree-1}")
+    return row
 
 
-@dataclass(frozen=True)
-class CycleSet:
-    """Canonical disjoint-cycle form: fixed points kept as 1-cycles,
-    each cycle rotated to start at its minimal point, cycles sorted by it."""
-
-    degree: int
-    cycles: tuple[tuple[int, ...], ...]
-
-    def to_permutation(self) -> Permutation:
-        images = np.arange(self.degree, dtype=POINT_DTYPE)
-        for cyc in self.cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                images[a] = b
-        return Permutation(images)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Right-to-left composition: (p*q)(x) = p(q(x))."""
-    if p.degree != q.degree:
-        raise DegreeMismatch(f"degree {p.degree} != {q.degree}")
-    return Permutation(p.images[q.images])
-
-
-def cycle_decompose(p: Permutation) -> CycleSet:
-    seen = np.zeros(p.degree, dtype=bool)
+def cycle_decompose(row: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The row's cycles, 1-cycles kept, each rotated to start at its least
+    point and listed in the order of those points."""
+    seen = np.zeros(len(row), dtype=bool)
     cycles = []
-    for start in range(p.degree):
+    for start in range(len(row)):
         if seen[start]:
             continue
         cyc = [start]
         seen[start] = True
-        x = int(p.images[start])
+        x = int(row[start])
         while x != start:
             cyc.append(x)
             seen[x] = True
-            x = int(p.images[x])
+            x = int(row[x])
         cycles.append(tuple(cyc))
-    return CycleSet(p.degree, tuple(cycles))
+    return tuple(cycles)
 
 
-def cycle_type(p: Permutation) -> tuple[int, ...]:
+def cycle_type(row: np.ndarray) -> tuple[int, ...]:
     """Multiset of cycle lengths (1-cycles included), sorted descending."""
-    return tuple(sorted((len(c) for c in cycle_decompose(p).cycles), reverse=True))
-
-
-def cycle_string(p: Permutation) -> str:
-    """1-based cycle string, 1-cycles omitted; identity prints as '()'."""
-    parts = [
-        "(" + " ".join(str(x + 1) for x in cyc) + ")"
-        for cyc in cycle_decompose(p).cycles
-        if len(cyc) > 1
-    ]
-    return "".join(parts) if parts else "()"
+    return tuple(sorted((len(c) for c in cycle_decompose(row)), reverse=True))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, degree: int) -> Permutation:
-    """Parse a 1-based cycle string like "(1 2)(3 4 5)" into a Permutation."""
+def parse_cycles(text: str, degree: int) -> np.ndarray:
+    """The row of a 1-based cycle string like "(1 2)(3 4 5)", checked to be a
+    permutation: a point repeated across cycles is refused."""
     images = np.arange(degree, dtype=POINT_DTYPE)
     body = text.strip()
-    if body in ("", "()"):
-        return Permutation(images)
     chunks = _CYCLE_RE.findall(body)
     if _CYCLE_RE.sub("", body).strip():
         raise ValueError(f"unparsed text in cycle string {text!r}")
@@ -233,7 +160,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             raise ValueError(f"repeated point in cycle ({chunk}) of {text!r}")
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a] = b
-    return Permutation(images)
+    return _check_bijection(images)
 
 
 def lex_order(rows: np.ndarray, base: Sequence[int]) -> np.ndarray:
@@ -481,9 +408,6 @@ class FiniteGroup:
     def order(self) -> int:
         return int(self.elements.shape[0])
 
-    def perm(self, i: int) -> Permutation:
-        return Permutation(self.elements[i])
-
     def ids_of(self, mat: np.ndarray) -> np.ndarray:
         """Vectorized element-id lookup by base images; raises if a row is
         not in the group."""
@@ -495,12 +419,8 @@ class FiniteGroup:
             raise GroupError("permutation not in group")
         return ids
 
-    def id_of(self, p: Permutation | np.ndarray) -> int:
-        images = p.images if isinstance(p, Permutation) else np.asarray(p)
-        return int(self.ids_of(images[None, :])[0])
-
-    def contains(self, p: Permutation) -> bool:
-        return p.degree == self.degree and bool(self._index.find(p.images[None, :])[0] >= 0)
+    def id_of(self, row: np.ndarray) -> int:
+        return int(self.ids_of(np.asarray(row)[None, :])[0])
 
     # -- id-level arithmetic -------------------------------------------
 
@@ -809,10 +729,10 @@ def group_from_spec(spec: dict) -> FiniteGroup:
     gens = []
     for k, item in enumerate(spec.get("generators", [])):
         if isinstance(item, str):
-            gens.append(parse_cycles(item, degree).images)
+            gens.append(parse_cycles(item, degree))
         elif (isinstance(item, list) and len(item) == degree
               and all(type(x) is int and 0 <= x < degree for x in item)):
-            gens.append(Permutation(item).images)
+            gens.append(_check_bijection(item))
         else:
             raise ValueError(f"generator {k + 1} is not a list of {degree} "
                              f"integers in 0..{degree - 1}")

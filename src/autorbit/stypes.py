@@ -134,7 +134,7 @@ def ct_set(wg: WreathGroup, w: WreathElement, coarse: CoarseQuotient) -> frozens
     if wg.base is not coarse.ambient:
         raise GroupError("wreath base and coarse quotient belong to different groups")
     return frozenset(int(coarse.pi[bcpc_element(wg, w, zeta)])
-                     for zeta in cycle_decompose(wg.top.perm(w.top)).cycles)
+                     for zeta in cycle_decompose(wg.top.elements[w.top]))
 
 
 def ct_power_check(wg: WreathGroup, w: WreathElement, k: int,

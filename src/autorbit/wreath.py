@@ -89,8 +89,7 @@ class WreathGroup:
         return WreathElement((0,) * self.n, 0)
 
     def element(self, base_ids: Sequence[int], top) -> WreathElement:
-        """The element with these base ids and top, a Permutation or image row
-        of the top group."""
+        """The element with these base ids and top, an image row of the top group."""
         if len(base_ids) != self.n:
             raise ShapeMismatch(f"expected {self.n} base entries")
         return WreathElement(tuple(int(b) for b in base_ids), self.top.id_of(top))
@@ -256,7 +255,7 @@ class WreathGroup:
         order = np.argsort(t, kind="stable")
         tops, starts = np.unique(t[order], return_index=True)
         for s, at in zip(tops.tolist(), np.split(order, starts[1:])):
-            for j, zeta in enumerate(cycle_decompose(self.top.perm(s)).cycles):
+            for j, zeta in enumerate(cycle_decompose(self.top.elements[s])):
                 acc = B[zeta[0], at]
                 for i in zeta[1:]:
                     acc = self.T[B[i, at], acc]
@@ -300,7 +299,7 @@ def profile(wg: WreathGroup, w: WreathElement, typing=None) -> BcpcProfile:
     base) also the refined M_l^tau(w)."""
     by_length: dict[int, list] = {}
     refined: dict[tuple, list] = {}
-    for zeta in cycle_decompose(wg.top.perm(w.top)).cycles:
+    for zeta in cycle_decompose(wg.top.elements[w.top]):
         cls = bcpc(wg, w, zeta)
         by_length.setdefault(len(zeta), []).append(cls)
         if typing is not None:
@@ -315,7 +314,7 @@ def profile(wg: WreathGroup, w: WreathElement, typing=None) -> BcpcProfile:
 def conj_test(wg: WreathGroup, v: WreathElement, w: WreathElement) -> bool:
     """Combinatorial conjugacy test: equal top cycle types and equal bcpc
     multisets M_l for every l."""
-    if cycle_type(wg.top.perm(v.top)) != cycle_type(wg.top.perm(w.top)):
+    if cycle_type(wg.top.elements[v.top]) != cycle_type(wg.top.elements[w.top]):
         return False
     return profile(wg, v).by_length == profile(wg, w).by_length
 

@@ -121,7 +121,7 @@ def test_c3_exhaustive_s3_wr_s3():
         keys = {}
         for code in range(wg.order):
             el = wg.unpack(code)
-            k = (pc.cycle_type(wg.top.perm(el.top)),
+            k = (pc.cycle_type(wg.top.elements[el.top]),
                  tuple(sorted(wr.profile(wg, el).by_length.items())))
             keys.setdefault(k, []).append(code)
         brute = {}

@@ -10,13 +10,13 @@ A per-element order loop and per-element tuple fingerprints are oracles here
 as well: the search's element orders and fingerprint labels must agree with
 them.
 
-The search is in turn the oracle of `catalog.almost_simple_aut`, which builds
-Aut(S) from its known structure: the same |Aut(S)|, h(S) and (class size, rho)
-multiset for every simple group it covers of order <= 2000, and the same
-Aut(G)-orbit sizes for every covered almost simple G of order <= 2000.  Those
-orbits come from G's classes fused by Aut(S)'s generators
-(`autgrp.fused_class_orbits`, as `maol --group` reads them), and must equal
-both the search's and the classes of the closed Aut(S) inside G
+The search is in turn the oracle of `catalog.almost_simple`, whose rows
+close to Aut(S) as built from its known structure: the same |Aut(S)|, h(S)
+and (class size, rho) multiset for every simple group it covers of order
+<= 2000, and the same Aut(G)-orbit sizes for every covered almost simple G
+of order <= 2000.  Those orbits come from G's classes fused by Aut(S)'s
+generators (`autgrp.fused_class_orbits`, as `maol --group` reads them), and
+must equal both the search's and the classes of the closed Aut(S) inside G
 (`class_orbits_oracle`)."""
 
 from functools import lru_cache
@@ -31,8 +31,7 @@ from autorbit.autgrp import (_fingerprint_labels, automorphism_group, fused_clas
                              inner_automorphism_ids, maol)
 from autorbit.catalog import projective_order
 from autorbit.cli import NONSOLVABLE_LIST
-from autorbit.permcore import (POINT_DTYPE, GroupError, Permutation, close_group,
-                               conjugacy_classes, dimino)
+from autorbit.permcore import POINT_DTYPE, GroupError, close_group, conjugacy_classes, dimino
 from autorbit.stypes import class_type_table, h_value, h_value_direct
 from class_orbits_oracle import class_orbits
 
@@ -152,7 +151,7 @@ def group_from_permutation_rows(rows, degree):
     gens = []
     G = close_group(np.empty((0, degree)))
     for row in mat:
-        if not G.contains(Permutation(row)):
+        if G._index.find(row[None, :])[0] < 0:
             gens.append(row)
             G = close_group(gens)
             if G.order == mat.shape[0]:
@@ -345,7 +344,7 @@ def rho_multiset(A, ids):
 
 @pytest.mark.parametrize("name", COVERED_SIMPLE)
 def test_construction_matches_search_on_simple_groups(name):
-    A, socle, *_ = catalog.almost_simple_aut(name)
+    A, socle = catalog.almost_simple(name).closed()
     S, B = searched(name)
     inner = inner_automorphism_ids(S, B)
     assert A.order == B.order
@@ -360,7 +359,7 @@ def test_aut_classes_in_g_are_the_aut_g_orbits(name):
     G, B = searched(name)
     built = catalog.almost_simple(name)
     fused = fused_class_orbits(built.group, built.aut_rows, built.lift)
-    assert fused == class_orbits(*catalog.almost_simple_aut(name)[:2]) == maol(G, B).orbit_sizes
+    assert fused == class_orbits(*built.closed()) == maol(G, B).orbit_sizes
 
 
 @pytest.mark.parametrize("name", COVERED_ALMOST_SIMPLE + [
@@ -368,14 +367,14 @@ def test_aut_classes_in_g_are_the_aut_g_orbits(name):
 def test_aut_order_formula_is_the_closed_order(name):
     # the |Aut(S)| that `maol --group` prints without closing Aut(S)
     built = catalog.almost_simple(name)
-    assert built.aut_order == catalog.almost_simple_aut(name).aut.order
+    assert built.aut_order == built.closed()[0].order
 
 
 @pytest.mark.parametrize("name, out_order, h", [
     ("alt7", 2, Fraction(1, 3)), ("psl(2,16)", 4, Fraction(1, 2)),
     ("psl(2,17)", 2, Fraction(1, 8)), ("psl(3,3)", 2, Fraction(1, 3))])
 def test_construction_past_the_search_guard(name, out_order, h):
-    A, socle, *_ = catalog.almost_simple_aut(name)
+    A, socle = catalog.almost_simple(name).closed()
     assert socle.size == catalog.resolve(name).order > 2000
     assert A.order == socle.size * out_order
     assert h_value(A, socle) == h_value_direct(A, socle) == h
@@ -383,7 +382,7 @@ def test_construction_past_the_search_guard(name, out_order, h):
 
 def test_psl34_construction_is_the_extended_aut_psl34(aut_psl34, psl34_socle):
     # the limit bounds PSL_3(4), not its Aut(S) of 241,920 elements
-    A, socle, *_ = catalog.almost_simple_aut("psl(3,4)", limit=20160)
+    A, socle = catalog.almost_simple("psl(3,4)", limit=20160).closed()
     assert A.elements.tobytes() == aut_psl34.elements.tobytes()
     assert A.base == aut_psl34.base == [0, 1, 5, 2, 6, 3]
     assert np.array_equal(socle, psl34_socle)

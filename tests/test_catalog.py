@@ -152,16 +152,17 @@ def test_psl34_is_an_alias_of_psl_3_4():
                                   "psl(4,2)", "psu(3,3)", "extraspecial(3)", "autpsl34"])
 def test_almost_simple_aut_leaves_other_names_to_the_search(monkeypatch, name):
     monkeypatch.setattr(catalog, "resolve", lambda *a: pytest.fail("group built"))
-    assert catalog.almost_simple_aut(name) is None
+    assert catalog.almost_simple(name) is None
 
 
 @pytest.mark.parametrize("name, aut_degree", [
     ("alt7", 7), ("sym7", 7), ("alt6", 10), ("sym6", 10), ("pgl(2,9)", 10),
     ("psl(2,8)", 9), ("pgl(3,2)", 14), ("psl(3,3)", 26)])
 def test_almost_simple_aut_embeds_the_named_group(name, aut_degree):
-    A, ids, g_name, _ = catalog.almost_simple_aut(name)
+    built = catalog.almost_simple(name)
+    A, ids = built.closed()
     G = resolve(name)
-    assert A.degree == aut_degree and g_name == G.name
+    assert A.degree == aut_degree and built.group.name == G.name
     assert ids.size == G.order and np.array_equal(ids, A.subgroup_closure(ids))
     assert pc.is_normal(A, ids)
     # the same group: element orders agree as multisets
@@ -173,18 +174,19 @@ def test_almost_simple_aut_embeds_the_named_group(name, aut_degree):
     ("psl(2,8)", 504), ("pgl(2,4)", 60), ("pgl(3,2)", 168), ("psl34", 20160)])
 def test_almost_simple_aut_names_g_and_gives_the_socle_order(name, socle_order):
     # G's name as `resolve` gives it, whatever the spelling, and |S|
-    _, ids, g_name, s_order = catalog.almost_simple_aut(name)
-    assert (g_name, s_order) == (resolve(name).name, socle_order)
-    assert (ids.size == s_order) == (name.lower() not in ("sym7", "sym6", "pgl(2,9)"))
+    built = catalog.almost_simple(name)
+    _, ids = built.closed()
+    assert (built.group.name, built.socle_order) == (resolve(name).name, socle_order)
+    assert (ids.size == socle_order) == (name.lower() not in ("sym7", "sym6", "pgl(2,9)"))
 
 
 def test_almost_simple_aut_limit_bounds_the_named_group(monkeypatch):
     # Sym7 (5040) is built under the default limit for Alt7 (2520)
-    A, ids, *_ = catalog.almost_simple_aut("alt7", limit=2520)
+    A, ids = catalog.almost_simple("alt7", limit=2520).closed()
     assert (A.order, ids.size) == (5040, 2520)
     monkeypatch.setattr(catalog, "_pgammal", lambda *a: pytest.fail("Aut(S)'s rows built"))
     with pytest.raises(pc.TooLarge, match="PSL_3[(]4[)] has order 20160 > limit 20159"):
-        catalog.almost_simple_aut("psl(3,4)", limit=20159)
+        catalog.almost_simple("psl(3,4)", limit=20159)
 
 
 def test_resolve_autpsl34_builds_the_group():

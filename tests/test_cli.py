@@ -270,6 +270,22 @@ def test_usage_errors(capsys, monkeypatch):
         assert code == 2 and out == "" and "usage error" in err and "must be a prime" in err
 
 
+UNREAD_FLAGS = [(suite, flag) for flag, readers in (
+    (["--samples", "5"], ("pmf", "wreath")), (["--exhaustive"], ("pmf", "wreath")),
+    (["--base", "name:sym3"], ("wreath",)), (["--n", "3"], ("wreath",)))
+    for suite in ("lemma3", "pmf", "wreath", "paper-table", "nonsolvable-bound")
+    if suite not in readers]
+
+
+@pytest.mark.parametrize("suite, flag", UNREAD_FLAGS)
+def test_verify_refuses_a_flag_its_suite_does_not_read(capsys, monkeypatch, suite, flag):
+    monkeypatch.setitem(cli.VERIFY_SUITES, suite, lambda args: pytest.fail("suite ran"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", suite, *flag])
+    assert exc.value.code == 2
+    assert f"{flag[0]} is not read by the {suite} suite" in capsys.readouterr().err
+
+
 def test_h_needs_a_nonabelian_simple_group(capsys, monkeypatch):
     for name in ("cyclic5", "sym5"):
         code, out, err = run_cli(capsys, "h", "--simple", f"name:{name}")

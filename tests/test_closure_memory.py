@@ -75,7 +75,7 @@ def test_classes_peak_the_same_for_any_number_of_generators(name):
 @pytest.mark.parametrize("order", [None, 4])
 def test_close_group_past_a_block_of_points(order):
     # degree 40000: a block of cells holds 26 rows, and a coset batch still a row or more
-    gens = [parse_cycles("(1 2)", 40000).images, parse_cycles("(3 4)", 40000).images]
+    gens = [parse_cycles("(1 2)", 40000), parse_cycles("(3 4)", 40000)]
     G = close_group(gens, order=order)
     assert G.order == 4 and np.array_equal(G.elements[:, 4:], np.tile(np.arange(4, 40000), (4, 1)))
     assert list(map(tuple, G.elements[:, :4].tolist())) == [

@@ -17,7 +17,7 @@ from autorbit import catalog
 from autorbit import permcore as pc
 from autorbit import stypes as st
 from autorbit.autgrp import automorphism_group, inner_automorphism_ids
-from autorbit.permcore import POINT_DTYPE, GroupError, Permutation
+from autorbit.permcore import POINT_DTYPE, GroupError
 from test_permcore_oracle import CATALOG, LARGE, oracle_closure, seed_sets
 
 
@@ -25,8 +25,8 @@ def oracle_quotient(G, N):
     """(Q, pi): Q on the right cosets N*r, generated by the generators' right
     translations; pi sends N*r_k to the translation j -> N*r_j*r_k^-1."""
     coset_of, reps = pc.coset_partition(G, N)
-    qgens = [Permutation(np.array([int(coset_of[G.id_of(G.elements[r][g])])
-                                   for r in reps], dtype=POINT_DTYPE)).images
+    qgens = [pc._check_bijection(np.array([int(coset_of[G.id_of(G.elements[r][g])])
+                                           for r in reps], dtype=POINT_DTYPE))
              for g in G.elements[G.gen_ids]]
     Q = pc.close_group(np.reshape(qgens, (-1, len(reps))))
     inv = G.inverse_ids()
