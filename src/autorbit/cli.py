@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--base", help="wreath suite: base group spec")
     sp.add_argument("--n", type=int, help="wreath suite: top degree (default 2)")
     sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--samples", type=int, default=0)
+    sp.add_argument("--samples", type=int)
     sp.add_argument("--seed", type=int, help="with --samples N: the draws' seed (default 0)")
     sp.add_argument("--out", help="write the JSON report here as well")
     sp.set_defaults(func=cmd_verify)
@@ -401,22 +401,22 @@ def main(argv=None) -> int:
     if args.time_limit_s is not None and not args.time_limit_s >= 0:  # NaN too
         parser.error("--time-limit-s must be a number >= 0")
     if args.command == "verify":  # a flag the chosen suite or mode would not read is refused
-        if args.samples < 0:
-            parser.error("--samples must not be negative")
-        for flag, given, suites in (("--samples", args.samples, ("pmf", "wreath")),
+        for flag, given, suites in (("--samples", args.samples is not None, ("pmf", "wreath")),
                                     ("--exhaustive", args.exhaustive, ("pmf", "wreath")),
                                     ("--base", args.base is not None, ("wreath",)),
                                     ("--n", args.n is not None, ("wreath",))):
             if given and args.suite not in suites:
                 parser.error(f"{flag} is not read by the {args.suite} suite")
-        if args.suite in ("pmf", "wreath") and args.exhaustive and args.samples:
+        if args.samples is not None and args.samples < 1:
+            parser.error("--samples must be at least 1")
+        if args.exhaustive and args.samples is not None:
             parser.error(f"{args.suite} suite takes --exhaustive or --samples N, not both")
-        if args.seed is not None and not args.samples:
+        if args.seed is not None and args.samples is None:
             parser.error("--seed is read only with --samples N")
         args.seed = args.seed or 0
         args.n = 2 if args.n is None else args.n
     if args.command == "verify" and args.suite == "wreath":
-        if not args.exhaustive and args.samples <= 0:
+        if not args.exhaustive and args.samples is None:
             parser.error("wreath suite needs --exhaustive or --samples N")
         if args.base is None:
             parser.error("wreath suite needs --base")

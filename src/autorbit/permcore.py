@@ -27,7 +27,10 @@ rows grows the base, when a new row shares its key with a distinct one (equal
 base images, or a collision of the wrapped fold); a lookup never moves it.
 A membership test (`ids_of`) confirms each key hit on the full row; a product
 or conjugate of members is a member, so the Cayley table, conjugation maps and
-a quotient's cosets and translations look up its base images alone.
+a quotient's cosets and translations look up its base images alone.  The
+conjugates of all of G are a permutation of G, so their keys are the stored
+ones reordered: one argsort, checked against them, names every conjugate
+(`_RowIndex.locate_all`), where a subset is searched key by key (`locate`).
 A group's ``gen_ids`` are the ids of its kept, irredundant generators, and
 conjugation by an element id is one id map (`FiniteGroup.conjugation_ids`).
 
@@ -236,6 +239,17 @@ class _RowIndex:
         if not np.array_equal(self._keys[at], keys):
             raise GroupError("no stored row has these base images")
         return self._ids[at]
+
+    def locate_all(self, keys: np.ndarray) -> np.ndarray:
+        """`locate` for uint64 keys that are the stored ones reordered: one argsort,
+        checked block by block against them; the ids reuse the keys' memory."""
+        order, step = np.argsort(keys), _BLOCK_CELLS >> 5
+        for lo in range(0, max(len(keys), len(self._keys)), step):  # a length apart too
+            if not np.array_equal(keys[order[lo:lo + step]], self._keys[lo:lo + step]):
+                raise GroupError("the keys are not the stored keys")
+        ids = keys.view(np.int64)
+        ids[order] = self._ids
+        return ids
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Store position of each row, -1 where the row is not stored."""
@@ -458,10 +472,15 @@ class FiniteGroup:
 
     def conjugation_ids(self, c: int, ids: np.ndarray | None = None) -> np.ndarray:
         """Ids of g x g^-1, g the element with id c, for the x in `ids`; by
-        default for every x, in id order.  Only their base images are formed."""
+        default for every x, in id order (`locate_all`).  Only base images are formed."""
         g = self.elements[c]
         cols = np.argsort(g)[self.base]
-        E = self.elements if ids is None else self.elements[np.asarray(ids)]
+        if ids is None:
+            keys = np.empty(self.order, dtype=np.uint64)
+            for rows in self._row_blocks(8 * len(cols), self.order):
+                keys[rows] = self._index._fold(np.take(g, self.elements[rows, cols]))
+            return self._index.locate_all(keys)
+        E = self.elements[np.asarray(ids)]
         out = np.empty(len(E), dtype=np.int64)
         for rows in self._row_blocks(8 * len(cols), len(E)):  # and 8-byte keys, slots, ids
             out[rows] = self._index.locate(g[E[rows][:, cols]])
@@ -582,6 +601,7 @@ def orbits(maps: Iterable[np.ndarray], n: int) -> tuple[list[np.ndarray], np.nda
             np.minimum.at(hooked, label, image)
             while not np.array_equal(label := hooked[hooked], hooked):
                 hooked = label
+        del m, image  # not held while the next map is built
     orbit_of = (np.cumsum(label == np.arange(n)) - 1)[label]  # least points number the orbits
     members = np.argsort(orbit_of, kind="stable")
     return np.split(members, np.cumsum(np.bincount(orbit_of))[:-1]), orbit_of

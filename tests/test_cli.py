@@ -241,6 +241,9 @@ def test_usage_errors(capsys, monkeypatch):
     # a flag that the chosen mode would drop without a word
     for argv, message in (
             (["verify", "pmf", "--seed", "5"], "--seed is read only with --samples N"),
+            (["verify", "pmf", "--samples", "0"], "--samples must be at least 1"),
+            (["verify", "wreath", "--base", "name:sym3", "--samples", "0"],
+             "--samples must be at least 1"),
             (["verify", "pmf", "--exhaustive", "--seed", "0"], "--seed is read only"),
             (["verify", "lemma3", "--seed", "5"], "--seed is read only"),
             (["verify", "wreath", "--base", "name:sym3", "--exhaustive", "--seed", "5"],
@@ -272,7 +275,8 @@ def test_usage_errors(capsys, monkeypatch):
 
 UNREAD_FLAGS = [(suite, flag) for flag, readers in (
     (["--samples", "5"], ("pmf", "wreath")), (["--exhaustive"], ("pmf", "wreath")),
-    (["--base", "name:sym3"], ("wreath",)), (["--n", "3"], ("wreath",)))
+    (["--base", "name:sym3"], ("wreath",)), (["--n", "3"], ("wreath",)),
+    (["--samples", "0"], ("pmf", "wreath")))
     for suite in ("lemma3", "pmf", "wreath", "paper-table", "nonsolvable-bound")
     if suite not in readers]
 

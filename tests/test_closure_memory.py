@@ -72,6 +72,16 @@ def test_classes_peak_the_same_for_any_number_of_generators(name):
         assert peak <= 6 * 8 * G.order
 
 
+def test_classes_of_autpsl34_peak_within_four_key_arrays():
+    # a whole-group map is its keys and their sort order, and each map is
+    # dropped before the next is built
+    G = catalog.resolve("autpsl34")
+    F = FiniteGroup(G.elements, G.base, G.elements[G.gen_ids])
+    table, peak = traced_peak(lambda: conjugacy_classes(F))
+    assert len(table.classes) == 28
+    assert peak <= 4 * 8 * G.order
+
+
 @pytest.mark.parametrize("order", [None, 4])
 def test_close_group_past_a_block_of_points(order):
     # degree 40000: a block of cells holds 26 rows, and a coset batch still a row or more

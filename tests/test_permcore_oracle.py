@@ -5,7 +5,9 @@ one BFS per conjugacy class.  Both sides must give the same element list
 byte for byte, the same class for every element and the same ids; the
 kept generators must each lie outside the closure of the earlier ones.
 The conjugation maps and the Cayley table, which look products up by their
-base images alone, must give the ids that `ids_of` gives the full rows.
+base images alone, must give the ids that `ids_of` gives the full rows;
+a map over the whole group, which sorts its keys, must also give the ids
+that the per-key search gives the same conjugates.
 The row store behind closure and lookup, `_RowIndex`, is checked on its
 own against a Python dict of row bytes, also under folds that make distinct
 base images collide, as the uint64 fold does once it wraps.
@@ -23,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 from autorbit import catalog
 from autorbit.cli import NONSOLVABLE_LIST
 from autorbit.permcore import (POINT_DTYPE, FiniteGroup, GroupError, _RowIndex, close_group,
-                               conjugacy_classes, dimino, lex_order, sweep)
+                               conjugacy_classes, dimino, lex_order, orbits, sweep)
+from test_catalog import _covered
 
 
 def point_row(images):
@@ -277,6 +280,42 @@ def test_locate_raises_on_a_key_not_stored():
     for images in (absent, np.concatenate([G.elements[:, G.base], absent])):
         with pytest.raises(GroupError):
             index.locate(images)
+
+
+WHOLE_GROUP_CASES = [pytest.param(name, id=name) for name in CATALOG + ["autpsl34"]] + [
+    pytest.param(case.id, marks=case.marks, id=case.id) for case in _covered()
+    if case.id not in CATALOG]
+
+
+@pytest.mark.parametrize("name", WHOLE_GROUP_CASES)
+def test_whole_group_maps_match_the_per_row_lookup(name):
+    # a map over all of G sorts its keys (`locate_all`); over the ids 0..|G|-1
+    # given as a subset it searches each key (`locate`)
+    G = catalog.resolve(name)
+    every = np.arange(G.order)
+    per_row = [G.conjugation_ids(c, every) for c in G.gen_ids]
+    for c, expected in zip(G.gen_ids, per_row):
+        assert np.array_equal(G.conjugation_ids(c), expected)
+    assert np.array_equal(conjugacy_classes(G).class_of, orbits(per_row, G.order)[1])
+
+
+@pytest.mark.parametrize("gens", [[point_row([1, 0, 2, 3]), point_row([1, 2, 3, 0])],
+                                  elementary_abelian_2(14)],
+                         ids=["sym4", "c2_14"])  # c2_14: the fold wraps, a hash
+def test_locate_all_takes_the_stored_keys_in_any_order(gens):
+    G = close_group(gens)
+    index, perm = G._index, np.random.default_rng(0).permutation(G.order)
+    keys = index._fold(G.elements[:, G.base])  # the key of id i at i
+    assert np.array_equal(index.locate_all(keys[perm]), perm)
+    changed, repeated = keys.copy(), keys.copy()
+    changed[3] += np.uint64(1)
+    assert changed[3] not in keys
+    repeated[3] = keys[4]
+    for bad in (changed, repeated, keys[:-1], np.concatenate([keys, keys[:1]])):
+        before = bad.copy()
+        with pytest.raises(GroupError, match="the keys are not the stored keys"):
+            index.locate_all(bad)
+        assert np.array_equal(bad, before)  # no partial answer written over the keys
 
 
 @pytest.mark.slow
