@@ -4,7 +4,7 @@ modulo Inn(G) on the Cayley table, with fingerprint pruning; Aut-orbit reports.
 Automorphisms are permutations of element ids (degree = |G|), and Aut(G) is
 a plain FiniteGroup acting on those ids, so orbit, conjugacy-class and
 quotient machinery applies to it unchanged.  Subgroups of G close by `closure`
-on G's Cayley table, Aut(G) by `dimino`; Inn(G) is generated by the id maps
+on G's Cayley table, Aut(G) by `close_group`; Inn(G) is generated by the id maps
 `conjugation_ids` of G's generators, and Aut(G)'s generators are its `gen_ids`.
 """
 
@@ -17,8 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .permcore import (FiniteGroup, GroupError, NotNormal, ResourceLimit, TooLarge,
-                       conjugacy_classes, dimino, orbits, sort_rows, sweep,
-                       validate_automorphism)
+                       close_group, conjugacy_classes, orbits, sweep, validate_automorphism)
 from .reports import encode_value
 
 MAX_AUT_CARRIER = 2000
@@ -165,8 +164,7 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Fin
     order = int(np.array(table.sizes)[table.class_of[survivors[:, gen_ids[0]]]].sum())
     inner = np.array([G.conjugation_ids(c) for c in G.gen_ids], dtype=np.int64)
     rows = np.concatenate([inner.reshape(-1, n), survivors])
-    closed = dimino(rows, order=order)
-    A = FiniteGroup(sort_rows(closed.elements, closed.base), closed.base, rows[closed.kept])
+    A = close_group(rows, order=order)
     _validate_aut_group(G, A)
     return A
 

@@ -223,7 +223,12 @@ def verify_pmf(args) -> VerificationReport:
 
 def verify_wreath(args) -> VerificationReport:
     """Brute-force classes against the bcpc profiles of `profile_labels`:
-    every element (--exhaustive) or seeded pairs (--samples)."""
+    every element (--exhaustive) or seeded pairs (--samples), whose draws
+    must fit DEFAULT_ORBIT_SPACE cells."""
+    draws = 0 if args.exhaustive else 2 * args.samples * (args.n + 1)
+    if draws > wreath.DEFAULT_ORBIT_SPACE:
+        raise TooLarge(f"{args.samples} sampled pairs take {size_text(draws)} draws, "
+                       f"over {wreath.DEFAULT_ORBIT_SPACE}")
     base = resolve_group(args.base, args.max_order)
     wg = wreath.WreathGroup(base, args.n)
     rep = VerificationReport(

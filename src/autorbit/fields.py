@@ -247,9 +247,6 @@ class Field:
             raise FieldError("conjugation needs a field of square order")
         return self.pow(a, self.p ** (self.f // 2))
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def primitive_element(self) -> int:
         """The first element of order q - 1 in the integer encoding."""
         return self._g

@@ -1,15 +1,14 @@
-"""Exact multinomial machinery: the pmf values attached to multisets of
-same-type classes, and the two computer-checked verification sweeps (the
-Lagrange-point grid and the pmf <= max success probability bound).
+"""Exact multinomial machinery: the two computer-checked verification sweeps
+(the Lagrange-point grid and the pmf <= max success probability bound).
 
-Everything is exact: `fractions.Fraction` values, and integers over a common
-denominator in the sweeps (int64 arrays where their bound fits); no floats and
-no tolerances anywhere."""
+Everything is exact: integers over a common denominator (int64 arrays where
+their bound fits) and `fractions.Fraction` values in the reports; no floats
+and no tolerances anywhere."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from typing import Sequence
 
 import numpy as np
@@ -27,24 +26,6 @@ def multinomial_coefficient(counts: Sequence[int]) -> int:
         total += c
         out *= comb(total, c)
     return out
-
-
-def pmf_kernel(numer: Sequence[int], counts: Sequence[int]) -> int:
-    """multinomial(counts) * prod numer_i^counts_i: the pmf at `counts` times
-    d^n when rho_i = numer_i / d.  0^0 = 1, so zero-probability classes with
-    zero count are neutral."""
-    value = multinomial_coefficient(counts)
-    for a, c in zip(numer, counts):
-        value *= a ** c
-    return value
-
-
-def pmf(rho: Sequence[Fraction], counts: Sequence[int]) -> Fraction:
-    """Multinomial pmf at `counts`, over the common denominator of rho."""
-    rho = [Fraction(r) for r in rho]
-    d = lcm(*(r.denominator for r in rho))
-    numer = [r.numerator * (d // r.denominator) for r in rho]
-    return Fraction(pmf_kernel(numer, counts), d ** sum(counts))
 
 
 # -- the Lagrange-point grid ---------------------------------------------------
@@ -135,9 +116,11 @@ _FACTORIALS = np.array([factorial(i) for i in range(PMF_SAMPLE_N + 1)], dtype=np
 
 
 def pmf_kernels(numers: np.ndarray, counts: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """`pmf_kernel` on broadcast rows: coefs * prod numers^counts over the last
-    axis.  The exhaustive mode pairs every numerator row with every count row
-    on int64; the random mode pairs row i with row i on Python ints."""
+    """The pmf at `counts` times d^n when rho = numers / d, on broadcast rows:
+    coefs * prod numers^counts over the last axis, coefs the multinomial
+    coefficients; 0^0 = 1, so zero-probability classes with zero count are
+    neutral.  The exhaustive mode pairs every numerator row with every count
+    row on int64; the random mode pairs row i with row i on Python ints."""
     return coefs * np.prod(numers ** counts, axis=-1)
 
 
@@ -169,8 +152,8 @@ def pmf_bound_check(mode: str = "exhaustive", samples: int = 0, seed: int = 0) -
     (k <= PMF_MAX_K, zero entries allowed) against every count vector with
     1 <= n <= PMF_MAX_N (zeros allowed).  random: the seeded cases of
     `random_pmf_cases` and the same assertion.  Each case is rho = a / d on
-    integers: the pmf is pmf_kernel(a, counts) / d^n, so the bound fails iff
-    pmf_kernel(a, counts) * d > max(a) * d^n.  The exhaustive mode compares on
+    integers: the pmf is the kernel K = `pmf_kernels`(a, counts) over d^n, so
+    the bound fails iff K * d > max(a) * d^n.  The exhaustive mode compares on
     int64 arrays, one (k, d) block at a time; the kernel is at most d^n, so
     neither side exceeds d^(n+1).  The random mode, whose d^(n+1) passes
     2^63, compares a chunk at a time on object arrays of Python ints, the

@@ -17,22 +17,23 @@ Groups are enumerated by one Dimino closure (``dimino``): a generator the
 closure H already holds is dropped, and each kept generator adds the right
 cosets H*r, one BFS level of coset representatives at a time.  A subgroup of
 a finished group closes on ids by the same drop rule (`FiniteGroup.closure`,
-subgroups only): each kept seed runs one `sweep` of right multiplication; a
-normal closure sweeps the seeds' conjugates first, then closes them.  Elements are
-keyed by their images of a base, a point set on which no two elements agree,
-in one sorted index (`_RowIndex`) that backs both the closure and a group's
-`ids_of`.  The key is one uint64, a Horner fold of the base images in radix
-degree|1: exact while radix^|base| < 2^64, a hash past that.  Only storing
-rows grows the base, when a new row shares its key with a distinct one (equal
-base images, or a collision of the wrapped fold); a lookup never moves it.
-A membership test (`ids_of`) confirms each key hit on the full row; a product
-or conjugate of members is a member, so the Cayley table, conjugation maps and
-a quotient's cosets and translations look up its base images alone.  The
-conjugates of all of G are a permutation of G, so their keys are the stored
-ones reordered: one argsort, checked against them, names every conjugate
-(`_RowIndex.locate_all`), where a subset is searched key by key (`locate`).
-A group's ``gen_ids`` are the ids of its kept, irredundant generators, and
-conjugation by an element id is one id map (`FiniteGroup.conjugation_ids`).
+subgroups only): each kept seed runs one `sweep` of right multiplication.
+Elements are keyed by their images of a base, a point set on which no two
+elements agree, in one sorted index (`_RowIndex`) that backs both the closure
+and a group's `ids_of`.  The key is one uint64, a Horner fold of the base
+images in radix degree|1: exact while radix^|base| < 2^64, a hash past that.
+Only storing rows grows the base, when a new row shares its key with a
+distinct one (equal base images, or a collision of the wrapped fold); a
+lookup never moves it.  A membership test (`ids_of`) confirms each key hit on
+the full row; a product or conjugate of members is a member, so the Cayley
+table, conjugation maps and a quotient's cosets and translations form its
+base images alone.  Products and cosets search their keys one by one
+(`_RowIndex.locate`); the conjugates of all of G are a permutation of G, so
+their keys are the stored ones reordered: one argsort, checked against them,
+names every conjugate (`_RowIndex.locate_all`).  A group's ``gen_ids``
+are the ids of its kept, irredundant generators, and conjugation by an
+element id is one id map of the whole group (`FiniteGroup.conjugation_ids`);
+a set is normal iff it is a union of conjugacy classes (`is_normal`).
 
 `cycle_decompose` keeps a row's 1-cycles; cycle strings at the I/O boundary
 use 1-based points, e.g. ``"(1 2)(3 4 5)"``.
@@ -81,10 +82,6 @@ class TooLarge(ResourceLimit):
 
 
 class NotNormal(GroupError):
-    pass
-
-
-class InvalidAutomorphism(GroupError):
     pass
 
 
@@ -470,21 +467,15 @@ class FiniteGroup:
             self._cayley = table
         return self._cayley
 
-    def conjugation_ids(self, c: int, ids: np.ndarray | None = None) -> np.ndarray:
-        """Ids of g x g^-1, g the element with id c, for the x in `ids`; by
-        default for every x, in id order (`locate_all`).  Only base images are formed."""
+    def conjugation_ids(self, c: int) -> np.ndarray:
+        """Ids of g x g^-1, g the element with id c, for every x in id order: only
+        base images are formed, and their keys are the stored ones reordered (`locate_all`)."""
         g = self.elements[c]
         cols = np.argsort(g)[self.base]
-        if ids is None:
-            keys = np.empty(self.order, dtype=np.uint64)
-            for rows in self._row_blocks(8 * len(cols), self.order):
-                keys[rows] = self._index._fold(np.take(g, self.elements[rows, cols]))
-            return self._index.locate_all(keys)
-        E = self.elements[np.asarray(ids)]
-        out = np.empty(len(E), dtype=np.int64)
-        for rows in self._row_blocks(8 * len(cols), len(E)):  # and 8-byte keys, slots, ids
-            out[rows] = self._index.locate(g[E[rows][:, cols]])
-        return out
+        keys = np.empty(self.order, dtype=np.uint64)
+        for rows in self._row_blocks(8 * len(cols), self.order):
+            keys[rows] = self._index._fold(np.take(g, self.elements[rows, cols]))
+        return self._index.locate_all(keys)
 
     def element_orders(self) -> np.ndarray:
         """Each element's order, the lcm of its cycle lengths; int64 holds it,
@@ -535,25 +526,6 @@ class FiniteGroup:
     def subgroup_closure(self, seed_ids: Iterable[int]) -> np.ndarray:
         """Sorted ids of the subgroup generated by the given element ids."""
         return np.flatnonzero(self.closure(seed_ids)[0])
-
-    def conjugates(self, seed_ids: Iterable[int], conjugator_ids: Sequence[int]) -> np.ndarray:
-        """The distinct seed ids, then the other ids of their conjugates under
-        the group the conjugator ids generate, in the order a `sweep` finds them."""
-        seeds = np.array(list(dict.fromkeys(seed_ids)), dtype=np.int64)
-        step = lambda ids: (self.conjugation_ids(c, ids) for c in conjugator_ids)
-        found = [new for _, _, new in sweep(seeds, step, np.zeros(self.order, dtype=bool))]
-        return np.concatenate([seeds] + found)
-
-    def normal_closure(self, seed_ids: Iterable[int],
-                       conjugator_ids: Sequence[int] | None = None) -> np.ndarray:
-        """Smallest subgroup containing the seeds and invariant under conjugation by
-        the given elements (default: the group generators): <their conjugates>."""
-        if conjugator_ids is None:
-            conjugator_ids = self.gen_ids
-        return self.subgroup_closure(self.conjugates(seed_ids, conjugator_ids))
-
-    def derived_subgroup_ids(self) -> np.ndarray:
-        return np.flatnonzero(_commutator_closure(self, self.gen_ids)[0])
 
     def __repr__(self) -> str:
         label = self.name or "group"
@@ -643,33 +615,10 @@ def mcs(G: FiniteGroup) -> int:
     return G.order // max(table.sizes)
 
 
-def _commutator_closure(G: FiniteGroup, gen_ids: Sequence[int]) -> tuple[np.ndarray, list[int]]:
-    """`closure` (mask, kept seeds) of the derived subgroup of <gen_ids>: of the
-    conjugates, under the given ids, of their commutators a b a^-1 b^-1."""
-    E = G.elements
-    comms = [E[a][E[b][np.argsort(E[a])[np.argsort(E[b])]]] for a in gen_ids for b in gen_ids]
-    return G.closure(G.conjugates(G.ids_of(np.reshape(comms, (-1, G.degree))), gen_ids))
-
-
-def derived_series(G: FiniteGroup) -> list[np.ndarray]:
-    """Successive commutator subgroups (as id sets) until stabilization, each closed once."""
-    series, gen_ids = [np.arange(G.order, dtype=np.int64)], G.gen_ids
-    while series[-1].size > 1:
-        inside, gen_ids = _commutator_closure(G, gen_ids)
-        if np.count_nonzero(inside) == series[-1].size:
-            break
-        series.append(np.flatnonzero(inside))
-    return series
-
-
-def is_solvable(G: FiniteGroup) -> bool:
-    return derived_series(G)[-1].size == 1
-
-
 def is_normal(G: FiniteGroup, subgroup_ids: np.ndarray) -> bool:
-    sub_ids = np.sort(np.asarray(subgroup_ids))
-    return all(np.array_equal(np.sort(G.conjugation_ids(c, sub_ids)), sub_ids)
-               for c in G.gen_ids)
+    """Whether the set of these ids is a union of conjugacy classes."""
+    class_of, sub = conjugacy_classes(G).class_of, np.unique(subgroup_ids)
+    return np.count_nonzero(np.isin(class_of, class_of[sub])) == sub.size
 
 
 def coset_partition(G: FiniteGroup, subgroup_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -719,19 +668,6 @@ def validate_automorphism(G: FiniteGroup, phi: np.ndarray) -> bool:
         return False
     return all(np.array_equal(phi[G.ids_of(E[g][E])], G.ids_of(E[phi[g]][E[phi]]))
                for g in G.gen_ids)
-
-
-def is_characteristic(G: FiniteGroup, subgroup_ids: np.ndarray,
-                      aut_gens: Sequence[np.ndarray]) -> bool:
-    """True iff every given automorphism (validated) maps the subgroup onto
-    itself."""
-    sub = set(int(x) for x in np.asarray(subgroup_ids))
-    for phi in aut_gens:
-        if not validate_automorphism(G, phi):
-            raise InvalidAutomorphism("map does not preserve the multiplication table")
-        if set(np.asarray(phi)[np.asarray(subgroup_ids)].tolist()) != sub:
-            return False
-    return True
 
 
 # -- group spec files ----------------------------------------------------

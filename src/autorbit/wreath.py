@@ -1,6 +1,7 @@
-"""Wreath products G wr T for T <= Sym_n: element arithmetic, backward cycle
-product profiles, the combinatorial conjugacy test with its brute-force
-oracle, and the large-orbit construction over Aut(S) with a p-cycle top.
+"""Wreath products G wr T for T <= Sym_n on packed codes: conjugation sweeps,
+the classes, backward cycle product profiles, the combinatorial conjugacy
+test with its brute-force oracle, and the large-orbit construction over
+Aut(S) with a p-cycle top.
 
 Multiplication law, matching the composition convention of `permcore`:
 (g, sigma)(h, upsilon) = ((g_i * h_{sigma^-1(i)})_i, sigma*upsilon); the
@@ -61,10 +62,8 @@ class BcpcProfile:
 
 class WreathGroup:
     """base wr top; `top`, given by its generator rows (k, n), defaults to the
-    full symmetric group of degree n.
-
-    Element arithmetic is lookups in the base Cayley table, built on first
-    use, and in the top group's ids."""
+    full symmetric group of degree n.  Products of base entries are lookups in
+    the base Cayley table, built on first use."""
 
     def __init__(self, base: FiniteGroup, n: int, top: np.ndarray | None = None):
         self.base = base
@@ -85,46 +84,11 @@ class WreathGroup:
     def order(self) -> int:
         return self.base.order ** self.n * self.top.order
 
-    def identity(self) -> WreathElement:
-        return WreathElement((0,) * self.n, 0)
-
     def element(self, base_ids: Sequence[int], top) -> WreathElement:
         """The element with these base ids and top, an image row of the top group."""
         if len(base_ids) != self.n:
             raise ShapeMismatch(f"expected {self.n} base entries")
         return WreathElement(tuple(int(b) for b in base_ids), self.top.id_of(top))
-
-    def random_element(self, rng) -> WreathElement:
-        base = tuple(int(rng.integers(self.base.order)) for _ in range(self.n))
-        return WreathElement(base, int(rng.integers(self.top.order)))
-
-    # -- arithmetic ------------------------------------------------------
-
-    def mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
-        tinv = self.top.elements[self.top.inverse_ids()[a.top]]
-        base = tuple(int(self.T[a.base[i], b.base[tinv[i]]]) for i in range(self.n))
-        return WreathElement(base, self.top.mul_ids(a.top, b.top))
-
-    def inv(self, a: WreathElement) -> WreathElement:
-        t = self.top.elements[a.top]
-        base = tuple(int(self.base_inv[a.base[t[j]]]) for j in range(self.n))
-        return WreathElement(base, int(self.top.inverse_ids()[a.top]))
-
-    def conj(self, a: WreathElement, b: WreathElement) -> WreathElement:
-        """b * a * b^-1."""
-        return self.mul(self.mul(b, a), self.inv(b))
-
-    def power(self, a: WreathElement, k: int) -> WreathElement:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        result = self.identity()
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
 
     # -- packed enumeration ----------------------------------------------
 
@@ -133,14 +97,6 @@ class WreathGroup:
         for b in w.base:
             code = code * self.base.order + int(b)
         return code * self.top.order + w.top
-
-    def unpack(self, code: int) -> WreathElement:
-        code, t = divmod(int(code), self.top.order)
-        base = []
-        for _ in range(self.n):
-            code, b = divmod(code, self.base.order)
-            base.append(b)
-        return WreathElement(tuple(reversed(base)), t)
 
     def _pack_arrays(self, B: np.ndarray, t: np.ndarray) -> np.ndarray:
         code = np.zeros(t.size, dtype=np.int64)
@@ -235,8 +191,8 @@ class WreathGroup:
         return self._enum_classes
 
     def random_codes(self, rng, count: int) -> np.ndarray:
-        """Packed codes of `count` elements drawn as `random_element` draws
-        them (n base ids, then a top id), without building the elements."""
+        """Packed codes of `count` uniform elements, each drawn as n base ids,
+        then a top id."""
         highs = np.tile([self.base.order] * self.n + [self.top.order], count)
         draws = rng.integers(highs).reshape(count, self.n + 1).T
         return self._pack_arrays(draws[:-1], draws[-1])

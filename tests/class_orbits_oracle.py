@@ -5,6 +5,7 @@ own classes by Aut(S)'s generators and closes no Aut(S)."""
 import numpy as np
 
 from autorbit.permcore import FiniteGroup, NotNormal, orbits
+from subgroup_oracle import conjugation_ids
 
 
 def class_orbits(A: FiniteGroup, ids: np.ndarray) -> list[int]:
@@ -12,7 +13,7 @@ def class_orbits(A: FiniteGroup, ids: np.ndarray) -> list[int]:
     sorted ids under conjugation by A: the classes of A inside G.  For
     S <= G <= A = Aut(S), S simple, Aut(G) is N_A(G) = A acting by
     conjugation, so these are the Aut(G)-orbits on G."""
-    images = [A.conjugation_ids(c, ids) for c in A.gen_ids]
+    images = [conjugation_ids(A, c, ids) for c in A.gen_ids]
     if not all(np.array_equal(np.sort(m), ids) for m in images):
         raise NotNormal("the subgroup is not normal in Aut(S)")
     maps = (np.searchsorted(ids, m) for m in images)

@@ -1,15 +1,38 @@
-"""The orbit-proportion product bound over the wreath profiles, kept as a test
-oracle: r(M) of one type's class multiset is the multinomial pmf of its counts
-under the classes' per-coset proportions rho, and the product of r over the
-(cycle length, type) pairs of an element bounds its orbit proportion in any
-admissible overgroup of the socle power."""
+"""The multinomial pmf in `Fraction` arithmetic and the orbit-proportion
+product bound over the wreath profiles, kept as test oracles: `pmf_kernel` is
+the scalar reference of `multinomial.pmf_kernels`; r(M) of one type's class
+multiset is the multinomial pmf of its counts under the classes' per-coset
+proportions rho, and the product of r over the (cycle length, type) pairs of
+an element bounds its orbit proportion in any admissible overgroup of the
+socle power."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
-from autorbit.multinomial import BadComposition, pmf
+from autorbit.multinomial import BadComposition, multinomial_coefficient
 from autorbit.stypes import ClassTypeTable
 from autorbit.wreath import WreathElement, WreathGroup, profile
+from stypes_oracle import classes_of_type
+
+
+def pmf_kernel(numer: Sequence[int], counts: Sequence[int]) -> int:
+    """multinomial(counts) * prod numer_i^counts_i: the pmf at `counts` times
+    d^n when rho_i = numer_i / d.  0^0 = 1, so zero-probability classes with
+    zero count are neutral."""
+    value = multinomial_coefficient(counts)
+    for a, c in zip(numer, counts):
+        value *= a ** c
+    return value
+
+
+def pmf(rho: Sequence[Fraction], counts: Sequence[int]) -> Fraction:
+    """Multinomial pmf at `counts`, over the common denominator of rho."""
+    rho = [Fraction(r) for r in rho]
+    d = lcm(*(r.denominator for r in rho))
+    numer = [r.numerator * (d // r.denominator) for r in rho]
+    return Fraction(pmf_kernel(numer, counts), d ** sum(counts))
 
 
 @dataclass
@@ -47,7 +70,7 @@ def orbit_upper_bound(wg: WreathGroup, w: WreathElement,
     prof = profile(wg, w, typing=typing)
     bound = Fraction(1)
     for (_, tau), multiset in sorted(prof.by_length_and_type.items()):
-        class_ids = typing.classes_of_type(tau)
+        class_ids = classes_of_type(typing, tau)
         counts = [sum(1 for c in multiset if c == cid) for cid in class_ids]
         dist = TypeDistribution(tau, class_ids, [typing.rho[c] for c in class_ids], counts)
         bound *= r_value(dist)

@@ -12,7 +12,10 @@ import pytest
 
 from autorbit import catalog, multinomial as mn, permcore as pc, stypes as st, wreath as wr
 from autorbit.autgrp import automorphism_group, inner_automorphism_ids, maol
-from multinomial_oracle import orbit_upper_bound
+import wreath_oracle as wo
+from multinomial_oracle import orbit_upper_bound, pmf
+from stypes_oracle import coarse_quotient, ct_power_check, ct_set, h_value_direct
+from subgroup_oracle import derived_series, derived_subgroup, is_characteristic, is_solvable
 
 
 @contextmanager
@@ -61,7 +64,7 @@ def test_c1_h_alt6(alt6_pack):
     with criterion("criterion-1 h(Alt_6) = 2/3"):
         A, socle = alt6_pack
         h = st.h_value(A, socle)
-        assert h == st.h_value_direct(A, socle) == Fraction(2, 3)
+        assert h == h_value_direct(A, socle) == Fraction(2, 3)
         # Out(Alt_6) is abelian, so each S-type is a single coset and
         # rho(c) = |c| / 360.  The largest class has 1440 / MCS = 240
         # elements (the odd permutations of cycle types (3,2) and (6),
@@ -120,7 +123,7 @@ def test_c3_exhaustive_s3_wr_s3():
         codes = wg.class_codes()
         keys = {}
         for code in range(wg.order):
-            el = wg.unpack(code)
+            el = wo.unpack(wg, code)
             k = (pc.cycle_type(wg.top.elements[el.top]),
                  tuple(sorted(wr.profile(wg, el).by_length.items())))
             keys.setdefault(k, []).append(code)
@@ -137,7 +140,7 @@ def test_c3_sampled_s3_wr_s4():
         rng = np.random.default_rng(2024)
         disagreements = 0
         for _ in range(10_000):
-            v, w = wg.random_element(rng), wg.random_element(rng)
+            v, w = wo.random_element(wg, rng), wo.random_element(wg, rng)
             if wr.conj_test(wg, v, w) != wr.brute_force_conj(wg, v, w):
                 disagreements += 1
         assert disagreements == 0
@@ -162,7 +165,7 @@ def test_c5_pmf_exhaustive():
     with criterion("criterion-5 pmf <= max rho, exhaustive grid, zero violations"):
         report = mn.pmf_bound_check("exhaustive")
         assert report["violations"] == []
-        assert mn.pmf((Fraction(1, 2), Fraction(1, 2)), (1, 1)) == Fraction(1, 2)
+        assert pmf((Fraction(1, 2), Fraction(1, 2)), (1, 1)) == Fraction(1, 2)
 
 
 # -- criterion 6: orbit-proportion dominance over Aut(Alt_5) wr Sym_2 -----------
@@ -175,7 +178,7 @@ def test_c6_dominance_full_sweep(alt5_aut, alt5_typing):
         sizes = np.bincount(codes)
         cache = {}
         for code in range(H.order):
-            w = H.unpack(code)
+            w = wo.unpack(H, code)
             prof = wr.profile(H, w, typing=alt5_typing)
             key = tuple(sorted(prof.by_length_and_type.items()))
             bound = cache.get(key)
@@ -228,9 +231,9 @@ def test_c8_quotient_orders():
 
 def _named_subgroup(G, kind):
     if kind == "derived":
-        return G.derived_subgroup_ids()
+        return derived_subgroup(G)
     if kind == "second-derived":
-        return pc.derived_series(G)[2]
+        return derived_series(G)[2]
     if kind == "center":
         return G.center_ids()
     if kind == "squares":
@@ -254,7 +257,7 @@ def test_c8_maol_monotone_on_characteristic_quotients():
             G = catalog.resolve(name)
             N = _named_subgroup(G, kind)
             A = automorphism_group(G)
-            assert pc.is_characteristic(G, N, A.elements[A.gen_ids])
+            assert is_characteristic(G, N, A.elements[A.gen_ids])
             Q = pc.quotient_group(G, N).group
             maol_g = maol(G, A).maol
             maol_q = maol(Q, automorphism_group(Q)).maol
@@ -284,21 +287,21 @@ def test_c8_ct_orbit_constancy_and_power_rule(alt5, alt5_aut):
     with criterion("criterion-8 CT constant on orbits; power rule on seeded samples"):
         A = alt5_aut
         socle = inner_automorphism_ids(alt5, A)
-        coarse = st.coarse_quotient(A, socle, socle_ids=socle)
+        coarse = coarse_quotient(A, socle, socle_ids=socle)
         wg = wr.WreathGroup(A, 2)
         rng = np.random.default_rng(99)
         for _ in range(200):
-            w = wg.random_element(rng)
-            k = wg.random_element(rng)
-            assert st.ct_set(wg, w, coarse) == st.ct_set(wg, wg.conj(w, k), coarse)
+            w = wo.random_element(wg, rng)
+            k = wo.random_element(wg, rng)
+            assert ct_set(wg, w, coarse) == ct_set(wg, wo.conj(wg, w, k), coarse)
         wg3 = wr.WreathGroup(A, 3)
         checked = 0
         while checked < 1000:
-            w = wg3.random_element(rng)
+            w = wo.random_element(wg3, rng)
             k = int(rng.integers(1, 30))
             if gcd(k, int(wg3.top.element_orders()[w.top])) != 1:
                 continue
-            assert st.ct_power_check(wg3, w, k, coarse)
+            assert ct_power_check(wg3, w, k, coarse)
             checked += 1
 
 
@@ -318,6 +321,6 @@ def test_c9_nonsolvable_bound(name, alt5, alt5_aut, alt6, alt6_aut, psl28, psl28
             G = catalog.resolve(name)
             A = automorphism_group(G)
         m = maol(G, A).maol
-        assert not pc.is_solvable(G)
+        assert not is_solvable(G)
         assert m <= Fraction(3, 7)
         assert m <= Fraction(18, 19)

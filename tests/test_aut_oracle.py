@@ -32,8 +32,9 @@ from autorbit.autgrp import (_fingerprint_labels, automorphism_group, fused_clas
 from autorbit.catalog import projective_order
 from autorbit.cli import NONSOLVABLE_LIST
 from autorbit.permcore import POINT_DTYPE, GroupError, close_group, conjugacy_classes, dimino
-from autorbit.stypes import class_type_table, h_value, h_value_direct
+from autorbit.stypes import class_type_table, h_value
 from class_orbits_oracle import class_orbits
+from stypes_oracle import h_value_direct
 
 
 def encode_rows(mat):

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import autorbit
-from autorbit import autgrp, catalog, cli, permcore, wreath
+from autorbit import catalog, cli, permcore, wreath
 from autorbit.autgrp import automorphism_group, maol
 from autorbit.permcore import DEFAULT_CLOSURE_LIMIT, MAX_DEGREE, FiniteGroup
 from autorbit.reports import ReportItem, VerificationReport, encode_value
+import wreath_oracle as wo
 
 
 def run_cli(capsys, *argv):
@@ -215,12 +216,28 @@ def test_verify_wreath_sampled_lists_disagreeing_pairs(capsys, true_class_codes)
     rng = np.random.default_rng(4)
     expected = []
     for _ in range(300):
-        v, w = wg.random_element(rng), wg.random_element(rng)
+        v, w = wo.random_element(wg, rng), wo.random_element(wg, rng)
         pv, pw = wg.pack(v), wg.pack(w)
         if wreath.conj_test(wg, v, w) != (merged[pv] == merged[pw]):
             expected.append({"v": pv, "w": pw})
     assert expected
     assert item["computed"] == expected
+
+
+def test_verify_wreath_refuses_samples_past_the_orbit_space(capsys):
+    # 2 * 10^12 draws of n + 1 = 5 ids each: refused before a draw is made,
+    # where numpy once failed to allocate 72.8 TiB; one pair past the bound too
+    src = str(Path(autorbit.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "autorbit.cli", "verify", "wreath", "--base", "name:sym3",
+            "--n", "4", "--samples"]
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(argv + ["1000000000000"], env=env, capture_output=True, text=True)
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr.startswith("resource limit:") and "Traceback" not in run.stderr
+    assert wreath.DEFAULT_ORBIT_SPACE // 10 == 6_400_000
+    code, out, err = run_cli(capsys, "verify", "wreath", "--base", "name:cyclic1", "--n", "4",
+                             "--samples", "6400001")
+    assert code == 3 and out == "" and err.startswith("resource limit:")
 
 
 def test_usage_errors(capsys, monkeypatch):
@@ -389,7 +406,7 @@ def test_file_groups_keep_the_search(tmp_path, capsys, monkeypatch):
 
 def closed_orders(monkeypatch) -> list[int]:
     """The order of each group closed from then on, in closing order: the
-    closures of `close_group` and of the Aut search, both by `dimino`."""
+    closures by `dimino`, which every `close_group` runs, the Aut search's too."""
     orders, real = [], permcore.dimino
 
     def counting(*args, **kwargs):
@@ -397,8 +414,7 @@ def closed_orders(monkeypatch) -> list[int]:
         orders.append(len(closed.elements))
         return closed
 
-    for module in (permcore, autgrp):
-        monkeypatch.setattr(module, "dimino", counting)
+    monkeypatch.setattr(permcore, "dimino", counting)
     return orders
 
 

@@ -12,6 +12,8 @@ from autorbit.autgrp import automorphism_group, inner_automorphism_ids, maol
 from autorbit.catalog import projective_perms, projective_points, sl_generators, _diag
 from autorbit.fields import make_field
 from autorbit.permcore import close_group
+from stypes_oracle import h_value_direct
+from subgroup_oracle import derived_subgroup
 
 
 def build_pgammal_2_9():
@@ -41,10 +43,10 @@ def test_aut_alt6_against_geometric_model(alt6, alt6_aut):
     assert sizes_geo == sizes_search
     assert pc.mcs(geo) == pc.mcs(searched) == 6
 
-    socle_geo = geo.derived_subgroup_ids()  # PSL_2(9) = Alt_6
+    socle_geo = derived_subgroup(geo)  # PSL_2(9) = Alt_6
     assert socle_geo.size == 360
     h_geo = st.h_value(geo, socle_geo)
-    h_geo_direct = st.h_value_direct(geo, socle_geo)
+    h_geo_direct = h_value_direct(geo, socle_geo)
     socle_search = inner_automorphism_ids(alt6, alt6_aut)
     h_search = st.h_value(searched, socle_search)
     assert h_geo == h_geo_direct == h_search == Fraction(2, 3)

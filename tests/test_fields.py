@@ -41,7 +41,7 @@ def test_errors():
                                  (2, 3), (3, 2), (2, 4)])
 def test_field_axioms_exhaustive(p, f):
     F = make_field(p, f)
-    els = list(F.elements())
+    els = list(range(F.q))
     for a in els:
         assert F.add(a, 0) == a and F.mul(a, 1) == a
         if a:
@@ -67,12 +67,12 @@ def test_field_axioms_sampled(p, f):
 
 def test_frobenius_and_conjugation():
     F16 = make_field(2, 4)
-    for a in F16.elements():
+    for a in range(F16.q):
         assert F16.frobenius(a) == F16.mul(a, a)
         assert F16.conj(F16.conj(a)) == a  # involution on a square-order field
     F9 = make_field(3, 2)
     # conj fixes exactly the prime subfield F_3
-    fixed = [a for a in F9.elements() if F9.conj(a) == a]
+    fixed = [a for a in range(F9.q) if F9.conj(a) == a]
     assert len(fixed) == 3
 
 

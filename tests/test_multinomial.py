@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from autorbit import multinomial as mn, permcore as pc, wreath as wr
-from autorbit.multinomial import (BadComposition, lemma3_candidate_value, pmf,
+from autorbit.multinomial import (BadComposition, lemma3_candidate_value,
                                   verify_lemma3_grids, pmf_bound_check)
 from autorbit.reports import encode_value
-from multinomial_oracle import TypeDistribution, orbit_upper_bound, r_value
+import wreath_oracle as wo
+from multinomial_oracle import TypeDistribution, orbit_upper_bound, pmf, pmf_kernel, r_value
 
 
 def test_r_value_basics():
@@ -197,12 +198,12 @@ def test_pmf_kernels_match_pmf_kernel():
         coefs = np.array([mn.multinomial_coefficient(cv) for cv in counts], dtype=np.int64)
         table = mn.pmf_kernels(np.array(numers, dtype=np.int64).reshape(-1, 1, k),
                                np.array(counts, dtype=np.int64), coefs)
-        assert table.tolist() == [[mn.pmf_kernel(a, cv) for cv in counts] for a in numers]
+        assert table.tolist() == [[pmf_kernel(a, cv) for cv in counts] for a in numers]
     # row against row on Python ints, past int64: 60^12 > 2^63
     numers, counts = [[60, 0], [59, 1], [0, 0]], [[12, 0], [6, 6], [0, 0]]
     coefs = np.array([mn.multinomial_coefficient(cv) for cv in counts], dtype=object)
     kernels = mn.pmf_kernels(np.array(numers, dtype=object), np.array(counts), coefs)
-    assert kernels.tolist() == [mn.pmf_kernel(a, cv) for a, cv in zip(numers, counts)]
+    assert kernels.tolist() == [pmf_kernel(a, cv) for a, cv in zip(numers, counts)]
     assert kernels.tolist()[0] == 60 ** 12
 
 
@@ -329,6 +330,6 @@ def test_orbit_upper_bound_dominates_sampled(alt5_aut, alt5_typing):
     sizes = np.bincount(codes)
     rng = np.random.default_rng(44)
     for code in rng.integers(wg.order, size=400):
-        w = wg.unpack(int(code))
+        w = wo.unpack(wg, int(code))
         prop = Fraction(int(sizes[codes[code]]), wg.order)
         assert prop <= orbit_upper_bound(wg, w, alt5_typing)

@@ -6,14 +6,15 @@ byte for byte, the same class for every element and the same ids; the
 kept generators must each lie outside the closure of the earlier ones.
 The conjugation maps and the Cayley table, which look products up by their
 base images alone, must give the ids that `ids_of` gives the full rows;
-a map over the whole group, which sorts its keys, must also give the ids
-that the per-key search gives the same conjugates.
+a map over the whole group sorts its keys, and its classes must be the
+orbits of the full-row maps.
 The row store behind closure and lookup, `_RowIndex`, is checked on its
 own against a Python dict of row bytes, also under folds that make distinct
 base images collide, as the uint64 fold does once it wraps.
 Subgroup closures, a `sweep` on ids inside the finished group, are checked
 against the route they replaced: a `dimino` closure of the seeds' rows,
-looked up by `ids_of`, which keeps the same seeds by the same rule, and
+looked up by `ids_of` (`subgroup_oracle.closure`), which keeps the same
+seeds by the same rule, and
 the closure that swept all of H under every kept seed, not H*s minus H."""
 
 import itertools
@@ -26,6 +27,7 @@ from autorbit import catalog
 from autorbit.cli import NONSOLVABLE_LIST
 from autorbit.permcore import (POINT_DTYPE, FiniteGroup, GroupError, _RowIndex, close_group,
                                conjugacy_classes, dimino, lex_order, orbits, sweep)
+from subgroup_oracle import closure as oracle_closure, conjugation_ids as oracle_conjugation_ids
 from test_catalog import _covered
 
 
@@ -138,9 +140,7 @@ def test_catalog_matches_oracle(name):
 
 def assert_conjugation_matches_full_rows(G):
     for c in G.gen_ids:
-        g = G.elements[c]
-        full = g[np.take(G.elements, np.argsort(g), axis=1)]  # rows of g x g^-1
-        assert np.array_equal(G.conjugation_ids(c), G.ids_of(full))
+        assert np.array_equal(G.conjugation_ids(c), oracle_conjugation_ids(G, c))
 
 
 @pytest.mark.parametrize("name", CATALOG + ["pgl(3,4)", "pgl(4,2)"])
@@ -160,13 +160,6 @@ def test_cayley_matches_full_rows(name):
     E = G.elements
     full = np.take(E, E, axis=1).reshape(-1, G.degree)  # row i * n + j: E[i] * E[j]
     assert np.array_equal(G.cayley(), G.ids_of(full).reshape(G.order, G.order))
-
-
-def oracle_closure(G, seed_ids):
-    """<seeds> by a `dimino` closure of their rows: its sorted ids, and the kept seeds."""
-    seeds = [int(s) for s in seed_ids]
-    closed = dimino(G.elements[seeds])
-    return np.sort(G.ids_of(closed.elements)), [seeds[k] for k in closed.kept]
 
 
 def seed_sets(G, pairs=20):
@@ -289,11 +282,10 @@ WHOLE_GROUP_CASES = [pytest.param(name, id=name) for name in CATALOG + ["autpsl3
 
 @pytest.mark.parametrize("name", WHOLE_GROUP_CASES)
 def test_whole_group_maps_match_the_per_row_lookup(name):
-    # a map over all of G sorts its keys (`locate_all`); over the ids 0..|G|-1
-    # given as a subset it searches each key (`locate`)
+    # a map over all of G sorts its keys (`locate_all`); `ids_of` confirms
+    # each full row, so the reference does not share the key path
     G = catalog.resolve(name)
-    every = np.arange(G.order)
-    per_row = [G.conjugation_ids(c, every) for c in G.gen_ids]
+    per_row = [oracle_conjugation_ids(G, c) for c in G.gen_ids]
     for c, expected in zip(G.gen_ids, per_row):
         assert np.array_equal(G.conjugation_ids(c), expected)
     assert np.array_equal(conjugacy_classes(G).class_of, orbits(per_row, G.order)[1])

@@ -1,14 +1,15 @@
-"""`permcore.quotient_group`, `coset_partition` and `FiniteGroup.normal_closure`
-against the routines they replaced, kept here as oracles: the quotient
-generators found by one scalar lookup per representative and generator, the
-projection built from the whole group's inverse table and m^2 scalar
-products, the cosets looked up by one full-row `ids_of` each, and the normal
-closure that conjugates by id maps of the whole group and re-closes by
-`dimino` until it stops growing.  Both sides must give the same quotient
-elements, quotient generators and projection, the same coset labels and
-representatives, and the same normal closures and derived series.  The
-derived series closes each term once: the seeds its closure keeps generate
-the term alone."""
+"""`permcore.quotient_group`, `coset_partition` and `is_normal` against the
+routines they replaced or an independent route, kept here as oracles: the
+quotient generators found by one scalar lookup per representative and
+generator, the projection built from the whole group's inverse table and m^2
+scalar products, and the cosets looked up by one full-row `ids_of` each.  Both
+sides must give the same quotient elements, quotient generators and
+projection, and the same coset labels and representatives.  The normal
+subgroups come from `subgroup_oracle`: `is_normal`, which reads the class
+table, must accept each normal closure there and refuse every subgroup that is
+not its own normal closure.  `FiniteGroup.closure` of the conjugates of a
+derived term's commutators must close to the next term, and the seeds it
+keeps must generate that term alone."""
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from autorbit import permcore as pc
 from autorbit import stypes as st
 from autorbit.autgrp import automorphism_group, inner_automorphism_ids
 from autorbit.permcore import POINT_DTYPE, GroupError
-from test_permcore_oracle import CATALOG, LARGE, oracle_closure, seed_sets
+from stypes_oracle import coarse_quotient
+from subgroup_oracle import closure, derived_series, derived_subgroup, normal_closure
+from test_permcore_oracle import CATALOG, LARGE, seed_sets
 
 
 def oracle_quotient(G, N):
@@ -55,37 +58,6 @@ def oracle_coset_partition(G, N):
     return coset_of, reps
 
 
-def oracle_normal_closure(G, seed_ids, conjugator_ids=None):
-    """Closure under id maps x -> c x c^-1 built on the whole group."""
-    if conjugator_ids is None:
-        conjugator_ids = G.gen_ids
-    maps = []
-    for c in conjugator_ids:
-        ci, cinv = G.elements[c], np.argsort(G.elements[c])
-        maps.append(G.ids_of(ci[G.elements[:, cinv]]))
-    sub = oracle_closure(G, seed_ids)[0]
-    while True:
-        grown = np.unique(np.concatenate([sub] + [m[sub] for m in maps]))
-        if grown.size == sub.size:
-            return sub
-        sub = oracle_closure(G, grown)[0]
-
-
-def oracle_derived_series(G):
-    """Commutators by scalar products on the inverse table, then the
-    whole-group-map normal closure, level by level."""
-    series, gen_ids, inv = [np.arange(G.order, dtype=np.int64)], G.gen_ids, G.inverse_ids()
-    while series[-1].size > 1:
-        comms = [G.mul_ids(G.mul_ids(G.mul_ids(a, b), int(inv[a])), int(inv[b]))
-                 for a in gen_ids for b in gen_ids]
-        nxt = oracle_normal_closure(G, comms, gen_ids)
-        if nxt.size == series[-1].size:
-            break
-        series.append(nxt)
-        gen_ids = [int(nxt[k]) for k in pc.dimino(G.elements[nxt]).kept]
-    return series
-
-
 def assert_same_quotient(Q, pi, G, N):
     ref_Q, ref_pi = oracle_quotient(G, N)
     assert np.array_equal(Q.elements, ref_Q.elements)
@@ -105,13 +77,13 @@ def test_out_quotient_matches_oracle(name):
 
 def test_coarse_quotient_matches_oracle(alt5, alt5_aut):
     socle = inner_automorphism_ids(alt5, alt5_aut)
-    coarse = st.coarse_quotient(alt5_aut, socle, socle_ids=socle)
+    coarse = coarse_quotient(alt5_aut, socle, socle_ids=socle)
     assert_same_quotient(coarse.quotient, coarse.pi, alt5_aut, socle)
 
 
 SUBGROUPS = {
-    "derived": lambda G: G.derived_subgroup_ids(),
-    "second-derived": lambda G: pc.derived_series(G)[2],
+    "derived": derived_subgroup,
+    "second-derived": lambda G: derived_series(G)[2],
     "center": lambda G: G.center_ids(),
     "squares": lambda G: G.subgroup_closure([G.mul_ids(i, i) for i in range(G.order)]),
     "trivial": lambda G: np.array([0]),
@@ -142,7 +114,7 @@ def test_a_class_and_the_identity_make_a_quotient_or_are_refused(name):
     sizes = []
     for cls in pc.conjugacy_classes(G).classes[1:]:
         N = np.sort(np.concatenate([[0], cls]))
-        if oracle_closure(G, N)[0].size == N.size:
+        if closure(G, N)[0].size == N.size:
             Q, pi = pc.quotient_group(G, N)
             assert Q.order * N.size == G.order
             assert_same_quotient(Q, pi, G, N)
@@ -154,7 +126,7 @@ def test_a_class_and_the_identity_make_a_quotient_or_are_refused(name):
 
 
 COSET_SUBGROUPS = {  # normal ones, and a point stabilizer whose right and left cosets differ
-    "derived": lambda G: G.derived_subgroup_ids(),
+    "derived": derived_subgroup,
     "center": lambda G: G.center_ids(),
     "trivial": lambda G: np.array([0]),
     "whole": lambda G: np.arange(G.order),
@@ -182,11 +154,12 @@ def test_coset_partition_of_aut_psl34_by_its_socle_matches_full_rows(aut_psl34, 
 
 
 def assert_normal_closures_match_oracle(G):
+    # a union of classes: each normal closure is one, and a subgroup closure
+    # is one iff it is its own normal closure
     for seeds in seed_sets(G):
-        assert np.array_equal(G.normal_closure(seeds), oracle_normal_closure(G, seeds))
-    some = G.gen_ids[:1]
-    for seeds in seed_sets(G, pairs=5):
-        assert np.array_equal(G.normal_closure(seeds, some), oracle_normal_closure(G, seeds, some))
+        N, H = normal_closure(G, seeds), G.subgroup_closure(seeds)
+        assert pc.is_normal(G, N)
+        assert pc.is_normal(G, H) == np.array_equal(H, N)
 
 
 @pytest.mark.parametrize("name", [name for name in CATALOG if name not in LARGE])
@@ -201,63 +174,60 @@ def test_large_normal_closures_match_oracle(name):
 
 
 def test_conjugation_of_given_ids_is_the_whole_map_restricted():
+    # the whole-group map at the given ids is the full-row lookup of their conjugates
     G = catalog.resolve("pgl(2,7)")
     ids = np.array([0, 5, 17, 100, 335, 5])
     for c in G.gen_ids:
-        assert np.array_equal(G.conjugation_ids(c, ids), G.conjugation_ids(c)[ids])
+        g = G.elements[c]
+        full = np.take(g, G.elements[ids][:, np.argsort(g)])  # rows of g x g^-1
+        assert np.array_equal(G.conjugation_ids(c)[ids], G.ids_of(full))
+
+
+def commutator_conjugates(G, gen_ids):
+    """The distinct commutators a b a^-1 b^-1 of the given ids, then the other
+    ids of their conjugates under the group those ids generate, in the order a
+    `sweep` by the ids' whole-group conjugation maps finds them."""
+    E = G.elements
+    comms = [E[a][E[b][np.argsort(E[a])[np.argsort(E[b])]]] for a in gen_ids for b in gen_ids]
+    seeds = np.array(list(dict.fromkeys(G.ids_of(np.reshape(comms, (-1, G.degree))).tolist())))
+    maps = [G.conjugation_ids(c) for c in gen_ids]
+    step = lambda frontier: (m[frontier] for m in maps)
+    found = [new for _, _, new in pc.sweep(seeds, step, np.zeros(G.order, dtype=bool))]
+    return np.concatenate([seeds] + found)
+
+
+def closure_derived_series(G):
+    """Successive commutator subgroups (sorted id arrays) until they stop
+    shrinking, each the `FiniteGroup.closure` of the conjugates of its
+    predecessor's kept seeds' commutators."""
+    series, gen_ids = [np.arange(G.order, dtype=np.int64)], G.gen_ids
+    while series[-1].size > 1:
+        inside, gen_ids = G.closure(commutator_conjugates(G, gen_ids))
+        nxt = np.flatnonzero(inside)
+        if nxt.size == series[-1].size:
+            break
+        series.append(nxt)
+    return series
 
 
 @pytest.mark.parametrize("name", ["sym4", "pgl(2,9)", "pgl(3,4)"])
 def test_derived_series_matches_oracle(name):
     G = catalog.resolve(name)
-    series, ref = pc.derived_series(G), oracle_derived_series(G)
-    assert [s.tolist() for s in series] == [s.tolist() for s in ref]
-
-
-@pytest.mark.slow
-def test_derived_series_of_aut_psl34_matches_oracle(aut_psl34):
-    series, ref = pc.derived_series(aut_psl34), oracle_derived_series(aut_psl34)
-    assert [s.size for s in series] == [241920, 60480, 20160]
+    series, ref = closure_derived_series(G), derived_series(G)
     assert [s.tolist() for s in series] == [s.tolist() for s in ref]
 
 
 @pytest.mark.parametrize("name", ["sym4", "sym5", "alt4", "pgl(2,9)", "cyclic12",
-                                  "extraspecial(3)", "psu(3,2)", "pgu(3,2)"])
+                                  "extraspecial(3)", "psu(3,2)", "pgu(3,2)", "pgl(3,4)",
+                                  pytest.param("autpsl34", marks=pytest.mark.slow)])
 def test_kept_commutators_generate_their_term(name):
     # each term closes once: the seeds its closure keeps generate it by right
     # multiplication alone, and no kept seed lies in the group of those before it
     G = catalog.resolve(name)
-    ref, gen_ids = oracle_derived_series(G), G.gen_ids
+    ref, gen_ids = derived_series(G), G.gen_ids
     for k in range(1, len(ref) + 1):
-        inside, kept = pc._commutator_closure(G, gen_ids)
+        inside, kept = G.closure(commutator_conjugates(G, gen_ids))
         term = ref[k] if k < len(ref) else ref[-1]  # past the series' end the term repeats
         assert np.array_equal(np.flatnonzero(inside), term)
         assert np.array_equal(G.subgroup_closure(kept), term) and G.closure(kept)[1] == kept
         gen_ids = kept
-
-
-def count_closures(monkeypatch):
-    calls, real = [], pc.FiniteGroup.closure
-
-    def counted(self, seed_ids):
-        calls.append(self.order)
-        return real(self, seed_ids)
-
-    monkeypatch.setattr(pc.FiniteGroup, "closure", counted)
-    return calls
-
-
-@pytest.mark.parametrize("name,closures", [("sym4", 3), ("pgl(2,9)", 2), ("alt5", 1)])
-def test_derived_series_closes_each_term_once(monkeypatch, name, closures):
-    # one closure per term after G, and one for a perfect last term
-    G = catalog.resolve(name)
-    calls = count_closures(monkeypatch)
-    series = pc.derived_series(G)
-    assert len(calls) == closures == len(series) - 1 + (series[-1].size > 1)
-
-
-@pytest.mark.slow
-def test_derived_series_of_aut_psl34_closes_each_term_once(monkeypatch, aut_psl34):
-    calls = count_closures(monkeypatch)
-    assert [s.size for s in pc.derived_series(aut_psl34)] == [241920, 60480, 20160]
-    assert len(calls) == 3

@@ -5,6 +5,10 @@ import pytest
 
 from autorbit import catalog, permcore as pc, stypes as st, wreath as wr
 from autorbit.autgrp import automorphism_group, inner_automorphism_ids
+import wreath_oracle as wo
+from stypes_oracle import (GcdViolation, NonAbelianQuotient, coarse_quotient, ct_power_check,
+                           ct_set, h_value_direct)
+from subgroup_oracle import derived_series
 
 
 def test_out_quotient_alt5(alt5, alt5_aut):
@@ -73,7 +77,7 @@ def test_h_oracle_cross_check(alt5, alt5_aut, alt6, alt6_aut, psl28, psl28_aut):
                            (alt6, alt6_aut, Fraction(2, 3)),
                            (psl28, psl28_aut, Fraction(1, 2))):
         socle = inner_automorphism_ids(G, A)
-        assert st.h_value(A, socle) == st.h_value_direct(A, socle) == expected
+        assert st.h_value(A, socle) == h_value_direct(A, socle) == expected
 
 
 def test_h_single_coset_case():
@@ -92,19 +96,19 @@ def test_h_single_coset_case():
 def alt5_coarse(alt5, alt5_aut):
     A = alt5_aut
     socle = inner_automorphism_ids(alt5, A)
-    return A, socle, st.coarse_quotient(A, socle, socle_ids=socle)
+    return A, socle, coarse_quotient(A, socle, socle_ids=socle)
 
 
 def test_coarse_quotient_validation(alt5, alt5_aut):
     A = alt5_aut
     socle = inner_automorphism_ids(alt5, A)
     with pytest.raises(pc.GroupError):
-        st.coarse_quotient(A, np.array([0]), socle_ids=socle)  # misses the socle
+        coarse_quotient(A, np.array([0]), socle_ids=socle)  # misses the socle
     s4 = catalog.sym(4)
-    v4 = pc.derived_series(s4)[2]
+    v4 = derived_series(s4)[2]
     assert v4.size == 4
-    with pytest.raises(st.NonAbelianQuotient):
-        st.coarse_quotient(s4, v4)  # S4/V4 = S3 is not abelian
+    with pytest.raises(NonAbelianQuotient):
+        coarse_quotient(s4, v4)  # S4/V4 = S3 is not abelian
 
 
 def test_ct_set_examples(alt5_coarse):
@@ -120,17 +124,17 @@ def test_ct_set_examples(alt5_coarse):
         b = (members[int(rng.integers(len(members)))],
              members[int(rng.integers(len(members)))])
         t = wg.top.elements[int(rng.integers(2))]
-        assert st.ct_set(wg, wg.element(b, t), coarse) == frozenset({0})
+        assert ct_set(wg, wg.element(b, t), coarse) == frozenset({0})
 
     # n=1: singleton {coset of the entry}
     wg1 = wr.WreathGroup(A, 1)
     outer = next(x for x in range(A.order) if x not in socle_set)
     w = wg1.element((outer,), np.arange(1))
-    assert st.ct_set(wg1, w, coarse) == frozenset({int(coarse.pi[outer])})
+    assert ct_set(wg1, w, coarse) == frozenset({int(coarse.pi[outer])})
 
     # two 1-cycles landing in distinct cosets -> 2-element set
     w = wg.element((0, outer), np.arange(2))
-    assert len(st.ct_set(wg, w, coarse)) == 2
+    assert len(ct_set(wg, w, coarse)) == 2
 
 
 def test_ct_constant_on_orbits(alt5_coarse):
@@ -139,9 +143,9 @@ def test_ct_constant_on_orbits(alt5_coarse):
     wg = wr.WreathGroup(A, 2)
     rng = np.random.default_rng(21)
     for _ in range(60):
-        w = wg.random_element(rng)
-        k = wg.random_element(rng)
-        assert st.ct_set(wg, w, coarse) == st.ct_set(wg, wg.conj(w, k), coarse)
+        w = wo.random_element(wg, rng)
+        k = wo.random_element(wg, rng)
+        assert ct_set(wg, w, coarse) == ct_set(wg, wo.conj(wg, w, k), coarse)
 
 
 def test_ct_power_check(alt5_coarse):
@@ -150,19 +154,19 @@ def test_ct_power_check(alt5_coarse):
     rng = np.random.default_rng(33)
     checked = 0
     for _ in range(300):
-        w = wg.random_element(rng)
+        w = wo.random_element(wg, rng)
         k = int(rng.integers(1, 12))
         from math import gcd
         if gcd(k, int(wg.top.element_orders()[w.top])) != 1:
-            with pytest.raises(st.GcdViolation):
-                st.ct_power_check(wg, w, k, coarse)
+            with pytest.raises(GcdViolation):
+                ct_power_check(wg, w, k, coarse)
             continue
-        assert st.ct_power_check(wg, w, k, coarse)
+        assert ct_power_check(wg, w, k, coarse)
         checked += 1
     assert checked > 100
 
-    w = wg.random_element(rng)
-    assert st.ct_power_check(wg, w, 1, coarse)  # k = 1 is always coprime
+    w = wo.random_element(wg, rng)
+    assert ct_power_check(wg, w, 1, coarse)  # k = 1 is always coprime
 
 
 def test_ct_on_alt6_base(alt6, alt6_aut):
@@ -170,40 +174,40 @@ def test_ct_on_alt6_base(alt6, alt6_aut):
     # an explicit 2-element CT set from distinct cosets
     A = alt6_aut
     socle = inner_automorphism_ids(alt6, A)
-    coarse = st.coarse_quotient(A, socle, socle_ids=socle)
+    coarse = coarse_quotient(A, socle, socle_ids=socle)
     assert coarse.quotient.order == 4
     wg = wr.WreathGroup(A, 2)
 
     socle_set = set(socle.tolist())
     outer = next(x for x in range(A.order) if x not in socle_set)
     w = wg.element((0, outer), np.arange(2))
-    assert len(st.ct_set(wg, w, coarse)) == 2
+    assert len(ct_set(wg, w, coarse)) == 2
 
     rng = np.random.default_rng(77)
     from math import gcd
     checked = 0
     while checked < 200:
-        w = wg.random_element(rng)
+        w = wo.random_element(wg, rng)
         k = int(rng.integers(1, 20))
         if gcd(k, int(wg.top.element_orders()[w.top])) != 1:
             continue
-        assert st.ct_power_check(wg, w, k, coarse)
+        assert ct_power_check(wg, w, k, coarse)
         checked += 1
 
 
 def test_ct_power_rule_on_psl28_base(psl28, psl28_aut):
     A = psl28_aut
     socle = inner_automorphism_ids(psl28, A)
-    coarse = st.coarse_quotient(A, socle, socle_ids=socle)
+    coarse = coarse_quotient(A, socle, socle_ids=socle)
     assert coarse.quotient.order == 3
     wg = wr.WreathGroup(A, 2)
     rng = np.random.default_rng(78)
     from math import gcd
     checked = 0
     while checked < 150:
-        w = wg.random_element(rng)
+        w = wo.random_element(wg, rng)
         k = int(rng.integers(1, 20))
         if gcd(k, int(wg.top.element_orders()[w.top])) != 1:
             continue
-        assert st.ct_power_check(wg, w, k, coarse)
+        assert ct_power_check(wg, w, k, coarse)
         checked += 1

@@ -6,6 +6,7 @@ import pytest
 from autorbit import catalog, permcore as pc, wreath as wr
 from autorbit.autgrp import automorphism_group
 from autorbit.permcore import parse_cycles
+import wreath_oracle as wo
 
 
 @pytest.fixture(scope="module")
@@ -25,13 +26,13 @@ def w33(s3):
 
 def test_group_laws(w32):
     rng = np.random.default_rng(7)
-    e = w32.identity()
+    e = wo.identity(w32)
     for _ in range(60):
-        a, b, c = (w32.random_element(rng) for _ in range(3))
-        assert w32.mul(e, b) == b
-        assert w32.mul(a, w32.inv(a)) == e
-        assert w32.inv(w32.inv(a)) == a
-        assert w32.mul(w32.mul(a, b), c) == w32.mul(a, w32.mul(b, c))
+        a, b, c = (wo.random_element(w32, rng) for _ in range(3))
+        assert wo.mul(w32, e, b) == b
+        assert wo.mul(w32, a, wo.inv(w32, a)) == e
+        assert wo.inv(w32, wo.inv(w32, a)) == a
+        assert wo.mul(w32, wo.mul(w32, a, b), c) == wo.mul(w32, a, wo.mul(w32, b, c))
 
 
 def test_conjugation_entry_formula(s3, w32):
@@ -41,7 +42,7 @@ def test_conjugation_entry_formula(s3, w32):
     rng = np.random.default_rng(3)
     for _ in range(40):
         g1, g2, k1, k2 = (int(x) for x in rng.integers(6, size=4))
-        got = w32.conj(w32.element((g1, g2), swap),
+        got = wo.conj(w32, w32.element((g1, g2), swap),
                        w32.element((k1, k2), np.arange(2)))
         assert got.top == w32.top.id_of(swap)
         assert got.base == (int(T[T[k1, g1], inv[k2]]), int(T[T[k2, g2], inv[k1]]))
@@ -85,7 +86,7 @@ def test_bcpc_rejects_non_cycles(w33):
 def test_bcpc_rotation_invariance(w33):
     rng = np.random.default_rng(11)
     for _ in range(120):
-        w = w33.random_element(rng)
+        w = wo.random_element(w33, rng)
         for zeta in pc.cycle_decompose(w33.top.elements[w.top]):
             vals = {wr.bcpc(w33, w, zeta[r:] + zeta[:r]) for r in range(len(zeta))}
             assert len(vals) == 1
@@ -106,7 +107,7 @@ def test_profile_shapes(s3, w33):
     # sum over l of l * |M_l| = n
     rng = np.random.default_rng(2)
     for _ in range(50):
-        w = w33.random_element(rng)
+        w = wo.random_element(w33, rng)
         prof = wr.profile(w33, w)
         assert sum(l * len(m) for l, m in prof.by_length.items()) == 3
 
@@ -115,9 +116,9 @@ def test_profile_invariant_under_top_conjugation(w33):
     # M_l(w) = M_l(w^psi) for psi in the top group
     rng = np.random.default_rng(4)
     for _ in range(60):
-        w = w33.random_element(rng)
+        w = wo.random_element(w33, rng)
         psi = w33.top.elements[int(rng.integers(w33.top.order))]
-        conj = w33.conj(w, w33.element((0, 0, 0), psi))
+        conj = wo.conj(w33, w, w33.element((0, 0, 0), psi))
         assert wr.profile(w33, w).by_length == wr.profile(w33, conj).by_length
 
 
@@ -134,7 +135,7 @@ def test_conj_test_trivial_cases(s3):
 def test_conj_test_reflexive_symmetric(w32):
     rng = np.random.default_rng(9)
     for _ in range(40):
-        v, w = w32.random_element(rng), w32.random_element(rng)
+        v, w = wo.random_element(w32, rng), wo.random_element(w32, rng)
         assert wr.conj_test(w32, v, v)
         assert wr.conj_test(w32, v, w) == wr.conj_test(w32, w, v)
 
@@ -143,9 +144,9 @@ def test_conj_test_transitive_on_chained_triples(w32):
     # build chained triples (v, v^a, v^b): v ~ v^a and v^a ~ v^b must chain
     rng = np.random.default_rng(10)
     for _ in range(40):
-        v = w32.random_element(rng)
-        a, b = w32.random_element(rng), w32.random_element(rng)
-        va, vb = w32.conj(v, a), w32.conj(v, b)
+        v = wo.random_element(w32, rng)
+        a, b = wo.random_element(w32, rng), wo.random_element(w32, rng)
+        va, vb = wo.conj(w32, v, a), wo.conj(w32, v, b)
         assert wr.conj_test(w32, v, va) and wr.conj_test(w32, va, vb)
         assert wr.conj_test(w32, v, vb)
 
@@ -166,7 +167,7 @@ def test_conj_test_equals_brute_force_exhaustive(base_name, n):
     codes = wg.class_codes()
     keys = {}
     for code in range(wg.order):
-        el = wg.unpack(code)
+        el = wo.unpack(wg, code)
         k = (pc.cycle_type(wg.top.elements[el.top]),
              tuple(sorted(wr.profile(wg, el).by_length.items())))
         keys.setdefault(k, []).append(code)
@@ -182,7 +183,7 @@ def test_conj_test_equals_brute_force_sampled_s3_wr_s4():
     rng = np.random.default_rng(123)
     disagreements = 0
     for _ in range(2000):
-        v, w = wg.random_element(rng), wg.random_element(rng)
+        v, w = wo.random_element(wg, rng), wo.random_element(wg, rng)
         if wr.conj_test(wg, v, w) != wr.brute_force_conj(wg, v, w):
             disagreements += 1
     assert disagreements == 0
@@ -207,10 +208,10 @@ def test_conj_test_vs_oracle_on_aut_alt5_base(alt5_aut):
     wg = wr.WreathGroup(alt5_aut, 2)
     rng = np.random.default_rng(55)
     for _ in range(300):
-        v, w = wg.random_element(rng), wg.random_element(rng)
+        v, w = wo.random_element(wg, rng), wo.random_element(wg, rng)
         assert wr.conj_test(wg, v, w) == wr.brute_force_conj(wg, v, w)
-        k = wg.random_element(rng)
-        assert wr.conj_test(wg, v, wg.conj(v, k))
+        k = wo.random_element(wg, rng)
+        assert wr.conj_test(wg, v, wo.conj(wg, v, k))
 
 
 def test_build_hp_p2(alt5_aut):
@@ -240,8 +241,8 @@ def test_pack_unpack_and_draws_look_nothing_up(w33, monkeypatch):
                             calls.append(name) or method(self, *args))
     rng = np.random.default_rng(21)
     codes = rng.integers(w33.order, size=50).tolist()
-    elements = [w33.unpack(code) for code in codes]
-    packed = [w33.pack(w) for w in elements + [w33.random_element(rng) for _ in range(50)]]
+    elements = [wo.unpack(w33, code) for code in codes]
+    packed = [w33.pack(w) for w in elements + [wo.random_element(w33, rng) for _ in range(50)]]
     assert calls == []
     assert packed[:50] == codes and all(type(w.top) is int for w in elements)
 
@@ -258,7 +259,7 @@ def _partition(keys):
 def _profile_keys(wg, codes):
     keys = []
     for code in codes:
-        el = wg.unpack(int(code))
+        el = wo.unpack(wg, int(code))
         keys.append((pc.cycle_type(wg.top.elements[el.top]),
                      tuple(sorted(wr.profile(wg, el).by_length.items()))))
     return keys
@@ -285,7 +286,7 @@ def test_profile_labels_cyclic_prime_top():
 def test_profile_labels_on_aut_alt5_base(alt5_aut):
     wg = wr.WreathGroup(alt5_aut, 2)
     rng = np.random.default_rng(500)
-    codes = np.array([wg.pack(wg.random_element(rng)) for _ in range(500)])
+    codes = np.array([wg.pack(wo.random_element(wg, rng)) for _ in range(500)])
     labels = wg.profile_labels(codes)
     assert len(set(labels.tolist())) > 1
     assert _partition(labels.tolist()) == _partition(_profile_keys(wg, codes))
@@ -304,7 +305,7 @@ def test_random_codes_draw_as_random_element(seed, alt5_aut):
     for wg in (wr.WreathGroup(catalog.sym(3), 4), wr.WreathGroup(catalog.sym(3), 1),
                wr.WreathGroup(alt5_aut, 3, top=_cyclic_top(3))):
         rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = [wg.pack(wg.random_element(rng2)) for _ in range(2000)]
+        expected = [wg.pack(wo.random_element(wg, rng2)) for _ in range(2000)]
         assert wg.random_codes(rng, 2000).tolist() == expected
         assert rng.bit_generator.state == rng2.bit_generator.state
 
@@ -321,10 +322,10 @@ def _assert_tables_conjugate(wg, conjugators, codes):
     drop = np.full(full.top.order, -1)
     drop[lift] = np.arange(wg.top.order)
     maps = wg._conjugation_maps(conjugators)
-    elements = [wr.WreathElement(a.base, int(lift[a.top])) for a in map(wg.unpack, codes.tolist())]
+    elements = [wr.WreathElement(a.base, int(lift[a.top])) for a in (wo.unpack(wg, code) for code in codes.tolist())]
     for (kbase, psi), images in zip(conjugators, wg._conjugate_codes(codes, maps)):
         k = full.element(kbase, psi)
-        conjugates = [full.conj(a, k) for a in elements]
+        conjugates = [wo.conj(full, a, k) for a in elements]
         tops = drop[[c.top for c in conjugates]]
         assert np.all(tops >= 0)  # psi normalizes the top group
         assert images.tolist() == [wg.pack(wr.WreathElement(c.base, int(t)))
