@@ -335,7 +335,8 @@ class AlmostSimple(NamedTuple):
     lift: Callable[[np.ndarray], np.ndarray] = np.asarray
 
     def closed(self) -> tuple[FiniteGroup, np.ndarray]:
-        """Aut(S) closed under the default limit, and G's sorted ids in it."""
+        """Aut(S) closed under the default limit, and G's sorted ids in it, for
+        `construct hp`, the one command that sweeps Aut(S)'s elements."""
         A = close_group(self.aut_rows, order=self.aut_order)
         return A, np.sort(A.ids_of(self.lift(self.group.elements)))
 

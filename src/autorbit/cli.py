@@ -53,16 +53,12 @@ def construct_or_group(spec: str, limit: int) -> catalog.AlmostSimple | FiniteGr
 
 
 def _pair(G: catalog.AlmostSimple | FiniteGroup, budget: int) -> tuple[FiniteGroup, np.ndarray]:
-    """(Aut(S), G's ids inside it); for a searched G = S, the ids of Inn(S)."""
+    """(Aut(S), G's ids inside it); for a searched G = S, the ids of Inn(S).  Only
+    `construct hp` closes a built Aut(S) here; `h` takes a searched one."""
     if isinstance(G, FiniteGroup):
         A = automorphism_group(G, budget=budget)
         return A, inner_automorphism_ids(G, A)
     return G.closed()
-
-
-def aut_pair(name: str, limit: int, budget: int) -> tuple[FiniteGroup, np.ndarray]:
-    """(Aut(S), ids inside it of the catalog group `name`, S <= G <= Aut(S))."""
-    return _pair(construct_or_group(f"name:{name}", limit), budget)
 
 
 def maol_report(spec: str, limit: int, budget: int) -> tuple[OrbitReport, int]:
@@ -158,26 +154,29 @@ def _check_simple(G: catalog.AlmostSimple | FiniteGroup):
 
 
 def _simple_group(args) -> catalog.AlmostSimple | FiniteGroup:
-    """`construct_or_group` for --simple, after the usage check that S is simple."""
-    G = construct_or_group("name:" + args.simple.removeprefix("name:"), args.max_order)
+    """`construct_or_group` for --simple, a `file:` or a name (a bare one too),
+    after the usage check that S is simple."""
+    simple = args.simple
+    spec = simple if simple.startswith("file:") else "name:" + simple.removeprefix("name:")
+    G = construct_or_group(spec, args.max_order)
     _check_simple(G)
     return G
 
 
 def cmd_h(args) -> int:
-    A, socle = _pair(_simple_group(args), args.max_nodes)
-    table = stypes.class_type_table(A, socle)
+    S = _simple_group(args)
+    if isinstance(S, FiniteGroup):  # Inn(S) on the searched Aut(S)'s rows, which it keeps
+        A, inner = _pair(S, args.max_nodes)
+        inn = FiniteGroup(A.elements[inner], A.base, [S.conjugation_ids(c) for c in S.gen_ids])
+        S = catalog.AlmostSimple(inn, A.elements[A.gen_ids], A.order, inn.order)
+    table = stypes.coset_classes(S, numbered=True)
     payload = {
-        "order": int(socle.size),
-        "autOrder": A.order,
+        "order": S.group.order,
+        "autOrder": S.aut_order,
         "outOrder": table.out.order,
-        "classes": [
-            {"size": int(table.classes.sizes[c]),
-             "type": int(table.type_of_class[c]),
-             "rho": encode_value(table.rho[c])}
-            for c in range(table.n_classes)
-        ],
-        "h": encode_value(table.h()),
+        "classes": [{"size": size, "type": tau, "rho": encode_value(rho)}
+                    for size, tau, rho in zip(table.sizes, table.types, table.rho)],
+        "h": encode_value(max(table.rho)),
     }
     print(json.dumps(payload))
     return 0
@@ -270,22 +269,21 @@ def _mismatched_blocks(classes: np.ndarray, labels: np.ndarray) -> list:
 def paper_table_suite(args) -> VerificationReport:
     runner = SuiteRunner("paper-table", time_limit_s=args.time_limit_s)
     limit, budget = args.max_order, args.max_nodes
-    cache: dict = {}  # Aut(S) is computed once per name
+    tables: dict = {}  # Aut(S)'s classes, computed once per name
 
-    def aut_of(name: str):
-        if name not in cache:
-            cache[name] = aut_pair(name, limit, budget)
-        return cache[name]
+    def aut_classes(name: str) -> stypes.CosetClasses:
+        if name not in tables:
+            tables[name] = stypes.coset_classes(catalog.almost_simple(name, limit))
+        return tables[name]
 
     def mcs_of(name: str) -> int:
         return mcs(catalog.resolve(name, limit=limit))
 
     runner.add("mcs-sym5", 4, lambda: mcs_of("sym5"))
-    runner.add("mcs-aut-alt6", 6, lambda: mcs(aut_of("alt6")[0]))
-    runner.add("h-alt5", "1/2",
-               lambda: encode_value(stypes.h_value(*aut_of("alt5"))))
-    runner.add("h-alt6", "3/4",
-               lambda: encode_value(stypes.h_value(*aut_of("alt6"))))
+    runner.add("mcs-aut-alt6", 6,
+               lambda: sum(aut_classes("alt6").sizes) // max(aut_classes("alt6").sizes))
+    runner.add("h-alt5", "1/2", lambda: encode_value(max(aut_classes("alt5").rho)))
+    runner.add("h-alt6", "3/4", lambda: encode_value(max(aut_classes("alt6").rho)))
     runner.add("mcs-pgl(2,3)", 3, lambda: mcs_of("pgl(2,3)"))
     runner.add("mcs-pgl(3,2)", 3, lambda: mcs_of("pgl(3,2)"))
     runner.add("mcs-pgu(3,2)", None, lambda: mcs_of("pgu(3,2)"))
@@ -298,9 +296,8 @@ def paper_table_suite(args) -> VerificationReport:
                lambda: encode_value(maol_report("name:psl(2,8)", limit, budget)[0].maol))
 
     def psl34_class():
-        A, _ = aut_of("psl(3,4)")
-        table = conjugacy_classes(A)
-        return {"autOrder": A.order, "largestClass": max(table.sizes)}
+        sizes = aut_classes("psl(3,4)").sizes
+        return {"autOrder": sum(sizes), "largestClass": max(sizes)}
 
     runner.add("aut-psl(3,4)-largest-class",
                {"autOrder": 241920, "largestClass": 24192}, psl34_class)
@@ -372,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_aut)
 
     sp = sub.add_parser("h", help="S-type table and h(S) for a simple group")
-    sp.add_argument("--simple", required=True, help="name:<id> of a simple group")
+    sp.add_argument("--simple", required=True, help="name:<id> or file:<path> of a simple group")
     sp.set_defaults(func=cmd_h)
 
     sp = sub.add_parser("construct", help="constructions")

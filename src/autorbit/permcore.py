@@ -468,13 +468,16 @@ class FiniteGroup:
         return self._cayley
 
     def conjugation_ids(self, c: int) -> np.ndarray:
-        """Ids of g x g^-1, g the element with id c, for every x in id order: only
-        base images are formed, and their keys are the stored ones reordered (`locate_all`)."""
+        """Ids of g x g^-1, g the element with id c, for every x in id order."""
         g = self.elements[c]
-        cols = np.argsort(g)[self.base]
-        keys = np.empty(self.order, dtype=np.uint64)
-        for rows in self._row_blocks(8 * len(cols), self.order):
-            keys[rows] = self._index._fold(np.take(g, self.elements[rows, cols]))
+        return self.map_ids(self.elements, g, np.argsort(g)[self.base])
+
+    def map_ids(self, rows: np.ndarray, g: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Ids of the members with base images g(x(cols)), one for each row x of
+        `rows`, whose keys must be the stored ones reordered (`locate_all`)."""
+        keys = np.empty(len(rows), dtype=np.uint64)
+        for block in self._row_blocks(8 * len(cols), len(rows)):
+            keys[block] = self._index._fold(np.take(g, rows[block, cols]))
         return self._index.locate_all(keys)
 
     def element_orders(self) -> np.ndarray:

@@ -1,9 +1,9 @@
 """S-types of Aut(S)-classes, exact per-coset proportions rho(c) and their
-maximum h(S).
+maximum h(S), read off Aut(S)'s orbits on the cosets of S (`coset_classes`).
 
-Everything here works on a pair (AutS, S): a fully enumerated group AutS and
-the id set of a normal subgroup S (the socle when AutS is an automorphism
-group).  Proportions are exact `Fraction`s throughout; no floats."""
+The rest works on a pair (AutS, S): a fully enumerated group AutS and the id
+set of a normal subgroup S (the socle when AutS is an automorphism group), and
+is the tests' oracle of `coset_classes`.  Proportions are exact `Fraction`s."""
 
 from __future__ import annotations
 
@@ -12,7 +12,96 @@ from fractions import Fraction
 
 import numpy as np
 
-from .permcore import ConjClassTable, FiniteGroup, conjugacy_classes, quotient_group
+from .catalog import AlmostSimple
+from .permcore import (POINT_DTYPE, ConjClassTable, FiniteGroup, GroupError, conjugacy_classes,
+                       orbits, quotient_group, sort_rows)
+
+
+@dataclass
+class CosetClasses:
+    """Aut(S)'s classes, one entry each: its size, its type (a class id of
+    `out`'s conjugacy classes) and rho(c) = |c ∩ S·a| / |S|, a of its type."""
+
+    out: FiniteGroup              # Aut(S)/S on its cosets, as `quotient_group` builds it
+    sizes: list[int]
+    types: list[int]
+    rho: list[Fraction]
+
+
+def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
+    """The classes of A = Aut(S), for G = S from `catalog.almost_simple` or any G
+    normal in A, from A's rows, |A| and `lift`, with no closure of A.  A class c
+    meets a coset G·a of its type (a class of A/G) in one orbit of the preimage
+    N_a of C(ā), acting by conjugation: g·(s·a)·g⁻¹ = (g·s·a·g⁻¹·a⁻¹)·a, one map on
+    G's ids per generator (`twist`).  The cosets come from a search over the
+    rows, and |A/G|·|G| must be |A| (else `GroupError`).  With `numbered`, cosets
+    and classes are ordered by their least rows on A's points, as
+    `quotient_group` and `conjugacy_classes` number them on the closed A."""
+    S, lifted, rows = G.group, G.lift(G.group.elements), np.asarray(G.aut_rows, POINT_DTYPE)
+    reps = [np.arange(rows.shape[1], dtype=POINT_DTYPE)]
+    for r in reps:  # the search appends while it reads, to one coset past |A|
+        for g in rows:
+            if _coset_of(S, lifted, reps, r[g]) < 0 and len(reps) * S.order <= G.aut_order:
+                reps.append(r[g])
+    if len(reps) * S.order != G.aut_order:
+        raise GroupError(f"the cosets of {S.order} elements do not make {G.aut_order}")
+    if numbered:
+        least = [_least_rows(lifted, r, np.zeros(S.order, dtype=np.int64), 1)[0] for r in reps]
+        reps = [least[i] for i in np.lexsort(np.array(least).T[::-1])]
+    table = np.array([[_coset_of(S, lifted, reps, a[b]) for b in reps] for a in reps])
+    trans = np.ascontiguousarray(table[:, np.argmax(table == 0, axis=1)].T, dtype=POINT_DTYPE)
+    out = FiniteGroup(sort_rows(trans.copy(), [0]), [0], trans, name="out")
+    reps = np.array(reps)[np.argsort(out.ids_of(trans))]  # reps[q]: a coset of out's element q
+    mul, inverse, gens = out.cayley(), out.inverse_ids(), lifted[S.gen_ids]
+
+    def twist(g, a, b):  # ids of g·s·a·g⁻¹·b⁻¹ over S, from g(s(a(g⁻¹(b⁻¹(x))))), x in S's base
+        return S.map_ids(lifted, g, a[np.argsort(g)[np.argsort(b)[S.base]]])
+
+    sizes, types, rho, least, owner = [], [], [], [], []
+    for tau, members in enumerate(conjugacy_classes(out).classes):
+        q = members[0]
+        kept = out.closure(np.flatnonzero(mul[:, q] == mul[q]))[1]  # C(q)'s generators
+        a = reps[q]
+        parts, orbit_of = orbits((twist(g, a, a) for g in [*gens, *reps[kept]]), S.order)
+        sizes += [part.size * members.size for part in parts]
+        types += [tau] * len(parts)
+        rho += [Fraction(part.size, S.order) for part in parts]
+        for y in members if numbered else ():  # each fibre's least row, over G·y
+            x = np.flatnonzero(mul[mul[:, q], inverse] == y)[0]  # x·q·x⁻¹ = y
+            labels = np.empty_like(orbit_of)
+            labels[twist(reps[x], a, reps[y])] = orbit_of
+            least.append(_least_rows(lifted, reps[y], labels, len(parts)))
+            owner.extend(range(len(sizes) - len(parts), len(sizes)))
+    if numbered:
+        by_row = np.lexsort(np.concatenate(least).T[::-1])
+        order = np.argsort(np.unique(np.array(owner)[by_row], return_index=True)[1])
+        sizes, types, rho = ([x[c] for c in order] for x in (sizes, types, rho))
+    return CosetClasses(out, sizes, types, rho)
+
+
+def _coset_of(S: FiniteGroup, lifted: np.ndarray, reps, x: np.ndarray) -> int:
+    """Index of the coset S·r, r in `reps`, that holds the row x, or -1: one lookup
+    in S of the rows x·r⁻¹ on S's points, each hit checked on its lifted row."""
+    ys = x[np.argsort(reps, axis=1)]
+    pos = S._index.find(ys[:, :S.degree])
+    hit = np.flatnonzero((pos >= 0) & np.all(lifted[pos] == ys, axis=1))
+    return int(hit[0]) if hit.size else -1
+
+
+def _least_rows(lifted: np.ndarray, r: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """For each label 0..n-1, the least of the rows s·r (lexicographically) over
+    the s with that label: the candidates are narrowed one column at a time."""
+    cand = np.arange(len(labels))
+    for x in r:
+        if cand.size == n:
+            break
+        col, at = lifted[cand, x], labels[cand]
+        low = np.full(n, np.iinfo(col.dtype).max, dtype=col.dtype)
+        np.minimum.at(low, at, col)
+        cand = cand[col == low[at]]
+    rows = np.empty((n, len(r)), dtype=lifted.dtype)
+    rows[labels[cand]] = lifted[cand][:, r]
+    return rows
 
 
 @dataclass

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import autorbit
-from autorbit import catalog, cli, permcore, wreath
-from autorbit.autgrp import automorphism_group, maol
+from autorbit import catalog, cli, permcore, stypes, wreath
+from autorbit.autgrp import DEFAULT_NODE_BUDGET, automorphism_group, maol
 from autorbit.permcore import DEFAULT_CLOSURE_LIMIT, MAX_DEGREE, FiniteGroup
 from autorbit.reports import ReportItem, VerificationReport, encode_value
 import wreath_oracle as wo
@@ -63,6 +63,52 @@ def test_h(capsys):
     assert sum(c["size"] for c in data["classes"]) == 120
 
 
+def _closed_aut_s_h(A, socle) -> str:
+    """The JSON `h` printed off the closed Aut(S) and its classes."""
+    table = stypes.class_type_table(A, socle)
+    return json.dumps({
+        "order": int(socle.size), "autOrder": A.order, "outOrder": table.out.order,
+        "classes": [{"size": int(table.classes.sizes[c]), "type": int(table.type_of_class[c]),
+                     "rho": encode_value(table.rho[c])} for c in range(table.n_classes)],
+        "h": encode_value(table.h())}) + "\n"
+
+
+@pytest.mark.parametrize("spec", ["name:alt5", "name:psl(3,4)", "name:psu(2,7)", "file:alt5"])
+def test_h_prints_what_the_closed_aut_s_printed(tmp_path, capsys, spec):
+    # built names, and the searched Inn(S) inside Aut(S) on S's ids: a name the
+    # construction does not cover and a file group
+    if spec.startswith("file:"):
+        path = tmp_path / "alt5.json"
+        path.write_text(json.dumps({"name": "alt5", "degree": 5,
+                                    "generators": ["(1 2 3)", "(1 2 3 4 5)"]}))
+        spec = f"file:{path}"
+    G = cli.construct_or_group(spec, DEFAULT_CLOSURE_LIMIT)
+    expected = _closed_aut_s_h(*cli._pair(G, DEFAULT_NODE_BUDGET))
+    code, out, _ = run_cli(capsys, "h", "--simple", spec)
+    assert code == 0 and out == expected
+
+
+def test_h_past_the_closure_limit_of_aut_s(capsys):
+    # |PGammaL_2(81)| = 2,125,440 is past the closure limit, where h stopped (exit 3)
+    code, out, _ = run_cli(capsys, "h", "--simple", "name:psl(2,81)")
+    data = json.loads(out)
+    assert code == 0 and (data["h"], data["autOrder"], data["outOrder"]) == ("2/3", 2125440, 8)
+    assert 2125440 > DEFAULT_CLOSURE_LIMIT
+
+
+@pytest.mark.slow
+def test_h_of_alt10(capsys):
+    code, out, _ = run_cli(capsys, "h", "--simple", "name:alt10")
+    data = json.loads(out)
+    assert code == 0 and (data["h"], data["autOrder"]) == ("2/9", 3628800)
+
+
+def test_h_limit_bounds_the_named_group(capsys):
+    # --max-order bounds S itself, of 1,814,400 elements, before any coset
+    code, out, err = run_cli(capsys, "--max-order", "100000", "h", "--simple", "name:alt10")
+    assert (code, out) == (3, "") and "limit 100000" in err
+
+
 def test_aut_persistence(tmp_path, capsys):
     out_path = tmp_path / "auts.json"
     code, out, _ = run_cli(capsys, "aut", "--group", "name:cyclic5",
@@ -94,7 +140,7 @@ def test_construct_hp(capsys):
 
 
 def test_construct_hp_needs_slow(capsys):
-    # Aut(PSL_3(4)) comes from `aut_pair`, as for `h`, under either name
+    # |Aut(PSL_3(4))| comes from the construction under either name
     for simple, p in (("alt5", "3"), ("psl(3,4)", "2"), ("psl34", "2")):
         code, _, err = run_cli(capsys, "construct", "hp", "--simple", f"name:{simple}",
                                "--p", p)
@@ -319,8 +365,9 @@ def test_h_needs_a_nonabelian_simple_group(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["h"] == "1/2"
     # the check belongs to `h`; the shared Aut(S) route does not run it
     monkeypatch.setattr(cli, "_check_simple", lambda S: pytest.fail("checked"))
-    A, socle = cli.aut_pair("sym5", 10_000, 10_000)
-    assert (A.order, socle.size) == (120, 120)
+    built = cli.construct_or_group("name:sym5", 10_000)
+    table = stypes.coset_classes(built)
+    assert (sum(table.sizes), built.group.order) == (120, 120)
 
 
 def test_h_takes_simplicity_from_the_family_name(capsys, monkeypatch):
@@ -427,6 +474,17 @@ def test_maol_of_a_built_group_closes_g_only(capsys, monkeypatch):
     assert closed == [20160]
 
 
+def test_aut_s_classes_close_no_aut_s(capsys, monkeypatch):
+    # paper-table's Aut(S) items and `h` read Aut(S)'s classes off the cosets
+    # of S: no Aut(Alt6) (1440) and no Aut(PSL_3(4)) (241,920) is closed
+    closed = closed_orders(monkeypatch)
+    code, _, _ = run_cli(capsys, "verify", "paper-table")
+    assert code == 1 and closed and not {1440, 241920} & set(closed)
+    closed.clear()
+    code, out, _ = run_cli(capsys, "h", "--simple", "name:psl(3,4)")
+    assert code == 0 and json.loads(out)["h"] == "3/4" and closed == [20160]
+
+
 def test_nonsolvable_bound_closes_each_group_once(capsys, monkeypatch):
     # G only, alt6 and sym6 on the 10 points of PG(1,9); no Aut(S) and no search
     closed = closed_orders(monkeypatch)
@@ -456,10 +514,12 @@ def test_maol_past_the_closure_limit_of_aut_s(capsys):
     assert 2125440 > DEFAULT_CLOSURE_LIMIT
 
 
-def test_aut_pair_builds_covered_groups_without_a_search(monkeypatch):
+def test_coset_classes_build_covered_groups_without_a_search(monkeypatch):
     monkeypatch.setattr(cli, "automorphism_group", lambda *a, **k: pytest.fail("searched"))
-    A, socle = cli.aut_pair("alt5", 60, 1)
-    assert (A.order, A.degree, len(A.gen_ids), socle.size) == (120, 5, 2, 60)
+    built = cli.construct_or_group("name:alt5", 60)
+    table = stypes.coset_classes(built)
+    assert (sum(table.sizes), built.aut_rows.shape[1], len(built.aut_rows),
+            built.group.order) == (120, 5, 2, 60)
     assert cli.maol_report("name:psl(2,8)", 504, 1)[0].maol == Fraction(3, 7)
 
 
@@ -612,12 +672,12 @@ def test_limit_stop_without_failure_exits_3(capsys):
 def test_paper_table_computes_each_aut_once(monkeypatch):
     calls = []
 
-    def counting_aut_pair(name, limit, budget):
-        calls.append(name)
-        return catalog.sym(3), np.array([0])
+    def counting_classes(built):
+        calls.append(built.group.name)
+        return stypes.CosetClasses(None, [1], [0], [Fraction(1)])
 
-    monkeypatch.setattr(cli, "aut_pair", counting_aut_pair)
-    args = cli.build_parser().parse_args(["--max-order", "100", "verify", "paper-table"])
+    monkeypatch.setattr(stypes, "coset_classes", counting_classes)
+    args = cli.build_parser().parse_args(["--max-order", "20160", "verify", "paper-table"])
     report = cli.paper_table_suite(args)
     assert len(report.items) == 14
     assert sorted(calls) == ["alt5", "alt6", "psl(3,4)"]

@@ -80,6 +80,44 @@ def test_h_oracle_cross_check(alt5, alt5_aut, alt6, alt6_aut, psl28, psl28_aut):
         assert st.h_value(A, socle) == h_value_direct(A, socle) == expected
 
 
+# -- Aut(S)'s classes from its orbits on the cosets of S -----------------------
+
+def _agrees_with_the_closed_aut_s(name):
+    """`coset_classes` in h's numbering equals `class_type_table` on the closed
+    Aut(S) entry for entry, and the unnumbered table holds the same classes."""
+    built = catalog.almost_simple(name)
+    table = st.coset_classes(built, numbered=True)
+    oracle = st.class_type_table(*built.closed())
+    assert table.sizes == oracle.classes.sizes
+    assert table.types == oracle.type_of_class.tolist()
+    assert table.rho == oracle.rho
+    assert table.out.order == oracle.out.order
+    assert np.array_equal(table.out.elements, oracle.out.quotient.elements)
+    plain = st.coset_classes(built)
+    assert sorted(zip(plain.sizes, plain.rho)) == sorted(zip(table.sizes, table.rho))
+    assert sum(table.sizes) == built.aut_order
+
+
+@pytest.mark.parametrize("name", ["alt5", "alt6", "alt7", "psl(2,7)", "psl(2,8)", "psl(2,16)",
+                                  "psl(2,25)", "psl(2,27)", "psl(3,3)", "psl(3,4)"])
+def test_coset_classes_agree_with_the_closed_aut_s(name):
+    _agrees_with_the_closed_aut_s(name)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["psl(3,5)", "psl(2,64)"])
+def test_coset_classes_agree_with_the_closed_aut_s_slow(name):
+    _agrees_with_the_closed_aut_s(name)
+
+
+def test_coset_classes_check_the_order_formula():
+    # |Out|·|S| must be the given |Aut(S)|: a wrong formula gives no table
+    built = catalog.almost_simple("psl(3,4)")
+    for wrong in (built.aut_order // 2, built.aut_order * 2, built.aut_order + 1):
+        with pytest.raises(pc.GroupError):
+            st.coset_classes(built._replace(aut_order=wrong))
+
+
 def test_h_single_coset_case():
     # |Out| = 1: h = max class size / |S|
     s5 = catalog.sym(5)
