@@ -1,12 +1,12 @@
 """Automorphism groups of small groups by backtracking over generator images
-modulo Inn(G) on the Cayley table, with fingerprint pruning; Aut-orbit reports.
+modulo Inn(G) on the Cayley table, with fingerprint pruning; their orbit reports.
 
 Automorphisms are permutations of element ids (degree = |G|), and Aut(G) is
 a plain FiniteGroup acting on those ids, so orbit, conjugacy-class and
 quotient machinery applies to it unchanged.  Subgroups of G close by `closure`
 on G's Cayley table, Aut(G) by `close_group`; Inn(G) is generated by the id maps
 `conjugation_ids` of G's generators, and Aut(G)'s generators are its `gen_ids`.
-"""
+A built almost simple G's orbits come from `stypes.fuse`, with no search."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .permcore import (FiniteGroup, GroupError, NotNormal, ResourceLimit, TooLarge,
+from .permcore import (FiniteGroup, GroupError, ResourceLimit, TooLarge,
                        close_group, conjugacy_classes, orbits, sweep, validate_automorphism)
 from .reports import encode_value
 
@@ -195,21 +195,3 @@ def maol(G: FiniteGroup, A: FiniteGroup) -> OrbitReport:
                    reverse=True)
     return OrbitReport(G.name or "group", sizes)
 
-
-def fused_class_orbits(G: FiniteGroup, rows: np.ndarray, lift=np.asarray) -> list[int]:
-    """Orbit sizes, largest first, of the group A the permutation `rows` generate
-    acting by conjugation on its normal subgroup G: G's classes fused by A's
-    generators, the Aut(G)-orbits for S <= G <= A = Aut(S), S simple.  `lift`
-    carries G's rows to A's points; a*g*a^-1 is read back on G's (the first)
-    points, for g a generator (else NotNormal) or a class representative."""
-    table = conjugacy_classes(G)
-    mats = lift(G.elements[np.concatenate([G.gen_ids, [c[0] for c in table.classes]])])
-    maps = []
-    for a in rows:
-        try:
-            ids = G.ids_of(a[mats[:, np.argsort(a)]][:, :G.degree])
-        except GroupError:
-            raise NotNormal("the subgroup is not normal in Aut(S)") from None
-        maps.append(table.class_of[ids[G.gen_ids.size:]])
-    sizes = np.array(table.sizes)
-    return sorted((int(sizes[part].sum()) for part in orbits(maps, sizes.size)[0]), reverse=True)

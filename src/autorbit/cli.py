@@ -18,8 +18,8 @@ from . import catalog
 from . import multinomial as mn
 from . import stypes
 from . import wreath
-from .autgrp import (DEFAULT_NODE_BUDGET, OrbitReport, automorphism_group, fused_class_orbits,
-                     inner_automorphism_ids, maol)
+from .autgrp import (DEFAULT_NODE_BUDGET, OrbitReport, automorphism_group, inner_automorphism_ids,
+                     maol)
 from .fields import _is_prime
 from .permcore import (DEFAULT_CLOSURE_LIMIT, BadParameter, FiniteGroup, ResourceLimit,
                        TooLarge, _check_degree, conjugacy_classes, load_group_file, mcs,
@@ -52,24 +52,19 @@ def construct_or_group(spec: str, limit: int) -> catalog.AlmostSimple | FiniteGr
     return resolve_group(spec, limit)
 
 
-def _pair(G: catalog.AlmostSimple | FiniteGroup, budget: int) -> tuple[FiniteGroup, np.ndarray]:
-    """(Aut(S), G's ids inside it); for a searched G = S, the ids of Inn(S).  Only
-    `construct hp` closes a built Aut(S) here; `h` takes a searched one."""
-    if isinstance(G, FiniteGroup):
-        A = automorphism_group(G, budget=budget)
-        return A, inner_automorphism_ids(G, A)
-    return G.closed()
-
-
 def maol_report(spec: str, limit: int, budget: int) -> tuple[OrbitReport, int]:
-    """G's Aut(G)-orbit report and |Aut(G)|.  For a built G, G's classes fused by
-    Aut(S)'s generators (which must normalize G) and |Aut(S)| = |N_Aut(S)(G)| by
-    formula, with no closure of Aut(S); otherwise the searched Aut(G)'s orbits."""
+    """G's Aut(G)-orbit report and |Aut(G)|.  For a built G, G's classes fused
+    by Aut(S)'s generators (`stypes.fuse`, which refuses one that does not normalize
+    G) and |Aut(S)| = |N_Aut(S)(G)| by formula, with no closure of Aut(S);
+    otherwise the searched Aut(G)'s orbits."""
     G = construct_or_group(spec, limit)
     if isinstance(G, FiniteGroup):
         A = automorphism_group(G, budget=budget)
         return maol(G, A), A.order
-    return OrbitReport(G.group.name, fused_class_orbits(G.group, G.aut_rows, G.lift)), G.aut_order
+    table, one = conjugacy_classes(G.group), np.arange(G.aut_rows.shape[1])
+    fused = stypes.fuse(G.group, table.classes, table.class_of, one, G.aut_rows, G.lift)
+    sizes = np.bincount(fused[table.class_of]).tolist()  # the members of each fused orbit
+    return OrbitReport(G.group.name, sorted(sizes, reverse=True)), G.aut_order
 
 
 # -- simple subcommands -------------------------------------------------------
@@ -166,7 +161,8 @@ def _simple_group(args) -> catalog.AlmostSimple | FiniteGroup:
 def cmd_h(args) -> int:
     S = _simple_group(args)
     if isinstance(S, FiniteGroup):  # Inn(S) on the searched Aut(S)'s rows, which it keeps
-        A, inner = _pair(S, args.max_nodes)
+        A = automorphism_group(S, budget=args.max_nodes)
+        inner = inner_automorphism_ids(S, A)
         inn = FiniteGroup(A.elements[inner], A.base, [S.conjugation_ids(c) for c in S.gen_ids])
         S = catalog.AlmostSimple(inn, A.elements[A.gen_ids], A.order, inn.order)
     table = stypes.coset_classes(S, numbered=True)
@@ -187,11 +183,11 @@ def cmd_construct_hp(args) -> int:
     if not _is_prime(args.p):
         raise BadParameter(f"--p must be a prime, got {args.p}")
     S = _simple_group(args)
-    A = _pair(S, args.max_nodes)[0] if isinstance(S, FiniteGroup) else None  # the search
+    A = automorphism_group(S, budget=args.max_nodes) if isinstance(S, FiniteGroup) else None
     sigma_space = (S.aut_order if A is None else A.order) ** args.p * args.p  # before a closure
     if sigma_space > SLOW_HP_SPACE and not args.slow:
         raise TooLarge(f"H_{args.p} sweep space is {size_text(sigma_space)}; rerun with --slow")
-    hp = wreath.build_hp(_pair(S, args.max_nodes)[0] if A is None else A, args.p)
+    hp = wreath.build_hp(S.closed()[0] if A is None else A, args.p)
     print(json.dumps(hp.to_json()))
     return 0
 

@@ -1,5 +1,6 @@
 """S-types of Aut(S)-classes, exact per-coset proportions rho(c) and their
-maximum h(S), read off Aut(S)'s orbits on the cosets of S (`coset_classes`).
+maximum h(S), read off Aut(S)'s orbits on the cosets of S (`coset_classes`),
+joined by `fuse`, which on the trivial coset gives `maol --group`'s orbits.
 
 The rest works on a pair (AutS, S): a fully enumerated group AutS and the id
 set of a normal subgroup S (the socle when AutS is an automorphism group), and
@@ -13,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .catalog import AlmostSimple
-from .permcore import (POINT_DTYPE, ConjClassTable, FiniteGroup, GroupError, conjugacy_classes,
-                       orbits, quotient_group, sort_rows)
+from .permcore import (POINT_DTYPE, ConjClassTable, FiniteGroup, GroupError, NotNormal,
+                       conjugacy_classes, orbits, quotient_group, sort_rows)
 
 
 @dataclass
@@ -32,11 +33,12 @@ def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
     """The classes of A = Aut(S), for G = S from `catalog.almost_simple` or any G
     normal in A, from A's rows, |A| and `lift`, with no closure of A.  A class c
     meets a coset G·a of its type (a class of A/G) in one orbit of the preimage
-    N_a of C(ā), acting by conjugation: g·(s·a)·g⁻¹ = (g·s·a·g⁻¹·a⁻¹)·a, one map on
-    G's ids per generator (`twist`).  The cosets come from a search over the
-    rows, and |A/G|·|G| must be |A| (else `GroupError`).  With `numbered`, cosets
-    and classes are ordered by their least rows on A's points, as
-    `quotient_group` and `conjugacy_classes` number them on the closed A."""
+    N_a of C(ā), acting by conjugation: g·(s·a)·g⁻¹ = (g·s·a·g⁻¹·a⁻¹)·a.  G's
+    generators give one map on G's ids each (`twist`), and `fuse` joins their
+    orbits by C(ā)'s generators, read on one member per orbit.  The cosets come
+    from a search over the rows, and |A/G|·|G| must be |A| (else `GroupError`).
+    With `numbered`, cosets and classes are ordered by their least rows on A's
+    points, as `quotient_group` and `conjugacy_classes` number them on the closed A."""
     S, lifted, rows = G.group, G.lift(G.group.elements), np.asarray(G.aut_rows, POINT_DTYPE)
     reps = [np.arange(rows.shape[1], dtype=POINT_DTYPE)]
     for r in reps:  # the search appends while it reads, to one coset past |A|
@@ -62,21 +64,39 @@ def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
         q = members[0]
         kept = out.closure(np.flatnonzero(mul[:, q] == mul[q]))[1]  # C(q)'s generators
         a = reps[q]
-        parts, orbit_of = orbits((twist(g, a, a) for g in [*gens, *reps[kept]]), S.order)
-        sizes += [part.size * members.size for part in parts]
-        types += [tau] * len(parts)
-        rho += [Fraction(part.size, S.order) for part in parts]
+        parts, orbit_of = orbits((twist(g, a, a) for g in gens), S.order)
+        orbit_of = fuse(S, parts, orbit_of, a, reps[kept], G.lift)[orbit_of]  # N_a's orbits
+        counts = np.bincount(orbit_of).tolist()
+        sizes += [c * members.size for c in counts]
+        types += [tau] * len(counts)
+        rho += [Fraction(c, S.order) for c in counts]
         for y in members if numbered else ():  # each fibre's least row, over G·y
             x = np.flatnonzero(mul[mul[:, q], inverse] == y)[0]  # x·q·x⁻¹ = y
             labels = np.empty_like(orbit_of)
             labels[twist(reps[x], a, reps[y])] = orbit_of
-            least.append(_least_rows(lifted, reps[y], labels, len(parts)))
-            owner.extend(range(len(sizes) - len(parts), len(sizes)))
+            least.append(_least_rows(lifted, reps[y], labels, len(counts)))
+            owner.extend(range(len(sizes) - len(counts), len(sizes)))
     if numbered:
         by_row = np.lexsort(np.concatenate(least).T[::-1])
         order = np.argsort(np.unique(np.array(owner)[by_row], return_index=True)[1])
         sizes, types, rho = ([x[c] for c in order] for x in (sizes, types, rho))
     return CosetClasses(out, sizes, types, rho)
+
+
+def fuse(S: FiniteGroup, parts, orbit_of: np.ndarray, a: np.ndarray, outer: np.ndarray,
+         lift=np.asarray) -> np.ndarray:
+    """The orbit, numbered by least member, of each of `parts`: S's orbits on the
+    coset S·a, written on S's ids s for s·a and numbered by least member, fused by
+    the rows `outer` acting by conjugation, b·s·a·b⁻¹ = (b·s·a·b⁻¹·a⁻¹)·a.  Each row
+    maps t·a, t a generator of S, and s·a, s the least member of each orbit (the
+    identity first), read back on S's (the first) points: a miss, where b does not
+    normalize S or S·a, is `NotNormal`."""
+    mats = lift(S.elements[np.concatenate([S.gen_ids, [part[0] for part in parts]])])
+    ids = [S._index.find(b[mats[:, a[np.argsort(b)[np.argsort(a)[:S.degree]]]]])
+           for b in np.asarray(outer, POINT_DTYPE)]
+    if any(np.any(m < 0) for m in ids):
+        raise NotNormal("the subgroup is not normal in Aut(S)")
+    return orbits((orbit_of[m[S.gen_ids.size:]] for m in ids), len(parts))[1]
 
 
 def _coset_of(S: FiniteGroup, lifted: np.ndarray, reps, x: np.ndarray) -> int:

@@ -1,6 +1,7 @@
 """The Aut(G)-orbits of an almost simple G read off the classes of a closed
-Aut(S), kept as a test oracle of `autgrp.fused_class_orbits`, which fuses G's
-own classes by Aut(S)'s generators and closes no Aut(S)."""
+Aut(S), kept as a test oracle of `maol --group` (`cli.maol_report`), which
+fuses G's own classes by Aut(S)'s generators (`stypes.fuse`) and closes no
+Aut(S)."""
 
 import numpy as np
 

@@ -15,9 +15,9 @@ close to Aut(S) as built from its known structure: the same |Aut(S)|, h(S)
 and (class size, rho) multiset for every simple group it covers of order
 <= 2000, and the same Aut(G)-orbit sizes for every covered almost simple G
 of order <= 2000.  Those orbits come from G's classes fused by Aut(S)'s
-generators (`autgrp.fused_class_orbits`, as `maol --group` reads them), and
-must equal both the search's and the classes of the closed Aut(S) inside G
-(`class_orbits_oracle`)."""
+generators (`stypes.fuse` on the trivial coset, as `cli.maol_report` reads
+them), and must equal both the search's and the classes of the closed Aut(S)
+inside G (`class_orbits_oracle`)."""
 
 from functools import lru_cache
 from fractions import Fraction
@@ -27,11 +27,12 @@ import numpy as np
 import pytest
 
 from autorbit import catalog
-from autorbit.autgrp import (_fingerprint_labels, automorphism_group, fused_class_orbits,
+from autorbit.autgrp import (DEFAULT_NODE_BUDGET, _fingerprint_labels, automorphism_group,
                              inner_automorphism_ids, maol)
 from autorbit.catalog import projective_order
-from autorbit.cli import NONSOLVABLE_LIST
-from autorbit.permcore import POINT_DTYPE, GroupError, close_group, conjugacy_classes, dimino
+from autorbit.cli import NONSOLVABLE_LIST, maol_report
+from autorbit.permcore import (DEFAULT_CLOSURE_LIMIT, POINT_DTYPE, GroupError, close_group,
+                               conjugacy_classes, dimino)
 from autorbit.stypes import class_type_table, h_value
 from class_orbits_oracle import class_orbits
 from stypes_oracle import h_value_direct
@@ -359,7 +360,7 @@ def test_aut_classes_in_g_are_the_aut_g_orbits(name):
     # Aut(S)-classes inside the closed Aut(S) and the searched Aut(G)-orbits agree
     G, B = searched(name)
     built = catalog.almost_simple(name)
-    fused = fused_class_orbits(built.group, built.aut_rows, built.lift)
+    fused = maol_report(f"name:{name}", DEFAULT_CLOSURE_LIMIT, DEFAULT_NODE_BUDGET)[0].orbit_sizes
     assert fused == class_orbits(*built.closed()) == maol(G, B).orbit_sizes
 
 

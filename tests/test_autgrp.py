@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from autorbit import autgrp, catalog, permcore as pc
+from autorbit import autgrp, catalog, permcore as pc, stypes
 from autorbit.autgrp import (ActionMismatch, BudgetExceeded, TooLarge, automorphism_group,
                              inner_automorphism_ids, maol)
 import class_orbits_oracle
@@ -185,29 +185,54 @@ def test_class_orbits_conjugates_by_each_generator_once(monkeypatch):
     assert len(calls) == len(A.gen_ids) > 0
 
 
+def fused_sizes(G, rows, lift=np.asarray):
+    """G's classes fused by the rows (`stypes.fuse` on the trivial coset), as
+    `maol --group` reads them: the fused orbits' sizes, largest first."""
+    table, rows = pc.conjugacy_classes(G), np.asarray(rows)
+    fused = stypes.fuse(G, table.classes, table.class_of, np.arange(rows.shape[1]), rows, lift)
+    return sorted(np.bincount(fused[table.class_of]).tolist(), reverse=True)
+
+
 @pytest.mark.parametrize("rows", [[[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],  # Sym5's two rows
                                   [[0, 1, 2, 3, 4], [4, 1, 2, 3, 0]]])  # the second moves 4
-def test_fused_class_orbits_refuses_a_row_that_does_not_normalize(rows):
+def test_fuse_refuses_a_row_that_does_not_normalize(rows):
     # a Sym4 fixing the point 4: the 5-cycle, or the transposition (0 4),
     # conjugates a generator of it out of it
     s4 = pc.close_group([[1, 0, 2, 3, 4], [1, 2, 3, 0, 4]])
     assert s4.order == 24
     with pytest.raises(pc.NotNormal, match=r"^the subgroup is not normal in Aut\(S\)$"):
-        autgrp.fused_class_orbits(s4, np.array(rows))
+        fused_sizes(s4, rows)
     # a first row that normalizes it fuses none of its classes
-    assert autgrp.fused_class_orbits(s4, np.array(rows[:1])) == [8, 6, 6, 3, 1]
+    assert fused_sizes(s4, rows[:1]) == [8, 6, 6, 3, 1]
 
 
-def test_fused_class_orbits_reads_back_on_g_points():
+def test_fuse_reads_back_on_g_points():
     # PSL_3(2) on its 7 points, Aut(S) on 7 points + 7 lines: the duality
     # fuses the two classes of elements of order 7, and the rows of
     # PGL_3(2) = PSL_3(2) (all but the duality) fuse nothing
     G = catalog.almost_simple("psl(3,2)")
     assert (G.group.degree, G.aut_rows.shape[1]) == (7, 14)
     assert sorted(pc.conjugacy_classes(G.group).sizes) == [1, 21, 24, 24, 42, 56]
-    assert autgrp.fused_class_orbits(G.group, G.aut_rows, G.lift) == [56, 48, 42, 21, 1]
-    assert autgrp.fused_class_orbits(G.group, G.aut_rows[:-1], G.lift) == [56, 42, 24, 24, 21, 1]
+    assert fused_sizes(G.group, G.aut_rows, G.lift) == [56, 48, 42, 21, 1]
+    assert fused_sizes(G.group, G.aut_rows[:-1], G.lift) == [56, 42, 24, 24, 21, 1]
     swap = np.arange(14)
     swap[[0, 7]] = [7, 0]  # a point with a line: the conjugates send points to lines
     with pytest.raises(pc.NotNormal, match=r"^the subgroup is not normal in Aut\(S\)$"):
-        autgrp.fused_class_orbits(G.group, swap[None], G.lift)
+        fused_sizes(G.group, swap[None], G.lift)
+
+
+def test_fuse_refuses_a_row_that_moves_the_coset():
+    # V4 in Sym4 and its coset V4·(0 1), on which V4 has the orbits
+    # {(0 1), (2 3)} and {(0 2 1 3), (0 3 1 2)}: (0 1) fixes the coset and
+    # fuses neither, and the 3-cycle (0 1 2) normalizes V4 but sends (0 1)
+    # to (1 2), outside the coset, as Sym4/V4 = Sym3 is not abelian
+    v4 = pc.close_group([[1, 0, 3, 2], [2, 3, 0, 1]])
+    a = np.array([1, 0, 2, 3])
+    # s ↦ t·s·a·t⁻¹·a⁻¹ for V4's generators t, with a⁻¹ = a
+    maps = [t[v4.elements[:, a[np.argsort(t)[a]]]] for t in v4.elements[v4.gen_ids]]
+    parts, orbit_of = pc.orbits((v4.ids_of(m) for m in maps), v4.order)
+    assert sorted(sorted(v4.elements[p][:, a].tolist()) for p in parts) == [
+        [[0, 1, 3, 2], [1, 0, 2, 3]], [[2, 3, 1, 0], [3, 2, 0, 1]]]
+    assert stypes.fuse(v4, parts, orbit_of, a, a[None]).tolist() == [0, 1]
+    with pytest.raises(pc.NotNormal, match=r"^the subgroup is not normal in Aut\(S\)$"):
+        stypes.fuse(v4, parts, orbit_of, a, np.array([[1, 2, 0, 3]]))

@@ -11,7 +11,7 @@ import pytest
 
 import autorbit
 from autorbit import catalog, cli, permcore, stypes, wreath
-from autorbit.autgrp import DEFAULT_NODE_BUDGET, automorphism_group, maol
+from autorbit.autgrp import DEFAULT_NODE_BUDGET, automorphism_group, inner_automorphism_ids, maol
 from autorbit.permcore import DEFAULT_CLOSURE_LIMIT, MAX_DEGREE, FiniteGroup
 from autorbit.reports import ReportItem, VerificationReport, encode_value
 import wreath_oracle as wo
@@ -83,7 +83,11 @@ def test_h_prints_what_the_closed_aut_s_printed(tmp_path, capsys, spec):
                                     "generators": ["(1 2 3)", "(1 2 3 4 5)"]}))
         spec = f"file:{path}"
     G = cli.construct_or_group(spec, DEFAULT_CLOSURE_LIMIT)
-    expected = _closed_aut_s_h(*cli._pair(G, DEFAULT_NODE_BUDGET))
+    if isinstance(G, FiniteGroup):  # the searched Aut(S) and Inn(S) inside it
+        A = automorphism_group(G, budget=DEFAULT_NODE_BUDGET)
+        expected = _closed_aut_s_h(A, inner_automorphism_ids(G, A))
+    else:
+        expected = _closed_aut_s_h(*G.closed())
     code, out, _ = run_cli(capsys, "h", "--simple", spec)
     assert code == 0 and out == expected
 

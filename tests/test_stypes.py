@@ -110,6 +110,18 @@ def test_coset_classes_agree_with_the_closed_aut_s_slow(name):
     _agrees_with_the_closed_aut_s(name)
 
 
+@pytest.mark.parametrize("name, maps", [("alt6", 12), ("psl(3,4)", 30), ("psl(2,64)", 18)])
+def test_coset_classes_map_s_once_per_generator_of_s(monkeypatch, name, maps):
+    # one whole-S map per generator of S and Out-class: C(ā)'s generators fuse
+    # S's orbits on one member each (`fuse`), with no whole-S map of their own
+    built, calls, real = catalog.almost_simple(name), [], pc.FiniteGroup.map_ids
+    monkeypatch.setattr(pc.FiniteGroup, "map_ids",
+                        lambda G, rows, g, cols: calls.append(len(rows)) or real(G, rows, g, cols))
+    table = st.coset_classes(built)
+    n_classes = len(pc.conjugacy_classes(table.out).classes)
+    assert calls.count(built.group.order) == maps == built.group.gen_ids.size * n_classes
+
+
 def test_coset_classes_check_the_order_formula():
     # |Out|·|S| must be the given |Aut(S)|: a wrong formula gives no table
     built = catalog.almost_simple("psl(3,4)")
