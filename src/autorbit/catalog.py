@@ -58,8 +58,6 @@ def cyclic(n: int, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     if n < 1:
         raise BadParameter("cyclic(n) needs n >= 1")
     _check_degree(n)
-    if n == 1:
-        return close_group(np.empty((0, 1)), name="cyclic1")
     return close_group([list(range(1, n)) + [0]], limit=limit, name=f"cyclic{n}", order=n)
 
 

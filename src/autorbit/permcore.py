@@ -13,27 +13,24 @@ Conventions, fixed globally:
 
 A group is built from a (k, degree) array of generator rows (``close_group``);
 rows read from outside the program are checked first (`_check_bijection`).
-Groups are enumerated by one Dimino closure (``dimino``): a generator the
-closure H already holds is dropped, and each kept generator adds the right
-cosets H*r, one BFS level of coset representatives at a time.  A subgroup of
-a finished group closes on ids by the same drop rule (`FiniteGroup.closure`,
-subgroups only): each kept seed runs one `sweep` of right multiplication.
-Elements are keyed by their images of a base, a point set on which no two
-elements agree, in one sorted index (`_RowIndex`) that backs both the closure
-and a group's `ids_of`.  The key is one uint64, a Horner fold of the base
-images in radix degree|1: exact while radix^|base| < 2^64, a hash past that.
-Only storing rows grows the base, when a new row shares its key with a
-distinct one (equal base images, or a collision of the wrapped fold); a
-lookup never moves it.  A membership test (`ids_of`) confirms each key hit on
-the full row; a product or conjugate of members is a member, so the Cayley
-table, conjugation maps and a quotient's cosets and translations form its
-base images alone.  Products and cosets search their keys one by one
+Its stabilizer chain (``schreier_sims``) keeps a generator outside the group
+of the kept ones before it (Dimino's rule); the orbit lengths give the order,
+checked against the limit before any element is built, and each element is
+one product of transversal rows.  A subgroup of a finished group closes on ids
+by the same rule (`FiniteGroup.closure`): each kept seed runs one `sweep` of
+right multiplication.  Elements are keyed by their images of the chain's base
+in one sorted index (`_RowIndex`): one uint64 per element, a Horner fold of
+the images in radix degree|1, exact while radix^|base| < 2^64 and a hash past
+that (a collision grows the base).  A membership test (`ids_of`) confirms
+each key hit on the full row; a product or conjugate of members is a member,
+so the Cayley table, conjugation maps and a quotient's cosets and translations
+form its base images alone.  Products and cosets search their keys one by one
 (`_RowIndex.locate`); the conjugates of all of G are a permutation of G, so
 their keys are the stored ones reordered: one argsort, checked against them,
-names every conjugate (`_RowIndex.locate_all`).  A group's ``gen_ids``
-are the ids of its kept, irredundant generators, and conjugation by an
-element id is one id map of the whole group (`FiniteGroup.conjugation_ids`);
-a set is normal iff it is a union of conjugacy classes (`is_normal`).
+names every conjugate (`_RowIndex.locate_all`).  A group's ``gen_ids`` are the
+ids of its kept, irredundant generators, and conjugation by an element id is
+one id map of the whole group (`FiniteGroup.conjugation_ids`); a set is normal
+iff it is a union of conjugacy classes (`is_normal`).
 
 `cycle_decompose` keeps a row's 1-cycles; cycle strings at the I/O boundary
 use 1-based points, e.g. ``"(1 2)(3 4 5)"``.
@@ -45,7 +42,7 @@ import json
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from math import lcm, log10
+from math import log10, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -182,46 +179,39 @@ def sort_rows(rows: np.ndarray, base: Sequence[int]) -> np.ndarray:
 
 
 class _RowIndex:
-    """Distinct permutation rows in the order they were stored, looked up by
-    their images of a base on which no two stored rows share a key (`_fold`,
-    radix degree|1; exact mixed radix, ordered as the images are, while
-    radix^|base| < 2^64, and past that a hash).  The keys are kept sorted, with
-    each key's int32 store position.  `find` is a pure lookup; only `add_new`
-    extends the base, when a row it is given shares a key with a distinct row."""
+    """Distinct permutation rows looked up by their images of a base on which
+    no two of them agree (`_fold`, radix degree|1; exact mixed radix, ordered as
+    the images are, while radix^|base| < 2^64, and past that a hash).  The keys
+    are kept sorted, with each key's int32 row position."""
 
-    def __init__(self, rows: np.ndarray, base: Sequence[int] = (0,),
-                 limit: int = DEFAULT_CLOSURE_LIMIT, size: int | None = None):
-        self._buf, self.rows = rows, rows[:size]  # the used part; the buffer doubles when full
-        self.limit, self._radix = limit, np.uint64(rows.shape[1] | 1)
+    def __init__(self, rows: np.ndarray, base: Sequence[int] = (0,)):
+        self.rows, self._radix = rows, np.uint64(rows.shape[1] | 1)
         self._rekey(list(base))
 
     def _fold(self, images: np.ndarray) -> np.ndarray:
-        """One uint64 key per row of base images, by the Horner fold k = k*radix + x."""
+        """One uint64 key per row of base images, by the Horner fold k = k*radix + x,
+        each column cast to uint64 as it is added: int64 rows key as point rows do."""
         key = images[:, 0].astype(np.uint64)
         for j in range(1, images.shape[1]):
             key *= self._radix  # in place: a key array is 8 bytes per row
-            key += images[:, j]
+            np.add(key, images[:, j], out=key, dtype=np.uint64, casting="unsafe")
         return key
 
-    def _grow(self, a: np.ndarray, b: np.ndarray) -> list[int]:
-        """The base plus the first point off it where the distinct rows a and b
-        differ, or if they differ only on it (a hash collision) the first point off it."""
-        free = np.setdiff1d(np.arange(len(a)), self.base)
-        if not free.size:
-            raise GroupError(f"keys collide on the base {self.base}, which holds every point")
-        return self.base + [int(free[np.argmax(a[free] != b[free])])]
-
     def _rekey(self, base: list[int]):
-        """Key the store on `base`, which must tell the stored rows apart."""
+        """Key the rows on `base`, which must tell them apart; a key two share (the
+        wrapped fold) adds the first free point where they differ, or the first free one."""
         keys = self._fold(self.rows[:, base])
         self.base, self._ids = base, np.argsort(keys).astype(np.int32)
         self._keys = keys[self._ids]
         same = np.flatnonzero(self._keys[1:] == self._keys[:-1])
         if same.size:
             a, b = self.rows[self._ids[same[0]:same[0] + 2]]
+            free = np.setdiff1d(np.arange(len(a)), base)
             if np.array_equal(a[base], b[base]):
                 raise GroupError(f"two stored rows agree on the base {base}")
-            self._rekey(self._grow(a, b))
+            if not free.size:
+                raise GroupError(f"keys collide on the base {base}, which holds every point")
+            self._rekey(base + [int(free[np.argmax(a[free] != b[free])])])
 
     def _slots(self, keys: np.ndarray) -> np.ndarray:
         """Slot of the one stored key that can equal each of `keys`."""
@@ -251,48 +241,10 @@ class _RowIndex:
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Store position of each row, -1 where the row is not stored."""
         pos = self._ids[self._slots(self._fold(rows[:, self.base]))].astype(np.int64)
-        stored = self._buf[pos]
+        stored = self.rows[pos]
         if np.array_equal(stored, rows):
             return pos
         return np.where(np.all(stored == rows, axis=1), pos, -1)
-
-    def add_new(self, batch: np.ndarray) -> np.ndarray:
-        """Store the rows of `batch` that equal no stored row and no earlier
-        row of `batch`, in their order; returns the mask of the rows stored.
-        First the base grows until no two distinct rows, given or stored,
-        share a key: a batch row's key is compared with the next one in key
-        order and with the stored key it would be merged in next to."""
-        size = len(self.rows)
-        while True:
-            keys = self._fold(batch[:, self.base])
-            order = np.argsort(keys, kind="stable")  # equal rows: the first one first
-            keys = keys[order]
-            same = np.flatnonzero(keys[1:] == keys[:-1])
-            slots = np.searchsorted(self._keys, keys)  # sorted queries search fastest
-            at = np.minimum(slots, size - 1)
-            hit = np.flatnonzero(self._keys[at] == keys)
-            a = np.concatenate([batch[order[same]], self._buf[self._ids[at[hit]]]])
-            b = batch[order[np.concatenate([same + 1, hit])]]
-            clash = np.flatnonzero(np.any(a != b, axis=1))
-            if not clash.size:
-                break
-            self._rekey(self._grow(a[clash[0]], b[clash[0]]))
-        keep = np.ones(len(batch), dtype=bool)  # in key order
-        keep[same + 1] = False  # a repeat of an earlier row of the batch
-        keep[hit] = False  # a stored row
-        new = np.zeros_like(keep)
-        new[order] = keep
-        need = size + int(np.count_nonzero(new))
-        if need > self.limit:
-            raise ClosureLimitExceeded(f"closure exceeded limit {self.limit}")
-        if need > len(self._buf):  # capacity a power of two
-            self._buf = np.empty((1 << (need - 1).bit_length(), self._buf.shape[1]), POINT_DTYPE)
-            self._buf[:size] = self.rows  # still a view of the old buffer
-        self._buf[size:need] = batch[new]
-        self.rows = self._buf[:need]
-        self._keys = np.insert(self._keys, slots[keep], keys[keep])
-        self._ids = np.insert(self._ids, slots[keep], size + np.cumsum(new)[order[keep]] - 1)
-        return new
 
 
 def cycle_lengths(rows: np.ndarray) -> np.ndarray:
@@ -311,91 +263,147 @@ def cycle_lengths(rows: np.ndarray) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=k * d)[flat]
 
 
-def _order(images: np.ndarray) -> int:
-    """Exact order of one permutation row: the lcm of its distinct cycle lengths."""
-    return lcm(*np.unique(cycle_lengths(images[None, :])).tolist())
+def _row_blocks(width: int, n: int):
+    """Slices of 0..n-1 whose rows, `width` entries each, fill one block."""
+    step = max(1, _BLOCK_CELLS // max(1, width))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
-def _powers(g: np.ndarray, limit: int) -> np.ndarray:
-    """Rows of g^0, ..., g^(o-1), o the order of g."""
-    order = _order(g)
-    if order > limit:
-        raise ClosureLimitExceeded(f"closure exceeded limit {limit}")
-    rows = np.empty((order, g.size), dtype=POINT_DTYPE)
-    rows[0], done = np.arange(g.size), 1
-    while done < order:  # g^(done+j) = g^j * g^done for j < done
-        take = min(done, order - done)
-        rows[done:done + take] = np.take(rows[:take], rows[done - 1][g], axis=1)
-        done += take
-    return rows
+def _compose(table: np.ndarray, which: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The rows table[which[i]] * q[i], a block at a time ("clip": unbuffered)."""
+    out, d = np.empty_like(q), q.shape[1]
+    for rows in _row_blocks(8 * d, len(q)):  # the gather's intp indices
+        at = q[rows] + which[rows, None] * d
+        np.take(table.ravel(), at, out=out[rows], mode="clip")
+    return out
 
 
-def _add_cosets(index: _RowIndex, H: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """Store the right cosets H*c of the candidates c the store does not hold,
-    each distinct coset once; returns the candidates that added a coset.  A batch
-    (1/32 of the buffer, within 1/32 block and a block) is whole cosets or a slice of one."""
-    m, degree = H.shape
-    rows = max(1, min(max(len(index._buf), _BLOCK_CELLS // degree) >> 5, _BLOCK_CELLS // degree))
-    step = max(1, rows // m)
-    added = []
-    for lo in range(0, len(cands), step):
-        reps = cands[lo:lo + step]
-        reps = reps[index.find(reps) < 0]
-        if not reps.size:
-            continue
-        for at in range(0, m, rows):
-            cosets = np.take(H[at:at + rows], reps, axis=1).transpose(1, 0, 2)  # H[0] = 1
-            new = index.add_new(cosets.reshape(-1, degree))
-        added.append(reps[new[::m]])  # a coset is new or repeats whole
-    return np.concatenate(added) if added else np.empty((0, degree), POINT_DTYPE)
+class _Level:
+    """A level of a stabilizer chain (Seress 2003, ch. 4): a base point, the strong
+    generators fixing the base points before it, and for each point x of its
+    orbit, at `pos[x]` (-1 off it), rows `U` of a u with u(point) = x and `inv`
+    of u^-1.  The first `done` rows' and generators' Schreier generators pass."""
+
+    def __init__(self, point: int, degree: int):
+        self.point, self.gens, self.done = point, np.empty((0, degree), POINT_DTYPE), (0, 0)
+        self.pos = np.where(np.arange(degree) == point, 0, -1)
+        self.U = self.inv = np.arange(degree, dtype=POINT_DTYPE)[None, :]
+
+    def add(self, h: np.ndarray):
+        """Add the generator h; a new orbit point s(x) gets s*u and u^-1*s^-1, u x's row."""
+        self.gens = gens = np.vstack([self.gens, h])
+        gens_inv = np.argsort(gens, axis=1).astype(POINT_DTYPE)
+        rows, inv, parts = self.U, self.inv, [(self.U, self.inv)]
+        while len(rows):
+            flat = gens[:, rows[:, self.point]].ravel()  # generator-major images
+            new = np.flatnonzero(self.pos[flat] < 0)
+            new = new[np.sort(np.unique(flat[new], return_index=True)[1])]
+            self.pos[flat[new]] = np.arange(len(new)) + sum(len(u) for u, _ in parts)
+            s, at = np.divmod(new, len(rows))
+            rows, inv = _compose(gens, s, rows[at]), _compose(inv, at, gens_inv[s])
+            parts.append((rows, inv))
+        self.U, self.inv = (np.concatenate(side) for side in zip(*parts))
+
+    def schreier_rows(self):
+        """Blocks of the rows s*u (s a generator, u in `U`) not yet known to pass: s*u
+        sifts through this level with the u' of s(u(point)), then as u'^-1*s*u."""
+        for k, s in enumerate(self.gens):
+            U = self.U[self.done[0] if k < self.done[1] else 0:]
+            for rows in _row_blocks(8 * U.shape[1], len(U)):
+                yield s[U[rows]]
+        self.done = (len(self.U), len(self.gens))
+
+
+def _first_outside(chain: list[_Level], lo: int, rows: np.ndarray):
+    """(i, residue, j) for the first of `rows` (fixing the base points before level
+    lo) outside the group of levels lo.., sifted to level j, whose orbit misses
+    its image (len(chain): it fixes the base but is not 1); None if none is.
+    Rows are sifted on their base images, and compared in full only if they pass."""
+    k, d = len(chain), rows.shape[1]
+    images = rows[:, [level.point for level in chain[lo:]]].astype(np.int64)
+    at, stop = np.zeros_like(images), np.full(len(rows), k)
+    for j, level in enumerate(chain[lo:]):
+        p = level.pos[images[:, j]]
+        stop[(p < 0) & (stop == k)] = lo + j
+        at[:, j] = p = np.maximum(p, 0)
+        images[:, j + 1:] = level.inv[p[:, None], images[:, j + 1:]]
+    i = next(iter(np.flatnonzero(stop < k)), len(rows))
+    product = chain[-1].U[at[:i, -1]] if k > lo else np.arange(d)  # u_lo * ... * u_k
+    for j in range(k - 2, lo - 1, -1):
+        product = _compose(chain[j].U, at[:i, j - lo], product)
+    if not (inside := np.all(product == rows[:i], axis=1)).all():
+        i = int(np.argmin(inside))
+    if i == len(rows):
+        return None
+    row = rows[i]
+    for level, u in zip(chain[lo:stop[i]], at[i]):
+        row = level.inv[u][row]
+    return int(i), row, int(stop[i])
+
+
+def _enumerate(chain: list[_Level], degree: int, order: int) -> np.ndarray:
+    """The products u_0 * u_1 * ... of a transversal row per level, identity first:
+    each row of a level times each product below it, written after them in place."""
+    elements = np.empty((order, degree), dtype=POINT_DTYPE)
+    elements[0], done = np.arange(degree), 1
+    for level in reversed(chain):
+        for rows in _row_blocks(8 * degree, done):
+            below = elements[rows].astype(np.intp)  # indices for every row of the level
+            for a in range(1, len(level.U)):  # "clip": as in `_compose`
+                np.take(level.U[a], below, out=elements[a * done:][rows], mode="clip")
+        done *= len(level.U)
+    return elements
 
 
 Closure = namedtuple("Closure", "elements kept base")  # identity first; kept ascending
 
 
-def dimino(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
-           order: int | None = None) -> Closure:
-    """Dimino's closure of the permutation rows `gen_rows` (Butler 1991): the
-    elements, the indices of the kept generators and a base on which no two
-    elements agree.  A generator the closure H of the kept ones already holds
-    is dropped; a kept generator g grows H to <H, g> by right cosets H*r,
-    handling the candidate representatives r*s (s kept) of one BFS level
-    together.  For the first kept generator H = 1: the cosets are g's powers.
-    Given the `order` (within `limit`), the elements must fill one array that size."""
-    gen_rows = np.asarray(gen_rows, dtype=POINT_DTYPE)
-    degree = gen_rows.shape[1]
-    if order is not None and order > limit:
-        raise ClosureLimitExceeded(f"closure exceeded limit {limit}")
-    buf = np.empty((order or 1, degree), POINT_DTYPE)  # sized once if the order is known
-    buf[0] = np.arange(degree)
-    index = _RowIndex(buf, limit=limit, size=1)
-    kept: list[int] = []
-    start = 0
-    while True:
-        missing = np.flatnonzero(index.find(gen_rows[start:]) < 0)
-        if not missing.size:
-            if order is not None and len(index.rows) != order:
-                raise GeneratorDeficiency(f"closed to order {len(index.rows)}, expected {order}")
-            return Closure(index.rows, kept, index.base)
-        start += int(missing[0])
-        kept.append(start)
-        H, kept_rows, g = index.rows, gen_rows[kept], gen_rows[start]
-        start += 1
-        if len(kept) == 1:  # H = 1: <g> is g's powers
-            index.add_new(_powers(g, limit)[1:])
+def schreier_sims(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
+                  order: int | None = None) -> Closure:
+    """The group of the rows `gen_rows`: its elements, the kept generators' indices
+    and its stabilizer chain's base ([0] if trivial).  A row outside the group of
+    the kept ones before it is kept (Dimino's rule), sifted in chunks doubling
+    from the last kept one.  Its residue h joins the levels up to the one it
+    reached (past the base: a new one at the least point h moves); deterministic
+    Schreier–Sims completes the chain from there up (Holt, Eick & O'Brien 2005,
+    §4.4.2).  The orbit lengths multiply to at most the order as they grow, and
+    then to it: `limit` and `order` are checked before any element is built."""
+    chain, kept, start, step = [], [], 0, 1
+    while start < len(gen_rows):
+        found = _first_outside(chain, 0, gen_rows[start:start + step])
+        if found is None:
+            start, step = start + step, 2 * step
             continue
-        cands = g[None, :]
-        while cands.size:
-            reps = _add_cosets(index, H, cands)
-            cands = np.take(reps, kept_rows, axis=1).reshape(-1, degree)
+        (i, h, j), lo = found, 0
+        kept.append(start + i)
+        start, step = kept[-1] + 1, 1
+        while h is not None:  # h fixes the base points before level j
+            if j == len(chain):
+                chain.append(_Level(int(np.argmax(h != np.arange(h.size))), h.size))
+            for level in chain[lo:j + 1]:
+                level.add(h)
+            if prod(len(level.U) for level in chain) > limit:
+                raise ClosureLimitExceeded(f"closure exceeded limit {limit}")
+            h, at = None, j
+            while h is None and at >= 0:  # levels j, j-1, ... sift their Schreier rows
+                sifted = (_first_outside(chain, at, rows) for rows in chain[at].schreier_rows())
+                if (found := next(filter(None, sifted), None)) is None:
+                    at -= 1
+                else:
+                    (_, h, j), lo = found, at + 1
+    size = prod(len(level.U) for level in chain)
+    if order is not None and size != order:
+        raise GeneratorDeficiency(f"closed to order {size}, expected {order}")
+    base = [level.point for level in chain] or [0]
+    return Closure(_enumerate(chain, gen_rows.shape[1], size), kept, base)
 
 
 class FiniteGroup:
     """Fully enumerated permutation group with canonical element ids, looked
     up by their images of `base`, on which no two elements agree.  `elements`
-    is closed under composition (every constructor takes it from `dimino`), so
-    a product of members is a member and its base images name it.  `gen_ids`
-    are the ids of the rows `gen_rows` it is generated by; each must be a member."""
+    is closed under composition (`schreier_sims` builds them), so a product of
+    members is a member and its base images name it.  `gen_ids` are the ids of
+    the rows `gen_rows` it is generated by; each must be a member."""
 
     def __init__(self, elements: np.ndarray, base: Sequence[int], gen_rows: np.ndarray,
                  name: str | None = None):
@@ -435,11 +443,6 @@ class FiniteGroup:
 
     # -- id-level arithmetic -------------------------------------------
 
-    def _row_blocks(self, width: int, n: int):
-        """Slices of 0..n-1 whose rows, `width` entries each, fill one block."""
-        step = max(1, _BLOCK_CELLS // max(1, width))
-        return (slice(lo, lo + step) for lo in range(0, n, step))
-
     def inverse_ids(self) -> np.ndarray:
         if self._inv_ids is None:
             self._inv_ids = self.ids_of(np.argsort(self.elements, axis=1))
@@ -455,7 +458,7 @@ class FiniteGroup:
         if self._cayley is None:
             n, E, b = self.order, self.elements, len(self.base)
             table = np.empty((n, n), dtype=np.int32)
-            for rows in self._row_blocks(n * b, n):
+            for rows in _row_blocks(n * b, n):
                 block = np.take(E[rows], E[:, self.base], axis=1)  # E[i] * E[j] on the base
                 table[rows] = self._index.locate(block.reshape(-1, b)).reshape(-1, n)
             ids = np.arange(n)
@@ -476,7 +479,7 @@ class FiniteGroup:
         """Ids of the members with base images g(x(cols)), one for each row x of
         `rows`, whose keys must be the stored ones reordered (`locate_all`)."""
         keys = np.empty(len(rows), dtype=np.uint64)
-        for block in self._row_blocks(8 * len(cols), len(rows)):
+        for block in _row_blocks(8 * len(cols), len(rows)):
             keys[block] = self._index._fold(np.take(g, rows[block, cols]))
         return self._index.locate_all(keys)
 
@@ -485,7 +488,7 @@ class FiniteGroup:
         as every order divides |G|."""
         if self._orders is None:
             orders = np.empty(self.order, dtype=np.int64)
-            for rows in self._row_blocks(self.degree, self.order):
+            for rows in _row_blocks(self.degree, self.order):
                 orders[rows] = np.lcm.reduce(cycle_lengths(self.elements[rows]), axis=1)
             self._orders = orders
         return self._orders
@@ -537,15 +540,14 @@ class FiniteGroup:
 
 def close_group(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
                 name: str | None = None, order: int | None = None) -> FiniteGroup:
-    """Enumerate the group generated by the (k, degree) permutation rows `gen_rows`,
-    k >= 0 (`dimino`, of `order` if known), in the canonical order (`sort_rows`);
-    the group keeps the generators dimino kept.  The rows are trusted to be
-    permutations: input from outside the program is checked before (`group_from_spec`)."""
+    """The group of the (k, degree) permutation rows `gen_rows`, k >= 0, of `order`
+    if given (`schreier_sims`), in the canonical order (`sort_rows`), with the kept
+    generators and the chain's base.  The rows are trusted to be permutations:
+    input from outside the program is checked before (`group_from_spec`)."""
     _check_degree(np.shape(gen_rows)[1])  # before the rows are cast to POINT_DTYPE
     rows = np.asarray(gen_rows, dtype=POINT_DTYPE)
-    closed = dimino(rows, limit, order)
-    mat = closed.elements if order is not None else closed.elements.copy()  # not the buffer
-    return FiniteGroup(sort_rows(mat, closed.base), closed.base, rows[closed.kept], name=name)
+    elements, kept, base = schreier_sims(rows, limit, order)
+    return FiniteGroup(sort_rows(elements, base), base, rows[kept], name=name)
 
 
 @dataclass

