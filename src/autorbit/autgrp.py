@@ -81,7 +81,7 @@ def _generating_set(G: FiniteGroup, label: np.ndarray) -> list[int]:
     cyclic = np.flatnonzero(orders == n)
     if cyclic.size:
         return [int(cyclic[0])]
-    classes = sorted((np.flatnonzero(label == f).tolist() for f in np.unique(label[1:])),
+    classes = sorted((np.flatnonzero(label == f).tolist() for f in set(label[1:].tolist())),
                      key=lambda c: (len(c), c[0]))
     pairs = sorted(((B, A) for i, B in enumerate(classes) for A in classes[i:]),
                    key=lambda p: len(p[0]) * len(p[1]))
@@ -153,7 +153,7 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Fin
     for j, g in enumerate(gen_ids):
         cand = np.flatnonzero(label == label[g])
         if j == 0:
-            cand = np.intersect1d(cand, reps)
+            cand = np.intersect1d(cand, reps, assume_unique=True)  # both ascending
         built += survivors.shape[0] * cand.size
         if built > budget:
             raise BudgetExceeded(f"search built {built} maps, budget {budget}")

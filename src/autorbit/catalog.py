@@ -3,6 +3,8 @@ cyclic and extraspecial groups, classical matrix groups in their projective
 permutation actions, and Aut(S) by construction for S = Alt(n), PSL_2(q) and
 PSL_3(q): Sym(n), PGammaL_2(q) on PG(1,q), and PGammaL_3(q) with the duality
 on the points + lines of PG(2,q) (Aut(PSL_3(4)) of degree 42 among them).
+A point row of PG(2,q) lifts to its lines column by column (`_line_lift`),
+so a few columns of a large group's rows cost what those columns cost.
 
 Projective points are normalized so the last nonzero coordinate is 1 and are
 sorted lexicographically on their integer-encoded coordinate tuples; every
@@ -200,15 +202,16 @@ def su_generators(F: Field, d: int) -> np.ndarray:
 def _unitary_matrices(F: Field, d: int) -> np.ndarray:
     """All unitary matrices of determinant 1, i.e. those whose rows are
     orthonormal for the identity Gram matrix, built row by row from the
-    norm-1 vectors."""
+    norm-1 vectors: each tuple of orthonormal rows, in order, is extended by
+    every vector orthogonal to all of them, in order."""
     vecs = _digit_rows(F.q ** d, F.q, d)
     unit = vecs[hermitian_inner(F, vecs, vecs) == 1]
-    orth = (hermitian_inner(F, unit[:, None], unit[None, :]) == 0).tolist()
-    found = [()]
+    orth = hermitian_inner(F, unit[:, None], unit[None, :]) == 0
+    found = np.empty((1, 0), dtype=np.intp)
     for _ in range(d):
-        found = [rows + (j,) for rows in found for j in range(len(unit))
-                 if all(orth[i][j] for i in rows)]
-    mats = unit[np.array(found)]
+        at, j = np.nonzero(np.all(orth[found], axis=1))  # row-major: tuple, then vector
+        found = np.column_stack([found[at], j])
+    mats = unit[found]
     return mats[_det(F, mats) == 1]
 
 
@@ -272,36 +275,47 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 # -- Aut(S) by construction ------------------------------------------------
 
-def _with_lines(F: Field, pts: np.ndarray, img: np.ndarray) -> np.ndarray:
-    """Point permutations `img` (K, N) of PG(2,q) extended to its lines,
+def _points(rows: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """The lift of a group that acts on the rows' own points: their columns `cols`."""
+    return np.asarray(rows)[:, cols]
+
+
+def _line_lift(F: Field, pts: np.ndarray) -> Callable[..., np.ndarray]:
+    """The lift of point permutations (K, N) of PG(2,q) to its points and lines,
     numbered after the points: line j = {v : pts[j].v = 0} goes to the line
-    through the images of two of its points."""
-    on = mat_mul(F, pts, pts.T) == 0  # on[j, i]: point i lies on line j
+    through the images of two of its points.  `lift(img, cols)` builds only the
+    lifted columns `cols` (all by default), a line column from two point columns."""
+    n, on = len(pts), mat_mul(F, pts, pts.T) == 0  # on[j, i]: point i lies on line j
     a, b = np.argsort(~on, axis=1, kind="stable")[:, :2].T  # two points of each line
     through = np.argmax(on[:, :, None] & on[:, None, :], axis=0)  # the line through 2 points
-    through = through.astype(POINT_DTYPE)  # so point images give 2-byte line images
-    return np.hstack([img, len(pts) + through[img[:, a], img[:, b]]])
+    through = (n + through).astype(POINT_DTYPE)  # so point images give 2-byte line images
+
+    def lift(img: np.ndarray, cols=slice(None)) -> np.ndarray:
+        img, cols = np.asarray(img), np.arange(2 * n)[cols]
+        out, point = np.empty((len(img), cols.size), img.dtype), cols < n
+        out[:, point] = img[:, cols[point]]
+        line = cols[~point] - n
+        out[:, ~point] = through[img[:, a[line]], img[:, b[line]]]
+        return out
+    return lift
 
 
-def _point_line_perms(F: Field, pts: np.ndarray, mats, twist=None) -> np.ndarray:
-    """Each M on the points and on the lines of PG(2,q), numbered after the points."""
-    return _with_lines(F, pts, projective_perms(F, pts, mats, twist))
-
-
-def _pgammal(d: int, q: int) -> tuple[Field, np.ndarray, np.ndarray, int]:
+def _pgammal(d: int, q: int) -> tuple[Callable[..., np.ndarray], np.ndarray, int]:
     """Aut(PSL_d(q)) for d = 2 (q >= 4) or d = 3 (Steinberg 1960): PGL_d(q) and
     the Frobenius map, PGammaL_d(q), on PG(d-1,q), for d = 3 on its points and
-    lines with the inverse-transpose duality.  The field, the points, the rows
-    (SL_d(q)'s, the diagonal, the Frobenius map, the duality) and the order."""
+    lines with the inverse-transpose duality.  The lift of point rows to the
+    rows' points (`_points`, or for d = 3 `_line_lift`), the rows (SL_d(q)'s,
+    the diagonal, the Frobenius map, the duality) and the order."""
     p, f = _prime_power(q)
     F = make_field(p, f)
     pts = projective_points(F, d)
     mats = np.concatenate([sl_generators(F, d), _diag(d, F.primitive_element())])
-    perms = projective_perms if d == 2 else _point_line_perms
-    rows = [perms(F, pts, mats), perms(F, pts, np.eye(d, dtype=np.int64)[None], F.frobenius)]
+    lift = _points if d == 2 else _line_lift(F, pts)
+    rows = [lift(projective_perms(F, pts, mats)),
+            lift(projective_perms(F, pts, np.eye(d, dtype=np.int64)[None], F.frobenius))]
     if d == 3:
         rows.append(np.roll(np.arange(2 * len(pts)), len(pts))[None])  # the duality
-    return F, pts, np.vstack(rows), projective_order("GL", d, q) * f * (2 if d == 3 else 1)
+    return lift, np.vstack(rows), projective_order("GL", d, q) * f * (2 if d == 3 else 1)
 
 
 def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
@@ -316,7 +330,8 @@ def extended_aut_psl34(limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
 def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
     """Ids of the PSL_3(4) socle inside extended_aut_psl34()."""
     F = make_field(2, 2)
-    rows = _point_line_perms(F, projective_points(F, 3), sl_generators(F, 3))
+    pts = projective_points(F, 3)
+    rows = _line_lift(F, pts)(projective_perms(F, pts, sl_generators(F, 3)))
     ids = autgroup.subgroup_closure(autgroup.ids_of(rows))
     if ids.size != 20160:
         raise GeneratorDeficiency(f"socle closed to {ids.size}, expected 20160")
@@ -325,12 +340,13 @@ def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
 
 class AlmostSimple(NamedTuple):
     """S <= G <= Aut(S), S simple, and Aut(S)'s rows and order, not closed.  G
-    acts on the rows' first points: all but the lines of PG(2,q), which `lift` adds."""
+    acts on the rows' first points: all but the lines of PG(2,q), which `lift`
+    adds.  `lift(rows, cols)` gives only the lifted columns `cols` (all by default)."""
     group: FiniteGroup
     aut_rows: np.ndarray
     aut_order: int
     socle_order: int
-    lift: Callable[[np.ndarray], np.ndarray] = np.asarray
+    lift: Callable[..., np.ndarray] = _points
 
     def closed(self) -> tuple[FiniteGroup, np.ndarray]:
         """Aut(S) closed under the default limit, and G's sorted ids in it, for
@@ -356,11 +372,10 @@ def almost_simple(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> AlmostSimple
         return AlmostSimple(G, _sym_rows(a), order, order // 2)
     d, q = (2, 9) if b is None else (a, b)
     G = None if b is None else resolve(name, limit)  # before Aut(S)'s rows are built
-    F, pts, rows, order = _pgammal(d, q)
+    lift, rows, order = _pgammal(d, q)
     if G is None:  # PSL_2(9) from SL's rows, PSigmaL_2(9) from all but the diagonal, rows[-2]
         G = close_group(rows[:-2] if base == "alt" else np.delete(rows, -2, axis=0), limit,
                         name=f"{base}6", order=360 if base == "alt" else 720)
-    lift = np.asarray if d == 2 else (lambda g: _with_lines(F, pts, g))
     return AlmostSimple(G, rows, order, projective_order("SL", d, q), lift)
 
 

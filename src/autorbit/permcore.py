@@ -271,8 +271,11 @@ def _row_blocks(width: int, n: int):
 
 def _compose(table: np.ndarray, which: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The rows table[which[i]] * q[i], a block at a time ("clip": unbuffered)."""
-    out, d = np.empty_like(q), q.shape[1]
-    for rows in _row_blocks(8 * d, len(q)):  # the gather's intp indices
+    d = q.shape[1]
+    if len(q) * d * 8 <= _BLOCK_CELLS:  # one block: one gather of the intp indices
+        return np.take(table.ravel(), q + which[:, None] * d, mode="clip")
+    out = np.empty_like(q)
+    for rows in _row_blocks(8 * d, len(q)):
         at = q[rows] + which[rows, None] * d
         np.take(table.ravel(), at, out=out[rows], mode="clip")
     return out
@@ -280,19 +283,23 @@ def _compose(table: np.ndarray, which: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 class _Level:
     """A level of a stabilizer chain (Seress 2003, ch. 4): a base point, the strong
-    generators fixing the base points before it, and for each point x of its
-    orbit, at `pos[x]` (-1 off it), rows `U` of a u with u(point) = x and `inv`
-    of u^-1.  The first `done` rows' and generators' Schreier generators pass."""
+    generators fixing the base points before it and their inverses, and for each
+    point x of its orbit, at `pos[x]` (-1 off it), rows `U` of a u with u(point)
+    = x and `inv` of u^-1.  The first `done` rows' and generators' Schreier
+    generators pass."""
 
     def __init__(self, point: int, degree: int):
-        self.point, self.gens, self.done = point, np.empty((0, degree), POINT_DTYPE), (0, 0)
+        self.point, self.done = point, (0, 0)
+        self.gens = self.gens_inv = np.empty((0, degree), POINT_DTYPE)
         self.pos = np.where(np.arange(degree) == point, 0, -1)
         self.U = self.inv = np.arange(degree, dtype=POINT_DTYPE)[None, :]
 
     def add(self, h: np.ndarray):
-        """Add the generator h; a new orbit point s(x) gets s*u and u^-1*s^-1, u x's row."""
-        self.gens = gens = np.vstack([self.gens, h])
-        gens_inv = np.argsort(gens, axis=1).astype(POINT_DTYPE)
+        """Add the generator h; a new orbit point s(x) gets s*u and u^-1*s^-1, u x's row.
+        The old generators keep the old orbit, so the first pass applies h alone."""
+        self.gens = np.vstack([self.gens, h])
+        self.gens_inv = np.vstack([self.gens_inv, np.argsort(h).astype(POINT_DTYPE)])
+        gens, gens_inv = self.gens[-1:], self.gens_inv[-1:]
         rows, inv, parts = self.U, self.inv, [(self.U, self.inv)]
         while len(rows):
             flat = gens[:, rows[:, self.point]].ravel()  # generator-major images
@@ -302,16 +309,36 @@ class _Level:
             s, at = np.divmod(new, len(rows))
             rows, inv = _compose(gens, s, rows[at]), _compose(inv, at, gens_inv[s])
             parts.append((rows, inv))
+            gens, gens_inv = self.gens, self.gens_inv
         self.U, self.inv = (np.concatenate(side) for side in zip(*parts))
 
     def schreier_rows(self):
-        """Blocks of the rows s*u (s a generator, u in `U`) not yet known to pass: s*u
-        sifts through this level with the u' of s(u(point)), then as u'^-1*s*u."""
-        for k, s in enumerate(self.gens):
-            U = self.U[self.done[0] if k < self.done[1] else 0:]
-            for rows in _row_blocks(8 * U.shape[1], len(U)):
-                yield s[U[rows]]
+        """For each generator s in turn, s and the rows u of `U` whose s*u is not yet
+        known to pass: s*u sifts through this level with the u' of s(u(point)), then
+        as u'^-1*s*u.  `passed` marks them all known."""
+        return [(s, self.U[self.done[0] if k < self.done[1] else 0:])
+                for k, s in enumerate(self.gens)]
+
+    def passed(self):
         self.done = (len(self.U), len(self.gens))
+
+
+def _schreier_stream(chain: list[_Level], top: int):
+    """Chunks (rows, level of each) of the Schreier rows of levels top, top-1, ..., 0
+    not yet known to pass, in that order and generator-major within a level, each
+    chunk one block of rows; a row of level i fixes the base points before it."""
+    step, parts, levels = max(1, _BLOCK_CELLS // (8 * chain[0].U.shape[1])), [], []
+    for at in range(top, -1, -1):
+        for s, U in chain[at].schreier_rows():
+            while len(U):
+                take, U = U[:step - len(levels)], U[step - len(levels):]
+                parts.append(s[take])
+                levels += [at] * len(take)
+                if len(levels) == step:
+                    yield np.concatenate(parts), levels
+                    parts, levels = [], []
+    if levels:
+        yield np.concatenate(parts), levels
 
 
 def _first_outside(chain: list[_Level], lo: int, rows: np.ndarray):
@@ -366,8 +393,10 @@ def schreier_sims(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
     from the last kept one.  Its residue h joins the levels up to the one it
     reached (past the base: a new one at the least point h moves); deterministic
     Schreier–Sims completes the chain from there up (Holt, Eick & O'Brien 2005,
-    §4.4.2).  The orbit lengths multiply to at most the order as they grow, and
-    then to it: `limit` and `order` are checked before any element is built."""
+    §4.4.2), each round sifting the pending Schreier rows of that level and
+    those below it as one stream (`_schreier_stream`).  The orbit lengths
+    multiply to at most the order as they grow, and then to it: `limit` and
+    `order` are checked before any element is built."""
     chain, kept, start, step = [], [], 0, 1
     while start < len(gen_rows):
         found = _first_outside(chain, 0, gen_rows[start:start + step])
@@ -384,13 +413,15 @@ def schreier_sims(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
                 level.add(h)
             if prod(len(level.U) for level in chain) > limit:
                 raise ClosureLimitExceeded(f"closure exceeded limit {limit}")
-            h, at = None, j
-            while h is None and at >= 0:  # levels j, j-1, ... sift their Schreier rows
-                sifted = (_first_outside(chain, at, rows) for rows in chain[at].schreier_rows())
-                if (found := next(filter(None, sifted), None)) is None:
-                    at -= 1
-                else:
-                    (_, h, j), lo = found, at + 1
+            top, h, at = j, None, -1  # levels j, j-1, ..., 0 sift their Schreier rows at once
+            for rows, levels in _schreier_stream(chain, top):
+                if (found := _first_outside(chain, 0, rows)) is not None:
+                    i, h, j = found
+                    at = levels[i]
+                    break
+            for level in chain[at + 1:top + 1]:  # the levels that passed whole
+                level.passed()
+            lo = at + 1
     size = prod(len(level.U) for level in chain)
     if order is not None and size != order:
         raise GeneratorDeficiency(f"closed to order {size}, expected {order}")
@@ -677,10 +708,11 @@ def validate_automorphism(G: FiniteGroup, phi: np.ndarray) -> bool:
 
 # -- group spec files ----------------------------------------------------
 
-def group_from_spec(spec: dict) -> FiniteGroup:
+def group_from_spec(spec: dict, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     """Build a group from the JSON spec format:
     {"name": str, "degree": int, "generators": ["(1 2)(3 4)" | [images]]}.
-    Each generator is checked to be a permutation before the group closes."""
+    Each generator is checked to be a permutation before the group closes
+    under `limit`."""
     degree, name = spec["degree"], spec.get("name")
     if type(degree) is not int or degree < 1:
         raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
@@ -697,9 +729,9 @@ def group_from_spec(spec: dict) -> FiniteGroup:
         else:
             raise ValueError(f"generator {k + 1} is not a list of {degree} "
                              f"integers in 0..{degree - 1}")
-    return close_group(np.reshape(gens, (-1, degree)), name=name)
+    return close_group(np.reshape(gens, (-1, degree)), limit=limit, name=name)
 
 
-def load_group_file(path: str) -> FiniteGroup:
+def load_group_file(path: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
     with open(path, "r", encoding="utf-8") as fh:
-        return group_from_spec(json.load(fh))
+        return group_from_spec(json.load(fh), limit)

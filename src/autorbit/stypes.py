@@ -1,6 +1,8 @@
 """S-types of Aut(S)-classes, exact per-coset proportions rho(c) and their
 maximum h(S), read off Aut(S)'s orbits on the cosets of S (`coset_classes`),
 joined by `fuse`, which on the trivial coset gives `maol --group`'s orbits.
+Neither lifts all of S to Aut(S)'s points: they read S's lifted rows a
+column, or a few rows, at a time.
 
 The rest works on a pair (AutS, S): a fully enumerated group AutS and the id
 set of a normal subgroup S (the socle when AutS is an automorphism group), and
@@ -15,7 +17,7 @@ import numpy as np
 
 from .catalog import AlmostSimple
 from .permcore import (POINT_DTYPE, ConjClassTable, FiniteGroup, GroupError, NotNormal,
-                       conjugacy_classes, orbits, quotient_group, sort_rows)
+                       close_group, conjugacy_classes, orbits, quotient_group)
 
 
 @dataclass
@@ -36,28 +38,52 @@ def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
     N_a of C(ā), acting by conjugation: g·(s·a)·g⁻¹ = (g·s·a·g⁻¹·a⁻¹)·a.  G's
     generators give one map on G's ids each (`twist`), and `fuse` joins their
     orbits by C(ā)'s generators, read on one member per orbit.  The cosets come
-    from a search over the rows, and |A/G|·|G| must be |A| (else `GroupError`).
-    With `numbered`, cosets and classes are ordered by their least rows on A's
-    points, as `quotient_group` and `conjugacy_classes` number them on the closed A."""
-    S, lifted, rows = G.group, G.lift(G.group.elements), np.asarray(G.aut_rows, POINT_DTYPE)
+    from a search over the rows outside G (a row in G finds none, as G is
+    normal), and |A/G|·|G| must be |A| (else `GroupError`); A/G closes from the
+    translations of those rows, which the search looked up.  No step lifts all
+    of G: a map folds the |base| columns it reads, and a lifted column is built
+    once.  With `numbered`, cosets and classes are ordered by their least rows on
+    A's points, as `quotient_group` and `conjugacy_classes` number them on the closed A."""
+    S, rows = G.group, np.asarray(G.aut_rows, POINT_DTYPE)
+    lines = {}  # A's points past S's, each a column over S's rows, built once
+
+    def column(x):
+        if x < S.degree:
+            return S.elements[:, x]
+        if x not in lines:
+            lines[x] = G.lift(S.elements, [x])[:, 0]
+        return lines[x]
+
     reps = [np.arange(rows.shape[1], dtype=POINT_DTYPE)]
+    outer = rows[[_coset_of(G, reps, g) < 0 for g in rows]]
+    found = []  # found[j][k]: the coset of r_j·g, g the k-th outer row
     for r in reps:  # the search appends while it reads, to one coset past |A|
-        for g in rows:
-            if _coset_of(S, lifted, reps, r[g]) < 0 and len(reps) * S.order <= G.aut_order:
+        found.append([])
+        for g in outer:
+            k = _coset_of(G, reps, r[g])
+            if k < 0 and len(reps) * S.order <= G.aut_order:
+                k = len(reps)
                 reps.append(r[g])
+            found[-1].append(k)
     if len(reps) * S.order != G.aut_order:
         raise GroupError(f"the cosets of {S.order} elements do not make {G.aut_order}")
+    searched = np.arange(len(reps))  # searched[j]: the search's index of coset j
     if numbered:
-        least = [_least_rows(lifted, r, np.zeros(S.order, dtype=np.int64), 1)[0] for r in reps]
-        reps = [least[i] for i in np.lexsort(np.array(least).T[::-1])]
-    table = np.array([[_coset_of(S, lifted, reps, a[b]) for b in reps] for a in reps])
-    trans = np.ascontiguousarray(table[:, np.argmax(table == 0, axis=1)].T, dtype=POINT_DTYPE)
-    out = FiniteGroup(sort_rows(trans.copy(), [0]), [0], trans, name="out")
-    reps = np.array(reps)[np.argsort(out.ids_of(trans))]  # reps[q]: a coset of out's element q
-    mul, inverse, gens = out.cayley(), out.inverse_ids(), lifted[S.gen_ids]
+        one = np.zeros(S.order, dtype=np.int64)
+        least = [_least_rows(G, column, r, one, 1)[0] for r in reps]
+        searched = np.lexsort(np.array(least).T[::-1])
+        reps = [least[i] for i in searched]
+    rank = np.argsort(searched)
+    found = np.array(found, dtype=np.int64).reshape(len(reps), len(outer))[searched]
+    out = close_group(rank[found].T, name="out", order=len(reps))  # j -> S·r_j·g
+    reps = np.array(reps)[np.argmin(out.elements, axis=1)]  # q sends S·reps[q] to S
+    mul, inverse, gens = out.cayley(), out.inverse_ids(), G.lift(S.elements[S.gen_ids])
 
     def twist(g, a, b):  # ids of g·s·a·g⁻¹·b⁻¹ over S, from g(s(a(g⁻¹(b⁻¹(x))))), x in S's base
-        return S.map_ids(lifted, g, a[np.argsort(g)[np.argsort(b)[S.base]]])
+        cols = a[np.argsort(g)[np.argsort(b)[S.base]]]
+        if cols.max() < S.degree:  # S's own points, read in place
+            return S.map_ids(S.elements, g, cols)
+        return S.map_ids(np.column_stack([column(x) for x in cols]), g, np.arange(cols.size))
 
     sizes, types, rho, least, owner = [], [], [], [], []
     for tau, members in enumerate(conjugacy_classes(out).classes):
@@ -71,10 +97,12 @@ def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
         types += [tau] * len(counts)
         rho += [Fraction(c, S.order) for c in counts]
         for y in members if numbered else ():  # each fibre's least row, over G·y
-            x = np.flatnonzero(mul[mul[:, q], inverse] == y)[0]  # x·q·x⁻¹ = y
-            labels = np.empty_like(orbit_of)
-            labels[twist(reps[x], a, reps[y])] = orbit_of
-            least.append(_least_rows(lifted, reps[y], labels, len(counts)))
+            labels = orbit_of  # y = q takes x = 1, whose twist is the identity
+            if y != q:
+                x = np.flatnonzero(mul[mul[:, q], inverse] == y)[0]  # x·q·x⁻¹ = y
+                labels = np.empty_like(orbit_of)
+                labels[twist(reps[x], a, reps[y])] = orbit_of
+            least.append(_least_rows(G, column, reps[y], labels, len(counts)))
             owner.extend(range(len(sizes) - len(counts), len(sizes)))
     if numbered:
         by_row = np.lexsort(np.concatenate(least).T[::-1])
@@ -99,28 +127,32 @@ def fuse(S: FiniteGroup, parts, orbit_of: np.ndarray, a: np.ndarray, outer: np.n
     return orbits((orbit_of[m[S.gen_ids.size:]] for m in ids), len(parts))[1]
 
 
-def _coset_of(S: FiniteGroup, lifted: np.ndarray, reps, x: np.ndarray) -> int:
+def _coset_of(G: AlmostSimple, reps, x: np.ndarray) -> int:
     """Index of the coset S·r, r in `reps`, that holds the row x, or -1: one lookup
     in S of the rows x·r⁻¹ on S's points, each hit checked on its lifted row."""
-    ys = x[np.argsort(reps, axis=1)]
+    S, ys = G.group, x[np.argsort(reps, axis=1)]
     pos = S._index.find(ys[:, :S.degree])
-    hit = np.flatnonzero((pos >= 0) & np.all(lifted[pos] == ys, axis=1))
+    hit = np.flatnonzero(pos >= 0)
+    hit = hit[np.all(G.lift(S.elements[pos[hit]]) == ys[hit], axis=1)]
     return int(hit[0]) if hit.size else -1
 
 
-def _least_rows(lifted: np.ndarray, r: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
-    """For each label 0..n-1, the least of the rows s·r (lexicographically) over
-    the s with that label: the candidates are narrowed one column at a time."""
-    cand = np.arange(len(labels))
+def _least_rows(G: AlmostSimple, column, r: np.ndarray, labels: np.ndarray,
+                n: int) -> np.ndarray:
+    """For each label 0..n-1, the least of the lifted rows s·r (lexicographically)
+    over the s with that label: the candidates are narrowed one column at a time,
+    read off `column` while they are all of S and lifted on their rows after."""
+    S, cand = G.group, np.arange(len(labels))
     for x in r:
         if cand.size == n:
             break
-        col, at = lifted[cand, x], labels[cand]
+        col = column(x) if cand.size == S.order else G.lift(S.elements[cand], [x])[:, 0]
+        at = labels[cand]
         low = np.full(n, np.iinfo(col.dtype).max, dtype=col.dtype)
         np.minimum.at(low, at, col)
         cand = cand[col == low[at]]
-    rows = np.empty((n, len(r)), dtype=lifted.dtype)
-    rows[labels[cand]] = lifted[cand][:, r]
+    rows = np.empty((n, len(r)), dtype=S.elements.dtype)
+    rows[labels[cand]] = G.lift(S.elements[cand])[:, r]
     return rows
 
 

@@ -110,6 +110,28 @@ def test_psu32_brute_force_fallback():
     assert is_solvable(psu32)
 
 
+def unitary_matrices_by_loop(F, d):
+    """`catalog._unitary_matrices` as a loop over Python tuples, its oracle: each
+    tuple of orthonormal rows extended by every later-listed norm-1 vector
+    orthogonal to all of them, then the matrices of determinant 1."""
+    vecs = catalog._digit_rows(F.q ** d, F.q, d)
+    unit = vecs[hermitian_inner(F, vecs, vecs) == 1]
+    orth = (hermitian_inner(F, unit[:, None], unit[None, :]) == 0).tolist()
+    found = [()]
+    for _ in range(d):
+        found = [rows + (j,) for rows in found for j in range(len(unit))
+                 if all(orth[i][j] for i in rows)]
+    mats = unit[np.array(found)]
+    return mats[catalog._det(F, mats) == 1]
+
+
+@pytest.mark.parametrize("p, f, d", [(2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3)])
+def test_unitary_matrices_match_the_loop(p, f, d):
+    # the same matrices in the same order: SU_3(2)'s 216 generate PSU_3(2)
+    F = make_field(p, f)
+    assert np.array_equal(catalog._unitary_matrices(F, d), unitary_matrices_by_loop(F, d))
+
+
 def test_extended_aut_psl34(aut_psl34, psl34_socle):
     assert aut_psl34.order == 241920
     assert aut_psl34.degree == 42

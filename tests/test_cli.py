@@ -196,6 +196,21 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_paper_table_and_wreath_leave_numpy_ma_unloaded():
+    """The first plain np.unique of a process imports numpy.ma (about 17 ms and
+    1.7 MB); the Aut search and the wreath counts make none."""
+    src = str(Path(autorbit.__file__).resolve().parents[1])
+    code = ("import contextlib, io, sys\n"
+            "from autorbit import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['verify', 'paper-table'])\n"
+            "    cli.main(['verify', 'wreath', '--base', 'name:sym4', '--n', '3',\n"
+            "              '--exhaustive'])\n"
+            "sys.exit('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_verify_pmf_refuses_both_modes(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "pmf", "--exhaustive", "--samples", "5"])
@@ -480,13 +495,14 @@ def test_maol_of_a_built_group_closes_g_only(capsys, monkeypatch):
 
 def test_aut_s_classes_close_no_aut_s(capsys, monkeypatch):
     # paper-table's Aut(S) items and `h` read Aut(S)'s classes off the cosets
-    # of S: no Aut(Alt6) (1440) and no Aut(PSL_3(4)) (241,920) is closed
+    # of S: no Aut(Alt6) (1440) and no Aut(PSL_3(4)) (241,920) is closed, only
+    # S and Out(S), the latter on its 12 cosets from the search's translations
     closed = closed_orders(monkeypatch)
     code, _, _ = run_cli(capsys, "verify", "paper-table")
     assert code == 1 and closed and not {1440, 241920} & set(closed)
     closed.clear()
     code, out, _ = run_cli(capsys, "h", "--simple", "name:psl(3,4)")
-    assert code == 0 and json.loads(out)["h"] == "3/4" and closed == [20160]
+    assert code == 0 and json.loads(out)["h"] == "3/4" and closed == [20160, 12]
 
 
 def test_nonsolvable_bound_closes_each_group_once(capsys, monkeypatch):
@@ -568,6 +584,18 @@ def test_malformed_group_files_are_usage_errors(tmp_path, capsys):
         assert code == 2 and "images is not a bijection on {0,...,degree-1}" in err, fname
     code, out, err = run_cli(capsys, "mcs", "--group", f"file:{tmp_path / 'intname.json'}")
     assert code == 2 and out == "" and "name must be a string, got 5" in err
+
+
+def test_a_file_group_closes_under_max_order(tmp_path, capsys):
+    # Sym(8) from a file stops at --max-order 100 (exit 3), as name:sym8 does
+    path = tmp_path / "sym8.json"
+    path.write_text(json.dumps({"name": "sym8", "degree": 8,
+                                "generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"]}))
+    for spec in (f"file:{path}", "name:sym8"):
+        code, out, err = run_cli(capsys, "--max-order", "100", "mcs", "--group", spec)
+        assert (code, out) == (3, "") and "closure exceeded limit 100" in err
+    code, out, _ = run_cli(capsys, "mcs", "--group", f"file:{path}")
+    assert code == 0 and json.loads(out)["order"] == 40320
 
 
 def test_degrees_beyond_the_point_dtype_are_resource_stops(tmp_path, capsys):

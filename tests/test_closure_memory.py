@@ -6,11 +6,12 @@ numpy's allocations, so the peaks are deterministic."""
 
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from autorbit import catalog, cli, wreath
+from autorbit import catalog, cli, stypes, wreath
 from autorbit.autgrp import automorphism_group
 from autorbit.permcore import (ClosureLimitExceeded, FiniteGroup, ResourceLimit, close_group,
                                conjugacy_classes, lex_order, orbits, parse_cycles, sort_rows)
@@ -72,6 +73,16 @@ def test_aut_search_closes_once_at_its_order():
     assert A.order == 12000
     assert A.elements.base is None or A.elements.base.nbytes == A.elements.nbytes
     assert peak <= 3 * A.elements.nbytes
+
+
+@pytest.mark.parametrize("numbered", [False, True])
+def test_coset_classes_peak_under_two_element_arrays_of_s(numbered):
+    # no step lifts all of PSL_3(5) to its 31 points and 31 lines, which alone
+    # is twice its array: a lifted line column is built once, over S
+    built = catalog.almost_simple("psl(3,5)")
+    table, peak = traced_peak(lambda: stypes.coset_classes(built, numbered=numbered))
+    assert max(table.rho) == Fraction(1, 4)
+    assert peak < 2 * built.group.elements.nbytes
 
 
 @pytest.mark.parametrize("name", ["pgl(3,4)", "autpsl34"])

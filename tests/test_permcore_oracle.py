@@ -373,6 +373,18 @@ def test_aut_search_closures_match_dimino(name, aut_order):
     assert len(schreier_sims(rows, order=order).kept) < len(rows)
 
 
+@pytest.mark.parametrize("name, sifts", [("sym6", 8), ("psl(2,8)", 11), ("pgl(3,4)", 19),
+                                          ("autpsl34", 23)])
+def test_a_completion_round_sifts_one_stream(monkeypatch, name, sifts):
+    # the Schreier rows of levels j, j-1, ..., 0 sift as one stream of blocks
+    # from level 0, not one sift per level, generator and block; the closures
+    # above match Dimino's all the same
+    calls, real = [], permcore._first_outside
+    monkeypatch.setattr(permcore, "_first_outside", lambda *a: calls.append(a) or real(*a))
+    catalog.resolve(name)
+    assert len(calls) == sifts
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda d: st.lists(
     st.permutations(list(range(d))).map(point_row), min_size=1, max_size=6)))

@@ -120,6 +120,43 @@ def test_coset_classes_map_s_once_per_generator_of_s(monkeypatch, name, maps):
     table = st.coset_classes(built)
     n_classes = len(pc.conjugacy_classes(table.out).classes)
     assert calls.count(built.group.order) == maps == built.group.gen_ids.size * n_classes
+    # numbered, one more map per member of an Out-class but its first, whose
+    # fibre is the one the class's orbits were read on
+    calls.clear()
+    st.coset_classes(built, numbered=True)
+    assert calls.count(built.group.order) == maps + table.out.order - n_classes
+
+
+@pytest.mark.parametrize("name, rows, outer, lookups", [
+    ("alt6", 6, 2, 6 + 4 * 2), ("psl(2,27)", 8, 2, 8 + 6 * 2), ("psl(3,4)", 11, 3, 47)])
+def test_coset_classes_look_up_each_coset_once_per_outer_row(monkeypatch, name, rows, outer,
+                                                               lookups):
+    # each of Aut(S)'s rows is looked up in S once, and the search runs over the
+    # rows outside S alone (a row inside S finds no new coset), whose lookups
+    # also give Out(S): no |Out|² table of lookups
+    built, calls, real = catalog.almost_simple(name), [], st._coset_of
+    monkeypatch.setattr(st, "_coset_of", lambda *a: calls.append(a) or real(*a))
+    table = st.coset_classes(built, numbered=True)
+    assert len(built.aut_rows) == rows
+    assert len(calls) == lookups == rows + table.out.order * outer
+
+
+@pytest.mark.parametrize("numbered", [False, True])
+def test_coset_classes_lift_no_more_than_a_column_of_all_of_s(numbered):
+    # a line of PG(2,4) is a column read off two point columns: only single
+    # columns of all of S are lifted, and whole rows only for a few of S's rows.
+    # Unnumbered, no line of all of S is read: a·g·a⁻¹ is in S for g in S
+    built, calls = catalog.almost_simple("psl(3,4)"), []
+
+    def lift(rows, cols=slice(None)):
+        out = built.lift(rows, cols)
+        calls.append(out.shape)
+        return out
+    table = st.coset_classes(built._replace(lift=lift), numbered=numbered)
+    assert table.rho == st.coset_classes(built, numbered=numbered).rho
+    whole = {width for rows, width in calls if rows == built.group.order}
+    assert whole == ({1} if numbered else set())
+    assert all(rows < 100 for rows, width in calls if width > 1)
 
 
 def test_coset_classes_check_the_order_formula():
