@@ -271,11 +271,8 @@ def _row_blocks(width: int, n: int):
 
 def _compose(table: np.ndarray, which: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The rows table[which[i]] * q[i], a block at a time ("clip": unbuffered)."""
-    d = q.shape[1]
-    if len(q) * d * 8 <= _BLOCK_CELLS:  # one block: one gather of the intp indices
-        return np.take(table.ravel(), q + which[:, None] * d, mode="clip")
-    out = np.empty_like(q)
-    for rows in _row_blocks(8 * d, len(q)):
+    out, d = np.empty_like(q), q.shape[1]
+    for rows in _row_blocks(8 * d, len(q)):  # the gather's intp indices
         at = q[rows] + which[rows, None] * d
         np.take(table.ravel(), at, out=out[rows], mode="clip")
     return out

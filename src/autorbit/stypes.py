@@ -81,8 +81,6 @@ def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
 
     def twist(g, a, b):  # ids of g·s·a·g⁻¹·b⁻¹ over S, from g(s(a(g⁻¹(b⁻¹(x))))), x in S's base
         cols = a[np.argsort(g)[np.argsort(b)[S.base]]]
-        if cols.max() < S.degree:  # S's own points, read in place
-            return S.map_ids(S.elements, g, cols)
         return S.map_ids(np.column_stack([column(x) for x in cols]), g, np.arange(cols.size))
 
     sizes, types, rho, least, owner = [], [], [], [], []
@@ -97,11 +95,9 @@ def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
         types += [tau] * len(counts)
         rho += [Fraction(c, S.order) for c in counts]
         for y in members if numbered else ():  # each fibre's least row, over G·y
-            labels = orbit_of  # y = q takes x = 1, whose twist is the identity
-            if y != q:
-                x = np.flatnonzero(mul[mul[:, q], inverse] == y)[0]  # x·q·x⁻¹ = y
-                labels = np.empty_like(orbit_of)
-                labels[twist(reps[x], a, reps[y])] = orbit_of
+            x = np.flatnonzero(mul[mul[:, q], inverse] == y)[0]  # x·q·x⁻¹ = y
+            labels = np.empty_like(orbit_of)
+            labels[twist(reps[x], a, reps[y])] = orbit_of
             least.append(_least_rows(G, column, reps[y], labels, len(counts)))
             owner.extend(range(len(sizes) - len(counts), len(sizes)))
     if numbered:

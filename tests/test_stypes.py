@@ -120,11 +120,6 @@ def test_coset_classes_map_s_once_per_generator_of_s(monkeypatch, name, maps):
     table = st.coset_classes(built)
     n_classes = len(pc.conjugacy_classes(table.out).classes)
     assert calls.count(built.group.order) == maps == built.group.gen_ids.size * n_classes
-    # numbered, one more map per member of an Out-class but its first, whose
-    # fibre is the one the class's orbits were read on
-    calls.clear()
-    st.coset_classes(built, numbered=True)
-    assert calls.count(built.group.order) == maps + table.out.order - n_classes
 
 
 @pytest.mark.parametrize("name, rows, outer, lookups", [
