@@ -56,6 +56,10 @@ def _descending_compositions(n: int, k: int, cap: int | None = None):
         if n == 0:
             yield ()
         return
+    if k == 1:  # the last part is n itself, if it is a part under the cap
+        if 0 < n <= (n if cap is None else cap):
+            yield (n,)
+        return
     first_cap = n - (k - 1) if cap is None else min(cap, n - (k - 1))
     for first in range(first_cap, 0, -1):
         for rest in _descending_compositions(n - first, k - 1, cap=first):

@@ -19,15 +19,17 @@ checked against the limit before any element is built, and each element is
 one product of transversal rows.  A subgroup of a finished group closes on ids
 by the same rule (`FiniteGroup.closure`): each kept seed runs one `sweep` of
 right multiplication.  Elements are keyed by their images of the chain's base
-in one sorted index (`_RowIndex`): one uint64 per element, a Horner fold of
-the images in radix degree|1, exact while radix^|base| < 2^64 and a hash past
-that (a collision grows the base).  A membership test (`ids_of`) confirms
-each key hit on the full row; a product or conjugate of members is a member,
-so the Cayley table, conjugation maps and a quotient's cosets and translations
-form its base images alone.  Products and cosets search their keys one by one
+in one sorted index (`_RowIndex`): one uint64 per element, the sum of its base
+images weighted by the powers w of the radix degree|1 (a Horner fold), exact
+while radix^|base| < 2^64 and a hash past that (a collision grows the base).
+A membership test (`ids_of`) confirms each key hit on the full row; a product
+or conjugate of members is a member, so the Cayley table, conjugation maps and
+a quotient's cosets and translations form its base images alone.  Products and cosets search their keys one by one
 (`_RowIndex.locate`); the conjugates of all of G are a permutation of G, so
-their keys are the stored ones reordered: one argsort, checked against them,
-names every conjugate (`_RowIndex.locate_all`).  A group's ``gen_ids`` are the
+their keys are the stored ones reordered: a map folds w into g once and sums
+one gathered column of w·g per base point, and one argsort, checked against
+the stored keys, names every conjugate (`_RowIndex.locate_all`).  `orbits`
+numbers its members by one radix sort.  A group's ``gen_ids`` are the
 ids of its kept, irredundant generators, and conjugation by an element id is
 one id map of the whole group (`FiniteGroup.conjugation_ids`); a set is normal
 iff it is a union of conjugacy classes (`is_normal`).
@@ -180,17 +182,20 @@ def sort_rows(rows: np.ndarray, base: Sequence[int]) -> np.ndarray:
 
 class _RowIndex:
     """Distinct permutation rows looked up by their images of a base on which
-    no two of them agree (`_fold`, radix degree|1; exact mixed radix, ordered as
-    the images are, while radix^|base| < 2^64, and past that a hash).  The keys
-    are kept sorted, with each key's int32 row position."""
+    no two of them agree.  A key is the weighted sum of the base columns, the
+    weights `w` the powers of the radix degree|1 (`_fold`; exact mixed radix,
+    ordered as the images are, while radix^|base| < 2^64, and past that a
+    hash); a whole-group map folds w into its g once (`FiniteGroup.map_ids`).
+    The keys are kept sorted, with each key's int32 row position."""
 
     def __init__(self, rows: np.ndarray, base: Sequence[int] = (0,)):
         self.rows, self._radix = rows, np.uint64(rows.shape[1] | 1)
         self._rekey(list(base))
 
     def _fold(self, images: np.ndarray) -> np.ndarray:
-        """One uint64 key per row of base images, by the Horner fold k = k*radix + x,
-        each column cast to uint64 as it is added: int64 rows key as point rows do."""
+        """One uint64 key per row of base images, the sum of w[j]*images[:, j] mod 2^64
+        by the Horner fold k = k*radix + x, each column cast to uint64 as it is added:
+        int64 rows key as point rows do."""
         key = images[:, 0].astype(np.uint64)
         for j in range(1, images.shape[1]):
             key *= self._radix  # in place: a key array is 8 bytes per row
@@ -200,6 +205,7 @@ class _RowIndex:
     def _rekey(self, base: list[int]):
         """Key the rows on `base`, which must tell them apart; a key two share (the
         wrapped fold) adds the first free point where they differ, or the first free one."""
+        self.w = self._radix ** np.arange(len(base) - 1, -1, -1, dtype=np.uint64)  # wraps
         keys = self._fold(self.rows[:, base])
         self.base, self._ids = base, np.argsort(keys).astype(np.int32)
         self._keys = keys[self._ids]
@@ -501,14 +507,18 @@ class FiniteGroup:
     def conjugation_ids(self, c: int) -> np.ndarray:
         """Ids of g x g^-1, g the element with id c, for every x in id order."""
         g = self.elements[c]
-        return self.map_ids(self.elements, g, np.argsort(g)[self.base])
+        return self.map_ids([self.elements[:, x] for x in np.argsort(g)[self.base]], g)
 
-    def map_ids(self, rows: np.ndarray, g: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Ids of the members with base images g(x(cols)), one for each row x of
-        `rows`, whose keys must be the stored ones reordered (`locate_all`)."""
-        keys = np.empty(len(rows), dtype=np.uint64)
-        for block in _row_blocks(8 * len(cols), len(rows)):
-            keys[block] = self._index._fold(np.take(g, rows[block, cols]))
+    def map_ids(self, columns: Sequence[np.ndarray], g: np.ndarray) -> np.ndarray:
+        """Ids of the members with base images g(columns[j][i]), one for each i,
+        whose keys must be the stored ones reordered (`locate_all`).  The weights
+        fold into g once, table = w·g, and the key of i is the sum of
+        table[j][columns[j][i]], summed a block of rows at a time."""
+        table = self._index.w[:, None] * g.astype(np.uint64)
+        keys = np.zeros(len(columns[0]), dtype=np.uint64)
+        for block in _row_blocks(64, len(keys)):  # the rows a block reads stay in cache
+            for weighted, column in zip(table, columns):
+                keys[block] += np.take(weighted, column[block], mode="clip")
         return self._index.locate_all(keys)
 
     def element_orders(self) -> np.ndarray:
@@ -608,8 +618,9 @@ def orbits(maps: Iterable[np.ndarray], n: int) -> tuple[list[np.ndarray], np.nda
                 hooked = label
         del m, image  # not held while the next map is built
     orbit_of = (np.cumsum(label == np.arange(n)) - 1)[label]  # least points number the orbits
-    members = np.argsort(orbit_of, kind="stable")
-    return np.split(members, np.cumsum(np.bincount(orbit_of))[:-1]), orbit_of
+    sizes = np.bincount(orbit_of)  # a stable sort of 16-bit or narrower ints is a radix sort
+    members = np.argsort(orbit_of.astype(np.min_scalar_type(len(sizes) - 1)), kind="stable")
+    return np.split(members, np.cumsum(sizes)[:-1]), orbit_of
 
 
 def sweep(start: Sequence[int], step, seen: np.ndarray):

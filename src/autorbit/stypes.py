@@ -81,7 +81,7 @@ def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
 
     def twist(g, a, b):  # ids of g·s·a·g⁻¹·b⁻¹ over S, from g(s(a(g⁻¹(b⁻¹(x))))), x in S's base
         cols = a[np.argsort(g)[np.argsort(b)[S.base]]]
-        return S.map_ids(np.column_stack([column(x) for x in cols]), g, np.arange(cols.size))
+        return S.map_ids([column(x) for x in cols], g)
 
     sizes, types, rho, least, owner = [], [], [], [], []
     for tau, members in enumerate(conjugacy_classes(out).classes):

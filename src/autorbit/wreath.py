@@ -208,7 +208,7 @@ class WreathGroup:
         table = conjugacy_classes(self.base)
         nclass = len(table.classes)
         rows = np.full((t.size, self.n), -1, dtype=np.int64)
-        order = np.argsort(t, kind="stable")
+        order = np.argsort(t.astype(np.min_scalar_type(self.top.order - 1)), kind="stable")
         tops, starts = np.unique(t[order], return_index=True)
         for s, at in zip(tops.tolist(), np.split(order, starts[1:])):
             for j, zeta in enumerate(cycle_decompose(self.top.elements[s])):

@@ -1,10 +1,12 @@
-"""The multinomial pmf in `Fraction` arithmetic and the orbit-proportion
-product bound over the wreath profiles, kept as test oracles: `pmf_kernel` is
-the scalar reference of `multinomial.pmf_kernels`; r(M) of one type's class
-multiset is the multinomial pmf of its counts under the classes' per-coset
-proportions rho, and the product of r over the (cycle length, type) pairs of
-an element bounds its orbit proportion in any admissible overgroup of the
-socle power."""
+"""The multinomial pmf in `Fraction` arithmetic, the orbit-proportion product
+bound over the wreath profiles and the partition recursion, kept as test
+oracles: `pmf_kernel` is the scalar reference of `multinomial.pmf_kernels`;
+r(M) of one type's class multiset is the multinomial pmf of its counts under
+the classes' per-coset proportions rho, and the product of r over the (cycle
+length, type) pairs of an element bounds its orbit proportion in any
+admissible overgroup of the socle power; `descending_compositions` is the
+recursion that `multinomial._descending_compositions` shortcut at its last
+part."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +17,20 @@ from autorbit.multinomial import BadComposition, multinomial_coefficient
 from autorbit.stypes import ClassTypeTable
 from autorbit.wreath import WreathElement, WreathGroup, profile
 from stypes_oracle import classes_of_type
+
+
+def descending_compositions(n: int, k: int, cap: int | None = None):
+    """Partitions of n into exactly k positive non-increasing parts, each at most
+    `cap`: the recursion `multinomial._descending_compositions` had before it
+    yielded the last part directly, which scans down to a k = 0 hit for it."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    first_cap = n - (k - 1) if cap is None else min(cap, n - (k - 1))
+    for first in range(first_cap, 0, -1):
+        for rest in descending_compositions(n - first, k - 1, cap=first):
+            yield (first,) + rest
 
 
 def pmf_kernel(numer: Sequence[int], counts: Sequence[int]) -> int:

@@ -1,8 +1,9 @@
 """Memory peaks of the closure, the Aut search and the class routine, with
 the routines they replaced kept here as oracles: the full `rows[lex_order(...)]` gather
-for the in-place `sort_rows`, and min-label propagation over all the maps at
-once for `orbits`, which merges one map at a time.  tracemalloc counts
-numpy's allocations, so the peaks are deterministic."""
+for the in-place `sort_rows`, min-label propagation over all the maps at
+once for `orbits`, which merges one map at a time, and the stable int64
+argsort that numbered its members before a narrow one did.  tracemalloc
+counts numpy's allocations, so the peaks are deterministic."""
 
 import json
 import tracemalloc
@@ -166,6 +167,51 @@ def test_orbits_match_the_all_maps_propagation(name):
     assert np.array_equal(orbit_of, all_maps_orbit_labels(maps, G.order))
     assert [p.tolist() for p in parts] == [
         np.flatnonzero(orbit_of == k).tolist() for k in range(len(parts))]
+
+
+def int64_numbering(orbit_of):
+    """Each orbit's members, ascending: a stable argsort of the int64 orbit ids."""
+    members = np.argsort(orbit_of.astype(np.int64), kind="stable")
+    return np.split(members, np.cumsum(np.bincount(orbit_of))[:-1])
+
+
+def _numbering_cases():
+    """(maps, n, orbit count or None): 1 point and no map; 300 3-cycles, a
+    uint16 sort; 70,000 fixed points, past 16 bits; and three random
+    permutations, each of a random third of 2^16 + 5 points."""
+    rng, n = np.random.default_rng(0), 2 ** 16 + 5
+    cycles, threes = np.arange(900), rng.permutation(900).reshape(300, 3)
+    cycles[threes] = np.roll(threes, 1, axis=1)
+    thirds = [np.arange(n) for _ in range(3)]
+    for m in thirds:
+        moved = rng.choice(n, n // 3, replace=False)
+        m[moved] = rng.permutation(moved)
+    return [pytest.param([], 1, 1, id="one-point"),
+            pytest.param([cycles], 900, 300, id="300-orbits"),
+            pytest.param([np.arange(70_000)], 70_000, 70_000, id="70000-fixed"),
+            pytest.param(thirds, n, None, id="random-2^16+5")]
+
+
+@pytest.mark.parametrize("maps,n,count", _numbering_cases())
+def test_orbits_number_members_as_the_int64_sort(maps, n, count):
+    parts, orbit_of = orbits(iter(maps), n)
+    assert np.array_equal(orbit_of, all_maps_orbit_labels(maps, n))
+    assert count in (None, len(parts))
+    expected = int64_numbering(orbit_of)
+    assert len(parts) == len(expected)
+    assert all(np.array_equal(p, q) for p, q in zip(parts, expected))
+    assert all(np.all(p[1:] > p[:-1]) for p in parts)
+
+
+def test_a_conjugation_map_peaks_within_three_key_arrays():
+    # a map sums its keys from the weighted columns g·w, a block of rows at a
+    # time, with no block of base images gathered first: on PGL_3(4) it peaks
+    # at its keys, their sort order and a block's gathers
+    G = catalog.resolve("pgl(3,4)")
+    for c in G.gen_ids:
+        ids, peak = traced_peak(lambda: G.conjugation_ids(c))
+        assert np.array_equal(np.sort(ids), np.arange(G.order))
+        assert peak <= 3 * 8 * G.order
 
 
 @pytest.mark.parametrize("base,n", [("sym3", 4), ("alt4", 3)])

@@ -10,7 +10,8 @@ from autorbit.multinomial import (BadComposition, lemma3_candidate_value,
                                   verify_lemma3_grids, pmf_bound_check)
 from autorbit.reports import encode_value
 import wreath_oracle as wo
-from multinomial_oracle import TypeDistribution, orbit_upper_bound, pmf, pmf_kernel, r_value
+from multinomial_oracle import (TypeDistribution, descending_compositions, orbit_upper_bound, pmf,
+                                pmf_kernel, r_value)
 
 
 def test_r_value_basics():
@@ -59,6 +60,15 @@ def test_lemma3_grids():
     assert dict_ranges[4] == tuple(range(1, 10))
     assert 3 not in dict_ranges[3] and max(dict_ranges[3]) == 15
     assert dict_ranges[2] == tuple(range(10, 97))
+
+
+def test_descending_compositions_match_the_full_recursion():
+    # the last part is yielded directly, not found by a scan down to a k = 0 hit
+    for n in range(41):
+        for k in range(6):
+            for cap in [None, *range(42)]:
+                assert (list(mn._descending_compositions(n, k, cap))
+                        == list(descending_compositions(n, k, cap)))
 
 
 def grid_compositions(ranges):

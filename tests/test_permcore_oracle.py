@@ -281,7 +281,7 @@ def test_locate_raises_on_a_key_not_stored():
             index.locate(images)
 
 
-WHOLE_GROUP_CASES = [pytest.param(name, id=name) for name in CATALOG + ["autpsl34"]] + [
+WHOLE_GROUP_CASES = [pytest.param(name, id=name) for name in CATALOG + ["autpsl34", "c2_14"]] + [
     pytest.param(case.id, marks=case.marks, id=case.id) for case in _covered()
     if case.id not in CATALOG]
 
@@ -289,8 +289,9 @@ WHOLE_GROUP_CASES = [pytest.param(name, id=name) for name in CATALOG + ["autpsl3
 @pytest.mark.parametrize("name", WHOLE_GROUP_CASES)
 def test_whole_group_maps_match_the_per_row_lookup(name):
     # a map over all of G sorts its keys (`locate_all`); `ids_of` confirms
-    # each full row, so the reference does not share the key path
-    G = catalog.resolve(name)
+    # each full row, so the reference does not share the key path.  c2_14:
+    # the weighted fold wraps, and the keys are hashes
+    G = close_group(elementary_abelian_2(14)) if name == "c2_14" else catalog.resolve(name)
     per_row = [oracle_conjugation_ids(G, c) for c in G.gen_ids]
     for c, expected in zip(G.gen_ids, per_row):
         assert np.array_equal(G.conjugation_ids(c), expected)
@@ -304,6 +305,8 @@ def test_locate_all_takes_the_stored_keys_in_any_order(gens):
     G = close_group(gens)
     index, perm = G._index, np.random.default_rng(0).permutation(G.order)
     keys = index._fold(G.elements[:, G.base])  # the key of id i at i
+    weighted = sum(w * G.elements[:, x].astype(np.uint64) for w, x in zip(index.w, G.base))
+    assert np.array_equal(weighted, keys)  # the weights `map_ids` folds into g
     assert np.array_equal(index.locate_all(keys[perm]), perm)
     changed, repeated = keys.copy(), keys.copy()
     changed[3] += np.uint64(1)

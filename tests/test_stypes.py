@@ -116,10 +116,46 @@ def test_coset_classes_map_s_once_per_generator_of_s(monkeypatch, name, maps):
     # S's orbits on one member each (`fuse`), with no whole-S map of their own
     built, calls, real = catalog.almost_simple(name), [], pc.FiniteGroup.map_ids
     monkeypatch.setattr(pc.FiniteGroup, "map_ids",
-                        lambda G, rows, g, cols: calls.append(len(rows)) or real(G, rows, g, cols))
+                        lambda G, columns, g: calls.append(len(columns[0])) or real(G, columns, g))
     table = st.coset_classes(built)
     n_classes = len(pc.conjugacy_classes(table.out).classes)
     assert calls.count(built.group.order) == maps == built.group.gen_ids.size * n_classes
+
+
+def test_twist_maps_are_the_lookups_of_the_lifted_rows(monkeypatch):
+    # a map folds g·w over its base columns (`map_ids`): each twist map names
+    # the members that `locate` finds for the base images of the full lifted
+    # rows, on the same base.  The twists read S's points only, so the duality
+    # conjugates S here too, through a line column built once over S, and its
+    # map is `ids_of` of the full rows g·s·g⁻¹
+    built, calls, real = catalog.almost_simple("psl(3,5)"), [], pc.FiniteGroup.map_ids
+    S = built.group
+
+    def recording(G, columns, g):
+        ids = real(G, columns, g)
+        if G is S:  # not Out(S)'s own class maps
+            calls.append((columns, g, ids))
+        return ids
+    monkeypatch.setattr(pc.FiniteGroup, "map_ids", recording)
+    assert max(st.coset_classes(built, numbered=True).rho) == Fraction(1, 4)
+    assert len(calls) == 2 * S.gen_ids.size + 2
+    lifted, step = built.lift(S.elements), 1 << 15
+    for columns, g, ids in calls:
+        cols = [int(column[0]) for column in columns]  # id 0 is the identity
+        assert all(np.array_equal(column, lifted[:, x]) for column, x in zip(columns, cols))
+        images = g[lifted[:, cols]]
+        assert np.array_equal(ids, S._index.locate(images))
+        assert np.array_equal(S.elements[ids][:, S.base], images)
+    lines = 0
+    for g in built.aut_rows:
+        inverse = np.argsort(g)
+        cols = inverse[S.base]
+        ids = real(S, [lifted[:, x] for x in cols], g)
+        assert all(np.array_equal(ids[lo:lo + step],
+                                  S.ids_of(g[lifted[lo:lo + step][:, inverse[:S.degree]]]))
+                   for lo in range(0, S.order, step))
+        lines += cols.max() >= S.degree
+    assert lines == 1  # the duality
 
 
 @pytest.mark.parametrize("name, rows, outer, lookups", [
