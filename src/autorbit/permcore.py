@@ -19,20 +19,23 @@ checked against the limit before any element is built, and each element is
 one product of transversal rows.  A subgroup of a finished group closes on ids
 by the same rule (`FiniteGroup.closure`): each kept seed runs one `sweep` of
 right multiplication.  Elements are keyed by their images of the chain's base
-in one sorted index (`_RowIndex`): one uint64 per element, the sum of its base
-images weighted by the powers w of the radix degree|1 (a Horner fold), exact
-while radix^|base| < 2^64 and a hash past that (a collision grows the base).
+in one sorted index (`_RowIndex`): the sum of its base images weighted by the
+powers w of the radix degree|1 (a Horner fold), cut to the 64 - p bits beside
+a row position of p bits, exact while radix^|base| <= 2^(64-p) and a hash past
+that (a collision grows the base).  A whole-group key sort is one `np.sort` of
+key << p | position (`_sort_packed`): the index, `locate_all` and `lex_order`.
 A membership test (`ids_of`) confirms each key hit on the full row; a product
 or conjugate of members is a member, so the Cayley table, conjugation maps and
-a quotient's cosets and translations form its base images alone.  Products and cosets search their keys one by one
-(`_RowIndex.locate`); the conjugates of all of G are a permutation of G, so
-their keys are the stored ones reordered: a map folds w into g once and sums
-one gathered column of w·g per base point, and one argsort, checked against
-the stored keys, names every conjugate (`_RowIndex.locate_all`).  `orbits`
-numbers its members by one radix sort.  A group's ``gen_ids`` are the
-ids of its kept, irredundant generators, and conjugation by an element id is
-one id map of the whole group (`FiniteGroup.conjugation_ids`); a set is normal
-iff it is a union of conjugacy classes (`is_normal`).
+a quotient's cosets and translations form its base images alone.  Products and
+cosets search their keys one by one (`_RowIndex.locate`); the conjugates of G
+are a permutation of G, so their keys are the stored ones reordered: a map
+folds w into g once, sums one gathered column of w·g per base point and sorts
+the keys packed, which checked against the stored keys names every conjugate
+(`_RowIndex.locate_all`).  `orbits` numbers its members by one radix sort.  A
+group's ``gen_ids`` are the ids of its kept, irredundant generators, and
+conjugation by an element id is one id map of the whole group
+(`FiniteGroup.conjugation_ids`); a set is normal iff it is a union of
+conjugacy classes (`is_normal`).
 
 `cycle_decompose` keeps a row's 1-cycles; cycle strings at the I/O boundary
 use 1-based points, e.g. ``"(1 2)(3 4 5)"``.
@@ -162,11 +165,42 @@ def parse_cycles(text: str, degree: int) -> np.ndarray:
     return _check_bijection(images)
 
 
+def _horner(images: np.ndarray, radix: int) -> np.ndarray:
+    """One uint64 key per row, the Horner fold k = k*radix + x of its columns mod
+    2^64, each cast to uint64 as it is added: int64 rows key as point rows do."""
+    key = images[:, 0].astype(np.uint64)
+    for j in range(1, images.shape[1]):
+        key *= np.uint64(radix)  # in place: a key array is 8 bytes per row
+        np.add(key, images[:, j], out=key, dtype=np.uint64, casting="unsafe")
+    return key
+
+
+def _sort_packed(keys: np.ndarray, p: int) -> np.ndarray:
+    """keys << p | position, sorted (p bits hold len(keys) - 1), packed a block at
+    a time, with no full-length array of positions: `& (1 << p) - 1` reads them."""
+    packed = np.empty(len(keys), dtype=np.uint64)
+    for block in _row_blocks(64, len(keys)):
+        np.left_shift(keys[block], p, out=packed[block])
+        packed[block] |= np.arange(block.start, block.stop, dtype=np.uint64)
+    packed.sort()
+    return packed
+
+
 def lex_order(rows: np.ndarray, base: Sequence[int]) -> np.ndarray:
     """The permutation that sorts `rows` lexicographically, given a `base` on
     which no two of them agree: two rows then first differ at a point no
-    larger than max(base), so the points 0..max(base) decide the order."""
-    return np.lexsort(rows[:, max(base)::-1].T)
+    larger than max(base), so the points 0..max(base) decide the order.  An LSD
+    sort, from the right, of the exact fold of as many of them as fit 64 - p
+    bits, packed over the ranks in the order so far (`_sort_packed`): stable."""
+    radix, stop, p = rows.shape[1] | 1, max(base) + 1, (len(rows) - 1).bit_length()
+    width = next(c for c in range(1, stop + 1) if c == stop or radix ** (c + 1) > 1 << 64 - p)
+    order = None
+    for hi in range(stop, 0, -width):
+        keys = _horner(rows[:, max(hi - width, 0):hi], radix)
+        at = _sort_packed(keys if order is None else keys[order], p)
+        at &= (1 << p) - 1
+        order = at.view(np.int64) if order is None else order[at.view(np.int64)]
+    return order
 
 
 def sort_rows(rows: np.ndarray, base: Sequence[int]) -> np.ndarray:
@@ -183,32 +217,29 @@ def sort_rows(rows: np.ndarray, base: Sequence[int]) -> np.ndarray:
 class _RowIndex:
     """Distinct permutation rows looked up by their images of a base on which
     no two of them agree.  A key is the weighted sum of the base columns, the
-    weights `w` the powers of the radix degree|1 (`_fold`; exact mixed radix,
-    ordered as the images are, while radix^|base| < 2^64, and past that a
-    hash); a whole-group map folds w into its g once (`FiniteGroup.map_ids`).
-    The keys are kept sorted, with each key's int32 row position."""
+    weights `w` the powers of the radix degree|1 (`_fold`), cut to 64 - p bits,
+    p those of a row position (exact mixed radix, ordered as the images are,
+    while radix^|base| <= 2^(64-p), and past that a hash); a whole-group map
+    folds w into its g once (`FiniteGroup.map_ids`).  The keys are kept sorted,
+    with each key's int32 row position: one sort of them packed (`_sort_packed`)."""
 
     def __init__(self, rows: np.ndarray, base: Sequence[int] = (0,)):
-        self.rows, self._radix = rows, np.uint64(rows.shape[1] | 1)
+        self.rows, self._radix = rows, rows.shape[1] | 1
         self._rekey(list(base))
 
     def _fold(self, images: np.ndarray) -> np.ndarray:
-        """One uint64 key per row of base images, the sum of w[j]*images[:, j] mod 2^64
-        by the Horner fold k = k*radix + x, each column cast to uint64 as it is added:
-        int64 rows key as point rows do."""
-        key = images[:, 0].astype(np.uint64)
-        for j in range(1, images.shape[1]):
-            key *= self._radix  # in place: a key array is 8 bytes per row
-            np.add(key, images[:, j], out=key, dtype=np.uint64, casting="unsafe")
-        return key
+        """One uint64 key per row of base images, wrapped mod 2^64 (`_horner`)."""
+        return _horner(images, self._radix)
 
     def _rekey(self, base: list[int]):
         """Key the rows on `base`, which must tell them apart; a key two share (the
         wrapped fold) adds the first free point where they differ, or the first free one."""
-        self.w = self._radix ** np.arange(len(base) - 1, -1, -1, dtype=np.uint64)  # wraps
-        keys = self._fold(self.rows[:, base])
-        self.base, self._ids = base, np.argsort(keys).astype(np.int32)
-        self._keys = keys[self._ids]
+        self._p = (len(self.rows) - 1).bit_length()  # the rows may have grown
+        self.w = np.uint64(self._radix) ** np.arange(len(base) - 1, -1, -1, dtype=np.uint64)
+        packed = _sort_packed(self._fold(self.rows[:, base]), self._p)
+        self.base, self._keys = base, packed >> self._p
+        packed &= (1 << self._p) - 1
+        self._ids = packed.astype(np.int32)
         same = np.flatnonzero(self._keys[1:] == self._keys[:-1])
         if same.size:
             a, b = self.rows[self._ids[same[0]:same[0] + 2]]
@@ -220,7 +251,8 @@ class _RowIndex:
             self._rekey(base + [int(free[np.argmax(a[free] != b[free])])])
 
     def _slots(self, keys: np.ndarray) -> np.ndarray:
-        """Slot of the one stored key that can equal each of `keys`."""
+        """Slot of the one stored key that can equal each of `keys` (cut to 64 - p bits in place)."""
+        keys &= np.uint64((1 << 64 - self._p) - 1)
         slots = np.searchsorted(self._keys, keys)
         return np.minimum(slots, len(self._keys) - 1, out=slots)
 
@@ -234,14 +266,17 @@ class _RowIndex:
         return self._ids[at]
 
     def locate_all(self, keys: np.ndarray) -> np.ndarray:
-        """`locate` for uint64 keys that are the stored ones reordered: one argsort,
-        checked block by block against them; the ids reuse the keys' memory."""
-        order, step = np.argsort(keys), _BLOCK_CELLS >> 5
-        for lo in range(0, max(len(keys), len(self._keys)), step):  # a length apart too
-            if not np.array_equal(keys[order[lo:lo + step]], self._keys[lo:lo + step]):
+        """`locate` for uint64 keys that are the stored ones reordered: one packed
+        sort, checked block by block against them; the ids then reuse the keys' memory."""
+        if len(keys) != len(self._keys):
+            raise GroupError("the keys are not the stored keys")
+        packed = _sort_packed(keys, self._p)
+        for block in _row_blocks(64, len(keys)):
+            if not np.array_equal(packed[block] >> self._p, self._keys[block]):
                 raise GroupError("the keys are not the stored keys")
+        packed &= (1 << self._p) - 1
         ids = keys.view(np.int64)
-        ids[order] = self._ids
+        ids[packed.view(np.int64)] = self._ids
         return ids
 
     def find(self, rows: np.ndarray) -> np.ndarray:

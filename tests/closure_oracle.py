@@ -45,6 +45,8 @@ class GrowingIndex(_RowIndex):
         size = len(self.rows)
         while True:
             keys = self._fold(batch[:, self.base])
+            keys <<= np.uint64(self._p)  # to the stored keys' 64 - p bits
+            keys >>= np.uint64(self._p)
             order = np.argsort(keys, kind="stable")  # equal rows: the first one first
             keys = keys[order]
             same = np.flatnonzero(keys[1:] == keys[:-1])

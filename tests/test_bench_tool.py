@@ -1,0 +1,70 @@
+"""`tools/bench.py`'s reading and summing of `perfbench/run.py` output, on
+recorded result lines: no subprocess is started and nothing is written."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SPEC = importlib.util.spec_from_file_location(
+    "bench_tool", Path(__file__).resolve().parent.parent / "tools" / "bench.py")
+bench = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench)
+
+ENVIRONMENT = ('{"environment": {"nproc": 2, "affinity_cpus": 2, "cpu_model": "Intel(R) Xeon(R) '
+               'Processor", "python": "3.11.7", "numpy": "2.4.6", "commit": "23d047d", '
+               '"source_sha256": "fb43", "seed": 1, "autorbit_threads": "unset", '
+               '"blas_omp_threads": 1, "workload_processes": 1}}')
+PARENT = ('{"correct": true, "attempted": 1, "failed": 0, "metrics": {"wall_s": {"value": 0.2705, '
+          '"unit": "s"}, "cpu_s": {"value": 0.2690, "unit": "s"}, "setup_s": {"value": 0.1601, '
+          '"unit": "s"}, "peak_rss_mb": {"value": 45.28, "unit": "MB"}}}')
+CHILD = ('{"correct": true, "attempted": 1, "failed": 0, "metrics": {"wall_s": {"value": 0.2477, '
+         '"unit": "s"}, "cpu_s": {"value": 0.2470, "unit": "s"}, "setup_s": {"value": 0.1612, '
+         '"unit": "s"}, "peak_rss_mb": {"value": 45.34, "unit": "MB"}}}')
+METRICS = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())[
+    "end_to_end"]
+
+
+def run_stdout(result):
+    return "\n".join([ENVIRONMENT, "paper-table seed 1: wall_s 0.27 s, ...", result]) + "\n"
+
+
+def test_a_run_is_read_off_its_first_and_last_lines():
+    env, result = bench.parse_run(run_stdout(PARENT))
+    assert bench.host(env) == {"nproc": 2, "affinity_cpus": 2, "cpu_model": "Intel(R) Xeon(R) "
+                               "Processor", "python": "3.11.7", "numpy": "2.4.6"}
+    assert bench.source(env) == {"commit": "23d047d", "source_sha256": "fb43"}
+    assert result == json.loads(PARENT)
+
+
+def test_pairs_sum_to_medians_quartiles_and_wins():
+    parent, child = (bench.parse_run(run_stdout(r))[1] for r in (PARENT, CHILD))
+    summary = bench.summarize([(parent, child), (child, parent)], METRICS)
+    assert summary["correct"] == {"parent": True, "child": True}
+    assert summary["failed"] == {"parent": 0, "child": 0}
+    wall = summary["metrics"]["wall_s"]
+    assert wall["parent"] == [0.2705, 0.2477] and wall["child"] == [0.2477, 0.2705]
+    assert wall["parent_median"] == wall["child_median"] == pytest.approx(0.2591)
+    assert wall["parent_iqr"] == pytest.approx((0.2705 - 0.2477) / 2)
+    assert (wall["wins"], wall["pairs"], wall["unit"], wall["better"]) == (1, 2, "s", "lower")
+    one = bench.summarize([(parent, child)], METRICS)["metrics"]
+    assert one["wall_s"]["parent_iqr"] == 0.0
+    assert {name: m["wins"] for name, m in one.items()} == {
+        "wall_s": 1, "cpu_s": 1, "setup_s": 0, "peak_rss_mb": 0}
+    higher = [dict(m, better="higher") for m in METRICS]
+    assert bench.summarize([(parent, child)], higher)["metrics"]["setup_s"]["wins"] == 1
+
+
+def test_a_wrong_output_marks_its_side():
+    wrong = json.loads(CHILD) | {"correct": False, "failed": 1}
+    summary = bench.summarize([(json.loads(PARENT), wrong)], METRICS)
+    assert summary["correct"] == {"parent": True, "child": False}
+    assert summary["failed"] == {"parent": 0, "child": 1}
+
+
+@pytest.mark.parametrize("out", ["BENCHMARK.json", "perfbench/BENCH_1.json"])
+def test_the_benchmark_files_are_refused_as_output(out):
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--parent", "HEAD", "--out", str(bench.ROOT / out)])
+    assert exc.value.code == 2

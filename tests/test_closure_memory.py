@@ -205,13 +205,14 @@ def test_orbits_number_members_as_the_int64_sort(maps, n, count):
 
 def test_a_conjugation_map_peaks_within_three_key_arrays():
     # a map sums its keys from the weighted columns g·w, a block of rows at a
-    # time, with no block of base images gathered first: on PGL_3(4) it peaks
-    # at its keys, their sort order and a block's gathers
+    # time, with no block of base images gathered first, and sorts them packed
+    # over their positions: on PGL_3(4) it peaks at its keys, the packed sort
+    # and a block's gathers, 2.31 key arrays
     G = catalog.resolve("pgl(3,4)")
     for c in G.gen_ids:
         ids, peak = traced_peak(lambda: G.conjugation_ids(c))
         assert np.array_equal(np.sort(ids), np.arange(G.order))
-        assert peak <= 3 * 8 * G.order
+        assert peak <= 2.5 * 8 * G.order
 
 
 @pytest.mark.parametrize("base,n", [("sym3", 4), ("alt4", 3)])

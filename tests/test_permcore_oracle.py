@@ -10,7 +10,8 @@ a map over the whole group sorts its keys, and its classes must be the
 orbits of the full-row maps.
 The row index behind lookup, `_RowIndex`, is checked on its own against a
 Python dict of row bytes, also under folds that make distinct base images
-collide, as the uint64 fold does once it wraps.
+collide, as the uint64 fold does once it wraps; `lex_order`, a packed sort
+per chunk of columns, against the `np.lexsort` it replaced.
 The stabilizer chain closure (`schreier_sims`) is checked against Dimino's
 closure it replaced (`closure_oracle.dimino`): the same elements, the same
 kept generators and the same order.
@@ -298,21 +299,28 @@ def test_whole_group_maps_match_the_per_row_lookup(name):
     assert np.array_equal(conjugacy_classes(G).class_of, orbits(per_row, G.order)[1])
 
 
+CYCLIC_SIZES = [1, 2, 16, 17, 1024, 1025]  # p = bits of n - 1: none for one element
+
+
 @pytest.mark.parametrize("gens", [[point_row([1, 0, 2, 3]), point_row([1, 2, 3, 0])],
-                                  elementary_abelian_2(14)],
-                         ids=["sym4", "c2_14"])  # c2_14: the fold wraps, a hash
+                                  elementary_abelian_2(14)]
+                         + [[point_row(list(range(1, n)) + [0])] for n in CYCLIC_SIZES],
+                         ids=["sym4", "c2_14"] + [f"cyclic{n}" for n in CYCLIC_SIZES])
 def test_locate_all_takes_the_stored_keys_in_any_order(gens):
+    # c2_14: the fold wraps, a hash; cyclic n: one more position bit past each 2^k
     G = close_group(gens)
     index, perm = G._index, np.random.default_rng(0).permutation(G.order)
+    assert index._p == (G.order - 1).bit_length()
     keys = index._fold(G.elements[:, G.base])  # the key of id i at i
     weighted = sum(w * G.elements[:, x].astype(np.uint64) for w, x in zip(index.w, G.base))
     assert np.array_equal(weighted, keys)  # the weights `map_ids` folds into g
     assert np.array_equal(index.locate_all(keys[perm]), perm)
+    i = min(3, G.order - 1)
     changed, repeated = keys.copy(), keys.copy()
-    changed[3] += np.uint64(1)
-    assert changed[3] not in keys
-    repeated[3] = keys[4]
-    for bad in (changed, repeated, keys[:-1], np.concatenate([keys, keys[:1]])):
+    changed[i] += np.uint64(G.order)
+    assert changed[i] not in keys
+    repeated[i] = keys[i - 1]  # one element: the key itself, not a bad set
+    for bad in [changed, keys[:-1], np.concatenate([keys, keys[:1]])] + [repeated][:i]:
         before = bad.copy()
         with pytest.raises(GroupError, match="the keys are not the stored keys"):
             index.locate_all(bad)
@@ -411,24 +419,21 @@ def test_c2_14_needs_a_14_point_base():
     assert G.order == 2 ** 14 and len(G.base) == 14
     assert_matches_oracle(G, gens)
     assert_kept_generators(G, gens)
-
-
-def byte_key_fold(index, images):
-    """The keys before the uint64 fold: base images as big-endian byte strings."""
-    return encode_rows(images)
+    assert_chain_matches_dimino(np.array(gens), G.order)  # the oracle's keys wrap too
 
 
 @pytest.mark.parametrize("name, base", [
     ("autpsl34", [1, 5, 2, 0, 6, 3]), ("pgu(3,4)", [1, 0, 2, 5]), ("pgl(3,4)", [1, 5, 2, 0, 6]),
     ("pgu(4,2)", [1, 0, 9, 3]), ("alt7", [0, 2, 1, 3, 4]),
 ])
-def test_the_exact_fold_keeps_the_byte_key_bases(monkeypatch, name, base):
+def test_the_exact_fold_keeps_the_byte_key_bases(name, base):
     # the base is the stabilizer chain's, each point the least one its strong
-    # generator moves; an exact fold, like the byte-string keys before it,
-    # has no collision that would grow it
-    assert catalog.resolve(name).base == base
-    monkeypatch.setattr(_RowIndex, "_fold", byte_key_fold)
-    assert catalog.resolve(name).base == base
+    # generator moves; byte-string keys, which never collide, kept it, and the
+    # fold is exact on it too: radix^|base| fits the 64 - p bits beside a
+    # position, so no collision grows it
+    G = catalog.resolve(name)
+    assert schreier_sims(G.elements[G.gen_ids]).base == base == G.base
+    assert (G.degree | 1) ** len(base) <= 2 ** (64 - (G.order - 1).bit_length())
 
 
 def assert_byte_order(rows, base):
@@ -460,12 +465,48 @@ def test_close_group_sorts_autpsl34_as_the_byte_keys():
 
 def test_lex_order_reads_a_base_that_is_not_a_prefix():
     # pgu(4,2) tells its elements apart on [1, 0, 9, 3]: the order is read
-    # off points 0..9, of which 2 and 4..8 are off the base
+    # off points 0..9, of which 2 and 4..8 are off the base, in two packed
+    # passes (radix 45, 64 - 15 bits: 8 points a pass)
     G = catalog.resolve("pgu(4,2)")
     assert G.base == [1, 0, 9, 3]
     rows = G.elements[np.random.default_rng(0).permutation(G.order)]
     assert_byte_order(rows, G.base)
+    assert np.array_equal(lex_order(rows, G.base), lexsort_order(rows, G.base))
     assert np.array_equal(rows[lex_order(rows, G.base)], G.elements)
+
+
+def lexsort_order(rows, base):
+    """The order `lex_order` gave before its packed sorts: `np.lexsort` of the
+    points 0..max(base), the last point's key first."""
+    return np.lexsort(rows[:, max(base)::-1].T)
+
+
+def distinct_rows(degree, n, stop, seed):
+    """n random rows of `degree` entries below `degree`, distinct on the first
+    `stop` <= degree, in a random order; drawn as distinct codes while the
+    prefixes are few."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, degree, (n, degree)).astype(POINT_DTYPE)
+    if degree ** stop <= 2 ** 20:
+        codes = rng.choice(degree ** stop, n, replace=False)
+        rows[:, :stop] = codes[:, None] // degree ** np.arange(stop - 1, -1, -1) % degree
+    assert len(np.unique(rows[:, :stop], axis=0)) == n
+    return rows
+
+
+@pytest.mark.parametrize("degree, n, stop", [
+    # radix degree|1, p the bits of n - 1: a pass takes the most points whose
+    # fold fits 64 - p bits, which are all of them here
+    (1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 4, 2), (8, 16, 2), (8, 17, 2), (8, 64, 2), (8, 65, 3),
+    (1000, 1024, 5), (1000, 1025, 5),  # 1001^5 < 2^53 < 1001^6: a pass takes 5 points
+    (1000, 1024, 8), (1000, 1025, 8),  # two passes
+    (1000, 1025, 16), (1000, 4097, 40),  # four and eight passes
+])
+def test_lex_order_matches_lexsort(degree, n, stop):
+    rows = distinct_rows(degree, n, stop, seed=n + stop)
+    base = list(range(stop))[::-1]
+    assert np.array_equal(lex_order(rows, base), lexsort_order(rows, base))
+    assert np.array_equal(lex_order(rows, [stop - 1]), lexsort_order(rows, [stop - 1]))
 
 
 def test_base_agreement_does_not_make_a_member():

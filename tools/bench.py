@@ -1,0 +1,141 @@
+"""Paired benchmark runs of a parent revision against the working tree.
+
+    python3 tools/bench.py --parent REV --out BENCH_<N>.json [--pairs 10] [--seconds 10]
+
+The parent is checked out with `git worktree add` under a temporary
+directory, which is removed afterwards.  For each workload of BENCHMARK.json
+the two checkouts each run their own `perfbench/run.py --trace 0` in turn,
+`--pairs` times, alternating which side goes first; both runs of pair k get
+seed 1 + k.  The JSON file written holds, per workload and end-to-end
+metric, both medians, the parent's interquartile range and how many pairs
+the working tree won, the host the runs were made on, and for each side the
+commit and source digest its `run.py` reported (the working tree's digest
+names the measured source even when it is not committed).  The tool reads
+BENCHMARK.json and never writes it or anything under perfbench/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_run(stdout: str) -> tuple[dict, dict]:
+    """(environment, result) of one `run.py` run: its first stdout line and its last."""
+    lines = stdout.strip().splitlines()
+    return json.loads(lines[0])["environment"], json.loads(lines[-1])
+
+
+def quartile_range(values: list[float]) -> float:
+    """The distance between the upper and lower quartiles (0 for one value)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
+    """Per metric, the parent and child values of each pair, their medians, the
+    parent's interquartile range and the pairs the child won; `pairs` holds the
+    (parent, child) results of `parse_run` and `metrics` BENCHMARK.json's
+    `end_to_end` entries."""
+    out = {"correct": {"parent": all(p["correct"] for p, _ in pairs),
+                       "child": all(c["correct"] for _, c in pairs)},
+           "failed": {"parent": sum(p["failed"] for p, _ in pairs),
+                      "child": sum(c["failed"] for _, c in pairs)},
+           "metrics": {}}
+    for metric in metrics:
+        name, sign = metric["name"], 1 if metric.get("better", "lower") == "lower" else -1
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        child = [c["metrics"][name]["value"] for _, c in pairs]
+        out["metrics"][name] = {
+            "unit": metric.get("unit"),
+            "better": metric.get("better", "lower"),
+            "parent_median": statistics.median(parent),
+            "child_median": statistics.median(child),
+            "parent_iqr": quartile_range(parent),
+            "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, child)),
+            "pairs": len(pairs),
+            "parent": parent,
+            "child": child,
+        }
+    return out
+
+
+def host(env: dict) -> dict:
+    """The machine fields of a `run.py` environment line."""
+    return {key: env.get(key) for key in ("nproc", "affinity_cpus", "cpu_model", "python", "numpy")}
+
+
+def source(env: dict) -> dict:
+    """The commit and `src/` digest of a `run.py` environment line: the code it ran."""
+    return {key: env.get(key) for key in ("commit", "source_sha256")}
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One `run.py --trace 0` run of `checkout`'s own benchmark."""
+    argv = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          timeout=seconds + 600)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: {workload} exited {proc.returncode}: "
+                           f"{proc.stderr[-2000:]}")
+    return parse_run(proc.stdout)
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="git revision to compare against")
+    p.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_<N>.json")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=10)
+    args = p.parse_args(argv)
+    out = Path(args.out).resolve()
+    if out == ROOT / "BENCHMARK.json" or (ROOT / "perfbench") in out.parents:
+        p.error("the benchmark's own files are not written")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    rev = git("rev-parse", args.parent)
+    report = {"parent": None, "child": None, "pairs": args.pairs, "seconds": args.seconds,
+              "workloads": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(parent), rev)
+        try:
+            for workload in (w["name"] for w in spec["workloads"]):
+                pairs = []
+                for k in range(args.pairs):
+                    sides = (parent, ROOT) if k % 2 == 0 else (ROOT, parent)
+                    runs = {side: run(side, workload, 1 + k, args.seconds) for side in sides}
+                    report.update(parent=source(runs[parent][0]), child=source(runs[ROOT][0]),
+                                  host=host(runs[ROOT][0]))
+                    pairs.append((runs[parent][1], runs[ROOT][1]))
+                    print(f"{workload} pair {k + 1}/{args.pairs}: "
+                          + ", ".join(f"{m} {runs[parent][1]['metrics'][m]['value']:.4g} -> "
+                                      f"{runs[ROOT][1]['metrics'][m]['value']:.4g}"
+                                      for m in runs[ROOT][1]["metrics"]), flush=True)
+                report["workloads"][workload] = summarize(pairs, spec["end_to_end"])
+        finally:
+            git("worktree", "remove", "--force", str(parent))
+    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    for workload, summary in report["workloads"].items():
+        for name, m in summary["metrics"].items():
+            print(f"{workload} {name}: {m['parent_median']:.4g} -> {m['child_median']:.4g} "
+                  f"{m['unit']} (parent IQR {m['parent_iqr']:.4g}, won {m['wins']}/{m['pairs']})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
