@@ -13,27 +13,26 @@ Conventions, fixed globally:
 
 A group is built from a (k, degree) array of generator rows (``close_group``);
 rows read from outside the program are checked first (`_check_bijection`).
-Its stabilizer chain (``schreier_sims``) keeps a generator outside the group
-of the kept ones before it (Dimino's rule); the orbit lengths give the order,
-checked against the limit before any element is built, and each element is
-one product of transversal rows.  A subgroup of a finished group closes on ids
-by the same rule (`FiniteGroup.closure`): each kept seed runs one `sweep` of
-right multiplication.  Elements are keyed by their images of the chain's base
-in one sorted index (`_RowIndex`): the sum of its base images weighted by the
-powers w of the radix degree|1 (a Horner fold), cut to the 64 - p bits beside
-a row position of p bits, exact while radix^|base| <= 2^(64-p) and a hash past
-that (a collision grows the base).  A whole-group key sort is one `np.sort` of
-key << p | position (`_sort_packed`): the index, `locate_all` and `lex_order`.
-A membership test (`ids_of`) confirms each key hit on the full row; a product
-or conjugate of members is a member, so the Cayley table, conjugation maps and
-a quotient's cosets and translations form its base images alone.  Products and
-cosets search their keys one by one (`_RowIndex.locate`); the conjugates of G
-are a permutation of G, so their keys are the stored ones reordered: a map
-folds w into g once, sums one gathered column of w·g per base point and sorts
-the keys packed, which checked against the stored keys names every conjugate
-(`_RowIndex.locate_all`).  `orbits` numbers its members by one radix sort.  A
-group's ``gen_ids`` are the ids of its kept, irredundant generators, and
-conjugation by an element id is one id map of the whole group
+Its stabilizer chain (``schreier_sims``) starts at z, the least point the rows
+move, and keeps a generator outside the group of the kept ones before it
+(Dimino's rule); the orbit lengths give the order, checked against the limit
+before any element is built, and each element is one product of transversal
+rows, in runs of one image of z.  The canonical order keeps each run, so
+`sort_rows` gathers whole rows a block of runs at a time.  A subgroup of a
+finished group closes on ids by the same rule (`FiniteGroup.closure`): each
+kept seed runs one `sweep` of right multiplication.  Elements are keyed by
+their images of the chain's base in one sorted index (`_RowIndex`, a Horner
+fold exact while radix^|base| <= 2^(64-p)).  A whole-group key sort is one
+`np.sort` of key << p | position, p bits holding a row position
+(`_sort_packed`): the index, `locate_all` and `lex_order`.  A membership test
+(`ids_of`) confirms each key hit on the full row; a product or conjugate of
+members is a member, so the Cayley table, conjugation maps and a quotient's
+cosets and translations form its base images alone.  Products and cosets
+search their keys one by one (`_RowIndex.locate`); the conjugates of G are a
+permutation of G, so a whole-group map's keys are the stored ones reordered
+(`FiniteGroup.map_ids`, `_RowIndex.locate_all`).  `orbits` numbers its members
+by one radix sort.  A group's ``gen_ids`` are the ids of its kept, irredundant
+generators, and conjugation by an element id is one id map of the whole group
 (`FiniteGroup.conjugation_ids`); a set is normal iff it is a union of
 conjugacy classes (`is_normal`).
 
@@ -203,14 +202,12 @@ def lex_order(rows: np.ndarray, base: Sequence[int]) -> np.ndarray:
     return order
 
 
-def sort_rows(rows: np.ndarray, base: Sequence[int]) -> np.ndarray:
-    """Put the C-contiguous `rows` in `lex_order` in place and return them: a
-    third of the columns at a time, each row's third copied as one item."""
-    order, step = lex_order(rows, base), -(-rows.shape[1] // 3)
-    for lo in range(0, rows.shape[1], step):
-        part = rows[:, lo:lo + step]
-        items = part.view(np.dtype((np.void, part.shape[1] * part.itemsize)))[:, 0]
-        items[:] = items[order]
+def sort_rows(rows: np.ndarray, base: Sequence[int], run: int) -> np.ndarray:
+    """Put `rows` in `lex_order` in place and return them, given that the order maps
+    each run of `run` rows onto itself: whole rows, gathered a block of runs at a time."""
+    order, step = lex_order(rows, base), run * max(1, _BLOCK_CELLS // (8 * run * rows.shape[1]))
+    for lo in range(0, len(rows), step):  # a block as `_compose` takes, or one run
+        rows[lo:lo + step] = np.take(rows, order[lo:lo + step], axis=0)
     return rows
 
 
@@ -321,34 +318,33 @@ def _compose(table: np.ndarray, which: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 class _Level:
     """A level of a stabilizer chain (Seress 2003, ch. 4): a base point, the strong
-    generators fixing the base points before it and their inverses, and for each
-    point x of its orbit, at `pos[x]` (-1 off it), rows `U` of a u with u(point)
-    = x and `inv` of u^-1.  The first `done` rows' and generators' Schreier
-    generators pass."""
+    generators fixing the base points before it, and for each point x of its orbit,
+    at `pos[x]` (-1 off it), rows `U` of a u with u(point) = x and `inv` of u^-1.
+    The first `done` rows' and generators' Schreier generators pass."""
 
     def __init__(self, point: int, degree: int):
         self.point, self.done = point, (0, 0)
-        self.gens = self.gens_inv = np.empty((0, degree), POINT_DTYPE)
+        self.gens = np.empty((0, degree), POINT_DTYPE)
         self.pos = np.where(np.arange(degree) == point, 0, -1)
         self.U = self.inv = np.arange(degree, dtype=POINT_DTYPE)[None, :]
 
     def add(self, h: np.ndarray):
-        """Add the generator h; a new orbit point s(x) gets s*u and u^-1*s^-1, u x's row.
-        The old generators keep the old orbit, so the first pass applies h alone."""
+        """Add the generator h; a new orbit point s(x) gets s*u, u x's row, and its inverse,
+        scattered from s*u.  The old generators keep the old orbit: the first pass applies h."""
         self.gens = np.vstack([self.gens, h])
-        self.gens_inv = np.vstack([self.gens_inv, np.argsort(h).astype(POINT_DTYPE)])
-        gens, gens_inv = self.gens[-1:], self.gens_inv[-1:]
-        rows, inv, parts = self.U, self.inv, [(self.U, self.inv)]
+        gens, rows, parts = self.gens[-1:], self.U, [self.U]
         while len(rows):
             flat = gens[:, rows[:, self.point]].ravel()  # generator-major images
             new = np.flatnonzero(self.pos[flat] < 0)
             new = new[np.sort(np.unique(flat[new], return_index=True)[1])]
-            self.pos[flat[new]] = np.arange(len(new)) + sum(len(u) for u, _ in parts)
+            self.pos[flat[new]] = np.arange(len(new)) + sum(map(len, parts))
             s, at = np.divmod(new, len(rows))
-            rows, inv = _compose(gens, s, rows[at]), _compose(inv, at, gens_inv[s])
-            parts.append((rows, inv))
-            gens, gens_inv = self.gens, self.gens_inv
-        self.U, self.inv = (np.concatenate(side) for side in zip(*parts))
+            parts.append(rows := _compose(gens, s, rows[at]))
+            gens = self.gens
+        if len(parts) > 2:  # the last pass finds no new point
+            self.U, self.inv = np.concatenate(parts), np.concatenate([self.inv, *parts[1:]])
+            new = np.arange(len(parts[0]), len(self.U))
+            self.inv[new[:, None], self.U[new]] = np.arange(len(h))  # inv[i, U[i, x]] = x
 
     def schreier_rows(self):
         """For each generator s in turn, s and the rows u of `U` whose s*u is not yet
@@ -408,34 +404,38 @@ def _first_outside(chain: list[_Level], lo: int, rows: np.ndarray):
 
 def _enumerate(chain: list[_Level], degree: int, order: int) -> np.ndarray:
     """The products u_0 * u_1 * ... of a transversal row per level, identity first:
-    each row of a level times each product below it, written after them in place."""
+    each row of a level times each product below it, written after them in place;
+    level 0's rows in the order of their images of its point, so in |U_0| runs."""
     elements = np.empty((order, degree), dtype=POINT_DTYPE)
     elements[0], done = np.arange(degree), 1
     for level in reversed(chain):
+        U = level.U[level.pos[level.pos >= 0]] if level is chain[0] else level.U
         for rows in _row_blocks(8 * degree, done):
             below = elements[rows].astype(np.intp)  # indices for every row of the level
-            for a in range(1, len(level.U)):  # "clip": as in `_compose`
-                np.take(level.U[a], below, out=elements[a * done:][rows], mode="clip")
-        done *= len(level.U)
+            for a in range(1, len(U)):  # "clip": as in `_compose`
+                np.take(U[a], below, out=elements[a * done:][rows], mode="clip")
+        done *= len(U)
     return elements
 
 
-Closure = namedtuple("Closure", "elements kept base")  # identity first; kept ascending
+Closure = namedtuple("Closure", "elements kept base run")  # identity first; kept ascending
 
 
 def schreier_sims(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
                   order: int | None = None) -> Closure:
-    """The group of the rows `gen_rows`: its elements, the kept generators' indices
-    and its stabilizer chain's base ([0] if trivial).  A row outside the group of
-    the kept ones before it is kept (Dimino's rule), sifted in chunks doubling
-    from the last kept one.  Its residue h joins the levels up to the one it
-    reached (past the base: a new one at the least point h moves); deterministic
-    Schreier–Sims completes the chain from there up (Holt, Eick & O'Brien 2005,
-    §4.4.2), each round sifting the pending Schreier rows of that level and
-    those below it as one stream (`_schreier_stream`).  The orbit lengths
-    multiply to at most the order as they grow, and then to it: `limit` and
-    `order` are checked before any element is built."""
-    chain, kept, start, step = [], [], 0, 1
+    """The group of the rows `gen_rows`: its elements (`_enumerate`), the kept generators'
+    indices, its chain's base ([0] if trivial) and |G|/|U_0|, the rows of a run of one image
+    of z, the least point a row moves, at which the chain starts: the group fixes every point
+    below z, so `lex_order` keeps the runs.  A row outside the group of the kept ones before
+    it is kept (Dimino's rule), sifted in chunks doubling from the last kept one.  Its residue
+    h joins the levels up to the one it reached (past the base: a new one at the least point h
+    moves); deterministic Schreier–Sims completes the chain from there up (Holt, Eick &
+    O'Brien 2005, §4.4.2), each round sifting the pending Schreier rows of that level and
+    those below it as one stream (`_schreier_stream`).  The orbit lengths multiply to at most
+    the order as they grow, and then to it: `limit` and `order` are checked before any
+    element is built."""
+    moved = np.flatnonzero(np.any(gen_rows != np.arange(gen_rows.shape[1]), axis=0))
+    chain, kept, start, step = [_Level(int(z), gen_rows.shape[1]) for z in moved[:1]], [], 0, 1
     while start < len(gen_rows):
         found = _first_outside(chain, 0, gen_rows[start:start + step])
         if found is None:
@@ -463,8 +463,8 @@ def schreier_sims(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
     size = prod(len(level.U) for level in chain)
     if order is not None and size != order:
         raise GeneratorDeficiency(f"closed to order {size}, expected {order}")
-    base = [level.point for level in chain] or [0]
-    return Closure(_enumerate(chain, gen_rows.shape[1], size), kept, base)
+    base, run = ([level.point for level in chain], size // len(chain[0].U)) if chain else ([0], 1)
+    return Closure(_enumerate(chain, gen_rows.shape[1], size), kept, base, run)
 
 
 class FiniteGroup:
@@ -619,8 +619,8 @@ def close_group(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
     input from outside the program is checked before (`group_from_spec`)."""
     _check_degree(np.shape(gen_rows)[1])  # before the rows are cast to POINT_DTYPE
     rows = np.asarray(gen_rows, dtype=POINT_DTYPE)
-    elements, kept, base = schreier_sims(rows, limit, order)
-    return FiniteGroup(sort_rows(elements, base), base, rows[kept], name=name)
+    elements, kept, base, run = schreier_sims(rows, limit, order)
+    return FiniteGroup(sort_rows(elements, base, run), base, rows[kept], name=name)
 
 
 @dataclass

@@ -387,5 +387,5 @@ def test_psl34_construction_is_the_extended_aut_psl34(aut_psl34, psl34_socle):
     # the limit bounds PSL_3(4), not its Aut(S) of 241,920 elements
     A, socle = catalog.almost_simple("psl(3,4)", limit=20160).closed()
     assert A.elements.tobytes() == aut_psl34.elements.tobytes()
-    assert A.base == aut_psl34.base == [1, 5, 2, 0, 6, 3]
+    assert A.base == aut_psl34.base == [0, 1, 5, 2, 6, 3]
     assert np.array_equal(socle, psl34_socle)

@@ -1,5 +1,7 @@
-"""`tools/bench.py`'s reading and summing of `perfbench/run.py` output, on
-recorded result lines: no subprocess is started and nothing is written."""
+"""`tools/bench.py`'s reading and summing of `perfbench/run.py` output, and
+its comparison with an earlier BENCH file, on recorded result lines and the
+recorded `BENCH_36.json`: no subprocess is started, and nothing is written
+outside a test's temporary directory."""
 
 import importlib.util
 import json
@@ -24,6 +26,7 @@ CHILD = ('{"correct": true, "attempted": 1, "failed": 0, "metrics": {"wall_s": {
          '"unit": "s"}, "peak_rss_mb": {"value": 45.34, "unit": "MB"}}}')
 METRICS = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())[
     "end_to_end"]
+BENCH_36 = json.loads((bench.ROOT / "BENCH_36.json").read_text())
 
 
 def run_stdout(result):
@@ -68,3 +71,33 @@ def test_the_benchmark_files_are_refused_as_output(out):
     with pytest.raises(SystemExit) as exc:
         bench.main(["--parent", "HEAD", "--out", str(bench.ROOT / out)])
     assert exc.value.code == 2
+
+
+def test_the_newest_earlier_bench_file_is_the_one_compared(tmp_path):
+    for name in ["BENCH_9.json", "BENCH_36.json", "BENCH_37.json", "BENCH_x.json", "notes.json"]:
+        (tmp_path / name).write_text("{}")
+    assert bench.newest_earlier(tmp_path / "BENCH_37.json") == tmp_path / "BENCH_36.json"
+    assert bench.newest_earlier(tmp_path / "BENCH_36.json") == tmp_path / "BENCH_9.json"
+    assert bench.newest_earlier(tmp_path / "BENCH_100.json") == tmp_path / "BENCH_37.json"
+    assert bench.newest_earlier(tmp_path / "BENCH_9.json") is None
+    assert bench.newest_earlier(tmp_path / "run.json") == tmp_path / "BENCH_37.json"
+    assert bench.newest_earlier(tmp_path / "sub" / "BENCH_38.json") is None
+
+
+def test_a_metric_moved_past_the_parent_iqr_is_printed():
+    # three pairs the child won and one it lost: the child medians are the
+    # recorded child line's, and the parent's IQR is a quarter of the spread
+    parent, child = (bench.parse_run(run_stdout(r))[1] for r in (PARENT, CHILD))
+    report = {"workloads": {"paper-table": bench.summarize(
+        [(parent, child)] * 3 + [(child, parent)], METRICS)}}
+    metrics = report["workloads"]["paper-table"]["metrics"]
+    assert metrics["wall_s"]["child_median"] == 0.2477
+    assert metrics["wall_s"]["parent_iqr"] == pytest.approx((0.2705 - 0.2477) / 4)
+    # BENCH_36's paper-table child medians: wall_s 0.2498 and cpu_s 0.2498 s
+    # are within the IQR, setup_s 0.1540 s and peak_rss_mb 45.75 MB are not
+    lines = bench.moved(BENCH_36, report)
+    assert [line.split(":")[0] for line in lines] == ["paper-table setup_s",
+                                                      "paper-table peak_rss_mb"]
+    assert lines[1] == "paper-table peak_rss_mb: 45.75 -> 45.34 MB (parent IQR 0.015)"
+    assert bench.moved(BENCH_36, BENCH_36) == []
+    assert bench.moved({"workloads": {}}, report) == []

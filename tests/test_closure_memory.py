@@ -1,9 +1,11 @@
 """Memory peaks of the closure, the Aut search and the class routine, with
-the routines they replaced kept here as oracles: the full `rows[lex_order(...)]` gather
-for the in-place `sort_rows`, min-label propagation over all the maps at
-once for `orbits`, which merges one map at a time, and the stable int64
-argsort that numbered its members before a narrow one did.  tracemalloc
-counts numpy's allocations, so the peaks are deterministic."""
+the routines they replaced kept here as oracles: the full
+`rows[lex_order(...)]` gather for the in-place `sort_rows`, which gathers
+whole rows a block of the chain's runs at a time (the lex order keeps each
+run), min-label propagation over all the maps at once for `orbits`, which
+merges one map at a time, and the stable int64 argsort that numbered its
+members before a narrow one did.  tracemalloc counts numpy's allocations, so
+the peaks are deterministic."""
 
 import json
 import tracemalloc
@@ -15,7 +17,8 @@ import pytest
 from autorbit import catalog, cli, stypes, wreath
 from autorbit.autgrp import automorphism_group
 from autorbit.permcore import (ClosureLimitExceeded, FiniteGroup, ResourceLimit, close_group,
-                               conjugacy_classes, lex_order, orbits, parse_cycles, sort_rows)
+                               conjugacy_classes, lex_order, orbits, parse_cycles, schreier_sims,
+                               sort_rows)
 from test_catalog import _covered
 from test_permcore_oracle import CATALOG
 
@@ -51,6 +54,16 @@ def test_close_group_peaks_near_the_array_it_returns(name):
     H, peak = traced_peak(lambda: close_group(G.elements[G.gen_ids], order=G.order))
     assert H.elements.tobytes() == G.elements.tobytes() and H.base == G.base
     assert peak <= 1.6 * H.elements.nbytes
+
+
+def test_close_group_of_pgu34_peaks_within_a_quarter_over_its_array():
+    # PGU_3(4), 62,400 x 65 points, where paper-table's peak RSS is set: the
+    # sort's temporaries are a block of runs each, not a third of the columns
+    # (1.40 element arrays when it copied a third at a time)
+    G = catalog.resolve("pgu(3,4)")
+    H, peak = traced_peak(lambda: close_group(G.elements[G.gen_ids], order=G.order))
+    assert H.elements.tobytes() == G.elements.tobytes()
+    assert peak <= 1.25 * H.elements.nbytes
 
 
 @pytest.mark.parametrize("known", [True, False], ids=["order", "no-order"])
@@ -142,10 +155,15 @@ def test_a_file_group_past_the_limit_stops_before_its_elements(tmp_path, capsys)
 
 @pytest.mark.parametrize("kind,d,q", list(_covered()))
 def test_sort_rows_is_the_lex_order_gather(kind, d, q):
+    # the chain's elements as enumerated, and shuffled within each run: the lex
+    # order maps each run onto itself either way
     G = catalog.projective_group(kind, d, q)
-    rows = G.elements[np.random.default_rng(q).permutation(G.order)]
-    expected = rows[lex_order(rows, G.base)]
-    assert sort_rows(rows, G.base).tobytes() == expected.tobytes() == G.elements.tobytes()
+    closed = schreier_sims(G.elements[G.gen_ids], order=G.order)
+    within = np.random.default_rng(q).permuted(np.arange(G.order).reshape(-1, closed.run), axis=1)
+    for rows in (closed.elements, closed.elements[within.ravel()]):
+        expected = rows[lex_order(rows, closed.base)]
+        assert (sort_rows(rows, closed.base, closed.run).tobytes() == expected.tobytes()
+                == G.elements.tobytes())
 
 
 def _at_most_2000(name):

@@ -360,8 +360,8 @@ def assert_chain_matches_dimino(rows, order):
     """The same elements, sorted, the same kept generators and the same order."""
     chain, oracle = schreier_sims(rows, order=order), dimino(rows, order=order)
     assert len(chain.elements) == len(oracle.elements) and chain.kept == oracle.kept
-    assert (sort_rows(chain.elements, chain.base).tobytes()
-            == sort_rows(oracle.elements.copy(), oracle.base).tobytes())
+    assert (sort_rows(chain.elements, chain.base, chain.run).tobytes()
+            == oracle.elements[lex_order(oracle.elements, oracle.base)].tobytes())
 
 
 @pytest.mark.parametrize("name", CATALOG + ["autpsl34"])
@@ -384,12 +384,15 @@ def test_aut_search_closures_match_dimino(name, aut_order):
     assert len(schreier_sims(rows, order=order).kept) < len(rows)
 
 
-@pytest.mark.parametrize("name, sifts", [("sym6", 8), ("psl(2,8)", 11), ("pgl(3,4)", 19),
-                                          ("autpsl34", 23)])
+@pytest.mark.parametrize("name, sifts", [("sym6", 8), ("psl(2,8)", 11), ("pgl(3,4)", 17),
+                                          ("autpsl34", 21)])
 def test_a_completion_round_sifts_one_stream(monkeypatch, name, sifts):
     # the Schreier rows of levels j, j-1, ..., 0 sift as one stream of blocks
     # from level 0, not one sift per level, generator and block; the closures
-    # above match Dimino's all the same
+    # above match Dimino's all the same.  The chain of PGL_3(4) and of
+    # Aut(PSL_3(4)) opens at 0, the least point a generator moves; it took 19
+    # and 23 sifts when it opened at 1, the least point the first kept
+    # generator moves, and reached 0 at its fourth level
     calls, real = [], permcore._first_outside
     monkeypatch.setattr(permcore, "_first_outside", lambda *a: calls.append(a) or real(*a))
     catalog.resolve(name)
@@ -403,6 +406,47 @@ def test_random_closures_match_dimino(generators):
     # repeats and products of earlier rows too, which both closures drop
     rows = np.array(generators + [generators[0]] + [generators[-1][generators[0]]])
     assert_chain_matches_dimino(rows, None)
+
+
+def closed_chain(rows, order):
+    """The `schreier_sims` closure of `rows` and the chain its elements were read off."""
+    chains, real = [], permcore._enumerate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(permcore, "_enumerate",
+                      lambda chain, *a: chains.append(chain) or real(chain, *a))
+        closed = schreier_sims(rows, order=order)
+    return closed, chains[0]
+
+
+@pytest.mark.parametrize("name", CATALOG + ["pgl(3,4)", "autpsl34"])
+def test_the_chain_enumerates_runs_that_lex_order_keeps(name):
+    # level 0 sits at z, the least point a generator moves, so G fixes every
+    # point below z; its rows go in the order of their images of z, so the
+    # elements are |U_0| runs of |G|/|U_0| rows, one image of z each, rising,
+    # and the lex order maps each run onto itself
+    G = catalog.resolve(name)
+    rows = G.elements[G.gen_ids]
+    closed, chain = closed_chain(rows, G.order)
+    moved = np.flatnonzero(np.any(rows != np.arange(G.degree), axis=0))
+    if not moved.size:  # the trivial group: no level, one run
+        assert chain == [] and (closed.base, closed.run) == ([0], 1)
+        return
+    z = int(moved[0])
+    assert closed.base[0] == chain[0].point == z and closed.run * len(chain[0].U) == G.order
+    assert np.array_equal(G.elements[:, :z], np.broadcast_to(np.arange(z), (G.order, z)))
+    images = closed.elements[:, z].reshape(-1, closed.run)
+    assert np.all(images == images[:, :1]) and np.all(np.diff(images[:, 0].astype(int)) > 0)
+    runs = lex_order(closed.elements, closed.base).reshape(-1, closed.run) // closed.run
+    assert np.array_equal(runs, np.broadcast_to(np.arange(len(runs))[:, None], runs.shape))
+
+
+@pytest.mark.parametrize("name", CATALOG + ["pgl(3,4)", "autpsl34"])
+def test_a_level_inverts_the_rows_it_adds(name):
+    # each level's inverse rows are scattered from its rows: u^-1 = argsort(u)
+    G = catalog.resolve(name)
+    for level in closed_chain(G.elements[G.gen_ids], G.order)[1]:
+        assert len(level.inv) == len(level.U) == np.count_nonzero(level.pos >= 0)
+        assert np.array_equal(level.inv, np.argsort(level.U, axis=1))
 
 
 def test_int64_rows_key_as_point_rows():
@@ -423,14 +467,15 @@ def test_c2_14_needs_a_14_point_base():
 
 
 @pytest.mark.parametrize("name, base", [
-    ("autpsl34", [1, 5, 2, 0, 6, 3]), ("pgu(3,4)", [1, 0, 2, 5]), ("pgl(3,4)", [1, 5, 2, 0, 6]),
-    ("pgu(4,2)", [1, 0, 9, 3]), ("alt7", [0, 2, 1, 3, 4]),
+    ("autpsl34", [0, 1, 5, 2, 6, 3]), ("pgu(3,4)", [0, 1, 2, 5]), ("pgl(3,4)", [0, 1, 5, 2, 6]),
+    ("pgu(4,2)", [0, 1, 9, 3]), ("alt7", [0, 2, 1, 3, 4]),
 ])
 def test_the_exact_fold_keeps_the_byte_key_bases(name, base):
-    # the base is the stabilizer chain's, each point the least one its strong
-    # generator moves; byte-string keys, which never collide, kept it, and the
-    # fold is exact on it too: radix^|base| fits the 64 - p bits beside a
-    # position, so no collision grows it
+    # the base is the stabilizer chain's: first the least point a generator
+    # moves (0 here), then each point the least one its strong generator
+    # moves; byte-string keys, which never collide, kept it, and the fold is
+    # exact on it too: radix^|base| fits the 64 - p bits beside a position,
+    # so no collision grows it
     G = catalog.resolve(name)
     assert schreier_sims(G.elements[G.gen_ids]).base == base == G.base
     assert (G.degree | 1) ** len(base) <= 2 ** (64 - (G.order - 1).bit_length())
@@ -464,11 +509,11 @@ def test_close_group_sorts_autpsl34_as_the_byte_keys():
 
 
 def test_lex_order_reads_a_base_that_is_not_a_prefix():
-    # pgu(4,2) tells its elements apart on [1, 0, 9, 3]: the order is read
+    # pgu(4,2) tells its elements apart on [0, 1, 9, 3]: the order is read
     # off points 0..9, of which 2 and 4..8 are off the base, in two packed
     # passes (radix 45, 64 - 15 bits: 8 points a pass)
     G = catalog.resolve("pgu(4,2)")
-    assert G.base == [1, 0, 9, 3]
+    assert G.base == [0, 1, 9, 3]
     rows = G.elements[np.random.default_rng(0).permutation(G.order)]
     assert_byte_order(rows, G.base)
     assert np.array_equal(lex_order(rows, G.base), lexsort_order(rows, G.base))

@@ -2,7 +2,7 @@
 
     python3 tools/bench.py --parent REV --out BENCH_<N>.json [--pairs 10] [--seconds 10]
 
-The parent is checked out with `git worktree add` under a temporary
+The parent is checked out in a local `git clone` under a temporary
 directory, which is removed afterwards.  For each workload of BENCHMARK.json
 the two checkouts each run their own `perfbench/run.py --trace 0` in turn,
 `--pairs` times, alternating which side goes first; both runs of pair k get
@@ -10,14 +10,17 @@ seed 1 + k.  The JSON file written holds, per workload and end-to-end
 metric, both medians, the parent's interquartile range and how many pairs
 the working tree won, the host the runs were made on, and for each side the
 commit and source digest its `run.py` reported (the working tree's digest
-names the measured source even when it is not committed).  The tool reads
-BENCHMARK.json and never writes it or anything under perfbench/.
+names the measured source even when it is not committed).  It then prints
+each metric whose child median moved from that of the newest earlier
+BENCH_*.json beside the output by more than the parent's interquartile range.
+The tool reads BENCHMARK.json and never writes it or anything under perfbench/.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -69,6 +72,36 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
     return out
 
 
+def bench_number(path: Path) -> int | None:
+    """N of a file named BENCH_<N>.json, else None."""
+    match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+    return int(match.group(1)) if match else None
+
+
+def newest_earlier(out: Path) -> Path | None:
+    """The BENCH_<N>.json beside `out` with the largest N below out's own (any
+    N but out itself when out's name has none), or None."""
+    own = bench_number(out)
+    earlier = [(n, path) for path in out.parent.glob("BENCH_*.json")
+               if (n := bench_number(path)) is not None and path != out
+               and (own is None or n < own)]
+    return max(earlier)[1] if earlier else None
+
+
+def moved(earlier: dict, report: dict) -> list[str]:
+    """A line for each workload and metric of `report` whose child median moved
+    from `earlier`'s by more than `report`'s parent IQR; both are BENCH files."""
+    lines = []
+    for workload, summary in report["workloads"].items():
+        before = earlier.get("workloads", {}).get(workload, {}).get("metrics", {})
+        for name, m in summary["metrics"].items():
+            old = before.get(name, {}).get("child_median")
+            if old is not None and abs(m["child_median"] - old) > m["parent_iqr"]:
+                lines.append(f"{workload} {name}: {old:.4g} -> {m['child_median']:.4g} "
+                             f"{m['unit']} (parent IQR {m['parent_iqr']:.4g})")
+    return lines
+
+
 def host(env: dict) -> dict:
     """The machine fields of a `run.py` environment line."""
     return {key: env.get(key) for key in ("nproc", "affinity_cpus", "cpu_model", "python", "numpy")}
@@ -112,28 +145,32 @@ def main(argv=None) -> int:
               "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent), rev)
-        try:
-            for workload in (w["name"] for w in spec["workloads"]):
-                pairs = []
-                for k in range(args.pairs):
-                    sides = (parent, ROOT) if k % 2 == 0 else (ROOT, parent)
-                    runs = {side: run(side, workload, 1 + k, args.seconds) for side in sides}
-                    report.update(parent=source(runs[parent][0]), child=source(runs[ROOT][0]),
-                                  host=host(runs[ROOT][0]))
-                    pairs.append((runs[parent][1], runs[ROOT][1]))
-                    print(f"{workload} pair {k + 1}/{args.pairs}: "
-                          + ", ".join(f"{m} {runs[parent][1]['metrics'][m]['value']:.4g} -> "
-                                      f"{runs[ROOT][1]['metrics'][m]['value']:.4g}"
-                                      for m in runs[ROOT][1]["metrics"]), flush=True)
-                report["workloads"][workload] = summarize(pairs, spec["end_to_end"])
-        finally:
-            git("worktree", "remove", "--force", str(parent))
+        git("clone", "--quiet", "--no-checkout", str(ROOT), str(parent))
+        subprocess.run(["git", "-C", str(parent), "checkout", "--quiet", "--detach", rev],
+                       check=True, capture_output=True)
+        for workload in (w["name"] for w in spec["workloads"]):
+            pairs = []
+            for k in range(args.pairs):
+                sides = (parent, ROOT) if k % 2 == 0 else (ROOT, parent)
+                runs = {side: run(side, workload, 1 + k, args.seconds) for side in sides}
+                report.update(parent=source(runs[parent][0]), child=source(runs[ROOT][0]),
+                              host=host(runs[ROOT][0]))
+                pairs.append((runs[parent][1], runs[ROOT][1]))
+                print(f"{workload} pair {k + 1}/{args.pairs}: "
+                      + ", ".join(f"{m} {runs[parent][1]['metrics'][m]['value']:.4g} -> "
+                                  f"{runs[ROOT][1]['metrics'][m]['value']:.4g}"
+                                  for m in runs[ROOT][1]["metrics"]), flush=True)
+            report["workloads"][workload] = summarize(pairs, spec["end_to_end"])
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for workload, summary in report["workloads"].items():
         for name, m in summary["metrics"].items():
             print(f"{workload} {name}: {m['parent_median']:.4g} -> {m['child_median']:.4g} "
                   f"{m['unit']} (parent IQR {m['parent_iqr']:.4g}, won {m['wins']}/{m['pairs']})")
+    if (previous := newest_earlier(out)) is not None:
+        lines = moved(json.loads(previous.read_text(encoding="utf-8")), report)
+        print(f"moved from {previous.name} by more than the parent's IQR: {len(lines)}")
+        for line in lines:
+            print("  " + line)
     return 0
 
 
