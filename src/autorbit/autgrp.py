@@ -103,8 +103,9 @@ def _extend_and_filter(G: FiniteGroup, survivors: np.ndarray, cand: np.ndarray,
     """Extend each surviving partial map by each candidate image of the newest
     generator, rebuild it on the enlarged subgroup level by level as
     phi(x*g) = phi(x)*phi(g), and keep the maps that are injective
-    homomorphisms on it.  Maps are stored as length-n arrays meaningful on the
-    subgroup only."""
+    homomorphisms on it, checked in full, so the kept maps do not depend on
+    the sweep's spanning tree.  Maps are stored as length-n arrays meaningful
+    on the subgroup only."""
     n, T = G.order, G.cayley()
     s, c = survivors.shape[0], cand.size
     batch = max(1, _BATCH_CELLS // n // max(c, 1))

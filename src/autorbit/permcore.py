@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from math import log10, prod
 from typing import Iterable, Sequence
@@ -659,25 +659,31 @@ def orbits(maps: Iterable[np.ndarray], n: int) -> tuple[list[np.ndarray], np.nda
 
 
 def sweep(start: Sequence[int], step, seen: np.ndarray):
-    """Close the distinct points `start` under injective maps, one level at a
-    time.  `step(frontier)` gives each map's images of the frontier points, in
-    map order; `seen` is a boolean mask over all points, in which the sweep
-    marks `start` and every point it reaches.  Yields, per level and map, the
-    map's index, the frontier points it sends to a point not seen before and
-    those new points.  An injective map sends no two frontier points to one
-    point, and marking a point as soon as it is found keeps a later map from
-    finding it again, so every point is yielded at most once."""
-    frontier = np.asarray(start, dtype=np.int64)
-    seen[frontier] = True
-    while frontier.size:
-        fresh = [frontier[:0]]
-        for k, images in enumerate(step(frontier)):
-            new = ~seen[images]
-            found = images[new]
+    """Close the distinct points `start` under injective maps, breadth first, in
+    blocks of at most _BLOCK_CELLS >> 6 points whose temporaries stay in cache.
+    `step(block)` gives each map's images of the block's points, in map order;
+    `seen` is a boolean mask over all points, in which the sweep marks `start`
+    and every point it reaches.  Yields, per block and map, the map's index,
+    the block points it sends to a point not seen before and those new points:
+    each point once, after the point it was reached from (an injective map
+    sends no two points to one, and a point is marked as it is found).  The
+    queue holds the pieces points were found in, about a level of them."""
+    size, start = _BLOCK_CELLS >> 6, np.asarray(start, dtype=np.int64)
+    seen[start] = True
+    queue = deque(start[i:i + size] for i in range(0, start.size, size))
+    while queue:
+        block, count = [queue.popleft()], 0
+        while queue and (count := count + block[-1].size) + queue[0].size <= size:
+            block.append(queue.popleft())
+        block = np.concatenate(block) if len(block) > 1 else block[0]
+        for k, images in enumerate(step(block)):
+            new = seen.take(images)
+            np.logical_not(new, out=new)
+            found = images.compress(new)
             seen[found] = True
-            fresh.append(found)
-            yield k, frontier[new], found
-        frontier = np.concatenate(fresh)
+            if found.size:
+                queue.append(found)
+            yield k, block.compress(new), found
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjClassTable:

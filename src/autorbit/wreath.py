@@ -107,23 +107,23 @@ class WreathGroup:
     def _unpack_codes(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The base ids B, one row per coordinate, and the top ids t."""
         codes = np.asarray(codes, dtype=np.int64)
-        t = codes % self.top.order
-        rest = codes // self.top.order
+        rest = codes // self.top.order  # x - (x // d)*d: numpy's x % d is its slow path
+        t = codes - rest * self.top.order
         B = np.empty((self.n, codes.size), dtype=np.int64)
         for i in range(self.n - 1, -1, -1):
-            B[i] = rest % self.base.order
-            rest = rest // self.base.order
+            B[i], rest = rest, rest // self.base.order
+            B[i] -= rest * self.base.order
         return B, t
 
     # -- vectorized conjugation sweeps ------------------------------------
 
     def _conjugation_maps(self, conjugators: Iterable[tuple[Sequence[int], np.ndarray]]):
         """Per conjugator (k, psi), psi an image row, the tables of
-        conj(a) = (k,psi) a (k,psi)^-1 on packed codes: the top map, psi^-1,
-        and for each coordinate j the table C_j[t*|G| + b] =
-        T[T[k_j, b], k^-1[col2[t, j]]] times the weight of coordinate j in a
-        code.  The image of a code with top id t and base
-        ids B is top_map[t] + sum_j C_j[t*|G| + B[psi^-1(j)]].  psi must
+        conj(a) = (k,psi) a (k,psi)^-1 on packed codes: psi^-1, and for each
+        coordinate j the table C_j[t*|G| + b] = T[T[k_j, b], k^-1[col2[t, j]]]
+        times the weight of coordinate j in a code, with top_map[t], the top
+        id of psi sigma_t psi^-1, folded into C_0.  The image of a code with
+        top id t and base ids B is sum_j C_j[t*|G| + B[psi^-1(j)]].  psi must
         normalize the top group but need not belong to it."""
         maps = []
         ntop, nbase, n = self.top.order, self.base.order, self.n
@@ -137,32 +137,33 @@ class WreathGroup:
             col2 = psi_img[top_inv[:, psi_inv]]
             right = self.base_inv[k][col2].T  # right[j, s] = k^-1 at coordinate col2[s, j]
             tables = self.T[self.T[k][:, None, :], right[:, :, None]] * weights[:, None, None]
-            maps.append((psi_inv, top_map, tables.reshape(n, ntop * nbase)))
+            tables[0] += top_map[:, None]
+            maps.append((psi_inv, tables.reshape(n, ntop * nbase)))
         return maps
 
     def _conjugate_codes(self, codes: np.ndarray, maps) -> Iterable[np.ndarray]:
         """Each map's images of the packed codes, one map at a time."""
         B, t = self._unpack_codes(codes)
         B += t * self.base.order  # B[i] is now coordinate i's row in the tables
-        for psi_inv, top_map, tables in maps:
-            image = top_map[t]
-            for table, i in zip(tables, psi_inv):
-                image += table[B[i]]
+        for psi_inv, tables in maps:
+            image = np.take(tables[0], B[psi_inv[0]])
+            for table, i in zip(tables[1:], psi_inv[1:]):
+                image += np.take(table, B[i])
             yield image
 
     def conjugation_orbit(self, seeds: Sequence[WreathElement],
                           conjugators: Iterable[tuple[Sequence[int], np.ndarray]]
-                          ) -> np.ndarray:
-        """Packed codes of the closure of `seeds` under conjugation.  The
-        visited array is indexed by packed code, so the whole wreath group
-        must fit in DEFAULT_ORBIT_SPACE cells."""
+                          ) -> int:
+        """The size of the closure of `seeds` under conjugation, swept a block
+        at a time and counted off a visited array indexed by packed code, so
+        the whole wreath group must fit in DEFAULT_ORBIT_SPACE cells."""
         check_sweep_size(self.order)
         maps = self._conjugation_maps(conjugators)
         visited = np.zeros(self.order, dtype=bool)
         for _ in sweep([self.pack(w) for w in seeds],
                        lambda frontier: self._conjugate_codes(frontier, maps), visited):
             pass
-        return np.flatnonzero(visited)
+        return int(np.count_nonzero(visited))
 
     def standard_conjugators(self) -> list[tuple[tuple, np.ndarray]]:
         """Generators of the wreath group itself, as (base tuple, top row) pairs:
@@ -341,7 +342,7 @@ def build_hp(A: FiniteGroup, p: int) -> HpConstruction:
     if p > 2:
         u = _primitive_root(p)
         conjugators.append(((0,) * p, np.arange(p) * u % p))  # the power map
-    measured = int(wg.conjugation_orbit([alpha], conjugators).size)
+    measured = wg.conjugation_orbit([alpha], conjugators)
 
     return HpConstruction(
         order=wg.order,

@@ -1,7 +1,8 @@
-"""`tools/bench.py`'s reading and summing of `perfbench/run.py` output, and
-its comparison with an earlier BENCH file, on recorded result lines and the
-recorded `BENCH_36.json`: no subprocess is started, and nothing is written
-outside a test's temporary directory."""
+"""`tools/bench.py`'s reading and summing of `perfbench/run.py` output, its
+comparison with an earlier BENCH file, and its diff of the command list's
+outputs, on recorded result lines, the recorded `BENCH_36.json` and recorded
+command outputs: no subprocess is started, and nothing is written outside a
+test's temporary directory."""
 
 import importlib.util
 import json
@@ -101,3 +102,54 @@ def test_a_metric_moved_past_the_parent_iqr_is_printed():
     assert lines[1] == "paper-table peak_rss_mb: 45.75 -> 45.34 MB (parent IQR 0.015)"
     assert bench.moved(BENCH_36, BENCH_36) == []
     assert bench.moved({"workloads": {}}, report) == []
+
+
+# recorded outputs of three commands of tools/commands.txt: a verify report
+# with its timing field, an exit 3 with no stdout, and an aut --out file
+VERIFY = ('[PASS] pmf-vs-max-rho\n{\n  "suite": "pmf",\n  "items": [{"id": "pmf-vs-max-rho", '
+          '"status": "pass", "runtimeMs": 412.7}],\n  "runtimeMs": 1.5e+03\n}\n')
+AUT_OUT = '{"group": "sym5", "order": 120, "autOrder": 120, "generators": [1, 0, 2]}'
+
+
+def recorded(verify=VERIFY, exit3=3, out=AUT_OUT):
+    return [{"command": "verify pmf", "exit": 0, "stdout": bench.without_runtimes(verify),
+             "out": None},
+            {"command": "h --simple 'name:psu(3,3)'", "exit": exit3, "stdout": "", "out": None},
+            {"command": "aut --group name:sym5 --out {out}", "exit": 0,
+             "stdout": '{"written": "out2.json", "autOrder": 120}\n', "out": out}]
+
+
+def test_the_command_list_reads_as_lines_without_comments():
+    text = "# a comment\n\nverify lemma3\n  h --simple 'name:psl(2,17)'  # h(S)\n"
+    assert bench.read_commands(text) == ["verify lemma3", "h --simple 'name:psl(2,17)'"]
+    commands = bench.read_commands((bench.ROOT / "tools" / "commands.txt").read_text())
+    assert len(commands) == len(set(commands)) >= 50
+    assert sum("--out {out}" in line for line in commands) == 10
+
+
+def test_runtimes_are_the_one_field_removed():
+    assert bench.without_runtimes(VERIFY) == VERIFY.replace("412.7", "null").replace(
+        "1.5e+03", "null")
+    assert bench.without_runtimes(VERIFY) == bench.without_runtimes(
+        VERIFY.replace("412.7", "3").replace("1.5e+03", "-0.25"))
+    assert bench.without_runtimes('{"runtime": 4}') == '{"runtime": 4}'
+
+
+def test_identical_outputs_diff_empty_and_runtimes_are_ignored():
+    slower = VERIFY.replace("412.7", "999.1")
+    assert bench.output_diff(recorded(), recorded(verify=slower)) == []
+
+
+def test_each_differing_output_is_named():
+    child = recorded(verify=VERIFY.replace('"pass"', '"fail"'), exit3=1,
+                     out=AUT_OUT.replace("[1, 0, 2]", "[0, 2, 1]"))
+    assert bench.output_diff(recorded(), child) == [
+        "verify pmf: stdout differs from line 4",
+        "h --simple 'name:psu(3,3)': exit 3 -> 1",
+        "aut --group name:sym5 --out {out}: out differs from line 1"]
+    longer = recorded(verify=VERIFY + "[PASS] extra\n")
+    assert bench.output_diff(recorded(), longer) == ["verify pmf: stdout differs from line 7"]
+    assert bench.output_diff(recorded(), recorded(out=None)) == [
+        "aut --group name:sym5 --out {out}: out differs from line 1"]
+    with pytest.raises(ValueError):  # the two sides ran the same list
+        bench.output_diff(recorded(), recorded()[:2])

@@ -287,6 +287,51 @@ def test_sweep_reaches_each_orbit_once(case):
         assert np.flatnonzero(seen).tolist() == sorted(reached)
 
 
+def _bfs_levels(maps, start):
+    """The plain breadth-first closure of `start`: its levels, as sets."""
+    levels, seen = [set(start)], set(start)
+    while levels[-1]:
+        level = {int(m[x]) for x in levels[-1] for m in maps} - seen
+        seen |= level
+        levels.append(level)
+    return levels[:-1]
+
+
+@pytest.mark.parametrize("seeds", [2, 40_000])
+def test_sweep_past_one_block(seeds):
+    # 2^17 points under two random permutations, each fixing the points'
+    # parity: the points 0 and 1 close to all of them, and 40,000 even seeds
+    # to the even points; the levels, and the 40,000 seeds too, span several
+    # blocks
+    n, block = 1 << 17, pc._BLOCK_CELLS >> 6
+    rng = np.random.default_rng(seeds)
+    maps = []
+    for _ in range(2):
+        m = np.empty(n, dtype=np.int64)
+        for r in range(2):
+            m[r::2] = rng.permutation(np.arange(r, n, 2))
+        maps.append(m)
+    start = (np.array([0, 1]) if seeds == 2
+             else rng.choice(np.arange(0, n, 2), seeds, replace=False))
+    levels = _bfs_levels(maps, start.tolist())
+    assert max(len(level) for level in levels) > block
+
+    seen, blocks = np.zeros(n, dtype=bool), []
+    reached = set(start.tolist())
+    yielded = []
+    for k, src, found in pc.sweep(start, lambda f: blocks.append(f.size) or (m[f] for m in maps),
+                                  seen):
+        assert np.array_equal(maps[k][src], found)
+        assert reached.issuperset(src.tolist())  # seeded or yielded before
+        reached.update(found.tolist())
+        yielded.extend(found.tolist())
+    closure = set().union(*levels)
+    assert np.array_equal(seen, np.isin(np.arange(n), list(closure)))
+    assert len(yielded) == len(set(yielded)) == len(closure) - seeds
+    assert set(yielded) == closure - set(start.tolist())
+    assert max(blocks) <= block and sum(blocks) == len(closure)
+
+
 def test_size_text_bounds_long_numbers():
     from autorbit.permcore import size_text
     assert size_text(117050572800) == "117050572800"

@@ -247,6 +247,29 @@ def test_pack_unpack_and_draws_look_nothing_up(w33, monkeypatch):
     assert packed[:50] == codes and all(type(w.top) is int for w in elements)
 
 
+def _assert_unpack_inverts_pack(wg, codes):
+    # each digit in range, so the digits are the code's own and not merely
+    # some that pack back to it; and each code's digits are `wo.unpack`'s
+    B, t = wg._unpack_codes(codes)
+    assert B.shape == (wg.n, codes.size) and t.shape == codes.shape
+    assert 0 <= B.min() and B.max() < wg.base.order and 0 <= t.min() and t.max() < wg.top.order
+    assert np.array_equal(wg._pack_arrays(B, t), codes)
+    for j in np.unique(np.linspace(0, codes.size - 1, 50).astype(int)).tolist():
+        assert wo.unpack(wg, int(codes[j])) == wr.WreathElement(tuple(B[:, j].tolist()), int(t[j]))
+
+
+@pytest.mark.parametrize("name", ["sym3-wr-s4", "alt4-wr-s3"])
+def test_unpack_codes_inverts_pack_arrays_on_every_code(name):
+    wg = TABLE_GROUPS[name]()
+    _assert_unpack_inverts_pack(wg, np.arange(wg.order))
+
+
+def test_unpack_codes_inverts_pack_arrays_at_the_ends_of_hp(alt5_aut):
+    # Aut(A5) wr C3, the hp sweep's group: the least and the greatest codes
+    wg = wr.WreathGroup(alt5_aut, 3, top=_cyclic_top(3))
+    _assert_unpack_inverts_pack(wg, np.array([0, 1, wg.order - 2, wg.order - 1]))
+
+
 # -- array-wide profiles ------------------------------------------------------
 
 def _partition(keys):

@@ -1,6 +1,8 @@
-"""Paired benchmark runs of a parent revision against the working tree.
+"""Paired benchmark runs of a parent revision against the working tree, and
+a check that the two give the same outputs.
 
     python3 tools/bench.py --parent REV --out BENCH_<N>.json [--pairs 10] [--seconds 10]
+    python3 tools/bench.py --parent REV --outputs
 
 The parent is checked out in a local `git clone` under a temporary
 directory, which is removed afterwards.  For each workload of BENCHMARK.json
@@ -13,14 +15,22 @@ commit and source digest its `run.py` reported (the working tree's digest
 names the measured source even when it is not committed).  It then prints
 each metric whose child median moved from that of the newest earlier
 BENCH_*.json beside the output by more than the parent's interquartile range.
-The tool reads BENCHMARK.json and never writes it or anything under perfbench/.
+
+With --outputs, each line of tools/commands.txt runs as `python -m autorbit.cli`
+in both checkouts, and the tool prints every command whose stdout (with the
+"runtimeMs" values removed), exit code or file written at `{out}` differs,
+exiting 1 if any does.  The tool reads BENCHMARK.json and never writes it or
+anything under perfbench/.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
+import shlex
 import statistics
 import subprocess
 import sys
@@ -124,18 +134,97 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict,
     return parse_run(proc.stdout)
 
 
+def read_commands(text: str) -> list[str]:
+    """The command lines of a command list: '#' starts a comment, blank lines are skipped."""
+    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return [line for line in lines if line]
+
+
+def without_runtimes(text: str) -> str:
+    """`text` with each JSON "runtimeMs" value replaced by null: the one timed field."""
+    return re.sub(r'"runtimeMs": *-?[0-9.eE+-]+', '"runtimeMs": null', text)
+
+
+def run_outputs(checkout: Path, commands: list[str], tmp: Path) -> list[dict]:
+    """Each command's exit code, stdout and `{out}` file, run by `checkout`'s own
+    source in the directory `tmp`; `{out}` is a name relative to it, so a
+    command that prints the name prints the same on either side."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    results = []
+    for i, line in enumerate(commands):
+        out = f"out{i}.json"
+        argv = [arg.replace("{out}", out) for arg in shlex.split(line)]
+        proc = subprocess.run([sys.executable, "-m", "autorbit.cli", *argv], cwd=tmp, env=env,
+                              capture_output=True, text=True, timeout=600)
+        written = tmp / out
+        results.append({"command": line, "exit": proc.returncode,
+                        "stdout": without_runtimes(proc.stdout),
+                        "out": without_runtimes(written.read_text()) if written.exists() else None})
+    return results
+
+
+def output_diff(parent: list[dict], child: list[dict]) -> list[str]:
+    """A line for each command and each of its exit code, stdout and `{out}` file
+    that differs between the two `run_outputs` lists, with the first line of
+    text that differs (a missing file reads as no lines)."""
+    lines = []
+    for p, c in zip(parent, child, strict=True):
+        if p["exit"] != c["exit"]:
+            lines.append(f"{c['command']}: exit {p['exit']} -> {c['exit']}")
+        for key in ("stdout", "out"):
+            if p[key] != c[key]:
+                old, new = (p[key] or "").splitlines(), (c[key] or "").splitlines()
+                at = next((i for i, pair in enumerate(zip(old, new)) if pair[0] != pair[1]),
+                          min(len(old), len(new)))
+                lines.append(f"{c['command']}: {key} differs from line {at + 1}")
+    return lines
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
+@contextlib.contextmanager
+def checkout(rev: str):
+    """A local `git clone` of ROOT at `rev`, in a temporary directory removed afterwards."""
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp) / "parent"
+        git("clone", "--quiet", "--no-checkout", str(ROOT), str(parent))
+        subprocess.run(["git", "-C", str(parent), "checkout", "--quiet", "--detach", rev],
+                       check=True, capture_output=True)
+        yield parent
+
+
+def compare_outputs(rev: str, commands: list[str]) -> int:
+    """Run the command list in `rev` and in the working tree; print what differs."""
+    with checkout(rev) as parent, tempfile.TemporaryDirectory() as tmp:
+        runs = {}
+        for side, name in ((parent, "parent"), (ROOT, "child")):
+            (Path(tmp) / name).mkdir()
+            runs[name] = run_outputs(side, commands, Path(tmp) / name)
+    lines = output_diff(runs["parent"], runs["child"])
+    exits = sorted({r["exit"] for r in runs["child"]})
+    print(f"{len(commands)} commands (exit codes {exits}): {len(lines)} outputs differ")
+    for line in lines:
+        print("  " + line)
+    return 1 if lines else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
-    p.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_<N>.json")
+    p.add_argument("--out", help="JSON file to write, e.g. BENCH_<N>.json")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=10)
+    p.add_argument("--outputs", action="store_true",
+                   help="compare the outputs of the command list instead of timing")
     args = p.parse_args(argv)
+    if args.outputs:
+        commands = read_commands((ROOT / "tools" / "commands.txt").read_text(encoding="utf-8"))
+        return compare_outputs(git("rev-parse", args.parent), commands)
+    if args.out is None:
+        p.error("--out is required unless --outputs is given")
     out = Path(args.out).resolve()
     if out == ROOT / "BENCHMARK.json" or (ROOT / "perfbench") in out.parents:
         p.error("the benchmark's own files are not written")
@@ -143,11 +232,7 @@ def main(argv=None) -> int:
     rev = git("rev-parse", args.parent)
     report = {"parent": None, "child": None, "pairs": args.pairs, "seconds": args.seconds,
               "workloads": {}}
-    with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp) / "parent"
-        git("clone", "--quiet", "--no-checkout", str(ROOT), str(parent))
-        subprocess.run(["git", "-C", str(parent), "checkout", "--quiet", "--detach", rev],
-                       check=True, capture_output=True)
+    with checkout(rev) as parent:
         for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for k in range(args.pairs):
