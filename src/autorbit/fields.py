@@ -1,14 +1,14 @@
 """Finite fields F_{p^f} with a deterministic modulus choice.
 
-Elements are encoded as integers in 0..p^f-1: the element with polynomial-basis
-coefficients (c_0, c_1, ..., c_{f-1}) is sum(c_i * p^i).  The modulus is the
-first irreducible monic polynomial of degree f in that same integer encoding
-of its lower coefficients, so fields are identical across runs and platforms.
+Elements are integers in 0..p^f-1: the element with polynomial-basis
+coefficients (c_0, ..., c_{f-1}) is sum(c_i * p^i), and `_digits` alone
+decodes it.  The modulus is the first monic irreducible of degree f in that
+encoding of its lower coefficients, so fields agree across runs and platforms.
 
 Every field up to 2^20 elements has one representation: exp/log tables of
-the first primitive element, built once from the polynomial arithmetic below.
-Products, inverses and powers are table lookups; sums work digit by digit
-(XOR when p = 2).  All operations take ints or numpy arrays alike.
+the first primitive element, built once from the polynomial arithmetic below
+with one array row per digit.  Products, inverses and powers are lookups;
+sums work digit by digit (XOR when p = 2), on ints or numpy arrays alike.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ class NotPrime(FieldError):
 
 def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _digits(a: int, p: int, f: int) -> tuple:
+    """The f base-p digits of a, least significant first: its coefficients."""
+    return tuple(a // p ** i % p for i in range(f))
 
 
 def _poly_mulmod(a: tuple, b: tuple, mod: tuple, p: int) -> tuple:
@@ -121,13 +126,9 @@ def _canonical_modulus(p: int, f: int) -> tuple:
     """Lowest-encoded monic irreducible of degree f (tuple of the f lower
     coefficients; the x^f coefficient is implicitly 1)."""
     for enc in range(p ** f):
-        coeffs = []
-        v = enc
-        for _ in range(f):
-            coeffs.append(v % p)
-            v //= p
-        if _is_irreducible(tuple(coeffs), p):
-            return tuple(coeffs)
+        coeffs = _digits(enc, p, f)
+        if _is_irreducible(coeffs, p):
+            return coeffs
     raise FieldError(f"no irreducible polynomial of degree {f} over F_{p}?")
 
 
@@ -173,21 +174,18 @@ class Field:
         raise FieldError("no primitive element found")
 
     def _times(self, x: np.ndarray, c: int) -> np.ndarray:
-        """x * c for an array x: the sum over the digits t of x of t * X^k * c."""
-        out = np.zeros_like(x)
+        """x * c for an array x: the sum over the digits t of x of t * X^k * c,
+        the row of every t at once from the digits of X^k * c."""
+        out, t, place = np.zeros_like(x), np.arange(self.p)[:, None], self.p ** np.arange(self.f)
         for k in range(self.f):
-            row = [self._poly_mul(t * self.p ** k, c) for t in range(self.p)]
+            row = t * np.array(self.coeffs(self._poly_mul(self.p ** k, c))) % self.p @ place
             out = self.add(out, np.take(row, x // self.p ** k % self.p))
         return out
 
     # -- encoding --------------------------------------------------------
 
     def coeffs(self, a: int) -> tuple:
-        out = []
-        for _ in range(self.f):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return _digits(a, self.p, self.f)
 
     def encode(self, coeffs) -> int:
         val = 0

@@ -518,8 +518,6 @@ class FiniteGroup:
         return self._inv_ids
 
     def mul_ids(self, i: int, j: int) -> int:
-        if self._cayley is not None:
-            return int(self._cayley[i, j])
         return int(self.ids_of(self.elements[i][self.elements[j]][None, :])[0])
 
     def cayley(self) -> np.ndarray:

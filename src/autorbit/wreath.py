@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .catalog import sym
+from .fields import make_field
 from .permcore import (DEFAULT_CLOSURE_LIMIT, FiniteGroup, GroupError, TooLarge, close_group,
                        conjugacy_classes, cycle_decompose, cycle_type, orbits, size_text,
                        sweep)
@@ -93,10 +94,7 @@ class WreathGroup:
     # -- packed enumeration ----------------------------------------------
 
     def pack(self, w: WreathElement) -> int:
-        code = 0
-        for b in w.base:
-            code = code * self.base.order + int(b)
-        return code * self.top.order + w.top
+        return int(self._pack_arrays(np.reshape(w.base, (-1, 1)), np.reshape(w.top, 1))[0])
 
     def _pack_arrays(self, B: np.ndarray, t: np.ndarray) -> np.ndarray:
         code = np.zeros(t.size, dtype=np.int64)
@@ -301,17 +299,6 @@ class HpConstruction:
         }
 
 
-def _primitive_root(p: int) -> int:
-    for u in range(2, p):
-        seen, x = set(), 1
-        for _ in range(p - 1):
-            x = x * u % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return u
-    raise GroupError(f"no primitive root mod {p}")
-
-
 def build_hp(A: FiniteGroup, p: int) -> HpConstruction:
     """A wr <sigma> for A = Aut(S), S simple, and a p-cycle sigma, with the
     distinguished element alpha = (alpha_1, 1, ..., 1) sigma, alpha_1 from a
@@ -321,7 +308,7 @@ def build_hp(A: FiniteGroup, p: int) -> HpConstruction:
 
     The measured orbit closes alpha under Aut(S) wr N_{Sym_p}(<sigma>), the
     automorphism group of the construction; the normalizer is generated by
-    sigma and the power map sigma -> sigma^u for a primitive root u mod p."""
+    sigma and the power map sigma -> sigma^u for u the primitive element of F_p."""
     check_sweep_size(A.order ** p * p)  # before the top group and the classes of Aut(S)
     sigma, ident = (np.arange(p) + 1) % p, np.arange(p)
     wg = WreathGroup(A, p, top=sigma[None])
@@ -339,9 +326,8 @@ def build_hp(A: FiniteGroup, p: int) -> HpConstruction:
     # transitive top spreads them to every coordinate
     conjugators = [(tuple([g] + [0] * (p - 1)), ident) for g in A.gen_ids.tolist()]
     conjugators.append(((0,) * p, sigma))
-    if p > 2:
-        u = _primitive_root(p)
-        conjugators.append(((0,) * p, np.arange(p) * u % p))  # the power map
+    if p > 2:  # the power map
+        conjugators.append(((0,) * p, np.arange(p) * make_field(p, 1).primitive_element() % p))
     measured = wg.conjugation_orbit([alpha], conjugators)
 
     return HpConstruction(

@@ -105,18 +105,20 @@ def test_a_metric_moved_past_the_parent_iqr_is_printed():
 
 
 # recorded outputs of three commands of tools/commands.txt: a verify report
-# with its timing field, an exit 3 with no stdout, and an aut --out file
+# with its timing field, an exit 3 whose answer is on stderr, and an aut --out file
 VERIFY = ('[PASS] pmf-vs-max-rho\n{\n  "suite": "pmf",\n  "items": [{"id": "pmf-vs-max-rho", '
           '"status": "pass", "runtimeMs": 412.7}],\n  "runtimeMs": 1.5e+03\n}\n')
 AUT_OUT = '{"group": "sym5", "order": 120, "autOrder": 120, "generators": [1, 0, 2]}'
+GUARD = "resource limit: |G| = 6048 exceeds the 2000 carrier guard\n"
 
 
-def recorded(verify=VERIFY, exit3=3, out=AUT_OUT):
+def recorded(verify=VERIFY, exit3=3, err=GUARD, out=AUT_OUT):
     return [{"command": "verify pmf", "exit": 0, "stdout": bench.without_runtimes(verify),
-             "out": None},
-            {"command": "h --simple 'name:psu(3,3)'", "exit": exit3, "stdout": "", "out": None},
+             "stderr": "", "out": None},
+            {"command": "h --simple 'name:psu(3,3)'", "exit": exit3, "stdout": "",
+             "stderr": err, "out": None},
             {"command": "aut --group name:sym5 --out {out}", "exit": 0,
-             "stdout": '{"written": "out2.json", "autOrder": 120}\n', "out": out}]
+             "stdout": '{"written": "out2.json", "autOrder": 120}\n', "stderr": "", "out": out}]
 
 
 def test_the_command_list_reads_as_lines_without_comments():
@@ -153,3 +155,12 @@ def test_each_differing_output_is_named():
         "aut --group name:sym5 --out {out}: out differs from line 1"]
     with pytest.raises(ValueError):  # the two sides ran the same list
         bench.output_diff(recorded(), recorded()[:2])
+
+
+def test_an_answer_on_stderr_is_compared():
+    # same exit code and an empty stdout on both sides: only stderr tells them apart
+    other = GUARD.replace("6048", "6049")
+    assert bench.output_diff(recorded(), recorded(err=other)) == [
+        "h --simple 'name:psu(3,3)': stderr differs from line 1"]
+    assert bench.output_diff(recorded(), recorded(err=GUARD + "more\n")) == [
+        "h --simple 'name:psu(3,3)': stderr differs from line 2"]

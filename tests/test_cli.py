@@ -470,6 +470,22 @@ def test_file_groups_keep_the_search(tmp_path, capsys, monkeypatch):
                                "MAOL": 24, "maol": "2/5", "autOrder": 120}
 
 
+@pytest.mark.parametrize("p_args", [["--p", "2"], ["--p", "3", "--slow"]])
+def test_construct_hp_on_the_searched_aut_s(tmp_path, capsys, monkeypatch, p_args):
+    # a file group's Aut(S) comes from the search; the hp report is the one
+    # the construction of Aut(A5) gives
+    path = tmp_path / "alt5.json"
+    path.write_text(json.dumps({"name": "alt5", "degree": 5,
+                                "generators": ["(1 2 3)", "(1 2 3 4 5)"]}))
+    constructed = run_cli(capsys, "construct", "hp", "--simple", "name:alt5", *p_args)
+    searched, search = [], cli.automorphism_group
+    monkeypatch.setattr(cli, "automorphism_group",
+                        lambda G, budget: searched.append(G.name) or search(G, budget=budget))
+    from_file = run_cli(capsys, "construct", "hp", "--simple", f"file:{path}", *p_args)
+    assert searched == ["alt5"] and constructed[0] == 0
+    assert from_file == constructed
+
+
 def closed_orders(monkeypatch) -> list[int]:
     """The order of each group closed from then on, in closing order: the
     closures by `schreier_sims`, which every `close_group` runs, the Aut search's too."""

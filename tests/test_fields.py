@@ -88,6 +88,41 @@ def test_primitive_element():
         assert len(seen) == F.q - 1
 
 
+def _least_primitive_root(p):
+    """The least u >= 1 whose multiplicative order mod p is p - 1."""
+    for u in range(1, p):
+        x, order = u, 1
+        while x != 1:
+            x, order = x * u % p, order + 1
+        if order == p - 1:
+            return u
+
+
+def test_prime_field_primitive_element_is_the_least_primitive_root():
+    # the hp construction takes its power map sigma -> sigma^u from F_p
+    primes = [p for p in range(2, 500) if all(p % d for d in range(2, p))]
+    assert len(primes) == 95
+    assert ([make_field(p, 1).primitive_element() for p in primes]
+            == [_least_primitive_root(p) for p in primes])
+
+
+@pytest.mark.parametrize("p,f", [(65521, 1), (3, 7), (5, 4), (13, 2)])
+def test_exp_log_tables_are_the_powers_of_the_primitive_element(p, f):
+    # the tables against powers taken one polynomial product at a time
+    F = make_field(p, f)
+    mod, g = F.modulus + (1,), F.coeffs(F.primitive_element())
+    powers, acc = [], (1,) + (0,) * (f - 1)
+    for _ in range(F.q - 1):
+        powers.append(F.encode(acc))
+        acc = fields._poly_mulmod(acc, g, mod, p)
+    assert acc == (1,) + (0,) * (f - 1) and len(set(powers)) == F.q - 1
+    assert F.exp.tolist() == powers * 2 + [0] * (2 * F.q - 1)
+    log = [2 * (F.q - 1)] * F.q
+    for k, x in enumerate(powers):
+        log[x] = k
+    assert F.log.tolist() == log
+
+
 def _poly_pairs(F, pairs):
     """Reference sums and products of (a, b) pairs on coefficient tuples."""
     mod = F.modulus + (1,)

@@ -230,6 +230,15 @@ def test_build_hp_p3(alt5_aut):
     assert hp.measured_orbit == 864_000
 
 
+@pytest.mark.parametrize("p, predicted", [(5, 15_552), (7, 839_808)])
+def test_build_hp_power_maps_past_p3(s3, p, predicted):
+    # Sym3 wr C_p, closed under the power maps sigma -> sigma^2 (p = 5) and
+    # sigma -> sigma^3 (p = 7): (p - 1) * |(1 2)^Sym3| * 6^(p - 1)
+    hp = wr.build_hp(s3, p)
+    assert hp.order == 6 ** p * p
+    assert hp.measured_orbit == hp.predicted_orbit == predicted
+
+
 def test_pack_unpack_and_draws_look_nothing_up(w33, monkeypatch):
     # a top is an id: packing, unpacking and drawing an element are arithmetic
     # and draws, with no element lookup
@@ -340,7 +349,6 @@ def _assert_tables_conjugate(wg, conjugators, codes):
     conjugate is taken in base wr Sym_n, which holds a top psi that only
     normalizes wg's top group; `lift` and `drop` carry top ids between the two."""
     full = wr.WreathGroup(wg.base, wg.n)
-    full.top.cayley()  # Sym_n's products read off its table
     lift = full.top.ids_of(wg.top.elements)
     drop = np.full(full.top.order, -1)
     drop[lift] = np.arange(wg.top.order)

@@ -1,6 +1,6 @@
 """Wreath element arithmetic one element at a time, kept as a test oracle of
-the packed-code routines of `wreath`: products on the base Cayley table and
-the top group's ids, in the multiplication law of `wreath`,
+the packed-code routines of `wreath`: products on the Cayley tables of the
+base and the top group, in the multiplication law of `wreath`,
 (g, sigma)(h, upsilon) = ((g_i * h_{sigma^-1(i)})_i, sigma*upsilon), with the
 conjugate of `a` by `b` the element b*a*b^-1."""
 
@@ -20,7 +20,7 @@ def random_element(wg: WreathGroup, rng) -> WreathElement:
 def mul(wg: WreathGroup, a: WreathElement, b: WreathElement) -> WreathElement:
     tinv = wg.top.elements[wg.top.inverse_ids()[a.top]]
     base = tuple(int(wg.T[a.base[i], b.base[tinv[i]]]) for i in range(wg.n))
-    return WreathElement(base, wg.top.mul_ids(a.top, b.top))
+    return WreathElement(base, int(wg.top.cayley()[a.top, b.top]))
 
 
 def inv(wg: WreathGroup, a: WreathElement) -> WreathElement:

@@ -18,8 +18,8 @@ BENCH_*.json beside the output by more than the parent's interquartile range.
 
 With --outputs, each line of tools/commands.txt runs as `python -m autorbit.cli`
 in both checkouts, and the tool prints every command whose stdout (with the
-"runtimeMs" values removed), exit code or file written at `{out}` differs,
-exiting 1 if any does.  The tool reads BENCHMARK.json and never writes it or
+"runtimeMs" values removed), stderr, exit code or file written at `{out}`
+differs, exiting 1 if any does.  The tool reads BENCHMARK.json and never writes it or
 anything under perfbench/.
 """
 
@@ -146,7 +146,7 @@ def without_runtimes(text: str) -> str:
 
 
 def run_outputs(checkout: Path, commands: list[str], tmp: Path) -> list[dict]:
-    """Each command's exit code, stdout and `{out}` file, run by `checkout`'s own
+    """Each command's exit code, stdout, stderr and `{out}` file, run by `checkout`'s own
     source in the directory `tmp`; `{out}` is a name relative to it, so a
     command that prints the name prints the same on either side."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
@@ -158,20 +158,20 @@ def run_outputs(checkout: Path, commands: list[str], tmp: Path) -> list[dict]:
                               capture_output=True, text=True, timeout=600)
         written = tmp / out
         results.append({"command": line, "exit": proc.returncode,
-                        "stdout": without_runtimes(proc.stdout),
+                        "stdout": without_runtimes(proc.stdout), "stderr": proc.stderr,
                         "out": without_runtimes(written.read_text()) if written.exists() else None})
     return results
 
 
 def output_diff(parent: list[dict], child: list[dict]) -> list[str]:
-    """A line for each command and each of its exit code, stdout and `{out}` file
+    """A line for each command and each of its exit code, stdout, stderr and `{out}` file
     that differs between the two `run_outputs` lists, with the first line of
     text that differs (a missing file reads as no lines)."""
     lines = []
     for p, c in zip(parent, child, strict=True):
         if p["exit"] != c["exit"]:
             lines.append(f"{c['command']}: exit {p['exit']} -> {c['exit']}")
-        for key in ("stdout", "out"):
+        for key in ("stdout", "stderr", "out"):
             if p[key] != c[key]:
                 old, new = (p[key] or "").splitlines(), (c[key] or "").splitlines()
                 at = next((i for i, pair in enumerate(zip(old, new)) if pair[0] != pair[1]),
