@@ -348,11 +348,10 @@ class AlmostSimple(NamedTuple):
     socle_order: int
     lift: Callable[..., np.ndarray] = _points
 
-    def closed(self) -> tuple[FiniteGroup, np.ndarray]:
-        """Aut(S) closed under the default limit, and G's sorted ids in it, for
-        `construct hp`, the one command that sweeps Aut(S)'s elements."""
-        A = close_group(self.aut_rows, order=self.aut_order)
-        return A, np.sort(A.ids_of(self.lift(self.group.elements)))
+    def closed(self) -> FiniteGroup:
+        """Aut(S) closed under the default limit, for `construct hp`, the one
+        command that sweeps Aut(S)'s elements."""
+        return close_group(self.aut_rows, order=self.aut_order)
 
 
 def almost_simple(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> AlmostSimple | None:

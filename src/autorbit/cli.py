@@ -187,7 +187,7 @@ def cmd_construct_hp(args) -> int:
     sigma_space = (S.aut_order if A is None else A.order) ** args.p * args.p  # before a closure
     if sigma_space > SLOW_HP_SPACE and not args.slow:
         raise TooLarge(f"H_{args.p} sweep space is {size_text(sigma_space)}; rerun with --slow")
-    hp = wreath.build_hp(S.closed()[0] if A is None else A, args.p)
+    hp = wreath.build_hp(S.closed() if A is None else A, args.p)
     print(json.dumps(hp.to_json()))
     return 0
 

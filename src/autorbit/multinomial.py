@@ -1,9 +1,9 @@
 """Exact multinomial machinery: the two computer-checked verification sweeps
 (the Lagrange-point grid and the pmf <= max success probability bound).
 
-Everything is exact: integers over a common denominator (int64 arrays where
-their bound fits) and `fractions.Fraction` values in the reports; no floats
-and no tolerances anywhere."""
+Everything is exact: integers over a common denominator ((n-1)^(n-1) on the
+grid, int64 arrays where their bound fits) and `fractions.Fraction` values in
+the reports; no floats and no tolerances anywhere."""
 
 from __future__ import annotations
 
@@ -16,10 +16,6 @@ import numpy as np
 from .reports import encode_value
 
 
-class BadComposition(ValueError):
-    pass
-
-
 def multinomial_coefficient(counts: Sequence[int]) -> int:
     total, out = 0, 1
     for c in counts:
@@ -29,26 +25,6 @@ def multinomial_coefficient(counts: Sequence[int]) -> int:
 
 
 # -- the Lagrange-point grid ---------------------------------------------------
-
-def lemma3_candidate_value(n: int, counts: Sequence[int]) -> Fraction:
-    """Value of f(x) = multinomial(n; l) * x_1^(l_1 - 1) * x_2^l_2 ... x_k^l_k
-    at the constrained maximum ((l_1-1)/(n-1), l_2/(n-1), ..., l_k/(n-1)),
-    exact because the point is rational; 0^0 = 1 when l_1 = 1."""
-    counts = list(counts)
-    if not counts or any(c < 1 for c in counts) or sum(counts) != n:
-        raise BadComposition(f"{counts} is not a composition of {n} into positive parts")
-    if sorted(counts, reverse=True) != counts:
-        raise BadComposition("counts must be non-increasing")
-    if len(counts) == 1:
-        return Fraction(1)
-    if n < 2:
-        raise BadComposition("need n >= 2 when k >= 2")
-    value = Fraction(multinomial_coefficient(counts))
-    value *= Fraction(counts[0] - 1, n - 1) ** (counts[0] - 1)
-    for c in counts[1:]:
-        value *= Fraction(c, n - 1) ** c
-    return value
-
 
 def _descending_compositions(n: int, k: int, cap: int | None = None):
     """Partitions of n into exactly k positive non-increasing parts."""
@@ -74,8 +50,10 @@ GRID_RANGES = (
 
 
 def lemma3_numerator(counts: Sequence[int]) -> int:
-    """(n-1)^(n-1) * lemma3_candidate_value(n, counts) for k >= 2, as the point's
-    coordinates share the denominator n-1: M (l_1-1)^(l_1-1) l_2^l_2 ... l_k^l_k."""
+    """(n-1)^(n-1) f(p): f(x) = M x_1^(l_1-1) x_2^l_2 ... x_k^l_k, M the multinomial
+    coefficient of l = `counts`, k >= 2, peaks on the simplex at the Lagrange point
+    p = ((l_1-1)/(n-1), l_2/(n-1), ..., l_k/(n-1)), 0^0 = 1; p's coordinates share
+    the denominator n-1, so this is the integer M (l_1-1)^(l_1-1) l_2^l_2 ... l_k^l_k."""
     value = multinomial_coefficient(counts) * (counts[0] - 1) ** (counts[0] - 1)
     for c in counts[1:]:
         value *= c ** c
@@ -93,9 +71,10 @@ def verify_lemma3_grids() -> dict:
             bound = (n - 1) ** (n - 1)
             for counts in _descending_compositions(n, k):
                 checked += 1
-                if lemma3_numerator(counts) > bound:
+                top = lemma3_numerator(counts)
+                if top > bound:
                     violations.append({"n": n, "k": k, "counts": list(counts),
-                                       "value": encode_value(lemma3_candidate_value(n, counts))})
+                                       "value": encode_value(Fraction(top, bound))})
     return {"checked": checked, "violations": violations}
 
 

@@ -1,8 +1,8 @@
 """S-types of Aut(S)-classes, exact per-coset proportions rho(c) and their
-maximum h(S), read off Aut(S)'s orbits on the cosets of S (`coset_classes`),
-joined by `fuse`, which on the trivial coset gives `maol --group`'s orbits.
-Neither lifts all of S to Aut(S)'s points: they read S's lifted rows a
-column, or a few rows, at a time.
+maximum h(S), read off Aut(S)'s orbits on the cosets of S (`coset_classes`):
+S's orbits on a coset S·a, joined by C(ā)'s members (`fuse`), which on the
+trivial coset gives `maol --group`'s orbits.  Neither lifts all of S to
+Aut(S)'s points: they read S's lifted rows a column, or a few rows, at a time.
 
 The rest works on a pair (AutS, S): a fully enumerated group AutS and the id
 set of a normal subgroup S (the socle when AutS is an automorphism group), and
@@ -37,7 +37,7 @@ def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
     meets a coset G·a of its type (a class of A/G) in one orbit of the preimage
     N_a of C(ā), acting by conjugation: g·(s·a)·g⁻¹ = (g·s·a·g⁻¹·a⁻¹)·a.  G's
     generators give one map on G's ids each (`twist`), and `fuse` joins their
-    orbits by C(ā)'s generators, read on one member per orbit.  The cosets come
+    orbits by C(ā)'s members, each read on one element per orbit.  The cosets come
     from a search over the rows outside G (a row in G finds none, as G is
     normal), and |A/G|·|G| must be |A| (else `GroupError`); A/G closes from the
     translations of those rows, which the search looked up.  No step lifts all
@@ -86,10 +86,10 @@ def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
     sizes, types, rho, least, owner = [], [], [], [], []
     for tau, members in enumerate(conjugacy_classes(out).classes):
         q = members[0]
-        kept = out.closure(np.flatnonzero(mul[:, q] == mul[q]))[1]  # C(q)'s generators
+        centralizer = np.flatnonzero(mul[:, q] == mul[q])[1:]  # C(q) but the identity
         a = reps[q]
         parts, orbit_of = orbits((twist(g, a, a) for g in gens), S.order)
-        orbit_of = fuse(S, parts, orbit_of, a, reps[kept], G.lift)[orbit_of]  # N_a's orbits
+        orbit_of = fuse(S, parts, orbit_of, a, reps[centralizer], G.lift)[orbit_of]  # N_a's orbits
         counts = np.bincount(orbit_of).tolist()
         sizes += [c * members.size for c in counts]
         types += [tau] * len(counts)

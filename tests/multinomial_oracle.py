@@ -1,22 +1,47 @@
 """The multinomial pmf in `Fraction` arithmetic, the orbit-proportion product
-bound over the wreath profiles and the partition recursion, kept as test
-oracles: `pmf_kernel` is the scalar reference of `multinomial.pmf_kernels`;
-r(M) of one type's class multiset is the multinomial pmf of its counts under
-the classes' per-coset proportions rho, and the product of r over the (cycle
-length, type) pairs of an element bounds its orbit proportion in any
-admissible overgroup of the socle power; `descending_compositions` is the
-recursion that `multinomial._descending_compositions` shortcut at its last
-part."""
+bound over the wreath profiles, the partition recursion and the Lagrange-point
+value, kept as test oracles: `lemma3_candidate_value` is the `Fraction` route
+of `multinomial.lemma3_numerator`; `pmf_kernel` is the scalar reference of
+`multinomial.pmf_kernels`; r(M) of one type's class multiset is the
+multinomial pmf of its counts under the classes' per-coset proportions rho,
+and the product of r over the (cycle length, type) pairs of an element bounds
+its orbit proportion in any admissible overgroup of the socle power;
+`descending_compositions` is the recursion that
+`multinomial._descending_compositions` shortcut at its last part."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from autorbit.multinomial import BadComposition, multinomial_coefficient
+from autorbit.multinomial import multinomial_coefficient
 from autorbit.stypes import ClassTypeTable
 from autorbit.wreath import WreathElement, WreathGroup, profile
 from stypes_oracle import classes_of_type
+
+
+class BadComposition(ValueError):
+    pass
+
+
+def lemma3_candidate_value(n: int, counts: Sequence[int]) -> Fraction:
+    """Value of f(x) = multinomial(n; l) * x_1^(l_1 - 1) * x_2^l_2 ... x_k^l_k
+    at the constrained maximum ((l_1-1)/(n-1), l_2/(n-1), ..., l_k/(n-1)),
+    exact because the point is rational; 0^0 = 1 when l_1 = 1."""
+    counts = list(counts)
+    if not counts or any(c < 1 for c in counts) or sum(counts) != n:
+        raise BadComposition(f"{counts} is not a composition of {n} into positive parts")
+    if sorted(counts, reverse=True) != counts:
+        raise BadComposition("counts must be non-increasing")
+    if len(counts) == 1:
+        return Fraction(1)
+    if n < 2:
+        raise BadComposition("need n >= 2 when k >= 2")
+    value = Fraction(multinomial_coefficient(counts))
+    value *= Fraction(counts[0] - 1, n - 1) ** (counts[0] - 1)
+    for c in counts[1:]:
+        value *= Fraction(c, n - 1) ** c
+    return value
 
 
 def descending_compositions(n: int, k: int, cap: int | None = None):

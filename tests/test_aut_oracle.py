@@ -34,7 +34,7 @@ from autorbit.cli import NONSOLVABLE_LIST, maol_report
 from autorbit.permcore import (DEFAULT_CLOSURE_LIMIT, POINT_DTYPE, GroupError, close_group,
                                conjugacy_classes)
 from autorbit.stypes import class_type_table, h_value
-from class_orbits_oracle import class_orbits
+from class_orbits_oracle import class_orbits, closed_with_ids
 from closure_oracle import dimino
 from stypes_oracle import h_value_direct
 
@@ -347,7 +347,7 @@ def rho_multiset(A, ids):
 
 @pytest.mark.parametrize("name", COVERED_SIMPLE)
 def test_construction_matches_search_on_simple_groups(name):
-    A, socle = catalog.almost_simple(name).closed()
+    A, socle = closed_with_ids(catalog.almost_simple(name))
     S, B = searched(name)
     inner = inner_automorphism_ids(S, B)
     assert A.order == B.order
@@ -362,7 +362,7 @@ def test_aut_classes_in_g_are_the_aut_g_orbits(name):
     G, B = searched(name)
     built = catalog.almost_simple(name)
     fused = maol_report(f"name:{name}", DEFAULT_CLOSURE_LIMIT, DEFAULT_NODE_BUDGET)[0].orbit_sizes
-    assert fused == class_orbits(*built.closed()) == maol(G, B).orbit_sizes
+    assert fused == class_orbits(*closed_with_ids(built)) == maol(G, B).orbit_sizes
 
 
 @pytest.mark.parametrize("name", COVERED_ALMOST_SIMPLE + [
@@ -370,14 +370,14 @@ def test_aut_classes_in_g_are_the_aut_g_orbits(name):
 def test_aut_order_formula_is_the_closed_order(name):
     # the |Aut(S)| that `maol --group` prints without closing Aut(S)
     built = catalog.almost_simple(name)
-    assert built.aut_order == built.closed()[0].order
+    assert built.aut_order == built.closed().order
 
 
 @pytest.mark.parametrize("name, out_order, h", [
     ("alt7", 2, Fraction(1, 3)), ("psl(2,16)", 4, Fraction(1, 2)),
     ("psl(2,17)", 2, Fraction(1, 8)), ("psl(3,3)", 2, Fraction(1, 3))])
 def test_construction_past_the_search_guard(name, out_order, h):
-    A, socle = catalog.almost_simple(name).closed()
+    A, socle = closed_with_ids(catalog.almost_simple(name))
     assert socle.size == catalog.resolve(name).order > 2000
     assert A.order == socle.size * out_order
     assert h_value(A, socle) == h_value_direct(A, socle) == h
@@ -385,7 +385,7 @@ def test_construction_past_the_search_guard(name, out_order, h):
 
 def test_psl34_construction_is_the_extended_aut_psl34(aut_psl34, psl34_socle):
     # the limit bounds PSL_3(4), not its Aut(S) of 241,920 elements
-    A, socle = catalog.almost_simple("psl(3,4)", limit=20160).closed()
+    A, socle = closed_with_ids(catalog.almost_simple("psl(3,4)", limit=20160))
     assert A.elements.tobytes() == aut_psl34.elements.tobytes()
     assert A.base == aut_psl34.base == [0, 1, 5, 2, 6, 3]
     assert np.array_equal(socle, psl34_socle)

@@ -7,7 +7,7 @@ from autorbit import autgrp, catalog, permcore as pc, stypes
 from autorbit.autgrp import (ActionMismatch, BudgetExceeded, TooLarge, automorphism_group,
                              inner_automorphism_ids, maol)
 import class_orbits_oracle
-from class_orbits_oracle import class_orbits
+from class_orbits_oracle import class_orbits, closed_with_ids
 
 
 def orbit_of(x, gens, n):
@@ -177,7 +177,7 @@ def test_class_orbits_refuses_a_subgroup_that_is_not_normal():
 
 
 def test_class_orbits_conjugates_by_each_generator_once(monkeypatch):
-    A, ids = catalog.almost_simple("alt5").closed()  # Sym5 and its Alt5
+    A, ids = closed_with_ids(catalog.almost_simple("alt5"))  # Sym5 and its Alt5
     calls, real = [], class_orbits_oracle.conjugation_ids
     monkeypatch.setattr(class_orbits_oracle, "conjugation_ids",
                         lambda G, c, ids=None: calls.append(c) or real(G, c, ids))

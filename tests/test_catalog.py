@@ -11,6 +11,7 @@ from autorbit.catalog import (BadParameter, hermitian_inner, is_unitary,
                               projective_group, projective_order, resolve,
                               su_generators)
 from autorbit.fields import make_field
+from class_orbits_oracle import closed_with_ids
 from subgroup_oracle import derived_subgroup, is_solvable
 
 
@@ -183,7 +184,7 @@ def test_almost_simple_aut_leaves_other_names_to_the_search(monkeypatch, name):
     ("psl(2,8)", 9), ("pgl(3,2)", 14), ("psl(3,3)", 26)])
 def test_almost_simple_aut_embeds_the_named_group(name, aut_degree):
     built = catalog.almost_simple(name)
-    A, ids = built.closed()
+    A, ids = closed_with_ids(built)
     G = resolve(name)
     assert A.degree == aut_degree and built.group.name == G.name
     assert ids.size == G.order and np.array_equal(ids, A.subgroup_closure(ids))
@@ -198,14 +199,14 @@ def test_almost_simple_aut_embeds_the_named_group(name, aut_degree):
 def test_almost_simple_aut_names_g_and_gives_the_socle_order(name, socle_order):
     # G's name as `resolve` gives it, whatever the spelling, and |S|
     built = catalog.almost_simple(name)
-    _, ids = built.closed()
+    _, ids = closed_with_ids(built)
     assert (built.group.name, built.socle_order) == (resolve(name).name, socle_order)
     assert (ids.size == socle_order) == (name.lower() not in ("sym7", "sym6", "pgl(2,9)"))
 
 
 def test_almost_simple_aut_limit_bounds_the_named_group(monkeypatch):
     # Sym7 (5040) is built under the default limit for Alt7 (2520)
-    A, ids = catalog.almost_simple("alt7", limit=2520).closed()
+    A, ids = closed_with_ids(catalog.almost_simple("alt7", limit=2520))
     assert (A.order, ids.size) == (5040, 2520)
     monkeypatch.setattr(catalog, "_pgammal", lambda *a: pytest.fail("Aut(S)'s rows built"))
     with pytest.raises(pc.TooLarge, match="PSL_3[(]4[)] has order 20160 > limit 20159"):

@@ -15,6 +15,7 @@ from autorbit.autgrp import DEFAULT_NODE_BUDGET, automorphism_group, inner_autom
 from autorbit.permcore import DEFAULT_CLOSURE_LIMIT, MAX_DEGREE, FiniteGroup
 from autorbit.reports import ReportItem, VerificationReport, encode_value
 import wreath_oracle as wo
+from class_orbits_oracle import closed_with_ids
 
 
 def run_cli(capsys, *argv):
@@ -87,7 +88,7 @@ def test_h_prints_what_the_closed_aut_s_printed(tmp_path, capsys, spec):
         A = automorphism_group(G, budget=DEFAULT_NODE_BUDGET)
         expected = _closed_aut_s_h(A, inner_automorphism_ids(G, A))
     else:
-        expected = _closed_aut_s_h(*G.closed())
+        expected = _closed_aut_s_h(*closed_with_ids(G))
     code, out, _ = run_cli(capsys, "h", "--simple", spec)
     assert code == 0 and out == expected
 

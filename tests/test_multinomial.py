@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from autorbit import multinomial as mn, permcore as pc, wreath as wr
-from autorbit.multinomial import (BadComposition, lemma3_candidate_value,
-                                  verify_lemma3_grids, pmf_bound_check)
+from autorbit.multinomial import verify_lemma3_grids, pmf_bound_check
 from autorbit.reports import encode_value
 import wreath_oracle as wo
-from multinomial_oracle import (TypeDistribution, descending_compositions, orbit_upper_bound, pmf,
-                                pmf_kernel, r_value)
+from multinomial_oracle import (BadComposition, TypeDistribution, descending_compositions,
+                                lemma3_candidate_value, orbit_upper_bound, pmf, pmf_kernel,
+                                r_value)
 
 
 def test_r_value_basics():

@@ -6,6 +6,7 @@ import pytest
 from autorbit import catalog, permcore as pc, stypes as st, wreath as wr
 from autorbit.autgrp import automorphism_group, inner_automorphism_ids
 import wreath_oracle as wo
+from class_orbits_oracle import closed_with_ids
 from stypes_oracle import (GcdViolation, NonAbelianQuotient, coarse_quotient, ct_power_check,
                            ct_set, h_value_direct)
 from subgroup_oracle import derived_series
@@ -87,7 +88,7 @@ def _agrees_with_the_closed_aut_s(name):
     Aut(S) entry for entry, and the unnumbered table holds the same classes."""
     built = catalog.almost_simple(name)
     table = st.coset_classes(built, numbered=True)
-    oracle = st.class_type_table(*built.closed())
+    oracle = st.class_type_table(*closed_with_ids(built))
     assert table.sizes == oracle.classes.sizes
     assert table.types == oracle.type_of_class.tolist()
     assert table.rho == oracle.rho
@@ -110,9 +111,22 @@ def test_coset_classes_agree_with_the_closed_aut_s_slow(name):
     _agrees_with_the_closed_aut_s(name)
 
 
+@pytest.mark.parametrize("name", ["psl(2,25)", "psl(3,4)"])
+def test_coset_classes_close_no_subgroup(monkeypatch, name):
+    # C(ā) fuses S's orbits by its members, read off Out(S)'s Cayley table: no
+    # subgroup closure picks its generators.  In psl(2,25), C(ā) = Out(S) = 2²
+    # on the trivial class; psl(3,4)'s Out(S) is D₁₂
+    built = catalog.almost_simple(name)
+    for method in ("closure", "subgroup_closure"):
+        monkeypatch.setattr(pc.FiniteGroup, method, lambda *a: pytest.fail("subgroup closed"))
+    for numbered in (False, True):
+        table = st.coset_classes(built, numbered=numbered)
+        assert sum(table.sizes) == built.aut_order
+
+
 @pytest.mark.parametrize("name, maps", [("alt6", 12), ("psl(3,4)", 30), ("psl(2,64)", 18)])
 def test_coset_classes_map_s_once_per_generator_of_s(monkeypatch, name, maps):
-    # one whole-S map per generator of S and Out-class: C(ā)'s generators fuse
+    # one whole-S map per generator of S and Out-class: C(ā)'s members fuse
     # S's orbits on one member each (`fuse`), with no whole-S map of their own
     built, calls, real = catalog.almost_simple(name), [], pc.FiniteGroup.map_ids
     monkeypatch.setattr(pc.FiniteGroup, "map_ids",
