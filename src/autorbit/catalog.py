@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fields import MAX_FIELD_SIZE, Field, make_field
-from .permcore import (DEFAULT_CLOSURE_LIMIT, POINT_DTYPE, BadParameter, FiniteGroup,
-                       GeneratorDeficiency, TooLarge, close_group, _check_degree, size_text)
+from .permcore import (DEFAULT_CLOSURE_LIMIT, BadParameter, FiniteGroup, GeneratorDeficiency,
+                       TooLarge, close_group, point_dtype, _check_degree, size_text)
 
 
 # -- permutation group families -------------------------------------------
@@ -288,11 +288,11 @@ def _line_lift(F: Field, pts: np.ndarray) -> Callable[..., np.ndarray]:
     n, on = len(pts), mat_mul(F, pts, pts.T) == 0  # on[j, i]: point i lies on line j
     a, b = np.argsort(~on, axis=1, kind="stable")[:, :2].T  # two points of each line
     through = np.argmax(on[:, :, None] & on[:, None, :], axis=0)  # the line through 2 points
-    through = (n + through).astype(POINT_DTYPE)  # so point images give 2-byte line images
+    through = (n + through).astype(point_dtype(2 * n))  # line images in the lifted rows' type
 
     def lift(img: np.ndarray, cols=slice(None)) -> np.ndarray:
         img, cols = np.asarray(img), np.arange(2 * n)[cols]
-        out, point = np.empty((len(img), cols.size), img.dtype), cols < n
+        out, point = np.empty((len(img), cols.size), through.dtype), cols < n
         out[:, point] = img[:, cols[point]]
         line = cols[~point] - n
         out[:, ~point] = through[img[:, a[line]], img[:, b[line]]]

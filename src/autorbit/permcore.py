@@ -9,7 +9,9 @@ Conventions, fixed globally:
   array (no two elements agree on the base, so the points up to its largest
   one decide the order: `lex_order`), so element ids (and everything derived
   from them: class numbering, coset numbering, orbit output) are reproducible;
-* the identity is always element id 0 (it is the lexicographic minimum).
+* the identity is always element id 0 (it is the lexicographic minimum);
+* a row's entries take the narrowest type of its points (`point_dtype`): uint8
+  up to 256 points, else uint16; keys are uint64, so no id depends on it.
 
 A group is built from a (k, degree) array of generator rows (``close_group``);
 rows read from outside the program are checked first (`_check_bijection`).
@@ -54,8 +56,7 @@ import numpy as np
 DEFAULT_CLOSURE_LIMIT = 2_000_000
 _BLOCK_CELLS = 1 << 20  # entries of one temporary in blocked row operations
 
-POINT_DTYPE = np.uint16  # permutation entries
-MAX_DEGREE = 2 ** 16  # the degree guard: every point must fit POINT_DTYPE
+MAX_DEGREE = 2 ** 16  # the degree guard: every point must fit a uint16
 
 
 class GroupError(Exception):
@@ -96,17 +97,22 @@ def _check_degree(degree: int):
         raise TooLarge(f"degree {degree} exceeds the degree guard MAX_DEGREE = {MAX_DEGREE}")
 
 
+def point_dtype(degree: int) -> type:
+    """The entry type of a row of `degree` points: uint8 up to 256 points, else uint16."""
+    return np.uint8 if degree <= 256 else np.uint16
+
+
 def _as_points(values, degree: int, error: type[Exception]) -> np.ndarray:
-    """`values` cast to POINT_DTYPE; raises `error` if the cast would change one."""
-    arr = np.asarray(values)
-    if arr.dtype != POINT_DTYPE and arr.size and not (
+    """`values` cast to `point_dtype(degree)`; raises `error` if the cast would change one."""
+    arr, dtype = np.asarray(values), point_dtype(degree)
+    if arr.dtype != dtype and arr.size and not (
             arr.dtype.kind in "iu" and 0 <= arr.min() and arr.max() < degree):
         raise error(f"values are not points in 0..{degree - 1}")
-    return arr.astype(POINT_DTYPE, copy=False)
+    return arr.astype(dtype, copy=False)
 
 
 def _check_bijection(images) -> np.ndarray:
-    """`images` as a POINT_DTYPE row, checked to be a permutation of 0..len-1."""
+    """`images` as a row of `point_dtype(len)`, checked to be a permutation of 0..len-1."""
     _check_degree(len(images))
     row = _as_points(images, len(images), ValueError)
     if row.ndim != 1 or row.size == 0:
@@ -146,7 +152,7 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def parse_cycles(text: str, degree: int) -> np.ndarray:
     """The row of a 1-based cycle string like "(1 2)(3 4 5)", checked to be a
     permutation: a point repeated across cycles is refused."""
-    images = np.arange(degree, dtype=POINT_DTYPE)
+    images = np.arange(degree, dtype=point_dtype(degree))
     body = text.strip()
     chunks = _CYCLE_RE.findall(body)
     if _CYCLE_RE.sub("", body).strip():
@@ -324,9 +330,9 @@ class _Level:
 
     def __init__(self, point: int, degree: int):
         self.point, self.done = point, (0, 0)
-        self.gens = np.empty((0, degree), POINT_DTYPE)
+        self.gens = np.empty((0, degree), point_dtype(degree))
         self.pos = np.where(np.arange(degree) == point, 0, -1)
-        self.U = self.inv = np.arange(degree, dtype=POINT_DTYPE)[None, :]
+        self.U = self.inv = np.arange(degree, dtype=point_dtype(degree))[None, :]
 
     def add(self, h: np.ndarray):
         """Add the generator h; a new orbit point s(x) gets s*u, u x's row, and its inverse,
@@ -406,7 +412,7 @@ def _enumerate(chain: list[_Level], degree: int, order: int) -> np.ndarray:
     """The products u_0 * u_1 * ... of a transversal row per level, identity first:
     each row of a level times each product below it, written after them in place;
     level 0's rows in the order of their images of its point, so in |U_0| runs."""
-    elements = np.empty((order, degree), dtype=POINT_DTYPE)
+    elements = np.empty((order, degree), dtype=point_dtype(degree))
     elements[0], done = np.arange(degree), 1
     for level in reversed(chain):
         U = level.U[level.pos[level.pos >= 0]] if level is chain[0] else level.U
@@ -615,8 +621,8 @@ def close_group(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
     if given (`schreier_sims`), in the canonical order (`sort_rows`), with the kept
     generators and the chain's base.  The rows are trusted to be permutations:
     input from outside the program is checked before (`group_from_spec`)."""
-    _check_degree(np.shape(gen_rows)[1])  # before the rows are cast to POINT_DTYPE
-    rows = np.asarray(gen_rows, dtype=POINT_DTYPE)
+    _check_degree(degree := np.shape(gen_rows)[1])  # before the rows are cast to their type
+    rows = np.asarray(gen_rows, dtype=point_dtype(degree))
     elements, kept, base, run = schreier_sims(rows, limit, order)
     return FiniteGroup(sort_rows(elements, base, run), base, rows[kept], name=name)
 

@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .catalog import AlmostSimple
-from .permcore import (POINT_DTYPE, ConjClassTable, FiniteGroup, GroupError, NotNormal,
-                       close_group, conjugacy_classes, orbits, quotient_group)
+from .permcore import (ConjClassTable, FiniteGroup, GroupError, NotNormal, close_group,
+                       conjugacy_classes, orbits, point_dtype, quotient_group)
 
 
 @dataclass
@@ -44,7 +44,7 @@ def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
     of G: a map folds the |base| columns it reads, and a lifted column is built
     once.  With `numbered`, cosets and classes are ordered by their least rows on
     A's points, as `quotient_group` and `conjugacy_classes` number them on the closed A."""
-    S, rows = G.group, np.asarray(G.aut_rows, POINT_DTYPE)
+    S, rows = G.group, np.asarray(G.aut_rows, point_dtype(np.shape(G.aut_rows)[1]))
     lines = {}  # A's points past S's, each a column over S's rows, built once
 
     def column(x):
@@ -54,7 +54,7 @@ def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
             lines[x] = G.lift(S.elements, [x])[:, 0]
         return lines[x]
 
-    reps = [np.arange(rows.shape[1], dtype=POINT_DTYPE)]
+    reps = [np.arange(rows.shape[1], dtype=rows.dtype)]
     outer = rows[[_coset_of(G, reps, g) < 0 for g in rows]]
     found = []  # found[j][k]: the coset of r_j·g, g the k-th outer row
     for r in reps:  # the search appends while it reads, to one coset past |A|
@@ -117,7 +117,7 @@ def fuse(S: FiniteGroup, parts, orbit_of: np.ndarray, a: np.ndarray, outer: np.n
     normalize S or S·a, is `NotNormal`."""
     mats = lift(S.elements[np.concatenate([S.gen_ids, [part[0] for part in parts]])])
     ids = [S._index.find(b[mats[:, a[np.argsort(b)[np.argsort(a)[:S.degree]]]]])
-           for b in np.asarray(outer, POINT_DTYPE)]
+           for b in np.asarray(outer, point_dtype(np.shape(outer)[-1]))]
     if any(np.any(m < 0) for m in ids):
         raise NotNormal("the subgroup is not normal in Aut(S)")
     return orbits((orbit_of[m[S.gen_ids.size:]] for m in ids), len(parts))[1]
@@ -147,7 +147,7 @@ def _least_rows(G: AlmostSimple, column, r: np.ndarray, labels: np.ndarray,
         low = np.full(n, np.iinfo(col.dtype).max, dtype=col.dtype)
         np.minimum.at(low, at, col)
         cand = cand[col == low[at]]
-    rows = np.empty((n, len(r)), dtype=S.elements.dtype)
+    rows = np.empty((n, len(r)), dtype=point_dtype(len(r)))
     rows[labels[cand]] = G.lift(S.elements[cand])[:, r]
     return rows
 

@@ -13,9 +13,9 @@ from math import lcm
 
 import numpy as np
 
-from autorbit.permcore import (_BLOCK_CELLS, DEFAULT_CLOSURE_LIMIT, POINT_DTYPE,
-                               ClosureLimitExceeded, GeneratorDeficiency, GroupError, _RowIndex,
-                               cycle_lengths)
+from autorbit.permcore import (_BLOCK_CELLS, DEFAULT_CLOSURE_LIMIT, ClosureLimitExceeded,
+                               GeneratorDeficiency, GroupError, _RowIndex, cycle_lengths,
+                               point_dtype)
 
 Closure = namedtuple("Closure", "elements kept base")  # identity first; kept ascending
 
@@ -68,7 +68,8 @@ class GrowingIndex(_RowIndex):
         if need > self.limit:
             raise ClosureLimitExceeded(f"closure exceeded limit {self.limit}")
         if need > len(self._buf):  # capacity a power of two
-            self._buf = np.empty((1 << (need - 1).bit_length(), self._buf.shape[1]), POINT_DTYPE)
+            shape = (1 << (need - 1).bit_length(), self._buf.shape[1])
+            self._buf = np.empty(shape, self._buf.dtype)
             self._buf[:size] = self.rows  # still a view of the old buffer
         self._buf[size:need] = batch[new]
         self.rows = self._buf[:need]
@@ -87,7 +88,7 @@ def _powers(g: np.ndarray, limit: int) -> np.ndarray:
     order = element_order(g)
     if order > limit:
         raise ClosureLimitExceeded(f"closure exceeded limit {limit}")
-    rows = np.empty((order, g.size), dtype=POINT_DTYPE)
+    rows = np.empty((order, g.size), dtype=point_dtype(g.size))
     rows[0], done = np.arange(g.size), 1
     while done < order:  # g^(done+j) = g^j * g^done for j < done
         take = min(done, order - done)
@@ -112,18 +113,18 @@ def _add_cosets(index: GrowingIndex, H: np.ndarray, cands: np.ndarray) -> np.nda
             cosets = np.take(H[at:at + rows], reps, axis=1).transpose(1, 0, 2)  # H[0] = 1
             new = index.add_new(cosets.reshape(-1, degree))
         added.append(reps[new[::m]])  # a coset is new or repeats whole
-    return np.concatenate(added) if added else np.empty((0, degree), POINT_DTYPE)
+    return np.concatenate(added) if added else np.empty((0, degree), point_dtype(degree))
 
 
 def dimino(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
            order: int | None = None) -> Closure:
     """Dimino's closure of the permutation rows `gen_rows`: the elements, the
     indices of the kept generators and a base on which no two elements agree."""
-    gen_rows = np.asarray(gen_rows, dtype=POINT_DTYPE)
-    degree = gen_rows.shape[1]
+    degree = np.shape(gen_rows)[1]
+    gen_rows = np.asarray(gen_rows, dtype=point_dtype(degree))
     if order is not None and order > limit:
         raise ClosureLimitExceeded(f"closure exceeded limit {limit}")
-    buf = np.empty((order or 1, degree), POINT_DTYPE)  # sized once if the order is known
+    buf = np.empty((order or 1, degree), point_dtype(degree))  # sized once if the order is known
     buf[0] = np.arange(degree)
     index = GrowingIndex(buf, limit, 1)
     kept: list[int] = []

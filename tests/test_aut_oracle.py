@@ -31,8 +31,8 @@ from autorbit.autgrp import (DEFAULT_NODE_BUDGET, _fingerprint_labels, automorph
                              inner_automorphism_ids, maol)
 from autorbit.catalog import projective_order
 from autorbit.cli import NONSOLVABLE_LIST, maol_report
-from autorbit.permcore import (DEFAULT_CLOSURE_LIMIT, POINT_DTYPE, GroupError, close_group,
-                               conjugacy_classes)
+from autorbit.permcore import (DEFAULT_CLOSURE_LIMIT, GroupError, close_group,
+                               conjugacy_classes, point_dtype)
 from autorbit.stypes import class_type_table, h_value
 from class_orbits_oracle import class_orbits, closed_with_ids
 from closure_oracle import dimino
@@ -174,7 +174,7 @@ def oracle_automorphism_group(G):
         members, parent, via = subgroup_bfs(T, gen_ids[: j + 1])
         survivors = extend_along_words(T, survivors, cand, members, parent, via,
                                        gen_ids[: j + 1])
-    return group_from_permutation_rows(survivors.astype(POINT_DTYPE), n)
+    return group_from_permutation_rows(survivors.astype(point_dtype(n)), n)
 
 
 def elementary_abelian(p, k):

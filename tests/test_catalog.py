@@ -217,6 +217,22 @@ def test_resolve_autpsl34_builds_the_group():
     assert resolve("autpsl34").order == 241920
 
 
+def test_the_line_lift_of_pg_2_11_takes_two_byte_line_images():
+    # PG(2,11) has 133 points, so one-byte point rows lift to 266 points and
+    # lines, past 256: the line images need uint16 whatever the input's type.
+    # SL_3(11)'s generators only; PSL_3(11) is not closed
+    F = make_field(11, 1)
+    pts = catalog.projective_points(F, 3)
+    rows = catalog.projective_perms(F, pts, catalog.sl_generators(F, 3))
+    lift = catalog._line_lift(F, pts)
+    narrow, wide = lift(rows.astype(np.uint8)), lift(rows.astype(np.uint16))
+    assert len(pts) == 133 and narrow.dtype == wide.dtype == np.uint16
+    assert np.array_equal(narrow, wide)
+    assert np.array_equal(np.sort(narrow, axis=1), np.broadcast_to(np.arange(266), narrow.shape))
+    cols = [0, 132, 133, 265]
+    assert np.array_equal(lift(rows.astype(np.uint8), cols), wide[:, cols])
+
+
 # -- coverage of the projective families ------------------------------------
 
 def _prime_powers(bound):
@@ -297,8 +313,9 @@ def test_isotropic_elements_are_the_all_points_elements_restricted(kind, d, q):
     label[iso] = np.arange(iso.size)
     rows = label[old.elements[:, iso]]
     assert rows.min() >= 0  # the isotropic points are permuted among themselves
-    rows = rows.astype(pc.POINT_DTYPE)[np.lexsort(rows.T[::-1])]
-    assert projective_group(kind, d, q).elements.tobytes() == rows.tobytes()
+    new = projective_group(kind, d, q).elements
+    assert new.dtype == pc.point_dtype(iso.size)
+    assert np.array_equal(new, rows[np.lexsort(rows.T[::-1])])
 
 
 def _unitary_cases():
@@ -326,8 +343,10 @@ def test_unitary_invariants_match_the_all_points_build(kind, d, q):
 
 
 # sha256 of the element arrays as built by the tables-and-polynomials catalog
-# this array path replaced; reordered ids would change them.  The unitary ones
-# are of the action on isotropic points, which the all-points build checks above
+# this array path replaced, hashed as uint16 rows, the type they were built in
+# (each is uint8 now, under 256 points); reordered ids would change them.  The
+# unitary ones are of the action on isotropic points, which the all-points
+# build checks above
 ELEMENT_DIGESTS = {
     "pgl(3,4)": "232c960f286ccf94232312e0547a1f60735ac934249f36e851d0900a9f75fb50",
     "pgu(3,2)": "748279c3a86cd1c7197bfc988797993f9809b3fe4e8fa089ec793487b185e72a",
@@ -341,12 +360,15 @@ ELEMENT_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(ELEMENT_DIGESTS))
 def test_element_arrays_are_pinned(name):
     G = resolve(name)
-    assert hashlib.sha256(G.elements.tobytes()).hexdigest() == ELEMENT_DIGESTS[name]
+    assert G.elements.dtype == np.uint8
+    digest = hashlib.sha256(G.elements.astype(np.uint16).tobytes()).hexdigest()
+    assert digest == ELEMENT_DIGESTS[name]
 
 
 @pytest.mark.slow
 def test_autpsl34_element_array_is_pinned(aut_psl34):
-    assert hashlib.sha256(aut_psl34.elements.tobytes()).hexdigest() == (
+    assert aut_psl34.elements.dtype == np.uint8
+    assert hashlib.sha256(aut_psl34.elements.astype(np.uint16).tobytes()).hexdigest() == (
         "da63d0fd8b23395bf4e00a41a0e8b09144b1b4dbb7bf0a487737286345f784b6")
 
 

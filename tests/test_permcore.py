@@ -117,15 +117,31 @@ def test_malformed_generators_keep_their_messages(check, images, message):
 
 def test_check_bijection_returns_the_row_as_points():
     row = pc._check_bijection([2, 0, 1])
-    assert row.dtype == pc.POINT_DTYPE and row.tolist() == [2, 0, 1]
+    assert row.dtype == pc.point_dtype(3) == np.uint8 and row.tolist() == [2, 0, 1]
     assert np.array_equal(parse_cycles("(1 3 2)", 3), row)
     assert parse_cycles("()", 2).tolist() == parse_cycles("", 2).tolist() == [0, 1]
+    wide = pc._check_bijection(list(range(256, -1, -1)))  # 257 points take two bytes each
+    assert wide.dtype == pc.point_dtype(257) == np.uint16 and wide[0] == 256
+
+
+def test_point_255_survives_a_one_byte_row():
+    row = parse_cycles("(1 256)", 256)
+    assert row.dtype == np.uint8 and (int(row[0]), int(row[255])) == (255, 0)
+    cycles = cycle_decompose(row)
+    assert cycles == ((0, 255),) + tuple((x,) for x in range(1, 255))
+    text = "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cycles)
+    assert np.array_equal(parse_cycles(text, 256), row)
 
 
 def test_values_the_point_cast_would_change_are_rejected():
     S3 = catalog.sym(3)
-    with pytest.raises(pc.GroupError):  # 65537 wraps to 1 as uint16: (1 2)
+    with pytest.raises(pc.GroupError):  # 65537 wraps to 1 as uint8 or uint16: (1 2)
         S3.ids_of(np.array([[65537, 0, 2]]))
+    C256 = catalog.cyclic(256)
+    shift = np.roll(np.arange(256), -1)  # the 256-cycle, a member
+    assert C256.elements.dtype == np.uint8 and C256.ids_of(shift[None]).tolist() == [1]
+    with pytest.raises(pc.GroupError):  # 256 wraps to 0 as uint8: the 256-cycle
+        C256.ids_of(np.where(shift == 0, 256, shift)[None])
     for images in (np.array([65537, 0]), [1.7, 0], [-65535, 0]):  # each casts to (1 2)
         with pytest.raises(ValueError):
             pc._check_bijection(images)

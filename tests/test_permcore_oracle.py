@@ -30,16 +30,15 @@ from hypothesis import given, settings, strategies as st
 from autorbit import catalog, permcore
 from autorbit.autgrp import automorphism_group
 from autorbit.cli import NONSOLVABLE_LIST
-from autorbit.permcore import (POINT_DTYPE, FiniteGroup, GroupError, _RowIndex, close_group,
-                               conjugacy_classes, lex_order, orbits, schreier_sims, sort_rows,
-                               sweep)
+from autorbit.permcore import (FiniteGroup, GroupError, _RowIndex, close_group, conjugacy_classes,
+                               lex_order, orbits, point_dtype, schreier_sims, sort_rows, sweep)
 from closure_oracle import dimino
 from subgroup_oracle import closure as oracle_closure, conjugation_ids as oracle_conjugation_ids
 from test_catalog import _covered
 
 
 def point_row(images):
-    return np.array(images, dtype=POINT_DTYPE)
+    return np.array(images, dtype=point_dtype(len(images)))
 
 
 def encode_rows(mat):
@@ -51,7 +50,7 @@ def encode_rows(mat):
 
 def oracle_elements(generators, degree):
     """BFS closure under right multiplication, deduplicated on full rows."""
-    ident = np.arange(degree, dtype=POINT_DTYPE)
+    ident = np.arange(degree, dtype=point_dtype(degree))
     seen, rows, frontier = {ident.tobytes()}, [ident], ident[None, :]
     while frontier.size:
         new_rows = []
@@ -60,15 +59,15 @@ def oracle_elements(generators, degree):
                 if row.tobytes() not in seen:
                     seen.add(row.tobytes())
                     new_rows.append(row)
-        frontier = np.array(new_rows, dtype=POINT_DTYPE).reshape(-1, degree)
+        frontier = np.array(new_rows, dtype=ident.dtype).reshape(-1, degree)
         rows.extend(new_rows)
-    mat = np.array(rows, dtype=POINT_DTYPE)
+    mat = np.array(rows, dtype=ident.dtype)
     return mat[np.argsort(encode_rows(mat))]
 
 
 def oracle_ids_of(keys, mat):
     """Ids by `searchsorted` of the rows' full byte keys in the sorted `keys`."""
-    query = encode_rows(np.asarray(mat, dtype=POINT_DTYPE))
+    query = encode_rows(np.asarray(mat))
     pos = np.searchsorted(keys, query)
     if np.any(pos >= len(keys)) or not np.array_equal(keys[pos], query):
         raise GroupError("permutation not in group")
@@ -111,7 +110,7 @@ def assert_matches_oracle(G, generators):
 def assert_kept_generators(G, generators):
     """G keeps exactly the generators outside the closure of the kept ones
     before them, and those generate G."""
-    kept, closure = [], {np.arange(G.degree, dtype=POINT_DTYPE).tobytes()}
+    kept, closure = [], {np.arange(G.degree, dtype=point_dtype(G.degree)).tobytes()}
     for g in generators:
         if g.tobytes() not in closure:
             kept.append(g)
@@ -276,7 +275,7 @@ def test_locate_raises_on_a_key_not_stored():
     index = G._index
     assert G.base == [0]
     assert np.array_equal(index.locate(G.elements[:, G.base]), np.arange(G.order))
-    absent = np.array([[2]], dtype=POINT_DTYPE)  # no element sends point 1 to point 3
+    absent = np.array([[2]], dtype=G.elements.dtype)  # no element sends point 1 to point 3
     for images in (absent, np.concatenate([G.elements[:, G.base], absent])):
         with pytest.raises(GroupError):
             index.locate(images)
@@ -397,6 +396,17 @@ def test_a_completion_round_sifts_one_stream(monkeypatch, name, sifts):
     monkeypatch.setattr(permcore, "_first_outside", lambda *a: calls.append(a) or real(*a))
     catalog.resolve(name)
     assert len(calls) == sifts
+
+
+@pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+def test_cyclic_groups_close_in_the_narrowest_point_type(n, dtype):
+    # an n-cycle's group is its rotations x -> x + k mod n, in the order of k:
+    # 256 points fit one byte each, with point 255 kept, and 257 take two
+    G = catalog.resolve(f"cyclic{n}")
+    oracle = dimino(G.elements[G.gen_ids], order=n)
+    assert G.elements.dtype == oracle.elements.dtype == dtype
+    assert np.array_equal(G.elements, oracle.elements[lex_order(oracle.elements, oracle.base)])
+    assert np.array_equal(G.elements, (np.arange(n)[:, None] + np.arange(n)) % n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -531,7 +541,7 @@ def distinct_rows(degree, n, stop, seed):
     `stop` <= degree, in a random order; drawn as distinct codes while the
     prefixes are few."""
     rng = np.random.default_rng(seed)
-    rows = rng.integers(0, degree, (n, degree)).astype(POINT_DTYPE)
+    rows = rng.integers(0, degree, (n, degree)).astype(point_dtype(degree))
     if degree ** stop <= 2 ** 20:
         codes = rng.choice(degree ** stop, n, replace=False)
         rows[:, :stop] = codes[:, None] // degree ** np.arange(stop - 1, -1, -1) % degree
@@ -582,7 +592,7 @@ def fold_one_as_zero(index, images):
 
 def colliding_fold(src, dst):
     """The real fold, except that the base images `src` get the key of `dst`."""
-    src, dst = (np.asarray([v], dtype=POINT_DTYPE) for v in (src, dst))
+    src, dst = (np.asarray([v]) for v in (src, dst))
 
     def fold(index, images):
         keys = REAL_FOLD(index, images)
@@ -618,7 +628,7 @@ def test_a_key_collision_grows_the_base(monkeypatch, name, off_base):
 
 def test_a_constant_fold_raises_once_the_base_holds_every_point(monkeypatch):
     monkeypatch.setattr(_RowIndex, "_fold", lambda index, images: np.zeros(len(images), np.uint64))
-    every = np.array(list(itertools.permutations(range(3))), dtype=POINT_DTYPE)
+    every = np.array(list(itertools.permutations(range(3))), dtype=point_dtype(3))
     # [0, 1] tells the rows apart; two of them sharing a key grow it by point 2
     with pytest.raises(GroupError, match=r"the base \[0, 1, 2\], which holds every point"):
         _RowIndex(every, base=[0, 1])
@@ -632,7 +642,7 @@ def check_row_index_against_a_dict(data):
     row its position and -1 to every other permutation, int64 rows the same
     as point rows, and leaves the base as it was."""
     d = data.draw(st.integers(2, 6))
-    every = np.array(list(itertools.permutations(range(d))), dtype=POINT_DTYPE)
+    every = np.array(list(itertools.permutations(range(d))), dtype=point_dtype(d))
     picks = data.draw(st.lists(st.integers(0, len(every) - 1), min_size=1, unique=True))
     base = data.draw(st.permutations(range(d)))[:d - 1]
     index = _RowIndex(every[picks], base=base)

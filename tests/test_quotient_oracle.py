@@ -18,7 +18,7 @@ from autorbit import catalog
 from autorbit import permcore as pc
 from autorbit import stypes as st
 from autorbit.autgrp import automorphism_group, inner_automorphism_ids
-from autorbit.permcore import POINT_DTYPE, GroupError
+from autorbit.permcore import GroupError
 from stypes_oracle import coarse_quotient
 from subgroup_oracle import closure, derived_series, derived_subgroup, normal_closure
 from test_permcore_oracle import CATALOG, LARGE, seed_sets
@@ -29,7 +29,7 @@ def oracle_quotient(G, N):
     translations; pi sends N*r_k to the translation j -> N*r_j*r_k^-1."""
     coset_of, reps = pc.coset_partition(G, N)
     qgens = [pc._check_bijection(np.array([int(coset_of[G.id_of(G.elements[r][g])])
-                                           for r in reps], dtype=POINT_DTYPE))
+                                           for r in reps], dtype=pc.point_dtype(len(reps))))
              for g in G.elements[G.gen_ids]]
     Q = pc.close_group(np.reshape(qgens, (-1, len(reps))))
     inv = G.inverse_ids()

@@ -204,6 +204,22 @@ def test_coset_classes_lift_no_more_than_a_column_of_all_of_s(numbered):
     assert all(rows < 100 for rows, width in calls if width > 1)
 
 
+def test_least_rows_keep_the_lifted_points_past_255():
+    # S = C_200 on one-byte rows, lifted to two copies of its points, 400 in
+    # all: the least lifted rows are in the lifted degree's type, two bytes
+    S = catalog.cyclic(200)
+
+    def lift(rows, cols=slice(None)):
+        rows = np.asarray(rows, dtype=np.int64)
+        return np.concatenate([rows, rows + 200], axis=1).astype(np.uint16)[:, cols]
+    built = catalog.AlmostSimple(S, lift(S.elements[S.gen_ids]), S.order, S.order, lift)
+    r, labels = np.arange(400) * 7 % 400, np.arange(S.order) % 3
+    rows = st._least_rows(built, lambda x: lift(S.elements, [x])[:, 0], r, labels, 3)
+    lifted = lift(S.elements)[:, r]
+    least = [min(lifted[labels == k].tolist()) for k in range(3)]
+    assert rows.dtype == np.uint16 and rows.tolist() == least
+
+
 def test_coset_classes_check_the_order_formula():
     # |Out|·|S| must be the given |Aut(S)|: a wrong formula gives no table
     built = catalog.almost_simple("psl(3,4)")
