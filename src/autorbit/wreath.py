@@ -3,6 +3,10 @@ the classes, backward cycle product profiles, the combinatorial conjugacy
 test with its brute-force oracle, and the large-orbit construction over
 Aut(S) with a p-cycle top.
 
+The classes are the orbits of one generating set's conjugation maps, built a
+block of codes at a time; the profiles number each code's sorted row of
+backward-cycle-product classes through one packed key per code.
+
 Multiplication law, matching the composition convention of `permcore`:
 (g, sigma)(h, upsilon) = ((g_i * h_{sigma^-1(i)})_i, sigma*upsilon); the
 conjugate of `a` by `b` is b*a*b^-1.  Cycles of the top inherit their
@@ -26,6 +30,7 @@ from .permcore import (DEFAULT_CLOSURE_LIMIT, FiniteGroup, GroupError, TooLarge,
 from .reports import encode_value
 
 DEFAULT_ORBIT_SPACE = 64_000_000  # visited-array cells for orbit sweeps
+_CODE_BLOCK = 1 << 14  # codes unpacked at once by class_codes and profile_labels
 
 
 def check_sweep_size(order: int):
@@ -139,10 +144,17 @@ class WreathGroup:
             maps.append((psi_inv, tables.reshape(n, ntop * nbase)))
         return maps
 
-    def _conjugate_codes(self, codes: np.ndarray, maps) -> Iterable[np.ndarray]:
-        """Each map's images of the packed codes, one map at a time."""
+    def _table_rows(self, codes: np.ndarray) -> np.ndarray:
+        """Row i holds each code's row in coordinate i's conjugation tables:
+        t*|G| + B[i], for top id t and base ids B."""
         B, t = self._unpack_codes(codes)
-        B += t * self.base.order  # B[i] is now coordinate i's row in the tables
+        B += t * self.base.order
+        return B
+
+    @staticmethod
+    def _conjugate_rows(B: np.ndarray, maps) -> Iterable[np.ndarray]:
+        """Each map's images of the codes whose table rows are the columns of
+        B, one map at a time."""
         for psi_inv, tables in maps:
             image = np.take(tables[0], B[psi_inv[0]])
             for table, i in zip(tables[1:], psi_inv[1:]):
@@ -159,17 +171,23 @@ class WreathGroup:
         maps = self._conjugation_maps(conjugators)
         visited = np.zeros(self.order, dtype=bool)
         for _ in sweep([self.pack(w) for w in seeds],
-                       lambda frontier: self._conjugate_codes(frontier, maps), visited):
+                       lambda frontier: self._conjugate_rows(self._table_rows(frontier), maps),
+                       visited):
             pass
         return int(np.count_nonzero(visited))
 
     def standard_conjugators(self) -> list[tuple[tuple, np.ndarray]]:
         """Generators of the wreath group itself, as (base tuple, top row) pairs:
-        base generators planted in every coordinate, plus the top generators."""
+        base generators planted at the least point of each orbit of the top on
+        0..n-1, plus the top generators.  Conjugation by the top carries a
+        planted generator to every coordinate of its orbit, so these generate
+        the base group in every coordinate."""
+        planted = [int(part[0]) for part in
+                   orbits(iter(self.top.elements[self.top.gen_ids]), self.n)[0]]
         out = []
         ident = np.arange(self.n)
         for g in self.base.gen_ids.tolist():
-            for i in range(self.n):
+            for i in planted:
                 base = [0] * self.n
                 base[i] = g
                 out.append((tuple(base), ident))
@@ -179,14 +197,24 @@ class WreathGroup:
 
     def class_codes(self, limit: int = DEFAULT_CLOSURE_LIMIT) -> np.ndarray:
         """class_codes[packed code] = conjugacy class id (orbits of the
-        conjugation maps on every packed code), numbered by minimal code."""
+        conjugation maps on every packed code), numbered by minimal code.  The
+        codes' table rows are unpacked a block at a time and kept in their
+        narrowest type; each map's images are built from them as `orbits`
+        merges the maps one at a time, in int64, which it gathers by fastest."""
         if self._enum_classes is not None:
             return self._enum_classes
         if self.order > limit:
             raise TooLarge(f"wreath group order {size_text(self.order)} exceeds limit {limit}")
         maps = self._conjugation_maps(self.standard_conjugators())
-        self._enum_classes = orbits(self._conjugate_codes(np.arange(self.order), maps),
-                                    self.order)[1]
+
+        def images():
+            narrow = np.min_scalar_type(self.top.order * self.base.order - 1)
+            rows = [self._table_rows(np.arange(lo, min(lo + _CODE_BLOCK, self.order))).astype(narrow)
+                    for lo in range(0, self.order, _CODE_BLOCK)]
+            for m in maps:
+                yield np.concatenate([next(self._conjugate_rows(B, [m])) for B in rows])
+
+        self._enum_classes = orbits(images(), self.order)[1]
         return self._enum_classes
 
     def random_codes(self, rng, count: int) -> np.ndarray:
@@ -196,30 +224,58 @@ class WreathGroup:
         draws = rng.integers(highs).reshape(count, self.n + 1).T
         return self._pack_arrays(draws[:-1], draws[-1])
 
+    def _bcpc_rows(self, codes: np.ndarray, radix: int) -> np.ndarray:
+        """Each code's row, unsorted: length * nclass + class + 1 for each
+        cycle of its top, in cycle_decompose's order, padded with 0, in the
+        narrowest type of `radix`.  Grouped by top id, the backward products
+        along each cycle are gathers on the Cayley table, a block of codes at
+        a time."""
+        table = conjugacy_classes(self.base)
+        nclass, ntop = len(table.classes), self.top.order
+        rows = np.zeros((codes.size, self.n), dtype=np.min_scalar_type(radix - 1))
+        t = np.empty(codes.size, dtype=np.min_scalar_type(ntop - 1))
+        for lo in range(0, codes.size, _CODE_BLOCK):
+            block = codes[lo:lo + _CODE_BLOCK]
+            t[lo:lo + block.size] = block - block // ntop * ntop
+        order = np.argsort(t, kind="stable")  # a radix sort: t is 16 bits or less
+        for s, at in enumerate(np.split(order, np.cumsum(np.bincount(t, minlength=ntop))[:-1])):
+            cycles = cycle_decompose(self.top.elements[s])
+            entries = [(len(zeta) * nclass + 1 + table.class_of).astype(rows.dtype)
+                       for zeta in cycles]
+            for lo in range(0, at.size, _CODE_BLOCK):
+                part = at[lo:lo + _CODE_BLOCK]
+                B = self._unpack_codes(codes[part])[0]
+                for j, zeta in enumerate(cycles):
+                    acc = B[zeta[0]]
+                    for i in zeta[1:]:
+                        acc = self.T[B[i], acc]
+                    rows[part, j] = entries[j][acc]
+        return rows
+
     def profile_labels(self, codes: np.ndarray) -> np.ndarray:
         """One label per packed code, equal for two codes iff they have the
         same top cycle type and the same M_l for every l: the array form of
-        `conj_test`.  Grouped by top id, the backward products along each
-        cycle are gathers on the Cayley table; a code's row holds
-        length * nclass + class for each cycle of its top, sorted and padded
-        with -1, and the labels number the distinct rows from 0."""
-        B, t = self._unpack_codes(codes)
-        table = conjugacy_classes(self.base)
-        nclass = len(table.classes)
-        rows = np.full((t.size, self.n), -1, dtype=np.int64)
-        order = np.argsort(t.astype(np.min_scalar_type(self.top.order - 1)), kind="stable")
-        tops, starts = np.unique(t[order], return_index=True)
-        for s, at in zip(tops.tolist(), np.split(order, starts[1:])):
-            for j, zeta in enumerate(cycle_decompose(self.top.elements[s])):
-                acc = B[zeta[0], at]
-                for i in zeta[1:]:
-                    acc = self.T[B[i, at], acc]
-                rows[at, j] = len(zeta) * nclass + table.class_of[acc]
+        `conj_test`.  The labels number the distinct sorted `_bcpc_rows` from 0
+        in lexicographic order.  As many columns as fit 62 bits are folded,
+        with the labels so far, into one key per code in radix
+        R = nclass * (n + 1) + 1, and the distinct keys numbered, once per fold."""
+        codes = np.asarray(codes, dtype=np.int64)
+        radix = len(conjugacy_classes(self.base).classes) * (self.n + 1) + 1
+        rows = self._bcpc_rows(codes, radix)
         rows.sort(axis=1)
-        labels = np.zeros(t.size, dtype=np.int64)
-        for column in rows.T:  # number the distinct prefixes, one column at a time
-            labels = np.unique(labels * (nclass * (self.n + 1) + 1) + column + 1,
-                               return_inverse=True)[1]
+        labels, count, col = np.zeros(codes.size, dtype=np.intp), 1, 0
+        while col < self.n:  # fold columns col..end-1 into keys below count * R**(end - col)
+            end, span = col, count
+            while end < self.n and span * radix <= 1 << 62:
+                end, span = end + 1, span * radix
+            # 32 bits at least: numpy's argsort of 16-bit keys is not vectorized
+            key = labels.astype(np.uint32 if span <= 1 << 32 else np.uint64)
+            del labels
+            for column in rows[:, col:end].T:
+                key *= radix
+                key += column
+            uniq, labels = np.unique(key, return_inverse=True)
+            count, col = uniq.size, end
         return labels
 
 
@@ -307,10 +363,12 @@ def build_hp(A: FiniteGroup, p: int) -> HpConstruction:
     (p-1) * |alpha_1^Aut(S)| * |Aut(S)|^(p-1).
 
     The measured orbit closes alpha under Aut(S) wr N_{Sym_p}(<sigma>), the
-    automorphism group of the construction; the normalizer is generated by
-    sigma and the power map sigma -> sigma^u for u the primitive element of F_p."""
+    automorphism group of the construction: the wreath group's
+    `standard_conjugators` (Aut(S)'s generators in coordinate 0, and sigma)
+    and the power map sigma -> sigma^u for u the primitive element of F_p,
+    which with sigma generates the normalizer."""
     check_sweep_size(A.order ** p * p)  # before the top group and the classes of Aut(S)
-    sigma, ident = (np.arange(p) + 1) % p, np.arange(p)
+    sigma = (np.arange(p) + 1) % p
     wg = WreathGroup(A, p, top=sigma[None])
     if wg.top.order != p:
         raise GroupError("top group is not the cyclic group of the p-cycle")
@@ -322,10 +380,7 @@ def build_hp(A: FiniteGroup, p: int) -> HpConstruction:
     alpha = wg.element([alpha1] + [0] * (p - 1), sigma)
     predicted = (p - 1) * sizes[best_class] * A.order ** (p - 1)
 
-    # base generators in coordinate 0 suffice: conjugation by the
-    # transitive top spreads them to every coordinate
-    conjugators = [(tuple([g] + [0] * (p - 1)), ident) for g in A.gen_ids.tolist()]
-    conjugators.append(((0,) * p, sigma))
+    conjugators = wg.standard_conjugators()
     if p > 2:  # the power map
         conjugators.append(((0,) * p, np.arange(p) * make_field(p, 1).primitive_element() % p))
     measured = wg.conjugation_orbit([alpha], conjugators)

@@ -21,6 +21,7 @@ from autorbit.permcore import (ClosureLimitExceeded, FiniteGroup, ResourceLimit,
                                sort_rows)
 from test_catalog import _covered
 from test_permcore_oracle import CATALOG
+import wreath_oracle
 
 
 def traced_peak(build):
@@ -247,12 +248,42 @@ def test_a_conjugation_map_peaks_within_two_and_a_half_key_arrays():
         assert peak <= 2.5 * 8 * G.order
 
 
-@pytest.mark.parametrize("base,n", [("sym3", 4), ("alt4", 3)])
-def test_class_codes_match_the_all_maps_propagation(base, n):
-    wg = wreath.WreathGroup(catalog.resolve(base), n)
-    maps = list(wg._conjugate_codes(np.arange(wg.order),
-                                    wg._conjugation_maps(wg.standard_conjugators())))
+@pytest.mark.parametrize("base,n,top", [("sym3", 4, None), ("alt4", 3, None), ("sym4", 3, None),
+                                        ("sym3", 3, [[1, 0, 2]])],
+                         ids=["sym3-4", "alt4-3", "sym4-3", "sym3-3-intransitive"])
+def test_class_codes_match_the_all_maps_propagation(base, n, top):
+    # the maps of every base generator in every coordinate, all at once
+    wg = wreath.WreathGroup(catalog.resolve(base), n, top=top)
+    conjugators = wreath_oracle.all_coordinate_conjugators(wg)
+    maps = list(wg._conjugate_rows(wg._table_rows(np.arange(wg.order)),
+                                   wg._conjugation_maps(conjugators)))
     assert np.array_equal(wg.class_codes(), all_maps_orbit_labels(maps, wg.order))
+
+
+# After `build_hp` frees its 5.18 MB visited mask, glibc raises its mmap
+# threshold to 5.18 MB and its trim threshold to twice that, about 10.4 MB:
+# arrays below 5.18 MB then come from the heap, and the heap goes back to the
+# system only when its free top passes 10.4 MB.  An exhaustive wreath check
+# whose heap peaked near 8 MB would stay resident into wreath-bounds' next
+# command, where numpy.random's first load adds about 6.6 MB of RSS on top of
+# it and sets the workload's peak; near 4 MB, the next command reuses it.  So
+# the class routine and the profile labels are held to small multiples of a
+# code on Sym4 wr S3 (82,944 codes), where they peak at about 28 and 48 bytes.
+
+def test_class_codes_peak_within_30_bytes_a_code():
+    wg = wreath.WreathGroup(catalog.sym(4), 3)
+    wg.T, conjugacy_classes(wg.base)
+    codes, peak = traced_peak(wg.class_codes)
+    assert codes.size == wg.order == 82_944
+    assert peak <= 30 * wg.order
+
+
+def test_profile_labels_peak_within_60_bytes_a_code():
+    wg = wreath.WreathGroup(catalog.sym(4), 3)
+    wg.T, conjugacy_classes(wg.base)
+    labels, peak = traced_peak(lambda: wg.profile_labels(np.arange(wg.order)))
+    assert labels.max() == wg.class_codes().max()  # as many profiles as classes
+    assert peak <= 60 * wg.order
 
 
 def test_hp_sweep_peaks_near_its_visited_mask(alt5_aut):

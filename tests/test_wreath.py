@@ -189,6 +189,30 @@ def test_conj_test_equals_brute_force_sampled_s3_wr_s4():
     assert disagreements == 0
 
 
+def test_class_codes_under_an_intransitive_top():
+    # <(0 1)> on 3 points has two orbits, {0, 1} and {2}: a base generator is
+    # planted at 0 and at 2, and conjugation by (0 1) carries the first to 1
+    wg = wr.WreathGroup(catalog.sym(3), 3, top=[[1, 0, 2]])
+    planted = [base for base, psi in wg.standard_conjugators() if not np.any(psi - np.arange(3))]
+    assert sorted(np.flatnonzero(base)[0] for base in planted) == [0, 0, 2, 2]
+    assert np.array_equal(wg.class_codes(), wo.conjugation_classes(wg))
+
+
+@pytest.mark.parametrize("base_name,n", [("sym4", 3), ("sym3", 4), ("alt4", 3)])
+def test_class_codes_build_one_map_per_base_generator_and_top_generator(
+        base_name, n, monkeypatch):
+    # a transitive top: the two base generators in coordinate 0 and the two
+    # top generators, where every coordinate's own would take 2n + 2
+    wg = wr.WreathGroup(catalog.resolve(base_name), n)
+    built = []
+    real = wr.WreathGroup._conjugation_maps
+    monkeypatch.setattr(wr.WreathGroup, "_conjugation_maps",
+                        lambda self, conjugators: built.append(real(self, conjugators)) or built[-1])
+    wg.class_codes()
+    assert [len(maps) for maps in built] == [4]
+    assert len(wo.all_coordinate_conjugators(wg)) == 2 * n + 2
+
+
 def test_brute_force_cycle_type_mismatch(w32):
     v = w32.element((0, 0), np.arange(2))
     w = w32.element((0, 0), np.array([1, 0]))
@@ -302,8 +326,9 @@ def _profile_keys(wg, codes):
 def test_profile_labels_match_per_element_profiles(base_name, n):
     wg = wr.WreathGroup(catalog.resolve(base_name), n)
     codes = np.arange(wg.order)
-    assert (_partition(wg.profile_labels(codes).tolist())
-            == _partition(_profile_keys(wg, codes)))
+    labels = wg.profile_labels(codes)
+    assert _partition(labels.tolist()) == _partition(_profile_keys(wg, codes))
+    assert np.array_equal(labels, wo.column_profile_labels(wg, codes))
 
 
 def test_profile_labels_cyclic_prime_top():
@@ -311,8 +336,9 @@ def test_profile_labels_cyclic_prime_top():
     p = 5
     wg = wr.WreathGroup(catalog.sym(3), p, top=_cyclic_top(p))
     codes = np.arange(wg.order)
-    assert (_partition(wg.profile_labels(codes).tolist())
-            == _partition(_profile_keys(wg, codes)))
+    labels = wg.profile_labels(codes)
+    assert _partition(labels.tolist()) == _partition(_profile_keys(wg, codes))
+    assert np.array_equal(labels, wo.column_profile_labels(wg, codes))
 
 
 def test_profile_labels_on_aut_alt5_base(alt5_aut):
@@ -322,6 +348,28 @@ def test_profile_labels_on_aut_alt5_base(alt5_aut):
     labels = wg.profile_labels(codes)
     assert len(set(labels.tolist())) > 1
     assert _partition(labels.tolist()) == _partition(_profile_keys(wg, codes))
+    assert np.array_equal(labels, wo.column_profile_labels(wg, codes))
+
+
+def test_profile_labels_fold_a_row_past_62_bits_twice():
+    # Sym3 wr C12: radix R = 3 * 13 + 1 = 40 and 40**12 > 2**62, so the first
+    # key holds 11 columns and a second key the labels so far and the last
+    wg = wr.WreathGroup(catalog.sym(3), 12, top=_cyclic_top(12))
+    assert 40 ** 11 <= 2 ** 62 < 40 ** 12
+    codes = wg.random_codes(np.random.default_rng(12), 2000)
+    labels = wg.profile_labels(codes)
+    assert np.array_equal(labels, wo.column_profile_labels(wg, codes))
+    rows = np.sort(wg._bcpc_rows(codes, 40), axis=1)
+    # the second fold splits rows that agree on their first 11 columns
+    assert len(np.unique(rows[:, :11], axis=0)) < labels.max() + 1 == len(np.unique(rows, axis=0))
+    some = np.arange(0, codes.size, 40)
+    assert (_partition(labels[some].tolist())
+            == _partition(_profile_keys(wg, codes[some])))
+
+
+def test_profile_labels_of_no_codes():
+    wg = wr.WreathGroup(catalog.sym(3), 3)
+    assert wg.profile_labels(np.array([], dtype=np.int64)).size == 0
 
 
 def _cyclic_top(p):
@@ -354,7 +402,7 @@ def _assert_tables_conjugate(wg, conjugators, codes):
     drop[lift] = np.arange(wg.top.order)
     maps = wg._conjugation_maps(conjugators)
     elements = [wr.WreathElement(a.base, int(lift[a.top])) for a in (wo.unpack(wg, code) for code in codes.tolist())]
-    for (kbase, psi), images in zip(conjugators, wg._conjugate_codes(codes, maps)):
+    for (kbase, psi), images in zip(conjugators, wg._conjugate_rows(wg._table_rows(codes), maps)):
         k = full.element(kbase, psi)
         conjugates = [wo.conj(full, a, k) for a in elements]
         tops = drop[[c.top for c in conjugates]]
@@ -374,14 +422,14 @@ TABLE_GROUPS = {
 def test_code_tables_conjugate_sampled_codes(name):
     wg = TABLE_GROUPS[name]()
     codes = np.random.default_rng(19).integers(wg.order, size=300)
-    _assert_tables_conjugate(wg, wg.standard_conjugators(), codes)
+    _assert_tables_conjugate(wg, wo.all_coordinate_conjugators(wg), codes)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", TABLE_GROUPS)
 def test_code_tables_conjugate_every_code(name):
     wg = TABLE_GROUPS[name]()
-    _assert_tables_conjugate(wg, wg.standard_conjugators(), np.arange(wg.order))
+    _assert_tables_conjugate(wg, wo.all_coordinate_conjugators(wg), np.arange(wg.order))
 
 
 def test_code_tables_conjugate_by_the_hp_conjugators(alt5_aut, monkeypatch):

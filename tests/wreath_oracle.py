@@ -2,8 +2,14 @@
 the packed-code routines of `wreath`: products on the Cayley tables of the
 base and the top group, in the multiplication law of `wreath`,
 (g, sigma)(h, upsilon) = ((g_i * h_{sigma^-1(i)})_i, sigma*upsilon), with the
-conjugate of `a` by `b` the element b*a*b^-1."""
+conjugate of `a` by `b` the element b*a*b^-1.  Also kept here: the generating
+set that planted every base generator in every coordinate, and the profile
+labels numbered one column at a time, which `standard_conjugators` and
+`profile_labels` replaced."""
 
+import numpy as np
+
+from autorbit.permcore import conjugacy_classes, cycle_decompose
 from autorbit.wreath import WreathElement, WreathGroup
 
 
@@ -54,3 +60,52 @@ def unpack(wg: WreathGroup, code: int) -> WreathElement:
         code, b = divmod(code, wg.base.order)
         base.append(b)
     return WreathElement(tuple(reversed(base)), t)
+
+
+def all_coordinate_conjugators(wg: WreathGroup) -> list:
+    """Generators of the wreath group as (base tuple, top row) pairs: every base
+    generator planted in every coordinate, then the top generators."""
+    out, ident = [], np.arange(wg.n)
+    for g in wg.base.gen_ids.tolist():
+        for i in range(wg.n):
+            base = [0] * wg.n
+            base[i] = g
+            out.append((tuple(base), ident))
+    return out + [((0,) * wg.n, wg.top.elements[c]) for c in wg.top.gen_ids]
+
+
+def column_profile_labels(wg: WreathGroup, codes: np.ndarray) -> np.ndarray:
+    """The profile labels numbered one column at a time: each code's row holds
+    length * nclass + class for each cycle of its top, sorted and padded with
+    -1, in int64, and n passes of np.unique number the distinct prefixes."""
+    B, t = wg._unpack_codes(codes)
+    table = conjugacy_classes(wg.base)
+    nclass = len(table.classes)
+    rows = np.full((t.size, wg.n), -1, dtype=np.int64)
+    order = np.argsort(t, kind="stable")
+    tops, starts = np.unique(t[order], return_index=True)
+    for s, at in zip(tops.tolist(), np.split(order, starts[1:])):
+        for j, zeta in enumerate(cycle_decompose(wg.top.elements[s])):
+            acc = B[zeta[0], at]
+            for i in zeta[1:]:
+                acc = wg.T[B[i, at], acc]
+            rows[at, j] = len(zeta) * nclass + table.class_of[acc]
+    rows.sort(axis=1)
+    labels = np.zeros(t.size, dtype=np.int64)
+    for column in rows.T:
+        labels = np.unique(labels * (nclass * (wg.n + 1) + 1) + column + 1,
+                           return_inverse=True)[1]
+    return labels
+
+
+def conjugation_classes(wg: WreathGroup) -> np.ndarray:
+    """Each packed code's class, numbered by least code: the class of the least
+    code not yet classed is its conjugates by every element, by `conj`."""
+    elements = [unpack(wg, code) for code in range(wg.order)]
+    classes = np.full(wg.order, -1)
+    count = 0
+    for code, a in enumerate(elements):
+        if classes[code] < 0:
+            classes[[wg.pack(conj(wg, a, b)) for b in elements]] = count
+            count += 1
+    return classes
