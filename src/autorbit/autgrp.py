@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .permcore import (FiniteGroup, GroupError, ResourceLimit, TooLarge,
+from .permcore import (FiniteGroup, GroupError, ResourceLimit, TooLarge, _row_blocks,
                        close_group, conjugacy_classes, orbits, sweep, validate_automorphism)
 from .reports import encode_value
 
@@ -59,8 +59,7 @@ def _fingerprint_labels(G: FiniteGroup) -> np.ndarray:
     representative, all representatives at once on the Cayley table."""
     table = conjugacy_classes(G)
     T, orders = G.cayley(), G.element_orders()
-    reps = np.array([c[0] for c in table.classes])
-    csize = np.array(table.sizes)[table.class_of]
+    reps, csize = table.least, np.bincount(table.class_of)[table.class_of]
     ord_r = orders[reps]
     powers = np.zeros((reps.size, int(ord_r.max())), dtype=np.int64)
     x = np.zeros(reps.size, dtype=np.int64)
@@ -95,9 +94,6 @@ def _generating_set(G: FiniteGroup, label: np.ndarray) -> list[int]:
     return gens + [k for k in tail if k not in gens]
 
 
-_BATCH_CELLS = 16_000_000  # map-matrix cells per extension batch
-
-
 def _extend_and_filter(G: FiniteGroup, survivors: np.ndarray, cand: np.ndarray,
                        gen_ids: Sequence[int]) -> np.ndarray:
     """Extend each surviving partial map by each candidate image of the newest
@@ -105,15 +101,15 @@ def _extend_and_filter(G: FiniteGroup, survivors: np.ndarray, cand: np.ndarray,
     phi(x*g) = phi(x)*phi(g), and keep the maps that are injective
     homomorphisms on it, checked in full, so the kept maps do not depend on
     the sweep's spanning tree.  Maps are stored as length-n arrays meaningful
-    on the subgroup only."""
-    n, T = G.order, G.cayley()
-    s, c = survivors.shape[0], cand.size
-    batch = max(1, _BATCH_CELLS // n // max(c, 1))
-    levels = list(sweep([0], G.right_multiplication(gen_ids), np.zeros(n, dtype=bool)))
+    on the subgroup only.  A point x*g the sweep finds is rebuilt from x, read
+    off the table as (x*g)*g^-1; the survivors go a block of maps at a time."""
+    n, T, inv, c = G.order, G.cayley(), G.inverse_ids(), cand.size
+    levels = [(k, T[new, inv[gen_ids[k]]], new)
+              for k, new in sweep([0], G.right_multiplication(gen_ids), np.zeros(n, dtype=bool))]
     member_arr = np.concatenate([[0]] + [new for _, _, new in levels])
     kept = []
-    for lo in range(0, s, batch):
-        part = survivors[lo:lo + batch]
+    for block in _row_blocks(n * c, survivors.shape[0]):
+        part = survivors[block]
         phi = np.repeat(part, c, axis=0)
         phi[:, gen_ids[-1]] = np.tile(cand, part.shape[0])
         # a generator is reached from the identity by itself, so its image
@@ -146,7 +142,6 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Fin
         raise TooLarge(f"|G| = {G.order} exceeds the {MAX_AUT_CARRIER} carrier guard")
     n, table = G.order, conjugacy_classes(G)
     label = _fingerprint_labels(G)  # builds the Cayley table, which G's closures then read
-    reps = [c[0] for c in table.classes]
     gen_ids = _generating_set(G, label)
 
     survivors = np.zeros((1, n), dtype=np.int32)  # the empty partial map
@@ -154,7 +149,7 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Fin
     for j, g in enumerate(gen_ids):
         cand = np.flatnonzero(label == label[g])
         if j == 0:
-            cand = np.intersect1d(cand, reps, assume_unique=True)  # both ascending
+            cand = np.intersect1d(cand, table.least, assume_unique=True)  # both ascending
         built += survivors.shape[0] * cand.size
         if built > budget:
             raise BudgetExceeded(f"search built {built} maps, budget {budget}")
@@ -162,7 +157,7 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Fin
     # the survivors sending g0 to the representative r, each followed by every
     # inner automorphism, are the automorphisms sending g0 into r's class:
     # |class of r| of them for each such survivor
-    order = int(np.array(table.sizes)[table.class_of[survivors[:, gen_ids[0]]]].sum())
+    order = int(np.bincount(table.class_of)[table.class_of[survivors[:, gen_ids[0]]]].sum())
     inner = np.array([G.conjugation_ids(c) for c in G.gen_ids], dtype=np.int64)
     rows = np.concatenate([inner.reshape(-1, n), survivors])
     A = close_group(rows, order=order)
@@ -192,7 +187,6 @@ def maol(G: FiniteGroup, A: FiniteGroup) -> OrbitReport:
     """Orbit report of Aut(G), given on G's element ids, acting on G."""
     if A.degree != G.order:
         raise ActionMismatch("automorphism degree does not match carrier order")
-    sizes = sorted((int(o.size) for o in orbits(A.elements[A.gen_ids], G.order)[0]),
-                   reverse=True)
+    sizes = sorted(np.bincount(orbits(A.elements[A.gen_ids], G.order)[1]).tolist(), reverse=True)
     return OrbitReport(G.name or "group", sizes)
 

@@ -62,7 +62,7 @@ def maol_report(spec: str, limit: int, budget: int) -> tuple[OrbitReport, int]:
         A = automorphism_group(G, budget=budget)
         return maol(G, A), A.order
     table, one = conjugacy_classes(G.group), np.arange(G.aut_rows.shape[1])
-    fused = stypes.fuse(G.group, table.classes, table.class_of, one, G.aut_rows, G.lift)
+    fused = stypes.fuse(G.group, table.least, table.class_of, one, G.aut_rows, G.lift)
     sizes = np.bincount(fused[table.class_of]).tolist()  # the members of each fused orbit
     return OrbitReport(G.group.name, sorted(sizes, reverse=True)), G.aut_order
 
@@ -108,7 +108,7 @@ def cmd_classes(args) -> int:
     G = resolve_group(args.group, args.max_order)
     table = conjugacy_classes(G)
     print(json.dumps({
-        "group": G.name, "order": G.order, "numClasses": len(table.classes),
+        "group": G.name, "order": G.order, "numClasses": len(table.least),
         "classSizes": sorted(table.sizes, reverse=True),
     }))
     return 0
@@ -140,7 +140,7 @@ def _check_simple(G: catalog.AlmostSimple | FiniteGroup):
     searched G is nonabelian and each nonidentity class generates it."""
     if isinstance(G, FiniteGroup):
         table = conjugacy_classes(G)
-        simple = len(table.classes) < G.order and all(
+        simple = len(table.least) < G.order and all(
             G.subgroup_closure(cls).size == G.order for cls in table.classes[1:])
     else:
         G, simple = G.group, G.group.order == G.socle_order

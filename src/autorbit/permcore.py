@@ -32,8 +32,9 @@ members is a member, so the Cayley table, conjugation maps and a quotient's
 cosets and translations form its base images alone.  Products and cosets
 search their keys one by one (`_RowIndex.locate`); the conjugates of G are a
 permutation of G, so a whole-group map's keys are the stored ones reordered
-(`FiniteGroup.map_ids`, `_RowIndex.locate_all`).  `orbits` numbers its members
-by one radix sort.  A group's ``gen_ids`` are the ids of its kept, irredundant
+(`FiniteGroup.map_ids`, `_RowIndex.locate_all`).  `orbits` gives each orbit's
+least point and each point's orbit; a class table lists its members only when
+asked.  A group's ``gen_ids`` are the ids of its kept, irredundant
 generators, and conjugation by an element id is one id map of the whole group
 (`FiniteGroup.conjugation_ids`); a set is normal iff it is a union of
 conjugacy classes (`is_normal`).
@@ -211,7 +212,7 @@ def lex_order(rows: np.ndarray, base: Sequence[int]) -> np.ndarray:
 def sort_rows(rows: np.ndarray, base: Sequence[int], run: int) -> np.ndarray:
     """Put `rows` in `lex_order` in place and return them, given that the order maps
     each run of `run` rows onto itself: whole rows, gathered a block of runs at a time."""
-    order, step = lex_order(rows, base), run * max(1, _BLOCK_CELLS // (8 * run * rows.shape[1]))
+    order, step = lex_order(rows, base), run * _block_length(8 * run * rows.shape[1])
     for lo in range(0, len(rows), step):  # a block as `_compose` takes, or one run
         rows[lo:lo + step] = np.take(rows, order[lo:lo + step], axis=0)
     return rows
@@ -307,9 +308,14 @@ def cycle_lengths(rows: np.ndarray) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=k * d)[flat]
 
 
+def _block_length(width: int) -> int:
+    """The rows, `width` entries each, that fill one block (one at least)."""
+    return max(1, _BLOCK_CELLS // max(1, width))
+
+
 def _row_blocks(width: int, n: int):
     """Slices of 0..n-1 whose rows, `width` entries each, fill one block."""
-    step = max(1, _BLOCK_CELLS // max(1, width))
+    step = _block_length(width)
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
@@ -367,7 +373,7 @@ def _schreier_stream(chain: list[_Level], top: int):
     """Chunks (rows, level of each) of the Schreier rows of levels top, top-1, ..., 0
     not yet known to pass, in that order and generator-major within a level, each
     chunk one block of rows; a row of level i fixes the base points before it."""
-    step, parts, levels = max(1, _BLOCK_CELLS // (8 * chain[0].U.shape[1])), [], []
+    step, parts, levels = _block_length(8 * chain[0].U.shape[1]), [], []
     for at in range(top, -1, -1):
         for s, U in chain[at].schreier_rows():
             while len(U):
@@ -629,25 +635,33 @@ def close_group(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
 
 @dataclass
 class ConjClassTable:
-    """Conjugacy classes by element id; class numbering follows the minimal
-    representative id, so it is reproducible."""
+    """Conjugacy classes by element id, numbered by least member, so reproducibly:
+    each class's least id and each element's class."""
 
-    classes: list[np.ndarray]
+    least: np.ndarray
     class_of: np.ndarray
 
     @property
+    def classes(self) -> list[np.ndarray]:
+        """Each class's ids, ascending, built on each call: a stable sort of the class
+        ids in their narrowest type, one radix pass below 65,536 classes."""
+        members = np.argsort(self.class_of.astype(np.min_scalar_type(len(self.least) - 1)),
+                             kind="stable")
+        return np.split(members, np.cumsum(self.sizes)[:-1])
+
+    @property
     def sizes(self) -> list[int]:
-        return [int(c.size) for c in self.classes]
+        return np.bincount(self.class_of).tolist()
 
     def representative(self, class_id: int) -> int:
-        return int(self.classes[class_id][0])
+        return int(self.least[class_id])
 
 
-def orbits(maps: Iterable[np.ndarray], n: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Orbits on 0..n-1 of the group generated by the id permutations `maps`,
-    numbered by least point, and each point's orbit.  The maps are merged one
-    at a time, so an iterator holds one: each label hooks onto the least label
-    of an image of its points, and labels follow labels, until they settle."""
+def orbits(maps: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits on 0..n-1 of the group generated by the id permutations `maps`: their
+    least points, ascending, which number them, and each point's orbit.  The maps
+    are merged one at a time, so an iterator holds one: each label hooks onto the
+    least label of an image of its points, and labels follow labels, until they settle."""
     label = np.arange(n, dtype=np.int32 if n < 2 ** 31 else np.int64)
     for m in maps:
         while not np.array_equal(image := label[m], label):
@@ -656,23 +670,21 @@ def orbits(maps: Iterable[np.ndarray], n: int) -> tuple[list[np.ndarray], np.nda
             while not np.array_equal(label := hooked[hooked], hooked):
                 hooked = label
         del m, image  # not held while the next map is built
-    orbit_of = (np.cumsum(label == np.arange(n)) - 1)[label]  # least points number the orbits
-    sizes = np.bincount(orbit_of)  # a stable sort of 16-bit or narrower ints is a radix sort
-    members = np.argsort(orbit_of.astype(np.min_scalar_type(len(sizes) - 1)), kind="stable")
-    return np.split(members, np.cumsum(sizes)[:-1]), orbit_of
+    root = label == np.arange(n)  # a least point is its own label
+    return np.flatnonzero(root), (np.cumsum(root) - 1)[label]
 
 
 def sweep(start: Sequence[int], step, seen: np.ndarray):
     """Close the distinct points `start` under injective maps, breadth first, in
-    blocks of at most _BLOCK_CELLS >> 6 points whose temporaries stay in cache.
+    blocks of at most `_block_length(64)` points whose temporaries stay in cache.
     `step(block)` gives each map's images of the block's points, in map order;
     `seen` is a boolean mask over all points, in which the sweep marks `start`
-    and every point it reaches.  Yields, per block and map, the map's index,
-    the block points it sends to a point not seen before and those new points:
-    each point once, after the point it was reached from (an injective map
-    sends no two points to one, and a point is marked as it is found).  The
-    queue holds the pieces points were found in, about a level of them."""
-    size, start = _BLOCK_CELLS >> 6, np.asarray(start, dtype=np.int64)
+    and every point it reaches.  Yields, per block and map, the map's index and
+    the points it reaches that were not seen before: each point once, after the
+    point it was reached from (an injective map sends no two points to one, and
+    a point is marked as it is found).  The queue holds the pieces points were
+    found in, about a level of them."""
+    size, start = _block_length(64), np.asarray(start, dtype=np.int64)
     seen[start] = True
     queue = deque(start[i:i + size] for i in range(0, start.size, size))
     while queue:
@@ -687,7 +699,7 @@ def sweep(start: Sequence[int], step, seen: np.ndarray):
             seen[found] = True
             if found.size:
                 queue.append(found)
-            yield k, block.compress(new), found
+            yield k, found
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjClassTable:

@@ -88,8 +88,8 @@ def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
         q = members[0]
         centralizer = np.flatnonzero(mul[:, q] == mul[q])[1:]  # C(q) but the identity
         a = reps[q]
-        parts, orbit_of = orbits((twist(g, a, a) for g in gens), S.order)
-        orbit_of = fuse(S, parts, orbit_of, a, reps[centralizer], G.lift)[orbit_of]  # N_a's orbits
+        first, orbit_of = orbits((twist(g, a, a) for g in gens), S.order)
+        orbit_of = fuse(S, first, orbit_of, a, reps[centralizer], G.lift)[orbit_of]  # N_a's orbits
         counts = np.bincount(orbit_of).tolist()
         sizes += [c * members.size for c in counts]
         types += [tau] * len(counts)
@@ -107,20 +107,20 @@ def coset_classes(G: AlmostSimple, numbered: bool = False) -> CosetClasses:
     return CosetClasses(out, sizes, types, rho)
 
 
-def fuse(S: FiniteGroup, parts, orbit_of: np.ndarray, a: np.ndarray, outer: np.ndarray,
-         lift=np.asarray) -> np.ndarray:
-    """The orbit, numbered by least member, of each of `parts`: S's orbits on the
-    coset S·a, written on S's ids s for s·a and numbered by least member, fused by
-    the rows `outer` acting by conjugation, b·s·a·b⁻¹ = (b·s·a·b⁻¹·a⁻¹)·a.  Each row
-    maps t·a, t a generator of S, and s·a, s the least member of each orbit (the
-    identity first), read back on S's (the first) points: a miss, where b does not
-    normalize S or S·a, is `NotNormal`."""
-    mats = lift(S.elements[np.concatenate([S.gen_ids, [part[0] for part in parts]])])
+def fuse(S: FiniteGroup, least: np.ndarray, orbit_of: np.ndarray, a: np.ndarray,
+         outer: np.ndarray, lift=np.asarray) -> np.ndarray:
+    """The orbit, numbered by least member, of each of S's orbits on the coset S·a,
+    written on S's ids s for s·a, numbered by least member and given by those
+    members `least` (ascending) and `orbit_of`, fused by the rows `outer` acting by
+    conjugation, b·s·a·b⁻¹ = (b·s·a·b⁻¹·a⁻¹)·a.  Each row maps t·a, t a generator
+    of S, and s·a, s in `least` (the identity first), read back on S's (the first)
+    points: a miss, where b does not normalize S or S·a, is `NotNormal`."""
+    mats = lift(S.elements[np.concatenate([S.gen_ids, least])])
     ids = [S._index.find(b[mats[:, a[np.argsort(b)[np.argsort(a)[:S.degree]]]]])
            for b in np.asarray(outer, point_dtype(np.shape(outer)[-1]))]
     if any(np.any(m < 0) for m in ids):
         raise NotNormal("the subgroup is not normal in Aut(S)")
-    return orbits((orbit_of[m[S.gen_ids.size:]] for m in ids), len(parts))[1]
+    return orbits((orbit_of[m[S.gen_ids.size:]] for m in ids), len(least))[1]
 
 
 def _coset_of(G: AlmostSimple, reps, x: np.ndarray) -> int:
@@ -190,14 +190,10 @@ class ClassTypeTable:
 
 def class_type_table(AutS: FiniteGroup, socle_ids: np.ndarray) -> ClassTypeTable:
     out = out_quotient(AutS, socle_ids)
-    table = conjugacy_classes(AutS)
-    type_of = np.empty(len(table.classes), dtype=np.int64)
-    rho = []
-    for cid, cls in enumerate(table.classes):
-        qcls = int(out.classes.class_of[out.pi[table.representative(cid)]])
-        type_of[cid] = qcls
-        rho.append(Fraction(int(cls.size),
-                            int(socle_ids.size) * int(out.classes.sizes[qcls])))
+    table, out_sizes = conjugacy_classes(AutS), out.classes.sizes
+    type_of = out.classes.class_of[out.pi[table.least]]
+    rho = [Fraction(size, int(socle_ids.size) * out_sizes[qcls])
+           for size, qcls in zip(table.sizes, type_of.tolist())]
     return ClassTypeTable(out, table, type_of, rho)
 
 

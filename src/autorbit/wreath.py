@@ -24,13 +24,12 @@ import numpy as np
 
 from .catalog import sym
 from .fields import make_field
-from .permcore import (DEFAULT_CLOSURE_LIMIT, FiniteGroup, GroupError, TooLarge, close_group,
-                       conjugacy_classes, cycle_decompose, cycle_type, orbits, size_text,
-                       sweep)
+from .permcore import (DEFAULT_CLOSURE_LIMIT, FiniteGroup, GroupError, TooLarge, _row_blocks,
+                       close_group, conjugacy_classes, cycle_decompose, cycle_type, orbits,
+                       size_text, sweep)
 from .reports import encode_value
 
 DEFAULT_ORBIT_SPACE = 64_000_000  # visited-array cells for orbit sweeps
-_CODE_BLOCK = 1 << 14  # codes unpacked at once by class_codes and profile_labels
 
 
 def check_sweep_size(order: int):
@@ -182,8 +181,7 @@ class WreathGroup:
         0..n-1, plus the top generators.  Conjugation by the top carries a
         planted generator to every coordinate of its orbit, so these generate
         the base group in every coordinate."""
-        planted = [int(part[0]) for part in
-                   orbits(iter(self.top.elements[self.top.gen_ids]), self.n)[0]]
+        planted = orbits(iter(self.top.elements[self.top.gen_ids]), self.n)[0].tolist()
         out = []
         ident = np.arange(self.n)
         for g in self.base.gen_ids.tolist():
@@ -209,8 +207,8 @@ class WreathGroup:
 
         def images():
             narrow = np.min_scalar_type(self.top.order * self.base.order - 1)
-            rows = [self._table_rows(np.arange(lo, min(lo + _CODE_BLOCK, self.order))).astype(narrow)
-                    for lo in range(0, self.order, _CODE_BLOCK)]
+            rows = [self._table_rows(np.arange(b.start, b.stop)).astype(narrow)
+                    for b in _row_blocks(64, self.order)]
             for m in maps:
                 yield np.concatenate([next(self._conjugate_rows(B, [m])) for B in rows])
 
@@ -231,19 +229,18 @@ class WreathGroup:
         along each cycle are gathers on the Cayley table, a block of codes at
         a time."""
         table = conjugacy_classes(self.base)
-        nclass, ntop = len(table.classes), self.top.order
+        nclass, ntop = len(table.least), self.top.order
         rows = np.zeros((codes.size, self.n), dtype=np.min_scalar_type(radix - 1))
         t = np.empty(codes.size, dtype=np.min_scalar_type(ntop - 1))
-        for lo in range(0, codes.size, _CODE_BLOCK):
-            block = codes[lo:lo + _CODE_BLOCK]
-            t[lo:lo + block.size] = block - block // ntop * ntop
+        for b in _row_blocks(64, codes.size):
+            t[b] = codes[b] - codes[b] // ntop * ntop
         order = np.argsort(t, kind="stable")  # a radix sort: t is 16 bits or less
         for s, at in enumerate(np.split(order, np.cumsum(np.bincount(t, minlength=ntop))[:-1])):
             cycles = cycle_decompose(self.top.elements[s])
             entries = [(len(zeta) * nclass + 1 + table.class_of).astype(rows.dtype)
                        for zeta in cycles]
-            for lo in range(0, at.size, _CODE_BLOCK):
-                part = at[lo:lo + _CODE_BLOCK]
+            for b in _row_blocks(64, at.size):
+                part = at[b]
                 B = self._unpack_codes(codes[part])[0]
                 for j, zeta in enumerate(cycles):
                     acc = B[zeta[0]]
@@ -260,7 +257,7 @@ class WreathGroup:
         with the labels so far, into one key per code in radix
         R = nclass * (n + 1) + 1, and the distinct keys numbered, once per fold."""
         codes = np.asarray(codes, dtype=np.int64)
-        radix = len(conjugacy_classes(self.base).classes) * (self.n + 1) + 1
+        radix = len(conjugacy_classes(self.base).least) * (self.n + 1) + 1
         rows = self._bcpc_rows(codes, radix)
         rows.sort(axis=1)
         labels, count, col = np.zeros(codes.size, dtype=np.intp), 1, 0

@@ -27,4 +27,4 @@ def class_orbits(A: FiniteGroup, ids: np.ndarray) -> list[int]:
     if not all(np.array_equal(np.sort(m), ids) for m in images):
         raise NotNormal("the subgroup is not normal in Aut(S)")
     maps = (np.searchsorted(ids, m) for m in images)
-    return sorted((part.size for part in orbits(maps, ids.size)[0]), reverse=True)
+    return sorted(np.bincount(orbits(maps, ids.size)[1]).tolist(), reverse=True)

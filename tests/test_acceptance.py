@@ -99,7 +99,8 @@ def test_c1_maol_extraspecial27():
         # (2/3 is the maol of the exponent-9 group of order 27.)
         report = maol(es, A)
         assert report.orbit_sizes == [24, 2, 1]
-        biggest = max(pc.orbits(A.elements[A.gen_ids], es.order)[0], key=len)
+        orbit_of = pc.orbits(A.elements[A.gen_ids], es.order)[1]
+        biggest = np.flatnonzero(orbit_of == np.argmax(np.bincount(orbit_of)))
         non_central = np.setdiff1d(np.arange(es.order), es.center_ids())
         assert np.array_equal(biggest, non_central)
         assert report.maol == Fraction(24, 27) == Fraction(8, 9)

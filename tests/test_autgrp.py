@@ -8,12 +8,13 @@ from autorbit.autgrp import (ActionMismatch, BudgetExceeded, TooLarge, automorph
                              inner_automorphism_ids, maol)
 import class_orbits_oracle
 from class_orbits_oracle import class_orbits, closed_with_ids
+from test_closure_memory import SMALL_CATALOG
 
 
 def orbit_of(x, gens, n):
     """The orbit of x under the id permutations `gens`, as a set."""
-    orbits, orbit_of = pc.orbits(gens, n)
-    return set(orbits[orbit_of[x]].tolist())
+    orbit_of = pc.orbits(gens, n)[1]
+    return set(np.flatnonzero(orbit_of == orbit_of[x]).tolist())
 
 
 def test_cayley_table_shape():
@@ -101,8 +102,7 @@ def test_orbit_of():
 
 
 def test_orbit_sizes_divide_aut_and_sum(alt5, alt5_aut):
-    orbits = pc.orbits(alt5_aut.elements[alt5_aut.gen_ids], alt5.order)[0]
-    sizes = [o.size for o in orbits]
+    sizes = np.bincount(pc.orbits(alt5_aut.elements[alt5_aut.gen_ids], alt5.order)[1]).tolist()
     assert sum(sizes) == alt5.order
     assert all(alt5_aut.order % s == 0 for s in sizes)
 
@@ -156,6 +156,37 @@ def test_a_lost_survivor_fails_the_sized_closure(monkeypatch, name, aut_order):
         automorphism_group(G)
 
 
+@pytest.mark.parametrize("name", SMALL_CATALOG)
+def test_the_search_sweep_reads_each_source_off_the_table(name):
+    # `sweep` yields (map index, new points), and the search reads the point
+    # x that x*g was found from off the Cayley table as (x*g)*g^-1: on each
+    # prefix of the search's generators, every such x was seen before
+    G = catalog.resolve(name)
+    T, inv = G.cayley(), G.inverse_ids()
+    gen_ids = autgrp._generating_set(G, autgrp._fingerprint_labels(G))
+    for j in range(1, len(gen_ids) + 1):
+        seen, before = np.zeros(G.order, dtype=bool), np.zeros(G.order, dtype=bool)
+        before[0] = True
+        for level in pc.sweep([0], G.right_multiplication(gen_ids[:j]), seen):
+            k, found = level
+            src = T[found, inv[gen_ids[k]]]
+            assert before[src].all() and np.array_equal(T[src, gen_ids[k]], found)
+            before[found] = True
+        assert np.array_equal(before, seen)
+
+
+@pytest.mark.parametrize("name", ["sym5", "alt6", "extraspecial(3)", "psl(2,7)"])
+def test_the_search_does_not_depend_on_its_batches(monkeypatch, name):
+    # the survivors are extended a block of maps at a time; one survivor a
+    # block keeps the same maps in the same order
+    G = catalog.resolve(name)
+    A = automorphism_group(G)
+    one_each = lambda width, n: (slice(i, i + 1) for i in range(n))
+    monkeypatch.setattr(autgrp, "_row_blocks", one_each)
+    B = automorphism_group(catalog.resolve(name))
+    assert np.array_equal(A.elements, B.elements) and np.array_equal(A.gen_ids, B.gen_ids)
+
+
 def test_maol_needs_automorphisms_of_the_group(alt5_aut):
     with pytest.raises(ActionMismatch):
         maol(catalog.sym(3), alt5_aut)
@@ -189,7 +220,7 @@ def fused_sizes(G, rows, lift=np.asarray):
     """G's classes fused by the rows (`stypes.fuse` on the trivial coset), as
     `maol --group` reads them: the fused orbits' sizes, largest first."""
     table, rows = pc.conjugacy_classes(G), np.asarray(rows)
-    fused = stypes.fuse(G, table.classes, table.class_of, np.arange(rows.shape[1]), rows, lift)
+    fused = stypes.fuse(G, table.least, table.class_of, np.arange(rows.shape[1]), rows, lift)
     return sorted(np.bincount(fused[table.class_of]).tolist(), reverse=True)
 
 
@@ -230,9 +261,11 @@ def test_fuse_refuses_a_row_that_moves_the_coset():
     a = np.array([1, 0, 2, 3])
     # s ↦ t·s·a·t⁻¹·a⁻¹ for V4's generators t, with a⁻¹ = a
     maps = [t[v4.elements[:, a[np.argsort(t)[a]]]] for t in v4.elements[v4.gen_ids]]
-    parts, orbit_of = pc.orbits((v4.ids_of(m) for m in maps), v4.order)
+    least, orbit_of = pc.orbits((v4.ids_of(m) for m in maps), v4.order)
+    parts = [np.flatnonzero(orbit_of == k) for k in range(len(least))]
+    assert least.tolist() == [p[0] for p in parts]
     assert sorted(sorted(v4.elements[p][:, a].tolist()) for p in parts) == [
         [[0, 1, 3, 2], [1, 0, 2, 3]], [[2, 3, 1, 0], [3, 2, 0, 1]]]
-    assert stypes.fuse(v4, parts, orbit_of, a, a[None]).tolist() == [0, 1]
+    assert stypes.fuse(v4, least, orbit_of, a, a[None]).tolist() == [0, 1]
     with pytest.raises(pc.NotNormal, match=r"^the subgroup is not normal in Aut\(S\)$"):
-        stypes.fuse(v4, parts, orbit_of, a, np.array([[1, 2, 0, 3]]))
+        stypes.fuse(v4, least, orbit_of, a, np.array([[1, 2, 0, 3]]))

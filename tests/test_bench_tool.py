@@ -1,8 +1,9 @@
 """`tools/bench.py`'s reading and summing of `perfbench/run.py` output, its
 comparison with an earlier BENCH file, and its diff of the command list's
 outputs, on recorded result lines, the recorded `BENCH_36.json` and recorded
-command outputs: no subprocess is started, and nothing is written outside a
-test's temporary directory."""
+command outputs, and its copy of the working tree: no subprocess is started
+but that copy's `git ls-files`, and nothing is written outside a test's
+temporary directory."""
 
 import importlib.util
 import json
@@ -164,3 +165,13 @@ def test_an_answer_on_stderr_is_compared():
         "h --simple 'name:psu(3,3)': stderr differs from line 1"]
     assert bench.output_diff(recorded(), recorded(err=GUARD + "more\n")) == [
         "h --simple 'name:psu(3,3)': stderr differs from line 2"]
+
+
+def test_the_working_tree_copy_holds_its_files_as_on_disk(tmp_path):
+    # the timed runs take the working tree from this copy, beside the parent's
+    # clone, so that both checkouts' paths have one length
+    copy = bench.copy_working_tree(tmp_path / "change")
+    sources = sorted(p.relative_to(bench.ROOT) for p in (bench.ROOT / "src").rglob("*.py"))
+    assert sources and sorted(p.relative_to(copy) for p in (copy / "src").rglob("*.py")) == sources
+    assert all((copy / p).read_bytes() == (bench.ROOT / p).read_bytes() for p in sources)
+    assert (copy / "BENCHMARK.json").is_file() and not (copy / ".git").exists()

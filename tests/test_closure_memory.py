@@ -3,9 +3,9 @@ sweep, with the routines they replaced kept here as oracles: the full
 `rows[lex_order(...)]` gather for the in-place `sort_rows`, which gathers
 whole rows a block of the chain's runs at a time (the lex order keeps each
 run), min-label propagation over all the maps at once for `orbits`, which
-merges one map at a time, and the stable int64 argsort that numbered its
-members before a narrow one did.  tracemalloc counts numpy's allocations, so
-the peaks are deterministic."""
+merges one map at a time, and the stable int64 argsort that numbered a class
+table's members before a narrow one did.  tracemalloc counts numpy's
+allocations, so the peaks are deterministic."""
 
 import json
 import tracemalloc
@@ -16,9 +16,9 @@ import pytest
 
 from autorbit import catalog, cli, stypes, wreath
 from autorbit.autgrp import automorphism_group
-from autorbit.permcore import (ClosureLimitExceeded, FiniteGroup, ResourceLimit, close_group,
-                               conjugacy_classes, lex_order, orbits, parse_cycles, schreier_sims,
-                               sort_rows)
+from autorbit.permcore import (ClosureLimitExceeded, ConjClassTable, FiniteGroup, ResourceLimit,
+                               close_group, conjugacy_classes, lex_order, orbits, parse_cycles,
+                               schreier_sims, sort_rows)
 from test_catalog import _covered
 from test_permcore_oracle import CATALOG
 import wreath_oracle
@@ -196,10 +196,16 @@ SMALL_CATALOG = [name for name in dict.fromkeys(CATALOG + [case.id for case in _
 def test_orbits_match_the_all_maps_propagation(name):
     G = catalog.resolve(name)
     maps = [G.conjugation_ids(c) for c in G.gen_ids]
-    parts, orbit_of = orbits(iter(maps), G.order)
+    least, orbit_of = orbits(iter(maps), G.order)
     assert np.array_equal(orbit_of, all_maps_orbit_labels(maps, G.order))
-    assert [p.tolist() for p in parts] == [
-        np.flatnonzero(orbit_of == k).tolist() for k in range(len(parts))]
+    assert_least_points(least, orbit_of)
+
+
+def assert_least_points(least, orbit_of):
+    """`least` holds each orbit's first point, in orbit order, and the labels are int64."""
+    numbers, first = np.unique(orbit_of, return_index=True)
+    assert orbit_of.dtype == np.int64 and np.array_equal(numbers, np.arange(len(least)))
+    assert np.array_equal(least, first)
 
 
 def int64_numbering(orbit_of):
@@ -227,9 +233,13 @@ def _numbering_cases():
 
 @pytest.mark.parametrize("maps,n,count", _numbering_cases())
 def test_orbits_number_members_as_the_int64_sort(maps, n, count):
-    parts, orbit_of = orbits(iter(maps), n)
+    # `orbits` gives least points and labels; the class table built on them
+    # lists the members, on demand, by its narrow stable sort
+    least, orbit_of = orbits(iter(maps), n)
     assert np.array_equal(orbit_of, all_maps_orbit_labels(maps, n))
-    assert count in (None, len(parts))
+    assert_least_points(least, orbit_of)
+    assert count in (None, len(least))
+    parts = ConjClassTable(least, orbit_of).classes
     expected = int64_numbering(orbit_of)
     assert len(parts) == len(expected)
     assert all(np.array_equal(p, q) for p, q in zip(parts, expected))

@@ -291,15 +291,15 @@ def test_center():
     st.permutations(list(range(d))).map(np.array), max_size=4).map(lambda ms: (d, ms))))
 def test_sweep_reaches_each_orbit_once(case):
     degree, maps = case
-    parts, part_of = pc.orbits(maps, degree)
+    part_of = pc.orbits(maps, degree)[1]
     for x in range(degree):
         seen = np.zeros(degree, dtype=bool)
         reached = [x]
-        for k, src, new in pc.sweep([x], lambda f: (m[f] for m in maps), seen):
-            assert np.array_equal(maps[k][src], new)
+        for k, new in pc.sweep([x], lambda f: (m[f] for m in maps), seen):
+            assert set(np.argsort(maps[k])[new].tolist()) <= set(reached)  # reached from
             reached.extend(new.tolist())
         assert len(reached) == len(set(reached))
-        assert sorted(reached) == parts[part_of[x]].tolist()
+        assert sorted(reached) == np.flatnonzero(part_of == part_of[x]).tolist()
         assert np.flatnonzero(seen).tolist() == sorted(reached)
 
 
@@ -335,9 +335,10 @@ def test_sweep_past_one_block(seeds):
     seen, blocks = np.zeros(n, dtype=bool), []
     reached = set(start.tolist())
     yielded = []
-    for k, src, found in pc.sweep(start, lambda f: blocks.append(f.size) or (m[f] for m in maps),
-                                  seen):
-        assert np.array_equal(maps[k][src], found)
+    inverses = [np.argsort(m) for m in maps]
+    for k, found in pc.sweep(start, lambda f: blocks.append(f) or (m[f] for m in maps), seen):
+        src = inverses[k][found]
+        assert np.isin(src, blocks[-1]).all()  # images of the block just stepped
         assert reached.issuperset(src.tolist())  # seeded or yielded before
         reached.update(found.tolist())
         yielded.extend(found.tolist())
@@ -345,7 +346,8 @@ def test_sweep_past_one_block(seeds):
     assert np.array_equal(seen, np.isin(np.arange(n), list(closure)))
     assert len(yielded) == len(set(yielded)) == len(closure) - seeds
     assert set(yielded) == closure - set(start.tolist())
-    assert max(blocks) <= block and sum(blocks) == len(closure)
+    sizes = [b.size for b in blocks]
+    assert max(sizes) <= block and sum(sizes) == len(closure)
 
 
 def test_size_text_bounds_long_numbers():

@@ -192,7 +192,7 @@ def commutator_conjugates(G, gen_ids):
     seeds = np.array(list(dict.fromkeys(G.ids_of(np.reshape(comms, (-1, G.degree))).tolist())))
     maps = [G.conjugation_ids(c) for c in gen_ids]
     step = lambda frontier: (m[frontier] for m in maps)
-    found = [new for _, _, new in pc.sweep(seeds, step, np.zeros(G.order, dtype=bool))]
+    found = [new for _, new in pc.sweep(seeds, step, np.zeros(G.order, dtype=bool))]
     return np.concatenate([seeds] + found)
 
 

@@ -5,14 +5,15 @@ a check that the two give the same outputs.
     python3 tools/bench.py --parent REV --outputs
 
 The parent is checked out in a local `git clone` under a temporary
-directory, which is removed afterwards.  For each workload of BENCHMARK.json
-the two checkouts each run their own `perfbench/run.py --trace 0` in turn,
-`--pairs` times, alternating which side goes first; both runs of pair k get
-seed 1 + k.  The JSON file written holds, per workload and end-to-end
+directory, which is removed afterwards, and the working tree's files are
+copied beside it, so the two paths have one length.  For each workload of
+BENCHMARK.json the two checkouts each run their own `perfbench/run.py
+--trace 0` in turn, `--pairs` times, alternating which side goes first; both
+runs of pair k get seed 1 + k.  The JSON file written holds, per workload and end-to-end
 metric, both medians, the parent's interquartile range and how many pairs
 the working tree won, the host the runs were made on, and for each side the
-commit and source digest its `run.py` reported (the working tree's digest
-names the measured source even when it is not committed).  It then prints
+commit and source digest its `run.py` reported (the working tree's copy has
+no commit; its digest names the measured source).  It then prints
 each metric whose child median moved from that of the newest earlier
 BENCH_*.json beside the output by more than the parent's interquartile range.
 
@@ -31,6 +32,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
@@ -196,6 +198,16 @@ def checkout(rev: str):
         yield parent
 
 
+def copy_working_tree(dest: Path) -> Path:
+    """`dest` holding a copy of the working tree's files, tracked or untracked but not
+    ignored, as they are on disk."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        if name and (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+    return dest
+
+
 def compare_outputs(rev: str, commands: list[str]) -> int:
     """Run the command list in `rev` and in the working tree; print what differs."""
     with checkout(rev) as parent, tempfile.TemporaryDirectory() as tmp:
@@ -232,19 +244,22 @@ def main(argv=None) -> int:
     rev = git("rev-parse", args.parent)
     report = {"parent": None, "child": None, "pairs": args.pairs, "seconds": args.seconds,
               "workloads": {}}
+    # the working tree runs from a copy beside the parent's clone, at a path of the
+    # same length: a run's peak RSS moves with the length of its checkout's path
     with checkout(rev) as parent:
+        child = copy_working_tree(parent.with_name("change"))
         for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for k in range(args.pairs):
-                sides = (parent, ROOT) if k % 2 == 0 else (ROOT, parent)
+                sides = (parent, child) if k % 2 == 0 else (child, parent)
                 runs = {side: run(side, workload, 1 + k, args.seconds) for side in sides}
-                report.update(parent=source(runs[parent][0]), child=source(runs[ROOT][0]),
-                              host=host(runs[ROOT][0]))
-                pairs.append((runs[parent][1], runs[ROOT][1]))
+                report.update(parent=source(runs[parent][0]), child=source(runs[child][0]),
+                              host=host(runs[child][0]))
+                pairs.append((runs[parent][1], runs[child][1]))
                 print(f"{workload} pair {k + 1}/{args.pairs}: "
                       + ", ".join(f"{m} {runs[parent][1]['metrics'][m]['value']:.4g} -> "
-                                  f"{runs[ROOT][1]['metrics'][m]['value']:.4g}"
-                                  for m in runs[ROOT][1]["metrics"]), flush=True)
+                                  f"{runs[child][1]['metrics'][m]['value']:.4g}"
+                                  for m in runs[child][1]["metrics"]), flush=True)
             report["workloads"][workload] = summarize(pairs, spec["end_to_end"])
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for workload, summary in report["workloads"].items():
