@@ -21,8 +21,8 @@ from . import wreath
 from .autgrp import (DEFAULT_NODE_BUDGET, OrbitReport, automorphism_group, inner_automorphism_ids,
                      maol)
 from .fields import _is_prime
-from .permcore import (DEFAULT_CLOSURE_LIMIT, BadParameter, FiniteGroup, ResourceLimit,
-                       TooLarge, _check_degree, conjugacy_classes, load_group_file, mcs,
+from .permcore import (DEFAULT_CLOSURE_LIMIT, BadParameter, FiniteGroup, ResourceLimit, TooLarge,
+                       _check_degree, conjugacy_classes, load_group_file, mcs, schreier_sims,
                        size_text)
 from .reports import (FAIL, PASS, ReportItem, SuiteRunner,
                       VerificationReport, encode_value, print_report, write_text)
@@ -136,12 +136,12 @@ def cmd_aut(args) -> int:
 
 
 def _check_simple(G: catalog.AlmostSimple | FiniteGroup):
-    """Usage error unless G is nonabelian simple: a built G has order |S|; a
-    searched G is nonabelian and each nonidentity class generates it."""
+    """Usage error unless G is nonabelian simple: a built G has order |S|; a searched G is
+    nonabelian and the chain (`schreier_sims`) of each nonidentity class's rows has order |G|."""
     if isinstance(G, FiniteGroup):
         table = conjugacy_classes(G)
         simple = len(table.least) < G.order and all(
-            G.subgroup_closure(cls).size == G.order for cls in table.classes[1:])
+            schreier_sims(G.elements[cls], G.order).order == G.order for cls in table.classes[1:])
     else:
         G, simple = G.group, G.group.order == G.socle_order
     if not simple:

@@ -17,10 +17,10 @@ A group is built from a (k, degree) array of generator rows (``close_group``);
 rows read from outside the program are checked first (`_check_bijection`).
 Its stabilizer chain (``schreier_sims``) starts at z, the least point the rows
 move, and keeps a generator outside the group of the kept ones before it
-(Dimino's rule); the orbit lengths give the order, checked against the limit
-before any element is built, and each element is one product of transversal
-rows, in runs of one image of z.  The canonical order keeps each run, so
-`sort_rows` gathers whole rows a block of runs at a time.  A subgroup of a
+(Dimino's rule); it builds no element, and its orbit lengths give the order,
+checked against the limit.  ``close_group`` enumerates it: each element is one
+product of transversal rows, in runs of one image of z, which the canonical
+order keeps (`sort_rows` gathers a block of runs at a time).  A subgroup of a
 finished group closes on ids by the same rule (`FiniteGroup.closure`): each
 kept seed runs one `sweep` of right multiplication.  Elements are keyed by
 their images of the chain's base in one sorted index (`_RowIndex`, a Horner
@@ -414,14 +414,13 @@ def _first_outside(chain: list[_Level], lo: int, rows: np.ndarray):
     return int(i), row, int(stop[i])
 
 
-def _enumerate(chain: list[_Level], degree: int, order: int) -> np.ndarray:
-    """The products u_0 * u_1 * ... of a transversal row per level, identity first:
-    each row of a level times each product below it, written after them in place;
-    level 0's rows in the order of their images of its point, so in |U_0| runs."""
-    elements = np.empty((order, degree), dtype=point_dtype(degree))
+def _enumerate(chain: Chain, degree: int) -> np.ndarray:
+    """The chain's elements u_0 * u_1 * ..., identity first: each row of a level times each
+    product below it, written after them in place; level 0's by their images of z: |U_0| runs."""
+    elements = np.empty((chain.order, degree), dtype=point_dtype(degree))
     elements[0], done = np.arange(degree), 1
-    for level in reversed(chain):
-        U = level.U[level.pos[level.pos >= 0]] if level is chain[0] else level.U
+    for level in reversed(chain.levels):
+        U = level.U[level.pos[level.pos >= 0]] if level is chain.levels[0] else level.U
         for rows in _row_blocks(8 * degree, done):
             below = elements[rows].astype(np.intp)  # indices for every row of the level
             for a in range(1, len(U)):  # "clip": as in `_compose`
@@ -430,22 +429,21 @@ def _enumerate(chain: list[_Level], degree: int, order: int) -> np.ndarray:
     return elements
 
 
-Closure = namedtuple("Closure", "elements kept base run")  # identity first; kept ascending
+Chain = namedtuple("Chain", "levels kept base run order")  # kept ascending; base [0] if trivial
 
 
 def schreier_sims(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
-                  order: int | None = None) -> Closure:
-    """The group of the rows `gen_rows`: its elements (`_enumerate`), the kept generators'
-    indices, its chain's base ([0] if trivial) and |G|/|U_0|, the rows of a run of one image
-    of z, the least point a row moves, at which the chain starts: the group fixes every point
-    below z, so `lex_order` keeps the runs.  A row outside the group of the kept ones before
-    it is kept (Dimino's rule), sifted in chunks doubling from the last kept one.  Its residue
-    h joins the levels up to the one it reached (past the base: a new one at the least point h
-    moves); deterministic Schreier–Sims completes the chain from there up (Holt, Eick &
-    O'Brien 2005, §4.4.2), each round sifting the pending Schreier rows of that level and
-    those below it as one stream (`_schreier_stream`).  The orbit lengths multiply to at most
-    the order as they grow, and then to it: `limit` and `order` are checked before any
-    element is built."""
+                  order: int | None = None) -> Chain:
+    """The stabilizer chain of the group of the rows `gen_rows`, which builds no element: its
+    levels, the kept generators' indices, its base ([0] if trivial), |G|/|U_0| (the rows of a run
+    of one image of z) and |G|, the product of the orbit lengths.  It starts at z, the least
+    point a row moves: the group fixes every point below z, so `lex_order` keeps the runs.  A row
+    outside the group of the kept ones before it is kept (Dimino's rule), sifted in chunks
+    doubling from the last kept one.  Its residue h joins the levels up to the one it reached
+    (past the base: a new one at the least point h moves); deterministic Schreier–Sims completes
+    the chain from there up (Holt, Eick & O'Brien 2005, §4.4.2), each round sifting the pending
+    Schreier rows of that level and those below it as one stream (`_schreier_stream`).  The orbit
+    lengths' product, at most |G|, is checked on `limit` as it grows, on `order` at the end."""
     moved = np.flatnonzero(np.any(gen_rows != np.arange(gen_rows.shape[1]), axis=0))
     chain, kept, start, step = [_Level(int(z), gen_rows.shape[1]) for z in moved[:1]], [], 0, 1
     while start < len(gen_rows):
@@ -476,13 +474,13 @@ def schreier_sims(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
     if order is not None and size != order:
         raise GeneratorDeficiency(f"closed to order {size}, expected {order}")
     base, run = ([level.point for level in chain], size // len(chain[0].U)) if chain else ([0], 1)
-    return Closure(_enumerate(chain, gen_rows.shape[1], size), kept, base, run)
+    return Chain(chain, kept, base, run, size)
 
 
 class FiniteGroup:
     """Fully enumerated permutation group with canonical element ids, looked
     up by their images of `base`, on which no two elements agree.  `elements`
-    is closed under composition (`schreier_sims` builds them), so a product of
+    is closed under composition (`close_group` enumerates them), so a product of
     members is a member and its base images name it.  `gen_ids` are the ids of
     the rows `gen_rows` it is generated by; each must be a member."""
 
@@ -623,13 +621,15 @@ class FiniteGroup:
 
 def close_group(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
                 name: str | None = None, order: int | None = None) -> FiniteGroup:
-    """The group of the (k, degree) permutation rows `gen_rows`, k >= 0, of `order`
-    if given (`schreier_sims`), in the canonical order (`sort_rows`), with the kept
-    generators and the chain's base.  The rows are trusted to be permutations:
+    """The group of the (k, degree) permutation rows `gen_rows`, k >= 0, of `order` if
+    given: its chain (`schreier_sims`) enumerated, in the canonical order (`sort_rows`),
+    with the kept generators and the chain's base.  The rows are trusted to be permutations:
     input from outside the program is checked before (`group_from_spec`)."""
     _check_degree(degree := np.shape(gen_rows)[1])  # before the rows are cast to their type
     rows = np.asarray(gen_rows, dtype=point_dtype(degree))
-    elements, kept, base, run = schreier_sims(rows, limit, order)
+    chain = schreier_sims(rows, limit, order)
+    elements, base, run, kept = _enumerate(chain, degree), chain.base, chain.run, chain.kept
+    del chain  # its levels are not held through the sort and the index build
     return FiniteGroup(sort_rows(elements, base, run), base, rows[kept], name=name)
 
 

@@ -10,7 +10,7 @@ them."""
 
 import numpy as np
 
-from autorbit.permcore import GroupError, validate_automorphism
+from autorbit.permcore import GroupError, conjugacy_classes, validate_automorphism
 from closure_oracle import dimino
 
 
@@ -23,6 +23,15 @@ def closure(G, seed_ids):
     seeds = [int(s) for s in seed_ids]
     closed = dimino(G.elements[seeds])
     return np.sort(G.ids_of(closed.elements)), [seeds[k] for k in closed.kept]
+
+
+def is_simple(G):
+    """The verdict on a searched G that `cli._check_simple` gave before it read chain
+    orders: G is nonabelian and each nonidentity class closes to all of G on ids
+    (`FiniteGroup.subgroup_closure`, a `sweep` per kept seed)."""
+    table = conjugacy_classes(G)
+    return len(table.least) < G.order and all(
+        G.subgroup_closure(cls).size == G.order for cls in table.classes[1:])
 
 
 def conjugation_ids(G, c, ids=None):

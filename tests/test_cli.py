@@ -16,6 +16,7 @@ from autorbit.permcore import DEFAULT_CLOSURE_LIMIT, MAX_DEGREE, FiniteGroup
 from autorbit.reports import ReportItem, VerificationReport, encode_value
 import wreath_oracle as wo
 from class_orbits_oracle import closed_with_ids
+from subgroup_oracle import is_simple
 
 
 def run_cli(capsys, *argv):
@@ -416,12 +417,44 @@ def _passes_check_simple(G) -> bool:
                                   "sym5", "pgl(2,5)", "alt4", "psl(2,3)", "cyclic5", "pgl(2,4)"])
 def test_simple_by_name_agrees_with_the_closure_check(name):
     # a covered name is judged off its construction (|S| ids in Aut(S)), the
-    # others by the closure check; the construction's verdict is that check's
+    # others by the chain check; the construction's verdict is that check's,
+    # which is the closure oracle's (below)
     chosen = cli.construct_or_group(f"name:{name}", DEFAULT_CLOSURE_LIMIT)
     covered = isinstance(chosen, catalog.AlmostSimple)
     assert covered == (name not in ("alt4", "psl(2,3)", "cyclic5"))
     simple = name not in ("sym5", "pgl(2,5)", "alt4", "psl(2,3)", "cyclic5")
     assert _passes_check_simple(chosen) == _passes_check_simple(catalog.resolve(name)) == simple
+
+
+SEARCHED_VERDICTS = ["alt5", "alt7", "psl(2,4)", "psl(2,7)", "psl(3,2)", "psl34", "sym5",
+                     "pgl(2,5)", "alt4", "psl(2,3)", "cyclic5", "pgl(2,4)", "psu(2,7)",
+                     "pgu(3,2)", "extraspecial(3)"]
+
+
+@pytest.mark.parametrize("name", SEARCHED_VERDICTS + [
+    pytest.param(name, marks=pytest.mark.slow)
+    for name in ("alt8", "psl(3,4)", "psu(3,3)", "pgu(3,4)")])
+def test_the_chain_verdict_is_the_closure_verdict(monkeypatch, name):
+    # a searched G is simple iff the chain of each nonidentity class's rows has
+    # order |G|: the verdict of closing each class on ids, which it no longer runs
+    G = catalog.resolve(name)
+    expected = is_simple(G)
+    for method in ("closure", "subgroup_closure"):
+        monkeypatch.setattr(FiniteGroup, method, lambda *a: pytest.fail("closure"))
+    assert _passes_check_simple(G) == expected
+
+
+def test_a_searched_simple_group_past_the_guard_is_judged_by_chains(tmp_path, capsys, monkeypatch):
+    # PGU_3(4) = PSU_3(4), 62,400 elements, from a file: simple by the chain
+    # orders of its classes, with no subgroup closed, then refused by the search
+    G = catalog.resolve("pgu(3,4)")
+    path = tmp_path / "pgu34.json"
+    path.write_text(json.dumps({"name": "pgu34", "degree": G.degree,
+                                "generators": G.elements[G.gen_ids].tolist()}))
+    for method in ("closure", "subgroup_closure"):
+        monkeypatch.setattr(FiniteGroup, method, lambda *a: pytest.fail("closure"))
+    code, out, err = run_cli(capsys, "h", "--simple", f"file:{path}")
+    assert (code, out) == (3, "") and "|G| = 62400 exceeds the 2000 carrier guard" in err
 
 
 def test_h_past_the_search_guard(capsys):
@@ -488,16 +521,12 @@ def test_construct_hp_on_the_searched_aut_s(tmp_path, capsys, monkeypatch, p_arg
 
 
 def closed_orders(monkeypatch) -> list[int]:
-    """The order of each group closed from then on, in closing order: the
-    closures by `schreier_sims`, which every `close_group` runs, the Aut search's too."""
-    orders, real = [], permcore.schreier_sims
-
-    def counting(*args, **kwargs):
-        closed = real(*args, **kwargs)
-        orders.append(len(closed.elements))
-        return closed
-
-    monkeypatch.setattr(permcore, "schreier_sims", counting)
+    """The order of each group enumerated from then on, in closing order: the
+    chains `_enumerate` lists, which every `close_group` runs, the Aut search's
+    too; a `schreier_sims` chain asked only its order is not counted."""
+    orders, real = [], permcore._enumerate
+    monkeypatch.setattr(permcore, "_enumerate",
+                        lambda chain, *a: orders.append(chain.order) or real(chain, *a))
     return orders
 
 

@@ -17,8 +17,8 @@ import pytest
 from autorbit import catalog, cli, stypes, wreath
 from autorbit.autgrp import automorphism_group
 from autorbit.permcore import (ClosureLimitExceeded, ConjClassTable, FiniteGroup, ResourceLimit,
-                               close_group, conjugacy_classes, lex_order, orbits, parse_cycles,
-                               schreier_sims, sort_rows)
+                               _enumerate, close_group, conjugacy_classes, lex_order, orbits,
+                               parse_cycles, schreier_sims, sort_rows)
 from test_catalog import _covered
 from test_permcore_oracle import CATALOG
 import wreath_oracle
@@ -173,11 +173,12 @@ def test_sort_rows_is_the_lex_order_gather(kind, d, q):
     # the chain's elements as enumerated, and shuffled within each run: the lex
     # order maps each run onto itself either way
     G = catalog.projective_group(kind, d, q)
-    closed = schreier_sims(G.elements[G.gen_ids], order=G.order)
-    within = np.random.default_rng(q).permuted(np.arange(G.order).reshape(-1, closed.run), axis=1)
-    for rows in (closed.elements, closed.elements[within.ravel()]):
-        expected = rows[lex_order(rows, closed.base)]
-        assert (sort_rows(rows, closed.base, closed.run).tobytes() == expected.tobytes()
+    chain = schreier_sims(G.elements[G.gen_ids], order=G.order)
+    elements = _enumerate(chain, G.degree)
+    within = np.random.default_rng(q).permuted(np.arange(G.order).reshape(-1, chain.run), axis=1)
+    for rows in (elements, elements[within.ravel()]):
+        expected = rows[lex_order(rows, chain.base)]
+        assert (sort_rows(rows, chain.base, chain.run).tobytes() == expected.tobytes()
                 == G.elements.tobytes())
 
 

@@ -12,9 +12,10 @@ The row index behind lookup, `_RowIndex`, is checked on its own against a
 Python dict of row bytes, also under folds that make distinct base images
 collide, as the uint64 fold does once it wraps; `lex_order`, a packed sort
 per chunk of columns, against the `np.lexsort` it replaced.
-The stabilizer chain closure (`schreier_sims`) is checked against Dimino's
-closure it replaced (`closure_oracle.dimino`): the same elements, the same
-kept generators and the same order.
+The stabilizer chain (`schreier_sims`), which builds no element, is checked
+as `_enumerate` lists it against Dimino's closure it replaced
+(`closure_oracle.dimino`): the same elements, the same kept generators and
+the same order.
 Subgroup closures, a `sweep` on ids inside the finished group, are checked
 against the route they replaced: a Dimino closure of the seeds' rows,
 looked up by `ids_of` (`subgroup_oracle.closure`), which keeps the same
@@ -343,23 +344,34 @@ def test_random_groups_match_oracle(generators):
 
 
 def recorded_closures(build):
-    """The (generator rows, order) of each `schreier_sims` closure build() runs."""
-    calls, real = [], permcore.schreier_sims
+    """The (generator rows, order) of each group build() enumerates: the
+    `schreier_sims` chains passed to `_enumerate`, not those asked only an order."""
+    calls, enumerated = [], []
+    real_chain, real_enumerate = permcore.schreier_sims, permcore._enumerate
 
     def recording(rows, limit, order):
-        calls.append((rows, order))
-        return real(rows, limit, order)
+        calls.append((rows, order, chain := real_chain(rows, limit, order)))
+        return chain
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(permcore, "schreier_sims", recording)
+        patch.setattr(permcore, "_enumerate",
+                      lambda chain, *a: enumerated.append(chain) or real_enumerate(chain, *a))
         build()
-    return calls
+    return [(rows, order) for rows, order, chain in calls
+            if any(chain is other for other in enumerated)]
+
+
+def chain_elements(rows, order):
+    """The `schreier_sims` chain of `rows` and its elements as `_enumerate` lists them."""
+    chain = schreier_sims(rows, order=order)
+    return chain, permcore._enumerate(chain, rows.shape[1])
 
 
 def assert_chain_matches_dimino(rows, order):
     """The same elements, sorted, the same kept generators and the same order."""
-    chain, oracle = schreier_sims(rows, order=order), dimino(rows, order=order)
-    assert len(chain.elements) == len(oracle.elements) and chain.kept == oracle.kept
-    assert (sort_rows(chain.elements, chain.base, chain.run).tobytes()
+    (chain, elements), oracle = chain_elements(rows, order), dimino(rows, order=order)
+    assert chain.order == len(elements) == len(oracle.elements) and chain.kept == oracle.kept
+    assert (sort_rows(elements, chain.base, chain.run).tobytes()
             == oracle.elements[lex_order(oracle.elements, oracle.base)].tobytes())
 
 
@@ -418,16 +430,6 @@ def test_random_closures_match_dimino(generators):
     assert_chain_matches_dimino(rows, None)
 
 
-def closed_chain(rows, order):
-    """The `schreier_sims` closure of `rows` and the chain its elements were read off."""
-    chains, real = [], permcore._enumerate
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(permcore, "_enumerate",
-                      lambda chain, *a: chains.append(chain) or real(chain, *a))
-        closed = schreier_sims(rows, order=order)
-    return closed, chains[0]
-
-
 @pytest.mark.parametrize("name", CATALOG + ["pgl(3,4)", "autpsl34"])
 def test_the_chain_enumerates_runs_that_lex_order_keeps(name):
     # level 0 sits at z, the least point a generator moves, so G fixes every
@@ -436,17 +438,17 @@ def test_the_chain_enumerates_runs_that_lex_order_keeps(name):
     # and the lex order maps each run onto itself
     G = catalog.resolve(name)
     rows = G.elements[G.gen_ids]
-    closed, chain = closed_chain(rows, G.order)
+    chain, elements = chain_elements(rows, G.order)
     moved = np.flatnonzero(np.any(rows != np.arange(G.degree), axis=0))
     if not moved.size:  # the trivial group: no level, one run
-        assert chain == [] and (closed.base, closed.run) == ([0], 1)
+        assert chain.levels == [] and (chain.base, chain.run) == ([0], 1)
         return
-    z = int(moved[0])
-    assert closed.base[0] == chain[0].point == z and closed.run * len(chain[0].U) == G.order
+    z, level = int(moved[0]), chain.levels[0]
+    assert chain.base[0] == level.point == z and chain.run * len(level.U) == G.order
     assert np.array_equal(G.elements[:, :z], np.broadcast_to(np.arange(z), (G.order, z)))
-    images = closed.elements[:, z].reshape(-1, closed.run)
+    images = elements[:, z].reshape(-1, chain.run)
     assert np.all(images == images[:, :1]) and np.all(np.diff(images[:, 0].astype(int)) > 0)
-    runs = lex_order(closed.elements, closed.base).reshape(-1, closed.run) // closed.run
+    runs = lex_order(elements, chain.base).reshape(-1, chain.run) // chain.run
     assert np.array_equal(runs, np.broadcast_to(np.arange(len(runs))[:, None], runs.shape))
 
 
@@ -454,9 +456,19 @@ def test_the_chain_enumerates_runs_that_lex_order_keeps(name):
 def test_a_level_inverts_the_rows_it_adds(name):
     # each level's inverse rows are scattered from its rows: u^-1 = argsort(u)
     G = catalog.resolve(name)
-    for level in closed_chain(G.elements[G.gen_ids], G.order)[1]:
+    for level in schreier_sims(G.elements[G.gen_ids], order=G.order).levels:
         assert len(level.inv) == len(level.U) == np.count_nonzero(level.pos >= 0)
         assert np.array_equal(level.inv, np.argsort(level.U, axis=1))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_the_chain_gives_the_order_and_builds_no_element(monkeypatch, name):
+    # `schreier_sims` reads |G| off its orbit lengths; only `close_group` enumerates
+    G = catalog.resolve(name)
+    rows = G.elements[G.gen_ids]
+    closed = close_group(rows)
+    monkeypatch.setattr(permcore, "_enumerate", lambda *a: pytest.fail("enumerated"))
+    assert schreier_sims(rows).order == closed.order == G.order
 
 
 def test_int64_rows_key_as_point_rows():
@@ -499,9 +511,9 @@ def assert_byte_order(rows, base):
 @pytest.mark.parametrize("name", CATALOG)
 def test_close_group_sorts_as_the_byte_keys(name):
     G = catalog.resolve(name)
-    closed = schreier_sims(G.elements[G.gen_ids])
-    assert_byte_order(closed.elements, closed.base)
-    in_byte_order = closed.elements[np.argsort(encode_rows(closed.elements))]
+    chain, elements = chain_elements(G.elements[G.gen_ids], None)
+    assert_byte_order(elements, chain.base)
+    in_byte_order = elements[np.argsort(encode_rows(elements))]
     assert G.elements.tobytes() == in_byte_order.tobytes()
 
 
