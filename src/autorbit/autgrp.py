@@ -1,15 +1,15 @@
 """Automorphism groups of small groups by backtracking over generator images
 modulo Inn(G) on the Cayley table, with fingerprint pruning; their orbit reports.
 
-Automorphisms are permutations of element ids (degree = |G|), and Aut(G) is
-a plain FiniteGroup acting on those ids, so orbit, conjugacy-class and
-quotient machinery applies to it unchanged.  Subgroups of G close by `closure`
-on G's Cayley table, Aut(G) by `close_group`; Inn(G) is generated by the id maps
-`conjugation_ids` of G's generators, and Aut(G)'s generators are its `gen_ids`.
+Automorphisms are permutations of element ids (degree = |G|).  Aut(G) comes as
+a built Aut(S) does (`catalog.AlmostSimple`): its generator rows and its order,
+with no element enumerated; `close_group` closes it where its elements are read.
+Subgroups of G close by `closure` on G's Cayley table, Inn(G) from `inner_rows`.
 A built almost simple G's orbits come from `stypes.fuse`, with no search."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .permcore import (FiniteGroup, GroupError, ResourceLimit, TooLarge, _row_blocks,
-                       close_group, conjugacy_classes, orbits, sweep, validate_automorphism)
+                       conjugacy_classes, orbits, point_dtype, schreier_sims, sweep,
+                       validate_automorphism)
 from .reports import encode_value
 
 MAX_AUT_CARRIER = 2000
@@ -132,12 +133,14 @@ def _extend_and_filter(G: FiniteGroup, survivors: np.ndarray, cand: np.ndarray,
     return np.concatenate(kept, axis=0)
 
 
-def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> FiniteGroup:
-    """Aut(G) as a group of permutations of G's element ids, found modulo
-    Inn(G) (Cannon & Holt 2003): candidate images of each generator extend the
-    surviving partial homomorphisms one generator at a time, the first
-    generator's only up to conjugacy, and Aut(G) is closed from Inn(G) and the
-    survivors at the order they add up to.  `budget` bounds the number of maps built."""
+Aut = namedtuple("Aut", "rows order")  # on G's ids: the kept generator rows (point type), |Aut|
+
+
+def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Aut:
+    """Aut(G) on G's element ids, found modulo Inn(G) (Cannon & Holt 2003): candidate images
+    of each generator extend the surviving partial homomorphisms one generator at a time, the
+    first generator's only up to conjugacy.  Its generators are the rows the chain of Inn(G)'s
+    and the survivors' rows keeps, at the order they add up to.  `budget` bounds the maps built."""
     if G.order > MAX_AUT_CARRIER:
         raise TooLarge(f"|G| = {G.order} exceeds the {MAX_AUT_CARRIER} carrier guard")
     n, table = G.order, conjugacy_classes(G)
@@ -158,35 +161,37 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Fin
     # inner automorphism, are the automorphisms sending g0 into r's class:
     # |class of r| of them for each such survivor
     order = int(np.bincount(table.class_of)[table.class_of[survivors[:, gen_ids[0]]]].sum())
-    inner = np.array([G.conjugation_ids(c) for c in G.gen_ids], dtype=np.int64)
-    rows = np.concatenate([inner.reshape(-1, n), survivors])
-    A = close_group(rows, order=order)
-    _validate_aut_group(G, A)
+    rows = np.concatenate([inner := inner_rows(G), survivors.astype(inner.dtype)])
+    A = Aut(rows[schreier_sims(rows, order=order).kept], order)
+    _validate_aut_group(G, A, inner)
     return A
 
 
-def _validate_aut_group(G: FiniteGroup, A: FiniteGroup):
-    """A's generators preserve G's multiplication (checked on permutations, not
-    on the Cayley table), and A holds all |G|/|Z(G)| inner automorphisms."""
-    if not all(validate_automorphism(G, phi) for phi in A.elements[A.gen_ids]):
+def _validate_aut_group(G: FiniteGroup, A: Aut, inner: np.ndarray):
+    """A's generators preserve G's multiplication (checked on permutations, not on the
+    Cayley table), and Inn(G), the group of the rows `inner`, has |G|/|Z(G)| elements."""
+    if not all(validate_automorphism(G, phi) for phi in A.rows):
         raise GroupError("a generator of the Aut search result is not an automorphism")
     n_inner = G.order // G.center_ids().size
-    if A.order % n_inner != 0 or inner_automorphism_ids(G, A).size != n_inner:
+    if A.order % n_inner != 0 or schreier_sims(inner).order != n_inner:
         raise GroupError("|Inn| is not |G|/|Z(G)| or does not divide |Aut|")
 
 
+def inner_rows(G: FiniteGroup) -> np.ndarray:
+    """Inn(G)'s generator rows, conjugation by G's generators on its ids, in point type."""
+    return np.array([G.conjugation_ids(c) for c in G.gen_ids],
+                    dtype=point_dtype(G.order)).reshape(-1, G.order)
+
+
 def inner_automorphism_ids(G: FiniteGroup, A: FiniteGroup) -> np.ndarray:
-    """Ids, inside A (automorphisms of G on its element ids), of the inner
-    automorphisms of G, the subgroup that conjugation by G's generators
-    generates; for a centerless G this is the canonical embedded copy of it."""
-    inner = np.array([G.conjugation_ids(c) for c in G.gen_ids], dtype=np.int64)
-    return A.subgroup_closure(A.ids_of(inner.reshape(-1, G.order)))
+    """Ids, inside the closed A (automorphisms of G on its ids), of Inn(G), the group of
+    `inner_rows`; for a centerless G this is the canonical embedded copy of it."""
+    return A.subgroup_closure(A.ids_of(inner_rows(G)))
 
 
-def maol(G: FiniteGroup, A: FiniteGroup) -> OrbitReport:
-    """Orbit report of Aut(G), given on G's element ids, acting on G."""
-    if A.degree != G.order:
+def maol(G: FiniteGroup, A: Aut) -> OrbitReport:
+    """Orbit report of Aut(G), given by its generator rows on G's element ids, acting on G."""
+    if A.rows.shape[1] != G.order:
         raise ActionMismatch("automorphism degree does not match carrier order")
-    sizes = sorted(np.bincount(orbits(A.elements[A.gen_ids], G.order)[1]).tolist(), reverse=True)
+    sizes = sorted(np.bincount(orbits(A.rows, G.order)[1]).tolist(), reverse=True)
     return OrbitReport(G.name or "group", sizes)
-

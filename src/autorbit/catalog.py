@@ -339,9 +339,9 @@ def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
 
 
 class AlmostSimple(NamedTuple):
-    """S <= G <= Aut(S), S simple, and Aut(S)'s rows and order, not closed.  G
-    acts on the rows' first points: all but the lines of PG(2,q), which `lift`
-    adds.  `lift(rows, cols)` gives only the lifted columns `cols` (all by default)."""
+    """S <= G <= Aut(S), S simple, and Aut(S)'s rows and order, not closed: built here, or
+    searched with G = Inn(S) on S's ids.  G acts on the rows' first points: all but the lines
+    of PG(2,q), which `lift` adds.  `lift(rows, cols)` gives the lifted columns `cols` (all)."""
     group: FiniteGroup
     aut_rows: np.ndarray
     aut_order: int
@@ -349,8 +349,8 @@ class AlmostSimple(NamedTuple):
     lift: Callable[..., np.ndarray] = _points
 
     def closed(self) -> FiniteGroup:
-        """Aut(S) closed under the default limit, for `construct hp`, the one
-        command that sweeps Aut(S)'s elements."""
+        """Aut(S), built or searched, closed under the default limit, for `construct hp`,
+        the one command that sweeps Aut(S)'s elements."""
         return close_group(self.aut_rows, order=self.aut_order)
 
 

@@ -18,12 +18,11 @@ from . import catalog
 from . import multinomial as mn
 from . import stypes
 from . import wreath
-from .autgrp import (DEFAULT_NODE_BUDGET, OrbitReport, automorphism_group, inner_automorphism_ids,
-                     maol)
+from .autgrp import DEFAULT_NODE_BUDGET, OrbitReport, automorphism_group, inner_rows, maol
 from .fields import _is_prime
 from .permcore import (DEFAULT_CLOSURE_LIMIT, BadParameter, FiniteGroup, ResourceLimit, TooLarge,
-                       _check_degree, conjugacy_classes, load_group_file, mcs, schreier_sims,
-                       size_text)
+                       _check_degree, close_group, conjugacy_classes, load_group_file, mcs,
+                       schreier_sims, size_text)
 from .reports import (FAIL, PASS, ReportItem, SuiteRunner,
                       VerificationReport, encode_value, print_report, write_text)
 
@@ -127,8 +126,8 @@ def cmd_aut(args) -> int:
         "group": G.name,
         "order": G.order,
         "autOrder": A.order,
-        "generators": A.elements[A.gen_ids].tolist(),
-        "automorphisms": [row.tolist() for row in A.elements],
+        "generators": A.rows.tolist(),
+        "automorphisms": [row.tolist() for row in close_group(A.rows, order=A.order).elements],
     }
     write_text(args.out, json.dumps(payload))
     print(json.dumps({"written": args.out, "autOrder": A.order}))
@@ -148,23 +147,22 @@ def _check_simple(G: catalog.AlmostSimple | FiniteGroup):
         raise BadParameter(f"{G.name} is not a nonabelian simple group")
 
 
-def _simple_group(args) -> catalog.AlmostSimple | FiniteGroup:
-    """`construct_or_group` for --simple, a `file:` or a name (a bare one too),
-    after the usage check that S is simple."""
+def _simple_group(args) -> catalog.AlmostSimple:
+    """S for --simple, a `file:` or a name (a bare one too), after the usage check that S is
+    simple: built (`construct_or_group`), or as Inn(S) on its ids with the searched Aut(S)."""
     simple = args.simple
     spec = simple if simple.startswith("file:") else "name:" + simple.removeprefix("name:")
     G = construct_or_group(spec, args.max_order)
     _check_simple(G)
+    if isinstance(G, FiniteGroup):
+        A = automorphism_group(G, budget=args.max_nodes)
+        G = catalog.AlmostSimple(close_group(inner_rows(G), order=G.order), A.rows, A.order,
+                                 G.order)
     return G
 
 
 def cmd_h(args) -> int:
     S = _simple_group(args)
-    if isinstance(S, FiniteGroup):  # Inn(S) on the searched Aut(S)'s rows, which it keeps
-        A = automorphism_group(S, budget=args.max_nodes)
-        inner = inner_automorphism_ids(S, A)
-        inn = FiniteGroup(A.elements[inner], A.base, [S.conjugation_ids(c) for c in S.gen_ids])
-        S = catalog.AlmostSimple(inn, A.elements[A.gen_ids], A.order, inn.order)
     table = stypes.coset_classes(S, numbered=True)
     payload = {
         "order": S.group.order,
@@ -183,11 +181,10 @@ def cmd_construct_hp(args) -> int:
     if not _is_prime(args.p):
         raise BadParameter(f"--p must be a prime, got {args.p}")
     S = _simple_group(args)
-    A = automorphism_group(S, budget=args.max_nodes) if isinstance(S, FiniteGroup) else None
-    sigma_space = (S.aut_order if A is None else A.order) ** args.p * args.p  # before a closure
+    sigma_space = S.aut_order ** args.p * args.p  # before Aut(S) is closed
     if sigma_space > SLOW_HP_SPACE and not args.slow:
         raise TooLarge(f"H_{args.p} sweep space is {size_text(sigma_space)}; rerun with --slow")
-    hp = wreath.build_hp(S.closed() if A is None else A, args.p)
+    hp = wreath.build_hp(S.closed(), args.p)
     print(json.dumps(hp.to_json()))
     return 0
 

@@ -203,9 +203,11 @@ def lex_order(rows: np.ndarray, base: Sequence[int]) -> np.ndarray:
     order = None
     for hi in range(stop, 0, -width):
         keys = _horner(rows[:, max(hi - width, 0):hi], radix)
-        at = _sort_packed(keys if order is None else keys[order], p)
+        keys = keys if order is None else keys[order]  # the unordered keys go before the sort
+        at = _sort_packed(keys, p).view(np.int64)
+        del keys
         at &= (1 << p) - 1
-        order = at.view(np.int64) if order is None else order[at.view(np.int64)]
+        order = at if order is None else np.take(order, at, out=at, mode="clip")  # in place
     return order
 
 
@@ -495,7 +497,6 @@ class FiniteGroup:
         self._classes: ConjClassTable | None = None
         self._cayley: np.ndarray | None = None
         self._orders: np.ndarray | None = None
-        self._center: np.ndarray | None = None
         if self.id_of(np.arange(self.degree)) != 0:
             raise GroupError("identity is not element id 0; enumeration broken")
         self.gen_ids = self.ids_of(np.reshape(gen_rows, (-1, self.degree)))  # refuses a non-member
@@ -577,12 +578,9 @@ class FiniteGroup:
     # -- structure -----------------------------------------------------
 
     def center_ids(self) -> np.ndarray:
-        if self._center is None:
-            mask = np.ones(self.order, dtype=bool)
-            for gi in self.elements[self.gen_ids]:
-                mask &= np.all(self.elements[:, gi] == gi[self.elements], axis=1)
-            self._center = np.flatnonzero(mask)
-        return self._center
+        """The members of the classes of one element."""
+        class_of = conjugacy_classes(self).class_of
+        return np.flatnonzero(np.bincount(class_of)[class_of] == 1)
 
     def right_multiplication(self, gen_ids: Sequence[int]):
         """`sweep` step: the ids of frontier * g, one row per g in `gen_ids`;

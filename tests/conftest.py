@@ -1,8 +1,9 @@
 import pytest
 
 from autorbit import catalog
-from autorbit.autgrp import automorphism_group, inner_automorphism_ids
+from autorbit.autgrp import inner_automorphism_ids
 from autorbit.stypes import class_type_table
+from aut_closed import closed_aut
 
 
 def pytest_addoption(parser):
@@ -26,7 +27,7 @@ def alt5():
 
 @pytest.fixture(scope="session")
 def alt5_aut(alt5):
-    return automorphism_group(alt5)
+    return closed_aut(alt5)
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +42,7 @@ def alt6():
 
 @pytest.fixture(scope="session")
 def alt6_aut(alt6):
-    return automorphism_group(alt6)
+    return closed_aut(alt6)
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +52,7 @@ def psl28():
 
 @pytest.fixture(scope="session")
 def psl28_aut(psl28):
-    return automorphism_group(psl28)
+    return closed_aut(psl28)
 
 
 @pytest.fixture(scope="session")

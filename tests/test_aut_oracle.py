@@ -26,7 +26,7 @@ from math import factorial, lcm
 import numpy as np
 import pytest
 
-from autorbit import catalog
+from autorbit import autgrp, catalog
 from autorbit.autgrp import (DEFAULT_NODE_BUDGET, _fingerprint_labels, automorphism_group,
                              inner_automorphism_ids, maol)
 from autorbit.catalog import projective_order
@@ -37,6 +37,7 @@ from autorbit.stypes import class_type_table, h_value
 from class_orbits_oracle import class_orbits, closed_with_ids
 from closure_oracle import dimino
 from stypes_oracle import h_value_direct
+from aut_closed import closed_aut
 
 
 def encode_rows(mat):
@@ -197,7 +198,7 @@ def direct_product(G, H):
 
 
 def assert_same_aut(G, aut_order):
-    A = automorphism_group(G)
+    A = closed_aut(G)
     B = oracle_automorphism_group(G)
     assert A.order == B.order == aut_order
     assert A.elements.tobytes() == B.elements.tobytes()
@@ -238,6 +239,25 @@ def test_matches_oracle_not_two_generated(p, k, aut_order):
     assert_same_aut(elementary_abelian(p, k), aut_order)
 
 
+@pytest.mark.parametrize("name, aut_order", CATALOG)
+def test_the_kept_rows_close_as_all_the_chained_rows(monkeypatch, name, aut_order):
+    # the search chains Inn(G)'s rows and the survivors' at |Aut(G)| and returns
+    # the rows the chain keeps; closed at that order they give the elements and
+    # the generator rows of the closure of all the chained rows, the Aut(G) the
+    # search closed and `aut --out` wrote before it returned rows alone
+    chained, chain = [], autgrp.schreier_sims
+    monkeypatch.setattr(autgrp, "schreier_sims", lambda rows, *a, **k: chained.append(
+        (rows, k.get("order"))) or chain(rows, *a, **k))
+    A = automorphism_group(catalog.resolve(name))
+    (rows, order), = [(rows, order) for rows, order in chained if order is not None]
+    whole, kept = close_group(rows, order=order), close_group(A.rows, order=A.order)
+    assert A.order == order == aut_order
+    assert A.rows.dtype == rows.dtype == point_dtype(rows.shape[1])
+    assert kept.elements.tobytes() == whole.elements.tobytes()
+    assert np.array_equal(A.rows, whole.elements[whole.gen_ids])
+    assert np.array_equal(kept.elements[kept.gen_ids], whole.elements[whole.gen_ids])
+
+
 def test_power_profiles_refine_order_and_class_size():
     # on the catalog groups above, order and class size alone separate the
     # fingerprints; in Sym4 x C4 two classes agree in both and differ only in
@@ -276,21 +296,21 @@ def test_inner_automorphisms_close_from_the_generators(name):
 
 def test_inner_automorphisms_of_an_abelian_group_are_trivial():
     G = elementary_abelian(2, 3)  # C2^3: every generator's conjugation row is the identity
-    assert_inner_automorphisms_match_oracle(G, automorphism_group(G))
+    assert_inner_automorphisms_match_oracle(G, closed_aut(G))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", [name for name, _ in SLOW_CATALOG])
 def test_inner_automorphisms_close_from_the_generators_slow(name):
     G = catalog.resolve(name)
-    assert_inner_automorphisms_match_oracle(G, automorphism_group(G))
+    assert_inner_automorphisms_match_oracle(G, closed_aut(G))
 
 
 @pytest.mark.parametrize("name", NONSOLVABLE_LIST + ["extraspecial(3)", "cyclic1"])
 def test_aut_rows_are_sorted_as_the_byte_keys(name):
     # the searched rows of Aut(G) are distinct and in the order of their
     # full-row byte strings
-    keys = encode_rows(automorphism_group(catalog.resolve(name)).elements)
+    keys = encode_rows(closed_aut(catalog.resolve(name)).elements)
     assert (keys[1:] > keys[:-1]).all()
 
 
@@ -335,9 +355,9 @@ COVERED_ALMOST_SIMPLE = sorted(set(
 
 @lru_cache(maxsize=None)
 def searched(name):
-    """(G, Aut(G) from the search), once per name."""
+    """(G, Aut(G) from the search, closed), once per name."""
     G = catalog.resolve(name)
-    return G, automorphism_group(G)
+    return G, closed_aut(G)
 
 
 def rho_multiset(A, ids):
@@ -359,10 +379,11 @@ def test_construction_matches_search_on_simple_groups(name):
 def test_aut_classes_in_g_are_the_aut_g_orbits(name):
     # S <= G <= Aut(S): G's classes fused by Aut(S)'s generators, the
     # Aut(S)-classes inside the closed Aut(S) and the searched Aut(G)-orbits agree
-    G, B = searched(name)
+    G = catalog.resolve(name)
     built = catalog.almost_simple(name)
     fused = maol_report(f"name:{name}", DEFAULT_CLOSURE_LIMIT, DEFAULT_NODE_BUDGET)[0].orbit_sizes
-    assert fused == class_orbits(*closed_with_ids(built)) == maol(G, B).orbit_sizes
+    searched_sizes = maol(G, automorphism_group(G)).orbit_sizes
+    assert fused == class_orbits(*closed_with_ids(built)) == searched_sizes
 
 
 @pytest.mark.parametrize("name", COVERED_ALMOST_SIMPLE + [

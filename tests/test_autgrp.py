@@ -7,6 +7,7 @@ from autorbit import autgrp, catalog, permcore as pc, stypes
 from autorbit.autgrp import (ActionMismatch, BudgetExceeded, TooLarge, automorphism_group,
                              inner_automorphism_ids, maol)
 import class_orbits_oracle
+from aut_closed import closed_aut
 from class_orbits_oracle import class_orbits, closed_with_ids
 from test_closure_memory import SMALL_CATALOG
 
@@ -32,7 +33,7 @@ def test_aut_cyclic5():
 
 def test_aut_sym3_all_inner():
     s3 = catalog.sym(3)
-    A = automorphism_group(s3)
+    A = closed_aut(s3)
     assert A.order == 6
     assert inner_automorphism_ids(s3, A).size == 6
 
@@ -49,7 +50,7 @@ def test_automorphisms_preserve_table_exhaustive(alt5, alt5_aut):
              (catalog.cyclic(12), None), (alt5, alt5_aut)]
     for G, A in small:
         if A is None:
-            A = automorphism_group(G)
+            A = closed_aut(G)
         T = G.cayley()
         for phi in A.elements:
             phi = phi.astype(np.int64)
@@ -76,7 +77,7 @@ def test_orbit_of_central_element():
     A = automorphism_group(c8)
     orders = c8.element_orders()
     involution = int(np.flatnonzero(orders == 2)[0])
-    assert orbit_of(involution, A.elements[A.gen_ids], c8.order) == {involution}
+    assert orbit_of(involution, A.rows, c8.order) == {involution}
 
 
 def test_aut_divisible_by_inner(alt6, alt6_aut):
@@ -88,14 +89,13 @@ def test_aut_divisible_by_inner(alt6, alt6_aut):
 def test_inner_count_is_order_over_center():
     for G in (catalog.sym(3), catalog.extraspecial_p3_exponent_p(3),
               catalog.cyclic(6), catalog.alt(4)):
-        A = automorphism_group(G)
+        A = closed_aut(G)
         assert inner_automorphism_ids(G, A).size == G.order // G.center_ids().size
 
 
 def test_orbit_of():
     s5 = catalog.sym(5)
-    A = automorphism_group(s5)
-    gens = A.elements[A.gen_ids]
+    gens = automorphism_group(s5).rows
     assert orbit_of(0, gens, s5.order) == {0}
     four_cycle = s5.id_of(pc.parse_cycles("(1 2 3 4)", 5))
     assert len(orbit_of(four_cycle, gens, s5.order)) == 30
@@ -107,12 +107,12 @@ def test_orbit_sizes_divide_aut_and_sum(alt5, alt5_aut):
     assert all(alt5_aut.order % s == 0 for s in sizes)
 
 
-def test_maol_examples(alt5, alt5_aut):
+def test_maol_examples(alt5):
     rep = maol(catalog.cyclic(5), automorphism_group(catalog.cyclic(5)))
     assert rep.maol == Fraction(4, 5)
     assert rep.orbit_sizes == [4, 1]
 
-    rep5 = maol(alt5, alt5_aut)
+    rep5 = maol(alt5, automorphism_group(alt5))
     assert rep5.maol == Fraction(2, 5)
 
     es = catalog.extraspecial_p3_exponent_p(3)
@@ -122,9 +122,10 @@ def test_maol_examples(alt5, alt5_aut):
     assert rep_es.orbit_sizes == [24, 2, 1]
 
 
-def test_maol_psl28(psl28, psl28_aut):
-    assert psl28_aut.order == 1512
-    assert maol(psl28, psl28_aut).maol == Fraction(3, 7)
+def test_maol_psl28(psl28):
+    A = automorphism_group(psl28)
+    assert A.order == 1512
+    assert maol(psl28, A).maol == Fraction(3, 7)
 
 
 def test_guards():
@@ -156,6 +157,40 @@ def test_a_lost_survivor_fails_the_sized_closure(monkeypatch, name, aut_order):
         automorphism_group(G)
 
 
+def test_a_row_that_is_no_automorphism_fails_the_search(monkeypatch):
+    # a kept row that sends an involution of Sym4 to an element of order 3 is a
+    # bijection fixing the identity, and no automorphism
+    G = catalog.sym(4)
+    orders, make = G.element_orders(), autgrp.Aut
+    two, three = int(np.flatnonzero(orders == 2)[0]), int(np.flatnonzero(orders == 3)[0])
+
+    def patched(rows, order):
+        rows = rows.copy()
+        rows[-1, [two, three]] = rows[-1, [three, two]]
+        return make(rows, order)
+
+    monkeypatch.setattr(autgrp, "Aut", patched)
+    with pytest.raises(pc.GroupError,
+                       match="^a generator of the Aut search result is not an automorphism$"):
+        automorphism_group(G)
+
+
+@pytest.mark.parametrize("patch", ["center", "order"])
+def test_a_wrong_inner_count_fails_the_search(monkeypatch, patch):
+    # |G|/|Z(G)| must be |Inn(G)|, the order of the chain of the inner rows, and
+    # divide |Aut(G)|: on Sym4 a center of 2 elements makes it 12 against the
+    # chain's 24, and an order of 36 leaves it 24, which does not divide 36
+    G, make = catalog.sym(4), autgrp.Aut
+    assert (automorphism_group(G).order, G.center_ids().size) == (24, 1)
+    if patch == "center":
+        monkeypatch.setattr(G, "center_ids", lambda: np.arange(2))
+    else:
+        monkeypatch.setattr(autgrp, "Aut", lambda rows, order: make(rows, 36))
+    with pytest.raises(pc.GroupError,
+                       match=r"^\|Inn\| is not \|G\|/\|Z\(G\)\| or does not divide "):
+        automorphism_group(G)
+
+
 @pytest.mark.parametrize("name", SMALL_CATALOG)
 def test_the_search_sweep_reads_each_source_off_the_table(name):
     # `sweep` yields (map index, new points), and the search reads the point
@@ -180,20 +215,20 @@ def test_the_search_does_not_depend_on_its_batches(monkeypatch, name):
     # the survivors are extended a block of maps at a time; one survivor a
     # block keeps the same maps in the same order
     G = catalog.resolve(name)
-    A = automorphism_group(G)
+    A = closed_aut(G)
     one_each = lambda width, n: (slice(i, i + 1) for i in range(n))
     monkeypatch.setattr(autgrp, "_row_blocks", one_each)
-    B = automorphism_group(catalog.resolve(name))
+    B = closed_aut(catalog.resolve(name))
     assert np.array_equal(A.elements, B.elements) and np.array_equal(A.gen_ids, B.gen_ids)
 
 
-def test_maol_needs_automorphisms_of_the_group(alt5_aut):
+def test_maol_needs_automorphisms_of_the_group(alt5):
     with pytest.raises(ActionMismatch):
-        maol(catalog.sym(3), alt5_aut)
+        maol(catalog.sym(3), automorphism_group(alt5))
 
 
-def test_report_serialization(alt5, alt5_aut):
-    rep = maol(alt5, alt5_aut)
+def test_report_serialization(alt5):
+    rep = maol(alt5, automorphism_group(alt5))
     js = rep.to_json()
     assert js["maol"] == "2/5"
     assert js["MAOL"] == max(js["orbitSizes"]) == 24

@@ -127,7 +127,7 @@ def test_the_command_list_reads_as_lines_without_comments():
     assert bench.read_commands(text) == ["verify lemma3", "h --simple 'name:psl(2,17)'"]
     commands = bench.read_commands((bench.ROOT / "tools" / "commands.txt").read_text())
     assert len(commands) == len(set(commands)) >= 50
-    assert sum("--out {out}" in line for line in commands) == 12
+    assert sum("--out {out}" in line for line in commands) == 13
 
 
 def test_runtimes_are_the_one_field_removed():

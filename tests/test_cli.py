@@ -15,6 +15,7 @@ from autorbit.autgrp import DEFAULT_NODE_BUDGET, automorphism_group, inner_autom
 from autorbit.permcore import DEFAULT_CLOSURE_LIMIT, MAX_DEGREE, FiniteGroup
 from autorbit.reports import ReportItem, VerificationReport, encode_value
 import wreath_oracle as wo
+from aut_closed import closed_aut
 from class_orbits_oracle import closed_with_ids
 from subgroup_oracle import is_simple
 
@@ -85,8 +86,8 @@ def test_h_prints_what_the_closed_aut_s_printed(tmp_path, capsys, spec):
                                     "generators": ["(1 2 3)", "(1 2 3 4 5)"]}))
         spec = f"file:{path}"
     G = cli.construct_or_group(spec, DEFAULT_CLOSURE_LIMIT)
-    if isinstance(G, FiniteGroup):  # the searched Aut(S) and Inn(S) inside it
-        A = automorphism_group(G, budget=DEFAULT_NODE_BUDGET)
+    if isinstance(G, FiniteGroup):  # the searched Aut(S), closed, and Inn(S) inside it
+        A = closed_aut(G, budget=DEFAULT_NODE_BUDGET)
         expected = _closed_aut_s_h(A, inner_automorphism_ids(G, A))
     else:
         expected = _closed_aut_s_h(*closed_with_ids(G))
@@ -528,6 +529,36 @@ def closed_orders(monkeypatch) -> list[int]:
     monkeypatch.setattr(permcore, "_enumerate",
                         lambda chain, *a: orders.append(chain.order) or real(chain, *a))
     return orders
+
+
+@pytest.mark.parametrize("argv, aut_order, enumerated", [
+    (["maol", "--group", "name:extraspecial(3)"], 432, [27]),
+    (["maol", "--group", "name:psu(2,7)"], 336, [168]),
+    (["h", "--simple", "name:psu(2,7)"], 336, [168, 168, 2]),
+    (["h", "--simple", "file:{alt5}"], 120, [60, 60, 2])])
+def test_maol_and_h_close_no_searched_aut(tmp_path, capsys, monkeypatch, argv, aut_order,
+                                          enumerated):
+    # the search gives Aut(G)'s rows and its order: `maol` closes G alone, and
+    # `h` closes S, Inn(S) from its rows and Out(S) on its cosets, no Aut(S)
+    path = tmp_path / "alt5.json"
+    path.write_text(json.dumps({"name": "alt5", "degree": 5,
+                                "generators": ["(1 2 3)", "(1 2 3 4 5)"]}))
+    closed = closed_orders(monkeypatch)
+    code, out, _ = run_cli(capsys, *(arg.format(alt5=path) for arg in argv))
+    assert code == 0 and json.loads(out)["autOrder"] == aut_order
+    assert closed == enumerated and aut_order not in closed
+
+
+def test_aut_and_construct_hp_close_the_searched_aut_once(tmp_path, capsys, monkeypatch):
+    # the two commands that read Aut(G)'s elements close it once, at its order
+    closed = closed_orders(monkeypatch)
+    code, out, _ = run_cli(capsys, "aut", "--group", "name:psu(2,7)",
+                           "--out", str(tmp_path / "aut.json"))
+    assert code == 0 and json.loads(out)["autOrder"] == 336 and closed == [168, 336]
+    closed.clear()
+    code, out, _ = run_cli(capsys, "construct", "hp", "--simple", "name:psu(2,7)", "--p", "2",
+                           "--slow")
+    assert code == 0 and json.loads(out)["measured"] == 18816 and closed == [168, 168, 336, 2]
 
 
 def test_maol_of_a_built_group_closes_g_only(capsys, monkeypatch):

@@ -89,19 +89,27 @@ def test_close_group_peaks_alike_without_the_order(known):
     assert H.order == order and peak <= CLOSE_GROUP_PEAKS["autpsl34"] <= 1.5 * uint16_bytes(H)
 
 
-def test_aut_search_closes_once_at_its_order():
-    # with G's tables built, the search's peak is its one sized closure and
-    # the element array holds no spare buffer.  numpy.ma, which np.unique
-    # imports on its first call in the process, is imported before the trace:
-    # its 1.2 MB of module objects are no part of the search.  The peak,
-    # 7,870,877 B, is the search's own: A's rows (125 points) narrowed to uint8
+def test_aut_search_closes_once_at_its_order(monkeypatch):
+    # with G's tables built, the search chains Aut(G)'s rows at its order and
+    # enumerates no element: its peak, 7,871,759 B, is its own extension of
+    # the survivors.  `aut --out` closes the kept rows once, at that order,
+    # and the element array (125 points narrowed to uint8) holds no spare
+    # buffer: 1,791,546 B at the peak.  numpy.ma, which np.unique imports on
+    # its first call in the process, is imported before the trace: its 1.2 MB
+    # of module objects are no part of the search
     import numpy.ma  # noqa: F401
     G = catalog.resolve("extraspecial(5)")
     G.cayley(), G.element_orders(), conjugacy_classes(G)
+    enumerated = []
+    monkeypatch.setattr("autorbit.permcore._enumerate",
+                        lambda chain, *a: enumerated.append(chain.order) or _enumerate(chain, *a))
     A, peak = traced_peak(lambda: automorphism_group(G))
-    assert A.order == 12000 and A.elements.dtype == np.uint8
-    assert A.elements.base is None or A.elements.base.nbytes == A.elements.nbytes
-    assert peak <= 8_000_000 <= 3 * uint16_bytes(A)
+    assert A.order == 12000 and A.rows.dtype == np.uint8 and enumerated == []
+    assert peak <= 8_000_000
+    C, peak = traced_peak(lambda: close_group(A.rows, order=A.order))
+    assert C.order == 12000 and C.elements.dtype == np.uint8 and enumerated == [12000]
+    assert C.elements.base is None or C.elements.base.nbytes == C.elements.nbytes
+    assert peak <= 2_000_000 <= 1.5 * uint16_bytes(C)
 
 
 @pytest.mark.parametrize("numbered", [False, True])

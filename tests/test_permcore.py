@@ -247,8 +247,7 @@ def test_quotient_rejects_non_normal():
 def test_is_characteristic():
     from autorbit.autgrp import automorphism_group
     s4 = catalog.sym(4)
-    auts = automorphism_group(s4)
-    gens = auts.elements[auts.gen_ids]
+    gens = automorphism_group(s4).rows
     assert is_characteristic(s4, derived_subgroup(s4), gens)
     assert is_characteristic(s4, s4.center_ids(), gens)
     # a point stabilizer is not even normal

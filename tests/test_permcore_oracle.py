@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autorbit import catalog, permcore
+from autorbit import autgrp, catalog, permcore
 from autorbit.autgrp import automorphism_group
 from autorbit.cli import NONSOLVABLE_LIST
 from autorbit.permcore import (FiniteGroup, GroupError, _RowIndex, close_group, conjugacy_classes,
@@ -385,14 +385,24 @@ def test_catalog_closures_match_dimino(name):
 
 @pytest.mark.parametrize("name, aut_order", [
     ("extraspecial(3)", 432), ("extraspecial(5)", 12000), ("pgu(3,2)", 432)])
-def test_aut_search_closures_match_dimino(name, aut_order):
-    # Inn(G)'s and the survivors' rows, most of them dropped
+def test_aut_search_closures_match_dimino(monkeypatch, name, aut_order):
+    # the search chains Inn(G)'s and the survivors' rows at |Aut(G)|, most of
+    # them dropped, and enumerates nothing; the rows it keeps close once, at
+    # that order, as `aut --out` closes them, and both match Dimino's closure
     G = catalog.resolve(name)
-    closures = recorded_closures(lambda: automorphism_group(G))
-    assert [order for _, order in closures] == [aut_order]
-    rows, order = closures[0]
+    chained, chain = [], autgrp.schreier_sims
+    monkeypatch.setattr(autgrp, "schreier_sims", lambda rows, *a, **k: chained.append(
+        (rows, k.get("order"))) or chain(rows, *a, **k))
+    found = []
+    assert recorded_closures(lambda: found.append(automorphism_group(G))) == []
+    (A,), ((rows, order),) = found, [(r, o) for r, o in chained if o is not None]
+    assert order == A.order == aut_order
     assert_chain_matches_dimino(rows, order)
-    assert len(schreier_sims(rows, order=order).kept) < len(rows)
+    kept = schreier_sims(rows, order=order).kept
+    assert len(kept) < len(rows) and np.array_equal(A.rows, rows[kept])
+    closures = recorded_closures(lambda: close_group(A.rows, order=A.order))
+    assert [order for _, order in closures] == [aut_order]
+    assert_chain_matches_dimino(*closures[0])
 
 
 @pytest.mark.parametrize("name, sifts", [("sym6", 8), ("psl(2,8)", 11), ("pgl(3,4)", 17),

@@ -17,8 +17,9 @@ import pytest
 from autorbit import catalog
 from autorbit import permcore as pc
 from autorbit import stypes as st
-from autorbit.autgrp import automorphism_group, inner_automorphism_ids
+from autorbit.autgrp import inner_automorphism_ids
 from autorbit.permcore import GroupError
+from aut_closed import closed_aut
 from stypes_oracle import coarse_quotient
 from subgroup_oracle import closure, derived_series, derived_subgroup, normal_closure
 from test_permcore_oracle import CATALOG, LARGE, seed_sets
@@ -68,7 +69,7 @@ def assert_same_quotient(Q, pi, G, N):
 @pytest.mark.parametrize("name", ["alt5", "alt6", "psl(2,8)", "sym6"])
 def test_out_quotient_matches_oracle(name):
     G = catalog.resolve(name)
-    A = automorphism_group(G)
+    A = closed_aut(G)
     socle = inner_automorphism_ids(G, A)
     out = st.out_quotient(A, socle)
     assert out.quotient.name == "out"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from autorbit import catalog, permcore as pc, stypes as st, wreath as wr
-from autorbit.autgrp import automorphism_group, inner_automorphism_ids
+from autorbit.autgrp import inner_automorphism_ids
 import wreath_oracle as wo
+from aut_closed import closed_aut
 from class_orbits_oracle import closed_with_ids
 from stypes_oracle import (GcdViolation, NonAbelianQuotient, coarse_quotient, ct_power_check,
                            ct_set, h_value_direct)
@@ -231,7 +232,7 @@ def test_coset_classes_check_the_order_formula():
 def test_h_single_coset_case():
     # |Out| = 1: h = max class size / |S|
     s5 = catalog.sym(5)
-    A = automorphism_group(s5)
+    A = closed_aut(s5)
     socle = inner_automorphism_ids(s5, A)
     assert socle.size == 120
     h = st.h_value(A, socle)
