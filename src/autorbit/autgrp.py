@@ -1,10 +1,10 @@
 """Automorphism groups of small groups by backtracking over generator images
 modulo Inn(G) on the Cayley table, with fingerprint pruning; their orbit reports.
 
-Automorphisms are permutations of element ids (degree = |G|).  Aut(G) comes as
-a built Aut(S) does (`catalog.AlmostSimple`): its generator rows and its order,
-with no element enumerated; `close_group` closes it where its elements are read.
-Subgroups of G close by `closure` on G's Cayley table, Inn(G) from `inner_rows`.
+Automorphisms are permutations of element ids (degree = |G|).  Aut(G) comes as a built
+Aut(S) does (`catalog.AlmostSimple`): its generator rows and its order, with no element
+enumerated; `aut --out` and `construct hp` close it, by one `close_group(A.rows, order=A.order)`.
+Subgroups of G close by `closure` on G's Cayley table; Inn(G)'s rows are `inner_rows`.
 A built almost simple G's orbits come from `stypes.fuse`, with no search."""
 
 from __future__ import annotations

@@ -340,18 +340,13 @@ def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
 
 class AlmostSimple(NamedTuple):
     """S <= G <= Aut(S), S simple, and Aut(S)'s rows and order, not closed: built here, or
-    searched with G = Inn(S) on S's ids.  G acts on the rows' first points: all but the lines
-    of PG(2,q), which `lift` adds.  `lift(rows, cols)` gives the lifted columns `cols` (all)."""
+    searched with G = Inn(S) on S's ids, for `h`.  G acts on the rows' first points: all but
+    the lines of PG(2,q), which `lift` adds.  `lift(rows, cols)` gives the lifted columns `cols`."""
     group: FiniteGroup
     aut_rows: np.ndarray
     aut_order: int
     socle_order: int
     lift: Callable[..., np.ndarray] = _points
-
-    def closed(self) -> FiniteGroup:
-        """Aut(S), built or searched, closed under the default limit, for `construct hp`,
-        the one command that sweeps Aut(S)'s elements."""
-        return close_group(self.aut_rows, order=self.aut_order)
 
 
 def almost_simple(name: str, limit: int = DEFAULT_CLOSURE_LIMIT) -> AlmostSimple | None:

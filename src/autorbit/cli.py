@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -18,11 +19,11 @@ from . import catalog
 from . import multinomial as mn
 from . import stypes
 from . import wreath
-from .autgrp import DEFAULT_NODE_BUDGET, OrbitReport, automorphism_group, inner_rows, maol
+from .autgrp import DEFAULT_NODE_BUDGET, Aut, OrbitReport, automorphism_group, inner_rows, maol
 from .fields import _is_prime
-from .permcore import (DEFAULT_CLOSURE_LIMIT, BadParameter, FiniteGroup, ResourceLimit, TooLarge,
-                       _check_degree, close_group, conjugacy_classes, load_group_file, mcs,
-                       schreier_sims, size_text)
+from .permcore import (DEFAULT_CLOSURE_LIMIT, BadParameter, ClosureLimitExceeded, FiniteGroup,
+                       ResourceLimit, TooLarge, _check_degree, close_group, conjugacy_classes,
+                       load_group_file, mcs, schreier_sims, size_text)
 from .reports import (FAIL, PASS, ReportItem, SuiteRunner,
                       VerificationReport, encode_value, print_report, write_text)
 
@@ -136,37 +137,50 @@ def cmd_aut(args) -> int:
 
 def _check_simple(G: catalog.AlmostSimple | FiniteGroup):
     """Usage error unless G is nonabelian simple: a built G has order |S|; a searched G is
-    nonabelian and the chain (`schreier_sims`) of each nonidentity class's rows has order |G|."""
+    nonabelian and each nonidentity class's rows generate G (`_generates`), else their normal
+    closure is a proper normal subgroup."""
     if isinstance(G, FiniteGroup):
         table = conjugacy_classes(G)
         simple = len(table.least) < G.order and all(
-            schreier_sims(G.elements[cls], G.order).order == G.order for cls in table.classes[1:])
+            _generates(G.elements[cls], G.order) for cls in table.classes[1:])
     else:
         G, simple = G.group, G.group.order == G.socle_order
     if not simple:
         raise BadParameter(f"{G.name} is not a nonabelian simple group")
 
 
-def _simple_group(args) -> catalog.AlmostSimple:
-    """S for --simple, a `file:` or a name (a bare one too), after the usage check that S is
-    simple: built (`construct_or_group`), or as Inn(S) on its ids with the searched Aut(S)."""
+def _generates(rows: np.ndarray, order: int) -> bool:
+    """Whether members `rows` of a group of order `order` generate it: their chain's orbit-length
+    product never passes `order`, so at the limit `order` - 1 it stops the moment it gets there."""
+    try:
+        schreier_sims(rows, order - 1)
+    except ClosureLimitExceeded:
+        return True
+    return False
+
+
+def _simple_group(args) -> tuple[Aut, Callable[[], catalog.AlmostSimple]]:
+    """Aut(S)'s rows and order for --simple S, a `file:` or a name (a bare one too), once S is
+    checked simple, and a call giving S <= G <= Aut(S) for `h`: built (`construct_or_group`), or
+    searched, G then Inn(S) on S's ids, closed from `inner_rows` only when called."""
     simple = args.simple
     spec = simple if simple.startswith("file:") else "name:" + simple.removeprefix("name:")
     G = construct_or_group(spec, args.max_order)
     _check_simple(G)
     if isinstance(G, FiniteGroup):
         A = automorphism_group(G, budget=args.max_nodes)
-        G = catalog.AlmostSimple(close_group(inner_rows(G), order=G.order), A.rows, A.order,
-                                 G.order)
-    return G
+        return A, lambda: catalog.AlmostSimple(close_group(inner_rows(G), order=G.order),
+                                               A.rows, A.order, G.order)
+    return Aut(G.aut_rows, G.aut_order), lambda: G
 
 
 def cmd_h(args) -> int:
-    S = _simple_group(args)
+    A, almost_simple = _simple_group(args)
+    S = almost_simple()
     table = stypes.coset_classes(S, numbered=True)
     payload = {
         "order": S.group.order,
-        "autOrder": S.aut_order,
+        "autOrder": A.order,
         "outOrder": table.out.order,
         "classes": [{"size": size, "type": tau, "rho": encode_value(rho)}
                     for size, tau, rho in zip(table.sizes, table.types, table.rho)],
@@ -180,11 +194,11 @@ def cmd_construct_hp(args) -> int:
     _check_degree(args.p)  # the top group acts on p points; before the loop over p
     if not _is_prime(args.p):
         raise BadParameter(f"--p must be a prime, got {args.p}")
-    S = _simple_group(args)
-    sigma_space = S.aut_order ** args.p * args.p  # before Aut(S) is closed
+    A = _simple_group(args)[0]  # S itself is not held past the search
+    sigma_space = A.order ** args.p * args.p  # before Aut(S) is closed
     if sigma_space > SLOW_HP_SPACE and not args.slow:
         raise TooLarge(f"H_{args.p} sweep space is {size_text(sigma_space)}; rerun with --slow")
-    hp = wreath.build_hp(S.closed(), args.p)
+    hp = wreath.build_hp(close_group(A.rows, order=A.order), args.p)
     print(json.dumps(hp.to_json()))
     return 0
 

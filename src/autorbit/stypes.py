@@ -160,10 +160,6 @@ class OutQuotient:
     pi: np.ndarray                # ambient element id -> quotient element id
     classes: ConjClassTable       # conjugacy classes of the quotient
 
-    @property
-    def order(self) -> int:
-        return self.quotient.order
-
 
 def out_quotient(AutS: FiniteGroup, socle_ids: np.ndarray) -> OutQuotient:
     Q, pi = quotient_group(AutS, np.asarray(socle_ids), name="out")
@@ -180,13 +176,6 @@ class ClassTypeTable:
     type_of_class: np.ndarray     # class id -> quotient class id
     rho: list[Fraction]
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.rho)
-
-    def h(self) -> Fraction:
-        return max(self.rho)
-
 
 def class_type_table(AutS: FiniteGroup, socle_ids: np.ndarray) -> ClassTypeTable:
     out = out_quotient(AutS, socle_ids)
@@ -199,4 +188,4 @@ def class_type_table(AutS: FiniteGroup, socle_ids: np.ndarray) -> ClassTypeTable
 
 def h_value(AutS: FiniteGroup, socle_ids: np.ndarray) -> Fraction:
     """h(S) = max over classes of rho(c)."""
-    return class_type_table(AutS, socle_ids).h()
+    return max(class_type_table(AutS, socle_ids).rho)

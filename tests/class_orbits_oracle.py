@@ -7,14 +7,14 @@ oracles of `h` and `maol --group` read."""
 import numpy as np
 
 from autorbit.catalog import AlmostSimple
-from autorbit.permcore import FiniteGroup, NotNormal, orbits
+from autorbit.permcore import FiniteGroup, NotNormal, close_group, orbits
 from subgroup_oracle import conjugation_ids
 
 
 def closed_with_ids(built: AlmostSimple) -> tuple[FiniteGroup, np.ndarray]:
-    """Aut(S) closed (`AlmostSimple.closed`) and the built G's sorted ids in it,
+    """Aut(S) closed from its rows at its order and the built G's sorted ids in it,
     read off G's lifted elements."""
-    A = built.closed()
+    A = close_group(built.aut_rows, order=built.aut_order)
     return A, np.sort(A.ids_of(built.lift(built.group.elements)))
 
 

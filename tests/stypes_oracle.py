@@ -28,7 +28,7 @@ class GcdViolation(GroupError):
 
 
 def classes_of_type(typing: ClassTypeTable, type_id: int) -> list[int]:
-    return [c for c in range(typing.n_classes) if typing.type_of_class[c] == type_id]
+    return [c for c in range(len(typing.rho)) if typing.type_of_class[c] == type_id]
 
 
 def h_value_direct(AutS: FiniteGroup, socle_ids: np.ndarray) -> Fraction:

@@ -21,19 +21,21 @@ inside G (`class_orbits_oracle`)."""
 
 from functools import lru_cache
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 from autorbit import autgrp, catalog
 from autorbit.autgrp import (DEFAULT_NODE_BUDGET, _fingerprint_labels, automorphism_group,
                              inner_automorphism_ids, maol)
 from autorbit.catalog import projective_order
 from autorbit.cli import NONSOLVABLE_LIST, maol_report
-from autorbit.permcore import (DEFAULT_CLOSURE_LIMIT, GroupError, close_group,
-                               conjugacy_classes, point_dtype)
+from autorbit.permcore import (DEFAULT_CLOSURE_LIMIT, ClosureLimitExceeded, GroupError,
+                               close_group, conjugacy_classes, group_from_spec, point_dtype)
 from autorbit.stypes import class_type_table, h_value
+from brute_aut_oracle import brute_aut_report
 from class_orbits_oracle import class_orbits, closed_with_ids
 from closure_oracle import dimino
 from stypes_oracle import h_value_direct
@@ -239,6 +241,79 @@ def test_matches_oracle_not_two_generated(p, k, aut_order):
     assert_same_aut(elementary_abelian(p, k), aut_order)
 
 
+# -- against a brute force that shares nothing with the search ---------------
+
+def _random_perms(degree, most):
+    return st.lists(st.permutations(range(degree)), min_size=1, max_size=most)
+
+
+def _on_disjoint_supports(factors):
+    """Generator rows of the direct product of the groups of the factors' rows,
+    each factor on a block of points of its own."""
+    rows, at, degree = [], 0, sum(len(f[0]) for f in factors)
+    for f in factors:
+        rows += [list(range(at)) + [x + at for x in g] + list(range(at + len(g), degree))
+                 for g in f]
+        at += len(f[0])
+    return rows
+
+
+# `file:` groups of degree 3-8 from 1-3 random permutations, and direct products
+# of two or three groups of degree 2-4, which are intransitive and may need more
+# than two generators
+FILE_GROUPS = st.one_of(
+    st.integers(3, 8).flatmap(lambda d: _random_perms(d, 3)),
+    st.lists(st.integers(2, 4).flatmap(lambda d: _random_perms(d, 2)), min_size=2,
+             max_size=3).map(_on_disjoint_supports))
+NOT_TWO_GENERATED_FILES = [
+    [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]],  # C2^3
+    _on_disjoint_supports([[[1, 2, 0], [1, 0, 2]], [[1, 0]], [[1, 0]]]),  # Sym3 x C2 x C2
+]
+
+
+def assert_brute_force_agrees(generators):
+    """|Aut(G)| and the sorted Aut(G)-orbit sizes of the `file:` group of these rows are
+    the brute force's; a group past 200 elements or 20,000 image tuples is not drawn."""
+    try:
+        G = group_from_spec({"degree": len(generators[0]), "generators": generators}, 200)
+    except ClosureLimitExceeded:
+        reject()
+    orders = G.element_orders()
+    if prod(int(np.count_nonzero(orders == orders[g])) for g in G.gen_ids) > 20_000:
+        reject()
+    A = automorphism_group(G)
+    assert brute_aut_report(G) == (A.order, maol(G, A).orbit_sizes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(FILE_GROUPS)
+@example(NOT_TWO_GENERATED_FILES[0])
+@example(NOT_TWO_GENERATED_FILES[1])
+def test_search_matches_the_brute_force(generators):
+    assert_brute_force_agrees(generators)
+
+
+@pytest.mark.slow
+@settings(max_examples=800, deadline=None)
+@given(FILE_GROUPS)
+def test_search_matches_the_brute_force_slow(generators):
+    assert_brute_force_agrees(generators)
+
+
+@pytest.mark.parametrize("generators", NOT_TWO_GENERATED_FILES)
+def test_the_brute_force_examples_take_the_fallback_generators(generators):
+    # no pair generates these, so `_generating_set` extends its best pair's closure
+    G = group_from_spec({"degree": len(generators[0]), "generators": generators})
+    assert len(autgrp._generating_set(G, _fingerprint_labels(G))) > 2
+
+
+@pytest.mark.parametrize("name, aut_order", [
+    ("sym3", 6), ("alt4", 24), ("sym4", 24), ("cyclic12", 4), ("extraspecial(3)", 432),
+    ("alt5", 120), ("psl(2,7)", 336)])
+def test_the_brute_force_gives_the_known_aut_orders(name, aut_order):
+    assert brute_aut_report(catalog.resolve(name))[0] == aut_order
+
+
 @pytest.mark.parametrize("name, aut_order", CATALOG)
 def test_the_kept_rows_close_as_all_the_chained_rows(monkeypatch, name, aut_order):
     # the search chains Inn(G)'s rows and the survivors' at |Aut(G)| and returns
@@ -391,7 +466,7 @@ def test_aut_classes_in_g_are_the_aut_g_orbits(name):
 def test_aut_order_formula_is_the_closed_order(name):
     # the |Aut(S)| that `maol --group` prints without closing Aut(S)
     built = catalog.almost_simple(name)
-    assert built.aut_order == built.closed().order
+    assert built.aut_order == close_group(built.aut_rows, order=built.aut_order).order
 
 
 @pytest.mark.parametrize("name, out_order, h", [

@@ -70,10 +70,10 @@ def _closed_aut_s_h(A, socle) -> str:
     """The JSON `h` printed off the closed Aut(S) and its classes."""
     table = stypes.class_type_table(A, socle)
     return json.dumps({
-        "order": int(socle.size), "autOrder": A.order, "outOrder": table.out.order,
+        "order": int(socle.size), "autOrder": A.order, "outOrder": table.out.quotient.order,
         "classes": [{"size": int(table.classes.sizes[c]), "type": int(table.type_of_class[c]),
-                     "rho": encode_value(table.rho[c])} for c in range(table.n_classes)],
-        "h": encode_value(table.h())}) + "\n"
+                     "rho": encode_value(table.rho[c])} for c in range(len(table.rho))],
+        "h": encode_value(max(table.rho))}) + "\n"
 
 
 @pytest.mark.parametrize("spec", ["name:alt5", "name:psl(3,4)", "name:psu(2,7)", "file:alt5"])
@@ -445,6 +445,31 @@ def test_the_chain_verdict_is_the_closure_verdict(monkeypatch, name):
     assert _passes_check_simple(G) == expected
 
 
+def test_each_class_chain_stops_at_the_group_order(monkeypatch):
+    # a class's rows are members of G, so its chain's orbit-length product never
+    # passes |G|: run at the limit |G| - 1, the chain of a class that generates G
+    # stops the moment it reaches |G|, and one of a class in a proper normal
+    # subgroup completes below it and makes the verdict
+    chains, real = [], cli.schreier_sims
+
+    def chain(rows, limit, *a):
+        try:
+            result = real(rows, limit, *a)
+        except permcore.ClosureLimitExceeded:
+            chains.append((limit, None))
+            raise
+        chains.append((limit, result.order))
+        return result
+
+    monkeypatch.setattr(cli, "schreier_sims", chain)
+    G = catalog.resolve("psl(2,7)")
+    assert _passes_check_simple(G)
+    assert chains == [(167, None)] * (len(permcore.conjugacy_classes(G).least) - 1)
+    chains.clear()
+    assert not _passes_check_simple(catalog.resolve("pgu(2,7)"))  # PGL_2(7) > PSL_2(7)
+    assert chains[:-1] and set(chains[:-1]) == {(335, None)} and chains[-1] == (335, 168)
+
+
 def test_a_searched_simple_group_past_the_guard_is_judged_by_chains(tmp_path, capsys, monkeypatch):
     # PGU_3(4) = PSU_3(4), 62,400 elements, from a file: simple by the chain
     # orders of its classes, with no subgroup closed, then refused by the search
@@ -558,7 +583,7 @@ def test_aut_and_construct_hp_close_the_searched_aut_once(tmp_path, capsys, monk
     closed.clear()
     code, out, _ = run_cli(capsys, "construct", "hp", "--simple", "name:psu(2,7)", "--p", "2",
                            "--slow")
-    assert code == 0 and json.loads(out)["measured"] == 18816 and closed == [168, 168, 336, 2]
+    assert code == 0 and json.loads(out)["measured"] == 18816 and closed == [168, 336, 2]
 
 
 def test_maol_of_a_built_group_closes_g_only(capsys, monkeypatch):
