@@ -323,10 +323,9 @@ def _row_blocks(width: int, n: int):
 
 def _compose(table: np.ndarray, which: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The rows table[which[i]] * q[i], a block at a time ("clip": unbuffered)."""
-    out, d = np.empty_like(q), q.shape[1]
+    out, d, flat = np.empty_like(q), q.shape[1], table.ravel()
     for rows in _row_blocks(8 * d, len(q)):  # the gather's intp indices
-        at = q[rows] + which[rows, None] * d
-        np.take(table.ravel(), at, out=out[rows], mode="clip")
+        flat.take(q[rows] + which[rows, None] * d, out=out[rows], mode="clip")
     return out
 
 
@@ -339,26 +338,30 @@ class _Level:
     def __init__(self, point: int, degree: int):
         self.point, self.done = point, (0, 0)
         self.gens = np.empty((0, degree), point_dtype(degree))
-        self.pos = np.where(np.arange(degree) == point, 0, -1)
+        self.pos = np.full(degree, -1)
+        self.pos[point] = 0
         self.U = self.inv = np.arange(degree, dtype=point_dtype(degree))[None, :]
 
     def add(self, h: np.ndarray):
         """Add the generator h; a new orbit point s(x) gets s*u, u x's row, and its inverse,
-        scattered from s*u.  The old generators keep the old orbit: the first pass applies h."""
-        self.gens = np.vstack([self.gens, h])
+        scattered from s*u.  The old generators keep the old orbit: the first pass applies h,
+        and the first pass that finds no new point ends the orbit."""
+        self.gens = np.concatenate([self.gens, h[None, :]])
         gens, rows, parts = self.gens[-1:], self.U, [self.U]
-        while len(rows):
-            flat = gens[:, rows[:, self.point]].ravel()  # generator-major images
-            new = np.flatnonzero(self.pos[flat] < 0)
-            new = new[np.sort(np.unique(flat[new], return_index=True)[1])]
-            self.pos[flat[new]] = np.arange(len(new)) + sum(map(len, parts))
+        while True:
+            flat = gens.take(rows[:, self.point], axis=1).ravel()  # generator-major images
+            if not len(new := (self.pos.take(flat) < 0).nonzero()[0]):
+                break
+            if len(new) > 1:  # each new point at its first image
+                new = new[np.sort(np.unique(flat[new], return_index=True)[1])]
+            self.pos[flat[new]] = np.arange(size := sum(map(len, parts)), size + len(new))
             s, at = np.divmod(new, len(rows))
             parts.append(rows := _compose(gens, s, rows[at]))
             gens = self.gens
-        if len(parts) > 2:  # the last pass finds no new point
+        if len(parts) > 1:
             self.U, self.inv = np.concatenate(parts), np.concatenate([self.inv, *parts[1:]])
             new = np.arange(len(parts[0]), len(self.U))
-            self.inv[new[:, None], self.U[new]] = np.arange(len(h))  # inv[i, U[i, x]] = x
+            self.inv[new[:, None], self.U[new[0]:]] = np.arange(len(h))  # inv[i, U[i, x]] = x
 
     def schreier_rows(self):
         """For each generator s in turn, s and the rows u of `U` whose s*u is not yet
@@ -393,27 +396,31 @@ def _first_outside(chain: list[_Level], lo: int, rows: np.ndarray):
     """(i, residue, j) for the first of `rows` (fixing the base points before level
     lo) outside the group of levels lo.., sifted to level j, whose orbit misses
     its image (len(chain): it fixes the base but is not 1); None if none is.
-    Rows are sifted on their base images, and compared in full only if they pass."""
-    k, d = len(chain), rows.shape[1]
-    images = rows[:, [level.point for level in chain[lo:]]].astype(np.int64)
-    at, stop = np.zeros_like(images), np.full(len(rows), k)
-    for j, level in enumerate(chain[lo:]):
-        p = level.pos[images[:, j]]
-        stop[(p < 0) & (stop == k)] = lo + j
-        at[:, j] = p = np.maximum(p, 0)
-        images[:, j + 1:] = level.inv[p[:, None], images[:, j + 1:]]
-    i = next(iter(np.flatnonzero(stop < k)), len(rows))
-    product = chain[-1].U[at[:i, -1]] if k > lo else np.arange(d)  # u_lo * ... * u_k
-    for j in range(k - 2, lo - 1, -1):
-        product = _compose(chain[j].U, at[:i, j - lo], product)
-    if not (inside := np.all(product == rows[:i], axis=1)).all():
-        i = int(np.argmin(inside))
-    if i == len(rows):
+    Rows are sifted on their base images, each level only those before the first
+    miss so far, and compared in full only if they pass."""
+    levels, d = chain[lo:], rows.shape[1]
+    images = rows[:, [level.point for level in levels]].astype(np.int64)
+    first, stop, at = len(rows), len(chain), []  # at[j]: the rows' u at level lo + j
+    for j, level in enumerate(levels):
+        if not first:
+            break
+        at.append(p := level.pos[images[:first, j]])
+        if p.min() < 0:
+            first, stop = int((p < 0).argmax()), lo + j
+        if j + 1 < len(levels):
+            images[:first, j + 1:] = level.inv[p[:first, None], images[:first, j + 1:]]
+    if first:  # the rows before the first miss: u_lo * ... * u_k
+        product = levels[-1].U[at[-1][:first]] if levels else np.arange(d)
+        for j in range(len(levels) - 2, -1, -1):
+            product = _compose(levels[j].U, at[j][:first], product)
+        if not (inside := (product == rows[:first]).all(axis=1)).all():
+            first, stop = int(inside.argmin()), len(chain)
+    if first == len(rows):
         return None
-    row = rows[i]
-    for level, u in zip(chain[lo:stop[i]], at[i]):
-        row = level.inv[u][row]
-    return int(i), row, int(stop[i])
+    row = rows[first]
+    for level, u in zip(chain[lo:stop], at):
+        row = level.inv[u[first]][row]
+    return first, row, stop
 
 
 def _enumerate(chain: Chain, degree: int) -> np.ndarray:

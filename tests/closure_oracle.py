@@ -6,7 +6,12 @@ generator g grows H to <H, g> by right cosets H*r, handling the candidate
 representatives r*s (s kept) of one BFS level together; for the first kept
 generator, H = 1 and the cosets are g's powers.  The elements live in a
 growing row store keyed by base images, whose base grows when a new row shares
-its key with a distinct stored one."""
+its key with a distinct stored one.
+
+`first_outside` is the sift `permcore._first_outside` made before it read a
+chunk only up to its first miss: every row through every level, a missed row
+carried along at position 0, and the full products built for all rows before
+the first miss.  It is kept unchanged as the oracle of the sift."""
 
 from collections import namedtuple
 from math import lcm
@@ -14,8 +19,8 @@ from math import lcm
 import numpy as np
 
 from autorbit.permcore import (_BLOCK_CELLS, DEFAULT_CLOSURE_LIMIT, ClosureLimitExceeded,
-                               GeneratorDeficiency, GroupError, _RowIndex, cycle_lengths,
-                               point_dtype)
+                               GeneratorDeficiency, GroupError, _compose, _Level, _RowIndex,
+                               cycle_lengths, point_dtype)
 
 Closure = namedtuple("Closure", "elements kept base")  # identity first; kept ascending
 
@@ -146,3 +151,30 @@ def dimino(gen_rows: np.ndarray, limit: int = DEFAULT_CLOSURE_LIMIT,
         while cands.size:
             reps = _add_cosets(index, H, cands)
             cands = np.take(reps, kept_rows, axis=1).reshape(-1, degree)
+
+
+def first_outside(chain: list[_Level], lo: int, rows: np.ndarray):
+    """(i, residue, j) for the first of `rows` (fixing the base points before level
+    lo) outside the group of levels lo.., sifted to level j, whose orbit misses
+    its image (len(chain): it fixes the base but is not 1); None if none is.
+    Rows are sifted on their base images, and compared in full only if they pass."""
+    k, d = len(chain), rows.shape[1]
+    images = rows[:, [level.point for level in chain[lo:]]].astype(np.int64)
+    at, stop = np.zeros_like(images), np.full(len(rows), k)
+    for j, level in enumerate(chain[lo:]):
+        p = level.pos[images[:, j]]
+        stop[(p < 0) & (stop == k)] = lo + j
+        at[:, j] = p = np.maximum(p, 0)
+        images[:, j + 1:] = level.inv[p[:, None], images[:, j + 1:]]
+    i = next(iter(np.flatnonzero(stop < k)), len(rows))
+    product = chain[-1].U[at[:i, -1]] if k > lo else np.arange(d)  # u_lo * ... * u_k
+    for j in range(k - 2, lo - 1, -1):
+        product = _compose(chain[j].U, at[:i, j - lo], product)
+    if not (inside := np.all(product == rows[:i], axis=1)).all():
+        i = int(np.argmin(inside))
+    if i == len(rows):
+        return None
+    row = rows[i]
+    for level, u in zip(chain[lo:stop[i]], at[i]):
+        row = level.inv[u][row]
+    return int(i), row, int(stop[i])

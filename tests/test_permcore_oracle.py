@@ -15,13 +15,16 @@ per chunk of columns, against the `np.lexsort` it replaced.
 The stabilizer chain (`schreier_sims`), which builds no element, is checked
 as `_enumerate` lists it against Dimino's closure it replaced
 (`closure_oracle.dimino`): the same elements, the same kept generators and
-the same order.
+the same order.  Its sift, which reads a chunk only up to its first miss,
+is checked against the sift that read every row through every level
+(`closure_oracle.first_outside`): the same row, residue and level.
 Subgroup closures, a `sweep` on ids inside the finished group, are checked
 against the route they replaced: a Dimino closure of the seeds' rows,
 looked up by `ids_of` (`subgroup_oracle.closure`), which keeps the same
 seeds by the same rule, and
 the closure that swept all of H under every kept seed, not H*s minus H."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -32,8 +35,9 @@ from autorbit import autgrp, catalog, permcore
 from autorbit.autgrp import automorphism_group
 from autorbit.cli import NONSOLVABLE_LIST
 from autorbit.permcore import (FiniteGroup, GroupError, _RowIndex, close_group, conjugacy_classes,
-                               lex_order, orbits, point_dtype, schreier_sims, sort_rows, sweep)
-from closure_oracle import dimino
+                               lex_order, orbits, parse_cycles, point_dtype, schreier_sims,
+                               sort_rows, sweep)
+from closure_oracle import dimino, first_outside as oracle_first_outside
 from subgroup_oracle import closure as oracle_closure, conjugation_ids as oracle_conjugation_ids
 from test_catalog import _covered
 
@@ -418,6 +422,92 @@ def test_a_completion_round_sifts_one_stream(monkeypatch, name, sifts):
     monkeypatch.setattr(permcore, "_first_outside", lambda *a: calls.append(a) or real(*a))
     catalog.resolve(name)
     assert len(calls) == sifts
+
+
+def assert_same_sift(found, expected):
+    """Both None, or the same row index and level and the same residue, dtype too."""
+    assert (found is None) == (expected is None)
+    if found is not None:
+        (i, row, j), (oi, orow, oj) = found, expected
+        assert (i, j) == (oi, oj) and row.dtype == orow.dtype and np.array_equal(row, orow)
+
+
+@pytest.mark.parametrize("name", CATALOG + ["pgl(3,4)", "autpsl34"])
+def test_every_catalog_sift_matches_the_oracle(monkeypatch, name):
+    # each sift of the build, generator chunks and Schreier streams alike
+    found, real = [], permcore._first_outside
+
+    def both(chain, lo, rows):
+        found.append(real(chain, lo, rows))
+        assert_same_sift(found[-1], oracle_first_outside(chain, lo, rows))
+        return found[-1]
+    monkeypatch.setattr(permcore, "_first_outside", both)
+    catalog.resolve(name)
+    assert found
+
+
+def on_6(*cycles):
+    """The rows on 6 points of 1-based cycle strings."""
+    return np.array([parse_cycles(c, 6) for c in cycles])
+
+
+@pytest.mark.parametrize("cycles, expected", [
+    # (2 3) fixes the base but is odd: the full rows differ, at level 2 = len(chain);
+    # (2 5) misses level 1's orbit and (1 6) level 0's: the first row outside wins
+    (["()", "(2 3)", "(2 5)", "(1 6)"], (1, 2)),
+    (["()", "(2 5)", "(1 6)"], (1, 1)),
+    (["(2 3)", "(1 6)"], (0, 2)),
+    (["(1 6)", "(2 5)"], (0, 0)),
+    (["()", "(1 2 3)", "(1 2)(3 4)"], None),
+])
+def test_the_first_row_outside_is_found_across_levels(cycles, expected):
+    levels, rows = schreier_sims(on_6("(1 2 3)", "(2 3 4)")).levels, on_6(*cycles)  # Alt(4)
+    assert [level.point for level in levels] == [0, 1]
+    found = permcore._first_outside(levels, 0, rows)
+    assert_same_sift(found, oracle_first_outside(levels, 0, rows))
+    assert (found if found is None else found[::2]) == expected
+
+
+class Unread:
+    def __getitem__(self, key):
+        raise AssertionError("a level past the first miss was read")
+
+
+def test_the_sift_stops_at_the_first_miss():
+    # Sym(4) on 6 points has three levels; (1 6) misses level 0's orbit, so no
+    # row of the chunk is looked up at a level past it
+    levels = schreier_sims(on_6("(1 2 3 4)", "(1 2)")).levels
+    rows = on_6("(1 6)", "()", "(2 3)", "(2 5)")
+    assert len(levels) == 3
+    for level in levels[1:]:
+        level.pos = level.inv = Unread()
+    i, residue, j = permcore._first_outside(levels, 0, rows)
+    assert (i, j) == (0, 0) and np.array_equal(residue, rows[0])
+
+
+@st.composite
+def chain_and_chunk(draw):
+    """The chain levels of generators that move only the points below m, and 1..6
+    rows of degree d: members, which pass, and permutations fixing the points
+    below a drawn f, which may miss at any level or fix the base and not be 1."""
+    d = draw(st.integers(1, 10))
+    m = draw(st.integers(1, d))
+    gens = draw(st.lists(st.permutations(range(m)).map(
+        lambda p: point_row(list(p) + list(range(m, d)))), min_size=1, max_size=3))
+    member = st.lists(st.sampled_from(gens), max_size=4).map(
+        lambda word: point_row(functools.reduce(lambda row, g: row[g], word, np.arange(d))))
+    fixing = st.integers(0, d).flatmap(lambda f: st.permutations(range(f, d)).map(
+        lambda p: point_row(list(range(f)) + list(p))))
+    rows = draw(st.lists(st.one_of(member, fixing), min_size=1, max_size=6))
+    return schreier_sims(np.array(gens), limit=10 ** 7).levels, np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_and_chunk())
+def test_the_sift_matches_the_oracle_on_random_rows(case):
+    levels, rows = case
+    found = permcore._first_outside(levels, 0, rows)
+    assert_same_sift(found, oracle_first_outside(levels, 0, rows))
 
 
 @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
