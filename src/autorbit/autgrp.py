@@ -4,7 +4,8 @@ modulo Inn(G) on the Cayley table, with fingerprint pruning; their orbit reports
 Automorphisms are permutations of element ids (degree = |G|).  Aut(G) comes as a built
 Aut(S) does (`catalog.AlmostSimple`): its generator rows and its order, with no element
 enumerated; `aut --out` and `construct hp` close it, by one `close_group(A.rows, order=A.order)`.
-Subgroups of G close by `closure` on G's Cayley table; Inn(G)'s rows are `inner_rows`.
+Subgroups of G close by a `sweep` of G's Cayley table (`_sweep`), or by the chain of their rows;
+Inn(G)'s rows are `inner_rows`.
 A built almost simple G's orbits come from `stypes.fuse`, with no search."""
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .permcore import (FiniteGroup, GroupError, ResourceLimit, TooLarge, _row_blocks,
-                       conjugacy_classes, orbits, point_dtype, schreier_sims, sweep,
-                       validate_automorphism)
+                       close_group, conjugacy_classes, orbits, point_dtype, schreier_sims,
+                       sweep, validate_automorphism)
 from .reports import encode_value
 
 MAX_AUT_CARRIER = 2000
@@ -71,13 +72,20 @@ def _fingerprint_labels(G: FiniteGroup) -> np.ndarray:
     return np.unique(key, axis=0, return_inverse=True)[1].ravel()[table.class_of]
 
 
+def _sweep(T: np.ndarray, gen_ids: Sequence[int], seen: np.ndarray):
+    """`sweep` from the identity under right multiplication by `gen_ids`, read off the table T."""
+    cols = T.T[gen_ids]
+    return sweep([0], lambda frontier: cols[:, frontier], seen)
+
+
 def _generating_set(G: FiniteGroup, label: np.ndarray) -> list[int]:
     """Generators with few fingerprint candidates: an element of order |G|, or
     a pair (least id of one fingerprint class, id of another) taking class
     pairs by ascending size product, or after |G| failed pairs the largest
-    pair closure extended by descending element order (ties by id).  The
-    identity's fingerprint is its own, so no class below holds it."""
-    n, orders = G.order, G.element_orders()
+    pair extended by descending element order (ties by id), an element kept iff
+    outside the group of the pair and those kept before it (the chain's rule).
+    The identity's fingerprint is its own, so no class below holds it."""
+    n, orders, T = G.order, G.element_orders(), G.cayley()
     cyclic = np.flatnonzero(orders == n)
     if cyclic.size:
         return [int(cyclic[0])]
@@ -87,12 +95,14 @@ def _generating_set(G: FiniteGroup, label: np.ndarray) -> list[int]:
                    key=lambda p: len(p[0]) * len(p[1]))
     best = (0, [])
     for _, seed in zip(range(n), ([A[0], b] for B, A in pairs for b in B if b != A[0])):
-        best = max(best, (np.count_nonzero(G.closure(seed)[0]), seed), key=lambda t: t[0])
+        for _ in _sweep(T, seed, seen := np.zeros(n, dtype=bool)):
+            pass
+        best = max(best, (np.count_nonzero(seen), seed), key=lambda t: t[0])
         if best[0] == n:
             return seed
-    _, gens = best
-    tail = G.closure(gens + np.argsort(-orders, kind="stable").tolist())[1]
-    return gens + [k for k in tail if k not in gens]
+    gens = best[1]  # kept whole, though its second may lie in the first's group
+    seeds = gens + np.argsort(-orders, kind="stable").tolist()
+    return gens + [seeds[k] for k in schreier_sims(G.elements[seeds]).kept if k >= len(gens)]
 
 
 def _extend_and_filter(G: FiniteGroup, survivors: np.ndarray, cand: np.ndarray,
@@ -106,7 +116,7 @@ def _extend_and_filter(G: FiniteGroup, survivors: np.ndarray, cand: np.ndarray,
     off the table as (x*g)*g^-1; the survivors go a block of maps at a time."""
     n, T, inv, c = G.order, G.cayley(), G.inverse_ids(), cand.size
     levels = [(k, T[new, inv[gen_ids[k]]], new)
-              for k, new in sweep([0], G.right_multiplication(gen_ids), np.zeros(n, dtype=bool))]
+              for k, new in _sweep(T, gen_ids, np.zeros(n, dtype=bool))]
     member_arr = np.concatenate([[0]] + [new for _, _, new in levels])
     kept = []
     for block in _row_blocks(n * c, survivors.shape[0]):
@@ -144,7 +154,7 @@ def automorphism_group(G: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Aut
     if G.order > MAX_AUT_CARRIER:
         raise TooLarge(f"|G| = {G.order} exceeds the {MAX_AUT_CARRIER} carrier guard")
     n, table = G.order, conjugacy_classes(G)
-    label = _fingerprint_labels(G)  # builds the Cayley table, which G's closures then read
+    label = _fingerprint_labels(G)  # builds the Cayley table, which the sweeps then read
     gen_ids = _generating_set(G, label)
 
     survivors = np.zeros((1, n), dtype=np.int32)  # the empty partial map
@@ -186,7 +196,7 @@ def inner_rows(G: FiniteGroup) -> np.ndarray:
 def inner_automorphism_ids(G: FiniteGroup, A: FiniteGroup) -> np.ndarray:
     """Ids, inside the closed A (automorphisms of G on its ids), of Inn(G), the group of
     `inner_rows`; for a centerless G this is the canonical embedded copy of it."""
-    return A.subgroup_closure(A.ids_of(inner_rows(G)))
+    return np.sort(A.ids_of(close_group(inner_rows(G)).elements))
 
 
 def maol(G: FiniteGroup, A: Aut) -> OrbitReport:

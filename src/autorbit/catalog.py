@@ -332,10 +332,7 @@ def psl34_socle_ids(autgroup: FiniteGroup) -> np.ndarray:
     F = make_field(2, 2)
     pts = projective_points(F, 3)
     rows = _line_lift(F, pts)(projective_perms(F, pts, sl_generators(F, 3)))
-    ids = autgroup.subgroup_closure(autgroup.ids_of(rows))
-    if ids.size != 20160:
-        raise GeneratorDeficiency(f"socle closed to {ids.size}, expected 20160")
-    return ids
+    return np.sort(autgroup.ids_of(close_group(rows, order=20160).elements))
 
 
 class AlmostSimple(NamedTuple):

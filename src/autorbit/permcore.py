@@ -21,15 +21,16 @@ move, and keeps a generator outside the group of the kept ones before it
 checked against the limit.  ``close_group`` enumerates it: each element is one
 product of transversal rows, in runs of one image of z, which the canonical
 order keeps (`sort_rows` gathers a block of runs at a time).  A subgroup of a
-finished group closes on ids by the same rule (`FiniteGroup.closure`): each
-kept seed runs one `sweep` of right multiplication.  Elements are keyed by
-their images of the chain's base in one sorted index (`_RowIndex`, a Horner
-fold exact while radix^|base| <= 2^(64-p)).  A whole-group key sort is one
+finished group closes by the chain of its members' rows, the one place that
+drops a generator by Dimino's rule, or by a `sweep` of the Cayley table where
+the Aut search holds one.  Elements are keyed by their images of the chain's
+base in one sorted index (`_RowIndex`, a Horner fold exact while radix^|base|
+<= 2^(64-p)).  A whole-group key sort is one
 `np.sort` of key << p | position, p bits holding a row position
 (`_sort_packed`): the index, `locate_all` and `lex_order`.  A membership test
 (`ids_of`) confirms each key hit on the full row; a product or conjugate of
 members is a member, so the Cayley table, conjugation maps and a quotient's
-cosets and translations form its base images alone.  Products and cosets
+cosets look it up by its base images alone.  Products and cosets
 search their keys one by one (`_RowIndex.locate`); the conjugates of G are a
 permutation of G, so a whole-group map's keys are the stored ones reordered
 (`FiniteGroup.map_ids`, `_RowIndex.locate_all`).  `orbits` gives each orbit's
@@ -589,36 +590,6 @@ class FiniteGroup:
         class_of = conjugacy_classes(self).class_of
         return np.flatnonzero(np.bincount(class_of)[class_of] == 1)
 
-    def right_multiplication(self, gen_ids: Sequence[int]):
-        """`sweep` step: the ids of frontier * g, one row per g in `gen_ids`;
-        read off the Cayley table's columns once it is built, else looked up
-        by the products' base images, E[x][E[g][base]]."""
-        if self._cayley is not None:
-            cols = self._cayley.T[gen_ids]
-            return lambda frontier: cols[:, frontier]
-        E, cols = self.elements, self.elements[gen_ids][:, self.base]
-        return lambda frontier: (self._index.locate(E[frontier[:, None], c]) for c in cols)
-
-    def closure(self, seed_ids: Iterable[int]) -> tuple[np.ndarray, list[int]]:
-        """Mask of the subgroup generated by the seed ids, and the seeds kept by
-        Dimino's rule: a seed inside is dropped, and a kept one s sweeps H*s minus
-        H, for the members H so far, under right multiplication by the kept
-        seeds (H times an earlier seed is inside H already)."""
-        inside, kept = np.zeros(self.order, dtype=bool), []
-        inside[0] = True
-        for s in seed_ids:
-            if inside[s]:
-                continue
-            kept.append(int(s))
-            images = next(iter(self.right_multiplication([s])(np.flatnonzero(inside))))
-            for _ in sweep(images[~inside[images]], self.right_multiplication(kept), inside):
-                pass
-        return inside, kept
-
-    def subgroup_closure(self, seed_ids: Iterable[int]) -> np.ndarray:
-        """Sorted ids of the subgroup generated by the given element ids."""
-        return np.flatnonzero(self.closure(seed_ids)[0])
-
     def __repr__(self) -> str:
         label = self.name or "group"
         return f"FiniteGroup({label}, order={self.order}, degree={self.degree})"
@@ -752,14 +723,14 @@ def quotient_group(G: FiniteGroup, subgroup_ids: np.ndarray,
     sub = np.asarray(subgroup_ids)
     if not is_normal(G, sub):
         raise NotNormal("subgroup is not normal")
-    if np.count_nonzero(G.closure(sub)[0]) != np.unique(sub).size:
+    if schreier_sims(G.elements[sub]).order != np.unique(sub).size:
         raise GroupError("the normal set is not a subgroup")
     coset_of, reps = coset_partition(G, sub)
-    reps, gids = np.array(reps, dtype=np.int64), G.gen_ids
-    qgens = [coset_of[ids] for ids in G.right_multiplication(gids)(reps)]
+    E, R, gids = G.elements, G.elements[reps], G.gen_ids  # R: the representatives' rows
+    qgens = [coset_of[G.ids_of(R[:, E[g]])] for g in gids]  # j -> N*r_j*g
     Q = close_group(np.reshape(qgens, (-1, len(reps))), name=name, order=len(reps))
-    inv_ids = G.ids_of(np.argsort(G.elements[reps], axis=1))
-    trans = np.array([coset_of[ids] for ids in G.right_multiplication(inv_ids)(reps)])
+    trans = np.array([coset_of[G.ids_of(R[:, E[g]])]
+                      for g in G.ids_of(np.argsort(R, axis=1))])  # j -> N*r_j*r_k^-1
     pi = Q.ids_of(trans)[coset_of]
     if any(pi[G.mul_ids(g, x)] != Q.mul_ids(int(pi[g]), int(pi[x])) for g in gids for x in gids):
         raise GroupError("quotient projection is not a homomorphism")

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from autorbit import catalog
+from autorbit import catalog, permcore
 from autorbit.autgrp import inner_automorphism_ids
 from autorbit.stypes import class_type_table
 from aut_closed import closed_aut
@@ -18,6 +20,27 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+@pytest.fixture
+def chains(monkeypatch):
+    """(limit, order) of each stabilizer chain built from then on, in building order: every
+    `schreier_sims` call, each `close_group`'s included, order None where the limit stopped it."""
+    calls, real = [], permcore.schreier_sims
+
+    def counted(rows, limit=permcore.DEFAULT_CLOSURE_LIMIT, order=None):
+        try:
+            chain = real(rows, limit, order)
+        except permcore.ClosureLimitExceeded:
+            calls.append((limit, None))
+            raise
+        calls.append((limit, chain.order))
+        return chain
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("autorbit") and getattr(module, "schreier_sims", None) is real:
+            monkeypatch.setattr(module, "schreier_sims", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,9 @@ closes by Dimino's closure (`closure_oracle.dimino`) of its seeds' rows,
 looked up by `ids_of`; conjugates are looked up by their full rows, and a
 normal closure conjugates by such id maps of the whole group and re-closes
 until it stops growing; the commutators come from scalar products on the
-inverse table.  The tests take their normal subgroups from here and check
-`permcore`'s closure, conjugation maps, normality test and quotients against
-them."""
+inverse table.  The tests take their subgroups from here and check
+`permcore`'s chains, conjugation maps, normality test and quotients against
+them; none of these oracles builds a `permcore` chain."""
 
 import numpy as np
 
@@ -27,11 +27,11 @@ def closure(G, seed_ids):
 
 def is_simple(G):
     """The verdict on a searched G that `cli._check_simple` gave before it read chain
-    orders: G is nonabelian and each nonidentity class closes to all of G on ids
-    (`FiniteGroup.subgroup_closure`, a `sweep` per kept seed)."""
+    orders: G is nonabelian and each nonidentity class's rows close to all of G by
+    Dimino's closure (`dimino`), not by a `permcore` chain."""
     table = conjugacy_classes(G)
     return len(table.least) < G.order and all(
-        G.subgroup_closure(cls).size == G.order for cls in table.classes[1:])
+        len(dimino(G.elements[cls]).elements) == G.order for cls in table.classes[1:])
 
 
 def conjugation_ids(G, c, ids=None):

@@ -16,7 +16,8 @@ import wreath_oracle as wo
 from aut_closed import closed_aut
 from multinomial_oracle import orbit_upper_bound, pmf
 from stypes_oracle import coarse_quotient, ct_power_check, ct_set, h_value_direct
-from subgroup_oracle import derived_series, derived_subgroup, is_characteristic, is_solvable
+from subgroup_oracle import (closure, derived_series, derived_subgroup, is_characteristic,
+                             is_solvable)
 
 
 @contextmanager
@@ -239,7 +240,7 @@ def _named_subgroup(G, kind):
     if kind == "center":
         return G.center_ids()
     if kind == "squares":
-        return G.subgroup_closure([G.mul_ids(i, i) for i in range(G.order)])
+        return closure(G, [G.mul_ids(i, i) for i in range(G.order)])[0]
     raise ValueError(kind)
 
 

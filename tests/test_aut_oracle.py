@@ -8,7 +8,9 @@ must be irredundant and close to it.
 
 A per-element order loop and per-element tuple fingerprints are oracles here
 as well: the search's element orders and fingerprint labels must agree with
-them.
+them.  The search's generators, whose candidate pairs close by a sweep of the
+Cayley table and whose fallback tail is what the chain keeps, must be those of
+the generator choice that closed both by Dimino's closure of rows.
 
 The search is in turn the oracle of `catalog.almost_simple`, whose rows
 close to Aut(S) as built from its known structure: the same |Aut(S)|, h(S)
@@ -39,6 +41,8 @@ from brute_aut_oracle import brute_aut_report
 from class_orbits_oracle import class_orbits, closed_with_ids
 from closure_oracle import dimino
 from stypes_oracle import h_value_direct
+from subgroup_oracle import closure
+from test_closure_memory import SMALL_CATALOG
 from aut_closed import closed_aut
 
 
@@ -87,13 +91,13 @@ def greedy_generating_set(G, T):
     orders = G.element_orders()
     by_order = sorted(range(G.order), key=lambda i: (-int(orders[i]), i))
     gens = []
-    closure = {0}
+    inside = {0}
     for eid in by_order:
-        if eid in closure:
+        if eid in inside:
             continue
         gens.append(eid)
-        closure = set(G.subgroup_closure(gens).tolist())
-        if len(closure) == G.order:
+        inside = set(closure(G, gens)[0].tolist())
+        if len(inside) == G.order:
             return gens
     raise GroupError("generating-set search failed")
 
@@ -305,6 +309,69 @@ def test_the_brute_force_examples_take_the_fallback_generators(generators):
     # no pair generates these, so `_generating_set` extends its best pair's closure
     G = group_from_spec({"degree": len(generators[0]), "generators": generators})
     assert len(autgrp._generating_set(G, _fingerprint_labels(G))) > 2
+
+
+# -- the search's generators against the closures they were chosen by ---------
+
+def oracle_generating_set(G, label):
+    """`autgrp._generating_set` as it was when it closed each candidate pair, and
+    the tail after the best pair, on ids by Dimino's rule; here each closure is
+    `subgroup_oracle.closure`, Dimino's closure of the seeds' rows."""
+    n, orders = G.order, G.element_orders()
+    cyclic = np.flatnonzero(orders == n)
+    if cyclic.size:
+        return [int(cyclic[0])]
+    classes = sorted((np.flatnonzero(label == f).tolist() for f in set(label[1:].tolist())),
+                     key=lambda c: (len(c), c[0]))
+    pairs = sorted(((B, A) for i, B in enumerate(classes) for A in classes[i:]),
+                   key=lambda p: len(p[0]) * len(p[1]))
+    best = (0, [])
+    for _, seed in zip(range(n), ([A[0], b] for B, A in pairs for b in B if b != A[0])):
+        best = max(best, (closure(G, seed)[0].size, seed), key=lambda t: t[0])
+        if best[0] == n:
+            return seed
+    _, gens = best
+    tail = closure(G, gens + np.argsort(-orders, kind="stable").tolist())[1]
+    return gens + [k for k in tail if k not in gens]
+
+
+def assert_generating_set_matches_the_oracle(G):
+    label = _fingerprint_labels(G)
+    assert autgrp._generating_set(G, label) == oracle_generating_set(G, label)
+
+
+@pytest.mark.parametrize("name", SMALL_CATALOG)
+def test_generating_set_matches_the_closure_oracle(name):
+    assert_generating_set_matches_the_oracle(catalog.resolve(name))
+
+
+NOT_TWO_GENERATED_GROUPS = {  # each takes the fallback tail
+    "C2^3": NOT_TWO_GENERATED_FILES[0],
+    "C2^4": _on_disjoint_supports([[[1, 0]]] * 4),
+    "C3^3": _on_disjoint_supports([[[1, 2, 0]]] * 3),
+    "C2xC2xS3": NOT_TWO_GENERATED_FILES[1],
+    "S3xS3xC2": _on_disjoint_supports([[[1, 2, 0], [1, 0, 2]]] * 2 + [[[1, 0]]]),
+}
+
+
+@pytest.mark.parametrize("name", NOT_TWO_GENERATED_GROUPS)
+def test_generating_set_matches_the_closure_oracle_past_the_pairs(name):
+    generators = NOT_TWO_GENERATED_GROUPS[name]
+    G = group_from_spec({"degree": len(generators[0]), "generators": generators})
+    assert_generating_set_matches_the_oracle(G)
+    assert len(autgrp._generating_set(G, _fingerprint_labels(G))) > 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(FILE_GROUPS)
+# C4 x Sym3 takes the tail after its best pair [9, 12], of which 12 lies in <9>
+@example(_on_disjoint_supports([[[1, 2, 3, 0]], [[0, 1, 3, 2], [0, 2, 1, 3]]]))
+def test_generating_set_matches_the_closure_oracle_on_drawn_groups(generators):
+    try:
+        G = group_from_spec({"degree": len(generators[0]), "generators": generators}, 200)
+    except ClosureLimitExceeded:
+        reject()
+    assert_generating_set_matches_the_oracle(G)
 
 
 @pytest.mark.parametrize("name, aut_order", [

@@ -202,7 +202,7 @@ def test_the_search_sweep_reads_each_source_off_the_table(name):
     for j in range(1, len(gen_ids) + 1):
         seen, before = np.zeros(G.order, dtype=bool), np.zeros(G.order, dtype=bool)
         before[0] = True
-        for level in pc.sweep([0], G.right_multiplication(gen_ids[:j]), seen):
+        for level in autgrp._sweep(T, gen_ids[:j], seen):
             k, found = level
             src = T[found, inv[gen_ids[k]]]
             assert before[src].all() and np.array_equal(T[src, gen_ids[k]], found)

@@ -12,7 +12,7 @@ from autorbit.catalog import (BadParameter, hermitian_inner, is_unitary,
                               su_generators)
 from autorbit.fields import make_field
 from class_orbits_oracle import closed_with_ids
-from subgroup_oracle import derived_subgroup, is_solvable
+from subgroup_oracle import closure, derived_subgroup, is_solvable
 
 
 def test_sym_alt_cyclic_orders():
@@ -187,7 +187,7 @@ def test_almost_simple_aut_embeds_the_named_group(name, aut_degree):
     A, ids = closed_with_ids(built)
     G = resolve(name)
     assert A.degree == aut_degree and built.group.name == G.name
-    assert ids.size == G.order and np.array_equal(ids, A.subgroup_closure(ids))
+    assert ids.size == G.order and np.array_equal(ids, closure(A, ids)[0])
     assert pc.is_normal(A, ids)
     # the same group: element orders agree as multisets
     assert sorted(A.element_orders()[ids].tolist()) == sorted(G.element_orders().tolist())

@@ -392,14 +392,15 @@ def test_h_needs_a_nonabelian_simple_group(capsys, monkeypatch):
     assert (sum(table.sizes), built.group.order) == (120, 120)
 
 
-def test_h_takes_simplicity_from_the_family_name(capsys, monkeypatch):
-    # psl(3,4) is simple by its name: the check closes no subgroup, and S is built once
+def test_h_takes_simplicity_from_the_family_name(capsys, monkeypatch, chains):
+    # psl(3,4) is simple by its name: the check closes no subgroup, and S is built once;
+    # the only chains are S's and Out(S)'s, on its 12 cosets
     built, resolve = [], catalog.resolve
     monkeypatch.setattr(catalog, "resolve",
                         lambda name, limit: built.append(name) or resolve(name, limit))
-    monkeypatch.setattr(FiniteGroup, "subgroup_closure", lambda *a: pytest.fail("closure"))
     code, out, _ = run_cli(capsys, "h", "--simple", "name:psl(3,4)")
     assert code == 0 and json.loads(out)["h"] == "3/4" and built == ["psl(3,4)"]
+    assert [order for _, order in chains] == [20160, 12]
     monkeypatch.undo()
     for name in ("alt4", "psl(2,3)"):  # outside the families the check still runs
         code, _, err = run_cli(capsys, "h", "--simple", f"name:{name}")
@@ -435,52 +436,44 @@ SEARCHED_VERDICTS = ["alt5", "alt7", "psl(2,4)", "psl(2,7)", "psl(3,2)", "psl34"
 @pytest.mark.parametrize("name", SEARCHED_VERDICTS + [
     pytest.param(name, marks=pytest.mark.slow)
     for name in ("alt8", "psl(3,4)", "psu(3,3)", "pgu(3,4)")])
-def test_the_chain_verdict_is_the_closure_verdict(monkeypatch, name):
+def test_the_chain_verdict_is_the_closure_verdict(chains, name):
     # a searched G is simple iff the chain of each nonidentity class's rows has
-    # order |G|: the verdict of closing each class on ids, which it no longer runs
+    # order |G|: the verdict of Dimino's closure of each class, which it no longer
+    # runs; its only chains are the classes', at the limit |G| - 1
     G = catalog.resolve(name)
-    expected = is_simple(G)
-    for method in ("closure", "subgroup_closure"):
-        monkeypatch.setattr(FiniteGroup, method, lambda *a: pytest.fail("closure"))
+    expected, n_classes = is_simple(G), len(permcore.conjugacy_classes(G).least)
+    chains.clear()
     assert _passes_check_simple(G) == expected
+    assert all(limit == G.order - 1 for limit, _ in chains) and len(chains) < n_classes
 
 
-def test_each_class_chain_stops_at_the_group_order(monkeypatch):
+def test_each_class_chain_stops_at_the_group_order(chains):
     # a class's rows are members of G, so its chain's orbit-length product never
     # passes |G|: run at the limit |G| - 1, the chain of a class that generates G
     # stops the moment it reaches |G|, and one of a class in a proper normal
     # subgroup completes below it and makes the verdict
-    chains, real = [], cli.schreier_sims
-
-    def chain(rows, limit, *a):
-        try:
-            result = real(rows, limit, *a)
-        except permcore.ClosureLimitExceeded:
-            chains.append((limit, None))
-            raise
-        chains.append((limit, result.order))
-        return result
-
-    monkeypatch.setattr(cli, "schreier_sims", chain)
-    G = catalog.resolve("psl(2,7)")
-    assert _passes_check_simple(G)
-    assert chains == [(167, None)] * (len(permcore.conjugacy_classes(G).least) - 1)
+    G, H = catalog.resolve("psl(2,7)"), catalog.resolve("pgu(2,7)")  # PGL_2(7) > PSL_2(7)
+    n_classes = len(permcore.conjugacy_classes(G).least)
     chains.clear()
-    assert not _passes_check_simple(catalog.resolve("pgu(2,7)"))  # PGL_2(7) > PSL_2(7)
+    assert _passes_check_simple(G)
+    assert chains == [(167, None)] * (n_classes - 1)
+    chains.clear()
+    assert not _passes_check_simple(H)
     assert chains[:-1] and set(chains[:-1]) == {(335, None)} and chains[-1] == (335, 168)
 
 
-def test_a_searched_simple_group_past_the_guard_is_judged_by_chains(tmp_path, capsys, monkeypatch):
+def test_a_searched_simple_group_past_the_guard_is_judged_by_chains(tmp_path, capsys, chains):
     # PGU_3(4) = PSU_3(4), 62,400 elements, from a file: simple by the chain
     # orders of its classes, with no subgroup closed, then refused by the search
     G = catalog.resolve("pgu(3,4)")
     path = tmp_path / "pgu34.json"
     path.write_text(json.dumps({"name": "pgu34", "degree": G.degree,
                                 "generators": G.elements[G.gen_ids].tolist()}))
-    for method in ("closure", "subgroup_closure"):
-        monkeypatch.setattr(FiniteGroup, method, lambda *a: pytest.fail("closure"))
+    n_classes = len(permcore.conjugacy_classes(G).least)
+    chains.clear()
     code, out, err = run_cli(capsys, "h", "--simple", f"file:{path}")
     assert (code, out) == (3, "") and "|G| = 62400 exceeds the 2000 carrier guard" in err
+    assert chains[0][1] == 62400 and chains[1:] == [(62399, None)] * (n_classes - 1)
 
 
 def test_h_past_the_search_guard(capsys):

@@ -9,7 +9,7 @@ from autorbit import catalog
 from autorbit import permcore as pc
 from autorbit.permcore import cycle_decompose, parse_cycles
 from closure_oracle import element_order
-from subgroup_oracle import (InvalidAutomorphism, derived_series, derived_subgroup,
+from subgroup_oracle import (InvalidAutomorphism, closure, derived_series, derived_subgroup,
                              is_characteristic, is_solvable)
 
 
@@ -238,7 +238,7 @@ def test_quotient_group():
 
 def test_quotient_rejects_non_normal():
     s3 = catalog.sym(3)
-    sub = s3.subgroup_closure([s3.id_of(parse_cycles("(1 2)", 3))])
+    sub = closure(s3, [s3.id_of(parse_cycles("(1 2)", 3))])[0]
     assert sub.size == 2
     with pytest.raises(pc.NotNormal):
         pc.quotient_group(s3, sub)
@@ -252,7 +252,7 @@ def test_is_characteristic():
     assert is_characteristic(s4, s4.center_ids(), gens)
     # a point stabilizer is not even normal
     stab = np.flatnonzero(s4.elements[:, 0] == 0)
-    sub = s4.subgroup_closure(stab)
+    sub = closure(s4, stab)[0]
     assert not pc.is_normal(s4, sub)
     if not is_characteristic(s4, sub, gens):
         pass  # expected: some automorphism moves it

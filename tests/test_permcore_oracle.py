@@ -18,11 +18,12 @@ as `_enumerate` lists it against Dimino's closure it replaced
 the same order.  Its sift, which reads a chunk only up to its first miss,
 is checked against the sift that read every row through every level
 (`closure_oracle.first_outside`): the same row, residue and level.
-Subgroup closures, a `sweep` on ids inside the finished group, are checked
-against the route they replaced: a Dimino closure of the seeds' rows,
-looked up by `ids_of` (`subgroup_oracle.closure`), which keeps the same
-seeds by the same rule, and
-the closure that swept all of H under every kept seed, not H*s minus H."""
+Subgroup closures, by the chain of the seeds' rows or, below the Aut search's
+carrier guard, by a `sweep` of the Cayley table (`autgrp._sweep`), are checked
+against a Dimino closure of the seeds' rows, looked up by `ids_of`
+(`subgroup_oracle.closure`), which keeps the same seeds by the same rule, and
+against Dimino's rule on ids: each kept seed sweeping all of H under every kept
+seed, each product looked up by its full row."""
 
 import functools
 import itertools
@@ -184,11 +185,17 @@ LARGE = ["psl(3,4)", "pgu(4,2)"]  # the closure oracles run these with --runslow
 
 
 def assert_closures_match_dimino(G):
+    # the chain of the seeds' rows keeps Dimino's seeds and reaches its order; on a
+    # group the Aut search takes, the table sweep of the seeds reaches its members
+    T = G.cayley() if G.order <= autgrp.MAX_AUT_CARRIER else None
     for seeds in seed_sets(G):
-        inside, kept = G.closure(seeds)
         ids, oracle_kept = oracle_closure(G, seeds)
-        assert np.array_equal(np.flatnonzero(inside), ids) and kept == oracle_kept
-        assert np.array_equal(G.subgroup_closure(seeds), ids)
+        chain = schreier_sims(G.elements[seeds])
+        assert [seeds[k] for k in chain.kept] == oracle_kept and chain.order == ids.size
+        if T is not None:
+            for _ in autgrp._sweep(T, seeds, seen := np.zeros(G.order, dtype=bool)):
+                pass
+            assert np.array_equal(np.flatnonzero(seen), ids)
 
 
 @pytest.mark.parametrize("name", [name for name in CATALOG if name not in LARGE])
@@ -203,68 +210,30 @@ def test_large_subgroup_closures_match_dimino(name):
 
 
 def full_sweep_closure(G, seed_ids):
-    """`FiniteGroup.closure` as it was before it started each kept seed's sweep
-    from H*s minus H: each kept seed sweeps every member so far under all the
-    kept seeds, so that the first level looks up H times the earlier seeds too."""
-    inside, kept = np.zeros(G.order, dtype=bool), []
+    """Dimino's rule on ids, the mask of <seeds> and the kept seeds: a seed inside is
+    dropped, and a kept one sweeps every member so far under all the kept seeds, each
+    product x*g looked up by its full row."""
+    E, inside, kept = G.elements, np.zeros(G.order, dtype=bool), []
     inside[0] = True
     for s in seed_ids:
         if inside[s]:
             continue
         kept.append(int(s))
-        for _ in sweep(np.flatnonzero(inside), G.right_multiplication(kept), inside):
+        step = lambda frontier: [G.ids_of(E[frontier][:, E[g]]) for g in kept]
+        for _ in sweep(np.flatnonzero(inside), step, inside):
             pass
     return inside, kept
 
 
 @pytest.mark.parametrize("name", [name for name in CATALOG if name not in LARGE])
 def test_closure_matches_the_full_sweep(name):
+    # the chain keeps the seeds that Dimino's rule keeps on ids, and closes to as many
     G = catalog.resolve(name)
     for seeds in seed_sets(G):
-        inside, kept = G.closure(seeds)
-        oracle_inside, oracle_kept = full_sweep_closure(G, seeds)
-        assert np.array_equal(inside, oracle_inside) and kept == oracle_kept
-
-
-def test_closure_skips_the_products_of_h_with_earlier_seeds(monkeypatch):
-    """Each kept seed after the first saves |H| lookups per earlier kept seed,
-    H being the members found before it."""
-    G = catalog.resolve("pgl(2,9)")  # built anew: products are looked up, not read off a table
-    lookups, locate = [], _RowIndex.locate
-
-    def counting_locate(self, images):
-        lookups.append(len(images))
-        return locate(self, images)
-
-    monkeypatch.setattr(_RowIndex, "locate", counting_locate)
-    savings = []
-    for seeds in seed_sets(G):
-        lookups.clear()
-        kept = G.closure(seeds)[1]
-        rows = sum(lookups)
-        lookups.clear()
-        full_sweep_closure(G, seeds)
-        full_rows = sum(lookups)
-        sizes = [np.count_nonzero(G.closure(kept[:i])[0]) for i in range(1, len(kept))]
-        savings.append(sum(i * int(size) for i, size in enumerate(sizes, start=1)))
-        assert rows == full_rows - savings[-1]
-    assert G._cayley is None and max(savings) > 0
-
-
-@pytest.mark.parametrize("name", ["sym5", "alt6", "pgl(2,7)", "extraspecial(3)"])
-def test_right_multiplication_reads_the_table_as_the_base_images_give(name):
-    G = catalog.resolve(name)  # built anew, without a Cayley table
-    E, gen_ids, frontier = G.elements, [1, G.order // 2, G.order - 1], np.arange(G.order)
-    full = np.array([G.ids_of(E[:, E[g]]) for g in gen_ids])  # rows x * g
-    seeds = seed_sets(G, pairs=5)
-    by_images = [G.closure(s) for s in seeds]
-    assert G._cayley is None
-    assert np.array_equal(np.array(list(G.right_multiplication(gen_ids)(frontier))), full)
-    G.cayley()
-    assert np.array_equal(G.right_multiplication(gen_ids)(frontier), full)
-    for s, (inside, kept) in zip(seeds, by_images):
-        by_table = G.closure(s)
-        assert np.array_equal(by_table[0], inside) and by_table[1] == kept
+        inside, kept = full_sweep_closure(G, seeds)
+        chain = schreier_sims(G.elements[seeds])
+        assert [seeds[k] for k in chain.kept] == kept
+        assert chain.order == np.count_nonzero(inside)
 
 
 def test_conjugation_by_a_non_member_raises():
